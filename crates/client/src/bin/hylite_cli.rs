@@ -184,11 +184,10 @@ fn run_one(conn: &mut Conn, sql: &str) -> bool {
     }
 }
 
-/// `\lag` — replication progress, with a friendly message when the
-/// server has nothing to report (pre-standalone-row servers).
+/// `\lag` — replication progress. Every server reports at least one row
+/// (a standalone node says so explicitly), so there is no empty case.
 fn show_lag(conn: &mut Conn) {
     match conn.query("SELECT * FROM hylite.replication") {
-        Ok(result) if result.row_count() == 0 => println!("no replication configured"),
         Ok(result) => {
             print!("{}", result.to_table_string());
             println!("({} rows)", result.row_count());

@@ -261,8 +261,7 @@ pub enum Frame {
         /// (`0` on a non-durable server). On a primary this is the commit
         /// watermark; on a replica it is the last durably *applied* LSN.
         /// Routers compare the two to decide whether a replica has caught
-        /// up with a session's writes ("read your own writes"). Absent in
-        /// protocol-v1 frames from older servers; decoded as `0` then.
+        /// up with a session's writes ("read your own writes").
         lsn: u64,
     },
     /// Server → client: the statement (or handshake) failed.
@@ -893,9 +892,7 @@ pub fn decode_frame(tag: u8, body: &[u8]) -> Result<Frame> {
         6 => Frame::CommandComplete {
             rows_affected: r.u64()?,
             total_rows: r.u64()?,
-            // Protocol-v1 servers predating the router omit the trailing
-            // LSN; decode it as 0 ("unknown") so old frames still parse.
-            lsn: if r.is_empty() { 0 } else { r.u64()? },
+            lsn: r.u64()?,
         },
         7 => Frame::Error {
             code: r.u16()?,
@@ -1207,26 +1204,6 @@ mod tests {
             decode_frame(20, &bytes),
             Err(HyError::Protocol(_))
         ));
-    }
-
-    #[test]
-    fn command_complete_without_lsn_still_decodes() {
-        // A protocol-v1 frame from a server predating the router carries
-        // only rows_affected + total_rows; the missing LSN reads as 0.
-        let mut body = Vec::new();
-        put_u64(&mut body, 7);
-        put_u64(&mut body, 123);
-        assert_eq!(
-            decode_frame(6, &body).unwrap(),
-            Frame::CommandComplete {
-                rows_affected: 7,
-                total_rows: 123,
-                lsn: 0,
-            }
-        );
-        // But a partial trailing LSN is still a protocol error.
-        body.extend_from_slice(&[1, 2, 3]);
-        assert!(matches!(decode_frame(6, &body), Err(HyError::Protocol(_))));
     }
 
     #[test]

@@ -4,10 +4,13 @@
 //! text is split into line batches that are parsed into columnar chunks
 //! on the thread pool and appended as whole segments.
 
+use std::sync::Arc;
+
 use hylite_common::{Chunk, ColumnVector, DataType, HyError, Result, Value};
 use rayon::prelude::*;
 
 use crate::database::Database;
+use crate::session::{commit_ops, settle_table};
 
 /// Options for CSV ingestion.
 #[derive(Debug, Clone)]
@@ -46,7 +49,7 @@ impl Database {
             ));
         }
         let t = self.catalog().get_table(table)?;
-        let schema = std::sync::Arc::clone(t.read().schema());
+        let schema = Arc::clone(t.read().schema());
         let types = schema.types();
         let mut lines: Vec<(usize, &str)> = csv
             .lines()
@@ -115,24 +118,8 @@ impl Database {
             return Err(e);
         }
         // The whole load is one WAL commit record: after a crash it is
-        // either fully replayed or absent, never half a file. Append and
-        // publish share one commit-mutex critical section so a concurrent
-        // checkpoint cannot truncate the logged-but-unpublished load.
-        match self.durability() {
-            Some(d) if !redo.is_empty() => {
-                d.with_commit_lock(|wal| match wal.log_commit(&redo) {
-                    Ok(_) => {
-                        t.write().commit();
-                        Ok(())
-                    }
-                    Err(e) => {
-                        t.write().rollback();
-                        Err(e)
-                    }
-                })?
-            }
-            _ => t.write().commit(),
-        }
+        // either fully replayed or absent, never half a file.
+        commit_ops(self.durability().map(Arc::as_ref), &redo, settle_table(&t))?;
         Ok(total)
     }
 }

@@ -160,12 +160,12 @@ impl CoreViews {
             None => (Value::Null, Value::Null),
         };
         match d.last_backup() {
-            Some(b) => vec![vec![
-                Value::Int(b.at_unix_ms as i64),
-                Value::from(b.dest.as_str()),
-                Value::Int(b.lsn as i64),
+            Some((at_unix_ms, b)) => vec![vec![
+                Value::Int(at_unix_ms as i64),
+                Value::from(b.dest.display().to_string()),
+                Value::Int(b.backup_lsn as i64),
                 Value::Int(b.bytes as i64),
-                Value::Int(b.segments as i64),
+                Value::Int(b.segments_copied as i64),
                 Value::Bool(b.verified),
                 Value::Bool(b.incremental),
                 watermark,

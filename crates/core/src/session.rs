@@ -14,7 +14,7 @@ use hylite_expr::ScalarExpr;
 use hylite_planner::binder::{Binder, BoundStatement};
 use hylite_planner::{stats, LogicalPlan, Optimizer};
 use hylite_sql::{parse_sql, Statement};
-use hylite_storage::{Catalog, Durability, RedoOp, Transaction};
+use hylite_storage::{Catalog, Durability, RedoOp, TableRef, Transaction};
 
 use crate::result::QueryResult;
 
@@ -556,24 +556,13 @@ impl Session {
                     // failure rolls the whole transaction back, so recovery
                     // can never observe half a transaction.
                     let ops = std::mem::take(&mut self.redo);
-                    let published = match &self.durability {
-                        Some(d) if !ops.is_empty() => {
-                            d.with_commit_lock(|wal| match wal.log_commit(&ops) {
-                                Ok(_) => {
-                                    tx.commit();
-                                    Ok(())
-                                }
-                                Err(e) => {
-                                    tx.rollback();
-                                    Err(e)
-                                }
-                            })
+                    let published = commit_ops(self.durability.as_deref(), &ops, |logged| {
+                        if logged {
+                            tx.commit()
+                        } else {
+                            tx.rollback()
                         }
-                        _ => {
-                            tx.commit();
-                            Ok(())
-                        }
-                    };
+                    });
                     self.own_tables.clear();
                     self.end_statement_write();
                     match published {
@@ -861,37 +850,19 @@ impl Session {
             }
             None => {
                 debug_assert!(self.holds_gate, "autocommit write without the writer gate");
-                match &self.durability {
-                    Some(d) => {
-                        // WAL append and in-memory publish happen inside one
-                        // commit-mutex critical section so a concurrent
-                        // checkpoint can never observe the log ahead of
-                        // memory (or vice versa) and truncate a logged but
-                        // unpublished commit away.
-                        d.with_commit_lock(|wal| match wal.log_commit(&ops) {
-                            Ok(_) => {
-                                t.write().commit();
-                                Ok(())
-                            }
-                            Err(e) => {
-                                t.write().rollback();
-                                Err(e)
-                            }
-                        })?;
-                    }
-                    None => t.write().commit(),
-                }
+                commit_ops(self.durability.as_deref(), &ops, settle_table(&t))?;
             }
         }
         Ok(())
     }
 
     /// CREATE TABLE. DDL is logged immediately as its own commit record
-    /// (the catalog is not transactional); the catalog mutation and the
-    /// WAL append share one commit-mutex critical section so a concurrent
-    /// checkpoint never snapshots a created-but-unlogged (or logged-but-
-    /// uncreated) table, and on WAL failure the create is undone so memory
-    /// and log agree.
+    /// (the catalog is not transactional), through the same log-then-
+    /// publish protocol as every other write, so a concurrent checkpoint
+    /// never snapshots a created-but-unlogged (or logged-but-uncreated)
+    /// table and a WAL failure leaves the catalog untouched. The name is
+    /// checked first: the writer gate, held from `begin_write`, keeps
+    /// every other catalog writer out between the check and the create.
     fn run_create_table(
         &mut self,
         name: &str,
@@ -899,52 +870,45 @@ impl Session {
         if_not_exists: bool,
     ) -> Result<QueryResult> {
         self.begin_write();
-        if if_not_exists && self.catalog.has_table(name) {
-            return Ok(QueryResult::affected(0));
-        }
-        let key = name.to_ascii_lowercase();
-        let catalog = &self.catalog;
-        match &self.durability {
-            Some(d) => d.with_commit_lock(|wal| {
-                catalog.create_table(name, schema.clone())?;
-                if let Err(e) = wal.log_commit(&[RedoOp::CreateTable {
-                    name: key,
-                    schema: schema.clone(),
-                }]) {
-                    let _ = catalog.drop_table(name, true);
-                    return Err(e);
-                }
-                Ok(())
-            })?,
-            None => {
-                catalog.create_table(name, schema)?;
+        if self.catalog.has_table(name) {
+            if if_not_exists {
+                return Ok(QueryResult::affected(0));
             }
+            return Err(HyError::Catalog(format!("table '{name}' already exists")));
         }
+        let op = RedoOp::CreateTable {
+            name: name.to_ascii_lowercase(),
+            schema: schema.clone(),
+        };
+        let mut created = Ok(());
+        commit_ops(self.durability.as_deref(), &[op], |logged| {
+            if logged {
+                created = self.catalog.create_table(name, schema).map(drop);
+            }
+        })?;
+        created?;
         Ok(QueryResult::affected(0))
     }
 
-    /// DROP TABLE. Same publish-under-commit-lock protocol as
-    /// [`Self::run_create_table`]; on WAL failure the dropped table is
-    /// restored unchanged.
+    /// DROP TABLE. Same check-then-log-then-publish protocol as
+    /// [`Self::run_create_table`].
     fn run_drop_table(&mut self, name: &str, if_exists: bool) -> Result<QueryResult> {
         self.begin_write();
         let key = name.to_ascii_lowercase();
-        let catalog = &self.catalog;
-        match &self.durability {
-            Some(d) => d.with_commit_lock(|wal| {
-                let dropped = catalog.drop_table(name, if_exists)?;
-                if let Some(table) = dropped {
-                    if let Err(e) = wal.log_commit(&[RedoOp::DropTable { name: key.clone() }]) {
-                        catalog.restore_table(table);
-                        return Err(e);
-                    }
-                }
-                Ok(())
-            })?,
-            None => {
-                catalog.drop_table(name, if_exists)?;
-            }
+        if let Err(e) = self.catalog.get_table(name) {
+            return if if_exists {
+                Ok(QueryResult::affected(0))
+            } else {
+                Err(e)
+            };
         }
+        let op = RedoOp::DropTable { name: key.clone() };
+        commit_ops(self.durability.as_deref(), &[op], |logged| {
+            if logged {
+                // Cannot fail: `if_exists` tolerates even a missing table.
+                let _ = self.catalog.drop_table(name, true);
+            }
+        })?;
         self.own_tables.remove(&key);
         Ok(QueryResult::affected(0))
     }
@@ -970,6 +934,38 @@ impl Session {
             }],
         )?;
         Ok(QueryResult::affected(n))
+    }
+}
+
+/// Commit `ops`: on a durable database through [`Durability::commit`],
+/// which logs them and then runs `settle(logged)` — the in-memory publish,
+/// or the rollback if the WAL refused the commit — inside the commit
+/// lock. An in-memory database, or a commit with nothing to log,
+/// publishes at once.
+pub(crate) fn commit_ops(
+    durability: Option<&Durability>,
+    ops: &[RedoOp],
+    settle: impl FnOnce(bool),
+) -> Result<()> {
+    match durability {
+        Some(d) if !ops.is_empty() => d.commit(ops, settle).map(drop),
+        _ => {
+            settle(true);
+            Ok(())
+        }
+    }
+}
+
+/// The `settle` of a commit that staged rows in one table: publish them,
+/// or discard them if the commit was not logged.
+pub(crate) fn settle_table(table: &TableRef) -> impl FnOnce(bool) + '_ {
+    move |logged| {
+        let mut guard = table.write();
+        if logged {
+            guard.commit()
+        } else {
+            guard.rollback()
+        }
     }
 }
 

@@ -275,7 +275,6 @@ fn main() -> ExitCode {
                 },
                 promote: cli.promote,
                 archive_dir: cli.archive_dir.as_ref().map(std::path::PathBuf::from),
-                ..DurabilityOptions::default()
             };
             match Database::open_with(vfs, std::path::Path::new(dir), options) {
                 Ok(db) => {

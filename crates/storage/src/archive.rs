@@ -40,10 +40,10 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use hylite_common::faultfs::Vfs;
-use hylite_common::wire;
 use hylite_common::{HyError, MetricsRegistry, Result};
 
-use crate::wal::{scan_wal_raw, RawFrame, WAL_MAGIC, WAL_VERSION};
+use crate::files::publish_atomic;
+use crate::wal::{scan_wal_raw, wal_image, RawFrame};
 
 /// File holding the archive watermark (highest archived LSN).
 pub const ARCHIVE_WATERMARK_FILE: &str = "archive.lsn";
@@ -139,26 +139,24 @@ impl WalArchive {
                 )));
             }
         }
-        let mut buf = Vec::with_capacity(fresh.iter().map(|f| f.payload.len() + 8).sum());
-        wire::put_u32(&mut buf, WAL_MAGIC);
-        wire::put_u32(&mut buf, WAL_VERSION);
-        for f in &fresh {
-            wire::put_u32(&mut buf, f.payload.len() as u32);
-            wire::put_u32(&mut buf, f.crc);
-            buf.extend_from_slice(&f.payload);
-        }
-        let name = span_file_name(start, end);
-        let tmp = self.dir.join(format!("{name}.tmp"));
-        let dest = self.dir.join(&name);
-        let mut f = self.vfs.create(&tmp)?;
-        f.write_all(&buf)?;
-        f.sync()?;
-        drop(f);
-        self.vfs.sync_dir(&self.dir)?;
-        self.vfs.crash_point(CP_ARCHIVE_ROTATE)?;
-        self.vfs.rename(&tmp, &dest)?;
-        self.vfs.sync_dir(&self.dir)?;
-        write_watermark(self.vfs.as_ref(), &self.dir, end)?;
+        let buf = wal_image(fresh.iter().copied());
+        let vfs = self.vfs.as_ref();
+        let span = span_file_name(start, end);
+        publish_atomic(
+            vfs,
+            &self.dir,
+            &span,
+            &buf,
+            [None, Some(CP_ARCHIVE_ROTATE), None],
+        )?;
+        let watermark = end.to_le_bytes();
+        publish_atomic(
+            vfs,
+            &self.dir,
+            ARCHIVE_WATERMARK_FILE,
+            &watermark,
+            [None; 3],
+        )?;
         self.watermark = end;
         self.metrics.counter("archive.spans").inc();
         self.metrics
@@ -183,18 +181,6 @@ pub fn read_watermark(vfs: &dyn Vfs, dir: &Path) -> Result<u64> {
         )));
     }
     Ok(u64::from_le_bytes(bytes.try_into().unwrap()))
-}
-
-fn write_watermark(vfs: &dyn Vfs, dir: &Path, lsn: u64) -> Result<()> {
-    let tmp = dir.join(format!("{ARCHIVE_WATERMARK_FILE}.tmp"));
-    let dest = dir.join(ARCHIVE_WATERMARK_FILE);
-    let mut f = vfs.create(&tmp)?;
-    f.write_all(&lsn.to_le_bytes())?;
-    f.sync()?;
-    drop(f);
-    vfs.rename(&tmp, &dest)?;
-    vfs.sync_dir(dir)?;
-    Ok(())
 }
 
 /// Read every archived frame into an LSN-ordered map, verifying each

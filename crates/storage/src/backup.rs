@@ -18,11 +18,12 @@
 //!     backup.hylite          -- metadata ("HYBK"), written LAST
 //! ```
 //!
-//! The metadata file is the commit record: it is published tmp → fsync →
-//! rename only after every other file is durable, so a directory without
-//! a valid `backup.hylite` is an interrupted backup and restore refuses
-//! it. The [`CP_BACKUP_SEG_COPY`] crash point fires before each segment
-//! copy to prove exactly that in the crash matrix.
+//! The metadata file is the commit record: it is published (with
+//! [`crate::files::publish_atomic`]) only after every other file is
+//! durable, so a directory without a valid `backup.hylite` is an
+//! interrupted backup and restore refuses it. The [`CP_BACKUP_SEG_COPY`]
+//! crash point fires before each segment copy to prove exactly that in
+//! the crash matrix.
 //!
 //! ## Incremental chains
 //!
@@ -49,12 +50,15 @@ use std::sync::Arc;
 
 use hylite_common::faultfs::Vfs;
 use hylite_common::wire::{self, ByteReader};
-use hylite_common::{crc32, HyError, Result};
+use hylite_common::{HyError, Result};
 
 use crate::archive::read_archived_frames;
 use crate::checkpoint::{decode_manifest, CHECKPOINT_FILE};
-use crate::segment::{segment_file_name, validate_segment_bytes, SegmentStore, SEGMENT_DIR};
-use crate::wal::{scan_wal_raw, RawFrame, WAL_FILE, WAL_MAGIC, WAL_VERSION};
+use crate::files::{open_framed, publish_atomic, seal_framed, write_durable};
+use crate::segment::{
+    check_segment_bytes, copy_segment_bytes, segment_file_name, SegmentStore, SEGMENT_DIR,
+};
+use crate::wal::{scan_wal_raw, wal_image, RawFrame, WAL_FILE};
 
 /// Magic number opening a backup metadata file (`"HYBK"`).
 pub const BACKUP_MAGIC: u32 = 0x4859_424B;
@@ -94,94 +98,57 @@ pub struct BackupMeta {
 
 /// Serialize backup metadata (CRC-framed like every HyLite file).
 pub fn encode_backup_meta(meta: &BackupMeta) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(128);
-    wire::put_u32(&mut buf, BACKUP_MAGIC);
-    wire::put_u32(&mut buf, BACKUP_VERSION);
-    wire::put_u64(&mut buf, meta.base_lsn);
-    wire::put_u64(&mut buf, meta.backup_lsn);
-    wire::put_u64(&mut buf, meta.epoch);
-    buf.push(u8::from(meta.verified));
-    match &meta.base {
-        Some(base) => {
-            buf.push(1);
-            wire::put_str(&mut buf, base);
+    seal_framed(BACKUP_MAGIC, BACKUP_VERSION, |buf| {
+        wire::put_u64(buf, meta.base_lsn);
+        wire::put_u64(buf, meta.backup_lsn);
+        wire::put_u64(buf, meta.epoch);
+        buf.push(u8::from(meta.verified));
+        match &meta.base {
+            Some(base) => {
+                buf.push(1);
+                wire::put_str(buf, base);
+            }
+            None => buf.push(0),
         }
-        None => buf.push(0),
-    }
-    wire::put_u32(&mut buf, meta.copied_segments.len() as u32);
-    for &id in &meta.copied_segments {
-        wire::put_u64(&mut buf, id);
-    }
-    wire::put_u32(&mut buf, meta.base_segments.len() as u32);
-    for &id in &meta.base_segments {
-        wire::put_u64(&mut buf, id);
-    }
-    wire::put_u64(&mut buf, meta.bytes);
-    let crc = crc32(&buf);
-    wire::put_u32(&mut buf, crc);
-    buf
+        for ids in [&meta.copied_segments, &meta.base_segments] {
+            wire::put_u32(buf, ids.len() as u32);
+            for &id in ids {
+                wire::put_u64(buf, id);
+            }
+        }
+        wire::put_u64(buf, meta.bytes);
+    })
 }
 
 /// Parse and verify backup metadata. Any damage is a hard error: a
 /// backup that cannot prove what it contains must not be restored.
 pub fn decode_backup_meta(bytes: &[u8]) -> Result<BackupMeta> {
-    if bytes.len() < 16 {
-        return Err(HyError::Storage(format!(
-            "backup metadata is {} bytes — too short to be valid",
-            bytes.len()
-        )));
+    fn ids(r: &mut ByteReader<'_>) -> Result<Vec<u64>> {
+        let n = r.u32()? as usize;
+        let mut ids = Vec::with_capacity(n.min(r.remaining() / 8));
+        for _ in 0..n {
+            ids.push(r.u64()?);
+        }
+        Ok(ids)
     }
-    let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-    let stored = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-    if crc32(body) != stored {
-        return Err(HyError::Storage(
-            "backup metadata failed its CRC check (corrupted)".into(),
-        ));
-    }
-    let mut r = ByteReader::new(body);
-    let magic = r.u32()?;
-    if magic != BACKUP_MAGIC {
-        return Err(HyError::Storage(format!(
-            "not a HyLite backup (magic {magic:#010x})"
-        )));
-    }
-    let version = r.u32()?;
-    if version != BACKUP_VERSION {
-        return Err(HyError::Storage(format!(
-            "backup version {version} not supported (this build reads {BACKUP_VERSION})"
-        )));
-    }
-    let base_lsn = r.u64()?;
-    let backup_lsn = r.u64()?;
-    let epoch = r.u64()?;
-    let verified = r.u8()? != 0;
-    let base = if r.u8()? != 0 { Some(r.str()?) } else { None };
-    let ncopied = r.u32()? as usize;
-    let mut copied_segments = Vec::with_capacity(ncopied.min(r.remaining() / 8));
-    for _ in 0..ncopied {
-        copied_segments.push(r.u64()?);
-    }
-    let nbase = r.u32()? as usize;
-    let mut base_segments = Vec::with_capacity(nbase.min(r.remaining() / 8));
-    for _ in 0..nbase {
-        base_segments.push(r.u64()?);
-    }
-    let bytes_copied = r.u64()?;
-    if !r.is_empty() {
-        return Err(HyError::Storage(
-            "backup metadata has trailing bytes".into(),
-        ));
-    }
-    Ok(BackupMeta {
-        base_lsn,
-        backup_lsn,
-        epoch,
-        verified,
-        base,
-        copied_segments,
-        base_segments,
-        bytes: bytes_copied,
-    })
+    open_framed(
+        "backup metadata",
+        BACKUP_MAGIC,
+        BACKUP_VERSION,
+        bytes,
+        |r| {
+            Ok(BackupMeta {
+                base_lsn: r.u64()?,
+                backup_lsn: r.u64()?,
+                epoch: r.u64()?,
+                verified: r.u8()? != 0,
+                base: if r.u8()? != 0 { Some(r.str()?) } else { None },
+                copied_segments: ids(r)?,
+                base_segments: ids(r)?,
+                bytes: r.u64()?,
+            })
+        },
+    )
 }
 
 /// Read and decode a backup directory's metadata. A directory without
@@ -304,29 +271,16 @@ pub fn write_backup(
                 "segment {id} {SEGMENT_VANISHED} (checkpoint GC raced the copy): {e}"
             ))
         })?;
-        let meta = validate_segment_bytes(&bytes)?;
-        if meta.id != id {
-            return Err(HyError::Storage(format!(
-                "segment file for id {id} declares id {} — store corrupted",
-                meta.id
-            )));
-        }
-        let mut f = vfs.create(&seg_dir.join(segment_file_name(id)))?;
-        f.write_all(&bytes)?;
-        f.sync()?;
+        copy_segment_bytes(vfs.as_ref(), &seg_dir, id, &bytes)?;
         bytes_copied += bytes.len() as u64;
         copied_segments.push(id);
     }
     vfs.sync_dir(&seg_dir)?;
     if let Some(manifest) = &pin.manifest {
-        let mut f = vfs.create(&dest.join(CHECKPOINT_FILE))?;
-        f.write_all(manifest)?;
-        f.sync()?;
+        write_durable(vfs.as_ref(), &dest.join(CHECKPOINT_FILE), manifest)?;
         bytes_copied += manifest.len() as u64;
     }
-    let mut f = vfs.create(&dest.join(WAL_FILE))?;
-    f.write_all(&pin.wal)?;
-    f.sync()?;
+    write_durable(vfs.as_ref(), &dest.join(WAL_FILE), &pin.wal)?;
     bytes_copied += pin.wal.len() as u64;
     vfs.sync_dir(dest)?;
 
@@ -345,14 +299,7 @@ pub fn write_backup(
         bytes: bytes_copied,
     };
     let encoded = encode_backup_meta(&meta);
-    let tmp = dest.join(format!("{BACKUP_META_FILE}.tmp"));
-    let mut f = vfs.create(&tmp)?;
-    f.write_all(&encoded)?;
-    f.sync()?;
-    drop(f);
-    vfs.sync_dir(dest)?;
-    vfs.rename(&tmp, &dest.join(BACKUP_META_FILE))?;
-    vfs.sync_dir(dest)?;
+    publish_atomic(vfs.as_ref(), dest, BACKUP_META_FILE, &encoded, [None; 3])?;
     Ok(BackupSummary {
         dest: dest.to_path_buf(),
         base_lsn,
@@ -369,13 +316,7 @@ pub fn write_backup(
 fn verify_backup_files(vfs: &dyn Vfs, dest: &Path, copied: &[u64]) -> Result<()> {
     for &id in copied {
         let bytes = vfs.read(&dest.join(SEGMENT_DIR).join(segment_file_name(id)))?;
-        let meta = validate_segment_bytes(&bytes)?;
-        if meta.id != id {
-            return Err(HyError::Storage(format!(
-                "backup verify: segment copy {id} declares id {}",
-                meta.id
-            )));
-        }
+        check_segment_bytes(id, &bytes)?;
     }
     let ckpt = dest.join(CHECKPOINT_FILE);
     if vfs.exists(&ckpt) {
@@ -441,9 +382,7 @@ pub fn restore_backup(
         let image = decode_manifest(&bytes)?;
         let mut ids: Vec<u64> = image.referenced_segments().into_iter().collect();
         ids.sort_unstable();
-        let mut f = vfs.create(&dest_dir.join(CHECKPOINT_FILE))?;
-        f.write_all(&bytes)?;
-        f.sync()?;
+        write_durable(vfs.as_ref(), &dest_dir.join(CHECKPOINT_FILE), &bytes)?;
         bytes_written += bytes.len() as u64;
         (image.base_lsn, ids)
     } else {
@@ -464,16 +403,7 @@ pub fn restore_backup(
                 ))
             })?;
         let bytes = vfs.read(&src)?;
-        let seg_meta = validate_segment_bytes(&bytes)?;
-        if seg_meta.id != id {
-            return Err(HyError::Storage(format!(
-                "backup segment copy {id} declares id {} — backup corrupted",
-                seg_meta.id
-            )));
-        }
-        let mut f = vfs.create(&dest_segs.join(&name))?;
-        f.write_all(&bytes)?;
-        f.sync()?;
+        copy_segment_bytes(vfs.as_ref(), &dest_segs, id, &bytes)?;
         bytes_written += bytes.len() as u64;
     }
     vfs.sync_dir(&dest_segs)?;
@@ -517,22 +447,10 @@ pub fn restore_backup(
         None => highest,
     };
 
-    let mut wal_bytes = Vec::new();
-    wire::put_u32(&mut wal_bytes, WAL_MAGIC);
-    wire::put_u32(&mut wal_bytes, WAL_VERSION);
-    let mut wal_frames = 0u64;
     // `start..=target` is empty when target == start - 1 (pure-checkpoint
     // restore): the WAL is just its header.
-    for lsn in start..=target {
-        let f = &frames[&lsn];
-        wire::put_u32(&mut wal_bytes, f.payload.len() as u32);
-        wire::put_u32(&mut wal_bytes, f.crc);
-        wal_bytes.extend_from_slice(&f.payload);
-        wal_frames += 1;
-    }
-    let mut f = vfs.create(&dest_dir.join(WAL_FILE))?;
-    f.write_all(&wal_bytes)?;
-    f.sync()?;
+    let wal_bytes = wal_image((start..=target).map(|lsn| &frames[&lsn]));
+    write_durable(vfs.as_ref(), &dest_dir.join(WAL_FILE), &wal_bytes)?;
     bytes_written += wal_bytes.len() as u64;
     vfs.sync_dir(dest_dir)?;
 
@@ -540,7 +458,7 @@ pub fn restore_backup(
         base_lsn,
         restored_lsn: target,
         segments: referenced.len() as u64,
-        wal_frames,
+        wal_frames: target + 1 - start,
         bytes: bytes_written,
     })
 }

@@ -32,9 +32,11 @@
 //! ## Publish protocol
 //!
 //! The checkpointer writes all new segment files and fsyncs them and the
-//! segment directory, then writes `checkpoint.tmp`, fsyncs it, atomically
-//! renames it over `checkpoint.hylite`, and only then truncates the WAL.
-//! Every step is crash-safe:
+//! segment directory, then publishes the manifest with
+//! [`crate::files::publish_atomic`] (`checkpoint.tmp` written and fsynced,
+//! renamed over `checkpoint.hylite`, the directory fsynced on both sides
+//! of the rename), and only then deletes unreferenced segment files and
+//! truncates the WAL. Every step is crash-safe:
 //!
 //! * crash while writing segments — the old manifest never references
 //!   the new files; recovery deletes them as orphans.
@@ -51,10 +53,11 @@ use std::path::Path;
 
 use hylite_common::faultfs::Vfs;
 use hylite_common::wire::{self, ByteReader};
-use hylite_common::{crc32, HyError, Result, Schema};
+use hylite_common::{HyError, Result, Schema};
 use parking_lot::RwLock;
 
 use crate::catalog::Catalog;
+use crate::files::{open_framed, publish_atomic, seal_framed};
 use crate::segment::SegmentStore;
 use crate::snapshot::SegmentHandle;
 use crate::table::Table;
@@ -65,7 +68,9 @@ pub const CHECKPOINT_MAGIC: u32 = 0x4859_434B;
 pub const CHECKPOINT_VERSION: u32 = 2;
 /// File name of the current checkpoint inside the data directory.
 pub const CHECKPOINT_FILE: &str = "checkpoint.hylite";
-/// Scratch name the checkpoint is written to before the atomic rename.
+/// Scratch name [`publish_atomic`] writes the checkpoint to before the
+/// rename ([`CHECKPOINT_FILE`] with a `.tmp` extension); recovery deletes
+/// a leftover one.
 pub const CHECKPOINT_TMP_FILE: &str = "checkpoint.tmp";
 
 /// Crash point: before the checkpoint temp file is written.
@@ -105,104 +110,82 @@ pub struct TableManifest {
 impl CheckpointImage {
     /// Every segment id any table references.
     pub fn referenced_segments(&self) -> std::collections::HashSet<u64> {
-        self.tables
-            .iter()
-            .flat_map(|t| t.segments.iter().map(|&(id, _)| id))
-            .collect()
+        referenced_segments(&self.tables)
     }
+}
+
+/// Every segment id the given table manifests reference — the set a
+/// segment GC must spare once they are published.
+pub fn referenced_segments(tables: &[TableManifest]) -> std::collections::HashSet<u64> {
+    tables
+        .iter()
+        .flat_map(|t| t.segments.iter().map(|&(id, _)| id))
+        .collect()
 }
 
 /// Serialize a manifest. `base_lsn` is the LSN the next commit will
 /// receive; the caller must hold the commit lock so no commit lands
 /// between choosing `base_lsn` and sealing the snapshots.
 pub fn encode_manifest(base_lsn: u64, tables: &[TableManifest]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(512);
-    wire::put_u32(&mut buf, CHECKPOINT_MAGIC);
-    wire::put_u32(&mut buf, CHECKPOINT_VERSION);
-    wire::put_u64(&mut buf, base_lsn);
-    wire::put_u32(&mut buf, tables.len() as u32);
-    for t in tables {
-        wire::put_str(&mut buf, &t.name);
-        wire::put_schema(&mut buf, &t.schema);
-        wire::put_u32(&mut buf, t.segments.len() as u32);
-        for &(id, rows) in &t.segments {
-            wire::put_u64(&mut buf, id);
-            wire::put_u64(&mut buf, rows);
+    seal_framed(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, |buf| {
+        wire::put_u64(buf, base_lsn);
+        wire::put_u32(buf, tables.len() as u32);
+        for t in tables {
+            wire::put_str(buf, &t.name);
+            wire::put_schema(buf, &t.schema);
+            wire::put_u32(buf, t.segments.len() as u32);
+            for &(id, rows) in &t.segments {
+                wire::put_u64(buf, id);
+                wire::put_u64(buf, rows);
+            }
+            wire::put_u64(buf, t.row_limit);
+            wire::put_u64(buf, t.deleted.len() as u64);
+            for &id in &t.deleted {
+                wire::put_u64(buf, id);
+            }
         }
-        wire::put_u64(&mut buf, t.row_limit);
-        wire::put_u64(&mut buf, t.deleted.len() as u64);
-        for &id in &t.deleted {
-            wire::put_u64(&mut buf, id);
-        }
-    }
-    let crc = crc32(&buf);
-    wire::put_u32(&mut buf, crc);
-    buf
+    })
 }
 
 /// Parse and verify a manifest's bytes. Any inconsistency — bad magic,
-/// bad CRC, truncation — is a hard error: unlike a torn WAL tail, a
-/// damaged checkpoint means real data loss and must not be papered over.
+/// bad CRC, truncation — is a hard error (see [`open_framed`]).
 pub fn decode_manifest(bytes: &[u8]) -> Result<CheckpointImage> {
-    if bytes.len() < 24 {
-        return Err(HyError::Storage(format!(
-            "checkpoint manifest is {} bytes — too short to be valid",
-            bytes.len()
-        )));
-    }
-    let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-    let stored = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-    if crc32(body) != stored {
-        return Err(HyError::Storage(
-            "checkpoint manifest failed its CRC check (corrupted)".into(),
-        ));
-    }
-    let mut r = ByteReader::new(body);
-    let magic = r.u32()?;
-    if magic != CHECKPOINT_MAGIC {
-        return Err(HyError::Storage(format!(
-            "not a HyLite checkpoint (magic {magic:#010x})"
-        )));
-    }
-    let version = r.u32()?;
-    if version != CHECKPOINT_VERSION {
-        return Err(HyError::Storage(format!(
-            "checkpoint version {version} not supported (this build reads {CHECKPOINT_VERSION})"
-        )));
-    }
-    let base_lsn = r.u64()?;
-    let ntables = r.u32()? as usize;
-    let mut tables = Vec::with_capacity(ntables.min(1024));
-    for _ in 0..ntables {
-        let name = r.str()?;
-        let schema = r.schema()?;
-        let nsegs = r.u32()? as usize;
-        let mut segments = Vec::with_capacity(nsegs.min(r.remaining() / 16));
-        for _ in 0..nsegs {
-            let id = r.u64()?;
-            let rows = r.u64()?;
-            segments.push((id, rows));
-        }
-        let row_limit = r.u64()?;
-        let ndel = r.u64()? as usize;
-        let mut deleted = Vec::with_capacity(ndel.min(r.remaining() / 8));
-        for _ in 0..ndel {
-            deleted.push(r.u64()?);
-        }
-        tables.push(TableManifest {
-            name,
-            schema,
-            segments,
-            row_limit,
-            deleted,
-        });
-    }
-    if !r.is_empty() {
-        return Err(HyError::Storage(
-            "checkpoint manifest has trailing bytes".into(),
-        ));
-    }
-    Ok(CheckpointImage { base_lsn, tables })
+    open_framed(
+        "checkpoint manifest",
+        CHECKPOINT_MAGIC,
+        CHECKPOINT_VERSION,
+        bytes,
+        |r| {
+            let base_lsn = r.u64()?;
+            let ntables = r.u32()? as usize;
+            let mut tables = Vec::with_capacity(ntables.min(1024));
+            for _ in 0..ntables {
+                let name = r.str()?;
+                let schema = r.schema()?;
+                let nsegs = r.u32()? as usize;
+                let mut segments = Vec::with_capacity(nsegs.min(r.remaining() / 16));
+                for _ in 0..nsegs {
+                    let id = r.u64()?;
+                    let rows = r.u64()?;
+                    segments.push((id, rows));
+                }
+                let row_limit = r.u64()?;
+                let ndel = r.u64()? as usize;
+                let mut deleted = Vec::with_capacity(ndel.min(r.remaining() / 8));
+                for _ in 0..ndel {
+                    deleted.push(r.u64()?);
+                }
+                tables.push(TableManifest {
+                    name,
+                    schema,
+                    segments,
+                    row_limit,
+                    deleted,
+                });
+            }
+            Ok(CheckpointImage { base_lsn, tables })
+        },
+    )
 }
 
 /// Rebuild tables from a manifest into `catalog` (expected empty),
@@ -258,21 +241,18 @@ pub const BOOTSTRAP_VERSION: u32 = 1;
 /// [u32 crc32(everything above)]
 /// ```
 pub fn encode_bootstrap_bundle(segments: &[(u64, Vec<u8>)], manifest: &[u8]) -> Vec<u8> {
-    let total: usize = segments.iter().map(|(_, b)| b.len() + 16).sum();
-    let mut buf = Vec::with_capacity(total + manifest.len() + 32);
-    wire::put_u32(&mut buf, BOOTSTRAP_MAGIC);
-    wire::put_u32(&mut buf, BOOTSTRAP_VERSION);
-    wire::put_u32(&mut buf, segments.len() as u32);
-    for (id, bytes) in segments {
-        wire::put_u64(&mut buf, *id);
-        wire::put_u64(&mut buf, bytes.len() as u64);
-        buf.extend_from_slice(bytes);
-    }
-    wire::put_u64(&mut buf, manifest.len() as u64);
-    buf.extend_from_slice(manifest);
-    let crc = crc32(&buf);
-    wire::put_u32(&mut buf, crc);
-    buf
+    seal_framed(BOOTSTRAP_MAGIC, BOOTSTRAP_VERSION, |buf| {
+        let total: usize = segments.iter().map(|(_, b)| b.len() + 16).sum();
+        buf.reserve(total + manifest.len() + 16);
+        wire::put_u32(buf, segments.len() as u32);
+        for (id, bytes) in segments {
+            wire::put_u64(buf, *id);
+            wire::put_u64(buf, bytes.len() as u64);
+            buf.extend_from_slice(bytes);
+        }
+        wire::put_u64(buf, manifest.len() as u64);
+        buf.extend_from_slice(manifest);
+    })
 }
 
 /// A decoded bootstrap bundle: the `(segment id, bytes)` files plus the
@@ -283,87 +263,48 @@ pub type BootstrapBundle = (Vec<(u64, Vec<u8>)>, Vec<u8>);
 /// Lengths are bounds-checked against the actual blob before any
 /// allocation; the CRC covers the whole bundle.
 pub fn decode_bootstrap_bundle(bytes: &[u8]) -> Result<BootstrapBundle> {
-    if bytes.len() < 28 {
-        return Err(HyError::Storage(format!(
-            "bootstrap bundle is {} bytes — too short to be valid",
-            bytes.len()
-        )));
-    }
-    let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-    let stored = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-    if crc32(body) != stored {
-        return Err(HyError::Storage(
-            "bootstrap bundle failed its CRC check (corrupted)".into(),
-        ));
-    }
-    let mut r = ByteReader::new(body);
-    let magic = r.u32()?;
-    if magic != BOOTSTRAP_MAGIC {
-        return Err(HyError::Storage(format!(
-            "not a HyLite bootstrap bundle (magic {magic:#010x})"
-        )));
-    }
-    let version = r.u32()?;
-    if version != BOOTSTRAP_VERSION {
-        return Err(HyError::Storage(format!(
-            "bootstrap bundle version {version} not supported (this build reads {BOOTSTRAP_VERSION})"
-        )));
-    }
-    let nsegs = r.u32()? as usize;
-    let mut segments = Vec::with_capacity(nsegs.min(4096));
-    for _ in 0..nsegs {
-        let id = r.u64()?;
+    // A declared length is honoured only if that many bytes are left.
+    fn take_declared(r: &mut ByteReader<'_>, what: &str) -> Result<Vec<u8>> {
         let len = r.u64()?;
         let len = usize::try_from(len)
             .ok()
             .filter(|&n| n <= r.remaining())
             .ok_or_else(|| {
                 HyError::Storage(format!(
-                    "bootstrap bundle declares a {len}-byte segment with {} bytes left",
+                    "bootstrap bundle declares a {len}-byte {what} with {} bytes left",
                     r.remaining()
                 ))
             })?;
-        segments.push((id, r.take(len)?.to_vec()));
+        Ok(r.take(len)?.to_vec())
     }
-    let mlen = r.u64()?;
-    let mlen = usize::try_from(mlen)
-        .ok()
-        .filter(|&n| n <= r.remaining())
-        .ok_or_else(|| {
-            HyError::Storage(format!(
-                "bootstrap bundle declares a {mlen}-byte manifest with {} bytes left",
-                r.remaining()
-            ))
-        })?;
-    let manifest = r.take(mlen)?.to_vec();
-    if !r.is_empty() {
-        return Err(HyError::Storage(
-            "bootstrap bundle has trailing bytes".into(),
-        ));
-    }
-    Ok((segments, manifest))
+    open_framed(
+        "bootstrap bundle",
+        BOOTSTRAP_MAGIC,
+        BOOTSTRAP_VERSION,
+        bytes,
+        |r| {
+            let nsegs = r.u32()? as usize;
+            let mut segments = Vec::with_capacity(nsegs.min(4096));
+            for _ in 0..nsegs {
+                segments.push((r.u64()?, take_declared(r, "segment")?));
+            }
+            Ok((segments, take_declared(r, "manifest")?))
+        },
+    )
 }
 
-/// Write manifest bytes durably: temp file, fsync, atomic rename. The
-/// segment files the manifest references must already be durable (the
-/// sealing pass syncs them and their directory). The WAL truncation that
-/// completes the checkpoint is the caller's job (it owns the WAL writer).
+/// Publish manifest bytes as the directory's checkpoint (see
+/// [`publish_atomic`]). The segment files the manifest references must
+/// already be durable (the sealing pass syncs them and their directory).
+/// The WAL truncation that completes the checkpoint is the caller's job
+/// (it owns the WAL writer).
 pub fn publish_checkpoint(vfs: &dyn Vfs, dir: &Path, data: &[u8]) -> Result<()> {
-    let tmp = dir.join(CHECKPOINT_TMP_FILE);
-    let dest = dir.join(CHECKPOINT_FILE);
-    vfs.crash_point(CP_CKPT_WRITE)?;
-    let mut f = vfs.create(&tmp)?;
-    f.write_all(data)?;
-    f.sync()?;
-    drop(f);
-    // Make the tmp file's directory entry durable before the rename:
-    // some filesystems otherwise recover the rename with an empty or
-    // missing source file even though its data was fsynced.
-    vfs.sync_dir(dir)?;
-    vfs.crash_point(CP_CKPT_RENAME)?;
-    vfs.rename(&tmp, &dest)?;
-    vfs.crash_point(CP_CKPT_AFTER_RENAME)?;
-    Ok(())
+    let crash_points = [
+        Some(CP_CKPT_WRITE),
+        Some(CP_CKPT_RENAME),
+        Some(CP_CKPT_AFTER_RENAME),
+    ];
+    publish_atomic(vfs, dir, CHECKPOINT_FILE, data, crash_points)
 }
 
 #[cfg(test)]
@@ -371,7 +312,7 @@ mod tests {
     use super::*;
     use crate::pool::BufferPool;
     use hylite_common::telemetry::MetricsRegistry;
-    use hylite_common::{DataType, FaultVfs, Field, Value};
+    use hylite_common::{crc32, DataType, FaultVfs, Field, Value};
     use std::path::PathBuf;
     use std::sync::Arc;
 
@@ -520,23 +461,5 @@ mod tests {
         wire::put_u32(&mut v1, crc);
         let err = decode_manifest(&v1).unwrap_err();
         assert!(err.message().contains("version"), "{err}");
-    }
-
-    #[test]
-    fn publish_renames_atomically() {
-        let vfs = FaultVfs::new();
-        let dir = Path::new("data");
-        publish_checkpoint(&vfs, dir, b"snapshot-v1").unwrap();
-        assert!(!vfs.exists(&dir.join(CHECKPOINT_TMP_FILE)));
-        assert_eq!(
-            vfs.read(&dir.join(CHECKPOINT_FILE)).unwrap(),
-            b"snapshot-v1"
-        );
-        // Overwrite with a second checkpoint.
-        publish_checkpoint(&vfs, dir, b"snapshot-v2").unwrap();
-        assert_eq!(
-            vfs.read(&dir.join(CHECKPOINT_FILE)).unwrap(),
-            b"snapshot-v2"
-        );
     }
 }

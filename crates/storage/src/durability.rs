@@ -5,7 +5,7 @@
 //! checkpoint. Crucially, commit *publication* — the promotion of a
 //! table's working state to its committed state — happens inside the
 //! same critical section as the WAL append (see
-//! [`Durability::with_commit_lock`]). That pairing is what makes
+//! [`Durability::commit`]). That pairing is what makes
 //! checkpoints correct: a checkpoint holding the mutex can never observe
 //! an acknowledged commit that is in the WAL but not yet in memory (it
 //! would pick a `base_lsn` past the commit, snapshot memory without it,
@@ -37,13 +37,14 @@ use crate::backup::{write_backup, BackupPin, BackupSummary, CP_BACKUP_SEG_COPY, 
 use crate::catalog::Catalog;
 use crate::checkpoint::{
     decode_bootstrap_bundle, decode_manifest, encode_bootstrap_bundle, encode_manifest,
-    install_manifest, publish_checkpoint, TableManifest, CHECKPOINT_FILE, CP_CKPT_AFTER_RENAME,
-    CP_CKPT_RENAME, CP_CKPT_WRITE, CP_SEG_WRITE,
+    install_manifest, publish_checkpoint, referenced_segments, TableManifest, CHECKPOINT_FILE,
+    CP_CKPT_AFTER_RENAME, CP_CKPT_RENAME, CP_CKPT_WRITE, CP_SEG_WRITE,
 };
+use crate::files::write_durable;
 use crate::pool::BufferPool;
 use crate::recovery::{apply_op, recover, RecoveryReport};
 use crate::repl::{load_repl_state, next_epoch, store_repl_state, ReplRole, ReplState};
-use crate::segment::{rebrand_segment_bytes, SegmentStore};
+use crate::segment::{copy_segment_bytes, rebrand_segment_bytes, SegmentStore};
 use crate::snapshot::SegmentHandle;
 use crate::wal::{
     decode_commit_payload, scan_wal_raw, RawFrame, RedoOp, SyncMode, WalWriter, CP_WAL_AFTER_WRITE,
@@ -74,9 +75,6 @@ pub const CRASH_POINTS: &[&str] = &[
 pub struct DurabilityOptions {
     /// When the WAL fsyncs relative to commit acknowledgement.
     pub sync_mode: SyncMode,
-    /// Group-commit buffer threshold in bytes ([`SyncMode::Buffered`]
-    /// only).
-    pub group_commit_bytes: usize,
     /// Role the directory opens under. A primary open mints a fresh
     /// epoch (fencing every replica into a safety re-bootstrap after a
     /// primary restart); a replica open preserves its epoch so catch-up
@@ -96,23 +94,23 @@ pub struct DurabilityOptions {
     /// [`crate::archive`]). An archive failure warns (`archive.failures`)
     /// and defers the truncation — it never blocks commits.
     pub archive_dir: Option<PathBuf>,
-    /// Checkpoint-time compaction threshold: a quiescent table whose
-    /// committed rows are dead beyond this fraction gets rewritten
-    /// without its dead rows (old segment files GC'd). Set above 1.0 to
-    /// disable.
-    pub compact_dead_fraction: f64,
 }
+
+/// Group-commit buffer threshold in bytes ([`SyncMode::Buffered`] only).
+const GROUP_COMMIT_BYTES: usize = 256 * 1024;
+/// Checkpoint-time compaction threshold: a quiescent table whose
+/// committed rows are dead beyond this fraction gets rewritten without
+/// its dead rows (old segment files GC'd).
+const COMPACT_DEAD_FRACTION: f64 = 0.3;
 
 impl Default for DurabilityOptions {
     fn default() -> DurabilityOptions {
         DurabilityOptions {
             sync_mode: SyncMode::Commit,
-            group_commit_bytes: 256 * 1024,
             role: ReplRole::Primary,
             promote: false,
             buffer_pool_bytes: 64 * 1024 * 1024,
             archive_dir: None,
-            compact_dead_fraction: 0.3,
         }
     }
 }
@@ -190,29 +188,10 @@ pub struct Durability {
     /// Continuous WAL archive (`--archive-dir`), if configured. Touched
     /// only under the commit lock (checkpoints) so a `Mutex` suffices.
     archive: Mutex<Option<WalArchive>>,
-    /// The most recent completed backup, for the `hylite.backups` view.
-    last_backup: Mutex<Option<LastBackup>>,
-    /// Checkpoint-time compaction threshold (see [`DurabilityOptions`]).
-    compact_dead_fraction: f64,
-}
-
-/// Record of the last completed backup (the `hylite.backups` row).
-#[derive(Debug, Clone)]
-pub struct LastBackup {
-    /// Wall-clock completion time, milliseconds since the Unix epoch.
-    pub at_unix_ms: u64,
-    /// Destination directory.
-    pub dest: String,
-    /// Highest LSN the backup contains.
-    pub lsn: u64,
-    /// Bytes copied.
-    pub bytes: u64,
-    /// Segment files copied.
-    pub segments: u64,
-    /// Whether the full verify rescan ran.
-    pub verified: bool,
-    /// Whether the backup was incremental against a base.
-    pub incremental: bool,
+    /// The most recent completed backup and its wall-clock completion
+    /// time (milliseconds since the Unix epoch), for the `hylite.backups`
+    /// view.
+    last_backup: Mutex<Option<(u64, BackupSummary)>>,
 }
 
 impl Durability {
@@ -269,7 +248,7 @@ impl Durability {
             Arc::clone(&vfs),
             dir.join(WAL_FILE),
             options.sync_mode,
-            options.group_commit_bytes,
+            GROUP_COMMIT_BYTES,
             report.next_lsn,
             Arc::clone(&metrics),
         )?;
@@ -298,7 +277,6 @@ impl Durability {
                 degraded: AtomicBool::new(false),
                 archive: Mutex::new(archive),
                 last_backup: Mutex::new(None),
-                compact_dead_fraction: options.compact_dead_fraction,
             },
             catalog,
             report,
@@ -330,22 +308,34 @@ impl Durability {
         self.wal.lock().sync_mode()
     }
 
-    /// Log one commit's redo ops. When this returns `Ok`, the commit is
-    /// durable per the configured [`SyncMode`] and may be acknowledged.
+    /// The commit protocol, written once. Under the commit mutex — the
+    /// same lock [`Durability::checkpoint`] holds for its whole duration —
+    /// append `ops` to the WAL as one commit frame, then run
+    /// `settle(logged)` *before the lock is released*: the caller's
+    /// in-memory publish when the append succeeded, its rollback when it
+    /// failed. When this returns `Ok`, the commit is durable per the
+    /// configured [`SyncMode`], published, and may be acknowledged.
     ///
-    /// Commit paths that also publish in-memory state must use
-    /// [`Durability::with_commit_lock`] instead, so the append and the
-    /// publish are atomic with respect to checkpoints.
-    pub fn log_commit(&self, ops: &[RedoOp]) -> Result<u64> {
-        let r = {
+    /// Append and publish sharing one critical section is what keeps
+    /// checkpoints correct: a checkpoint can never observe a commit that
+    /// is in the WAL but not yet in memory (and truncate its only durable
+    /// record), nor the reverse.
+    ///
+    /// `settle` may take table locks; it must not re-enter the durability
+    /// engine (the commit mutex is not reentrant). It runs even while the
+    /// node is degraded — the rejection comes from inside the append — so
+    /// the rollback can discard the commit's staged in-memory rows. (An
+    /// early return once leaked a rejected insert's staged rows into the
+    /// next successful commit's publish.)
+    pub fn commit(&self, ops: &[RedoOp], settle: impl FnOnce(bool)) -> Result<u64> {
+        let logged = {
             let mut wal = self.wal.lock();
             wal.set_degraded(self.degraded());
-            wal.log_commit(ops)
+            let logged = wal.log_commit(ops);
+            settle(logged.is_ok());
+            logged
         };
-        if let Err(e) = &r {
-            self.note_write_error(e);
-        }
-        r
+        self.noted(logged)
     }
 
     /// Whether the node is in read-only degraded mode after `ENOSPC`.
@@ -363,15 +353,16 @@ impl Durability {
         }
     }
 
-    /// Inspect a write-path error: `DiskFull` flips the node into
-    /// degraded mode (idempotent).
-    fn note_write_error(&self, e: &HyError) {
-        if matches!(e, HyError::DiskFull(_)) {
+    /// Pass a write-path result through; a `DiskFull` error flips the
+    /// node into degraded mode (idempotent) on the way.
+    fn noted<T>(&self, r: Result<T>) -> Result<T> {
+        if let Err(HyError::DiskFull(_)) = &r {
             self.metrics.counter("disk.full_errors").inc();
             if !self.degraded.swap(true, Ordering::SeqCst) {
                 self.metrics.gauge("node.degraded").set(1);
             }
         }
+        r
     }
 
     /// Attempt to leave degraded mode: probe the data directory for free
@@ -386,12 +377,7 @@ impl Durability {
             return Ok(false);
         }
         let probe = self.dir.join(".space_probe");
-        let probe_result = (|| -> Result<()> {
-            let mut f = self.vfs.create(&probe)?;
-            f.write_all(&[0u8; 8192])?;
-            f.sync()?;
-            Ok(())
-        })();
+        let probe_result = write_durable(self.vfs.as_ref(), &probe, &[0u8; 8192]);
         if self.vfs.exists(&probe) {
             let _ = self.vfs.remove(&probe);
         }
@@ -400,10 +386,9 @@ impl Durability {
         }
         let mut wal = self.wal.lock();
         wal.try_unpoison()?;
-        if let Err(e) = wal.flush() {
+        if self.noted(wal.flush()).is_err() {
             // Space came back but the WAL still cannot land its buffered
             // frames — stay degraded and let the next probe retry.
-            self.note_write_error(&e);
             return Ok(false);
         }
         self.degraded.store(false, Ordering::SeqCst);
@@ -413,40 +398,10 @@ impl Durability {
         Ok(true)
     }
 
-    /// Run `f` while holding the commit mutex — the same lock
-    /// [`Durability::checkpoint`] holds for its whole duration. `f`
-    /// appends the commit's WAL frame via the provided [`WalWriter`] and
-    /// then performs the in-memory publish (or rollback, on append
-    /// failure) *before returning*, which guarantees a checkpoint never
-    /// runs between a commit's WAL append and its publication.
-    ///
-    /// `f` may take table locks; it must not re-enter the durability
-    /// engine (the commit mutex is not reentrant).
-    ///
-    /// While the node is degraded the rejection comes from inside
-    /// `wal.log_commit`, *not* from this method — `f` always runs, so its
-    /// rollback arm can discard the commit's staged in-memory rows. (An
-    /// early return here once leaked a rejected insert's staged rows into
-    /// the next successful commit's publish.)
-    pub fn with_commit_lock<R>(&self, f: impl FnOnce(&mut WalWriter) -> Result<R>) -> Result<R> {
-        let r = {
-            let mut wal = self.wal.lock();
-            wal.set_degraded(self.degraded());
-            f(&mut wal)
-        };
-        if let Err(e) = &r {
-            self.note_write_error(e);
-        }
-        r
-    }
-
     /// Force any group-commit buffered frames to disk.
     pub fn flush(&self) -> Result<()> {
-        let r = self.wal.lock().flush();
-        if let Err(e) = &r {
-            self.note_write_error(e);
-        }
-        r
+        let flushed = self.wal.lock().flush();
+        self.noted(flushed)
     }
 
     /// Take a checkpoint: flush the WAL, seal every table's not-yet-sealed
@@ -457,13 +412,9 @@ impl Durability {
     /// rewritten.
     pub fn checkpoint(&self, catalog: &Catalog) -> Result<CheckpointStats> {
         let mut wal = self.wal.lock();
-        let r = self.checkpoint_locked(catalog, &mut wal);
-        if let Err(e) = &r {
-            // A segment seal hitting ENOSPC degrades the node just like a
-            // failed WAL append would.
-            self.note_write_error(e);
-        }
-        r
+        // A segment seal hitting ENOSPC degrades the node just like a
+        // failed WAL append would.
+        self.noted(self.checkpoint_locked(catalog, &mut wal))
     }
 
     fn checkpoint_locked(&self, catalog: &Catalog, wal: &mut WalWriter) -> Result<CheckpointStats> {
@@ -549,11 +500,7 @@ impl Durability {
         for (table, handles) in swaps {
             table.write().swap_sealed_prefix(handles)?;
         }
-        let referenced: std::collections::HashSet<u64> = manifests
-            .iter()
-            .flat_map(|t| t.segments.iter().map(|&(id, _)| id))
-            .collect();
-        self.store.gc(&referenced)?;
+        self.store.gc(&referenced_segments(&manifests))?;
 
         // Compaction pass: quiescent tables past the dead-row threshold
         // get rewritten without their dead rows (each publishes its own
@@ -601,9 +548,6 @@ impl Durability {
     /// memory. A failure before the publish leaves only orphan segment
     /// files, which the next recovery or GC sweeps.
     fn maybe_compact_tables(&self, catalog: &Catalog, base_lsn: u64) -> Result<usize> {
-        if self.compact_dead_fraction > 1.0 {
-            return Ok(0);
-        }
         let mut compacted = 0usize;
         for name in catalog.table_names() {
             let Ok(table) = catalog.get_table(&name) else {
@@ -611,14 +555,14 @@ impl Durability {
             };
             {
                 let g = table.read();
-                if !g.is_quiescent() || g.dead_fraction() < self.compact_dead_fraction {
+                if !g.is_quiescent() || g.dead_fraction() < COMPACT_DEAD_FRACTION {
                     continue;
                 }
             }
             let mut g = table.write();
             // Re-check under the write lock: a transaction may have
             // staged rows between the peek and here.
-            if !g.is_quiescent() || g.dead_fraction() < self.compact_dead_fraction {
+            if !g.is_quiescent() || g.dead_fraction() < COMPACT_DEAD_FRACTION {
                 continue;
             }
             let snap = g.committed_snapshot();
@@ -692,11 +636,7 @@ impl Durability {
             // over (infallible) and drop the old segment files.
             g.install_compacted(handles);
             drop(g);
-            let referenced: std::collections::HashSet<u64> = manifests
-                .iter()
-                .flat_map(|t| t.segments.iter().map(|&(id, _)| id))
-                .collect();
-            self.store.gc(&referenced)?;
+            self.store.gc(&referenced_segments(&manifests))?;
             self.metrics.counter("compaction.count").inc();
             self.metrics
                 .counter("compaction.rows_dropped")
@@ -785,15 +725,7 @@ impl Durability {
                         .duration_since(SystemTime::UNIX_EPOCH)
                         .map(|d| d.as_millis() as u64)
                         .unwrap_or(0);
-                    *self.last_backup.lock() = Some(LastBackup {
-                        at_unix_ms,
-                        dest: summary.dest.display().to_string(),
-                        lsn: summary.backup_lsn,
-                        bytes: summary.bytes,
-                        segments: summary.segments_copied,
-                        verified: summary.verified,
-                        incremental: summary.incremental,
-                    });
+                    *self.last_backup.lock() = Some((at_unix_ms, summary.clone()));
                     return Ok(summary);
                 }
                 Err(e) if e.message().contains(SEGMENT_VANISHED) => {
@@ -808,9 +740,10 @@ impl Durability {
         }))
     }
 
-    /// The most recent completed backup, if any (the `hylite.backups`
-    /// system-view row).
-    pub fn last_backup(&self) -> Option<LastBackup> {
+    /// The most recent completed backup, if any, as `(completion time in
+    /// milliseconds since the Unix epoch, summary)` — the `hylite.backups`
+    /// system-view row.
+    pub fn last_backup(&self) -> Option<(u64, BackupSummary)> {
         self.last_backup.lock().clone()
     }
 
@@ -961,12 +894,9 @@ impl Durability {
             )));
         }
         let mut wal = self.wal.lock();
-        if let Err(e) = wal.append_raw_frame(lsn, crc, payload) {
-            // A replica with a full disk degrades too: it keeps serving
-            // reads but stops acknowledging frames it cannot persist.
-            self.note_write_error(&e);
-            return Err(e);
-        }
+        // A replica with a full disk degrades too: it keeps serving
+        // reads but stops acknowledging frames it cannot persist.
+        self.noted(wal.append_raw_frame(lsn, crc, payload))?;
         let mut applied = 0u64;
         for op in ops {
             if apply_op(catalog, op) {
@@ -994,7 +924,7 @@ impl Durability {
         for (shipped_id, mut bytes) in files {
             let local_id = self.store.alloc_id();
             rebrand_segment_bytes(&mut bytes, local_id)?;
-            self.store.write_validated(local_id, &bytes)?;
+            copy_segment_bytes(self.vfs.as_ref(), self.store.dir(), local_id, &bytes)?;
             remap.insert(shipped_id, local_id);
         }
         for t in &mut image.tables {
@@ -1068,8 +998,8 @@ mod tests {
     fn commit_checkpoint_reopen_cycle() {
         let fault = FaultVfs::new();
         let (d, catalog, _) = open_fault(&fault, DurabilityOptions::default());
-        d.log_commit(&[create()]).unwrap();
-        d.log_commit(&[insert(1)]).unwrap();
+        d.commit(&[create()], |_| ()).unwrap();
+        d.commit(&[insert(1)], |_| ()).unwrap();
         // Mirror in memory so the checkpoint has something to snapshot.
         let t = catalog
             .create_table("t", Schema::new(vec![Field::new("x", DataType::Int64)]))
@@ -1084,7 +1014,7 @@ mod tests {
         assert_eq!(stats.tables, 1);
         assert!(stats.base_lsn >= 3);
         // Post-checkpoint commits land in the truncated WAL.
-        d.log_commit(&[insert(2)]).unwrap();
+        d.commit(&[insert(2)], |_| ()).unwrap();
         drop(d);
         let (_, catalog, report) = open_fault(&fault, DurabilityOptions::default());
         assert!(report.checkpoint_loaded);
@@ -1103,7 +1033,7 @@ mod tests {
     /// Commit a row durably *and* mirror it into the in-memory table, the
     /// way a real transaction's publication step does.
     fn committed_insert(d: &Durability, catalog: &Catalog, v: i64) -> u64 {
-        let lsn = d.log_commit(&[insert(v)]).unwrap();
+        let lsn = d.commit(&[insert(v)], |_| ()).unwrap();
         mirror_insert(catalog, v);
         lsn
     }
@@ -1116,7 +1046,7 @@ mod tests {
             ..DurabilityOptions::default()
         };
         let (d, catalog, _) = open_fault(&fault, options.clone());
-        d.log_commit(&[create()]).unwrap();
+        d.commit(&[create()], |_| ()).unwrap();
         make_table(&catalog);
         committed_insert(&d, &catalog, 1);
         committed_insert(&d, &catalog, 2);
@@ -1138,7 +1068,7 @@ mod tests {
     fn checkpoint_compacts_dead_heavy_quiescent_tables() {
         let fault = FaultVfs::new();
         let (d, catalog, _) = open_fault(&fault, DurabilityOptions::default());
-        d.log_commit(&[create()]).unwrap();
+        d.commit(&[create()], |_| ()).unwrap();
         make_table(&catalog);
         for v in 0..10 {
             committed_insert(&d, &catalog, v);
@@ -1146,10 +1076,13 @@ mod tests {
         d.checkpoint(&catalog).unwrap();
         // Kill 6 of 10 rows: dead fraction 0.6 >= the default 0.3.
         let dead: Vec<usize> = (0..6).collect();
-        d.log_commit(&[RedoOp::Delete {
-            table: "t".into(),
-            row_ids: dead.iter().map(|&i| i as u64).collect(),
-        }])
+        d.commit(
+            &[RedoOp::Delete {
+                table: "t".into(),
+                row_ids: dead.iter().map(|&i| i as u64).collect(),
+            }],
+            |_| (),
+        )
         .unwrap();
         {
             let t = catalog.get_table("t").unwrap();
@@ -1179,15 +1112,18 @@ mod tests {
     fn compaction_skips_tables_with_staged_rows() {
         let fault = FaultVfs::new();
         let (d, catalog, _) = open_fault(&fault, DurabilityOptions::default());
-        d.log_commit(&[create()]).unwrap();
+        d.commit(&[create()], |_| ()).unwrap();
         make_table(&catalog);
         for v in 0..4 {
             committed_insert(&d, &catalog, v);
         }
-        d.log_commit(&[RedoOp::Delete {
-            table: "t".into(),
-            row_ids: vec![0, 1, 2],
-        }])
+        d.commit(
+            &[RedoOp::Delete {
+                table: "t".into(),
+                row_ids: vec![0, 1, 2],
+            }],
+            |_| (),
+        )
         .unwrap();
         {
             let t = catalog.get_table("t").unwrap();
@@ -1213,7 +1149,7 @@ mod tests {
             ..DurabilityOptions::default()
         };
         let (d, catalog, _) = open_fault(&fault, options);
-        d.log_commit(&[create()]).unwrap();
+        d.commit(&[create()], |_| ()).unwrap();
         make_table(&catalog);
         committed_insert(&d, &catalog, 1);
         committed_insert(&d, &catalog, 2);
@@ -1223,7 +1159,7 @@ mod tests {
         assert!(summary.verified);
         assert!(!summary.incremental);
         assert_eq!(summary.backup_lsn, 4);
-        assert_eq!(d.last_backup().unwrap().lsn, 4);
+        assert_eq!(d.last_backup().unwrap().1.backup_lsn, 4);
         // Traffic continues after the backup; a checkpoint archives it.
         let stop_lsn = committed_insert(&d, &catalog, 4);
         committed_insert(&d, &catalog, 5);
@@ -1258,7 +1194,7 @@ mod tests {
     fn incremental_backup_copies_only_new_segments() {
         let fault = FaultVfs::new();
         let (d, catalog, _) = open_fault(&fault, DurabilityOptions::default());
-        d.log_commit(&[create()]).unwrap();
+        d.commit(&[create()], |_| ()).unwrap();
         make_table(&catalog);
         committed_insert(&d, &catalog, 1);
         d.checkpoint(&catalog).unwrap();
@@ -1385,9 +1321,9 @@ mod tests {
         let fault = FaultVfs::new();
         let (d, catalog, _) = open_fault(&fault, DurabilityOptions::default());
         make_table(&catalog);
-        d.log_commit(&[create()]).unwrap(); // lsn 1
-        d.log_commit(&[insert(1)]).unwrap(); // lsn 2
-        d.log_commit(&[insert(2)]).unwrap(); // lsn 3
+        d.commit(&[create()], |_| ()).unwrap(); // lsn 1
+        d.commit(&[insert(1)], |_| ()).unwrap(); // lsn 2
+        d.commit(&[insert(2)], |_| ()).unwrap(); // lsn 3
 
         // Caught-up replica gets an empty tail.
         match d.read_replication_tail(4, 64).unwrap() {
@@ -1433,12 +1369,12 @@ mod tests {
         let primary = FaultVfs::new();
         let (p, pcat, _) = open_fault(&primary, DurabilityOptions::default());
         make_table(&pcat);
-        p.log_commit(&[create()]).unwrap();
-        p.log_commit(&[insert(1)]).unwrap();
+        p.commit(&[create()], |_| ()).unwrap();
+        p.commit(&[insert(1)], |_| ()).unwrap();
         mirror_insert(&pcat, 1);
         let (base_lsn, snapshot) = p.bootstrap_snapshot(&pcat).unwrap();
         assert_eq!(base_lsn, 3);
-        p.log_commit(&[insert(2)]).unwrap(); // lsn 3
+        p.commit(&[insert(2)], |_| ()).unwrap(); // lsn 3
         mirror_insert(&pcat, 2);
 
         // Replica: install the snapshot, then apply the tail.
@@ -1476,17 +1412,17 @@ mod tests {
         let fault = FaultVfs::new();
         let (d, catalog, _) = open_fault(&fault, DurabilityOptions::default());
         make_table(&catalog);
-        d.log_commit(&[create()]).unwrap();
+        d.commit(&[create()], |_| ()).unwrap();
         assert!(!d.try_resume_writes().unwrap(), "healthy node: no-op");
 
         fault.set_disk_full(true);
-        let err = d.log_commit(&[insert(1)]).unwrap_err();
+        let err = d.commit(&[insert(1)], |_| ()).unwrap_err();
         assert!(matches!(err, HyError::DiskFull(_)), "{err}");
         assert!(d.degraded());
         assert_eq!(d.node_state(), "degraded");
 
         // Later writes are rejected up front, same typed error.
-        let err = d.log_commit(&[insert(2)]).unwrap_err();
+        let err = d.commit(&[insert(2)], |_| ()).unwrap_err();
         assert!(matches!(err, HyError::DiskFull(_)), "{err}");
         // Replication reads of the durable log still serve.
         match d.read_replication_tail(1, 64).unwrap() {
@@ -1501,7 +1437,7 @@ mod tests {
         fault.set_disk_full(false);
         assert!(d.try_resume_writes().unwrap());
         assert_eq!(d.node_state(), "ok");
-        d.log_commit(&[insert(3)]).unwrap();
+        d.commit(&[insert(3)], |_| ()).unwrap();
         match d.read_replication_tail(1, 64).unwrap() {
             ReplTail::Frames { frames, .. } => assert_eq!(frames.len(), 2),
             other => panic!("{other:?}"),
@@ -1513,8 +1449,8 @@ mod tests {
         let fault = FaultVfs::new();
         let (d, catalog, _) = open_fault(&fault, DurabilityOptions::default());
         make_table(&catalog);
-        d.log_commit(&[create()]).unwrap();
-        d.log_commit(&[insert(1)]).unwrap();
+        d.commit(&[create()], |_| ()).unwrap();
+        d.commit(&[insert(1)], |_| ()).unwrap();
         mirror_insert(&catalog, 1);
         fault.set_disk_full(true);
         let err = d.checkpoint(&catalog).unwrap_err();

@@ -19,6 +19,7 @@ pub mod backup;
 pub mod catalog;
 pub mod checkpoint;
 pub mod durability;
+pub mod files;
 pub mod pool;
 pub mod recovery;
 pub mod repl;

@@ -25,8 +25,10 @@
 //! [u32 magic "HYRP"] [u32 version] [u8 role] [u64 epoch] [u32 crc32]
 //! ```
 //!
-//! written with the same tmp + fsync + atomic-rename discipline as the
-//! checkpoint, so a crash mid-write leaves the previous state intact.
+//! published with [`crate::files::publish_atomic`] like the checkpoint,
+//! so a crash mid-write leaves the previous state intact. (The CRC covers
+//! only role + epoch, so the file predates — and does not use — the
+//! shared `[magic][version][body][crc32]` envelope.)
 
 use std::path::Path;
 use std::time::SystemTime;
@@ -35,14 +37,14 @@ use hylite_common::faultfs::Vfs;
 use hylite_common::wire::{self, ByteReader};
 use hylite_common::{crc32, HyError, Result};
 
+use crate::files::publish_atomic;
+
 /// Magic number opening the replication state file (`"HYRP"`).
 pub const REPL_STATE_MAGIC: u32 = 0x4859_5250;
 /// Replication state format version.
 pub const REPL_STATE_VERSION: u32 = 1;
 /// File name of the replication state inside the data directory.
 pub const REPL_STATE_FILE: &str = "replstate.hylite";
-/// Scratch name the state is written to before the atomic rename.
-pub const REPL_STATE_TMP_FILE: &str = "replstate.tmp";
 
 /// Whether a data directory serves writes or follows a primary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,8 +148,7 @@ pub fn load_repl_state(vfs: &dyn Vfs, dir: &Path) -> Result<Option<ReplState>> {
     }))
 }
 
-/// Durably persist the replication state: tmp file, fsync, directory
-/// sync, atomic rename.
+/// Durably persist the replication state (see [`publish_atomic`]).
 pub fn store_repl_state(vfs: &dyn Vfs, dir: &Path, state: ReplState) -> Result<()> {
     let mut buf = Vec::with_capacity(21);
     wire::put_u32(&mut buf, REPL_STATE_MAGIC);
@@ -156,18 +157,7 @@ pub fn store_repl_state(vfs: &dyn Vfs, dir: &Path, state: ReplState) -> Result<(
     wire::put_u64(&mut buf, state.epoch);
     let crc = crc32(&buf[8..17]);
     wire::put_u32(&mut buf, crc);
-
-    let tmp = dir.join(REPL_STATE_TMP_FILE);
-    let path = dir.join(REPL_STATE_FILE);
-    {
-        let mut f = vfs.create(&tmp)?;
-        f.write_all(&buf)?;
-        f.sync()?;
-    }
-    vfs.sync_dir(dir)?;
-    vfs.rename(&tmp, &path)?;
-    vfs.sync_dir(dir)?;
-    Ok(())
+    publish_atomic(vfs, dir, REPL_STATE_FILE, &buf, [None; 3])
 }
 
 #[cfg(test)]

@@ -58,6 +58,7 @@ use hylite_common::faultfs::Vfs;
 use hylite_common::wire::{self, ByteReader};
 use hylite_common::{crc32, Bitmap, Chunk, ColumnVector, DataType, HyError, Result, Value};
 
+use crate::files::write_durable;
 use crate::pool::BufferPool;
 
 /// Magic number opening a segment file (`"HYSG"`).
@@ -773,6 +774,26 @@ pub fn validate_segment_bytes(bytes: &[u8]) -> Result<SegmentMeta> {
     )
 }
 
+/// Copy an encoded segment file into `seg_dir` as segment `id`: validate
+/// the bytes, require them to declare `id`, write them durably. The one
+/// copy step backup, restore and replica bootstrap share; the caller
+/// syncs `seg_dir` once its batch is written.
+pub fn copy_segment_bytes(vfs: &dyn Vfs, seg_dir: &Path, id: u64, bytes: &[u8]) -> Result<()> {
+    check_segment_bytes(id, bytes)?;
+    write_durable(vfs, &seg_dir.join(segment_file_name(id)), bytes)
+}
+
+/// Validate an encoded segment file and require it to declare `id`.
+pub fn check_segment_bytes(id: u64, bytes: &[u8]) -> Result<()> {
+    let declared = validate_segment_bytes(bytes)?.id;
+    if declared != id {
+        return Err(HyError::Storage(format!(
+            "segment file for id {id} declares id {declared} — corrupted"
+        )));
+    }
+    Ok(())
+}
+
 /// Re-stamp an encoded segment file with a new id (bootstrap install
 /// writes shipped segments under locally allocated ids so they can never
 /// collide with the replica's own files). Validates the bytes first,
@@ -1151,23 +1172,8 @@ impl SegmentStore {
     /// of a checkpoint's segments are written.
     pub fn write_segment(&self, id: u64, chunk: &Chunk) -> Result<u64> {
         let bytes = encode_segment(id, chunk)?;
-        self.write_raw(id, &bytes)?;
+        write_durable(self.vfs.as_ref(), &self.path_for(id), &bytes)?;
         Ok(bytes.len() as u64)
-    }
-
-    /// Durably write pre-encoded segment bytes (bootstrap install).
-    /// Validates the header before touching disk.
-    pub fn write_validated(&self, id: u64, bytes: &[u8]) -> Result<()> {
-        validate_segment_bytes(bytes)?;
-        self.write_raw(id, bytes)
-    }
-
-    fn write_raw(&self, id: u64, bytes: &[u8]) -> Result<()> {
-        let path = self.path_for(id);
-        let mut f = self.vfs.create(&path)?;
-        f.write_all(bytes)?;
-        f.sync()?;
-        Ok(())
     }
 
     /// Make the segment directory's entries durable (after a batch of

@@ -46,6 +46,8 @@ use hylite_common::faultfs::{Vfs, VfsFile};
 use hylite_common::wire::{self, ByteReader, MAX_FRAME_BYTES};
 use hylite_common::{crc32, Chunk, HyError, MetricsRegistry, Result, Schema};
 
+use crate::files::write_durable;
+
 /// Magic number opening the WAL file (`"HYWL"`).
 pub const WAL_MAGIC: u32 = 0x4859_574C;
 /// WAL format version; bumped on incompatible layout changes.
@@ -232,6 +234,21 @@ pub struct RawFrame {
     pub payload: Vec<u8>,
 }
 
+/// The bytes of a WAL file holding exactly `frames`, in the order given:
+/// the file header followed by each frame as `[len][crc][payload]`. No
+/// frames gives the header-only image of a fresh (or just-reset) log.
+pub fn wal_image<'a>(frames: impl IntoIterator<Item = &'a RawFrame>) -> Vec<u8> {
+    let mut buf = Vec::new();
+    wire::put_u32(&mut buf, WAL_MAGIC);
+    wire::put_u32(&mut buf, WAL_VERSION);
+    for f in frames {
+        wire::put_u32(&mut buf, f.payload.len() as u32);
+        wire::put_u32(&mut buf, f.crc);
+        buf.extend_from_slice(&f.payload);
+    }
+    buf
+}
+
 /// Scan a WAL file into raw CRC-verified frames without decoding ops,
 /// stopping at the first torn or corrupt frame (same tail rules as
 /// [`scan_wal`]). The LSN is peeked from the payload head; a CRC-valid
@@ -347,12 +364,13 @@ pub struct WalWriter {
     durable_len: u64,
     next_lsn: u64,
     poisoned: bool,
-    /// Set by [`Durability`] while the node is in read-only degraded
-    /// mode: `log_commit` rejects before touching the buffer, but only
-    /// *after* the caller's closure has entered — so the caller's
-    /// rollback arm runs and staged in-memory rows are discarded. A
-    /// rejection outside the closure would leak them into the next
-    /// commit's publish.
+    /// Set by [`crate::durability::Durability`] while the node is in
+    /// read-only degraded mode: `log_commit` rejects before touching the
+    /// buffer. Rejecting *here*, inside
+    /// [`crate::durability::Durability::commit`], means the caller's rollback
+    /// still runs and staged in-memory rows are discarded; a rejection
+    /// before the commit protocol is entered would leak them into the
+    /// next commit's publish.
     degraded: bool,
     metrics: Arc<MetricsRegistry>,
 }
@@ -388,12 +406,7 @@ impl WalWriter {
             0
         };
         let durable_len = if existing < WAL_HEADER_LEN {
-            let mut f = vfs.create(&path)?;
-            let mut header = Vec::with_capacity(WAL_HEADER_LEN as usize);
-            wire::put_u32(&mut header, WAL_MAGIC);
-            wire::put_u32(&mut header, WAL_VERSION);
-            f.write_all(&header)?;
-            f.sync()?;
+            write_durable(vfs.as_ref(), &path, &wal_image([]))?;
             // The file's *directory entry* must be durable too, or a
             // power loss can vanish the whole WAL — fsynced frames and
             // all — on a freshly created database.

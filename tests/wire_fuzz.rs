@@ -276,6 +276,24 @@ fn replication_frames_with_lying_inner_lengths_error_cleanly() {
 }
 
 #[test]
+fn command_complete_requires_its_whole_lsn() {
+    // CommandComplete is [rows_affected u64][total_rows u64][lsn u64]; a
+    // body that stops before, or part-way through, the LSN is a protocol
+    // error, not an "unknown LSN".
+    let body = wire::encode_frame(&Frame::CommandComplete {
+        rows_affected: 7,
+        total_rows: 123,
+        lsn: 17,
+    })[5..]
+        .to_vec();
+    assert!(wire::decode_frame(6, &body).is_ok());
+    for cut in [16, 19] {
+        let err = wire::decode_frame(6, &body[..cut]).unwrap_err();
+        assert_eq!(err.stage(), "protocol", "{err}");
+    }
+}
+
+#[test]
 fn valid_corpus_roundtrips_unchanged() {
     // Sanity: the corpus itself is decodable — otherwise the mutation
     // tests above would be vacuous.
