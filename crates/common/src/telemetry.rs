@@ -494,6 +494,13 @@ impl OpSpan {
         self.children.iter().find_map(|c| c.find(node_id))
     }
 
+    fn find_mut(&mut self, node_id: usize) -> Option<&mut OpSpan> {
+        if self.node_id == node_id {
+            return Some(self);
+        }
+        self.children.iter_mut().find_map(|c| c.find_mut(node_id))
+    }
+
     fn render_into(&self, out: &mut String, depth: usize) {
         let indent = "  ".repeat(depth);
         let _ = write!(
@@ -561,6 +568,9 @@ impl QueryProfile {
 pub struct ProfileBuilder {
     frames: Vec<Frame>,
     roots: Vec<OpSpan>,
+    /// Annotations addressed to a plan node rather than to the innermost
+    /// open span; applied when the profile is finished.
+    node_notes: Vec<(usize, String, String)>,
     started: Instant,
 }
 
@@ -582,6 +592,7 @@ impl ProfileBuilder {
         ProfileBuilder {
             frames: Vec::new(),
             roots: Vec::new(),
+            node_notes: Vec::new(),
             started: Instant::now(),
         }
     }
@@ -604,6 +615,15 @@ impl ProfileBuilder {
         if let Some(f) = self.frames.last_mut() {
             f.span.extras.insert(key.to_string(), value.to_string());
         }
+    }
+
+    /// Attach a key/value annotation to the span of plan node `node_id`,
+    /// whether it is open, already closed, or (then the note is dropped)
+    /// never executed — for facts learned after the node ran, such as how
+    /// often its kept result was reused.
+    pub fn note_node(&mut self, node_id: usize, key: &str, value: impl ToString) {
+        self.node_notes
+            .push((node_id, key.to_string(), value.to_string()));
     }
 
     /// Raise the innermost open span's peak memory to at least `bytes`.
@@ -637,6 +657,11 @@ impl ProfileBuilder {
     pub fn finish(mut self) -> QueryProfile {
         while !self.frames.is_empty() {
             self.exit(0, 0);
+        }
+        for (node_id, key, value) in std::mem::take(&mut self.node_notes) {
+            if let Some(span) = self.roots.iter_mut().find_map(|r| r.find_mut(node_id)) {
+                span.extras.insert(key, value);
+            }
         }
         QueryProfile {
             roots: self.roots,

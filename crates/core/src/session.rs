@@ -26,7 +26,8 @@ use crate::result::QueryResult;
 /// | `memory_budget_mb`     | `0`     | Per-statement memory cap; `0` = unlimited |
 /// | `slow_query_ms`        | `0`     | Capture statements at least this slow into `hylite.slow_queries`; `0` = off |
 /// | `slow_query_log_size`  | `128`   | Capacity of the shared slow-query ring    |
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// | `plan_reuse`           | `on`    | Run repeated sub-plans and loop-invariant parts of ITERATE / recursive-CTE bodies once per statement; results are bit-identical either way |
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionSettings {
     /// Statement timeout in milliseconds; `0` disables the deadline.
     pub statement_timeout_ms: u64,
@@ -34,6 +35,20 @@ pub struct SessionSettings {
     pub memory_budget_mb: u64,
     /// Slow-query capture threshold in milliseconds; `0` disables capture.
     pub slow_query_ms: u64,
+    /// Whether the executor keeps and shares sub-plan results within a
+    /// statement (`SET plan_reuse = on|off`).
+    pub plan_reuse: bool,
+}
+
+impl Default for SessionSettings {
+    fn default() -> Self {
+        SessionSettings {
+            statement_timeout_ms: 0,
+            memory_budget_mb: 0,
+            slow_query_ms: 0,
+            plan_reuse: true,
+        }
+    }
 }
 
 /// Shared, lock-free observability counters for one session, surfaced by
@@ -480,6 +495,14 @@ impl Session {
             "statement_timeout_ms" => self.settings.statement_timeout_ms = value,
             "memory_budget_mb" => self.settings.memory_budget_mb = value,
             "slow_query_ms" => self.settings.slow_query_ms = value,
+            "plan_reuse" => match value {
+                0 | 1 => self.settings.plan_reuse = value == 1,
+                other => {
+                    return Err(HyError::Bind(format!(
+                        "SET plan_reuse: expected on, off, 1 or 0, got {other}"
+                    )))
+                }
+            },
             "slow_query_log_size" => match &self.slow_log {
                 Some(log) => log.set_capacity(value as usize),
                 None => {
@@ -493,7 +516,7 @@ impl Session {
             other => {
                 return Err(HyError::Bind(format!(
                     "unknown session setting '{other}' (available: statement_timeout_ms, \
-                     memory_budget_mb, slow_query_ms, slow_query_log_size)"
+                     memory_budget_mb, slow_query_ms, slow_query_log_size, plan_reuse)"
                 )))
             }
         }
@@ -740,7 +763,8 @@ impl Session {
         let mut ctx = ExecContext::new(Arc::clone(&self.catalog))
             .with_own_tables(self.own_tables.iter().cloned())
             .with_metrics(Arc::clone(&self.metrics))
-            .with_governor(Arc::clone(&self.governor));
+            .with_governor(Arc::clone(&self.governor))
+            .with_plan_reuse(self.settings.plan_reuse);
         if let Some(hub) = &self.sysviews {
             ctx = ctx.with_system_views(Arc::clone(hub));
         }

@@ -36,8 +36,19 @@ pub type WorkingRelation = Arc<Vec<Chunk>>;
 pub struct ExecContext {
     catalog: Arc<Catalog>,
     /// Working tables by name; a stack per name supports nesting (an
-    /// ITERATE inside a recursive CTE, etc.).
-    working: HashMap<String, Vec<WorkingRelation>>,
+    /// ITERATE inside a recursive CTE, etc.). Every push gets a binding
+    /// id unique within the statement, which is how the reuse table tells
+    /// one generation of a working table from the next.
+    working: HashMap<String, Vec<(u64, WorkingRelation)>>,
+    /// Binding ids handed out so far (`0` means "not bound").
+    bindings: u64,
+    /// One snapshot per base table for the whole statement, so every scan
+    /// of a table (20 of `edges` in a 20-iteration ITERATE) reads the same
+    /// committed version while other sessions commit.
+    snapshots: Vec<(String, Arc<TableSnapshot>)>,
+    /// `SET plan_reuse`: whether the executor may keep and share sub-plan
+    /// results within the statement.
+    plan_reuse: bool,
     /// Tables mutated by the session's open transaction: the session
     /// reads its *own* uncommitted changes from these, and the committed
     /// state of everything else — snapshot isolation.
@@ -72,6 +83,9 @@ impl ExecContext {
         ExecContext {
             catalog,
             working: HashMap::new(),
+            bindings: 0,
+            snapshots: Vec::new(),
+            plan_reuse: true,
             own_tables: std::collections::HashSet::new(),
             stats: ExecStats::default(),
             metrics: Arc::new(MetricsRegistry::new()),
@@ -96,6 +110,18 @@ impl ExecContext {
             Some(hub) => hub.scan(view),
             None => Vec::new(),
         }
+    }
+
+    /// Switch sub-plan reuse and loop-invariant hoisting on or off (on by
+    /// default); results are bit-identical either way.
+    pub fn with_plan_reuse(mut self, on: bool) -> ExecContext {
+        self.plan_reuse = on;
+        self
+    }
+
+    /// Whether the executor may keep and share sub-plan results.
+    pub fn plan_reuse(&self) -> bool {
+        self.plan_reuse
     }
 
     /// Attach the statement's resource governor.
@@ -209,6 +235,13 @@ impl ExecContext {
         }
     }
 
+    /// Annotate the span of plan node `node_id`, open or already closed.
+    pub fn profile_note_node(&mut self, node_id: usize, key: &str, value: impl ToString) {
+        if let Some(p) = &mut self.profile {
+            p.note_node(node_id, key, value);
+        }
+    }
+
     /// Finish profiling and return the assembled profile, if any.
     pub fn take_profile(&mut self) -> Option<QueryProfile> {
         self.profile.take().map(ProfileBuilder::finish)
@@ -216,15 +249,21 @@ impl ExecContext {
 
     /// Snapshot a base table: the session's own working state for tables
     /// it has mutated in its open transaction, the committed state
-    /// otherwise.
-    pub fn snapshot(&self, table: &str) -> Result<TableSnapshot> {
+    /// otherwise. Taken on the statement's first use of the table and
+    /// returned unchanged afterwards, whatever other sessions commit.
+    pub fn snapshot(&mut self, table: &str) -> Result<Arc<TableSnapshot>> {
+        let seen = |(name, _): &&(String, Arc<TableSnapshot>)| name.eq_ignore_ascii_case(table);
+        if let Some((_, snap)) = self.snapshots.iter().find(seen) {
+            return Ok(Arc::clone(snap));
+        }
         let t = self.catalog.get_table(table)?;
         let guard = t.read();
-        let snap = if self.own_tables.contains(&table.to_ascii_lowercase()) {
+        let snap = Arc::new(if self.own_tables.contains(&table.to_ascii_lowercase()) {
             guard.snapshot()
         } else {
             guard.committed_snapshot()
-        };
+        });
+        self.snapshots.push((table.to_owned(), Arc::clone(&snap)));
         Ok(snap)
     }
 
@@ -241,20 +280,33 @@ impl ExecContext {
             let bytes: usize = chunks.iter().map(Chunk::heap_bytes).sum();
             self.profile_mem(bytes as u64);
         }
+        self.bindings += 1;
         self.working
             .entry(name.to_owned())
             .or_default()
-            .push(chunks);
+            .push((self.bindings, chunks));
     }
 
-    /// Pop the innermost working relation for `name`.
-    pub fn pop_working(&mut self, name: &str) {
-        if let Some(stack) = self.working.get_mut(name) {
-            stack.pop();
-            if stack.is_empty() {
-                self.working.remove(name);
-            }
+    /// Pop the innermost working relation for `name`, returning its
+    /// binding id (`0` if there was none).
+    pub fn pop_working(&mut self, name: &str) -> u64 {
+        let Some(stack) = self.working.get_mut(name) else {
+            return 0;
+        };
+        let popped = stack.pop().map_or(0, |(id, _)| id);
+        if stack.is_empty() {
+            self.working.remove(name);
         }
+        popped
+    }
+
+    /// Binding id of the innermost working relation for `name` (`0` if
+    /// unbound): equal ids mean the same generation of the table.
+    pub fn binding_id(&self, name: &str) -> u64 {
+        self.working
+            .get(name)
+            .and_then(|s| s.last())
+            .map_or(0, |(id, _)| *id)
     }
 
     /// Read the innermost working relation for `name`.
@@ -262,7 +314,7 @@ impl ExecContext {
         self.working
             .get(name)
             .and_then(|s| s.last())
-            .cloned()
+            .map(|(_, rel)| Arc::clone(rel))
             .ok_or_else(|| {
                 HyError::Execution(format!(
                     "working table '{name}' referenced outside its iteration construct"
@@ -289,6 +341,33 @@ mod tests {
         assert_eq!(ctx.read_working("iterate").unwrap()[0].len(), 1);
         ctx.pop_working("iterate");
         assert!(ctx.read_working("iterate").is_err());
+    }
+
+    #[test]
+    fn one_snapshot_per_table_per_statement() {
+        use hylite_common::{DataType, Field, Schema};
+        let catalog = Arc::new(Catalog::new());
+        let schema = Schema::new(vec![Field::new("x", DataType::Int64)]);
+        let t = catalog.create_table("t", schema).unwrap();
+        let commit = |values: &[i64]| {
+            let rows: Vec<Vec<Value>> = values.iter().map(|v| vec![Value::Int(*v)]).collect();
+            t.write().insert_rows(&rows).unwrap();
+            t.write().commit();
+        };
+        commit(&[1, 2, 3]);
+        let mut statement = ExecContext::new(Arc::clone(&catalog));
+        let first = statement.snapshot("t").unwrap();
+        assert_eq!(first.live_rows(), 3);
+        // Another session commits while the statement is still running.
+        commit(&[4, 5]);
+        let second = statement.snapshot("T").unwrap();
+        assert!(
+            Arc::ptr_eq(&first, &second),
+            "a statement reads one version of a table, however often it scans it"
+        );
+        assert_eq!(second.live_rows(), 3);
+        let mut next = ExecContext::new(catalog);
+        assert_eq!(next.snapshot("t").unwrap().live_rows(), 5);
     }
 
     #[test]

@@ -2,13 +2,14 @@
 
 use std::sync::Arc;
 
-use hylite_common::{Chunk, Result};
+use hylite_common::{Chunk, HyError, Result};
 use hylite_planner::LogicalPlan;
 use rayon::prelude::*;
 
 use crate::aggregate;
 use crate::context::ExecContext;
-use crate::join;
+use crate::join::JoinBuild;
+use crate::reuse::{NodeRole, ReuseTable};
 use crate::scan;
 use crate::sort;
 
@@ -16,31 +17,70 @@ use crate::sort;
 pub struct Executor {
     /// The execution context (catalog handle, working tables, stats).
     pub ctx: ExecContext,
+    /// What the running statement keeps and shares (`reuse.rs`).
+    reuse: ReuseTable,
+    /// Open `execute` calls; 0 means the next call is a statement's root.
+    depth: usize,
 }
 
 impl Executor {
     /// Executor over a context.
     pub fn new(ctx: ExecContext) -> Executor {
-        Executor { ctx }
+        Executor {
+            ctx,
+            reuse: ReuseTable::default(),
+            depth: 0,
+        }
     }
 
     /// Execute a plan to a materialized chunk stream.
+    ///
+    /// The root call of a statement first analyses the plan for work it
+    /// would repeat (unless `plan_reuse` is off): repeated sub-plans and
+    /// loop-invariant parts of ITERATE / recursive-CTE bodies then run
+    /// once and are served from the statement's reuse table afterwards.
     ///
     /// Every (sub)plan execution is a governor check point: a cancelled,
     /// timed-out, or over-budget statement aborts before the node runs.
     /// When the statement has a memory budget, each node's materialized
     /// output is charged against it and released once the parent operator
     /// has produced its own output (the children's intermediates are dead
-    /// by then) — see [`ExecContext::reserve_output`].
+    /// by then) — see [`ExecContext::reserve_output`]. A result the reuse
+    /// table keeps is charged a second time, for as long as it is kept;
+    /// the first node that runs out of budget makes the table give
+    /// everything back, and runs again.
     ///
     /// When profiling is enabled on the context, every (sub)plan
     /// execution is additionally bracketed by a span recording output
     /// rows/chunks, wall time and an estimate of the materialized output
     /// size. Repeated executions of the same node (loop bodies) fold into
-    /// one span — see [`hylite_common::telemetry::ProfileBuilder`].
+    /// one span — see [`hylite_common::telemetry::ProfileBuilder`]. A node
+    /// served from its own kept result opens no span, so `calls` counts
+    /// real executions and `reused` the times they were saved.
     pub fn execute(&mut self, plan: &LogicalPlan) -> Result<Vec<Chunk>> {
+        if self.depth == 0 && self.ctx.plan_reuse() {
+            self.reuse = ReuseTable::analyze(plan);
+        }
+        self.depth += 1;
+        let result = self.execute_governed(plan);
+        self.depth -= 1;
+        if self.depth == 0 {
+            self.reuse.finish(&mut self.ctx);
+        }
+        result
+    }
+
+    fn execute_governed(&mut self, plan: &LogicalPlan) -> Result<Vec<Chunk>> {
         self.ctx.check_governor()?;
-        let profiling = self.ctx.profiling();
+        let role = if self.reuse.is_empty() {
+            None
+        } else {
+            self.reuse.role(plan).cloned()
+        };
+        let kept = role.as_ref().and_then(|role| self.kept_result(role));
+        // A node served from the result it computed itself is not a call.
+        let own = matches!(&kept, Some((_, owner)) if *owner == plan.node_id());
+        let profiling = self.ctx.profiling() && !own;
         if profiling {
             self.ctx.profile_enter(plan.node_id(), plan.op_name());
         }
@@ -48,12 +88,38 @@ impl Executor {
         if budgeted {
             self.ctx.push_mem_frame();
         }
-        let mut result = self.execute_node(plan);
+        let mut result = match kept {
+            Some((chunks, _)) => {
+                if profiling {
+                    self.ctx.profile_note("from_reuse", "yes");
+                }
+                Ok(chunks)
+            }
+            None => {
+                let mut result = self.execute_node(plan, role.as_ref().and_then(|r| r.build));
+                // Out of budget while the reuse table holds memory: it
+                // gives all of it back and the node runs again as written.
+                if over_budget(&result) && self.reuse.surrender(&self.ctx) {
+                    self.ctx.pop_mem_frame();
+                    self.ctx.push_mem_frame();
+                    result = self.execute_node(plan, None);
+                }
+                if let (Ok(chunks), Some(slot)) = (&result, role.and_then(|r| r.result)) {
+                    self.reuse
+                        .keep_result(slot, plan.node_id(), chunks, &self.ctx);
+                }
+                result
+            }
+        };
         if budgeted {
             self.ctx.pop_mem_frame();
             if let Ok(chunks) = &result {
                 let bytes = crate::util::heap_bytes(chunks);
-                if let Err(e) = self.ctx.reserve_output(bytes) {
+                let mut reserved = self.ctx.reserve_output(bytes);
+                if over_budget(&reserved) && self.reuse.surrender(&self.ctx) {
+                    reserved = self.ctx.reserve_output(bytes);
+                }
+                if let Err(e) = reserved {
                     result = Err(e);
                 }
             }
@@ -71,8 +137,42 @@ impl Executor {
         result
     }
 
+    /// The node's result from the reuse table, with the node that computed
+    /// it: its own (or an equal node's) kept result, or the columns it
+    /// needs out of a wider projection's.
+    fn kept_result(&mut self, role: &NodeRole) -> Option<(Vec<Chunk>, usize)> {
+        if let Some(hit) = role.result.and_then(|s| self.reuse.result(s, &self.ctx)) {
+            return Some(hit);
+        }
+        let (slot, columns) = role.pick.as_ref()?;
+        let (wide, owner) = self.reuse.result(*slot, &self.ctx)?;
+        Some((wide.iter().map(|c| c.project(columns)).collect(), owner))
+    }
+
+    /// End a working-table binding: what the reuse table computed under it
+    /// dies with it.
+    pub(crate) fn pop_working(&mut self, name: &str) {
+        let binding = self.ctx.pop_working(name);
+        if !self.reuse.is_empty() {
+            self.reuse.binding_popped(binding, &self.ctx);
+        }
+    }
+
+    /// A loop node ran to its end: what the reuse table held for the loop
+    /// is released, not carried to the end of the statement.
+    fn loop_ended(&mut self, plan: &LogicalPlan) {
+        if !self.reuse.is_empty() {
+            self.reuse.loop_ended(plan.node_id(), &self.ctx);
+        }
+    }
+
     /// Single-operator dispatch (no profiling bookkeeping).
-    fn execute_node(&mut self, plan: &LogicalPlan) -> Result<Vec<Chunk>> {
+    /// `build_slot` is the reuse-table slot for a join's built right side.
+    fn execute_node(
+        &mut self,
+        plan: &LogicalPlan,
+        build_slot: Option<usize>,
+    ) -> Result<Vec<Chunk>> {
         match plan {
             LogicalPlan::TableScan {
                 table,
@@ -161,15 +261,28 @@ impl Executor {
                 ..
             } => {
                 let l = self.execute(left)?;
-                let r = self.execute(right)?;
-                join::join(
-                    &l,
-                    &r,
-                    *kind,
-                    condition.as_ref(),
-                    &left.schema().types(),
-                    &right.schema().types(),
-                )
+                let kept = build_slot.and_then(|slot| self.reuse.build(slot, &self.ctx));
+                let build = match kept {
+                    Some((build, hits)) => {
+                        self.ctx.profile_note("build_reused", hits);
+                        build
+                    }
+                    None => {
+                        let r = self.execute(right)?;
+                        let build = Arc::new(JoinBuild::new(
+                            &r,
+                            condition.as_ref(),
+                            left.schema().len(),
+                            &right.schema().types(),
+                        )?);
+                        if let Some(slot) = build_slot {
+                            self.reuse
+                                .keep_build(slot, plan.node_id(), &build, &self.ctx);
+                        }
+                        build
+                    }
+                };
+                build.probe(&l, *kind)
             }
             LogicalPlan::Aggregate {
                 input,
@@ -220,14 +333,22 @@ impl Executor {
                 step,
                 all,
                 ..
-            } => self.exec_recursive_cte(name, init, step, *all),
+            } => {
+                let result = self.exec_recursive_cte(name, init, step, *all);
+                self.loop_ended(plan);
+                result
+            }
             LogicalPlan::Iterate {
                 init,
                 step,
                 stop,
                 max_iterations,
                 ..
-            } => self.exec_iterate(init, step, stop, *max_iterations),
+            } => {
+                let result = self.exec_iterate(init, step, stop, *max_iterations);
+                self.loop_ended(plan);
+                result
+            }
             LogicalPlan::KMeans {
                 data,
                 centers,
@@ -267,6 +388,10 @@ impl Executor {
             } => self.exec_class_stats(data, feature_names, &schema.types()),
         }
     }
+}
+
+fn over_budget<T>(result: &Result<T>) -> bool {
+    matches!(result, Err(HyError::BudgetExceeded(_)))
 }
 
 #[cfg(test)]
@@ -486,6 +611,101 @@ mod tests {
             e.ctx.stats.peak_working_rows
         );
         assert!(e.ctx.stats.iterations > 900);
+    }
+
+    /// `UNION ALL` of a loop that keeps its invariant join build and a
+    /// branch that needs more memory than the loop ever did: what the loop
+    /// kept is released when the loop ends, so the statement peaks where it
+    /// does with `plan_reuse` off.
+    #[test]
+    fn kept_data_is_released_when_its_loop_ends() {
+        use hylite_common::governor::{CancelToken, Governor};
+        let (catalog, schema) = setup();
+        let int_schema = Arc::new(Schema::new(vec![Field::new("x", DataType::Int64)]));
+        let id = || ScalarExpr::column(0, DataType::Int64);
+        // Two spellings, so the branches have no sub-plan in common.
+        let all_of_t = |least: i64| LogicalPlan::Filter {
+            input: Box::new(scan_plan(&schema)),
+            predicate: ScalarExpr::binary(BinaryOp::GtEq, id(), ScalarExpr::literal(least))
+                .unwrap(),
+        };
+        let working = || LogicalPlan::WorkingTable {
+            name: "iterate".into(),
+            schema: Arc::clone(&int_schema),
+        };
+        let plus_one = ScalarExpr::binary(BinaryOp::Add, id(), ScalarExpr::literal(1i64)).unwrap();
+        let looping = LogicalPlan::Iterate {
+            init: Box::new(LogicalPlan::Values {
+                schema: Arc::clone(&int_schema),
+                rows: vec![vec![Value::Int(0)]],
+            }),
+            step: Box::new(LogicalPlan::Limit {
+                input: Box::new(LogicalPlan::Project {
+                    input: Box::new(LogicalPlan::Join {
+                        left: Box::new(working()),
+                        right: Box::new(all_of_t(0)),
+                        kind: JoinKind::Cross,
+                        condition: None,
+                        schema: Arc::new(int_schema.join(&schema)),
+                    }),
+                    exprs: vec![plus_one.clone()],
+                    schema: Arc::clone(&int_schema),
+                }),
+                limit: Some(1),
+                offset: 0,
+            }),
+            stop: Box::new(LogicalPlan::Filter {
+                input: Box::new(working()),
+                predicate: ScalarExpr::binary(BinaryOp::GtEq, id(), ScalarExpr::literal(4i64))
+                    .unwrap(),
+            }),
+            max_iterations: 100,
+            schema: Arc::clone(&int_schema),
+        };
+        let wide_schema = Arc::new(Schema::new(
+            (0..40)
+                .map(|i| Field::new(format!("c{i}"), DataType::Int64))
+                .collect(),
+        ));
+        let hungry = LogicalPlan::Limit {
+            input: Box::new(LogicalPlan::Project {
+                input: Box::new(LogicalPlan::Project {
+                    input: Box::new(all_of_t(-1)),
+                    exprs: vec![plus_one; 40],
+                    schema: wide_schema,
+                }),
+                exprs: vec![id()],
+                schema: Arc::clone(&int_schema),
+            }),
+            limit: Some(1),
+            offset: 0,
+        };
+        let plan = LogicalPlan::Union {
+            inputs: vec![looping, hungry],
+            all: true,
+            schema: int_schema,
+        };
+        let peak = |reuse: bool| {
+            let governor = Arc::new(Governor::new(
+                Arc::new(CancelToken::new()),
+                None,
+                Some(1 << 30),
+            ));
+            let ctx = ExecContext::new(Arc::clone(&catalog))
+                .with_governor(Arc::clone(&governor))
+                .with_plan_reuse(reuse);
+            let hits = ctx.metrics().counter("exec.join_build_reuse_hits");
+            let out = Executor::new(ctx).execute(&plan).unwrap();
+            assert_eq!(crate::util::total_rows(&out), 2);
+            let budget = governor.budget();
+            (budget.peak(), budget.reserved(), hits.get())
+        };
+        let (off, left_off, no_hits) = peak(false);
+        let (on, left_on, hits) = peak(true);
+        assert_eq!(no_hits, 0);
+        assert_eq!(hits, 3, "the build of `t` serves iterations 2 to 4");
+        assert_eq!(on, off, "the loop's kept build outlived the loop");
+        assert_eq!(left_on, left_off, "a kept value is still charged");
     }
 
     #[test]

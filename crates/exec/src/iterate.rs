@@ -51,7 +51,7 @@ impl Executor {
             }
             self.ctx.push_working(name, Arc::new(working));
             let step_result = self.execute(step);
-            self.ctx.pop_working(name);
+            self.pop_working(name);
             let mut new = step_result?;
             if !all {
                 new = dedup_against(&types, new, &mut seen)?;
@@ -106,19 +106,19 @@ impl Executor {
                     total_rows(chunks) > 0
                 }
                 Err(_) => {
-                    self.ctx.pop_working("iterate");
+                    self.pop_working("iterate");
                     stop_rows?;
                     unreachable!();
                 }
             };
             if stop_now || iterations >= max_iterations {
-                self.ctx.pop_working("iterate");
+                self.pop_working("iterate");
                 break;
             }
             iterations += 1;
             self.ctx.stats.iterations += 1;
             let next = self.execute(step);
-            self.ctx.pop_working("iterate");
+            self.pop_working("iterate");
             let next = next?;
             // At most two generations alive: `current` (previous) and
             // `next`. Record that before dropping the old generation.

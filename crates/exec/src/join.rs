@@ -11,73 +11,97 @@ use crate::util::HashableRow;
 #[cfg(test)]
 use hylite_common::Value;
 
-/// Join two materialized inputs.
+/// The build side of a join: the right input materialized once and, for
+/// equi-joins, hashed on its key expressions. It depends on the right
+/// input and the condition only, so the executor keeps it across the
+/// iterations of a loop whose right input does not change.
 ///
 /// `condition` is over the concatenated (left ++ right) schema. Equi
 /// conjuncts (`left_col_expr = right_col_expr`) become hash-join keys;
 /// the rest is applied as a residual predicate. Without any equi
 /// conjunct the join degrades to a filtered cross product.
-pub fn join(
-    left: &[Chunk],
-    right: &[Chunk],
-    kind: JoinKind,
-    condition: Option<&ScalarExpr>,
-    left_types: &[DataType],
-    right_types: &[DataType],
-) -> Result<Vec<Chunk>> {
-    let left_width = left_types.len();
-    // Materialize the right side once (the build side).
-    let right_all = Chunk::concat(right_types, right)?;
+pub struct JoinBuild {
+    right_all: Chunk,
+    right_types: Vec<DataType>,
+    left_keys: Vec<ScalarExpr>,
+    residual: Option<ScalarExpr>,
+    /// Right row indices by key; empty for a join without equi keys.
+    table: HashMap<HashableRow, Vec<usize>>,
+}
 
-    let (keys, residual) = match condition {
-        None => (vec![], None),
-        Some(c) => extract_equi_keys(c, left_width),
-    };
-
-    if keys.is_empty() {
-        return nested_loop(left, &right_all, kind, residual.as_ref(), right_types);
-    }
-
-    // Build: hash the right side on its key expressions.
-    let right_keys: Vec<ScalarExpr> = keys.iter().map(|(_, r)| r.clone()).collect();
-    let mut table: HashMap<HashableRow, Vec<usize>> = HashMap::new();
-    if !right_all.is_empty() {
-        let key_cols = crate::util::key_columns(&right_keys, &right_all)?;
-        'row: for i in 0..right_all.len() {
-            // SQL: NULL keys never join.
-            for c in &key_cols {
-                if !c.is_valid(i) {
-                    continue 'row;
+impl JoinBuild {
+    /// Materialize and hash the right input.
+    pub fn new(
+        right: &[Chunk],
+        condition: Option<&ScalarExpr>,
+        left_width: usize,
+        right_types: &[DataType],
+    ) -> Result<JoinBuild> {
+        let right_all = Chunk::concat(right_types, right)?;
+        let (keys, residual) = match condition {
+            None => (vec![], None),
+            Some(c) => extract_equi_keys(c, left_width),
+        };
+        let (left_keys, right_keys): (Vec<ScalarExpr>, Vec<ScalarExpr>) = keys.into_iter().unzip();
+        let mut table: HashMap<HashableRow, Vec<usize>> = HashMap::new();
+        if !right_keys.is_empty() && !right_all.is_empty() {
+            let key_cols = crate::util::key_columns(&right_keys, &right_all)?;
+            'row: for i in 0..right_all.len() {
+                // SQL: NULL keys never join.
+                for c in &key_cols {
+                    if !c.is_valid(i) {
+                        continue 'row;
+                    }
                 }
+                table
+                    .entry(crate::util::key_at(&key_cols, i))
+                    .or_default()
+                    .push(i);
             }
-            table
-                .entry(crate::util::key_at(&key_cols, i))
-                .or_default()
-                .push(i);
         }
+        Ok(JoinBuild {
+            right_all,
+            right_types: right_types.to_vec(),
+            left_keys,
+            residual,
+            table,
+        })
     }
 
-    let left_keys: Vec<ScalarExpr> = keys.iter().map(|(l, _)| l.clone()).collect();
-    // Probe in parallel over left chunks.
-    let results: Vec<Result<Vec<Chunk>>> = left
-        .par_iter()
-        .map(|chunk| {
-            probe_chunk(
-                chunk,
-                &left_keys,
-                &table,
-                &right_all,
-                kind,
-                residual.as_ref(),
-                right_types,
-            )
-        })
-        .collect();
-    let mut out = Vec::new();
-    for r in results {
-        out.extend(r?.into_iter().filter(|c| !c.is_empty()));
+    /// Approximate heap footprint, for the memory budget: the
+    /// materialized right side plus one map entry per right row.
+    pub fn heap_bytes(&self) -> u64 {
+        let entry = 48 + 32 * self.left_keys.len();
+        (self.right_all.heap_bytes() + self.table.len() * entry + self.right_all.len() * 8) as u64
     }
-    Ok(out)
+
+    /// Join `left` against the built right side.
+    pub fn probe(&self, left: &[Chunk], kind: JoinKind) -> Result<Vec<Chunk>> {
+        let residual = self.residual.as_ref();
+        if self.left_keys.is_empty() {
+            return nested_loop(left, &self.right_all, kind, residual, &self.right_types);
+        }
+        // Probe in parallel over left chunks.
+        let results: Vec<Result<Vec<Chunk>>> = left
+            .par_iter()
+            .map(|chunk| {
+                probe_chunk(
+                    chunk,
+                    &self.left_keys,
+                    &self.table,
+                    &self.right_all,
+                    kind,
+                    residual,
+                    &self.right_types,
+                )
+            })
+            .collect();
+        let mut out = Vec::new();
+        for r in results {
+            out.extend(r?.into_iter().filter(|c| !c.is_empty()));
+        }
+        Ok(out)
+    }
 }
 
 /// Probe one left chunk against the build table.
@@ -320,6 +344,18 @@ mod tests {
 
     fn chunk_i64(vals: Vec<i64>) -> Chunk {
         Chunk::new(vec![ColumnVector::from_i64(vals)])
+    }
+
+    /// Build on `right`, probe with `left`.
+    fn join(
+        left: &[Chunk],
+        right: &[Chunk],
+        kind: JoinKind,
+        condition: Option<&ScalarExpr>,
+        left_types: &[DataType],
+        right_types: &[DataType],
+    ) -> Result<Vec<Chunk>> {
+        JoinBuild::new(right, condition, left_types.len(), right_types)?.probe(left, kind)
     }
 
     fn two_col(ids: Vec<i64>, names: Vec<&str>) -> Chunk {

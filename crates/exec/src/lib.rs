@@ -18,6 +18,7 @@ pub mod executor;
 pub mod iterate;
 pub mod join;
 pub mod operators;
+mod reuse;
 pub mod scan;
 pub mod sort;
 pub mod util;

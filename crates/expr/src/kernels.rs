@@ -4,7 +4,7 @@
 //! a full output column. NULL handling follows SQL: arithmetic and
 //! comparison propagate NULL; AND/OR use three-valued logic.
 
-use hylite_common::{Bitmap, ColumnVector, HyError, Result};
+use hylite_common::{Bitmap, ColumnVector, DataType, HyError, Result};
 
 /// Combine two optional validity masks by AND (NULL-propagating ops).
 pub fn merge_validity(a: Option<&Bitmap>, b: Option<&Bitmap>) -> Option<Bitmap> {
@@ -97,6 +97,23 @@ pub fn arith_f64(op: &str, l: &[f64], r: &[f64], validity: Option<Bitmap>) -> Re
     Ok(ColumnVector::Float64 {
         data: out,
         validity,
+    })
+}
+
+/// `v * v` per element as DOUBLE: what `v ^ 2` and `pow(v, 2)` mean, without
+/// a `powf` call per element. Correctly rounded, so within 1 ulp of `powf`.
+pub fn square(base: &ColumnVector) -> Result<ColumnVector> {
+    let cast;
+    let base = match base {
+        ColumnVector::Float64 { .. } => base,
+        other => {
+            cast = other.cast_to(DataType::Float64)?;
+            &cast
+        }
+    };
+    Ok(ColumnVector::Float64 {
+        data: base.as_f64()?.iter().map(|v| v * v).collect(),
+        validity: base.validity().cloned(),
     })
 }
 

@@ -346,6 +346,35 @@ impl ScalarExpr {
         }
     }
 
+    /// Whether `pred` holds for any literal value in the expression.
+    pub fn any_literal(&self, pred: &dyn Fn(&Value) -> bool) -> bool {
+        match self {
+            ScalarExpr::Column { .. } => false,
+            ScalarExpr::Literal(v) => pred(v),
+            ScalarExpr::Binary { left, right, .. } => {
+                left.any_literal(pred) || right.any_literal(pred)
+            }
+            ScalarExpr::Unary { input, .. }
+            | ScalarExpr::Cast { input, .. }
+            | ScalarExpr::IsNull { input, .. }
+            | ScalarExpr::Like { input, .. } => input.any_literal(pred),
+            ScalarExpr::InList { input, list, .. } => {
+                input.any_literal(pred) || list.iter().any(pred)
+            }
+            ScalarExpr::Func { args, .. } => args.iter().any(|a| a.any_literal(pred)),
+            ScalarExpr::Case {
+                branches,
+                else_expr,
+                ..
+            } => {
+                branches
+                    .iter()
+                    .any(|(c, r)| c.any_literal(pred) || r.any_literal(pred))
+                    || else_expr.as_ref().is_some_and(|e| e.any_literal(pred))
+            }
+        }
+    }
+
     /// Rewrite all column indices through `mapping` (old index → new index).
     /// Used by the optimizer when columns are pruned or reordered.
     pub fn remap_columns(&mut self, mapping: &[usize]) {
@@ -389,6 +418,20 @@ impl ScalarExpr {
         match self {
             ScalarExpr::Column { index, .. } => Ok(chunk.column(*index).clone()),
             ScalarExpr::Literal(v) => broadcast(v, n),
+            // The distance idiom `(a - b) ^ 2`: a multiply, not a `powf`.
+            ScalarExpr::Binary {
+                op: BinaryOp::Pow,
+                left,
+                right,
+                ..
+            } if right.is_literal_two() => kernels::square(&left.eval(chunk)?),
+            ScalarExpr::Func {
+                func: ScalarFunc::Pow,
+                args,
+                ..
+            } if args.len() == 2 && args[1].is_literal_two() => {
+                kernels::square(&args[0].eval(chunk)?)
+            }
             ScalarExpr::Binary {
                 op, left, right, ..
             } => {
@@ -589,6 +632,15 @@ impl ScalarExpr {
         }
     }
 
+    /// The literal `2` or `2.0`.
+    fn is_literal_two(&self) -> bool {
+        match self {
+            ScalarExpr::Literal(Value::Int(2)) => true,
+            ScalarExpr::Literal(Value::Float(x)) => *x == 2.0,
+            _ => false,
+        }
+    }
+
     /// True when the expression references no columns (a constant).
     pub fn is_constant(&self) -> bool {
         let mut cols = Vec::new();
@@ -784,6 +836,63 @@ mod tests {
         assert_eq!(e.data_type(), DataType::Float64);
         let c = e.eval(&chunk()).unwrap();
         assert_eq!(c.as_f64().unwrap(), &[1.5, 3.5, 5.5]);
+    }
+
+    #[test]
+    fn squaring_matches_powf_to_one_ulp() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        let mut values = vec![
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE / 4.0, // subnormal
+            -f64::MIN_POSITIVE / 1024.0,
+            f64::from_bits(1), // smallest subnormal
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MAX,
+            1.0e-160,
+        ];
+        // Any bit pattern, and the magnitudes distance computations see.
+        values.extend((0..2000).map(|_| f64::from_bits(rng.gen::<u64>())));
+        values.extend((0..2000).map(|_| rng.gen_range(-1000.0..1000.0)));
+        let n = values.len();
+        let null_slots = [3usize, 5, 7, n - 1];
+        let chunk = Chunk::new(vec![ColumnVector::Float64 {
+            data: values.clone(),
+            validity: Some((0..n).map(|i| !null_slots.contains(&i)).collect()),
+        }]);
+        // Off by at most one in the ordered-integer view of the bits.
+        let ulps = |a: f64, b: f64| (a.to_bits() as i64 - b.to_bits() as i64).unsigned_abs();
+        let base = || col(0, DataType::Float64);
+        let squares = [
+            ScalarExpr::binary(BinaryOp::Pow, base(), ScalarExpr::literal(2i64)).unwrap(),
+            ScalarExpr::binary(BinaryOp::Pow, base(), ScalarExpr::literal(2.0f64)).unwrap(),
+            ScalarExpr::func(ScalarFunc::Pow, vec![base(), ScalarExpr::literal(2i64)]).unwrap(),
+        ];
+        for e in &squares {
+            let out = e.eval(&chunk).unwrap();
+            assert_eq!(out.data_type(), DataType::Float64);
+            let got = out.as_f64().unwrap();
+            for (i, v) in values.iter().enumerate() {
+                if null_slots.contains(&i) {
+                    assert!(!out.is_valid(i), "{e}: row {i} must stay NULL");
+                    continue;
+                }
+                assert!(out.is_valid(i));
+                let want = v.powf(2.0);
+                assert!(
+                    (want.is_nan() && got[i].is_nan()) || ulps(got[i], want) <= 1,
+                    "{e}: {v:e}: got {:e}, powf gives {want:e}",
+                    got[i]
+                );
+            }
+        }
+        // Other exponents still go through powf.
+        let cube = ScalarExpr::binary(BinaryOp::Pow, base(), ScalarExpr::literal(3i64)).unwrap();
+        let got = cube.eval(&chunk).unwrap();
+        assert_eq!(got.as_f64().unwrap()[n - 2], values[n - 2].powf(3.0));
     }
 
     #[test]

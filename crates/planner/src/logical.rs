@@ -346,6 +346,30 @@ impl LogicalPlan {
         }
     }
 
+    /// The scalar expressions this node itself evaluates (not its
+    /// inputs').
+    pub fn expressions(&self) -> Vec<&ScalarExpr> {
+        match self {
+            LogicalPlan::TableScan { filter, .. } => filter.iter().collect(),
+            LogicalPlan::Filter { predicate, .. } => vec![predicate],
+            LogicalPlan::Project { exprs, .. } => exprs.iter().collect(),
+            LogicalPlan::Join { condition, .. } => condition.iter().collect(),
+            LogicalPlan::Aggregate {
+                group_exprs,
+                aggregates,
+                ..
+            } => group_exprs
+                .iter()
+                .chain(aggregates.iter().filter_map(|a| a.arg.as_ref()))
+                .collect(),
+            LogicalPlan::Sort { keys, .. } => keys.iter().map(|k| &k.expr).collect(),
+            LogicalPlan::KMeans { lambda, .. } | LogicalPlan::KMeansAssign { lambda, .. } => {
+                lambda.iter().map(BoundLambda::body).collect()
+            }
+            _ => vec![],
+        }
+    }
+
     /// Render an indented EXPLAIN tree.
     pub fn explain(&self) -> String {
         self.explain_annotated(&|_| String::new())

@@ -5,6 +5,9 @@ use hylite_common::{DataType, HyError, Result, Value};
 use crate::ast::*;
 use crate::token::{Keyword, Token, Tokenizer};
 
+/// Session settings that are switches: `SET` takes `on` / `off` for them.
+const SWITCH_SETTINGS: &[&str] = &["plan_reuse"];
+
 /// Parse a script of `;`-separated statements.
 pub fn parse_sql(input: &str) -> Result<Vec<Statement>> {
     let mut p = Parser::new(input)?;
@@ -201,7 +204,8 @@ impl Parser {
         }
     }
 
-    /// `SET <setting> = <int>` / `SET <setting> TO <int>`.
+    /// `SET <setting> = <int>` / `SET <setting> TO <int>`; a switch
+    /// ([`SWITCH_SETTINGS`]) also takes `on` / `off` for 1 / 0.
     fn set_statement(&mut self) -> Result<Statement> {
         self.expect_keyword(Keyword::Set)?;
         let name = self.expect_ident()?;
@@ -216,6 +220,7 @@ impl Parser {
             }
         }
         let negative = self.eat_symbol("-");
+        let switch = !negative && SWITCH_SETTINGS.contains(&name.as_str());
         let value = match self.bump() {
             Token::Int(v) => {
                 if negative {
@@ -224,10 +229,17 @@ impl Parser {
                     v
                 }
             }
+            Token::Keyword(Keyword::On) if switch => 1,
+            Token::Ident(word) if switch && word == "off" => 0,
             other => {
+                let expected = if switch {
+                    "on, off, 1 or 0"
+                } else {
+                    "an integer value"
+                };
                 return Err(HyError::Parse(format!(
-                    "expected an integer value for SET {name}, found {other}"
-                )))
+                    "expected {expected} for SET {name}, found {other}"
+                )));
             }
         };
         Ok(Statement::Set { name, value })

@@ -273,3 +273,59 @@ fn explain_analyze_non_query_statement_executes() {
         Value::Int(2)
     );
 }
+
+/// Work the reuse table saved shows up where an operator looks for it: on
+/// the plan node that did the work once (`calls=1 [reused=N]`, joins
+/// `[build_reused=N]`), and as counters in the registry.
+#[test]
+fn explain_analyze_and_the_registry_show_reuse() {
+    use hylite_bench::{queries, workloads};
+    let d = 10;
+    let nb = workloads::setup_naive_bayes(300, d, 1).unwrap();
+    let explain = format!("EXPLAIN ANALYZE {}", queries::naive_bayes_sql(d));
+
+    // Ten UNION ALL branches over the same three sub-queries: the first
+    // branch computes their join, the other nine are served from it.
+    let text = plan_text(&nb.db, &explain);
+    assert_eq!(extract_u64(&text, "reused"), vec![9], "{text}");
+    let owner = text.lines().find(|l| l.contains("[reused=9]")).unwrap();
+    assert!(
+        owner.contains("Join") && owner.contains("calls=1 "),
+        "{owner}"
+    );
+    assert_eq!(text.matches("[from_reuse=yes]").count(), 9, "{text}");
+    let hits = |db: &Database, name: &str| db.metrics_snapshot().counter(name);
+    assert_eq!(hits(&nb.db, "exec.subplan_reuse_hits"), 9);
+    let listed = nb
+        .db
+        .execute("SELECT value FROM hylite.metrics WHERE name = 'exec.subplan_reuse_hits'")
+        .unwrap();
+    assert_eq!(listed.scalar().unwrap(), Value::Int(9));
+
+    // Switched off, nothing is reused and nothing says so.
+    nb.db.execute("SET plan_reuse = off").unwrap();
+    let text = plan_text(&nb.db, &explain);
+    assert_eq!(
+        extract_u64(&text, "reused").iter().sum::<u64>(),
+        0,
+        "{text}"
+    );
+    assert!(!text.contains("from_reuse") && !text.contains("never executed"));
+    assert_eq!(hits(&nb.db, "exec.subplan_reuse_hits"), 9);
+
+    // A loop: the degree sub-query and the hash table over `edges` are
+    // built in the first iteration and kept for the other five.
+    let graph = workloads::setup_pagerank(&hylite_graph::LdbcConfig {
+        vertices: 60,
+        edges: 300,
+        triangle_fraction: 0.2,
+        seed: 2,
+    })
+    .unwrap();
+    let sql = queries::pagerank_iterate(graph.vertices, 0.85, 6);
+    let text = plan_text(&graph.db, &format!("EXPLAIN ANALYZE {sql}"));
+    assert_eq!(extract_u64(&text, "build_reused"), vec![5, 5], "{text}");
+    let degree = text.lines().find(|l| l.contains("count(*)")).unwrap();
+    assert!(degree.contains("calls=1 "), "{degree}");
+    assert_eq!(hits(&graph.db, "exec.join_build_reuse_hits"), 10);
+}
