@@ -1,5 +1,8 @@
 //! Typed columnar vectors — the unit of vectorized execution.
 
+use std::cmp::Ordering;
+
+use crate::value::sort_cmp_f64;
 use crate::{Bitmap, DataType, HyError, Result, Value};
 
 /// A typed column of values with an optional validity bitmap.
@@ -190,6 +193,20 @@ impl ColumnVector {
             ColumnVector::Float64 { data, .. } => Value::Float(data[i]),
             ColumnVector::Bool { data, .. } => Value::Bool(data[i]),
             ColumnVector::Varchar { data, .. } => Value::Str(data[i].clone()),
+        }
+    }
+
+    /// Order of rows `a` and `b`: [`Value::sort_cmp`] of the two values
+    /// (NULL first, NaN last) without materializing them.
+    pub fn cmp_rows(&self, a: usize, b: usize) -> Ordering {
+        match (self.is_valid(a), self.is_valid(b)) {
+            (true, true) => match self {
+                ColumnVector::Int64 { data, .. } => data[a].cmp(&data[b]),
+                ColumnVector::Float64 { data, .. } => sort_cmp_f64(data[a], data[b]),
+                ColumnVector::Bool { data, .. } => data[a].cmp(&data[b]),
+                ColumnVector::Varchar { data, .. } => data[a].cmp(&data[b]),
+            },
+            (a_valid, b_valid) => a_valid.cmp(&b_valid),
         }
     }
 
@@ -531,6 +548,26 @@ mod tests {
         assert!(sel.get(0));
         assert!(!sel.get(1));
         assert!(!sel.get(2), "NULL predicate must not select the row");
+    }
+
+    #[test]
+    fn cmp_rows_is_sort_cmp_of_the_values() {
+        let mut floats = ColumnVector::from_f64(vec![1.5, f64::NAN, -0.0, 0.0, f64::NAN, -7.0]);
+        floats.push_null();
+        let mut strs = ColumnVector::from_str(vec!["b", "a", "", "b"]);
+        strs.push_null();
+        let mut bools = ColumnVector::from_bool(vec![true, false]);
+        bools.push_null();
+        let mut ints = ColumnVector::from_i64(vec![i64::MIN, 0, i64::MAX, 0]);
+        ints.push_null();
+        for col in [floats, strs, bools, ints] {
+            for a in 0..col.len() {
+                for b in 0..col.len() {
+                    let expect = col.value(a).sort_cmp(&col.value(b));
+                    assert_eq!(col.cmp_rows(a, b), expect, "{col:?} rows {a}, {b}");
+                }
+            }
+        }
     }
 
     #[test]

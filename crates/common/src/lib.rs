@@ -20,6 +20,7 @@ pub mod error;
 pub mod faultfs;
 pub mod faultnet;
 pub mod governor;
+pub mod hash;
 pub mod row;
 pub mod schema;
 pub mod sysview;

@@ -138,15 +138,7 @@ impl Value {
             (Null, _) => Ordering::Less,
             (_, Null) => Ordering::Greater,
             (Int(a), Int(b)) => a.cmp(b),
-            (Float(a), Float(b)) => a.partial_cmp(b).unwrap_or_else(|| {
-                // Order NaN last for determinism.
-                match (a.is_nan(), b.is_nan()) {
-                    (true, true) => Ordering::Equal,
-                    (true, false) => Ordering::Greater,
-                    (false, true) => Ordering::Less,
-                    (false, false) => Ordering::Equal,
-                }
-            }),
+            (Float(a), Float(b)) => sort_cmp_f64(*a, *b),
             (Int(a), Float(b)) => (*a as f64).partial_cmp(b).unwrap_or(Ordering::Less),
             (Float(a), Int(b)) => a.partial_cmp(&(*b as f64)).unwrap_or(Ordering::Greater),
             (Bool(a), Bool(b)) => a.cmp(b),
@@ -156,6 +148,13 @@ impl Value {
             (a, b) => type_rank(a).cmp(&type_rank(b)),
         }
     }
+}
+
+/// The sort order of DOUBLEs: numeric, NaN last and equal to NaN. The one
+/// definition behind ORDER BY, MIN/MAX and the order of grouped output.
+pub fn sort_cmp_f64(a: f64, b: f64) -> Ordering {
+    a.partial_cmp(&b)
+        .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
 }
 
 fn type_rank(v: &Value) -> u8 {

@@ -1,11 +1,13 @@
-//! Hash aggregation with parallel partial states.
+//! Hash aggregation and DISTINCT over typed keys.
 //!
-//! Each rayon task folds its chunks into a thread-local hash table of
-//! per-group accumulators; tables are merged once at the end — the same
-//! "local work, single merge" pattern the paper's analytics operators
-//! use.
-
-use std::collections::HashMap;
+//! Aggregation is "group ids for the chunk, then one typed loop per
+//! aggregate": the [`GroupIndex`] maps each row's key to a dense group
+//! id, and every aggregate folds its argument column into the states of
+//! the groups the chunk touches. Each chunk is folded on its own, in row
+//! order, into fresh states; a group's partial states are merged in chunk
+//! order. Results therefore do not depend on who folds which chunk — the
+//! "local work, ordered merge" shape the paper's analytics operators use,
+//! and the one a morsel scheduler needs to stay deterministic.
 
 use hylite_common::governor::Governor;
 #[cfg(test)]
@@ -14,17 +16,23 @@ use hylite_common::{Chunk, ColumnVector, DataType, Result};
 use hylite_expr::AggregateState;
 use hylite_expr::ScalarExpr;
 use hylite_planner::logical::AggExpr;
-use rayon::prelude::*;
 
-use crate::util::{key_at, key_columns, HashableRow};
-
-type GroupTable = HashMap<HashableRow, Vec<AggregateState>>;
+use crate::keys::{GroupIndex, KeyLayout};
+use crate::util::{conform, eval_keys, eval_shared};
 
 /// Releases transient hash-table reservations when the aggregation
 /// finishes (or aborts), so a failed statement leaves the budget clean.
 struct BudgetGuard<'a> {
     governor: &'a Governor,
     bytes: u64,
+}
+
+impl BudgetGuard<'_> {
+    fn reserve(&mut self, bytes: u64) -> Result<()> {
+        self.governor.reserve(bytes)?;
+        self.bytes += bytes;
+        Ok(())
+    }
 }
 
 impl Drop for BudgetGuard<'_> {
@@ -39,160 +47,160 @@ fn group_entry_bytes(num_keys: usize, num_aggs: usize) -> u64 {
     48 + 32 * num_keys as u64 + 48 * num_aggs as u64
 }
 
-/// Execute a grouped aggregation. Output columns: group keys in order,
-/// then one column per aggregate. With no group keys the result is a
-/// single row (aggregates over the whole input, even when empty).
+/// Execute a grouped aggregation, keying the groups under the layout
+/// `layout` ([`KeyLayout::new`]) makes of the key columns' types. Output
+/// columns: group keys in order, then one column per aggregate; rows
+/// sorted by key. With no group keys the result is a single row
+/// (aggregates over the whole input, even when empty). The index comes
+/// back with the result: how many groups there were, under which layout.
 ///
-/// Every parallel partial fold starts with a governor check, and each
-/// thread-local hash table is charged against the statement's memory
-/// budget (released once the output chunk is built).
+/// Every chunk's fold starts with a governor check, and the partial
+/// states of the groups it touches are charged against the statement's
+/// memory budget (released once the output chunk is built).
 pub fn aggregate(
+    layout: fn(&[DataType]) -> KeyLayout,
     chunks: &[Chunk],
     group_exprs: &[ScalarExpr],
     aggregates: &[AggExpr],
     output_types: &[DataType],
     governor: &Governor,
-) -> Result<Vec<Chunk>> {
-    let locals: Vec<Result<(GroupTable, u64)>> = chunks
-        .par_iter()
-        .map(|chunk| fold_chunk(chunk, group_exprs, aggregates, governor))
-        .collect();
-    // Collect every successful fold's reservation before propagating any
-    // error, so an aborted statement still releases all partials.
+) -> Result<(Vec<Chunk>, GroupIndex)> {
     let mut guard = BudgetGuard { governor, bytes: 0 };
-    let mut tables = Vec::with_capacity(locals.len());
-    let mut first_err = None;
-    for local in locals {
-        match local {
-            Ok((table, reserved)) => {
-                guard.bytes += reserved;
-                tables.push(table);
-            }
-            Err(e) => first_err = first_err.or(Some(e)),
+    let (key_types, agg_types) = output_types.split_at(group_exprs.len());
+    let mut index = GroupIndex::for_grouping(layout(key_types));
+    let entry_bytes = group_entry_bytes(group_exprs.len(), aggregates.len());
+    let inits: Vec<AggregateState> = aggregates.iter().map(|a| a.func.init()).collect();
+    let grouped = !group_exprs.is_empty();
+    // `totals[a][g]`: aggregate `a` of group `g` over the chunks so far.
+    let mut totals: Vec<Vec<AggregateState>> = vec![Vec::new(); aggregates.len()];
+    let mut key_out: Vec<ColumnVector> =
+        key_types.iter().map(|&t| ColumnVector::empty(t)).collect();
+    let mut ids = Vec::new();
+    // The chunk being folded: the groups it touches in first-touch order,
+    // each group's position in that list (valid where `stamp` is the
+    // chunk's number), and `ids` renumbered to those positions.
+    let mut touched: Vec<u32> = Vec::new();
+    let mut stamp: Vec<usize> = Vec::new();
+    let mut local: Vec<u32> = Vec::new();
+    let mut local_ids: Vec<u32> = Vec::new();
+    for (chunk_no, chunk) in chunks.iter().enumerate() {
+        governor.check()?;
+        let key_cols = eval_keys(group_exprs, key_types, chunk)?;
+        // Without keys the whole chunk is one key-less row's group, and
+        // the aggregates fold whole columns.
+        let key_rows = if grouped { chunk.len() } else { 1 };
+        let fresh = index.insert_chunk(&key_cols, key_rows, &mut ids)?;
+        // A group's key is output as its first row had it.
+        for (out, col) in key_out.iter_mut().zip(&key_cols) {
+            out.append(&col.take(&fresh))?;
         }
-    }
-    if let Some(e) = first_err {
-        return Err(e);
-    }
-    let mut merged: GroupTable = HashMap::new();
-    for local in tables {
-        for (key, states) in local {
-            match merged.get_mut(&key) {
-                Some(existing) => {
-                    for (a, b) in existing.iter_mut().zip(&states) {
-                        a.merge(b)?;
+        stamp.resize(index.len(), usize::MAX);
+        local.resize(index.len(), 0);
+        touched.clear();
+        local_ids.clear();
+        for &g in &ids {
+            if stamp[g as usize] != chunk_no {
+                stamp[g as usize] = chunk_no;
+                local[g as usize] = touched.len() as u32;
+                touched.push(g);
+            }
+            local_ids.push(local[g as usize]);
+        }
+        guard.reserve(touched.len() as u64 * entry_bytes)?;
+        for ((agg, init), totals) in aggregates.iter().zip(&inits).zip(&mut totals) {
+            let mut partial = vec![init.clone(); touched.len()];
+            let arg = agg
+                .arg
+                .as_ref()
+                .map(|e| eval_shared(e, chunk))
+                .transpose()?;
+            match (arg, grouped) {
+                (Some(col), true) => {
+                    AggregateState::update_grouped(&mut partial, &local_ids, &col)?
+                }
+                (Some(col), false) => partial[0].update_column(&col)?,
+                (None, true) => {
+                    for &l in &local_ids {
+                        partial[l as usize].update_count_star(1);
                     }
                 }
-                None => {
-                    merged.insert(key, states);
-                }
+                (None, false) => partial[0].update_count_star(chunk.len() as i64),
+            }
+            // Merging into a fresh state copies: new groups need no case.
+            totals.resize(index.len(), init.clone());
+            for (&g, state) in touched.iter().zip(&partial) {
+                totals[g as usize].merge(state)?;
             }
         }
     }
     // Global aggregate over empty input still yields one row.
-    if merged.is_empty() && group_exprs.is_empty() {
-        merged.insert(
-            HashableRow(vec![]),
-            aggregates.iter().map(|a| a.func.init()).collect(),
-        );
+    if !grouped && index.is_empty() {
+        index.insert_chunk(&[], 1, &mut ids)?;
+        for (totals, init) in totals.iter_mut().zip(inits) {
+            totals.push(init);
+        }
     }
     // Deterministic output order: sort groups by key.
-    let mut groups: Vec<(HashableRow, Vec<AggregateState>)> = merged.into_iter().collect();
-    groups.sort_by(|(a, _), (b, _)| {
-        a.0.iter()
-            .zip(&b.0)
-            .map(|(x, y)| x.sort_cmp(y))
+    let mut order: Vec<usize> = (0..index.len()).collect();
+    order.sort_unstable_by(|&a, &b| {
+        key_out
+            .iter()
+            .map(|col| col.cmp_rows(a, b))
             .find(|o| !o.is_eq())
             .unwrap_or(std::cmp::Ordering::Equal)
     });
-
-    let mut cols: Vec<ColumnVector> = output_types
-        .iter()
-        .map(|&t| ColumnVector::empty(t))
-        .collect();
-    for (key, states) in groups {
-        for (c, v) in key.0.iter().enumerate() {
-            cols[c].push_value(v)?;
+    let mut cols: Vec<ColumnVector> = key_out.iter().map(|col| col.take(&order)).collect();
+    for (states, &target) in totals.iter().zip(agg_types) {
+        let mut col = ColumnVector::empty(target);
+        for &g in &order {
+            let v = states[g].finalize();
+            col.push_value(&if v.is_null() { v } else { v.cast_to(target)? })?;
         }
-        for (a, state) in states.iter().enumerate() {
-            let v = state.finalize();
-            let target = output_types[group_exprs.len() + a];
-            let v = if v.is_null() { v } else { v.cast_to(target)? };
-            cols[group_exprs.len() + a].push_value(&v)?;
-        }
+        cols.push(col);
     }
-    Ok(vec![Chunk::new(cols)])
+    Ok((vec![Chunk::new(cols)], index))
 }
 
-fn fold_chunk(
+/// The rows of `chunk` whose key (all columns, in `types`) `seen` did not
+/// hold, in row order; their keys are in `seen` afterwards.
+pub(crate) fn unseen_rows(
+    seen: &mut GroupIndex,
     chunk: &Chunk,
-    group_exprs: &[ScalarExpr],
-    aggregates: &[AggExpr],
-    governor: &Governor,
-) -> Result<(GroupTable, u64)> {
-    governor.check()?;
-    let mut table = GroupTable::new();
-    let key_cols = key_columns(group_exprs, chunk)?;
-    let arg_cols: Vec<Option<ColumnVector>> = aggregates
-        .iter()
-        .map(|a| a.arg.as_ref().map(|e| e.eval(chunk)).transpose())
-        .collect::<Result<_>>()?;
-    if group_exprs.is_empty() {
-        // Single group: use the vectorized column fold.
-        let states = table
-            .entry(HashableRow(vec![]))
-            .or_insert_with(|| aggregates.iter().map(|a| a.func.init()).collect());
-        for (a, state) in states.iter_mut().enumerate() {
-            match &arg_cols[a] {
-                Some(col) => state.update_column(col)?,
-                None => state.update_count_star(chunk.len() as i64),
-            }
-        }
-        let reserved = group_entry_bytes(0, aggregates.len());
-        governor.reserve(reserved)?;
-        return Ok((table, reserved));
-    }
-    for i in 0..chunk.len() {
-        let key = key_at(&key_cols, i);
-        let states = table
-            .entry(key)
-            .or_insert_with(|| aggregates.iter().map(|a| a.func.init()).collect());
-        for (a, state) in states.iter_mut().enumerate() {
-            match &arg_cols[a] {
-                Some(col) => state.update(&col.value(i))?,
-                None => state.update_count_star(1),
-            }
-        }
-    }
-    let reserved = table.len() as u64 * group_entry_bytes(group_exprs.len(), aggregates.len());
-    governor.reserve(reserved)?;
-    Ok((table, reserved))
+    types: &[DataType],
+    ids: &mut Vec<u32>,
+) -> Result<Chunk> {
+    let chunk = conform(chunk, types)?;
+    let fresh = seen.insert_chunk(chunk.columns(), chunk.len(), ids)?;
+    Ok(if fresh.len() == chunk.len() {
+        chunk
+    } else {
+        chunk.take(&fresh)
+    })
 }
 
-/// DISTINCT: keep the first occurrence of every row. Checks the governor
-/// once per input chunk and charges the dedup hash set against the
-/// statement's memory budget.
-pub fn distinct(chunks: &[Chunk], types: &[DataType], governor: &Governor) -> Result<Vec<Chunk>> {
-    let mut seen = std::collections::HashSet::new();
+/// DISTINCT: keep the first occurrence of every row, keyed under the
+/// layout `layout` makes of `types`; the index of the rows comes back with
+/// them. Checks the governor once per input chunk and charges the index
+/// against the statement's memory budget.
+pub fn distinct(
+    layout: fn(&[DataType]) -> KeyLayout,
+    chunks: &[Chunk],
+    types: &[DataType],
+    governor: &Governor,
+) -> Result<(Vec<Chunk>, GroupIndex)> {
+    let mut seen = GroupIndex::for_grouping(layout(types));
     let mut guard = BudgetGuard { governor, bytes: 0 };
-    let mut cols: Vec<ColumnVector> = types.iter().map(|&t| ColumnVector::empty(t)).collect();
+    let mut ids = Vec::new();
+    let mut kept = Vec::new();
     for chunk in chunks {
         governor.check()?;
-        let before = seen.len();
-        for i in 0..chunk.len() {
-            let row = HashableRow(chunk.row(i).into_values());
-            if seen.insert(row.clone()) {
-                for (c, v) in row.0.iter().enumerate() {
-                    cols[c].push_value(v)?;
-                }
-            }
+        let fresh = unseen_rows(&mut seen, chunk, types, &mut ids)?;
+        guard.reserve(fresh.len() as u64 * group_entry_bytes(types.len(), 0))?;
+        if !fresh.is_empty() {
+            kept.push(fresh);
         }
-        let added = (seen.len() - before) as u64;
-        let reserved = added * group_entry_bytes(types.len(), 0);
-        governor.reserve(reserved)?;
-        guard.bytes += reserved;
     }
-    Ok(vec![Chunk::new(cols)])
+    Ok((vec![Chunk::concat(types, &kept)?], seen))
 }
 
 #[cfg(test)]
@@ -218,6 +226,7 @@ mod tests {
     #[test]
     fn grouped_sum_and_count() {
         let out = aggregate(
+            KeyLayout::new,
             &data(),
             &[ScalarExpr::column(0, DataType::Int64)],
             &[
@@ -230,7 +239,8 @@ mod tests {
             &[DataType::Int64, DataType::Float64, DataType::Int64],
             &Governor::unlimited(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         let c = &out[0];
         assert_eq!(c.len(), 2);
         // Sorted by key: group 1 then group 2.
@@ -242,6 +252,7 @@ mod tests {
     #[test]
     fn global_aggregate_over_empty_input() {
         let out = aggregate(
+            KeyLayout::new,
             &[],
             &[],
             &[
@@ -254,7 +265,8 @@ mod tests {
             &[DataType::Int64, DataType::Int64],
             &Governor::unlimited(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         let c = &out[0];
         assert_eq!(c.len(), 1);
         assert_eq!(c.column(0).value(0), Value::Int(0));
@@ -264,13 +276,15 @@ mod tests {
     #[test]
     fn grouped_over_empty_input_is_empty() {
         let out = aggregate(
+            KeyLayout::new,
             &[],
             &[ScalarExpr::column(0, DataType::Int64)],
             &[agg(AggregateFunction::CountStar, None)],
             &[DataType::Int64, DataType::Int64],
             &Governor::unlimited(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(out[0].len(), 0);
     }
 
@@ -279,6 +293,7 @@ mod tests {
         let big = data()[0].clone();
         let chunks: Vec<Chunk> = vec![big.slice(0, 2), big.slice(2, 2), big.slice(4, 1)];
         let whole = aggregate(
+            KeyLayout::new,
             &data(),
             &[ScalarExpr::column(0, DataType::Int64)],
             &[agg(
@@ -288,8 +303,10 @@ mod tests {
             &[DataType::Int64, DataType::Float64],
             &Governor::unlimited(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         let split = aggregate(
+            KeyLayout::new,
             &chunks,
             &[ScalarExpr::column(0, DataType::Int64)],
             &[agg(
@@ -299,7 +316,8 @@ mod tests {
             &[DataType::Int64, DataType::Float64],
             &Governor::unlimited(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(whole, split);
     }
 
@@ -310,13 +328,15 @@ mod tests {
         key.push_null();
         let chunk = Chunk::new(vec![key]);
         let out = aggregate(
+            KeyLayout::new,
             &[chunk],
             &[ScalarExpr::column(0, DataType::Int64)],
             &[agg(AggregateFunction::CountStar, None)],
             &[DataType::Int64, DataType::Int64],
             &Governor::unlimited(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(out[0].len(), 2, "NULL group + value group");
         // NULL sorts first.
         assert!(out[0].column(0).value(0).is_null());
@@ -326,7 +346,14 @@ mod tests {
     #[test]
     fn distinct_dedups() {
         let chunk = Chunk::new(vec![ColumnVector::from_i64(vec![1, 2, 1, 3, 2])]);
-        let out = distinct(&[chunk], &[DataType::Int64], &Governor::unlimited()).unwrap();
+        let (out, seen) = distinct(
+            KeyLayout::new,
+            &[chunk],
+            &[DataType::Int64],
+            &Governor::unlimited(),
+        )
+        .unwrap();
+        assert_eq!(seen.len(), 3);
         assert_eq!(out[0].column(0).as_i64().unwrap(), &[1, 2, 3]);
     }
 }

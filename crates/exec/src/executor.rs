@@ -2,13 +2,14 @@
 
 use std::sync::Arc;
 
-use hylite_common::{Chunk, HyError, Result};
+use hylite_common::{Chunk, DataType, HyError, Result};
 use hylite_planner::LogicalPlan;
 use rayon::prelude::*;
 
 use crate::aggregate;
 use crate::context::ExecContext;
 use crate::join::JoinBuild;
+use crate::keys::{GroupIndex, KeyLayout};
 use crate::reuse::{NodeRole, ReuseTable};
 use crate::scan;
 use crate::sort;
@@ -166,6 +167,25 @@ impl Executor {
         }
     }
 
+    /// DISTINCT / UNION: the first occurrence of every row.
+    fn distinct(&mut self, chunks: &[Chunk], types: &[DataType]) -> Result<Vec<Chunk>> {
+        let governor = Arc::clone(self.ctx.governor());
+        let (out, seen) = aggregate::distinct(KeyLayout::new, chunks, types, &governor)?;
+        self.note_keys(&seen, true);
+        Ok(out)
+    }
+
+    /// Note a hash operator's index on its profile span (`[keys=fixed|bytes]`,
+    /// `[groups=N]`); one `built` off the fixed layout counts in the registry.
+    fn note_keys(&mut self, index: &GroupIndex, built: bool) {
+        self.ctx.profile_note("keys", index.layout_name());
+        self.ctx.profile_note("groups", index.len());
+        if built && index.layout_name() == "bytes" {
+            let counter = self.ctx.metrics().counter("exec.hash_keys_bytes_layout");
+            counter.inc();
+        }
+    }
+
     /// Single-operator dispatch (no profiling bookkeeping).
     /// `build_slot` is the reuse-table slot for a join's built right side.
     fn execute_node(
@@ -234,14 +254,7 @@ impl Executor {
                     .map(|c| {
                         let cols = exprs
                             .iter()
-                            .map(|e| match e {
-                                // Plain column references share the input
-                                // column instead of copying it.
-                                hylite_expr::ScalarExpr::Column { index, .. } => {
-                                    Ok(c.column_arc(*index))
-                                }
-                                other => other.eval(c).map(Arc::new),
-                            })
+                            .map(|e| crate::util::eval_shared(e, c))
                             .collect::<Result<Vec<_>>>()?;
                         // Zero-column projection keeps the row count.
                         if cols.is_empty() {
@@ -262,14 +275,15 @@ impl Executor {
             } => {
                 let l = self.execute(left)?;
                 let kept = build_slot.and_then(|slot| self.reuse.build(slot, &self.ctx));
-                let build = match kept {
+                let (build, built) = match kept {
                     Some((build, hits)) => {
                         self.ctx.profile_note("build_reused", hits);
-                        build
+                        (build, false)
                     }
                     None => {
                         let r = self.execute(right)?;
                         let build = Arc::new(JoinBuild::new(
+                            KeyLayout::new,
                             &r,
                             condition.as_ref(),
                             left.schema().len(),
@@ -279,9 +293,13 @@ impl Executor {
                             self.reuse
                                 .keep_build(slot, plan.node_id(), &build, &self.ctx);
                         }
-                        build
+                        (build, true)
                     }
                 };
+                if let Some(index) = build.index() {
+                    self.note_keys(index, built);
+                }
+                self.ctx.profile_note("build_rows", build.build_rows());
                 build.probe(&l, *kind)
             }
             LogicalPlan::Aggregate {
@@ -292,7 +310,18 @@ impl Executor {
             } => {
                 let chunks = self.execute(input)?;
                 let governor = Arc::clone(self.ctx.governor());
-                aggregate::aggregate(&chunks, group_exprs, aggregates, &schema.types(), &governor)
+                let (out, index) = aggregate::aggregate(
+                    KeyLayout::new,
+                    &chunks,
+                    group_exprs,
+                    aggregates,
+                    &schema.types(),
+                    &governor,
+                )?;
+                if !group_exprs.is_empty() {
+                    self.note_keys(&index, true);
+                }
+                Ok(out)
             }
             LogicalPlan::Sort { input, keys } => {
                 let chunks = self.execute(input)?;
@@ -318,14 +347,12 @@ impl Executor {
                 if *all {
                     Ok(chunks)
                 } else {
-                    let governor = Arc::clone(self.ctx.governor());
-                    aggregate::distinct(&chunks, &schema.types(), &governor)
+                    self.distinct(&chunks, &schema.types())
                 }
             }
             LogicalPlan::Distinct { input } => {
                 let chunks = self.execute(input)?;
-                let governor = Arc::clone(self.ctx.governor());
-                aggregate::distinct(&chunks, &input.schema().types(), &governor)
+                self.distinct(&chunks, &input.schema().types())
             }
             LogicalPlan::RecursiveCte {
                 name,

@@ -1,14 +1,15 @@
 //! Iteration constructs: the SQL:1999 recursive CTE (appending) and the
 //! paper's ITERATE operator (non-appending, §5.1).
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
-use hylite_common::{Chunk, HyError, Result};
+use hylite_common::{Chunk, DataType, HyError, Result};
 use hylite_planner::LogicalPlan;
 
+use crate::aggregate::unseen_rows;
 use crate::executor::Executor;
-use crate::util::{total_rows, HashableRow};
+use crate::keys::{GroupIndex, KeyLayout};
+use crate::util::total_rows;
 
 /// Infinite-loop guard for recursive CTEs — the paper notes both
 /// constructs "can produce infinite loops \[which\] need to be detected and
@@ -31,7 +32,7 @@ impl Executor {
     ) -> Result<Vec<Chunk>> {
         let types = init.schema().types();
         let mut working = self.execute(init)?;
-        let mut seen: HashSet<HashableRow> = HashSet::new();
+        let mut seen = GroupIndex::for_grouping(KeyLayout::new(&types));
         if !all {
             working = dedup_against(&types, working, &mut seen)?;
         }
@@ -145,28 +146,17 @@ impl Executor {
 
 /// Keep only rows not yet in `seen`, inserting the survivors.
 fn dedup_against(
-    types: &[hylite_common::DataType],
+    types: &[DataType],
     chunks: Vec<Chunk>,
-    seen: &mut HashSet<HashableRow>,
+    seen: &mut GroupIndex,
 ) -> Result<Vec<Chunk>> {
-    let mut cols: Vec<hylite_common::ColumnVector> = types
+    let mut ids = Vec::new();
+    let kept = chunks
         .iter()
-        .map(|&t| hylite_common::ColumnVector::empty(t))
-        .collect();
-    let mut kept = 0usize;
-    for chunk in &chunks {
-        for i in 0..chunk.len() {
-            let row = HashableRow(chunk.row(i).into_values());
-            if seen.insert(row.clone()) {
-                for (c, v) in row.0.iter().enumerate() {
-                    cols[c].push_value(v)?;
-                }
-                kept += 1;
-            }
-        }
-    }
-    if kept == total_rows(&chunks) {
+        .map(|chunk| unseen_rows(seen, chunk, types, &mut ids))
+        .collect::<Result<Vec<Chunk>>>()?;
+    if total_rows(&kept) == total_rows(&chunks) {
         return Ok(chunks);
     }
-    Ok(vec![Chunk::new(cols)])
+    Ok(vec![Chunk::concat(types, &kept)?])
 }

@@ -1,37 +1,47 @@
 //! Join execution: hash join for equi-conditions, nested-loop fallback.
 
-use std::collections::HashMap;
-
-use hylite_common::{Chunk, ColumnVector, DataType, Result};
+use hylite_common::{Chunk, ColumnVector, DataType, HyError, Result};
 use hylite_expr::{BinaryOp, ScalarExpr};
 use hylite_planner::JoinKind;
 use rayon::prelude::*;
 
-use crate::util::HashableRow;
 #[cfg(test)]
 use hylite_common::Value;
 
+use crate::keys::{GroupIndex, KeyLayout, NO_GROUP};
+use crate::util::eval_keys;
+
 /// The build side of a join: the right input materialized once and, for
-/// equi-joins, hashed on its key expressions. It depends on the right
+/// equi-joins, indexed on its key expressions. It depends on the right
 /// input and the condition only, so the executor keeps it across the
 /// iterations of a loop whose right input does not change.
 ///
 /// `condition` is over the concatenated (left ++ right) schema. Equi
-/// conjuncts (`left_col_expr = right_col_expr`) become hash-join keys;
-/// the rest is applied as a residual predicate. Without any equi
-/// conjunct the join degrades to a filtered cross product.
+/// conjuncts (`left_col_expr = right_col_expr`) become hash-join keys,
+/// each pair keyed in the type `=` compares it in; the rest is applied as
+/// a residual predicate. Without any equi conjunct the join degrades to a
+/// filtered cross product.
 pub struct JoinBuild {
     right_all: Chunk,
     right_types: Vec<DataType>,
     left_keys: Vec<ScalarExpr>,
+    /// The type each key pair is compared — so keyed — in.
+    key_types: Vec<DataType>,
     residual: Option<ScalarExpr>,
-    /// Right row indices by key; empty for a join without equi keys.
-    table: HashMap<HashableRow, Vec<usize>>,
+    /// The right side's distinct keys (none for a join without equi
+    /// keys). The right rows of key group `g` are the chain
+    /// `heads[g]`, `next[heads[g]]`, … in ascending order, ended by
+    /// [`NO_GROUP`].
+    index: GroupIndex,
+    heads: Vec<u32>,
+    next: Vec<u32>,
 }
 
 impl JoinBuild {
-    /// Materialize and hash the right input.
+    /// Materialize the right input and index it on its keys, under the
+    /// layout `layout` ([`KeyLayout::new`]) makes of the key types.
     pub fn new(
+        layout: fn(&[DataType]) -> KeyLayout,
         right: &[Chunk],
         condition: Option<&ScalarExpr>,
         left_width: usize,
@@ -43,39 +53,62 @@ impl JoinBuild {
             Some(c) => extract_equi_keys(c, left_width),
         };
         let (left_keys, right_keys): (Vec<ScalarExpr>, Vec<ScalarExpr>) = keys.into_iter().unzip();
-        let mut table: HashMap<HashableRow, Vec<usize>> = HashMap::new();
-        if !right_keys.is_empty() && !right_all.is_empty() {
-            let key_cols = crate::util::key_columns(&right_keys, &right_all)?;
-            'row: for i in 0..right_all.len() {
-                // SQL: NULL keys never join.
-                for c in &key_cols {
-                    if !c.is_valid(i) {
-                        continue 'row;
-                    }
-                }
-                table
-                    .entry(crate::util::key_at(&key_cols, i))
-                    .or_default()
-                    .push(i);
+        let types =
+            |keys: &[ScalarExpr]| keys.iter().map(ScalarExpr::data_type).collect::<Vec<_>>();
+        let key_types = KeyLayout::join_types(&types(&left_keys), &types(&right_keys))?;
+        let mut index = GroupIndex::for_join(layout(&key_types));
+        let rows = right_all.len();
+        if rows >= NO_GROUP as usize {
+            return Err(HyError::Execution(format!(
+                "join build side of {rows} rows exceeds 2^32 - 2"
+            )));
+        }
+        let mut ids = Vec::new();
+        if !right_keys.is_empty() {
+            let key_cols = eval_keys(&right_keys, &key_types, &right_all)?;
+            index.insert_chunk(&key_cols, rows, &mut ids)?;
+        }
+        // Prepending in descending row order leaves every chain ascending.
+        let mut heads = vec![NO_GROUP; index.len()];
+        let mut next = vec![NO_GROUP; ids.len()];
+        for (row, &g) in ids.iter().enumerate().rev() {
+            if g != NO_GROUP {
+                next[row] = std::mem::replace(&mut heads[g as usize], row as u32);
             }
         }
         Ok(JoinBuild {
             right_all,
             right_types: right_types.to_vec(),
             left_keys,
+            key_types,
             residual,
-            table,
+            index,
+            heads,
+            next,
         })
     }
 
     /// Approximate heap footprint, for the memory budget: the
-    /// materialized right side plus one map entry per right row.
+    /// materialized right side plus one index entry per distinct key and
+    /// one chain link per right row.
     pub fn heap_bytes(&self) -> u64 {
         let entry = 48 + 32 * self.left_keys.len();
-        (self.right_all.heap_bytes() + self.table.len() * entry + self.right_all.len() * 8) as u64
+        (self.right_all.heap_bytes() + self.index.len() * entry + self.right_all.len() * 8) as u64
     }
 
-    /// Join `left` against the built right side.
+    /// Rows on the build side.
+    pub fn build_rows(&self) -> usize {
+        self.right_all.len()
+    }
+
+    /// The index over the right side's keys; `None` for a join without
+    /// equi keys.
+    pub fn index(&self) -> Option<&GroupIndex> {
+        (!self.left_keys.is_empty()).then_some(&self.index)
+    }
+
+    /// Join `left` against the built right side. Output follows left row
+    /// order; one left row's matches follow right row order.
     pub fn probe(&self, left: &[Chunk], kind: JoinKind) -> Result<Vec<Chunk>> {
         let residual = self.residual.as_ref();
         if self.left_keys.is_empty() {
@@ -84,17 +117,7 @@ impl JoinBuild {
         // Probe in parallel over left chunks.
         let results: Vec<Result<Vec<Chunk>>> = left
             .par_iter()
-            .map(|chunk| {
-                probe_chunk(
-                    chunk,
-                    &self.left_keys,
-                    &self.table,
-                    &self.right_all,
-                    kind,
-                    residual,
-                    &self.right_types,
-                )
-            })
+            .map(|chunk| self.probe_chunk(chunk, kind))
             .collect();
         let mut out = Vec::new();
         for r in results {
@@ -102,62 +125,54 @@ impl JoinBuild {
         }
         Ok(out)
     }
-}
 
-/// Probe one left chunk against the build table.
-fn probe_chunk(
-    chunk: &Chunk,
-    left_keys: &[ScalarExpr],
-    table: &HashMap<HashableRow, Vec<usize>>,
-    right_all: &Chunk,
-    kind: JoinKind,
-    residual: Option<&ScalarExpr>,
-    right_types: &[DataType],
-) -> Result<Vec<Chunk>> {
-    let n = chunk.len();
-    let key_cols = crate::util::key_columns(left_keys, chunk)?;
-    let mut l_idx: Vec<usize> = Vec::new();
-    let mut r_idx: Vec<usize> = Vec::new();
-    'row: for i in 0..n {
-        for c in &key_cols {
-            if !c.is_valid(i) {
-                continue 'row;
+    /// Probe one left chunk against the build side.
+    fn probe_chunk(&self, chunk: &Chunk, kind: JoinKind) -> Result<Vec<Chunk>> {
+        let n = chunk.len();
+        let key_cols = eval_keys(&self.left_keys, &self.key_types, chunk)?;
+        let mut ids = Vec::new();
+        self.index.lookup_chunk(&key_cols, n, &mut ids);
+        let mut l_idx: Vec<usize> = Vec::new();
+        let mut r_idx: Vec<usize> = Vec::new();
+        for (i, &g) in ids.iter().enumerate() {
+            if g == NO_GROUP {
+                continue;
             }
-        }
-        if let Some(matches) = table.get(&crate::util::key_at(&key_cols, i)) {
-            for &m in matches {
+            let mut row = self.heads[g as usize];
+            while row != NO_GROUP {
                 l_idx.push(i);
-                r_idx.push(m);
+                r_idx.push(row as usize);
+                row = self.next[row as usize];
             }
         }
-    }
-    // Candidate pairs → combined chunk.
-    let mut combined = combine(chunk, &l_idx, right_all, &r_idx);
-    let mut matched_left = vec![false; n];
-    if let Some(pred) = residual {
-        let col = pred.eval(&combined)?;
-        let sel = col.to_selection()?;
-        for i in sel.iter_ones() {
-            matched_left[l_idx[i]] = true;
+        // Candidate pairs → combined chunk.
+        let mut combined = combine(chunk, &l_idx, &self.right_all, &r_idx);
+        let mut matched_left = vec![false; n];
+        if let Some(pred) = &self.residual {
+            let col = pred.eval(&combined)?;
+            let sel = col.to_selection()?;
+            for i in sel.iter_ones() {
+                matched_left[l_idx[i]] = true;
+            }
+            combined = combined.filter(&sel);
+        } else {
+            for &i in &l_idx {
+                matched_left[i] = true;
+            }
         }
-        combined = combined.filter(&sel);
-    } else {
-        for &i in &l_idx {
-            matched_left[i] = true;
+        let mut out = vec![combined];
+        if kind == JoinKind::Left {
+            let unmatched: Vec<usize> = (0..n).filter(|&i| !matched_left[i]).collect();
+            if !unmatched.is_empty() {
+                let left_part = chunk.take(&unmatched);
+                let null_right = null_chunk(&self.right_types, unmatched.len());
+                let mut cols = left_part.columns().to_vec();
+                cols.extend(null_right.columns().iter().cloned());
+                out.push(Chunk::from_arc_columns(cols));
+            }
         }
+        Ok(out)
     }
-    let mut out = vec![combined];
-    if kind == JoinKind::Left {
-        let unmatched: Vec<usize> = (0..n).filter(|&i| !matched_left[i]).collect();
-        if !unmatched.is_empty() {
-            let left_part = chunk.take(&unmatched);
-            let null_right = null_chunk(right_types, unmatched.len());
-            let mut cols = left_part.columns().to_vec();
-            cols.extend(null_right.columns().iter().cloned());
-            out.push(Chunk::from_arc_columns(cols));
-        }
-    }
-    Ok(out)
 }
 
 /// Cross product with optional residual filter; supports LEFT semantics.
@@ -232,7 +247,7 @@ fn nested_loop(
 }
 
 /// Glue `left.take(l_idx)` and `right.take(r_idx)` side by side.
-fn combine(left: &Chunk, l_idx: &[usize], right: &Chunk, r_idx: &[usize]) -> Chunk {
+pub(crate) fn combine(left: &Chunk, l_idx: &[usize], right: &Chunk, r_idx: &[usize]) -> Chunk {
     let l = left.take(l_idx);
     let r = right.take(r_idx);
     let mut cols = l.columns().to_vec();
@@ -241,7 +256,7 @@ fn combine(left: &Chunk, l_idx: &[usize], right: &Chunk, r_idx: &[usize]) -> Chu
 }
 
 /// An all-NULL chunk of the given types.
-fn null_chunk(types: &[DataType], rows: usize) -> Chunk {
+pub(crate) fn null_chunk(types: &[DataType], rows: usize) -> Chunk {
     let cols: Vec<ColumnVector> = types
         .iter()
         .map(|&t| {
@@ -259,7 +274,7 @@ fn null_chunk(types: &[DataType], rows: usize) -> Chunk {
 ///
 /// Returns `(pairs of (left_key_expr, right_key_expr), residual)`; the
 /// right key expressions are remapped to right-local column indices.
-fn extract_equi_keys(
+pub(crate) fn extract_equi_keys(
     condition: &ScalarExpr,
     left_width: usize,
 ) -> (Vec<(ScalarExpr, ScalarExpr)>, Option<ScalarExpr>) {
@@ -355,7 +370,14 @@ mod tests {
         left_types: &[DataType],
         right_types: &[DataType],
     ) -> Result<Vec<Chunk>> {
-        JoinBuild::new(right, condition, left_types.len(), right_types)?.probe(left, kind)
+        JoinBuild::new(
+            KeyLayout::new,
+            right,
+            condition,
+            left_types.len(),
+            right_types,
+        )?
+        .probe(left, kind)
     }
 
     fn two_col(ids: Vec<i64>, names: Vec<&str>) -> Chunk {

@@ -17,7 +17,10 @@ pub mod context;
 pub mod executor;
 pub mod iterate;
 pub mod join;
+pub mod keys;
 pub mod operators;
+#[cfg(test)]
+mod reference;
 mod reuse;
 pub mod scan;
 pub mod sort;

@@ -104,14 +104,10 @@ pub fn scan_pruned(
         .par_iter()
         .map(|m| {
             governor.check()?;
-            let (chunk, _ids) = snapshot.read_morsel(m)?;
+            let chunk = snapshot.read_morsel_cols(m, projection)?;
             if chunk.is_empty() {
                 return Ok(vec![]);
             }
-            let chunk = match projection {
-                Some(cols) => chunk.project(cols),
-                None => chunk,
-            };
             let chunk = match filter {
                 Some(pred) => crate::util::apply_predicate(&chunk, pred)?,
                 None => chunk,
@@ -196,6 +192,22 @@ mod tests {
         let chunks = scan(&t.snapshot(), Some(&[1]), None, &Governor::unlimited()).unwrap();
         assert_eq!(chunks[0].num_columns(), 1);
         assert_eq!(chunks[0].column(0).data_type(), DataType::Float64);
+    }
+
+    #[test]
+    fn projected_scan_shares_the_resident_column() {
+        // The projection reaches storage: a resident segment hands out the
+        // one column asked for, by reference, and touches no other.
+        let t = table(100);
+        let snapshot = t.snapshot();
+        let chunks = scan(&snapshot, Some(&[1]), None, &Governor::unlimited()).unwrap();
+        let hylite_storage::SegmentHandle::Resident(segment) = &snapshot.segments()[0] else {
+            panic!("a table that was never checkpointed is resident");
+        };
+        assert!(std::sync::Arc::ptr_eq(
+            &chunks[0].columns()[0],
+            &segment.columns()[1]
+        ));
     }
 
     #[test]

@@ -17,7 +17,7 @@ pub fn sort(chunks: &[Chunk], keys: &[SortKey], types: &[DataType]) -> Result<Ve
     let mut indices: Vec<usize> = (0..n).collect();
     indices.sort_by(|&a, &b| {
         for (k, col) in keys.iter().zip(&key_cols) {
-            let ord = col.value(a).sort_cmp(&col.value(b));
+            let ord = col.cmp_rows(a, b);
             let ord = if k.asc { ord } else { ord.reverse() };
             if !ord.is_eq() {
                 return ord;

@@ -1,57 +1,51 @@
-//! Execution utilities: hashable row keys, predicate application.
+//! Execution utilities: shared expression evaluation, predicate
+//! application, size accounting.
 
-use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
-use hylite_common::{Chunk, Result, Value};
+use hylite_common::{Chunk, ColumnVector, DataType, Result};
 use hylite_expr::ScalarExpr;
 
-/// A row of values usable as a hash-table key (GROUP BY keys, join keys,
-/// DISTINCT). SQL grouping semantics: NULLs compare equal to each other;
-/// floats hash by bit pattern.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HashableRow(pub Vec<Value>);
-
-impl Eq for HashableRow {}
-
-impl Hash for HashableRow {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        for v in &self.0 {
-            match v {
-                Value::Null => 0u8.hash(state),
-                Value::Int(x) => {
-                    1u8.hash(state);
-                    x.hash(state);
-                }
-                Value::Float(x) => {
-                    2u8.hash(state);
-                    // Normalize -0.0 to 0.0 so equal floats hash equally.
-                    let x = if *x == 0.0 { 0.0 } else { *x };
-                    x.to_bits().hash(state);
-                }
-                Value::Bool(x) => {
-                    3u8.hash(state);
-                    x.hash(state);
-                }
-                Value::Str(x) => {
-                    4u8.hash(state);
-                    x.hash(state);
-                }
-            }
-        }
+/// Evaluate `expr` over a chunk; a plain column reference shares the
+/// input column instead of copying it.
+pub fn eval_shared(expr: &ScalarExpr, chunk: &Chunk) -> Result<Arc<ColumnVector>> {
+    match expr {
+        ScalarExpr::Column { index, .. } => Ok(chunk.column_arc(*index)),
+        other => other.eval(chunk).map(Arc::new),
     }
 }
 
-/// Evaluate `exprs` over a chunk and materialize row `i`'s key.
-pub fn key_columns(
-    exprs: &[ScalarExpr],
-    chunk: &Chunk,
-) -> Result<Vec<hylite_common::ColumnVector>> {
-    exprs.iter().map(|e| e.eval(chunk)).collect()
+/// The column in its declared type `t`. Evaluation can produce another
+/// one (an untyped NULL literal is an all-NULL BIGINT column, a UNION
+/// branch may be BIGINT where the result is DOUBLE): those are cast.
+pub fn conform_col(col: &Arc<ColumnVector>, t: DataType) -> Result<Arc<ColumnVector>> {
+    if t == DataType::Null || col.data_type() == t {
+        Ok(Arc::clone(col))
+    } else {
+        col.cast_to(t).map(Arc::new)
+    }
 }
 
-/// Materialize the key of row `i` from pre-evaluated key columns.
-pub fn key_at(cols: &[hylite_common::ColumnVector], i: usize) -> HashableRow {
-    HashableRow(cols.iter().map(|c| c.value(i)).collect())
+/// [`eval_shared`] of hash-key expressions, each in the type it is keyed in.
+pub fn eval_keys(
+    exprs: &[ScalarExpr],
+    types: &[DataType],
+    chunk: &Chunk,
+) -> Result<Vec<Arc<ColumnVector>>> {
+    let keys = exprs.iter().zip(types);
+    keys.map(|(e, &t)| conform_col(&eval_shared(e, chunk)?, t))
+        .collect()
+}
+
+/// The chunk with every column in its declared type, for operators that
+/// output their input's rows.
+pub fn conform(chunk: &Chunk, types: &[DataType]) -> Result<Chunk> {
+    if types.is_empty() {
+        return Ok(chunk.clone());
+    }
+    let cols = chunk.columns().iter().zip(types);
+    let cols = cols.map(|(col, &t)| conform_col(col, t));
+    Ok(Chunk::from_arc_columns(cols.collect::<Result<_>>()?))
 }
 
 /// Apply a boolean predicate to a chunk, returning the surviving rows.
@@ -78,35 +72,6 @@ pub fn heap_bytes(chunks: &[Chunk]) -> u64 {
 mod tests {
     use super::*;
     use hylite_common::{ColumnVector, DataType};
-    use std::collections::HashSet;
-
-    #[test]
-    fn nulls_group_together() {
-        let a = HashableRow(vec![Value::Null, Value::Int(1)]);
-        let b = HashableRow(vec![Value::Null, Value::Int(1)]);
-        let mut set = HashSet::new();
-        set.insert(a);
-        assert!(set.contains(&b));
-    }
-
-    #[test]
-    fn negative_zero_equals_zero() {
-        let a = HashableRow(vec![Value::Float(0.0)]);
-        let b = HashableRow(vec![Value::Float(-0.0)]);
-        assert_eq!(a, b);
-        let mut set = HashSet::new();
-        set.insert(a);
-        assert!(set.contains(&b));
-    }
-
-    #[test]
-    fn distinct_values_differ() {
-        let mut set = HashSet::new();
-        set.insert(HashableRow(vec![Value::Int(1)]));
-        set.insert(HashableRow(vec![Value::Int(2)]));
-        set.insert(HashableRow(vec![Value::from("1")]));
-        assert_eq!(set.len(), 3);
-    }
 
     #[test]
     fn predicate_filters() {

@@ -5,7 +5,10 @@
 //! states are merged, then finalized — so the same code serves both the
 //! serial and the morsel-parallel aggregate operator.
 
-use hylite_common::{ColumnVector, DataType, HyError, Result, Value};
+use std::cmp::Ordering;
+
+use hylite_common::value::sort_cmp_f64;
+use hylite_common::{Bitmap, ColumnVector, DataType, HyError, Result, Value};
 
 /// The built-in aggregate function set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,6 +126,15 @@ impl AggregateFunction {
                 stddev: false,
             },
         }
+    }
+}
+
+/// How a value that replaces the best so far compares to it.
+fn extreme_side(is_min: bool) -> Ordering {
+    if is_min {
+        Ordering::Less
+    } else {
+        Ordering::Greater
     }
 }
 
@@ -326,6 +338,136 @@ impl AggregateState {
             (state, c) => {
                 for i in 0..c.len() {
                     state.update(&c.value(i))?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Grouped fold of a whole column: row `i` goes into
+    /// `states[groups[i]]`, exactly as [`AggregateState::update`] of its
+    /// value would, in row order. All `states` belong to one aggregate.
+    /// BIGINT and DOUBLE arguments are folded without leaving their type.
+    pub fn update_grouped(
+        states: &mut [AggregateState],
+        groups: &[u32],
+        col: &ColumnVector,
+    ) -> Result<()> {
+        /// `f(row, state)` for every non-NULL row.
+        fn each(
+            states: &mut [AggregateState],
+            groups: &[u32],
+            validity: Option<&Bitmap>,
+            mut f: impl FnMut(usize, &mut AggregateState),
+        ) {
+            for (i, &g) in groups.iter().enumerate() {
+                if validity.is_none_or(|v| v.get(i)) {
+                    f(i, &mut states[g as usize]);
+                }
+            }
+        }
+        /// The folds that see their argument as a DOUBLE.
+        fn each_f64(
+            states: &mut [AggregateState],
+            groups: &[u32],
+            validity: Option<&Bitmap>,
+            x: impl Fn(usize) -> f64,
+        ) {
+            each(states, groups, validity, |i, state| match state {
+                AggregateState::Avg { sum, n } => {
+                    *sum += x(i);
+                    *n += 1;
+                }
+                AggregateState::Moments { n, sum, sum_sq, .. } => {
+                    let x = x(i);
+                    *n += 1;
+                    *sum += x;
+                    *sum_sq += x * x;
+                }
+                _ => unreachable!("one aggregate, one state shape"),
+            });
+        }
+        debug_assert_eq!(groups.len(), col.len());
+        let validity = col.validity();
+        match (states.first(), col) {
+            (None, _) => {}
+            (Some(AggregateState::Count { .. }), _) => {
+                each(states, groups, validity, |_, state| {
+                    state.update_count_star(1)
+                });
+            }
+            (Some(AggregateState::Sum { .. }), ColumnVector::Int64 { data, .. }) => {
+                each(states, groups, validity, |i, state| {
+                    if let AggregateState::Sum { int, float, n, .. } = state {
+                        *int = int.wrapping_add(data[i]);
+                        *float += data[i] as f64;
+                        *n += 1;
+                    }
+                });
+            }
+            (Some(AggregateState::Sum { .. }), ColumnVector::Float64 { data, .. }) => {
+                each(states, groups, validity, |i, state| {
+                    if let AggregateState::Sum {
+                        float,
+                        saw_float,
+                        n,
+                        ..
+                    } = state
+                    {
+                        *float += data[i];
+                        *saw_float = true;
+                        *n += 1;
+                    }
+                });
+            }
+            (
+                Some(AggregateState::Avg { .. } | AggregateState::Moments { .. }),
+                ColumnVector::Int64 { data, .. },
+            ) => each_f64(states, groups, validity, |i| data[i] as f64),
+            (
+                Some(AggregateState::Avg { .. } | AggregateState::Moments { .. }),
+                ColumnVector::Float64 { data, .. },
+            ) => each_f64(states, groups, validity, |i| data[i]),
+            (Some(AggregateState::Extreme { .. }), ColumnVector::Int64 { data, .. }) => {
+                each(states, groups, validity, |i, state| {
+                    let x = data[i];
+                    match state {
+                        AggregateState::Extreme {
+                            best: Value::Int(best),
+                            is_min,
+                        } => {
+                            if x.cmp(best) == extreme_side(*is_min) {
+                                *best = x;
+                            }
+                        }
+                        first => first
+                            .update(&Value::Int(x))
+                            .expect("MIN/MAX take any value"),
+                    }
+                });
+            }
+            (Some(AggregateState::Extreme { .. }), ColumnVector::Float64 { data, .. }) => {
+                each(states, groups, validity, |i, state| {
+                    let x = data[i];
+                    match state {
+                        AggregateState::Extreme {
+                            best: Value::Float(best),
+                            is_min,
+                        } => {
+                            if sort_cmp_f64(x, *best) == extreme_side(*is_min) {
+                                *best = x;
+                            }
+                        }
+                        first => first
+                            .update(&Value::Float(x))
+                            .expect("MIN/MAX take any value"),
+                    }
+                });
+            }
+            // BOOLEAN and VARCHAR arguments (MIN/MAX), and type errors.
+            _ => {
+                for (i, &g) in groups.iter().enumerate() {
+                    states[g as usize].update(&col.value(i))?;
                 }
             }
         }
@@ -562,6 +704,42 @@ mod tests {
                 slow.update(&col.value(i)).unwrap();
             }
             assert_eq!(fast.finalize(), slow.finalize(), "{}", f.name());
+        }
+    }
+
+    #[test]
+    fn update_grouped_is_update_per_row() {
+        let mut ints = CV::from_i64(vec![3, i64::MAX, -4, i64::MAX, 0, i64::MIN]);
+        ints.push_null();
+        let mut floats = CV::from_f64(vec![0.5, f64::NAN, -0.0, 1e300, 1e300, -7.25]);
+        floats.push_null();
+        let mut strs = CV::from_str(vec!["b", "a", "", "c", "a", "b"]);
+        strs.push_null();
+        let groups = [0u32, 1, 0, 2, 1, 0, 2];
+        for f in [
+            AggregateFunction::Count,
+            AggregateFunction::Sum,
+            AggregateFunction::Avg,
+            AggregateFunction::Min,
+            AggregateFunction::Max,
+            AggregateFunction::Stddev,
+            AggregateFunction::VarSamp,
+        ] {
+            for col in [&ints, &floats, &strs] {
+                let mut slow = vec![f.init(); 3];
+                let by_row: Result<()> = groups
+                    .iter()
+                    .enumerate()
+                    .try_for_each(|(i, &g)| slow[g as usize].update(&col.value(i)));
+                let mut fast = vec![f.init(); 3];
+                let grouped = AggregateState::update_grouped(&mut fast, &groups, col);
+                let case = format!("{} over {}", f.name(), col.data_type());
+                assert_eq!(grouped.is_ok(), by_row.is_ok(), "{case}");
+                if by_row.is_ok() {
+                    // Debug text tells -0.0 from 0.0 and keeps NaN comparable.
+                    assert_eq!(format!("{fast:?}"), format!("{slow:?}"), "{case}");
+                }
+            }
         }
     }
 

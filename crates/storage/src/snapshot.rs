@@ -287,49 +287,42 @@ impl TableSnapshot {
     /// Materialize a morsel as a chunk of *live* rows, together with the
     /// global row ids of those rows (needed by DELETE/UPDATE pipelines).
     pub fn read_morsel(&self, m: &Morsel) -> Result<(Chunk, Vec<usize>)> {
-        self.read_morsel_cols(m, None)
+        let chunk = self.segments[m.segment].read_rows(m.offset, m.len, None)?;
+        Ok(match self.live_positions(m) {
+            None => (chunk, (m.base_row_id..m.base_row_id + m.len).collect()),
+            Some(live) => (
+                chunk.take(&live),
+                live.iter().map(|i| m.base_row_id + i).collect(),
+            ),
+        })
     }
 
-    /// [`TableSnapshot::read_morsel`] projected to `cols` (`None` = all):
-    /// disk-backed segments then only load the projected columns' blocks.
-    pub fn read_morsel_cols(
-        &self,
-        m: &Morsel,
-        cols: Option<&[usize]>,
-    ) -> Result<(Chunk, Vec<usize>)> {
-        let seg = &self.segments[m.segment];
-        // Fast path: nothing deleted in range — read without gathering.
-        let mut any_deleted = false;
-        for i in 0..m.len {
+    /// The morsel's live rows projected to `cols` (`None` = all), without
+    /// row ids: disk-backed segments load only the projected columns'
+    /// blocks, resident ones share them.
+    pub fn read_morsel_cols(&self, m: &Morsel, cols: Option<&[usize]>) -> Result<Chunk> {
+        let chunk = self.segments[m.segment].read_rows(m.offset, m.len, cols)?;
+        Ok(match self.live_positions(m) {
+            None => chunk,
+            Some(live) => chunk.take(&live),
+        })
+    }
+
+    /// The positions within the morsel of its live rows; `None` when
+    /// nothing in its range is deleted (read without gathering).
+    fn live_positions(&self, m: &Morsel) -> Option<Vec<usize>> {
+        let live = |i: &usize| {
             let rid = m.base_row_id + i;
-            if rid < self.deleted.len() && self.deleted.get(rid) {
-                any_deleted = true;
-                break;
-            }
-        }
-        if !any_deleted {
-            let chunk = seg.read_rows(m.offset, m.len, cols)?;
-            let ids = (m.base_row_id..m.base_row_id + m.len).collect();
-            return Ok((chunk, ids));
-        }
-        let mut keep = Vec::with_capacity(m.len);
-        let mut ids = Vec::with_capacity(m.len);
-        for i in 0..m.len {
-            let rid = m.base_row_id + i;
-            if !(rid < self.deleted.len() && self.deleted.get(rid)) {
-                keep.push(i);
-                ids.push(rid);
-            }
-        }
-        let chunk = seg.read_rows(m.offset, m.len, cols)?;
-        Ok((chunk.take(&keep), ids))
+            !(rid < self.deleted.len() && self.deleted.get(rid))
+        };
+        (!(0..m.len).all(|i| live(&i))).then(|| (0..m.len).filter(live).collect())
     }
 
     /// All live rows as chunks (sequential scan).
     pub fn live_chunks(&self) -> Result<Vec<Chunk>> {
         let mut out = Vec::new();
         for m in self.morsels(crate::SEGMENT_ROWS) {
-            let (chunk, _) = self.read_morsel(&m)?;
+            let chunk = self.read_morsel_cols(&m, None)?;
             if !chunk.is_empty() {
                 out.push(chunk);
             }
@@ -437,9 +430,17 @@ mod tests {
         t.commit();
         let snap = t.snapshot();
         let morsels = snap.morsels(100);
-        let (chunk, _) = snap.read_morsel_cols(&morsels[0], Some(&[1])).unwrap();
+        let chunk = snap.read_morsel_cols(&morsels[0], Some(&[1])).unwrap();
         assert_eq!(chunk.num_columns(), 1);
         assert_eq!(chunk.column(0).as_i64().unwrap(), &[10, 20]);
+        // Deleted rows are skipped in the projected read as in the full one.
+        t.delete_rows(&[0]).unwrap();
+        t.commit();
+        let snap = t.snapshot();
+        let chunk = snap
+            .read_morsel_cols(&snap.morsels(100)[0], Some(&[1]))
+            .unwrap();
+        assert_eq!(chunk.column(0).as_i64().unwrap(), &[20]);
     }
 
     #[test]

@@ -329,3 +329,53 @@ fn explain_analyze_and_the_registry_show_reuse() {
     assert!(degree.contains("calls=1 "), "{degree}");
     assert_eq!(hits(&graph.db, "exec.join_build_reuse_hits"), 10);
 }
+
+/// Which key layout a hash operator ran on is on its plan node
+/// (`[keys=fixed|bytes]`, with `[groups=N]` or `[build_rows=N]`), and a
+/// statement that fell off the fixed layout counts in the registry.
+#[test]
+fn explain_analyze_and_the_registry_show_key_layouts() {
+    let db = Database::new();
+    db.execute("CREATE TABLE t (id BIGINT, name VARCHAR)")
+        .unwrap();
+    db.execute("INSERT INTO t VALUES (1, 'a'), (2, 'b'), (1, 'b'), (3, 'a'), (3, 'c')")
+        .unwrap();
+    let bytes_layouts = |db: &Database| {
+        let sql = "SELECT value FROM hylite.metrics WHERE name = 'exec.hash_keys_bytes_layout'";
+        let listed = db.execute(sql).unwrap();
+        (listed.row_count() > 0).then(|| listed.scalar().unwrap())
+    };
+    let node = |text: &str, op: &str| -> String {
+        let is_op = |l: &&str| l.trim_start_matches(['|', ' ']).starts_with(op);
+        let line = text.lines().find(is_op);
+        line.unwrap_or_else(|| panic!("no {op} in {text}")).into()
+    };
+
+    let by_id = "EXPLAIN ANALYZE SELECT id, count(*) FROM t GROUP BY id";
+    let line = node(&plan_text(&db, by_id), "Aggregate");
+    assert!(
+        line.contains("[keys=fixed]") && line.contains("[groups=3]"),
+        "{line}"
+    );
+    let join = "EXPLAIN ANALYZE SELECT count(*) FROM t a JOIN t b ON a.id = b.id";
+    let line = node(&plan_text(&db, join), "Join");
+    assert!(
+        line.contains("[keys=fixed]") && line.contains("[build_rows=5]"),
+        "{line}"
+    );
+    assert_eq!(bytes_layouts(&db), None, "every key so far was fixed-width");
+
+    let by_name = "EXPLAIN ANALYZE SELECT name, count(*) FROM t GROUP BY name";
+    let line = node(&plan_text(&db, by_name), "Aggregate");
+    assert!(
+        line.contains("[keys=bytes]") && line.contains("[groups=3]"),
+        "{line}"
+    );
+    let distinct = "EXPLAIN ANALYZE SELECT DISTINCT name FROM t";
+    let line = node(&plan_text(&db, distinct), "Distinct");
+    assert!(
+        line.contains("[keys=bytes]") && line.contains("[groups=3]"),
+        "{line}"
+    );
+    assert_eq!(bytes_layouts(&db), Some(Value::Int(2)));
+}

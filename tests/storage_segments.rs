@@ -187,6 +187,37 @@ fn explain_analyze_counts_pruned_blocks() {
 }
 
 #[test]
+fn projected_scan_loads_only_its_columns_blocks() {
+    let fault = FaultVfs::new();
+    let db = open(&fault, tiny_pool());
+    load(&db, 40_000);
+    db.checkpoint().unwrap();
+    drop(db);
+    // Two blocks fit the pool and a column has ten: every block read of
+    // the scans below is a miss.
+    let db = open(&fault, tiny_pool());
+    let misses = |sql: &str| {
+        let counter = |db: &Database| {
+            let counters = db.metrics_snapshot().counters;
+            counters.get("storage.pool.misses").copied().unwrap_or(0)
+        };
+        let before = counter(&db);
+        let plan = db.execute(&format!("EXPLAIN {sql}")).unwrap();
+        db.execute(sql).unwrap();
+        (counter(&db) - before, plan.to_table_string())
+    };
+    let blocks_per_column = 40_000u64.div_ceil(4096);
+    let (one, plan) = misses("SELECT v FROM big");
+    assert!(plan.contains("cols=[1]"), "{plan}");
+    assert_eq!(
+        one, blocks_per_column,
+        "cols=[1] read other columns' blocks"
+    );
+    let (all, _) = misses("SELECT id, v, name FROM big");
+    assert_eq!(all, 3 * blocks_per_column);
+}
+
+#[test]
 fn second_checkpoint_is_incremental() {
     let fault = FaultVfs::new();
     let db = open(&fault, tiny_pool());
