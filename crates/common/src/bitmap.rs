@@ -82,6 +82,26 @@ impl Bitmap {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
+    /// Whether any bit in `range` is set, a word at a time. The range is
+    /// clipped to the bitmap's length; an empty (or wholly out-of-range)
+    /// range holds no set bit.
+    #[inline]
+    pub fn any_in(&self, range: std::ops::Range<usize>) -> bool {
+        let end = range.end.min(self.len);
+        if range.start >= end {
+            return false;
+        }
+        let (first, last) = (range.start / 64, (end - 1) / 64);
+        let head = u64::MAX << (range.start % 64);
+        let tail = u64::MAX >> (63 - (end - 1) % 64);
+        if first == last {
+            return self.words[first] & head & tail != 0;
+        }
+        self.words[first] & head != 0
+            || self.words[first + 1..last].iter().any(|w| *w != 0)
+            || self.words[last] & tail != 0
+    }
+
     /// True iff every bit is set.
     pub fn all_set(&self) -> bool {
         self.count_ones() == self.len
@@ -134,12 +154,18 @@ impl Iterator for OnesIter {
     }
 }
 
+impl Extend<bool> for Bitmap {
+    fn extend<T: IntoIterator<Item = bool>>(&mut self, iter: T) {
+        for b in iter {
+            self.push(b);
+        }
+    }
+}
+
 impl FromIterator<bool> for Bitmap {
     fn from_iter<T: IntoIterator<Item = bool>>(iter: T) -> Self {
         let mut bm = Bitmap::new();
-        for b in iter {
-            bm.push(b);
-        }
+        bm.extend(iter);
         bm
     }
 }
@@ -183,6 +209,33 @@ mod tests {
         for i in 0..70 {
             assert_eq!(c.get(i), i % 6 == 0);
         }
+    }
+
+    #[test]
+    fn any_in_matches_a_bit_by_bit_probe() {
+        let empty = Bitmap::filled(300, false);
+        assert!(!empty.any_in(0..300));
+        for bit in [0usize, 1, 63, 64, 65, 127, 128, 191, 192, 299] {
+            let mut bm = Bitmap::filled(300, false);
+            bm.set(bit, true);
+            for start in [0usize, 1, 5, 63, 64, 65, 100, 128, 190, 256, 299, 300, 400] {
+                for end in [
+                    0usize, 1, 2, 63, 64, 65, 66, 129, 192, 193, 299, 300, 301, 1000,
+                ] {
+                    let expect = (start..end.min(300)).any(|i| bm.get(i));
+                    assert_eq!(bm.any_in(start..end), expect, "bit {bit} in {start}..{end}");
+                }
+            }
+        }
+        // Empty and reversed ranges, and the empty bitmap.
+        let full = Bitmap::filled(70, true);
+        assert!(!full.any_in(10..10));
+        #[allow(clippy::reversed_empty_ranges)]
+        let reversed = 20..10;
+        assert!(!full.any_in(reversed));
+        assert!(!full.any_in(70..200));
+        assert!(full.any_in(69..200));
+        assert!(!Bitmap::new().any_in(0..64));
     }
 
     #[test]

@@ -168,6 +168,20 @@ impl VfsFile for StdFile {
     }
 }
 
+/// Fill `buf` from byte `offset` of `file`: `pread` where the platform
+/// has it, seek + read elsewhere.
+#[cfg(unix)]
+fn read_exact_at(file: &std::fs::File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+    std::os::unix::fs::FileExt::read_exact_at(file, buf, offset)
+}
+
+#[cfg(not(unix))]
+fn read_exact_at(mut file: &std::fs::File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+    use std::io::{Read as _, Seek as _, SeekFrom};
+    file.seek(SeekFrom::Start(offset))?;
+    file.read_exact(buf)
+}
+
 impl Vfs for StdVfs {
     fn create_dir_all(&self, dir: &Path) -> Result<()> {
         std::fs::create_dir_all(dir).map_err(|e| io_err("create_dir_all", dir, e))
@@ -198,21 +212,22 @@ impl Vfs for StdVfs {
     }
 
     fn read_range(&self, path: &Path, offset: u64, len: u64) -> Result<Vec<u8>> {
-        use std::io::{Read as _, Seek as _, SeekFrom};
-        let mut file = std::fs::File::open(path).map_err(|e| io_err("open", path, e))?;
-        let size = file.metadata().map_err(|e| io_err("stat", path, e))?.len();
-        if offset.checked_add(len).is_none_or(|end| end > size) {
-            return Err(HyError::Storage(format!(
-                "read_range: [{offset}, {offset}+{len}) past end of {} ({size} bytes)",
-                path.display()
-            )));
+        // A block load is `open` + one positioned read; a range past the
+        // end shows up as the short read.
+        let file = std::fs::File::open(path).map_err(|e| io_err("open", path, e))?;
+        let n = usize::try_from(len)
+            .map_err(|_| HyError::Storage(format!("read_range: bad len {len}")))?;
+        let mut buf = vec![0u8; n];
+        match read_exact_at(&file, &mut buf, offset) {
+            Ok(()) => Ok(buf),
+            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
+                Err(HyError::Storage(format!(
+                    "read_range: [{offset}, {offset}+{len}) past end of {}",
+                    path.display()
+                )))
+            }
+            Err(e) => Err(io_err("read_range", path, e)),
         }
-        file.seek(SeekFrom::Start(offset))
-            .map_err(|e| io_err("seek", path, e))?;
-        let mut buf = vec![0u8; len as usize];
-        file.read_exact(&mut buf)
-            .map_err(|e| io_err("read_range", path, e))?;
-        Ok(buf)
     }
 
     fn list_dir(&self, dir: &Path) -> Result<Vec<String>> {

@@ -27,6 +27,7 @@ use crate::result::QueryResult;
 /// | `slow_query_ms`        | `0`     | Capture statements at least this slow into `hylite.slow_queries`; `0` = off |
 /// | `slow_query_log_size`  | `128`   | Capacity of the shared slow-query ring    |
 /// | `plan_reuse`           | `on`    | Run repeated sub-plans and loop-invariant parts of ITERATE / recursive-CTE bodies once per statement; results are bit-identical either way |
+/// | `encoded_scan`         | `off`   | Evaluate a scan's range predicates on the encoded blocks of disk segments and materialize only the selected rows; results are bit-identical either way |
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionSettings {
     /// Statement timeout in milliseconds; `0` disables the deadline.
@@ -38,6 +39,9 @@ pub struct SessionSettings {
     /// Whether the executor keeps and shares sub-plan results within a
     /// statement (`SET plan_reuse = on|off`).
     pub plan_reuse: bool,
+    /// Whether scans hand their range predicates to storage, to be
+    /// evaluated on encoded blocks (`SET encoded_scan = on|off`).
+    pub encoded_scan: bool,
 }
 
 impl Default for SessionSettings {
@@ -47,6 +51,7 @@ impl Default for SessionSettings {
             memory_budget_mb: 0,
             slow_query_ms: 0,
             plan_reuse: true,
+            encoded_scan: false,
         }
     }
 }
@@ -495,14 +500,18 @@ impl Session {
             "statement_timeout_ms" => self.settings.statement_timeout_ms = value,
             "memory_budget_mb" => self.settings.memory_budget_mb = value,
             "slow_query_ms" => self.settings.slow_query_ms = value,
-            "plan_reuse" => match value {
-                0 | 1 => self.settings.plan_reuse = value == 1,
-                other => {
+            "plan_reuse" | "encoded_scan" => {
+                if value > 1 {
                     return Err(HyError::Bind(format!(
-                        "SET plan_reuse: expected on, off, 1 or 0, got {other}"
-                    )))
+                        "SET {name}: expected on, off, 1 or 0, got {value}"
+                    )));
                 }
-            },
+                let switch = match name {
+                    "plan_reuse" => &mut self.settings.plan_reuse,
+                    _ => &mut self.settings.encoded_scan,
+                };
+                *switch = value == 1;
+            }
             "slow_query_log_size" => match &self.slow_log {
                 Some(log) => log.set_capacity(value as usize),
                 None => {
@@ -516,7 +525,8 @@ impl Session {
             other => {
                 return Err(HyError::Bind(format!(
                     "unknown session setting '{other}' (available: statement_timeout_ms, \
-                     memory_budget_mb, slow_query_ms, slow_query_log_size, plan_reuse)"
+                     memory_budget_mb, slow_query_ms, slow_query_log_size, plan_reuse, \
+                     encoded_scan)"
                 )))
             }
         }
@@ -764,7 +774,8 @@ impl Session {
             .with_own_tables(self.own_tables.iter().cloned())
             .with_metrics(Arc::clone(&self.metrics))
             .with_governor(Arc::clone(&self.governor))
-            .with_plan_reuse(self.settings.plan_reuse);
+            .with_plan_reuse(self.settings.plan_reuse)
+            .with_encoded_scan(self.settings.encoded_scan);
         if let Some(hub) = &self.sysviews {
             ctx = ctx.with_system_views(Arc::clone(hub));
         }
@@ -792,7 +803,12 @@ impl Session {
         // delete+append lands.
         self.begin_write();
         let snapshot = self.table_snapshot(table)?;
-        let hits = hylite_exec::scan::scan_with_row_ids(&snapshot, filter, &self.governor)?;
+        let hits = hylite_exec::scan::scan_with_row_ids(
+            &snapshot,
+            filter,
+            &self.governor,
+            self.settings.encoded_scan,
+        )?;
         let mut ids = Vec::new();
         let mut new_rows: Vec<Vec<Value>> = Vec::new();
         for (chunk, row_ids) in &hits {
@@ -837,7 +853,12 @@ impl Session {
         // Gate before the scan: see `run_update` on row-id stability.
         self.begin_write();
         let snapshot = self.table_snapshot(table)?;
-        let hits = hylite_exec::scan::scan_with_row_ids(&snapshot, filter, &self.governor)?;
+        let hits = hylite_exec::scan::scan_with_row_ids(
+            &snapshot,
+            filter,
+            &self.governor,
+            self.settings.encoded_scan,
+        )?;
         let ids: Vec<usize> = hits.into_iter().flat_map(|(_, ids)| ids).collect();
         let n = ids.len();
         if n > 0 {

@@ -49,6 +49,9 @@ pub struct ExecContext {
     /// `SET plan_reuse`: whether the executor may keep and share sub-plan
     /// results within the statement.
     plan_reuse: bool,
+    /// `SET encoded_scan`: whether scans hand their range predicates to
+    /// storage, to be evaluated on encoded blocks.
+    encoded_scan: bool,
     /// Tables mutated by the session's open transaction: the session
     /// reads its *own* uncommitted changes from these, and the committed
     /// state of everything else — snapshot isolation.
@@ -86,6 +89,7 @@ impl ExecContext {
             bindings: 0,
             snapshots: Vec::new(),
             plan_reuse: true,
+            encoded_scan: false,
             own_tables: std::collections::HashSet::new(),
             stats: ExecStats::default(),
             metrics: Arc::new(MetricsRegistry::new()),
@@ -122,6 +126,18 @@ impl ExecContext {
     /// Whether the executor may keep and share sub-plan results.
     pub fn plan_reuse(&self) -> bool {
         self.plan_reuse
+    }
+
+    /// Switch predicate evaluation on encoded blocks on or off (off by
+    /// default); results are bit-identical either way.
+    pub fn with_encoded_scan(mut self, on: bool) -> ExecContext {
+        self.encoded_scan = on;
+        self
+    }
+
+    /// Whether scans hand their range predicates to storage.
+    pub fn encoded_scan(&self) -> bool {
+        self.encoded_scan
     }
 
     /// Attach the statement's resource governor.

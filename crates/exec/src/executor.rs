@@ -207,19 +207,19 @@ impl Executor {
                     projection.as_deref(),
                     filter.as_ref(),
                     &governor,
+                    self.ctx.encoded_scan(),
                 )?;
-                if self.ctx.profiling() {
-                    self.ctx
-                        .profile_note("blocks_scanned", pruning.blocks_scanned);
-                    self.ctx
-                        .profile_note("blocks_pruned", pruning.blocks_pruned);
-                }
-                {
-                    let m = self.ctx.metrics();
-                    m.counter("scan.blocks_scanned")
-                        .add(pruning.blocks_scanned as u64);
-                    m.counter("scan.blocks_pruned")
-                        .add(pruning.blocks_pruned as u64);
+                for (metric, count) in [
+                    ("scan.blocks_scanned", pruning.blocks_scanned),
+                    ("scan.blocks_pruned", pruning.blocks_pruned),
+                    (
+                        "scan.blocks_skipped_encoded",
+                        pruning.blocks_skipped_encoded,
+                    ),
+                    ("scan.rows_selected", pruning.rows_selected),
+                ] {
+                    self.ctx.profile_note(&metric["scan.".len()..], count);
+                    self.ctx.metrics().counter(metric).add(count as u64);
                 }
                 Ok(chunks)
             }

@@ -10,11 +10,13 @@ use rayon::prelude::*;
 /// parallel task produces a handful of chunks.
 pub const MORSEL_ROWS: usize = 32 * CHUNK_ROWS;
 
-/// Collect the zone-map ranges implied by a pushed-down filter: every
-/// conjunct of the form `col <cmp> literal` (either orientation) becomes
-/// a [`ZoneRange`] on the underlying table column. Disjunctions, NULL
-/// literals and computed operands contribute nothing, keeping pruning
-/// conservative — the filter itself still runs over every surviving row.
+/// Collect the ranges implied by a pushed-down filter: every conjunct of
+/// the form `col <cmp> literal` (either orientation) becomes a
+/// [`ZoneRange`] on the underlying table column. Zone maps prune whole
+/// blocks with them and, under `SET encoded_scan = on`, storage evaluates
+/// them on the encoded blocks that remain. Disjunctions, NULL literals
+/// and computed operands contribute nothing, keeping both conservative —
+/// the filter itself still runs over every surviving row.
 ///
 /// The filter is evaluated against the *projected* chunk, so its column
 /// indexes are translated through `projection` back into table columns
@@ -87,57 +89,73 @@ pub fn scan(
     filter: Option<&ScalarExpr>,
     governor: &Governor,
 ) -> Result<Vec<Chunk>> {
-    scan_pruned(snapshot, projection, filter, governor).map(|(chunks, _)| chunks)
+    scan_pruned(snapshot, projection, filter, governor, false).map(|(chunks, _)| chunks)
 }
 
-/// [`scan`], additionally reporting how many disk blocks the zone maps
-/// let the scan skip (for EXPLAIN ANALYZE and the scan telemetry).
+/// What storage gets of a scan's ranges: all of them with `encoded_scan`
+/// on, none with it off — every row of every block the zone maps left
+/// then reaches the filter through the same reader.
+fn pushed(ranges: &[ZoneRange], encoded_scan: bool) -> &[ZoneRange] {
+    if encoded_scan {
+        ranges
+    } else {
+        &[]
+    }
+}
+
+/// [`scan`], additionally reporting what the scan skipped (for EXPLAIN
+/// ANALYZE and the scan telemetry): blocks by zone map, then — with
+/// `encoded_scan` — blocks and rows by evaluating the filter's ranges on
+/// the encoded data, so that only the selected rows of the projected
+/// columns are materialized.
 pub fn scan_pruned(
     snapshot: &TableSnapshot,
     projection: Option<&[usize]>,
     filter: Option<&ScalarExpr>,
     governor: &Governor,
+    encoded_scan: bool,
 ) -> Result<(Vec<Chunk>, ScanPruning)> {
     let ranges = filter.map_or_else(Vec::new, |f| extract_zone_ranges(f, projection));
-    let (morsels, pruning) = snapshot.pruned_morsels(MORSEL_ROWS, &ranges);
-    let results: Vec<Result<Vec<Chunk>>> = morsels
+    let (morsels, mut pruning) = snapshot.pruned_morsels(MORSEL_ROWS, &ranges);
+    let ranges = pushed(&ranges, encoded_scan);
+    let results: Vec<Result<(Option<Chunk>, usize, usize)>> = morsels
         .par_iter()
         .map(|m| {
             governor.check()?;
-            let chunk = snapshot.read_morsel_cols(m, projection)?;
-            if chunk.is_empty() {
-                return Ok(vec![]);
-            }
+            let (chunk, emptied) = snapshot.read_morsel_selected(m, projection, ranges)?;
+            let selected = chunk.len();
             let chunk = match filter {
-                Some(pred) => crate::util::apply_predicate(&chunk, pred)?,
-                None => chunk,
+                Some(pred) if !chunk.is_empty() => crate::util::apply_predicate(&chunk, pred)?,
+                _ => chunk,
             };
-            if chunk.is_empty() {
-                Ok(vec![])
-            } else {
-                Ok(vec![chunk])
-            }
+            Ok(((!chunk.is_empty()).then_some(chunk), selected, emptied))
         })
         .collect();
     let mut out = Vec::new();
     for r in results {
-        out.extend(r?);
+        let (chunk, selected, emptied) = r?;
+        out.extend(chunk);
+        pruning.rows_selected += selected;
+        pruning.blocks_skipped_encoded += emptied;
     }
     Ok((out, pruning))
 }
 
 /// Scan returning both surviving chunks and their global row ids
-/// (sequential; used by UPDATE/DELETE to locate target rows). Checks the
-/// governor once per morsel.
+/// (sequential; used by UPDATE/DELETE to locate target rows). Blocks and
+/// rows are skipped as in [`scan_pruned`]. Checks the governor once per
+/// morsel.
 pub fn scan_with_row_ids(
     snapshot: &TableSnapshot,
     filter: Option<&ScalarExpr>,
     governor: &Governor,
+    encoded_scan: bool,
 ) -> Result<Vec<(Chunk, Vec<usize>)>> {
+    let ranges = filter.map_or_else(Vec::new, |f| extract_zone_ranges(f, None));
     let mut out = Vec::new();
-    for m in snapshot.morsels(MORSEL_ROWS) {
+    for m in snapshot.pruned_morsels(MORSEL_ROWS, &ranges).0 {
         governor.check()?;
-        let (chunk, ids) = snapshot.read_morsel(&m)?;
+        let (chunk, ids) = snapshot.read_morsel(&m, pushed(&ranges, encoded_scan))?;
         if chunk.is_empty() {
             continue;
         }
@@ -234,7 +252,8 @@ mod tests {
             ScalarExpr::literal(5i64),
         )
         .unwrap();
-        let hits = scan_with_row_ids(&t.snapshot(), Some(&pred), &Governor::unlimited()).unwrap();
+        let hits =
+            scan_with_row_ids(&t.snapshot(), Some(&pred), &Governor::unlimited(), true).unwrap();
         let ids: Vec<usize> = hits.iter().flat_map(|(_, ids)| ids.clone()).collect();
         assert_eq!(ids, vec![2, 3, 4]);
     }

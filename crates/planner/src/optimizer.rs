@@ -12,7 +12,11 @@
 //!    operators (k-Means, PageRank, Naive Bayes, Iterate, recursive CTEs):
 //!    their results depend on the whole input, so the rewrite would be
 //!    unsound;
-//! 5. projection merging and scan column pruning.
+//! 5. projection merging.
+//!
+//! Then, once, a top-down required-columns pass: every table scan keeps
+//! exactly the columns its ancestors use (its own filter's included), so
+//! that storage loads no other column's blocks.
 
 use std::sync::Arc;
 
@@ -45,7 +49,8 @@ impl Optimizer {
                 break;
             }
         }
-        Ok(plan)
+        let every_column = vec![true; plan.schema().len()];
+        Ok(prune_columns(plan, every_column).0)
     }
 }
 
@@ -682,6 +687,220 @@ fn substitute_columns(e: &ScalarExpr, replacements: &[ScalarExpr]) -> ScalarExpr
     }
 }
 
+// ------------------------------------------------- required columns
+
+/// Mark the columns `exprs` read.
+fn mark_columns<'a>(exprs: impl IntoIterator<Item = &'a ScalarExpr>, used: &mut [bool]) {
+    let mut refs = Vec::new();
+    for e in exprs {
+        e.referenced_columns(&mut refs);
+    }
+    for i in refs {
+        used[i] = true;
+    }
+}
+
+/// Where each old column lands once only the `kept` ones remain.
+fn positions_after(kept: &[bool]) -> Vec<usize> {
+    let mut next = 0;
+    kept.iter()
+        .map(|&k| {
+            let at = next;
+            next += usize::from(k);
+            at
+        })
+        .collect()
+}
+
+/// Narrow every table scan under `plan` to the columns that are used:
+/// `required` marks the output columns of `plan` its parent reads, each
+/// node adds what its own expressions read and asks its inputs for the
+/// sum. Nodes whose output is their input's (filter, sort, limit, join)
+/// pass a narrower input through and report where the surviving columns
+/// moved — the returned old→new positions, `None` when nothing moved, as
+/// is always the case when every column is required. Nodes with a schema
+/// of their own (projection, aggregate, distinct, union, loops, analytics
+/// operators) need all of it and stop the narrowing of their output, not
+/// of what lies below them.
+fn prune_columns(plan: LogicalPlan, required: Vec<bool>) -> (LogicalPlan, Option<Vec<usize>>) {
+    let remap = |e: &mut ScalarExpr, moved: &Option<Vec<usize>>| {
+        if let Some(m) = moved {
+            e.remap_columns(m);
+        }
+    };
+    match plan {
+        LogicalPlan::TableScan {
+            table,
+            table_schema,
+            projection,
+            mut filter,
+            schema,
+        } => {
+            let mut used = required;
+            mark_columns(&filter, &mut used);
+            if used.iter().all(|&u| u) {
+                let scan = LogicalPlan::TableScan {
+                    table,
+                    table_schema,
+                    projection,
+                    filter,
+                    schema,
+                };
+                return (scan, None);
+            }
+            let moved = Some(positions_after(&used));
+            if let Some(f) = &mut filter {
+                remap(f, &moved);
+            }
+            let kept: Vec<usize> = (0..used.len()).filter(|&i| used[i]).collect();
+            let fields = kept.iter().map(|&i| schema.field(i).clone()).collect();
+            // Compose with an existing table-level projection.
+            let projection = match &projection {
+                Some(p) => kept.iter().map(|&i| p[i]).collect(),
+                None => kept,
+            };
+            let scan = LogicalPlan::TableScan {
+                table,
+                table_schema,
+                projection: Some(projection),
+                filter,
+                schema: Arc::new(Schema::new(fields)),
+            };
+            (scan, moved)
+        }
+        LogicalPlan::Filter {
+            input,
+            mut predicate,
+        } => {
+            let mut used = required;
+            mark_columns([&predicate], &mut used);
+            let (input, moved) = prune_columns(*input, used);
+            remap(&mut predicate, &moved);
+            let input = Box::new(input);
+            (LogicalPlan::Filter { input, predicate }, moved)
+        }
+        LogicalPlan::Sort { input, mut keys } => {
+            let mut used = required;
+            mark_columns(keys.iter().map(|k| &k.expr), &mut used);
+            let (input, moved) = prune_columns(*input, used);
+            keys.iter_mut().for_each(|k| remap(&mut k.expr, &moved));
+            let input = Box::new(input);
+            (LogicalPlan::Sort { input, keys }, moved)
+        }
+        LogicalPlan::Limit {
+            input,
+            limit,
+            offset,
+        } => {
+            let (input, moved) = prune_columns(*input, required);
+            let input = Box::new(input);
+            let limit = LogicalPlan::Limit {
+                input,
+                limit,
+                offset,
+            };
+            (limit, moved)
+        }
+        LogicalPlan::Join {
+            left,
+            right,
+            kind,
+            mut condition,
+            schema,
+        } => {
+            let left_width = left.schema().len();
+            let mut used = required;
+            mark_columns(&condition, &mut used);
+            let used_right = used.split_off(left_width);
+            let (left, moved_left) = prune_columns(*left, used);
+            let (right, moved_right) = prune_columns(*right, used_right);
+            if moved_left.is_none() && moved_right.is_none() {
+                let join = LogicalPlan::Join {
+                    left: Box::new(left),
+                    right: Box::new(right),
+                    kind,
+                    condition,
+                    schema,
+                };
+                return (join, None);
+            }
+            let (left_schema, right_schema) = (left.schema(), right.schema());
+            let side = |moved: Option<Vec<usize>>, width: usize, base: usize| {
+                let moved = moved.unwrap_or_else(|| (0..width).collect());
+                moved.into_iter().map(move |at| base + at)
+            };
+            let moved = Some(
+                side(moved_left, left_width, 0)
+                    .chain(side(
+                        moved_right,
+                        schema.len() - left_width,
+                        left_schema.len(),
+                    ))
+                    .collect(),
+            );
+            if let Some(c) = &mut condition {
+                remap(c, &moved);
+            }
+            let join = LogicalPlan::Join {
+                left: Box::new(left),
+                right: Box::new(right),
+                kind,
+                condition,
+                schema: Arc::new(left_schema.join(&right_schema)),
+            };
+            (join, moved)
+        }
+        LogicalPlan::Project {
+            input,
+            mut exprs,
+            schema,
+        } => {
+            let mut used = vec![false; input.schema().len()];
+            mark_columns(&exprs, &mut used);
+            let (input, moved) = prune_columns(*input, used);
+            exprs.iter_mut().for_each(|e| remap(e, &moved));
+            let project = LogicalPlan::Project {
+                input: Box::new(input),
+                exprs,
+                schema,
+            };
+            (project, None)
+        }
+        LogicalPlan::Aggregate {
+            input,
+            mut group_exprs,
+            mut aggregates,
+            schema,
+        } => {
+            let mut used = vec![false; input.schema().len()];
+            let args = aggregates.iter().filter_map(|a| a.arg.as_ref());
+            mark_columns(group_exprs.iter().chain(args), &mut used);
+            let (input, moved) = prune_columns(*input, used);
+            let args = aggregates.iter_mut().filter_map(|a| a.arg.as_mut());
+            group_exprs
+                .iter_mut()
+                .chain(args)
+                .for_each(|e| remap(e, &moved));
+            let aggregate = LogicalPlan::Aggregate {
+                input: Box::new(input),
+                group_exprs,
+                aggregates,
+                schema,
+            };
+            (aggregate, None)
+        }
+        // DISTINCT and UNION compare whole rows; a loop's working table and
+        // an analytics operator's inputs are read by position.
+        whole_rows => {
+            let plan = map_children(whole_rows, |child| {
+                let every_column = vec![true; child.schema().len()];
+                Ok(prune_columns(child, every_column).0)
+            });
+            (plan.expect("the closure returns Ok"), None)
+        }
+    }
+}
+
 // ------------------------------------------------------ projection rules
 
 fn rewrite_project(
@@ -703,71 +922,6 @@ fn rewrite_project(
             Ok(LogicalPlan::Project {
                 input: inner,
                 exprs: merged,
-                schema,
-            })
-        }
-        // Prune scan columns when the projection reads a strict subset
-        // (composes with an existing scan projection).
-        LogicalPlan::TableScan {
-            table,
-            table_schema,
-            projection,
-            filter,
-            schema: scan_schema,
-        } => {
-            let mut used = Vec::new();
-            for e in &exprs {
-                e.referenced_columns(&mut used);
-            }
-            if let Some(f) = &filter {
-                f.referenced_columns(&mut used);
-            }
-            used.sort_unstable();
-            used.dedup();
-            if used.len() >= scan_schema.len() {
-                // Nothing to prune.
-                return Ok(LogicalPlan::Project {
-                    input: Box::new(LogicalPlan::TableScan {
-                        table,
-                        table_schema,
-                        projection,
-                        filter,
-                        schema: scan_schema,
-                    }),
-                    exprs,
-                    schema,
-                });
-            }
-            // Build old→new mapping over the current (projected) space.
-            let mut mapping = vec![0usize; scan_schema.len()];
-            for (new, &old) in used.iter().enumerate() {
-                mapping[old] = new;
-            }
-            let mut new_exprs = exprs;
-            for e in &mut new_exprs {
-                e.remap_columns(&mapping);
-            }
-            let new_filter = filter.map(|mut f| {
-                f.remap_columns(&mapping);
-                f
-            });
-            let pruned_fields: Vec<_> =
-                used.iter().map(|&i| scan_schema.field(i).clone()).collect();
-            let pruned_schema = Arc::new(Schema::new(pruned_fields));
-            // Compose with the existing table-level projection.
-            let table_projection: Vec<usize> = match &projection {
-                Some(p) => used.iter().map(|&i| p[i]).collect(),
-                None => used,
-            };
-            Ok(LogicalPlan::Project {
-                input: Box::new(LogicalPlan::TableScan {
-                    table,
-                    table_schema,
-                    projection: Some(table_projection),
-                    filter: new_filter,
-                    schema: pruned_schema,
-                }),
-                exprs: new_exprs,
                 schema,
             })
         }
@@ -1002,6 +1156,305 @@ mod tests {
         };
         assert_eq!(projection, Some(vec![2]));
         assert_eq!(exprs[0].to_string(), "#0");
+    }
+
+    // ---- required columns: one test per node kind the pass walks
+
+    fn project(input: LogicalPlan, exprs: Vec<ScalarExpr>) -> LogicalPlan {
+        let fields = (0..exprs.len())
+            .map(|i| Field::new(format!("p{i}"), DataType::Int64))
+            .collect();
+        LogicalPlan::Project {
+            input: Box::new(input),
+            exprs,
+            schema: Arc::new(Schema::new(fields)),
+        }
+    }
+
+    fn join(left: LogicalPlan, right: LogicalPlan, condition: ScalarExpr) -> LogicalPlan {
+        let schema = Arc::new(left.schema().join(&right.schema()));
+        LogicalPlan::Join {
+            left: Box::new(left),
+            right: Box::new(right),
+            kind: JoinKind::Inner,
+            condition: Some(condition),
+            schema,
+        }
+    }
+
+    fn eq(l: usize, r: usize) -> ScalarExpr {
+        ScalarExpr::binary(BinaryOp::Eq, col(l), col(r)).unwrap()
+    }
+
+    fn optimized(plan: LogicalPlan) -> String {
+        let once = Optimizer::new().optimize(plan).unwrap();
+        let twice = Optimizer::new().optimize(once.clone()).unwrap();
+        assert_eq!(once, twice, "not a fixpoint");
+        once.explain()
+    }
+
+    /// The `TableScan` lines of an EXPLAIN, in order.
+    fn scans(explain: &str) -> Vec<&str> {
+        explain
+            .lines()
+            .map(str::trim)
+            .filter(|l| l.starts_with("TableScan"))
+            .collect()
+    }
+
+    #[test]
+    fn aggregate_reads_only_its_keys_and_arguments() {
+        use crate::logical::AggExpr;
+        use hylite_expr::AggregateFunction;
+        let agg = |group_exprs: Vec<ScalarExpr>, args: Vec<Option<ScalarExpr>>| {
+            let width = group_exprs.len() + args.len();
+            LogicalPlan::Aggregate {
+                input: Box::new(scan(6)),
+                group_exprs,
+                aggregates: args
+                    .into_iter()
+                    .map(|arg| AggExpr {
+                        func: if arg.is_some() {
+                            AggregateFunction::Sum
+                        } else {
+                            AggregateFunction::CountStar
+                        },
+                        arg,
+                        name: "a".into(),
+                    })
+                    .collect(),
+                schema: scan(width).schema(),
+            }
+        };
+        let text = optimized(agg(vec![col(1)], vec![None, Some(col(3)), Some(col(4))]));
+        assert_eq!(scans(&text), ["TableScan table=t cols=[1, 3, 4]"], "{text}");
+        let LogicalPlan::Aggregate {
+            group_exprs,
+            aggregates,
+            ..
+        } = Optimizer::new()
+            .optimize(agg(vec![col(1)], vec![Some(col(4))]))
+            .unwrap()
+        else {
+            panic!()
+        };
+        assert_eq!(group_exprs[0].to_string(), "#0");
+        assert_eq!(aggregates[0].arg.as_ref().unwrap().to_string(), "#1");
+        // count(*) alone reads no column at all.
+        let text = optimized(agg(vec![], vec![None]));
+        assert_eq!(scans(&text), ["TableScan table=t cols=[]"], "{text}");
+    }
+
+    #[test]
+    fn filter_sort_and_limit_pass_the_narrowing_through() {
+        // SELECT c0 FROM (SELECT * FROM t ORDER BY c2 LIMIT 5) WHERE c4 > 1:
+        // the filter cannot sink below the LIMIT and stays a node.
+        let plan = project(
+            LogicalPlan::Filter {
+                input: Box::new(LogicalPlan::Limit {
+                    input: Box::new(LogicalPlan::Sort {
+                        input: Box::new(scan(6)),
+                        keys: vec![crate::logical::SortKey {
+                            expr: col(2),
+                            asc: true,
+                        }],
+                    }),
+                    limit: Some(5),
+                    offset: 0,
+                }),
+                predicate: gt(col(4), 1),
+            },
+            vec![col(0)],
+        );
+        let text = optimized(plan);
+        assert!(text.contains("Filter predicate=(#2 > 1)"), "{text}");
+        assert_eq!(scans(&text), ["TableScan table=t cols=[0, 2, 4]"], "{text}");
+        assert!(text.starts_with("Project [#0]"), "{text}");
+    }
+
+    #[test]
+    fn select_star_under_limit_keeps_the_scan_whole() {
+        let plan = LogicalPlan::Limit {
+            input: Box::new(scan(4)),
+            limit: Some(3),
+            offset: 0,
+        };
+        assert_eq!(scans(&optimized(plan)), ["TableScan table=t"]);
+    }
+
+    #[test]
+    fn scan_keeps_its_own_filter_columns_and_composes_projections() {
+        let plan = project(
+            LogicalPlan::Filter {
+                input: Box::new(scan(5)),
+                predicate: gt(col(3), 7),
+            },
+            vec![col(1)],
+        );
+        let text = optimized(plan);
+        assert_eq!(
+            scans(&text),
+            ["TableScan table=t cols=[1, 3] filter=(#1 > 7)"],
+            "{text}"
+        );
+        // Over a scan that already projects, positions compose.
+        let LogicalPlan::TableScan {
+            table,
+            table_schema,
+            filter,
+            ..
+        } = scan(6)
+        else {
+            panic!()
+        };
+        let narrowed = LogicalPlan::TableScan {
+            table,
+            table_schema,
+            projection: Some(vec![5, 3, 1]),
+            filter,
+            schema: scan(3).schema(),
+        };
+        let text = optimized(project(narrowed, vec![col(2)]));
+        assert_eq!(scans(&text), ["TableScan table=t cols=[1]"], "{text}");
+    }
+
+    #[test]
+    fn join_inputs_keep_keys_residual_and_output_columns() {
+        // SELECT l.c0, r.c1 FROM l JOIN r ON l.c1 = r.c0 AND l.c2 < r.c2:
+        // c2 of either side is read by the residual only; c3 by nobody.
+        let residual = ScalarExpr::binary(BinaryOp::Lt, col(2), col(6)).unwrap();
+        let on = ScalarExpr::binary(BinaryOp::And, eq(1, 4), residual).unwrap();
+        let text = optimized(project(join(scan(4), scan(4), on), vec![col(0), col(5)]));
+        assert_eq!(
+            scans(&text),
+            [
+                "TableScan table=t cols=[0, 1, 2]",
+                "TableScan table=t cols=[0, 1, 2]"
+            ],
+            "{text}"
+        );
+        assert!(text.contains("on=((#1 = #3) AND (#2 < #5))"), "{text}");
+        assert!(text.starts_with("Project [#0, #4]"), "{text}");
+        // Only the right side narrows: left positions stay, right ones move.
+        let text = optimized(project(
+            join(scan(2), scan(4), eq(1, 5)),
+            vec![col(0), col(1), col(4)],
+        ));
+        assert_eq!(
+            scans(&text),
+            ["TableScan table=t", "TableScan table=t cols=[2, 3]"],
+            "{text}"
+        );
+        assert!(text.contains("on=(#1 = #3)"), "{text}");
+        assert!(text.starts_with("Project [#0, #1, #2]"), "{text}");
+    }
+
+    #[test]
+    fn distinct_and_union_need_whole_rows() {
+        let distinct = project(
+            LogicalPlan::Distinct {
+                input: Box::new(scan(3)),
+            },
+            vec![col(0)],
+        );
+        assert_eq!(scans(&optimized(distinct)), ["TableScan table=t"]);
+        // Below a projection of its own each branch narrows all the same.
+        let union = LogicalPlan::Union {
+            inputs: vec![
+                project(scan(4), vec![col(1)]),
+                project(scan(4), vec![col(3)]),
+            ],
+            all: false,
+            schema: scan(1).schema(),
+        };
+        assert_eq!(
+            scans(&optimized(union)),
+            ["TableScan table=t cols=[1]", "TableScan table=t cols=[3]"]
+        );
+    }
+
+    #[test]
+    fn loop_bodies_and_operator_inputs_are_narrowed_inside() {
+        let working = || LogicalPlan::WorkingTable {
+            name: "iterate".into(),
+            schema: scan(1).schema(),
+        };
+        let iterate = LogicalPlan::Iterate {
+            init: Box::new(project(scan(3), vec![col(2)])),
+            // SELECT e.c1 FROM iterate w JOIN t e ON w.c0 = e.c0
+            step: Box::new(project(join(working(), scan(3), eq(0, 1)), vec![col(2)])),
+            stop: Box::new(LogicalPlan::Filter {
+                input: Box::new(working()),
+                predicate: gt(col(0), 100),
+            }),
+            max_iterations: 10,
+            schema: scan(1).schema(),
+        };
+        assert_eq!(
+            scans(&optimized(iterate)),
+            [
+                "TableScan table=t cols=[2]",
+                "TableScan table=t cols=[0, 1]"
+            ]
+        );
+        let cte = LogicalPlan::RecursiveCte {
+            name: "iterate".into(),
+            init: Box::new(project(scan(3), vec![col(0)])),
+            step: Box::new(project(join(working(), scan(3), eq(0, 3)), vec![col(1)])),
+            all: false,
+            schema: scan(1).schema(),
+        };
+        assert_eq!(
+            scans(&optimized(cte)),
+            [
+                "TableScan table=t cols=[0]",
+                "TableScan table=t cols=[0, 2]"
+            ]
+        );
+        // KMEANS((SELECT c1, c2 FROM t), (SELECT c0, c3 FROM t), 5)
+        let kmeans = LogicalPlan::KMeans {
+            data: Box::new(project(scan(4), vec![col(1), col(2)])),
+            centers: Box::new(project(scan(4), vec![col(0), col(3)])),
+            lambda: None,
+            max_iterations: 5,
+            schema: scan(4).schema(),
+        };
+        assert_eq!(
+            scans(&optimized(kmeans)),
+            [
+                "TableScan table=t cols=[1, 2]",
+                "TableScan table=t cols=[0, 3]"
+            ]
+        );
+    }
+
+    #[test]
+    fn equal_sub_plans_stay_equal() {
+        // The executor shares equal sub-plans (`reuse.rs`); narrowing is a
+        // function of the sub-plan alone below a projection, so twins
+        // under different parents come out as twins.
+        let branch = || project(join(scan(3), scan(5), eq(0, 3)), vec![col(1), col(7)]);
+        let union = LogicalPlan::Union {
+            inputs: vec![branch(), project(branch(), vec![col(1), col(0)])],
+            all: true,
+            schema: scan(2).schema(),
+        };
+        let LogicalPlan::Union { inputs, .. } = Optimizer::new().optimize(union).unwrap() else {
+            panic!()
+        };
+        let (LogicalPlan::Project { input: a, .. }, LogicalPlan::Project { input: b, .. }) =
+            (&inputs[0], &inputs[1])
+        else {
+            panic!()
+        };
+        assert_eq!(a, b);
+        assert_eq!(
+            scans(&a.explain()),
+            [
+                "TableScan table=t cols=[0, 1]",
+                "TableScan table=t cols=[0, 4]"
+            ]
+        );
     }
 
     #[test]

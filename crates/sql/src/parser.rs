@@ -6,7 +6,7 @@ use crate::ast::*;
 use crate::token::{Keyword, Token, Tokenizer};
 
 /// Session settings that are switches: `SET` takes `on` / `off` for them.
-const SWITCH_SETTINGS: &[&str] = &["plan_reuse"];
+const SWITCH_SETTINGS: &[&str] = &["plan_reuse", "encoded_scan"];
 
 /// Parse a script of `;`-separated statements.
 pub fn parse_sql(input: &str) -> Result<Vec<Statement>> {

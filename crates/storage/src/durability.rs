@@ -85,7 +85,7 @@ pub struct DurabilityOptions {
     /// replica directory refuses to open as a primary — the fence
     /// against accidentally writing to (and forking) a follower.
     pub promote: bool,
-    /// Byte cap of the buffer pool caching decoded segment blocks. Data
+    /// Byte cap of the buffer pool caching encoded segment blocks. Data
     /// beyond this stays on disk and is read block-by-block on demand —
     /// the larger-than-RAM knob (`--buffer-pool-mb` on the server).
     pub buffer_pool_bytes: usize,

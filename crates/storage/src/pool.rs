@@ -1,9 +1,14 @@
 //! A byte-capped block cache between disk-backed segments and scans.
 //!
 //! Sealed segments live on disk (see [`crate::segment`]); scans pull
-//! individual column blocks through this pool. The pool hands out
-//! `Arc<ColumnVector>`s, so an in-flight scan keeps its blocks alive even
-//! if they are evicted underneath it — eviction only drops the pool's own
+//! individual column blocks through this pool. It holds one kind of
+//! value: the CRC-verified *encoded* payload of a block, exactly as it
+//! sits in the segment file. Predicate evaluation and decoding both start
+//! from that, per access (a memcpy-class cost next to the read + CRC of a
+//! miss), so a dictionary block is never blown up to `String`s to be
+//! cached and a byte of pool holds a byte of file. The pool hands out
+//! `Arc<[u8]>`s, so an in-flight scan keeps its blocks alive even if they
+//! are evicted underneath it — eviction only drops the pool's own
 //! reference.
 //!
 //! Eviction is second-chance clock: every hit sets a referenced bit, the
@@ -16,13 +21,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use hylite_common::telemetry::{Counter, Gauge, MetricsRegistry};
-use hylite_common::{ColumnVector, Result};
+use hylite_common::Result;
 
 /// Cache key: (segment id, column index, block index).
 pub type BlockKey = (u64, u32, u32);
 
+/// A cached block: its verified encoded payload.
+pub type BlockBytes = Arc<[u8]>;
+
 struct Slot {
-    data: Arc<ColumnVector>,
+    data: BlockBytes,
     bytes: usize,
     referenced: bool,
 }
@@ -87,7 +95,7 @@ impl std::fmt::Debug for BufferPool {
 }
 
 impl BufferPool {
-    /// A pool holding at most `cap_bytes` of decoded blocks. Telemetry
+    /// A pool holding at most `cap_bytes` of encoded blocks. Telemetry
     /// lands in `metrics` under `storage.pool.*`.
     pub fn new(cap_bytes: usize, metrics: &MetricsRegistry) -> BufferPool {
         BufferPool {
@@ -115,8 +123,8 @@ impl BufferPool {
     pub fn get_or_load(
         &self,
         key: BlockKey,
-        load: impl FnOnce() -> Result<Arc<ColumnVector>>,
-    ) -> Result<Arc<ColumnVector>> {
+        load: impl FnOnce() -> Result<BlockBytes>,
+    ) -> Result<BlockBytes> {
         {
             let mut inner = self.inner.lock().unwrap();
             if let Some(slot) = inner.slots.get_mut(&key) {
@@ -129,7 +137,7 @@ impl BufferPool {
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.m_misses.inc();
         let data = load()?;
-        let bytes = data.heap_bytes().max(1);
+        let bytes = data.len().max(1);
         if bytes > self.cap {
             // A block bigger than the whole pool: hand it out uncached
             // rather than flushing everything else for a one-shot read.
@@ -212,8 +220,9 @@ impl BufferPool {
 mod tests {
     use super::*;
 
-    fn block(n: usize, fill: i64) -> Arc<ColumnVector> {
-        Arc::new(ColumnVector::from_i64(vec![fill; n]))
+    /// `n` i64s' worth of payload bytes.
+    fn block(n: usize, fill: i64) -> BlockBytes {
+        vec![fill as u8; n * 8].into()
     }
 
     fn pool(cap: usize) -> BufferPool {
@@ -245,7 +254,7 @@ mod tests {
         assert!(s.evictions >= 3);
         // Evicted blocks reload fine.
         let v = p.get_or_load((1, 0, 0), || Ok(block(100, 0))).unwrap();
-        assert_eq!(v.len(), 100);
+        assert_eq!(v.len(), 800);
     }
 
     #[test]

@@ -49,6 +49,7 @@
 //! dictionary indexes are range-checked, run counts must sum to the
 //! declared row count, and every block CRC is verified.
 
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
@@ -59,7 +60,7 @@ use hylite_common::wire::{self, ByteReader};
 use hylite_common::{crc32, Bitmap, Chunk, ColumnVector, DataType, HyError, Result, Value};
 
 use crate::files::write_durable;
-use crate::pool::BufferPool;
+use crate::pool::{BlockBytes, BufferPool};
 
 /// Magic number opening a segment file (`"HYSG"`).
 pub const SEGMENT_MAGIC: u32 = 0x4859_5347;
@@ -108,10 +109,15 @@ pub fn parse_segment_file_name(name: &str) -> Option<u64> {
 // Zone maps
 // ---------------------------------------------------------------------------
 
-/// A conjunct usable for zone-map pruning: `lower <= col <= upper` with
-/// per-bound inclusivity. The executor extracts these from AND-trees of
-/// comparison predicates; columns are indexed in *table* (snapshot)
-/// space.
+/// A conjunct of a scan's filter: `lower <= col <= upper` with per-bound
+/// inclusivity. The executor extracts these from AND-trees of comparison
+/// predicates; columns are indexed in *table* (snapshot) space. Zone maps
+/// prune whole blocks with them; on the blocks that remain storage
+/// evaluates them row by row on the encoded data — when the literals have
+/// the column's own type, so that the comparison is the executor's, bit
+/// for bit. A BIGINT literal on a DOUBLE column (or the reverse), a NaN
+/// literal, or a BOOLEAN column selects every row instead, and the
+/// executor's filter decides.
 #[derive(Debug, Clone)]
 pub struct ZoneRange {
     /// Table column the bounds constrain.
@@ -277,31 +283,49 @@ fn pack_bits(values: impl Iterator<Item = u64>, width: u32, out: &mut Vec<u8>) {
     }
 }
 
-/// Unpack `rows` `width`-bit values packed by [`pack_bits`] (width <= 57).
-fn unpack_bits(bytes: &[u8], rows: usize, width: u32) -> Result<Vec<u64>> {
-    let need = (rows as u64 * width as u64).div_ceil(8) as usize;
-    if bytes.len() < need {
-        return Err(HyError::Storage(format!(
-            "segment block truncated: {need} packed bytes expected, {} present",
-            bytes.len()
-        )));
-    }
-    let mut out = Vec::with_capacity(rows);
-    let mut acc: u64 = 0;
-    let mut nbits: u32 = 0;
-    let mut pos = 0usize;
-    let mask = if width == 0 { 0 } else { (1u64 << width) - 1 };
-    for _ in 0..rows {
-        while nbits < width {
-            acc |= (bytes[pos] as u64) << nbits;
-            pos += 1;
-            nbits += 8;
+/// `rows` values of `width` bits each as packed by [`pack_bits`], read in
+/// place: one unaligned 8-byte load, a shift and a mask per value.
+#[derive(Clone, Copy)]
+struct Packed<'a> {
+    bytes: &'a [u8],
+    width: u32,
+}
+
+impl<'a> Packed<'a> {
+    /// Widths above 57 do not fit one load at every bit offset (and the
+    /// encoder never writes them); `bytes` must hold all `rows` values.
+    fn new(bytes: &'a [u8], rows: usize, width: u32) -> Result<Packed<'a>> {
+        if width > 57 {
+            return Err(HyError::Storage(format!(
+                "segment block has invalid bit width {width}"
+            )));
         }
-        out.push(acc & mask);
-        acc >>= width;
-        nbits -= width;
+        let need = (rows as u64 * width as u64).div_ceil(8) as usize;
+        if bytes.len() < need {
+            return Err(HyError::Storage(format!(
+                "segment block truncated: {need} packed bytes expected, {} present",
+                bytes.len()
+            )));
+        }
+        Ok(Packed { bytes, width })
     }
-    Ok(out)
+
+    #[inline]
+    fn get(&self, i: usize) -> u64 {
+        let bit = i * self.width as usize;
+        let (byte, shift) = (bit / 8, bit % 8);
+        let word = match self.bytes.get(byte..byte + 8) {
+            Some(w) => u64::from_le_bytes(w.try_into().unwrap()),
+            None => {
+                // The last values of a block: fewer than 8 bytes remain.
+                let rest = &self.bytes[byte.min(self.bytes.len())..];
+                let mut w = [0u8; 8];
+                w[..rest.len()].copy_from_slice(rest);
+                u64::from_le_bytes(w)
+            }
+        };
+        (word >> shift) & ((1u64 << self.width) - 1)
+    }
 }
 
 fn put_bitmap_bits(buf: &mut Vec<u8>, len: usize, get: impl Fn(usize) -> bool) {
@@ -318,13 +342,6 @@ fn put_bitmap_bits(buf: &mut Vec<u8>, len: usize, get: impl Fn(usize) -> bool) {
     if !len.is_multiple_of(8) {
         buf.push(byte);
     }
-}
-
-fn read_bitmap_bits(r: &mut ByteReader<'_>, len: usize) -> Result<Vec<bool>> {
-    let bytes = r.take(len.div_ceil(8))?;
-    Ok((0..len)
-        .map(|i| (bytes[i / 8] >> (i % 8)) & 1 == 1)
-        .collect())
 }
 
 fn put_zone_value(buf: &mut Vec<u8>, v: &Option<Value>) {
@@ -808,8 +825,14 @@ pub fn rebrand_segment_bytes(bytes: &mut [u8], new_id: u64) -> Result<u64> {
     Ok(old_id)
 }
 
-/// Decode one block body (payload + trailing CRC) back to a column.
-pub fn decode_block(dtype: DataType, meta: &BlockMeta, body: &[u8]) -> Result<ColumnVector> {
+// ---------------------------------------------------------------------------
+// Encoded blocks: verified once, selected from and decoded per access
+// ---------------------------------------------------------------------------
+
+/// Check a block body as read from the file — length against the
+/// directory, payload against its trailing CRC — and return the payload,
+/// which is what the buffer pool caches.
+fn verify_block<'a>(meta: &BlockMeta, body: &'a [u8]) -> Result<&'a [u8]> {
     if body.len() != meta.len as usize || body.len() < 5 {
         return Err(HyError::Storage(format!(
             "segment block body is {} bytes, directory declares {}",
@@ -824,154 +847,451 @@ pub fn decode_block(dtype: DataType, meta: &BlockMeta, body: &[u8]) -> Result<Co
             "segment block failed its CRC check (corrupted)".into(),
         ));
     }
-    let rows = meta.rows as usize;
-    let mut r = ByteReader::new(payload);
-    let validity = match r.u8()? {
-        0 => None,
-        1 => Some(
-            read_bitmap_bits(&mut r, rows)?
-                .into_iter()
-                .collect::<Bitmap>(),
-        ),
-        other => {
-            return Err(HyError::Storage(format!(
-                "segment block has invalid validity flag {other}"
-            )))
+    Ok(payload)
+}
+
+/// Rows of one block still in play, as positions within the block.
+#[derive(Debug, Clone, PartialEq)]
+enum Rows {
+    /// A contiguous run (a block nothing has been removed from).
+    Span(std::ops::Range<usize>),
+    /// Ascending positions.
+    Picked(Vec<u32>),
+}
+
+impl Rows {
+    fn len(&self) -> usize {
+        match self {
+            Rows::Span(r) => r.len(),
+            Rows::Picked(p) => p.len(),
         }
-    };
-    let col = match (dtype, meta.encoding) {
-        (DataType::Int64, encoding::PLAIN) => {
-            let n = rows
-                .checked_mul(8)
-                .ok_or_else(|| HyError::Storage("segment block row count overflows".into()))?;
-            let raw = r.take(n)?;
-            let data = raw
-                .chunks_exact(8)
-                .map(|b| i64::from_le_bytes(b.try_into().unwrap()))
-                .collect();
-            ColumnVector::Int64 { data, validity }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Append `get(position)` for every row, in order.
+    fn gather<T>(&self, out: &mut impl Extend<T>, mut get: impl FnMut(usize) -> T) {
+        match self {
+            Rows::Span(r) => out.extend(r.clone().map(get)),
+            Rows::Picked(p) => out.extend(p.iter().map(|&i| get(i as usize))),
         }
-        (DataType::Int64, encoding::RLE_INT) => {
-            let nruns = r.u32()? as usize;
-            if nruns > r.remaining() / 12 + 1 {
-                return Err(HyError::Storage(format!(
-                    "segment RLE block declares {nruns} runs in {} bytes",
-                    r.remaining()
-                )));
-            }
-            let mut data = Vec::with_capacity(rows);
-            for _ in 0..nruns {
-                let value = r.u64()? as i64;
-                let count = r.u32()? as usize;
-                if data
-                    .len()
-                    .checked_add(count)
-                    .map(|t| t > rows)
-                    .unwrap_or(true)
-                {
-                    return Err(HyError::Storage(
-                        "segment RLE block runs exceed the declared row count".into(),
-                    ));
+    }
+
+    /// The rows `keep` holds for; a span that loses nothing stays a span.
+    fn retain(self, mut keep: impl FnMut(usize) -> bool) -> Rows {
+        match self {
+            Rows::Span(r) => {
+                // Branch-free: write every position, advance past the kept.
+                let mut kept = vec![0u32; r.len()];
+                let mut n = 0;
+                for i in r.clone() {
+                    kept[n] = i as u32;
+                    n += usize::from(keep(i));
                 }
-                data.resize(data.len() + count, value);
+                if n == r.len() {
+                    Rows::Span(r)
+                } else {
+                    kept.truncate(n);
+                    Rows::Picked(kept)
+                }
             }
-            if data.len() != rows {
-                return Err(HyError::Storage(format!(
-                    "segment RLE block decodes {} rows, directory declares {rows}",
-                    data.len()
-                )));
+            Rows::Picked(mut p) => {
+                p.retain(|&i| keep(i as usize));
+                Rows::Picked(p)
             }
-            ColumnVector::Int64 { data, validity }
         }
-        (DataType::Int64, encoding::FOR_INT) => {
-            let base = r.u64()? as i64;
-            let width = r.u8()? as u32;
-            if width > 57 {
-                return Err(HyError::Storage(format!(
-                    "segment FOR block has invalid bit width {width}"
-                )));
+    }
+}
+
+/// `lower <(=) v <(=) upper` with the comparison the executor's filter
+/// uses for the type (`PartialOrd`: NaN is within nothing).
+fn within<T: PartialOrd + Copy>(v: T, lower: Option<(T, bool)>, upper: Option<(T, bool)>) -> bool {
+    lower.is_none_or(|(b, inclusive)| if inclusive { v >= b } else { v > b })
+        && upper.is_none_or(|(b, inclusive)| if inclusive { v <= b } else { v < b })
+}
+
+/// A [`ZoneRange`] in the column's own type: the form in which storage
+/// can evaluate it on an encoded block with exactly the executor's
+/// comparison semantics.
+#[derive(Debug, Clone, Copy)]
+enum Bounds<'a> {
+    /// `lo <= v <= hi`; wider than i64 so that `> i64::MAX` is an (empty)
+    /// interval like any other.
+    Int {
+        lo: i128,
+        hi: i128,
+    },
+    Float(Option<(f64, bool)>, Option<(f64, bool)>),
+    /// Strings compare as their bytes.
+    Str(Option<(&'a [u8], bool)>, Option<(&'a [u8], bool)>),
+}
+
+impl<'a> Bounds<'a> {
+    /// `None` when storage must not evaluate the range: a literal of
+    /// another type than the column (BIGINT against DOUBLE compares after a
+    /// cast storage does not reproduce), a NaN or NULL literal, a BOOLEAN
+    /// column. Such a range selects every row; the executor's filter
+    /// decides.
+    fn of(range: &'a ZoneRange, dtype: DataType) -> Option<Bounds<'a>> {
+        fn typed<'v, T>(
+            bound: &'v Option<(Value, bool)>,
+            get: impl Fn(&'v Value) -> Option<T>,
+        ) -> Option<Option<(T, bool)>> {
+            match bound {
+                None => Some(None),
+                Some((v, inclusive)) => get(v).map(|t| Some((t, *inclusive))),
             }
-            let packed = r.take(r.remaining())?;
-            let deltas = unpack_bits(packed, rows, width)?;
-            let data = deltas
-                .into_iter()
-                .map(|d| base.wrapping_add(d as i64))
-                .collect();
-            ColumnVector::Int64 { data, validity }
         }
-        (DataType::Float64, encoding::PLAIN) => {
+        let (lo, hi) = (&range.lower, &range.upper);
+        match dtype {
+            DataType::Int64 => {
+                let get = |v: &Value| match v {
+                    Value::Int(x) => Some(*x as i128),
+                    _ => None,
+                };
+                let open = |inclusive: bool| i128::from(!inclusive);
+                Some(Bounds::Int {
+                    lo: typed(lo, get)?.map_or(i64::MIN as i128, |(v, inc)| v + open(inc)),
+                    hi: typed(hi, get)?.map_or(i64::MAX as i128, |(v, inc)| v - open(inc)),
+                })
+            }
+            DataType::Float64 => {
+                let get = |v: &Value| match v {
+                    Value::Float(x) if !x.is_nan() => Some(*x),
+                    _ => None,
+                };
+                Some(Bounds::Float(typed(lo, get)?, typed(hi, get)?))
+            }
+            DataType::Varchar => {
+                let get = |v: &'a Value| match v {
+                    Value::Str(s) => Some(s.as_bytes()),
+                    _ => None,
+                };
+                Some(Bounds::Str(typed(lo, get)?, typed(hi, get)?))
+            }
+            DataType::Bool | DataType::Null => None,
+        }
+    }
+}
+
+/// The encoding-specific part of a parsed block, borrowing the payload.
+enum BlockData<'a> {
+    /// 8 little-endian bytes per row (BIGINT).
+    PlainInt(&'a [u8]),
+    /// `(value, run length)`; the lengths sum to the block's rows.
+    Rle(Vec<(i64, u32)>),
+    /// `value = base + delta`.
+    For { base: i64, deltas: Packed<'a> },
+    /// 8 little-endian bytes per row (DOUBLE bits).
+    PlainFloat(&'a [u8]),
+    /// One bit per row.
+    Bool(&'a [u8]),
+    /// One byte string per row.
+    PlainStr(Vec<&'a [u8]>),
+    /// Strictly ascending dictionary and one code per row.
+    Dict {
+        dict: Vec<&'a str>,
+        codes: Packed<'a>,
+    },
+}
+
+/// A block payload split into NULL bitmap and typed data, every length and
+/// count in it checked against the directory's row count.
+struct Block<'a> {
+    /// LSB-first bitmap, bit set = non-NULL; `None` = no NULLs.
+    validity: Option<&'a [u8]>,
+    data: BlockData<'a>,
+}
+
+fn bit(bits: &[u8], i: usize) -> bool {
+    (bits[i / 8] >> (i % 8)) & 1 == 1
+}
+
+fn le_u64(raw: &[u8], i: usize) -> u64 {
+    u64::from_le_bytes(raw[i * 8..i * 8 + 8].try_into().unwrap())
+}
+
+/// Finds the run of an RLE block a row sits in, for rows asked about in
+/// ascending order (the order selections and gathers go in).
+struct RunCursor<'a> {
+    runs: &'a [(i64, u32)],
+    at: usize,
+    /// First row past run `at`.
+    end: usize,
+}
+
+impl<'a> RunCursor<'a> {
+    fn new(runs: &'a [(i64, u32)]) -> RunCursor<'a> {
+        let end = runs.first().map_or(0, |run| run.1 as usize);
+        RunCursor { runs, at: 0, end }
+    }
+
+    /// Index of the run holding row `i` (below the block's row count).
+    fn run_of(&mut self, i: usize) -> usize {
+        while i >= self.end {
+            self.at += 1;
+            self.end += self.runs[self.at].1 as usize;
+        }
+        self.at
+    }
+}
+
+/// Selection and decoding fail alike on a visited dictionary code past
+/// the dictionary.
+fn check_codes(past: bool) -> Result<()> {
+    if past {
+        return Err(HyError::Storage(
+            "segment dictionary index out of range".into(),
+        ));
+    }
+    Ok(())
+}
+
+impl<'a> Block<'a> {
+    fn parse(dtype: DataType, meta: &BlockMeta, payload: &'a [u8]) -> Result<Block<'a>> {
+        let rows = meta.rows as usize;
+        let mut r = ByteReader::new(payload);
+        let validity = match r.u8()? {
+            0 => None,
+            1 => Some(r.take(rows.div_ceil(8))?),
+            other => {
+                return Err(HyError::Storage(format!(
+                    "segment block has invalid validity flag {other}"
+                )))
+            }
+        };
+        let fixed = |r: &mut ByteReader<'a>| -> Result<&'a [u8]> {
             let n = rows
                 .checked_mul(8)
                 .ok_or_else(|| HyError::Storage("segment block row count overflows".into()))?;
-            let raw = r.take(n)?;
-            let data = raw
-                .chunks_exact(8)
-                .map(|b| f64::from_bits(u64::from_le_bytes(b.try_into().unwrap())))
-                .collect();
-            ColumnVector::Float64 { data, validity }
-        }
-        (DataType::Bool, encoding::PLAIN) => ColumnVector::Bool {
-            data: read_bitmap_bits(&mut r, rows)?,
-            validity,
-        },
-        (DataType::Varchar, encoding::PLAIN) => {
-            let mut data = Vec::with_capacity(rows.min(r.remaining() / 4));
-            for _ in 0..rows {
-                data.push(r.str()?);
-            }
-            ColumnVector::Varchar { data, validity }
-        }
-        (DataType::Varchar, encoding::DICT_STR) => {
-            let dict_len = r.u32()? as usize;
-            if dict_len > rows || dict_len > r.remaining() / 4 + 1 {
-                return Err(HyError::Storage(format!(
-                    "segment dictionary block declares {dict_len} entries for {rows} rows"
-                )));
-            }
-            let mut dict = Vec::with_capacity(dict_len);
-            for _ in 0..dict_len {
-                dict.push(r.str()?);
-            }
-            let width = r.u8()? as u32;
-            if width > 32 {
-                return Err(HyError::Storage(format!(
-                    "segment dictionary block has invalid index width {width}"
-                )));
-            }
-            let packed = r.take(r.remaining())?;
-            let indexes = unpack_bits(packed, rows, width)?;
-            let mut data = Vec::with_capacity(rows);
-            for idx in indexes {
-                let idx = idx as usize;
-                if idx >= dict_len.max(1) || (dict_len == 0 && rows > 0) {
+            r.take(n)
+        };
+        let data = match (dtype, meta.encoding) {
+            (DataType::Int64, encoding::PLAIN) => BlockData::PlainInt(fixed(&mut r)?),
+            (DataType::Int64, encoding::RLE_INT) => {
+                let nruns = r.u32()? as usize;
+                if nruns > r.remaining() / 12 + 1 {
                     return Err(HyError::Storage(format!(
-                        "segment dictionary index {idx} out of range (dictionary has {dict_len} entries)"
+                        "segment RLE block declares {nruns} runs in {} bytes",
+                        r.remaining()
                     )));
                 }
-                data.push(dict[idx].clone());
+                let mut runs = Vec::with_capacity(nruns);
+                let mut total = 0u64;
+                for _ in 0..nruns {
+                    let run = (r.u64()? as i64, r.u32()?);
+                    total += run.1 as u64;
+                    runs.push(run);
+                }
+                if total != rows as u64 {
+                    return Err(HyError::Storage(format!(
+                        "segment RLE block decodes {total} rows, directory declares {rows}"
+                    )));
+                }
+                BlockData::Rle(runs)
             }
-            ColumnVector::Varchar { data, validity }
-        }
-        (dt, enc) => {
-            return Err(HyError::Storage(format!(
-                "segment block encoding {enc} invalid for {dt}"
-            )))
-        }
-    };
-    if let Some(bm) = col.validity() {
-        if bm.len() != rows {
-            return Err(HyError::Storage(
-                "segment block validity bitmap length mismatch".into(),
-            ));
-        }
+            (DataType::Int64, encoding::FOR_INT) => {
+                let base = r.u64()? as i64;
+                let width = r.u8()? as u32;
+                let deltas = Packed::new(r.take(r.remaining())?, rows, width)?;
+                // `base + delta` is a BIGINT: by the width for any block the
+                // encoder writes short of i64::MAX, row by row for the rest.
+                let limit = (i64::MAX as i128 - base as i128) as u64;
+                if (1u64 << width) - 1 > limit && (0..rows).any(|i| deltas.get(i) > limit) {
+                    return Err(HyError::Storage(
+                        "segment frame-of-reference block overflows BIGINT".into(),
+                    ));
+                }
+                BlockData::For { base, deltas }
+            }
+            (DataType::Float64, encoding::PLAIN) => BlockData::PlainFloat(fixed(&mut r)?),
+            (DataType::Bool, encoding::PLAIN) => BlockData::Bool(r.take(rows.div_ceil(8))?),
+            (DataType::Varchar, encoding::PLAIN) => {
+                let mut strs = Vec::with_capacity(rows.min(r.remaining() / 4));
+                for _ in 0..rows {
+                    let n = r.u32()? as usize;
+                    strs.push(r.take(n)?);
+                }
+                BlockData::PlainStr(strs)
+            }
+            (DataType::Varchar, encoding::DICT_STR) => {
+                let dict_len = r.u32()? as usize;
+                if dict_len > rows || dict_len > r.remaining() / 4 + 1 {
+                    return Err(HyError::Storage(format!(
+                        "segment dictionary block declares {dict_len} entries for {rows} rows"
+                    )));
+                }
+                let mut dict: Vec<&str> = Vec::with_capacity(dict_len);
+                for _ in 0..dict_len {
+                    let n = r.u32()? as usize;
+                    let entry = std::str::from_utf8(r.take(n)?).map_err(|_| {
+                        HyError::Storage("segment dictionary entry is not UTF-8".into())
+                    })?;
+                    // Selection binary-searches the dictionary.
+                    if dict.last().is_some_and(|prev| *prev >= entry) {
+                        return Err(HyError::Storage(
+                            "segment dictionary is not strictly ascending".into(),
+                        ));
+                    }
+                    dict.push(entry);
+                }
+                let width = r.u8()? as u32;
+                if width > 32 {
+                    return Err(HyError::Storage(format!(
+                        "segment dictionary block has invalid index width {width}"
+                    )));
+                }
+                let codes = Packed::new(r.take(r.remaining())?, rows, width)?;
+                BlockData::Dict { dict, codes }
+            }
+            (dt, enc) => {
+                return Err(HyError::Storage(format!(
+                    "segment block encoding {enc} invalid for {dt}"
+                )))
+            }
+        };
+        Ok(Block { validity, data })
     }
-    if col.len() != rows {
-        return Err(HyError::Storage(format!(
-            "segment block decodes {} rows, directory declares {rows}",
-            col.len()
-        )));
+
+    fn is_valid(&self, i: usize) -> bool {
+        self.validity.is_none_or(|bits| bit(bits, i))
     }
-    Ok(col)
+
+    /// Narrow `rows` to those whose value is non-NULL and within `bounds`
+    /// — the same rows the executor's comparison keeps, decided on the
+    /// encoded form: integer compares on dictionary codes and FOR deltas,
+    /// one test per RLE run, raw values otherwise.
+    fn select(&self, bounds: Bounds<'_>, rows: Rows) -> Result<Rows> {
+        let rows = match self.validity {
+            Some(bits) => rows.retain(|i| bit(bits, i)),
+            None => rows,
+        };
+        let none = Rows::Picked(Vec::new());
+        Ok(match (&self.data, bounds) {
+            (_, Bounds::Int { lo, hi }) if lo > hi => none,
+            (BlockData::PlainInt(raw), Bounds::Int { lo, hi }) => {
+                let (lo, hi) = (lo as i64, hi as i64);
+                rows.retain(|i| (lo..=hi).contains(&(le_u64(raw, i) as i64)))
+            }
+            (BlockData::Rle(runs), Bounds::Int { lo, hi }) => {
+                let (lo, hi) = (lo as i64, hi as i64);
+                let pass: Vec<bool> = runs.iter().map(|(v, _)| (lo..=hi).contains(v)).collect();
+                let mut cursor = RunCursor::new(runs);
+                rows.retain(|i| pass[cursor.run_of(i)])
+            }
+            (BlockData::For { base, deltas }, Bounds::Int { lo, hi }) => {
+                // `literal - base` leaves i64 for literals far from the
+                // block's values; i128 holds every such difference. Deltas
+                // are unsigned: an interval below zero holds none.
+                let (lo, hi) = (lo - *base as i128, hi - *base as i128);
+                if hi < 0 || lo > u64::MAX as i128 {
+                    return Ok(none);
+                }
+                let (lo, hi) = (lo.max(0) as u64, hi.min(u64::MAX as i128) as u64);
+                rows.retain(|i| (lo..=hi).contains(&deltas.get(i)))
+            }
+            (BlockData::PlainFloat(raw), Bounds::Float(lo, hi)) => {
+                rows.retain(|i| within(f64::from_bits(le_u64(raw, i)), lo, hi))
+            }
+            (BlockData::PlainStr(strs), Bounds::Str(lo, hi)) => {
+                rows.retain(|i| within(strs[i], lo, hi))
+            }
+            (BlockData::Dict { dict, codes }, Bounds::Str(lo, hi)) => {
+                // The dictionary is sorted: the entries within the bounds
+                // are one code interval, found by binary search. A block
+                // without such an entry is done before a code is unpacked.
+                let first = dict.partition_point(|e| !within(e.as_bytes(), lo, None));
+                let end = dict.partition_point(|e| within(e.as_bytes(), None, hi));
+                if first >= end {
+                    return Ok(none);
+                }
+                let (first, end) = (first as u64, end as u64);
+                let (len, mut past) = (dict.len() as u64, false);
+                let rows = rows.retain(|i| {
+                    let code = codes.get(i);
+                    past |= code >= len;
+                    (first..end).contains(&code)
+                });
+                check_codes(past)?;
+                rows
+            }
+            _ => {
+                return Err(HyError::Internal(
+                    "segment select: bounds do not fit the block's type".into(),
+                ))
+            }
+        })
+    }
+
+    /// Append the values of `rows` to `out` — the one place a block
+    /// becomes values. NULL slots keep the physical value they were
+    /// sealed with.
+    fn decode_into(&self, rows: &Rows, out: &mut ColumnVector) -> Result<()> {
+        let prior = out.len();
+        let validity = match (&self.data, out) {
+            (BlockData::PlainInt(raw), ColumnVector::Int64 { data, validity }) => {
+                rows.gather(data, |i| le_u64(raw, i) as i64);
+                validity
+            }
+            (BlockData::Rle(runs), ColumnVector::Int64 { data, validity }) => {
+                let mut cursor = RunCursor::new(runs);
+                rows.gather(data, |i| runs[cursor.run_of(i)].0);
+                validity
+            }
+            (BlockData::For { base, deltas }, ColumnVector::Int64 { data, validity }) => {
+                rows.gather(data, |i| base.wrapping_add(deltas.get(i) as i64));
+                validity
+            }
+            (BlockData::PlainFloat(raw), ColumnVector::Float64 { data, validity }) => {
+                rows.gather(data, |i| f64::from_bits(le_u64(raw, i)));
+                validity
+            }
+            (BlockData::Bool(bits), ColumnVector::Bool { data, validity }) => {
+                rows.gather(data, |i| bit(bits, i));
+                validity
+            }
+            (BlockData::PlainStr(strs), ColumnVector::Varchar { data, validity }) => {
+                let mut bad = false;
+                rows.gather(data, |i| match std::str::from_utf8(strs[i]) {
+                    Ok(s) => s.to_owned(),
+                    Err(_) => {
+                        bad = true;
+                        String::new()
+                    }
+                });
+                if bad {
+                    return Err(HyError::Storage(
+                        "segment string block holds invalid UTF-8".into(),
+                    ));
+                }
+                validity
+            }
+            (BlockData::Dict { dict, codes }, ColumnVector::Varchar { data, validity }) => {
+                let mut past = false;
+                rows.gather(data, |i| match dict.get(codes.get(i) as usize) {
+                    Some(entry) => (*entry).to_owned(),
+                    None => {
+                        past = true;
+                        String::new()
+                    }
+                });
+                check_codes(past)?;
+                validity
+            }
+            _ => {
+                return Err(HyError::Internal(
+                    "segment decode: output column does not fit the block's type".into(),
+                ))
+            }
+        };
+        if self.validity.is_some() || validity.is_some() {
+            let bm = validity.get_or_insert_with(|| Bitmap::filled(prior, true));
+            rows.gather(bm, |i| self.is_valid(i));
+        }
+        Ok(())
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1013,24 +1333,69 @@ impl DiskSegment {
         &self.meta
     }
 
-    /// Fetch one column block through the pool.
-    pub fn block(&self, col: usize, blk: usize) -> Result<Arc<ColumnVector>> {
-        let bm = &self.meta.blocks[col][blk];
+    /// One column block's encoded payload through the pool; a miss reads
+    /// the body and verifies its CRC.
+    fn block(&self, col: usize, blk: usize) -> Result<BlockBytes> {
+        let meta = &self.meta.blocks[col][blk];
         let key = (self.meta.id, col as u32, blk as u32);
-        let meta = bm.clone();
-        let dtype = self.meta.dtypes[col];
         self.pool.get_or_load(key, || {
             let body = self
                 .vfs
                 .read_range(&self.path, meta.offset, meta.len as u64)?;
-            Ok(Arc::new(decode_block(dtype, &meta, &body)?))
+            Ok(verify_block(meta, &body)?.into())
         })
     }
 
+    /// Column `col`'s block `blk`, fetched and parsed on its first use
+    /// in one block step of [`DiskSegment::read_selected`] — by a range,
+    /// by the projection, or both. Returns its place in `parsed`, whose
+    /// blocks borrow the payloads held in `payloads` (one free cell per
+    /// column the step can touch).
+    fn parsed<'p>(
+        &self,
+        col: usize,
+        blk: usize,
+        payloads: &'p [OnceCell<BlockBytes>],
+        parsed: &mut Vec<(usize, Block<'p>)>,
+    ) -> Result<usize> {
+        if let Some(at) = parsed.iter().position(|(c, _)| *c == col) {
+            return Ok(at);
+        }
+        let bytes = self.block(col, blk)?;
+        let payload = payloads[parsed.len()].get_or_init(|| bytes);
+        let block = Block::parse(self.meta.dtypes[col], &self.meta.blocks[col][blk], payload)?;
+        parsed.push((col, block));
+        Ok(parsed.len() - 1)
+    }
+
     /// Materialize rows `[offset, offset+len)` of the given columns
-    /// (`None` = all) as a chunk. Whole-block reads of a single block are
-    /// zero-copy out of the pool.
+    /// (`None` = all) as a chunk.
     pub fn read_rows(&self, offset: usize, len: usize, cols: Option<&[usize]>) -> Result<Chunk> {
+        Ok(self.read_selected(offset, len, cols, &[], None, None)?.0)
+    }
+
+    /// The rows of `[offset, offset+len)` that are in `keep` (ascending
+    /// positions relative to `offset`; `None` = all) and satisfy every
+    /// range in `ranges`, projected to `cols` (`None` = all) — plus how
+    /// many row-blocks the ranges emptied. `positions`, when asked for,
+    /// receives where those rows sit, relative to `offset`.
+    ///
+    /// Block by block: each range is evaluated on its column's encoded
+    /// block and narrows the selection; only if rows are left are the
+    /// projected columns' blocks loaded, and only the selected rows are
+    /// materialized. Without ranges, kept rows or columns no block is
+    /// touched. The selection is a sound pre-filter, exact for the ranges
+    /// storage evaluates; the caller still runs its full predicate.
+    pub fn read_selected(
+        &self,
+        offset: usize,
+        len: usize,
+        cols: Option<&[usize]>,
+        ranges: &[ZoneRange],
+        keep: Option<&[usize]>,
+        mut positions: Option<&mut Vec<usize>>,
+    ) -> Result<(Chunk, usize)> {
+        let dtypes = &self.meta.dtypes;
         if offset + len > self.meta.rows {
             return Err(HyError::Storage(format!(
                 "segment {} read [{offset}, +{len}) out of range ({} rows)",
@@ -1041,52 +1406,83 @@ impl DiskSegment {
         let col_ids: &[usize] = match cols {
             Some(c) => c,
             None => {
-                all = (0..self.meta.dtypes.len()).collect();
+                all = (0..dtypes.len()).collect();
                 &all
             }
         };
-        if col_ids.is_empty() {
-            return Ok(Chunk::zero_column(len));
+        if let Some(&c) = col_ids.iter().find(|&&c| c >= dtypes.len()) {
+            return Err(HyError::Storage(format!(
+                "segment {} has no column {c}",
+                self.meta.id
+            )));
         }
-        let mut out: Vec<Arc<ColumnVector>> = Vec::with_capacity(col_ids.len());
-        for &c in col_ids {
-            if c >= self.meta.dtypes.len() {
-                return Err(HyError::Storage(format!(
-                    "segment {} has no column {c}",
-                    self.meta.id
-                )));
+        // By column, so that a column's block is parsed once for all of
+        // its ranges.
+        let mut bounds: Vec<(usize, Bounds<'_>)> = ranges
+            .iter()
+            .filter(|r| r.col < dtypes.len())
+            .filter_map(|r| Some((r.col, Bounds::of(r, dtypes[r.col])?)))
+            .collect();
+        bounds.sort_by_key(|(col, _)| *col);
+        // Columns one block step can touch: the ranges' and the projected.
+        let touched = bounds.chunk_by(|a, b| a.0 == b.0).count() + col_ids.len();
+        let mut out: Vec<ColumnVector> = col_ids
+            .iter()
+            .map(|&c| ColumnVector::empty(dtypes[c]))
+            .collect();
+        let (mut selected, mut emptied) = (0usize, 0usize);
+        let mut kept_from = 0usize;
+        for blk in offset / BLOCK_ROWS..(offset + len).div_ceil(BLOCK_ROWS) {
+            let blk_start = blk * BLOCK_ROWS;
+            let lo = offset.max(blk_start) - blk_start;
+            let hi = (offset + len).min(blk_start + BLOCK_ROWS) - blk_start;
+            let mut rows = match keep {
+                None => Rows::Span(lo..hi),
+                Some(keep) => {
+                    let rest = &keep[kept_from..];
+                    let n = rest.partition_point(|&p| offset + p < blk_start + hi);
+                    kept_from += n;
+                    Rows::Picked(
+                        rest[..n]
+                            .iter()
+                            .map(|&p| (offset + p - blk_start) as u32)
+                            .collect(),
+                    )
+                }
+            };
+            let candidates = rows.len();
+            let payloads: Vec<OnceCell<BlockBytes>> = std::iter::repeat_with(OnceCell::new)
+                .take(touched)
+                .collect();
+            let mut parsed = Vec::new();
+            for of_col in bounds.chunk_by(|a, b| a.0 == b.0) {
+                if rows.is_empty() {
+                    break;
+                }
+                let at = self.parsed(of_col[0].0, blk, &payloads, &mut parsed)?;
+                for &(_, bounds) in of_col {
+                    rows = parsed[at].1.select(bounds, rows)?;
+                }
             }
-            if len == 0 {
-                out.push(Arc::new(ColumnVector::empty(self.meta.dtypes[c])));
+            if rows.is_empty() {
+                emptied += usize::from(candidates > 0);
                 continue;
             }
-            let first_blk = offset / BLOCK_ROWS;
-            let last_blk = (offset + len - 1) / BLOCK_ROWS;
-            if first_blk == last_blk {
-                let block = self.block(c, first_blk)?;
-                let in_blk = offset - first_blk * BLOCK_ROWS;
-                if in_blk == 0 && len == block.len() {
-                    out.push(block); // whole block, zero-copy
-                } else {
-                    out.push(Arc::new(block.slice(in_blk, len)));
-                }
-            } else {
-                let first = self.block(c, first_blk)?;
-                let in_blk = offset - first_blk * BLOCK_ROWS;
-                let mut acc = first.slice(in_blk, first.len() - in_blk);
-                for blk in first_blk + 1..=last_blk {
-                    let block = self.block(c, blk)?;
-                    let take = (offset + len - blk * BLOCK_ROWS).min(block.len());
-                    if take == block.len() {
-                        acc.append(&block)?;
-                    } else {
-                        acc.append(&block.slice(0, take))?;
-                    }
-                }
-                out.push(Arc::new(acc));
+            selected += rows.len();
+            if let Some(positions) = &mut positions {
+                rows.gather(&mut **positions, |i| blk_start + i - offset);
+            }
+            for (out, &c) in out.iter_mut().zip(col_ids) {
+                let at = self.parsed(c, blk, &payloads, &mut parsed)?;
+                parsed[at].1.decode_into(&rows, out)?;
             }
         }
-        Ok(Chunk::from_arc_columns(out))
+        let chunk = if col_ids.is_empty() {
+            Chunk::zero_column(selected)
+        } else {
+            Chunk::new(out)
+        };
+        Ok((chunk, emptied))
     }
 }
 
@@ -1483,6 +1879,341 @@ mod tests {
         assert_eq!((none.len(), none.num_columns()), (10, 0));
         // Out-of-range read errors.
         assert!(seg.read_rows(chunk.len(), 1, None).is_err());
+    }
+
+    // ---- predicates on encoded blocks: differential against row-at-a-time
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Three full blocks and a short one. Per column the encoder must pick
+    /// the encoding its name says (asserted by the caller); block 2 of
+    /// every nullable column is all NULL.
+    const SELECT_ROWS: usize = 3 * BLOCK_ROWS + 123;
+    const SELECT_ENCODINGS: [(DataType, u8); 7] = [
+        (DataType::Int64, encoding::PLAIN),
+        (DataType::Int64, encoding::RLE_INT),
+        (DataType::Int64, encoding::FOR_INT),
+        (DataType::Int64, encoding::FOR_INT),
+        (DataType::Float64, encoding::PLAIN),
+        (DataType::Varchar, encoding::DICT_STR),
+        (DataType::Varchar, encoding::PLAIN),
+    ];
+
+    fn select_chunk(seed: u64) -> Chunk {
+        let mut s = seed;
+        let null_at = |i: usize, every: usize| i / BLOCK_ROWS == 2 || i % every == 3;
+        let mut plain = Vec::new();
+        let mut rle = Vec::new();
+        let mut for_low = Vec::new();
+        let mut for_high = Vec::new();
+        let mut floats = Vec::new();
+        let mut dict = Vec::new();
+        let mut strs = Vec::new();
+        for i in 0..SELECT_ROWS {
+            let r = splitmix(&mut s);
+            // Wider than 57 bits: neither FOR nor RLE applies.
+            plain.push(Value::Int(match r % 9 {
+                0 => i64::MIN,
+                1 => i64::MAX,
+                _ => r as i64,
+            }));
+            // Long runs of far-apart values.
+            let run = (i / 97) as i64;
+            rle.push(if null_at(i, 41) {
+                Value::Null
+            } else {
+                Value::Int([i64::MIN, -5, 0, 7, i64::MAX][(run % 5) as usize])
+            });
+            // A narrow band around a negative base ...
+            for_low.push(if null_at(i, 29) {
+                Value::Null
+            } else {
+                Value::Int(-1_000_000 + (r % 5000) as i64)
+            });
+            // ... and one ending at i64::MAX, so `literal - base` leaves i64
+            // for every negative literal.
+            for_high.push(Value::Int(i64::MAX - (r % 3000) as i64));
+            floats.push(if null_at(i, 37) {
+                Value::Null
+            } else {
+                Value::Float(match r % 11 {
+                    0 => f64::NAN,
+                    1 => -0.0,
+                    2 => 0.0,
+                    3 => f64::INFINITY,
+                    4 => f64::NEG_INFINITY,
+                    _ => (r % 2000) as f64 / 8.0 - 100.0,
+                })
+            });
+            dict.push(if null_at(i, 31) {
+                Value::Null
+            } else {
+                Value::from(format!("k{:02}", (r % 12) * 2))
+            });
+            strs.push(Value::from(format!("u{:05}-{i}", r % 100_000)));
+        }
+        let columns = [plain, rle, for_low, for_high, floats, dict, strs];
+        Chunk::new(
+            columns
+                .iter()
+                .zip(SELECT_ENCODINGS)
+                .map(|(values, (dtype, _))| ColumnVector::from_values(dtype, values).unwrap())
+                .collect(),
+        )
+    }
+
+    /// The executor's comparison, row at a time on decoded values.
+    fn reference_match(v: &Value, range: &ZoneRange) -> bool {
+        use std::cmp::Ordering::*;
+        let cmp = |bound: &Value| match (v, bound) {
+            (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
+            (Value::Float(a), Value::Float(b)) => a.partial_cmp(b),
+            (Value::Str(a), Value::Str(b)) => Some(a.cmp(b)),
+            _ => None,
+        };
+        let lower = range.lower.as_ref().is_none_or(|(b, inclusive)| {
+            matches!(
+                (cmp(b), inclusive),
+                (Some(Greater), _) | (Some(Equal), true)
+            )
+        });
+        let upper = range.upper.as_ref().is_none_or(|(b, inclusive)| {
+            matches!((cmp(b), inclusive), (Some(Less), _) | (Some(Equal), true))
+        });
+        lower && upper
+    }
+
+    /// `=`, `<`, `<=`, `>`, `>=` against `lit`, then every two-sided
+    /// window between two literals with all four inclusivity pairs.
+    fn ranges_over(col: usize, literals: &[Value]) -> Vec<ZoneRange> {
+        let mut out = Vec::new();
+        for lit in literals {
+            let bound = |inclusive| Some((lit.clone(), inclusive));
+            for (lower, upper) in [
+                (bound(true), bound(true)),
+                (None, bound(false)),
+                (None, bound(true)),
+                (bound(false), None),
+                (bound(true), None),
+            ] {
+                out.push(ZoneRange { col, lower, upper });
+            }
+        }
+        for (a, b) in literals.iter().zip(literals.iter().skip(1)) {
+            for (lo_inclusive, hi_inclusive) in
+                [(true, true), (true, false), (false, true), (false, false)]
+            {
+                out.push(ZoneRange {
+                    col,
+                    lower: Some((a.clone(), lo_inclusive)),
+                    upper: Some((b.clone(), hi_inclusive)),
+                });
+            }
+        }
+        out
+    }
+
+    /// Literals that matter per column: every block's zone minimum and
+    /// maximum, their neighbours, the type's extremes, values between and
+    /// outside the dictionary's entries.
+    fn literals_for(col: usize, meta: &SegmentMeta) -> Vec<Value> {
+        let mut out: Vec<Value> = Vec::new();
+        for bm in &meta.blocks[col] {
+            out.extend(bm.min.clone());
+            out.extend(bm.max.clone());
+        }
+        match meta.dtypes[col] {
+            DataType::Int64 => {
+                let near: Vec<i64> = out.iter().filter_map(|v| v.as_int().ok()).collect();
+                for v in near {
+                    out.push(Value::Int(v.saturating_add(1)));
+                    out.push(Value::Int(v.saturating_sub(1)));
+                }
+                out.extend(
+                    [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX].map(Value::Int),
+                );
+            }
+            DataType::Float64 => {
+                out.extend(
+                    [
+                        f64::NEG_INFINITY,
+                        -100.0,
+                        -0.0,
+                        0.0,
+                        0.125,
+                        17.3,
+                        f64::INFINITY,
+                    ]
+                    .map(Value::Float),
+                );
+            }
+            _ => {
+                out.extend(
+                    ["", "k", "k00", "k01", "k10", "k22", "k23", "u", "u5", "zzz"].map(Value::from),
+                );
+            }
+        }
+        let mut seen = HashSet::new();
+        out.retain(|v| seen.insert(format!("{v:?}")));
+        out
+    }
+
+    /// Read the ranges' columns and the row-unique last column through
+    /// `read_selected` and compare with the rows of `values` (the decoded
+    /// table, column-major) the reference keeps.
+    fn assert_selects_like_reference(
+        seg: &DiskSegment,
+        values: &[Vec<Value>],
+        ranges: &[ZoneRange],
+        keep: Option<&[usize]>,
+    ) {
+        let rows = values[0].len();
+        let mut cols: Vec<usize> = ranges.iter().map(|r| r.col).collect();
+        cols.push(values.len() - 1);
+        let mut at = Vec::new();
+        let (got, _) = seg
+            .read_selected(0, rows, Some(&cols), ranges, keep, Some(&mut at))
+            .unwrap();
+        let mut kept = keep.map(|k| k.iter().copied().peekable());
+        let expect: Vec<usize> = (0..rows)
+            .filter(|i| kept.as_mut().is_none_or(|k| k.next_if_eq(i).is_some()))
+            .filter(|&i| ranges.iter().all(|r| reference_match(&values[r.col][i], r)))
+            .collect();
+        assert_eq!(at, expect, "positions under {ranges:?}");
+        assert_eq!(got.len(), expect.len(), "row count under {ranges:?}");
+        for (at, &i) in expect.iter().enumerate() {
+            for (slot, &c) in cols.iter().enumerate() {
+                let (g, e) = (got.column(slot).value(at), &values[c][i]);
+                let same = match (&g, e) {
+                    (Value::Float(a), Value::Float(b)) => a.to_bits() == b.to_bits(),
+                    _ => g == *e,
+                };
+                assert!(same, "row {i} column {c} under {ranges:?}: {g:?} vs {e:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn selection_on_encoded_blocks_matches_row_at_a_time() {
+        for seed in [1u64, 2] {
+            let chunk = select_chunk(seed);
+            let (_vfs, store) = store();
+            let id = store.alloc_id();
+            store.write_segment(id, &chunk).unwrap();
+            let seg = store.open_segment(id).unwrap();
+            let meta = seg.meta();
+            for (c, (_, enc)) in SELECT_ENCODINGS.iter().enumerate() {
+                let picked: Vec<u8> = meta.blocks[c].iter().map(|b| b.encoding).collect();
+                assert!(
+                    picked.contains(enc),
+                    "column {c}: encoder picked {picked:?}"
+                );
+            }
+            assert_eq!(
+                meta.blocks[1][2].null_count as usize, BLOCK_ROWS,
+                "all-NULL block"
+            );
+            assert_eq!(meta.blocks[0][3].rows, 123, "short last block");
+            let values: Vec<Vec<Value>> = (0..chunk.num_columns())
+                .map(|c| (0..chunk.len()).map(|i| chunk.column(c).value(i)).collect())
+                .collect();
+            let mut per_column = Vec::new();
+            for c in 0..chunk.num_columns() {
+                let ranges = ranges_over(c, &literals_for(c, meta));
+                for r in &ranges {
+                    assert_selects_like_reference(&seg, &values, std::slice::from_ref(r), None);
+                }
+                per_column.push(ranges);
+            }
+            // Conjunctions across columns, and rows already deleted.
+            let mut s = seed;
+            let keep: Vec<usize> = (0..chunk.len()).filter(|i| i % 5 != 1).collect();
+            for _ in 0..300 {
+                let picks: Vec<ZoneRange> = (0..1 + splitmix(&mut s) % 3)
+                    .map(|_| {
+                        let of = &per_column[splitmix(&mut s) as usize % per_column.len()];
+                        of[splitmix(&mut s) as usize % of.len()].clone()
+                    })
+                    .collect();
+                assert_selects_like_reference(&seg, &values, &picks, None);
+                assert_selects_like_reference(&seg, &values, &picks, Some(&keep));
+            }
+        }
+    }
+
+    #[test]
+    fn ranges_storage_cannot_reproduce_select_every_row() {
+        let chunk = select_chunk(9);
+        let (_vfs, store) = store();
+        let id = store.alloc_id();
+        store.write_segment(id, &chunk).unwrap();
+        let seg = store.open_segment(id).unwrap();
+        let point = |col, v: Value| ZoneRange {
+            col,
+            lower: Some((v.clone(), true)),
+            upper: Some((v, true)),
+        };
+        for range in [
+            point(2, Value::Float(-999_000.0)), // DOUBLE literal, BIGINT column
+            point(4, Value::Int(0)),            // BIGINT literal, DOUBLE column
+            point(4, Value::Float(f64::NAN)),
+            point(5, Value::Int(3)),
+            point(0, Value::Null),
+        ] {
+            let (got, emptied) = seg
+                .read_selected(
+                    0,
+                    chunk.len(),
+                    Some(&[0]),
+                    std::slice::from_ref(&range),
+                    None,
+                    None,
+                )
+                .unwrap();
+            assert_eq!((got.len(), emptied), (chunk.len(), 0), "{range:?}");
+        }
+    }
+
+    #[test]
+    fn emptied_blocks_load_no_projected_column() {
+        let chunk = select_chunk(4);
+        let (_vfs, store) = store();
+        let id = store.alloc_id();
+        store.write_segment(id, &chunk).unwrap();
+        let seg = store.open_segment(id).unwrap();
+        // "k01" lies between dictionary entries: no block holds it, and no
+        // block of the projected column is read to find that out.
+        let absent = ZoneRange {
+            col: 5,
+            lower: Some((Value::from("k01"), true)),
+            upper: Some((Value::from("k01"), true)),
+        };
+        let before = store.pool().stats().misses;
+        let (got, emptied) = seg
+            .read_selected(0, chunk.len(), Some(&[6]), &[absent], None, None)
+            .unwrap();
+        // The all-NULL block holds no candidate... but is still emptied by
+        // the range; every one of the four row-blocks is.
+        assert_eq!((got.len(), emptied), (0, 4));
+        assert_eq!(
+            store.pool().stats().misses - before,
+            4,
+            "the dictionary blocks only"
+        );
+        // Zero columns, no range: nothing is loaded at all.
+        let before = store.pool().stats();
+        let (got, _) = seg
+            .read_selected(0, chunk.len(), Some(&[]), &[], None, None)
+            .unwrap();
+        assert_eq!(got.len(), chunk.len());
+        let after = store.pool().stats();
+        assert_eq!((after.hits, after.misses), (before.hits, before.misses));
     }
 
     #[test]

@@ -92,13 +92,21 @@ impl SegmentHandle {
     }
 }
 
-/// Block-skipping counters for one scan (EXPLAIN ANALYZE surface).
+/// Block- and row-skipping counters for one scan (EXPLAIN ANALYZE
+/// surface).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ScanPruning {
     /// Blocks whose data the scan will read.
     pub blocks_scanned: usize,
     /// Blocks skipped because their zone maps exclude the predicate.
     pub blocks_pruned: usize,
+    /// Of the scanned blocks, those the predicate evaluated on the
+    /// encoded data left no row of.
+    pub blocks_skipped_encoded: usize,
+    /// Rows storage materialized: the live rows the encoded-data
+    /// predicate selected (all live rows of the scanned blocks without
+    /// one).
+    pub rows_selected: usize,
 }
 
 /// A consistent view of a table at a point in time.
@@ -196,7 +204,7 @@ impl TableSnapshot {
 
     /// Whether the global row id is live in this snapshot.
     pub fn is_live(&self, row_id: usize) -> bool {
-        row_id < self.row_limit && !(row_id < self.deleted.len() && self.deleted.get(row_id))
+        row_id < self.row_limit && !self.is_deleted(row_id)
     }
 
     /// Split the snapshot into morsels of at most `morsel_rows` rows,
@@ -284,38 +292,96 @@ impl TableSnapshot {
         (out, pruning)
     }
 
-    /// Materialize a morsel as a chunk of *live* rows, together with the
-    /// global row ids of those rows (needed by DELETE/UPDATE pipelines).
-    pub fn read_morsel(&self, m: &Morsel) -> Result<(Chunk, Vec<usize>)> {
-        let chunk = self.segments[m.segment].read_rows(m.offset, m.len, None)?;
-        Ok(match self.live_positions(m) {
-            None => (chunk, (m.base_row_id..m.base_row_id + m.len).collect()),
-            Some(live) => (
-                chunk.take(&live),
-                live.iter().map(|i| m.base_row_id + i).collect(),
-            ),
-        })
+    /// The morsel's live rows that satisfy `ranges` (see
+    /// [`TableSnapshot::read_morsel_selected`]) with all their columns,
+    /// together with the global row ids of those rows (needed by
+    /// DELETE/UPDATE pipelines).
+    pub fn read_morsel(&self, m: &Morsel, ranges: &[ZoneRange]) -> Result<(Chunk, Vec<usize>)> {
+        let mut ids = Vec::new();
+        let (chunk, _) = self.read_live(m, None, ranges, Some(&mut ids))?;
+        ids.iter_mut()
+            .for_each(|position| *position += m.base_row_id);
+        Ok((chunk, ids))
     }
 
     /// The morsel's live rows projected to `cols` (`None` = all), without
     /// row ids: disk-backed segments load only the projected columns'
     /// blocks, resident ones share them.
     pub fn read_morsel_cols(&self, m: &Morsel, cols: Option<&[usize]>) -> Result<Chunk> {
-        let chunk = self.segments[m.segment].read_rows(m.offset, m.len, cols)?;
-        Ok(match self.live_positions(m) {
-            None => chunk,
-            Some(live) => chunk.take(&live),
-        })
+        Ok(self.read_morsel_selected(m, cols, &[])?.0)
+    }
+
+    /// [`TableSnapshot::read_morsel_cols`] with `ranges` (ANDed conjuncts
+    /// of the scan's filter, table column space) handed to storage: a
+    /// disk-backed segment evaluates them on its encoded blocks and
+    /// materializes only the rows they select
+    /// ([`DiskSegment::read_selected`]); a resident one returns every live
+    /// row. Either way the result is a superset of the rows the filter
+    /// keeps, in row order. Also returns how many blocks the ranges
+    /// emptied.
+    pub fn read_morsel_selected(
+        &self,
+        m: &Morsel,
+        cols: Option<&[usize]>,
+        ranges: &[ZoneRange],
+    ) -> Result<(Chunk, usize)> {
+        self.read_live(m, cols, ranges, None)
+    }
+
+    /// `positions`, when asked for, receives where the returned rows sit
+    /// in the morsel.
+    fn read_live(
+        &self,
+        m: &Morsel,
+        cols: Option<&[usize]>,
+        ranges: &[ZoneRange],
+        positions: Option<&mut Vec<usize>>,
+    ) -> Result<(Chunk, usize)> {
+        let live = self.live_positions(m);
+        if live.as_ref().is_some_and(|live| live.is_empty()) {
+            // Every row deleted: no block is loaded, no column shared.
+            let types = self.schema.types();
+            let types = match cols {
+                None => types,
+                Some(cols) => cols
+                    .iter()
+                    .map(|&c| types.get(c).copied().ok_or(c))
+                    .collect::<std::result::Result<_, _>>()
+                    .map_err(|c| HyError::Storage(format!("table has no column {c}")))?,
+            };
+            return Ok((Chunk::empty(&types), 0));
+        }
+        match &self.segments[m.segment] {
+            SegmentHandle::Disk(seg) => {
+                seg.read_selected(m.offset, m.len, cols, ranges, live.as_deref(), positions)
+            }
+            resident => {
+                let chunk = resident.read_rows(m.offset, m.len, cols)?;
+                let chunk = match &live {
+                    None => chunk,
+                    Some(live) => chunk.take(live),
+                };
+                if let Some(positions) = positions {
+                    *positions = live.unwrap_or_else(|| (0..m.len).collect());
+                }
+                Ok((chunk, 0))
+            }
+        }
     }
 
     /// The positions within the morsel of its live rows; `None` when
     /// nothing in its range is deleted (read without gathering).
     fn live_positions(&self, m: &Morsel) -> Option<Vec<usize>> {
-        let live = |i: &usize| {
-            let rid = m.base_row_id + i;
-            !(rid < self.deleted.len() && self.deleted.get(rid))
-        };
-        (!(0..m.len).all(|i| live(&i))).then(|| (0..m.len).filter(live).collect())
+        let range = m.base_row_id..m.base_row_id + m.len;
+        self.deleted.any_in(range).then(|| {
+            (0..m.len)
+                .filter(|i| !self.is_deleted(m.base_row_id + i))
+                .collect()
+        })
+    }
+
+    fn is_deleted(&self, row_id: usize) -> bool {
+        row_id < self.deleted.len() && self.deleted.get(row_id)
     }
 
     /// All live rows as chunks (sequential scan).
@@ -397,11 +463,25 @@ mod tests {
         let morsels = snap.morsels(6);
         let mut ids = Vec::new();
         for m in &morsels {
-            let (chunk, rids) = snap.read_morsel(m).unwrap();
+            let (chunk, rids) = snap.read_morsel(m, &[]).unwrap();
             assert_eq!(chunk.len(), rids.len());
             ids.extend(rids);
         }
         assert_eq!(ids, vec![0, 1, 2, 5, 6, 7, 8, 9]);
+    }
+
+    #[test]
+    fn a_morsel_without_live_rows_is_empty_and_typed() {
+        let mut t = table_with(10);
+        t.delete_rows(&[0, 1, 2, 3]).unwrap();
+        t.commit();
+        let snap = t.snapshot();
+        let dead = &snap.morsels(4)[0];
+        let (chunk, ids) = snap.read_morsel(dead, &[]).unwrap();
+        assert_eq!((chunk.len(), chunk.num_columns(), ids.len()), (0, 1, 0));
+        let none = snap.read_morsel_cols(dead, Some(&[])).unwrap();
+        assert_eq!((none.len(), none.num_columns()), (0, 0));
+        assert!(snap.read_morsel_cols(dead, Some(&[1])).is_err());
     }
 
     #[test]

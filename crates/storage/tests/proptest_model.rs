@@ -67,7 +67,7 @@ fn live_row_ids(t: &Table, pred: impl Fn(i64) -> bool) -> Vec<usize> {
     let snap = t.snapshot();
     let mut ids = Vec::new();
     for m in snap.morsels(1024) {
-        let (chunk, rids) = snap.read_morsel(&m).unwrap();
+        let (chunk, rids) = snap.read_morsel(&m, &[]).unwrap();
         let vals = chunk.column(0).as_i64().unwrap();
         for (v, rid) in vals.iter().zip(rids) {
             if pred(*v) {

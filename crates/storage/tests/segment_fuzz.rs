@@ -6,22 +6,65 @@
 //! Same discipline as the wire-protocol fuzz harness: deterministic
 //! mutation schedule, so any failure reproduces exactly.
 
-use hylite_common::{crc32, Chunk, ColumnVector, DataType, Result, Value};
-use hylite_storage::segment::{
-    decode_block, encode_segment, encoding, validate_segment_bytes, SegmentMeta,
+use std::path::Path;
+use std::sync::Arc;
+
+use hylite_common::{
+    crc32, Chunk, ColumnVector, DataType, FaultVfs, MetricsRegistry, Result, Value, Vfs,
 };
-use hylite_storage::BLOCK_ROWS;
+use hylite_storage::segment::{encode_segment, encoding, validate_segment_bytes, SegmentMeta};
+use hylite_storage::{BufferPool, DiskSegment, SegmentStore, ZoneRange, BLOCK_ROWS};
+
+/// A range storage evaluates on column `col` of `dtype`: `lit <= col`,
+/// with a literal that sits inside the corpus' values (so a dictionary
+/// block is unpacked, not skipped).
+fn probe_range(col: usize, dtype: DataType) -> ZoneRange {
+    let lit = match dtype {
+        DataType::Int64 => Value::Int(50),
+        DataType::Float64 => Value::Float(1.0),
+        _ => Value::from("tag_2"),
+    };
+    ZoneRange {
+        col,
+        lower: Some((lit, true)),
+        upper: None,
+    }
+}
+
+/// Validate the file and open it the way recovery and scans do: as a
+/// segment of a store on a (memory) file system, behind a buffer pool.
+fn open_segment(bytes: &[u8]) -> Result<(SegmentMeta, Arc<DiskSegment>)> {
+    let meta = validate_segment_bytes(bytes)?;
+    let vfs = FaultVfs::new();
+    let pool = Arc::new(BufferPool::new(1 << 20, &MetricsRegistry::new()));
+    let store = SegmentStore::open(Arc::new(vfs.clone()), Path::new("data"), pool)?;
+    let mut file = vfs.create(&store.path_for(meta.id))?;
+    file.write_all(bytes)?;
+    file.sync()?;
+    let segment = store.open_segment(meta.id)?;
+    Ok((meta, segment))
+}
 
 /// Decode the entire file: header validation plus every block of every
-/// column — exactly what recovery and the scan path run, minus the VFS.
+/// column, decoded and selected from — exactly what recovery and the scan
+/// path run.
 fn full_decode(bytes: &[u8]) -> Result<SegmentMeta> {
-    let meta = validate_segment_bytes(bytes)?;
-    for (c, col_blocks) in meta.blocks.iter().enumerate() {
-        for bm in col_blocks {
-            // The header validator bounds every block inside the file.
-            let body = &bytes[bm.offset as usize..bm.offset as usize + bm.len as usize];
-            decode_block(meta.dtypes[c], bm, body)?;
-        }
+    let (meta, segment) = open_segment(bytes)?;
+    for (c, &dtype) in meta.dtypes.iter().enumerate() {
+        let decoded = segment.read_rows(0, meta.rows, Some(&[c]))?;
+        let mut at = Vec::new();
+        let (selected, _) = segment.read_selected(
+            0,
+            meta.rows,
+            Some(&[c]),
+            &[probe_range(c, dtype)],
+            None,
+            Some(&mut at),
+        )?;
+        assert!(
+            selected.len() <= decoded.len() && at.iter().all(|&i| i < meta.rows),
+            "selection outside the segment"
+        );
     }
     Ok(meta)
 }
@@ -204,6 +247,118 @@ fn out_of_range_dictionary_index_is_rejected() {
         err.contains("out of range") || err.contains("dictionary"),
         "wrong error for corrupt dictionary indexes: {err}"
     );
+}
+
+/// Encode one column as segment 7 and return the bytes with its first
+/// block's location.
+fn one_block(col: ColumnVector, want: u8) -> (Vec<u8>, usize, usize) {
+    let bytes = encode_segment(7, &Chunk::new(vec![col])).unwrap();
+    let bm = &validate_segment_bytes(&bytes).unwrap().blocks[0][0];
+    assert_eq!(bm.encoding, want, "test premise: encoding");
+    (bytes, bm.offset as usize, bm.len as usize)
+}
+
+/// Select with `range` on the (corrupted, re-CRC'd) first column, reading
+/// no other: the positions of the rows it keeps.
+fn select_first_column(bytes: &[u8], range: &ZoneRange) -> Result<Vec<usize>> {
+    let (meta, segment) = open_segment(bytes)?;
+    let mut at = Vec::new();
+    segment.read_selected(
+        0,
+        meta.rows,
+        Some(&[]),
+        std::slice::from_ref(range),
+        None,
+        Some(&mut at),
+    )?;
+    Ok(at)
+}
+
+#[test]
+fn select_on_corrupt_encoded_blocks_errors_cleanly() {
+    let int_range = probe_range(0, DataType::Int64);
+    // RLE: run counts that no longer sum to the block's rows. Payload is
+    // [validity flag][nruns u32][(value u64, count u32)...]: the first
+    // run's count sits at +1+4+8.
+    let runny: Vec<i64> = (0..1000)
+        .map(|i| if i < 500 { 42 } else { 1 << 40 })
+        .collect();
+    let (bytes, off, len) = one_block(ColumnVector::from_i64(runny), encoding::RLE_INT);
+    for count in [0u32, 499, 501, u32::MAX] {
+        let mut mutated = bytes.clone();
+        mutated[off + 13..off + 17].copy_from_slice(&count.to_le_bytes());
+        recrc_block(&mut mutated, off, len);
+        let err = select_first_column(&mutated, &int_range)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("RLE"), "count {count}: {err}");
+    }
+    // ... and a run count far beyond what the payload can hold.
+    let mut mutated = bytes.clone();
+    mutated[off + 1..off + 5].copy_from_slice(&u32::MAX.to_le_bytes());
+    recrc_block(&mut mutated, off, len);
+    assert!(select_first_column(&mutated, &int_range).is_err());
+
+    // FOR: bit widths above 57, and a width the packed area is too short for.
+    let dense: Vec<i64> = (0..1000).map(|i| 1_000_000 + i).collect();
+    let (bytes, off, len) = one_block(ColumnVector::from_i64(dense), encoding::FOR_INT);
+    for width in [58u8, 64, 255, 57] {
+        let mut mutated = bytes.clone();
+        mutated[off + 9] = width; // [flag][base u64][width]
+        recrc_block(&mut mutated, off, len);
+        let err = select_first_column(&mutated, &int_range)
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("width") || err.contains("truncated"),
+            "width {width}: {err}"
+        );
+    }
+
+    // FOR: a base the deltas carry past i64::MAX.
+    let mut mutated = bytes.clone();
+    mutated[off + 1..off + 9].copy_from_slice(&(i64::MAX - 10).to_le_bytes());
+    recrc_block(&mut mutated, off, len);
+    for result in [
+        select_first_column(&mutated, &int_range).map(|_| ()),
+        full_decode(&mutated).map(|_| ()),
+    ] {
+        let err = result.unwrap_err().to_string();
+        assert!(err.contains("overflows"), "{err}");
+    }
+
+    // Dictionary: an index past the dictionary is an error to select on as
+    // it is to decode; an unsorted dictionary is refused before the binary
+    // search runs on it.
+    let tags = ColumnVector::from_str((0..100).map(|i| format!("k{}", i % 5)).collect::<Vec<_>>());
+    let (bytes, off, len) = one_block(tags, encoding::DICT_STR);
+    let mut mutated = bytes.clone();
+    for b in &mut mutated[off + len - 12..off + len - 4] {
+        *b = 0xFF;
+    }
+    recrc_block(&mut mutated, off, len);
+    let str_range = ZoneRange {
+        col: 0,
+        lower: Some((Value::from("k0"), true)),
+        upper: Some((Value::from("k4"), true)),
+    };
+    for result in [
+        select_first_column(&mutated, &str_range).map(|_| ()),
+        full_decode(&mutated).map(|_| ()),
+    ] {
+        let err = result.unwrap_err().to_string();
+        assert!(err.contains("dictionary index out of range"), "{err}");
+    }
+    let mut mutated = bytes.clone();
+    // Entries are [len u32]["k0"]...: swap the first two entries' digits.
+    let first = off + 1 + 4 + 4;
+    mutated[first + 1] = b'1';
+    mutated[first + 2 + 4 + 1] = b'0';
+    recrc_block(&mut mutated, off, len);
+    let err = select_first_column(&mutated, &str_range)
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("ascending"), "{err}");
 }
 
 #[test]

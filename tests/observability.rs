@@ -379,3 +379,79 @@ fn explain_analyze_and_the_registry_show_key_layouts() {
     );
     assert_eq!(bytes_layouts(&db), Some(Value::Int(2)));
 }
+
+#[test]
+fn explain_analyze_and_the_registry_show_what_a_scan_selected() {
+    // A checkpointed table on a real directory: its scans read encoded
+    // disk segments.
+    let dir = std::env::temp_dir().join(format!("hylite-obs-scan-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let db = Database::open(&dir).unwrap();
+    db.execute("CREATE TABLE t (id BIGINT, tag VARCHAR, v DOUBLE)")
+        .unwrap();
+    let rows: Vec<String> = (0..10_000)
+        .map(|i| format!("({i}, 'g{}', {i}.5)", i / 2500))
+        .collect();
+    db.execute(&format!("INSERT INTO t VALUES {}", rows.join(",")))
+        .unwrap();
+    db.checkpoint().unwrap();
+
+    // 'g1' is rows 2500..5000: blocks 0 and 1 of three hold some, block 2
+    // ('g2'..'g3') is pruned by its zone map. With the switch off (the
+    // default) every row of the two blocks reaches the filter.
+    let sql = "SELECT sum(v) FROM t WHERE tag = 'g1'";
+    let text = plan_text(&db, &format!("EXPLAIN ANALYZE {sql}"));
+    let scan = text.lines().find(|l| l.contains("TableScan")).unwrap();
+    assert_eq!(extract_u64(scan, "rows_selected"), vec![8192], "{scan}");
+    db.execute("SET encoded_scan = on").unwrap();
+    let before = db.metrics_snapshot().counter("scan.rows_selected");
+    let text = plan_text(&db, &format!("EXPLAIN ANALYZE {sql}"));
+    let scan = text.lines().find(|l| l.contains("TableScan")).unwrap();
+    assert!(scan.contains("cols=[1, 2]"), "{scan}");
+    assert_eq!(extract_u64(scan, "rows_selected"), vec![2500], "{scan}");
+    assert_eq!(extract_u64(scan, "blocks_scanned"), vec![2], "{scan}");
+    assert_eq!(extract_u64(scan, "blocks_pruned"), vec![1], "{scan}");
+    assert_eq!(
+        extract_u64(scan, "blocks_skipped_encoded"),
+        vec![0],
+        "{scan}"
+    );
+    // A tag no block holds, inside every zone map: all three blocks are
+    // skipped on their dictionaries and `v` is never read.
+    let absent = "EXPLAIN ANALYZE SELECT sum(v) FROM t WHERE tag > 'g0' AND tag < 'g1'";
+    let text = plan_text(&db, absent);
+    let scan_absent = text.lines().find(|l| l.contains("TableScan")).unwrap();
+    let skipped = extract_u64(scan_absent, "blocks_skipped_encoded")[0];
+    assert_eq!(
+        skipped,
+        extract_u64(scan_absent, "blocks_scanned")[0],
+        "{scan_absent}"
+    );
+    assert!(skipped > 0, "{scan_absent}");
+    assert_eq!(
+        extract_u64(scan_absent, "rows_selected"),
+        vec![0],
+        "{scan_absent}"
+    );
+
+    // The same counts are in the registry, `hylite.metrics` included.
+    let m = db.metrics_snapshot();
+    assert_eq!(m.counter("scan.rows_selected"), before + 2500);
+    assert_eq!(m.counter("scan.blocks_skipped_encoded"), skipped);
+    let listed = db
+        .execute("SELECT value FROM hylite.metrics WHERE name = 'scan.rows_selected'")
+        .unwrap();
+    assert_eq!(listed.scalar().unwrap(), Value::Int(before as i64 + 2500));
+    // The pool holds encoded blocks: the whole table is far smaller than
+    // its 10,000 decoded (id, tag, v) rows.
+    let pool_bytes = db
+        .execute("SELECT value FROM hylite.metrics WHERE name = 'storage.pool.bytes'")
+        .unwrap()
+        .scalar()
+        .unwrap()
+        .as_int()
+        .unwrap();
+    assert!(pool_bytes > 0 && pool_bytes < 10_000 * 10, "{pool_bytes}");
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
