@@ -15,7 +15,6 @@
 use hylite_common::governor::Governor;
 use hylite_common::{Chunk, HyError, Result, Value};
 use hylite_expr::BoundLambda;
-use rayon::prelude::*;
 
 /// k-Means configuration.
 #[derive(Debug, Clone, Copy)]
@@ -317,10 +316,10 @@ pub fn kmeans_governed(
         governor.check()?;
         iterations += 1;
         let iter_start = std::time::Instant::now();
-        // Parallel local assignment + accumulation; locals are merged in
+        // Per-chunk local assignment + accumulation; locals are merged in
         // deterministic chunk order so results are reproducible.
         let locals: Vec<Result<Locals>> = chunks
-            .par_iter()
+            .iter()
             .map(|chunk| {
                 let mut l = Locals::new(k, d);
                 assign_chunk(chunk, &centers, lambda, &mut l, None)?;
@@ -386,7 +385,7 @@ pub fn kmeans_assign(
     let d = centers[0].len();
     validate(chunks, d, "k-Means assignment data")?;
     chunks
-        .par_iter()
+        .iter()
         .map(|chunk| {
             let mut locals = Locals::new(centers.len(), d);
             let mut rec = Vec::with_capacity(chunk.len());

@@ -1,9 +1,9 @@
 //! Physical analytics operators — the paper's layer-4 contribution (§6).
 //!
 //! Each operator follows the paper's parallelization pattern: morsel
-//! inputs are folded into thread-local state (rayon), merged once, and
-//! finalized — "thread synchronization is only needed for the very last
-//! steps". k-Means accepts a user-defined distance
+//! inputs are folded into per-chunk local state, merged once in chunk
+//! order, and finalized — "thread synchronization is only needed for the
+//! very last steps" (one thread folds the chunks today). k-Means accepts a user-defined distance
 //! [`BoundLambda`](hylite_expr::BoundLambda) (§7); PageRank builds a
 //! query-local CSR index with dense re-labeling (§6.3); Naive Bayes keeps
 //! per-class (N, Σa, Σa²) moments (§6.2), exposed separately as the

@@ -12,7 +12,6 @@ use std::collections::HashMap;
 
 use hylite_common::governor::Governor;
 use hylite_common::{Chunk, ColumnVector, DataType, HyError, Result, Value};
-use rayon::prelude::*;
 
 /// A class label: the discrete types the binder admits for labels.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -137,7 +136,7 @@ pub fn collect_moments_governed(
     }
     // Per-thread hash tables, merged once at the end (paper §6.2).
     let locals: Vec<Result<HashMap<LabelValue, ClassMoments>>> = chunks
-        .par_iter()
+        .iter()
         .map(|chunk| {
             governor.check()?;
             let mut table: HashMap<LabelValue, ClassMoments> = HashMap::new();
@@ -374,7 +373,7 @@ impl NaiveBayesModel {
     pub fn predict(&self, chunks: &[Chunk]) -> Result<Vec<ColumnVector>> {
         let d = self.feature_names.len();
         chunks
-            .par_iter()
+            .iter()
             .map(|chunk| {
                 if chunk.num_columns() != d {
                     return Err(HyError::Analytics(format!(

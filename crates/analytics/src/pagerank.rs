@@ -10,7 +10,6 @@
 use hylite_common::governor::Governor;
 use hylite_common::Result;
 use hylite_graph::CsrGraph;
-use rayon::prelude::*;
 
 /// PageRank configuration.
 #[derive(Debug, Clone, Copy)]
@@ -48,9 +47,6 @@ pub struct PageRankResult {
     /// Wall time of each iteration in microseconds.
     pub iter_micros: Vec<u64>,
 }
-
-/// Minimum rows per rayon work item so tiny graphs don't over-parallelize.
-const MIN_PAR_LEN: usize = 4096;
 
 /// Run PageRank over a CSR graph (dense ids; callers translate back with
 /// the graph's [`VertexMapping`](hylite_graph::VertexMapping)).
@@ -113,11 +109,11 @@ pub fn pagerank_governed(
             .zip(&out_degree)
             .map(|(r, &deg)| if deg == 0 { 0.0 } else { r / deg as f64 })
             .collect();
-        // New ranks in parallel — no synchronization inside the loop.
+        // New ranks, each from the previous round only — nothing to
+        // synchronize inside the loop.
         let diff: f64 = next
-            .par_iter_mut()
+            .iter_mut()
             .enumerate()
-            .with_min_len(MIN_PAR_LEN)
             .map(|(v, slot)| {
                 let mut acc = 0.0;
                 for &u in incoming.neighbors(v as u32) {

@@ -4,14 +4,14 @@
 //! into the engine's own partitioned format (the ETL copy the paper says
 //! integrated systems avoid); computation proceeds in *stages* whose
 //! task closures are boxed (scheduled generically, not fused) and whose
-//! outputs are fully materialized per partition; parallelism comes from
-//! a thread pool over partitions. Fast — but every stage pays copy +
-//! dispatch + materialization.
+//! outputs are fully materialized per partition; partitions are the unit
+//! of scheduling (run in order on one thread here, like the engine's own
+//! morsels). Fast — but every stage pays copy + dispatch +
+//! materialization.
 
 use std::collections::HashMap;
 
 use hylite_common::Chunk;
-use rayon::prelude::*;
 
 /// A partitioned, row-major dataset — the engine's internal format.
 #[derive(Debug, Clone)]
@@ -27,7 +27,7 @@ impl DistDataset {
     /// step. One partition per input chunk.
     pub fn load(chunks: &[Chunk]) -> DistDataset {
         let partitions = chunks
-            .par_iter()
+            .iter()
             .map(|chunk| {
                 let d = chunk.num_columns();
                 let cols: Vec<&[f64]> = (0..d)
@@ -55,22 +55,10 @@ impl DistDataset {
         self.partitions.iter().map(Vec::len).sum()
     }
 
-    /// Number of partitions.
-    pub fn num_partitions(&self) -> usize {
-        self.partitions.len()
-    }
-
-    /// Run one stage: apply a boxed task to every partition in parallel
-    /// and materialize all results.
+    /// Run one stage: apply a boxed task to every partition and
+    /// materialize all results.
     pub fn run_stage<T: Send>(&self, task: Task<'_, T>) -> Vec<T> {
-        self.partitions.par_iter().map(|p| task(p)).collect()
-    }
-
-    /// A mapPartitions-style stage producing a new materialized dataset.
-    pub fn map_partitions(&self, task: Task<'_, Vec<Vec<f64>>>) -> DistDataset {
-        DistDataset {
-            partitions: self.run_stage(task),
-        }
+        self.partitions.iter().map(|p| task(p)).collect()
     }
 }
 
@@ -172,7 +160,7 @@ pub fn pagerank(edges: &DistEdges, damping: f64, max_iterations: usize) -> HashM
     // Stage 0: degrees and vertex discovery.
     let partials: Vec<(HashMap<i64, u64>, Vec<i64>)> = edges
         .partitions
-        .par_iter()
+        .iter()
         .map(|part| {
             let mut deg: HashMap<i64, u64> = HashMap::new();
             let mut verts = Vec::new();
@@ -220,7 +208,7 @@ pub fn pagerank(edges: &DistEdges, damping: f64, max_iterations: usize) -> HashM
         let deg_ref = &out_degree;
         let messages: Vec<HashMap<i64, f64>> = edges
             .partitions
-            .par_iter()
+            .iter()
             .map(|part| {
                 let mut local: HashMap<i64, f64> = HashMap::new();
                 for &(s, d) in part {
@@ -314,7 +302,6 @@ mod tests {
         ]);
         let ds = DistDataset::load(&[chunk.clone(), chunk]);
         assert_eq!(ds.count(), 4);
-        assert_eq!(ds.num_partitions(), 2);
     }
 
     #[test]
@@ -370,17 +357,5 @@ mod tests {
             assert!((a.2[0].0 - b.2[0].0).abs() < 1e-12);
             assert!((a.2[0].1 - b.2[0].1).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn map_partitions_materializes() {
-        let ds = DistDataset::from_rows(&[vec![1.0], vec![2.0]], 2);
-        let doubled = ds.map_partitions(Box::new(|part| {
-            part.iter().map(|r| vec![r[0] * 2.0]).collect()
-        }));
-        assert_eq!(doubled.count(), 2);
-        let sums: Vec<f64> = doubled.run_stage(Box::new(|p| p.iter().map(|r| r[0]).sum()));
-        let total: f64 = sums.iter().sum();
-        assert_eq!(total, 6.0);
     }
 }

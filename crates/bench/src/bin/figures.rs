@@ -4,7 +4,13 @@
 //! cargo run --release -p hylite-bench --bin figures -- --all --scale 0.01
 //! cargo run --release -p hylite-bench --bin figures -- --fig4a --scale 0.05
 //! cargo run --release -p hylite-bench --bin figures -- --ablation-memory
+//! cargo run --release -p hylite-bench --bin figures -- --ablation-lambda --ablation-csr
+//! cargo run --release -p hylite-bench --bin figures -- --checkpoint --repl-catchup
 //! ```
+//!
+//! The last four are not figures of the paper and not part of `--all`:
+//! the lambda (A3) and CSR (A4) ablations, checkpoint cost (with stable
+//! `checkpoint-report:` lines for scripts) and replica catch-up.
 //!
 //! `--scale` multiplies the paper's dataset sizes (1.0 = the original
 //! 160k..500M tuple grid — only sensible on a very large machine).
@@ -12,116 +18,80 @@
 //! configurations above `--sql-cap` tuples (default 400k·scale-invariant)
 //! and the skip is reported, never silent.
 
-use std::time::Duration;
-
+use hylite_bench::ablations;
 use hylite_bench::report::{render_csv, render_figure, Measurement};
 use hylite_bench::systems::{run_kmeans, run_naive_bayes, run_pagerank, System};
 use hylite_bench::workloads;
 use hylite_datagen::table1::{KMeansExperiment, Table1};
 use hylite_graph::LdbcConfig;
 
+/// The paper's tables and figures: what `--all`, and no section flag at
+/// all, selects.
+const PAPER: [&str; 8] = [
+    "--table1",
+    "--fig4a",
+    "--fig4b",
+    "--fig4c",
+    "--fig5a",
+    "--fig5b",
+    "--fig5c",
+    "--ablation-memory",
+];
+
+/// Measurements of `hylite_bench::ablations`, each on request only.
+const ON_REQUEST: [&str; 4] = [
+    "--ablation-lambda",
+    "--ablation-csr",
+    "--checkpoint",
+    "--repl-catchup",
+];
+
 struct Options {
     scale: f64,
     sql_cap: usize,
     csv: bool,
-    fig4a: bool,
-    fig4b: bool,
-    fig4c: bool,
-    fig5a: bool,
-    fig5b: bool,
-    fig5c: bool,
-    table1: bool,
-    ablation_memory: bool,
+    sections: Vec<String>,
+}
+
+impl Options {
+    fn has(&self, section: &str) -> bool {
+        self.sections.iter().any(|s| s == section)
+    }
 }
 
 fn parse_args() -> Options {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = std::env::args().skip(1);
     let mut o = Options {
         scale: 0.01,
         sql_cap: 400_000,
         csv: false,
-        fig4a: false,
-        fig4b: false,
-        fig4c: false,
-        fig5a: false,
-        fig5b: false,
-        fig5c: false,
-        table1: false,
-        ablation_memory: false,
+        sections: Vec::new(),
     };
-    let mut any = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let all = || PAPER.iter().map(|s| s.to_string());
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
             "--scale" => {
-                i += 1;
-                o.scale = args[i].parse().expect("--scale takes a float");
+                let value = args.next().expect("--scale takes a float");
+                o.scale = value.parse().expect("--scale takes a float");
             }
             "--sql-cap" => {
-                i += 1;
-                o.sql_cap = args[i].parse().expect("--sql-cap takes an integer");
+                let value = args.next().expect("--sql-cap takes an integer");
+                o.sql_cap = value.parse().expect("--sql-cap takes an integer");
             }
             "--csv" => o.csv = true,
-            "--fig4a" => {
-                o.fig4a = true;
-                any = true;
-            }
-            "--fig4b" => {
-                o.fig4b = true;
-                any = true;
-            }
-            "--fig4c" => {
-                o.fig4c = true;
-                any = true;
-            }
-            "--fig5a" => {
-                o.fig5a = true;
-                any = true;
-            }
-            "--fig5b" => {
-                o.fig5b = true;
-                any = true;
-            }
-            "--fig5c" => {
-                o.fig5c = true;
-                any = true;
-            }
-            "--table1" => {
-                o.table1 = true;
-                any = true;
-            }
-            "--ablation-memory" => {
-                o.ablation_memory = true;
-                any = true;
-            }
             "--profile-kmeans" => {
                 profile_kmeans();
                 std::process::exit(0);
             }
-            "--all" => {
-                o.fig4a = true;
-                o.fig4b = true;
-                o.fig4c = true;
-                o.fig5a = true;
-                o.fig5b = true;
-                o.fig5c = true;
-                o.table1 = true;
-                o.ablation_memory = true;
-                any = true;
+            "--all" => o.sections.extend(all()),
+            section if PAPER.contains(&section) || ON_REQUEST.contains(&section) => {
+                o.sections.push(arg)
             }
             other => panic!("unknown argument '{other}'"),
         }
-        i += 1;
     }
-    if !any {
-        o.fig4a = true;
-        o.fig4b = true;
-        o.fig4c = true;
-        o.fig5a = true;
-        o.fig5b = true;
-        o.fig5c = true;
-        o.table1 = true;
-        o.ablation_memory = true;
+    if o.sections.is_empty() {
+        o.sections.extend(all());
     }
     o
 }
@@ -178,14 +148,14 @@ fn main() {
     let opts = parse_args();
     let grid = Table1::scaled(opts.scale);
 
-    if opts.table1 {
+    if opts.has("--table1") {
         println!(
             "== Table 1: k-Means datasets (scale {}):\n{}",
             opts.scale,
             grid.render()
         );
     }
-    if opts.fig4a {
+    if opts.has("--fig4a") {
         kmeans_figure(
             "Figure 4 (left): k-Means, varying number of tuples",
             &grid.varying_tuples(),
@@ -193,7 +163,7 @@ fn main() {
             &opts,
         );
     }
-    if opts.fig4b {
+    if opts.has("--fig4b") {
         kmeans_figure(
             "Figure 4 (middle): k-Means, varying number of dimensions",
             &grid.varying_dimensions(),
@@ -201,7 +171,7 @@ fn main() {
             &opts,
         );
     }
-    if opts.fig4c {
+    if opts.has("--fig4c") {
         kmeans_figure(
             "Figure 4 (right): k-Means, varying number of clusters",
             &grid.varying_clusters(),
@@ -209,7 +179,7 @@ fn main() {
             &opts,
         );
     }
-    if opts.fig5a {
+    if opts.has("--fig5a") {
         let configs = [
             ("11k/452k", LdbcConfig::paper_small()),
             ("73k/4.6m", LdbcConfig::paper_medium()),
@@ -260,7 +230,7 @@ fn main() {
             &opts,
         );
     }
-    if opts.fig5b {
+    if opts.has("--fig5b") {
         let mut measurements = Vec::new();
         for exp in grid.varying_tuples() {
             let ctx = workloads::setup_naive_bayes(exp.n, 10, 42).expect("setup");
@@ -281,7 +251,7 @@ fn main() {
             &opts,
         );
     }
-    if opts.fig5c {
+    if opts.has("--fig5c") {
         let mut measurements = Vec::new();
         for exp in grid.varying_dimensions() {
             let ctx = workloads::setup_naive_bayes(exp.n, exp.d, 42).expect("setup");
@@ -302,8 +272,45 @@ fn main() {
             &opts,
         );
     }
-    if opts.ablation_memory {
+    if opts.has("--ablation-memory") {
         ablation_memory();
+    }
+    let on_request: [(&str, &str, &dyn Fn() -> _); 6] = [
+        (
+            "--ablation-lambda",
+            "Ablation A3 (§7): KMEANS, default kernel vs lambda distances",
+            &|| ablations::ablation_lambda(opts.scale),
+        ),
+        (
+            "--ablation-csr",
+            "Ablation A4 (§6.3): PageRank, operator vs CSR build vs iterations vs ITERATE joins",
+            &|| ablations::ablation_csr(opts.scale),
+        ),
+        (
+            "--checkpoint",
+            "Checkpoint: segment encode, one segment per data shape",
+            &ablations::segment_encode,
+        ),
+        (
+            "--checkpoint",
+            "Checkpoint: steady state, incremental and no-op",
+            &|| ablations::checkpoint(opts.scale),
+        ),
+        (
+            "--repl-catchup",
+            "Replica catch-up: WAL stream apply, per commits replayed",
+            &|| ablations::repl_stream_apply(opts.scale),
+        ),
+        (
+            "--repl-catchup",
+            "Replica catch-up: bootstrap snapshot + install, per rows",
+            &|| ablations::repl_bootstrap_install(opts.scale),
+        ),
+    ];
+    for (section, title, measure) in on_request {
+        if opts.has(section) {
+            emit(title, &measure().expect(section), &opts);
+        }
     }
 }
 
@@ -422,5 +429,4 @@ fn ablation_memory() {
         snapshot.counter("iterate.iterations_total"),
         snapshot.counter("cte.iterations_total"),
     );
-    let _ = Duration::ZERO;
 }

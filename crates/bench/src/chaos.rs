@@ -33,6 +33,7 @@ use hylite_common::faultfs::{FaultVfs, Vfs};
 use hylite_common::faultnet::{
     FaultNet, NP_CLIENT_CONNECT, NP_REPL_APPLY, NP_REPL_STREAM, NP_SERVER_ACCEPT,
 };
+use hylite_common::hash::splitmix64;
 use hylite_common::wire::ErrorCode;
 use hylite_common::{HyError, NetHandle, Result, Value};
 use hylite_core::{restore_backup, Database, DurabilityOptions, ReplRole};
@@ -106,14 +107,6 @@ pub struct ChaosReport {
     pub failovers: u64,
     /// Replica stream re-establishments observed across the fleet.
     pub reconnects: u64,
-}
-
-/// SplitMix64 — the repo's standard deterministic schedule generator.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 fn violation(seed: u64, msg: impl Into<String>) -> HyError {

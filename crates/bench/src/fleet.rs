@@ -120,15 +120,6 @@ pub struct FleetReport {
 }
 
 impl FleetReport {
-    /// Throughput ratio of the largest routed storm over the single-node
-    /// baseline.
-    pub fn peak_speedup(&self) -> f64 {
-        self.points
-            .last()
-            .map(|p| p.outcome.throughput() / self.direct.throughput().max(1e-9))
-            .unwrap_or(0.0)
-    }
-
     /// Render the curve as the harness's usual text block.
     pub fn render(&self) -> String {
         let mut out = format!(

@@ -12,11 +12,14 @@
 //!   connections with a mixed SQL + analytics statement stream;
 //! * [`fleet`] — the router-fronted variant: 1 durable primary + N
 //!   WAL-streaming replicas behind `HyliteRouter`, measuring the
-//!   read-throughput scaling curve vs the single node.
+//!   read-throughput scaling curve vs the single node;
+//! * [`ablations`] — what `figures` measures beside the paper's figures:
+//!   the lambda and CSR ablations, checkpoint cost, replica catch-up.
 //!
-//! `cargo bench` runs Criterion versions at reduced scale; the `figures`
-//! binary sweeps the full grids (`--scale` controls dataset sizes).
+//! The `figures` binary sweeps the grids (`--scale` controls dataset
+//! sizes).
 
+pub mod ablations;
 pub mod chaos;
 pub mod concurrent;
 pub mod fleet;

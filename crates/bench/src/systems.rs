@@ -66,7 +66,7 @@ impl fmt::Display for System {
     }
 }
 
-fn time<T>(f: impl FnOnce() -> Result<T>) -> Result<(Duration, T)> {
+pub(crate) fn time<T>(f: impl FnOnce() -> Result<T>) -> Result<(Duration, T)> {
     let start = Instant::now();
     let out = f()?;
     Ok((start.elapsed(), out))

@@ -370,7 +370,7 @@ fn jitter_seed() -> u64 {
         .duration_since(SystemTime::UNIX_EPOCH)
         .map(|d| d.subsec_nanos() as u64 ^ d.as_secs())
         .unwrap_or(0x5EED);
-    retry::splitmix64(nanos)
+    hylite_common::hash::splitmix64(nanos)
 }
 
 fn connect_any(net: &NetHandle, addr: impl ToSocketAddrs) -> Result<NetStream> {

@@ -10,6 +10,7 @@
 
 use std::time::Duration;
 
+use hylite_common::hash::splitmix64;
 use hylite_common::HyError;
 
 /// When and how often to retry a retryable failure.
@@ -110,15 +111,6 @@ pub fn with_attempts(e: HyError, attempts: u32) -> HyError {
         HyError::Protocol(m) => HyError::Protocol(annotate(m)),
         HyError::Internal(m) => HyError::Internal(annotate(m)),
     }
-}
-
-/// SplitMix64: tiny, seedable, good-enough mixing for jitter (no `rand`
-/// dependency needed).
-pub(crate) fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

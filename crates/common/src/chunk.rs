@@ -87,14 +87,6 @@ impl Chunk {
         Arc::clone(&self.columns[i])
     }
 
-    /// Consume into owned column vectors (copies only shared columns).
-    pub fn into_columns(self) -> Vec<ColumnVector> {
-        self.columns
-            .into_iter()
-            .map(|c| Arc::try_unwrap(c).unwrap_or_else(|a| (*a).clone()))
-            .collect()
-    }
-
     /// Cheap column-subset projection (Arc bumps, no data copy).
     pub fn project(&self, indices: &[usize]) -> Chunk {
         Chunk {

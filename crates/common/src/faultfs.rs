@@ -93,6 +93,8 @@ pub trait Vfs: Send + Sync + fmt::Debug {
     fn exists(&self, path: &Path) -> bool;
 
     /// Atomically replace `to` with `from` (the checkpoint publish step).
+    /// The new entry is durable once the caller's [`Vfs::sync_dir`] of the
+    /// directory returns, not before.
     fn rename(&self, from: &Path, to: &Path) -> Result<()>;
 
     /// Delete a file.
@@ -250,12 +252,7 @@ impl Vfs for StdVfs {
     }
 
     fn rename(&self, from: &Path, to: &Path) -> Result<()> {
-        std::fs::rename(from, to).map_err(|e| io_err("rename", from, e))?;
-        // A rename is only durable once the directory entry is synced.
-        if let Some(dir) = to.parent() {
-            self.sync_dir(dir)?;
-        }
-        Ok(())
+        std::fs::rename(from, to).map_err(|e| io_err("rename", from, e))
     }
 
     fn sync_dir(&self, dir: &Path) -> Result<()> {
@@ -629,8 +626,9 @@ impl Vfs for FaultVfs {
             .files
             .remove(from)
             .ok_or_else(|| HyError::Storage(format!("rename: no file {}", from.display())))?;
-        // Modeled as atomic and immediately durable (StdVfs syncs the
-        // directory after the rename for the same effect).
+        // Modeled as atomic and immediately durable; on a disk the entry is
+        // durable at the caller's `sync_dir`, which `files::publish_atomic`
+        // issues before it reports the publish.
         s.files.insert(to.to_owned(), file);
         Ok(())
     }

@@ -22,7 +22,7 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, RwLock, Weak};
 
-use crate::schema::{Field, Schema, SchemaRef};
+use crate::schema::{Field, Schema};
 use crate::types::DataType;
 use crate::value::Value;
 
@@ -238,11 +238,6 @@ impl SystemViewHub {
         }
         rows
     }
-}
-
-/// Build a qualified [`SchemaRef`] for a system view (binder helper).
-pub fn system_view_schema(view: SystemView, qualifier: &str) -> SchemaRef {
-    Arc::new(view.schema().with_qualifier(qualifier))
 }
 
 // ---------------------------------------------------------------------------

@@ -119,12 +119,6 @@ impl Histogram {
         self.max.fetch_max(value, Ordering::Relaxed);
     }
 
-    /// Record a duration in microseconds.
-    #[inline]
-    pub fn record_duration(&self, d: Duration) {
-        self.record(d.as_micros() as u64);
-    }
-
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
@@ -463,14 +457,6 @@ impl OpSpan {
     /// Total rows consumed: the sum of the children's output.
     pub fn rows_in(&self) -> u64 {
         self.children.iter().map(|c| c.rows_out).sum()
-    }
-
-    /// Wall time minus the children's wall time (this operator's own
-    /// work). Saturates at zero for merged loop spans where child time
-    /// can exceed the parent measurement granularity.
-    pub fn self_wall(&self) -> Duration {
-        let child: Duration = self.children.iter().map(|c| c.wall).sum();
-        self.wall.saturating_sub(child)
     }
 
     /// Fold another execution of the same plan node into this span.

@@ -1,13 +1,12 @@
 //! Bulk CSV loading — the paper's §3 cites HyPer's Instant Loading
 //! ("offers fast data loading, which is especially important for data
-//! scientists"). This is a parallel, schema-directed CSV ingest: the
-//! text is split into line batches that are parsed into columnar chunks
-//! on the thread pool and appended as whole segments.
+//! scientists"). This is a schema-directed CSV ingest: the text is split
+//! into line batches, each parsed into a columnar chunk of its own and
+//! appended as a whole segment.
 
 use std::sync::Arc;
 
 use hylite_common::{Chunk, ColumnVector, DataType, HyError, Result, Value};
-use rayon::prelude::*;
 
 use crate::database::Database;
 use crate::session::{commit_ops, settle_table};
@@ -60,9 +59,9 @@ impl Database {
         if options.header && !lines.is_empty() {
             lines.remove(0);
         }
-        // Parallel parse: one columnar chunk per line batch.
+        // One columnar chunk per line batch.
         let chunks: Vec<Result<Chunk>> = lines
-            .par_chunks(BATCH_LINES)
+            .chunks(BATCH_LINES)
             .map(|batch| {
                 let mut cols: Vec<ColumnVector> =
                     types.iter().map(|&t| ColumnVector::empty(t)).collect();

@@ -4,7 +4,6 @@ use std::sync::Arc;
 
 use hylite_common::{Chunk, DataType, HyError, Result};
 use hylite_planner::LogicalPlan;
-use rayon::prelude::*;
 
 use crate::aggregate;
 use crate::context::ExecContext;
@@ -240,7 +239,7 @@ impl Executor {
             LogicalPlan::Filter { input, predicate } => {
                 let chunks = self.execute(input)?;
                 let out: Vec<Result<Chunk>> = chunks
-                    .par_iter()
+                    .iter()
                     .map(|c| crate::util::apply_predicate(c, predicate))
                     .collect();
                 out.into_iter()
@@ -250,7 +249,7 @@ impl Executor {
             LogicalPlan::Project { input, exprs, .. } => {
                 let chunks = self.execute(input)?;
                 let out: Vec<Result<Chunk>> = chunks
-                    .par_iter()
+                    .iter()
                     .map(|c| {
                         let cols = exprs
                             .iter()
@@ -376,43 +375,9 @@ impl Executor {
                 self.loop_ended(plan);
                 result
             }
-            LogicalPlan::KMeans {
-                data,
-                centers,
-                lambda,
-                max_iterations,
-                ..
-            } => self.exec_kmeans(data, centers, lambda.as_ref(), *max_iterations),
-            LogicalPlan::KMeansAssign {
-                data,
-                centers,
-                lambda,
-                ..
-            } => self.exec_kmeans_assign(data, centers, lambda.as_ref()),
-            LogicalPlan::PageRank {
-                edges,
-                weighted,
-                damping,
-                epsilon,
-                max_iterations,
-                ..
-            } => self.exec_pagerank(edges, *weighted, *damping, *epsilon, *max_iterations),
-            LogicalPlan::NaiveBayesTrain {
-                data,
-                feature_names,
-                schema,
-            } => self.exec_nb_train(data, feature_names, &schema.types()),
-            LogicalPlan::NaiveBayesPredict {
-                model,
-                data,
-                feature_names,
-                ..
-            } => self.exec_nb_predict(model, data, feature_names),
-            LogicalPlan::ClassStats {
-                data,
-                feature_names,
-                schema,
-            } => self.exec_class_stats(data, feature_names, &schema.types()),
+            LogicalPlan::Operator { op, inputs, schema } => {
+                self.exec_operator(op, inputs, &schema.types())
+            }
         }
     }
 }
@@ -426,8 +391,7 @@ mod tests {
     use super::*;
     use hylite_common::{DataType, Field, Schema, Value};
     use hylite_expr::{BinaryOp, ScalarExpr};
-    use hylite_planner::logical::SortKey;
-    use hylite_planner::JoinKind;
+    use hylite_planner::{AnalyticsOp, JoinKind, SortKey};
     use hylite_storage::Catalog;
 
     fn setup() -> (Arc<Catalog>, Arc<Schema>) {
@@ -853,11 +817,12 @@ mod tests {
             Field::new("y", DataType::Float64),
             Field::new("size", DataType::Int64),
         ]));
-        let plan = LogicalPlan::KMeans {
-            data: Box::new(data),
-            centers: Box::new(centers),
-            lambda: None,
-            max_iterations: 10,
+        let plan = LogicalPlan::Operator {
+            op: AnalyticsOp::KMeans {
+                lambda: None,
+                max_iterations: 10,
+            },
+            inputs: vec![data, centers],
             schema: out_schema,
         };
         let mut e = Executor::new(ExecContext::new(catalog));
@@ -887,12 +852,14 @@ mod tests {
             Field::new("vertex", DataType::Int64),
             Field::new("rank", DataType::Float64),
         ]));
-        let plan = LogicalPlan::PageRank {
-            edges: Box::new(edges),
-            weighted: false,
-            damping: 0.85,
-            epsilon: 1e-9,
-            max_iterations: 100,
+        let plan = LogicalPlan::Operator {
+            op: AnalyticsOp::PageRank {
+                weighted: false,
+                damping: 0.85,
+                epsilon: 1e-9,
+                max_iterations: 100,
+            },
+            inputs: vec![edges],
             schema: out_schema,
         };
         let mut e = Executor::new(ExecContext::new(catalog));

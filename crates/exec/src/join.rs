@@ -3,7 +3,6 @@
 use hylite_common::{Chunk, ColumnVector, DataType, HyError, Result};
 use hylite_expr::{BinaryOp, ScalarExpr};
 use hylite_planner::JoinKind;
-use rayon::prelude::*;
 
 #[cfg(test)]
 use hylite_common::Value;
@@ -114,9 +113,9 @@ impl JoinBuild {
         if self.left_keys.is_empty() {
             return nested_loop(left, &self.right_all, kind, residual, &self.right_types);
         }
-        // Probe in parallel over left chunks.
+        // Probe left chunk by left chunk.
         let results: Vec<Result<Vec<Chunk>>> = left
-            .par_iter()
+            .iter()
             .map(|chunk| self.probe_chunk(chunk, kind))
             .collect();
         let mut out = Vec::new();
@@ -185,7 +184,7 @@ fn nested_loop(
 ) -> Result<Vec<Chunk>> {
     let m = right_all.len();
     let results: Vec<Result<Vec<Chunk>>> = left
-        .par_iter()
+        .iter()
         .map(|chunk| {
             let n = chunk.len();
             let mut out = Vec::new();

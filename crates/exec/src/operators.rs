@@ -9,12 +9,46 @@ use hylite_analytics::{
 use hylite_common::{Chunk, ColumnVector, DataType, HyError, Result};
 use hylite_expr::BoundLambda;
 use hylite_graph::CsrGraph;
-use hylite_planner::LogicalPlan;
+use hylite_planner::{AnalyticsOp, LogicalPlan};
 use std::sync::Arc;
 
 use crate::executor::Executor;
 
 impl Executor {
+    /// Run the analytics operator `op` over `inputs` (SQL argument order;
+    /// the binder built as many as the operator takes).
+    pub(crate) fn exec_operator(
+        &mut self,
+        op: &AnalyticsOp,
+        inputs: &[LogicalPlan],
+        output_types: &[DataType],
+    ) -> Result<Vec<Chunk>> {
+        match op {
+            AnalyticsOp::KMeans {
+                lambda,
+                max_iterations,
+            } => self.exec_kmeans(&inputs[0], &inputs[1], lambda.as_ref(), *max_iterations),
+            AnalyticsOp::KMeansAssign { lambda } => {
+                self.exec_kmeans_assign(&inputs[0], &inputs[1], lambda.as_ref())
+            }
+            AnalyticsOp::PageRank {
+                weighted,
+                damping,
+                epsilon,
+                max_iterations,
+            } => self.exec_pagerank(&inputs[0], *weighted, *damping, *epsilon, *max_iterations),
+            AnalyticsOp::NaiveBayesTrain { feature_names } => {
+                self.exec_nb_train(&inputs[0], feature_names, output_types)
+            }
+            AnalyticsOp::NaiveBayesPredict { feature_names } => {
+                self.exec_nb_predict(&inputs[0], &inputs[1], feature_names)
+            }
+            AnalyticsOp::ClassStats { feature_names } => {
+                self.exec_class_stats(&inputs[0], feature_names, output_types)
+            }
+        }
+    }
+
     /// Report an iterative analytics operator's run into the metrics
     /// registry (`<op>.runs`, `<op>.iterations_total`, `<op>.iteration_us`)
     /// and annotate the operator's profile span.
@@ -41,7 +75,7 @@ impl Executor {
     }
 
     /// KMEANS(data, centers, λ, max_iter) → (cluster_id, dims..., size).
-    pub(crate) fn exec_kmeans(
+    fn exec_kmeans(
         &mut self,
         data: &LogicalPlan,
         centers: &LogicalPlan,
@@ -92,7 +126,7 @@ impl Executor {
     }
 
     /// KMEANS_ASSIGN(data, centers, λ) → (dims..., cluster_id).
-    pub(crate) fn exec_kmeans_assign(
+    fn exec_kmeans_assign(
         &mut self,
         data: &LogicalPlan,
         centers: &LogicalPlan,
@@ -116,7 +150,7 @@ impl Executor {
     }
 
     /// PAGERANK(edges, d, ε, max_iter) → (vertex, rank).
-    pub(crate) fn exec_pagerank(
+    fn exec_pagerank(
         &mut self,
         edges: &LogicalPlan,
         weighted: bool,
@@ -202,7 +236,7 @@ impl Executor {
     }
 
     /// NAIVE_BAYES_TRAIN(data) → (class, attribute, prior, mean, stddev).
-    pub(crate) fn exec_nb_train(
+    fn exec_nb_train(
         &mut self,
         data: &LogicalPlan,
         feature_names: &[String],
@@ -216,7 +250,7 @@ impl Executor {
     }
 
     /// NAIVE_BAYES_PREDICT(model, data) → (features..., label).
-    pub(crate) fn exec_nb_predict(
+    fn exec_nb_predict(
         &mut self,
         model: &LogicalPlan,
         data: &LogicalPlan,
@@ -239,7 +273,7 @@ impl Executor {
     }
 
     /// CLASS_STATS(data) → (class, attribute, count, mean, stddev, min, max).
-    pub(crate) fn exec_class_stats(
+    fn exec_class_stats(
         &mut self,
         data: &LogicalPlan,
         feature_names: &[String],

@@ -39,7 +39,7 @@ use std::sync::Arc;
 
 use hylite_common::{Chunk, Value};
 use hylite_expr::ScalarExpr;
-use hylite_planner::LogicalPlan;
+use hylite_planner::{AnalyticsOp, LogicalPlan};
 
 use crate::context::ExecContext;
 use crate::join::JoinBuild;
@@ -331,7 +331,7 @@ impl<'a> Walk<'a> {
             size: 1,
         });
         let mut hasher = DefaultHasher::new();
-        std::mem::discriminant(plan).hash(&mut hasher);
+        plan.op_name().hash(&mut hasher);
         let mut reads = 0;
         // The working table a loop node binds for its body: every child
         // after the first (`init`) runs under that binding.
@@ -367,7 +367,7 @@ impl<'a> Walk<'a> {
             _ => 0,
         };
         self.has_loop |= binds != 0;
-        for (i, child) in plan.children().into_iter().enumerate() {
+        for (i, child) in plan.children().enumerate() {
             let body = binds != 0 && i > 0;
             let c = self.visit(child, index, if body { binds } else { scope }, body);
             let child = &self.nodes[c];
@@ -408,15 +408,15 @@ fn holds_negative_zero(plan: &LogicalPlan) -> bool {
     let negative_zero = |v: &Value| matches!(v, Value::Float(x) if is_negative_zero(*x));
     let own = match plan {
         LogicalPlan::Values { rows, .. } => rows.iter().flatten().any(negative_zero),
-        LogicalPlan::PageRank {
-            damping, epsilon, ..
+        LogicalPlan::Operator {
+            op: AnalyticsOp::PageRank {
+                damping, epsilon, ..
+            },
+            ..
         } => is_negative_zero(*damping) || is_negative_zero(*epsilon),
         _ => false,
     };
-    own || plan
-        .expressions()
-        .iter()
-        .any(|e| e.any_literal(&negative_zero))
+    own || plan.expressions().any(|e| e.any_literal(&negative_zero))
 }
 
 /// Leaves that only hand out shared columns cost nothing to run again.

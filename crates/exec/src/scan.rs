@@ -1,13 +1,12 @@
-//! Morsel-driven parallel table scans with fused filter/projection.
+//! Morsel-driven table scans with fused filter/projection.
 
 use hylite_common::governor::Governor;
 use hylite_common::{Chunk, Result, CHUNK_ROWS};
 use hylite_expr::{BinaryOp, ScalarExpr};
 use hylite_storage::{ScanPruning, TableSnapshot, ZoneRange};
-use rayon::prelude::*;
 
 /// Rows per scan morsel. A multiple of the execution chunk size so each
-/// parallel task produces a handful of chunks.
+/// morsel task produces a handful of chunks.
 pub const MORSEL_ROWS: usize = 32 * CHUNK_ROWS;
 
 /// Collect the ranges implied by a pushed-down filter: every conjunct of
@@ -77,8 +76,9 @@ fn flip(op: BinaryOp) -> BinaryOp {
     }
 }
 
-/// Scan a snapshot in parallel, applying the scan-local column projection
-/// and pushed-down filter inside each morsel task (pipeline fusion).
+/// Scan a snapshot morsel by morsel, applying the scan-local column
+/// projection and pushed-down filter inside each morsel task (pipeline
+/// fusion).
 ///
 /// Each morsel task starts with a governor check, so a cancelled or
 /// timed-out statement stops the scan within one morsel even on very
@@ -119,7 +119,7 @@ pub fn scan_pruned(
     let (morsels, mut pruning) = snapshot.pruned_morsels(MORSEL_ROWS, &ranges);
     let ranges = pushed(&ranges, encoded_scan);
     let results: Vec<Result<(Option<Chunk>, usize, usize)>> = morsels
-        .par_iter()
+        .iter()
         .map(|m| {
             governor.check()?;
             let (chunk, emptied) = snapshot.read_morsel_selected(m, projection, ranges)?;

@@ -62,6 +62,12 @@ impl BoundLambda {
         &self.body
     }
 
+    /// The body, for rewrites that keep its columns and its type (constant
+    /// folding): the range check of [`BoundLambda::new`] is not repeated.
+    pub fn body_mut(&mut self) -> &mut ScalarExpr {
+        &mut self.body
+    }
+
     /// The body's result type.
     pub fn result_type(&self) -> DataType {
         self.body.data_type()

@@ -19,7 +19,7 @@ use hylite_sql::ast::{
 use hylite_storage::Catalog;
 
 use crate::expr_binder::{contains_aggregate, AggRewriter, ExprBinder};
-use crate::logical::{AggExpr, JoinKind, LogicalPlan, SortKey};
+use crate::logical::{AggExpr, AnalyticsOp, JoinKind, LogicalPlan, SortKey};
 
 /// Default iteration cap for ITERATE / recursive CTEs — the paper's
 /// infinite-loop guard (§5.1: "those situations need to be detected and
@@ -971,11 +971,12 @@ impl<'a> Binder<'a> {
                 );
                 fields.push(Field::new("size", DataType::Int64));
                 let schema = Arc::new(Schema::new(fields));
-                let plan = LogicalPlan::KMeans {
-                    data: Box::new(data_plan),
-                    centers: Box::new(centers_plan),
-                    lambda,
-                    max_iterations,
+                let plan = LogicalPlan::Operator {
+                    op: AnalyticsOp::KMeans {
+                        lambda,
+                        max_iterations,
+                    },
+                    inputs: vec![data_plan, centers_plan],
                     schema: Arc::clone(&schema),
                 };
                 Ok((plan, schema))
@@ -1004,10 +1005,9 @@ impl<'a> Binder<'a> {
                     .collect();
                 fields.push(Field::new("cluster_id", DataType::Int64));
                 let schema = Arc::new(Schema::new(fields));
-                let plan = LogicalPlan::KMeansAssign {
-                    data: Box::new(data_plan),
-                    centers: Box::new(centers_plan),
-                    lambda,
+                let plan = LogicalPlan::Operator {
+                    op: AnalyticsOp::KMeansAssign { lambda },
+                    inputs: vec![data_plan, centers_plan],
                     schema: Arc::clone(&schema),
                 };
                 Ok((plan, schema))
@@ -1081,12 +1081,14 @@ impl<'a> Binder<'a> {
                     Field::new("vertex", DataType::Int64),
                     Field::new("rank", DataType::Float64),
                 ]));
-                let plan = LogicalPlan::PageRank {
-                    edges: Box::new(edges_plan),
-                    weighted,
-                    damping,
-                    epsilon,
-                    max_iterations,
+                let plan = LogicalPlan::Operator {
+                    op: AnalyticsOp::PageRank {
+                        weighted,
+                        damping,
+                        epsilon,
+                        max_iterations,
+                    },
+                    inputs: vec![edges_plan],
                     schema: Arc::clone(&schema),
                 };
                 Ok((plan, schema))
@@ -1101,9 +1103,11 @@ impl<'a> Binder<'a> {
                     Field::new("mean", DataType::Float64),
                     Field::new("stddev", DataType::Float64),
                 ]));
-                let plan = LogicalPlan::NaiveBayesTrain {
-                    data: Box::new(plan),
-                    feature_names: features,
+                let plan = LogicalPlan::Operator {
+                    op: AnalyticsOp::NaiveBayesTrain {
+                        feature_names: features,
+                    },
+                    inputs: vec![plan],
                     schema: Arc::clone(&schema),
                 };
                 Ok((plan, schema))
@@ -1120,9 +1124,11 @@ impl<'a> Binder<'a> {
                     Field::new("min", DataType::Float64),
                     Field::new("max", DataType::Float64),
                 ]));
-                let plan = LogicalPlan::ClassStats {
-                    data: Box::new(plan),
-                    feature_names: features,
+                let plan = LogicalPlan::Operator {
+                    op: AnalyticsOp::ClassStats {
+                        feature_names: features,
+                    },
+                    inputs: vec![plan],
                     schema: Arc::clone(&schema),
                 };
                 Ok((plan, schema))
@@ -1150,10 +1156,9 @@ impl<'a> Binder<'a> {
                     .collect();
                 fields.push(Field::new("label", model_schema.field(0).data_type));
                 let schema = Arc::new(Schema::new(fields));
-                let plan = LogicalPlan::NaiveBayesPredict {
-                    model: Box::new(model_plan),
-                    data: Box::new(data_plan),
-                    feature_names,
+                let plan = LogicalPlan::Operator {
+                    op: AnalyticsOp::NaiveBayesPredict { feature_names },
+                    inputs: vec![model_plan, data_plan],
                     schema: Arc::clone(&schema),
                 };
                 Ok((plan, schema))
@@ -1620,22 +1625,27 @@ mod tests {
         assert!(bind("SELECT * FROM PAGERANK((SELECT src, dest FROM edges), 1.5, 0.0)").is_err());
         assert!(bind("SELECT * FROM PAGERANK((SELECT src, dest FROM edges), 0.85, -1.0)").is_err());
         let plan = bind_plan("SELECT * FROM PAGERANK((SELECT src, dest FROM edges), 0.85, 0.0)");
-        assert!(matches!(
-            plan,
-            LogicalPlan::PageRank {
-                weighted: false,
+        let weighted = |plan: &LogicalPlan| match plan {
+            LogicalPlan::Operator {
+                op: AnalyticsOp::PageRank { weighted, .. },
                 ..
-            }
-        ));
+            } => *weighted,
+            other => panic!("not a PageRank node: {other}"),
+        };
+        assert!(!weighted(&plan));
         let plan =
             bind_plan("SELECT * FROM PAGERANK((SELECT src, dest, 1.0 w FROM edges), 0.85, 0.0)");
-        assert!(matches!(plan, LogicalPlan::PageRank { weighted: true, .. }));
+        assert!(weighted(&plan));
     }
 
     #[test]
     fn nb_label_column_selection() {
         let plan = bind_plan("SELECT * FROM NAIVE_BAYES_TRAIN((SELECT b, a FROM t), a)");
-        let LogicalPlan::NaiveBayesTrain { feature_names, .. } = plan else {
+        let LogicalPlan::Operator {
+            op: AnalyticsOp::NaiveBayesTrain { feature_names },
+            ..
+        } = plan
+        else {
             panic!()
         };
         assert_eq!(feature_names, vec!["b".to_string()]);

@@ -14,5 +14,5 @@ pub mod optimizer;
 pub mod stats;
 
 pub use binder::Binder;
-pub use logical::{AggExpr, JoinKind, LogicalPlan, SortKey};
+pub use logical::{AggExpr, AnalyticsOp, JoinKind, LogicalPlan, SortKey};
 pub use optimizer::Optimizer;

@@ -3,7 +3,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use hylite_common::{DataType, Field, Schema, SchemaRef, SystemView, Value};
+use hylite_common::{Result, SchemaRef, SystemView, Value};
 use hylite_expr::{AggregateFunction, BoundLambda, ScalarExpr};
 
 /// Join kinds supported by the engine.
@@ -35,6 +35,96 @@ pub struct SortKey {
     pub expr: ScalarExpr,
     /// Ascending?
     pub asc: bool,
+}
+
+/// What is specific to one analytics operator of an
+/// [`LogicalPlan::Operator`] node. Where the operator's inputs and
+/// expressions live is the node's business, not the variant's.
+#[derive(Debug, Clone, PartialEq)]
+pub enum AnalyticsOp {
+    /// k-Means (§6.1), lambda-parameterized (§7). Inputs: data, initial
+    /// centers (same width, all DOUBLE). Output: cluster_id, dims..., size.
+    KMeans {
+        /// Distance lambda; None = default squared L2.
+        lambda: Option<BoundLambda>,
+        /// Maximum iterations.
+        max_iterations: usize,
+    },
+    /// k-Means assignment (model application). Inputs: data, centers.
+    /// Output: dims..., cluster_id.
+    KMeansAssign {
+        /// Distance lambda; None = default squared L2.
+        lambda: Option<BoundLambda>,
+    },
+    /// PageRank (§6.3). Input: (src BIGINT, dest BIGINT [, weight DOUBLE]).
+    /// Output: vertex, rank.
+    PageRank {
+        /// Whether a third edge column supplies per-edge weights.
+        weighted: bool,
+        /// Damping factor.
+        damping: f64,
+        /// Convergence epsilon.
+        epsilon: f64,
+        /// Maximum iterations.
+        max_iterations: usize,
+    },
+    /// Naive Bayes training (§6.2). Input: feature columns (DOUBLE), then
+    /// the label column. Output: class, attribute, prior, mean, stddev.
+    NaiveBayesTrain {
+        /// Feature names (for the model's attribute column).
+        feature_names: Vec<String>,
+    },
+    /// Naive Bayes prediction. Inputs: model (the shape training emits),
+    /// data (feature columns, DOUBLE). Output: features..., label.
+    NaiveBayesPredict {
+        /// Feature names, aligned with the data columns.
+        feature_names: Vec<String>,
+    },
+    /// Per-class statistics building block. Input as for training.
+    /// Output: class, attribute, count, mean, stddev, min, max.
+    ClassStats {
+        /// Feature names.
+        feature_names: Vec<String>,
+    },
+}
+
+impl AnalyticsOp {
+    /// Operator name, as EXPLAIN prints it.
+    pub fn name(&self) -> &'static str {
+        match self {
+            AnalyticsOp::KMeans { .. } => "KMeans",
+            AnalyticsOp::KMeansAssign { .. } => "KMeansAssign",
+            AnalyticsOp::PageRank { .. } => "PageRank",
+            AnalyticsOp::NaiveBayesTrain { .. } => "NaiveBayesTrain",
+            AnalyticsOp::NaiveBayesPredict { .. } => "NaiveBayesPredict",
+            AnalyticsOp::ClassStats { .. } => "ClassStats",
+        }
+    }
+
+    /// The user-supplied lambda, for the operators that take one.
+    pub fn lambda(&self) -> Option<&BoundLambda> {
+        match self {
+            AnalyticsOp::KMeans { lambda, .. } | AnalyticsOp::KMeansAssign { lambda } => {
+                lambda.as_ref()
+            }
+            AnalyticsOp::PageRank { .. }
+            | AnalyticsOp::NaiveBayesTrain { .. }
+            | AnalyticsOp::NaiveBayesPredict { .. }
+            | AnalyticsOp::ClassStats { .. } => None,
+        }
+    }
+
+    fn lambda_mut(&mut self) -> Option<&mut BoundLambda> {
+        match self {
+            AnalyticsOp::KMeans { lambda, .. } | AnalyticsOp::KMeansAssign { lambda } => {
+                lambda.as_mut()
+            }
+            AnalyticsOp::PageRank { .. }
+            | AnalyticsOp::NaiveBayesTrain { .. }
+            | AnalyticsOp::NaiveBayesPredict { .. }
+            | AnalyticsOp::ClassStats { .. } => None,
+        }
+    }
 }
 
 /// A bound, typed logical query plan.
@@ -184,72 +274,13 @@ pub enum LogicalPlan {
         /// Output schema (same as init/step).
         schema: SchemaRef,
     },
-    /// k-Means physical operator (§6.1), lambda-parameterized (§7).
-    KMeans {
-        /// Data subplan (all columns DOUBLE after binding).
-        data: Box<LogicalPlan>,
-        /// Initial centers subplan (same width).
-        centers: Box<LogicalPlan>,
-        /// Distance lambda; None = default squared L2.
-        lambda: Option<BoundLambda>,
-        /// Maximum iterations.
-        max_iterations: usize,
-        /// Output schema: cluster_id, dims..., size.
-        schema: SchemaRef,
-    },
-    /// k-Means assignment operator (model application).
-    KMeansAssign {
-        /// Data subplan.
-        data: Box<LogicalPlan>,
-        /// Centers subplan.
-        centers: Box<LogicalPlan>,
-        /// Distance lambda; None = default squared L2.
-        lambda: Option<BoundLambda>,
-        /// Output schema: dims..., cluster_id.
-        schema: SchemaRef,
-    },
-    /// PageRank physical operator (§6.3).
-    PageRank {
-        /// Edge list subplan: (src BIGINT, dest BIGINT [, weight DOUBLE]).
-        edges: Box<LogicalPlan>,
-        /// Whether a third edge column supplies per-edge weights.
-        weighted: bool,
-        /// Damping factor.
-        damping: f64,
-        /// Convergence epsilon.
-        epsilon: f64,
-        /// Maximum iterations.
-        max_iterations: usize,
-        /// Output schema: vertex, rank.
-        schema: SchemaRef,
-    },
-    /// Naive Bayes training operator (§6.2).
-    NaiveBayesTrain {
-        /// Input: feature columns (DOUBLE) then the label column last.
-        data: Box<LogicalPlan>,
-        /// Feature names (for the model's attribute column).
-        feature_names: Vec<String>,
-        /// Output schema: class, attribute, prior, mean, stddev.
-        schema: SchemaRef,
-    },
-    /// Naive Bayes prediction operator.
-    NaiveBayesPredict {
-        /// Model subplan (shape of NaiveBayesTrain's output).
-        model: Box<LogicalPlan>,
-        /// Data subplan: feature columns (DOUBLE).
-        data: Box<LogicalPlan>,
-        /// Feature names, aligned with data columns.
-        feature_names: Vec<String>,
-        /// Output schema: features..., predicted label.
-        schema: SchemaRef,
-    },
-    /// Per-class statistics building block.
-    ClassStats {
-        /// Input: feature columns (DOUBLE) then the label column last.
-        data: Box<LogicalPlan>,
-        /// Feature names.
-        feature_names: Vec<String>,
-        /// Output schema: class, attribute, count, mean, stddev, min, max.
+    /// An analytics operator (§6): k-Means, PageRank, Naive Bayes, ...
+    Operator {
+        /// Which operator, with its parameters.
+        op: AnalyticsOp,
+        /// Input subplans, in SQL argument order.
+        inputs: Vec<LogicalPlan>,
+        /// Output schema.
         schema: SchemaRef,
     },
 }
@@ -269,12 +300,7 @@ impl LogicalPlan {
             | LogicalPlan::WorkingTable { schema, .. }
             | LogicalPlan::RecursiveCte { schema, .. }
             | LogicalPlan::Iterate { schema, .. }
-            | LogicalPlan::KMeans { schema, .. }
-            | LogicalPlan::KMeansAssign { schema, .. }
-            | LogicalPlan::PageRank { schema, .. }
-            | LogicalPlan::NaiveBayesTrain { schema, .. }
-            | LogicalPlan::NaiveBayesPredict { schema, .. }
-            | LogicalPlan::ClassStats { schema, .. } => Arc::clone(schema),
+            | LogicalPlan::Operator { schema, .. } => Arc::clone(schema),
             LogicalPlan::Filter { input, .. }
             | LogicalPlan::Sort { input, .. }
             | LogicalPlan::Limit { input, .. }
@@ -307,67 +333,169 @@ impl LogicalPlan {
             LogicalPlan::WorkingTable { .. } => "WorkingTable",
             LogicalPlan::RecursiveCte { .. } => "RecursiveCte",
             LogicalPlan::Iterate { .. } => "Iterate",
-            LogicalPlan::KMeans { .. } => "KMeans",
-            LogicalPlan::KMeansAssign { .. } => "KMeansAssign",
-            LogicalPlan::PageRank { .. } => "PageRank",
-            LogicalPlan::NaiveBayesTrain { .. } => "NaiveBayesTrain",
-            LogicalPlan::NaiveBayesPredict { .. } => "NaiveBayesPredict",
-            LogicalPlan::ClassStats { .. } => "ClassStats",
+            LogicalPlan::Operator { op, .. } => op.name(),
         }
     }
 
+    // Where a node keeps its inputs and its expressions is written down in
+    // the four accessors below and nowhere else; every pass over plans
+    // (optimizer rules, reuse analysis, EXPLAIN) goes through them. No
+    // wildcard arm: a new variant does not compile until it is listed.
+    // Each names the node's boxed inputs and its input list (its optional
+    // expression, its expression list, its aggregates and its sort keys),
+    // and one chain walks them: no allocation per node and pass.
+
     /// Direct children, in order.
-    pub fn children(&self) -> Vec<&LogicalPlan> {
-        match self {
+    pub fn children(&self) -> impl Iterator<Item = &LogicalPlan> {
+        let (boxed, listed): ([Option<&LogicalPlan>; 3], &[LogicalPlan]) = match self {
             LogicalPlan::TableScan { .. }
             | LogicalPlan::SystemScan { .. }
             | LogicalPlan::Values { .. }
             | LogicalPlan::Empty { .. }
-            | LogicalPlan::WorkingTable { .. } => vec![],
+            | LogicalPlan::WorkingTable { .. } => ([None, None, None], &[]),
             LogicalPlan::Filter { input, .. }
             | LogicalPlan::Project { input, .. }
             | LogicalPlan::Aggregate { input, .. }
             | LogicalPlan::Sort { input, .. }
             | LogicalPlan::Limit { input, .. }
-            | LogicalPlan::Distinct { input } => vec![input],
-            LogicalPlan::Join { left, right, .. } => vec![left, right],
-            LogicalPlan::Union { inputs, .. } => inputs.iter().collect(),
-            LogicalPlan::RecursiveCte { init, step, .. } => vec![init, step],
+            | LogicalPlan::Distinct { input } => ([Some(&**input), None, None], &[]),
+            LogicalPlan::Join { left, right, .. } => ([Some(&**left), Some(&**right), None], &[]),
+            LogicalPlan::RecursiveCte { init, step, .. } => {
+                ([Some(&**init), Some(&**step), None], &[])
+            }
             LogicalPlan::Iterate {
                 init, step, stop, ..
-            } => vec![init, step, stop],
-            LogicalPlan::KMeans { data, centers, .. }
-            | LogicalPlan::KMeansAssign { data, centers, .. } => vec![data, centers],
-            LogicalPlan::PageRank { edges, .. } => vec![edges],
-            LogicalPlan::NaiveBayesTrain { data, .. } | LogicalPlan::ClassStats { data, .. } => {
-                vec![data]
+            } => ([Some(&**init), Some(&**step), Some(&**stop)], &[]),
+            LogicalPlan::Union { inputs, .. } | LogicalPlan::Operator { inputs, .. } => {
+                ([None, None, None], inputs)
             }
-            LogicalPlan::NaiveBayesPredict { model, data, .. } => vec![model, data],
+        };
+        boxed.into_iter().flatten().chain(listed)
+    }
+
+    /// Direct children, in the order of [`LogicalPlan::children`].
+    pub fn children_mut(&mut self) -> impl Iterator<Item = &mut LogicalPlan> {
+        let (boxed, listed): ([Option<&mut LogicalPlan>; 3], &mut [LogicalPlan]) = match self {
+            LogicalPlan::TableScan { .. }
+            | LogicalPlan::SystemScan { .. }
+            | LogicalPlan::Values { .. }
+            | LogicalPlan::Empty { .. }
+            | LogicalPlan::WorkingTable { .. } => ([None, None, None], &mut []),
+            LogicalPlan::Filter { input, .. }
+            | LogicalPlan::Project { input, .. }
+            | LogicalPlan::Aggregate { input, .. }
+            | LogicalPlan::Sort { input, .. }
+            | LogicalPlan::Limit { input, .. }
+            | LogicalPlan::Distinct { input } => ([Some(&mut **input), None, None], &mut []),
+            LogicalPlan::Join { left, right, .. } => {
+                ([Some(&mut **left), Some(&mut **right), None], &mut [])
+            }
+            LogicalPlan::RecursiveCte { init, step, .. } => {
+                ([Some(&mut **init), Some(&mut **step), None], &mut [])
+            }
+            LogicalPlan::Iterate {
+                init, step, stop, ..
+            } => (
+                [Some(&mut **init), Some(&mut **step), Some(&mut **stop)],
+                &mut [],
+            ),
+            LogicalPlan::Union { inputs, .. } | LogicalPlan::Operator { inputs, .. } => {
+                ([None, None, None], inputs)
+            }
+        };
+        boxed.into_iter().flatten().chain(listed)
+    }
+
+    /// This node with every child replaced by `f(child)`, in order.
+    pub fn map_children(
+        mut self,
+        mut f: impl FnMut(LogicalPlan) -> Result<LogicalPlan>,
+    ) -> Result<LogicalPlan> {
+        for child in self.children_mut() {
+            let hole = LogicalPlan::Empty {
+                schema: child.schema(),
+            };
+            *child = f(std::mem::replace(child, hole))?;
         }
+        Ok(self)
     }
 
     /// The scalar expressions this node itself evaluates (not its
-    /// inputs').
-    pub fn expressions(&self) -> Vec<&ScalarExpr> {
-        match self {
-            LogicalPlan::TableScan { filter, .. } => filter.iter().collect(),
-            LogicalPlan::Filter { predicate, .. } => vec![predicate],
-            LogicalPlan::Project { exprs, .. } => exprs.iter().collect(),
-            LogicalPlan::Join { condition, .. } => condition.iter().collect(),
+    /// inputs'): over its input's columns, for a join and a lambda over
+    /// both inputs' side by side.
+    pub fn expressions(&self) -> impl Iterator<Item = &ScalarExpr> {
+        type Parts<'a> = (
+            Option<&'a ScalarExpr>,
+            &'a [ScalarExpr],
+            &'a [AggExpr],
+            &'a [SortKey],
+        );
+        let (one, list, aggregates, keys): Parts<'_> = match self {
+            LogicalPlan::TableScan { filter, .. } => (filter.as_ref(), &[], &[], &[]),
+            LogicalPlan::Filter { predicate, .. } => (Some(predicate), &[], &[], &[]),
+            LogicalPlan::Project { exprs, .. } => (None, exprs, &[], &[]),
+            LogicalPlan::Join { condition, .. } => (condition.as_ref(), &[], &[], &[]),
             LogicalPlan::Aggregate {
                 group_exprs,
                 aggregates,
                 ..
-            } => group_exprs
-                .iter()
-                .chain(aggregates.iter().filter_map(|a| a.arg.as_ref()))
-                .collect(),
-            LogicalPlan::Sort { keys, .. } => keys.iter().map(|k| &k.expr).collect(),
-            LogicalPlan::KMeans { lambda, .. } | LogicalPlan::KMeansAssign { lambda, .. } => {
-                lambda.iter().map(BoundLambda::body).collect()
-            }
-            _ => vec![],
-        }
+            } => (None, group_exprs, aggregates, &[]),
+            LogicalPlan::Sort { keys, .. } => (None, &[], &[], keys),
+            LogicalPlan::Operator { op, .. } => (op.lambda().map(BoundLambda::body), &[], &[], &[]),
+            LogicalPlan::SystemScan { .. }
+            | LogicalPlan::Values { .. }
+            | LogicalPlan::Empty { .. }
+            | LogicalPlan::Limit { .. }
+            | LogicalPlan::Union { .. }
+            | LogicalPlan::Distinct { .. }
+            | LogicalPlan::WorkingTable { .. }
+            | LogicalPlan::RecursiveCte { .. }
+            | LogicalPlan::Iterate { .. } => (None, &[], &[], &[]),
+        };
+        let arguments = aggregates.iter().filter_map(|a| a.arg.as_ref());
+        let keys = keys.iter().map(|k| &k.expr);
+        one.into_iter().chain(list).chain(arguments).chain(keys)
+    }
+
+    /// The node's expressions, in the order of
+    /// [`LogicalPlan::expressions`].
+    pub fn expressions_mut(&mut self) -> impl Iterator<Item = &mut ScalarExpr> {
+        type Parts<'a> = (
+            Option<&'a mut ScalarExpr>,
+            &'a mut [ScalarExpr],
+            &'a mut [AggExpr],
+            &'a mut [SortKey],
+        );
+        let (one, list, aggregates, keys): Parts<'_> = match self {
+            LogicalPlan::TableScan { filter, .. } => (filter.as_mut(), &mut [], &mut [], &mut []),
+            LogicalPlan::Filter { predicate, .. } => (Some(predicate), &mut [], &mut [], &mut []),
+            LogicalPlan::Project { exprs, .. } => (None, exprs, &mut [], &mut []),
+            LogicalPlan::Join { condition, .. } => (condition.as_mut(), &mut [], &mut [], &mut []),
+            LogicalPlan::Aggregate {
+                group_exprs,
+                aggregates,
+                ..
+            } => (None, group_exprs, aggregates, &mut []),
+            LogicalPlan::Sort { keys, .. } => (None, &mut [], &mut [], keys),
+            LogicalPlan::Operator { op, .. } => (
+                op.lambda_mut().map(BoundLambda::body_mut),
+                &mut [],
+                &mut [],
+                &mut [],
+            ),
+            LogicalPlan::SystemScan { .. }
+            | LogicalPlan::Values { .. }
+            | LogicalPlan::Empty { .. }
+            | LogicalPlan::Limit { .. }
+            | LogicalPlan::Union { .. }
+            | LogicalPlan::Distinct { .. }
+            | LogicalPlan::WorkingTable { .. }
+            | LogicalPlan::RecursiveCte { .. }
+            | LogicalPlan::Iterate { .. } => (None, &mut [], &mut [], &mut []),
+        };
+        let arguments = aggregates.iter_mut().filter_map(|a| a.arg.as_mut());
+        let keys = keys.iter_mut().map(|k| &mut k.expr);
+        one.into_iter().chain(list).chain(arguments).chain(keys)
     }
 
     /// Render an indented EXPLAIN tree.
@@ -445,30 +573,30 @@ impl LogicalPlan {
             LogicalPlan::Iterate { max_iterations, .. } => {
                 out.push_str(&format!(" max_iter={max_iterations}"));
             }
-            LogicalPlan::KMeans {
-                lambda,
-                max_iterations,
-                ..
-            } => {
-                out.push_str(&format!(
-                    " lambda={} max_iter={max_iterations}",
-                    if lambda.is_some() {
+            LogicalPlan::Operator { op, .. } => match op {
+                AnalyticsOp::KMeans {
+                    lambda,
+                    max_iterations,
+                } => {
+                    let distance = if lambda.is_some() {
                         "custom"
                     } else {
                         "default-L2"
-                    }
-                ));
-            }
-            LogicalPlan::PageRank {
-                damping,
-                epsilon,
-                max_iterations,
-                ..
-            } => {
-                out.push_str(&format!(
-                    " d={damping} eps={epsilon} max_iter={max_iterations}"
-                ));
-            }
+                    };
+                    out.push_str(&format!(" lambda={distance} max_iter={max_iterations}"));
+                }
+                AnalyticsOp::PageRank {
+                    damping,
+                    epsilon,
+                    max_iterations,
+                    ..
+                } => {
+                    out.push_str(&format!(
+                        " d={damping} eps={epsilon} max_iter={max_iterations}"
+                    ));
+                }
+                _ => {}
+            },
             LogicalPlan::WorkingTable { name, .. } => {
                 out.push_str(&format!(" name={name}"));
             }
@@ -491,30 +619,10 @@ impl fmt::Display for LogicalPlan {
     }
 }
 
-/// Build the output schema for a projection from expressions and names.
-pub fn project_schema(names: &[String], exprs: &[ScalarExpr]) -> Schema {
-    Schema::new(
-        names
-            .iter()
-            .zip(exprs)
-            .map(|(n, e)| Field::new(n.clone(), e.data_type()))
-            .collect(),
-    )
-}
-
-/// Schema helper: all-DOUBLE fields with the given names.
-pub fn f64_schema(names: &[String]) -> Schema {
-    Schema::new(
-        names
-            .iter()
-            .map(|n| Field::new(n.clone(), DataType::Float64))
-            .collect(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hylite_common::{DataType, Field, Schema};
 
     fn scan() -> LogicalPlan {
         let schema = Arc::new(Schema::new(vec![
@@ -557,7 +665,7 @@ mod tests {
 
     #[test]
     fn children_counts() {
-        assert_eq!(scan().children().len(), 0);
+        assert_eq!(scan().children().count(), 0);
         let j = LogicalPlan::Join {
             left: Box::new(scan()),
             right: Box::new(scan()),
@@ -565,6 +673,6 @@ mod tests {
             condition: None,
             schema: Arc::new(Schema::empty()),
         };
-        assert_eq!(j.children().len(), 2);
+        assert_eq!(j.children().count(), 2);
     }
 }

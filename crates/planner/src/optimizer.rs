@@ -50,16 +50,20 @@ impl Optimizer {
             }
         }
         let every_column = vec![true; plan.schema().len()];
-        Ok(prune_columns(plan, every_column).0)
+        Ok(prune_columns(plan, every_column)?.0)
     }
 }
 
 /// One bottom-up rewrite pass.
 fn rewrite(plan: LogicalPlan) -> Result<LogicalPlan> {
     // First rewrite children.
-    let plan = map_children(plan, rewrite)?;
-    // Then apply local rules.
-    let plan = fold_node_exprs(plan)?;
+    let mut plan = plan.map_children(rewrite)?;
+    // Then apply local rules: constant folding in every expression the
+    // node carries (a lambda body's parameters are columns, and stay)...
+    for e in plan.expressions_mut() {
+        fold_slot(e);
+    }
+    // ... and the rules that look at the node's input.
     match plan {
         LogicalPlan::Filter { input, predicate } => rewrite_filter(*input, predicate),
         LogicalPlan::Project {
@@ -71,343 +75,96 @@ fn rewrite(plan: LogicalPlan) -> Result<LogicalPlan> {
     }
 }
 
-/// Apply `f` to each child plan.
-fn map_children(
-    plan: LogicalPlan,
-    f: impl Fn(LogicalPlan) -> Result<LogicalPlan> + Copy,
-) -> Result<LogicalPlan> {
-    Ok(match plan {
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: Box::new(f(*input)?),
-            predicate,
-        },
-        LogicalPlan::Project {
-            input,
-            exprs,
-            schema,
-        } => LogicalPlan::Project {
-            input: Box::new(f(*input)?),
-            exprs,
-            schema,
-        },
-        LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            condition,
-            schema,
-        } => LogicalPlan::Join {
-            left: Box::new(f(*left)?),
-            right: Box::new(f(*right)?),
-            kind,
-            condition,
-            schema,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group_exprs,
-            aggregates,
-            schema,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(f(*input)?),
-            group_exprs,
-            aggregates,
-            schema,
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(f(*input)?),
-            keys,
-        },
-        LogicalPlan::Limit {
-            input,
-            limit,
-            offset,
-        } => LogicalPlan::Limit {
-            input: Box::new(f(*input)?),
-            limit,
-            offset,
-        },
-        LogicalPlan::Union {
-            inputs,
-            all,
-            schema,
-        } => LogicalPlan::Union {
-            inputs: inputs.into_iter().map(f).collect::<Result<_>>()?,
-            all,
-            schema,
-        },
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(f(*input)?),
-        },
-        LogicalPlan::RecursiveCte {
-            name,
-            init,
-            step,
-            all,
-            schema,
-        } => LogicalPlan::RecursiveCte {
-            name,
-            init: Box::new(f(*init)?),
-            step: Box::new(f(*step)?),
-            all,
-            schema,
-        },
-        LogicalPlan::Iterate {
-            init,
-            step,
-            stop,
-            max_iterations,
-            schema,
-        } => LogicalPlan::Iterate {
-            init: Box::new(f(*init)?),
-            step: Box::new(f(*step)?),
-            stop: Box::new(f(*stop)?),
-            max_iterations,
-            schema,
-        },
-        LogicalPlan::KMeans {
-            data,
-            centers,
-            lambda,
-            max_iterations,
-            schema,
-        } => LogicalPlan::KMeans {
-            data: Box::new(f(*data)?),
-            centers: Box::new(f(*centers)?),
-            lambda,
-            max_iterations,
-            schema,
-        },
-        LogicalPlan::KMeansAssign {
-            data,
-            centers,
-            lambda,
-            schema,
-        } => LogicalPlan::KMeansAssign {
-            data: Box::new(f(*data)?),
-            centers: Box::new(f(*centers)?),
-            lambda,
-            schema,
-        },
-        LogicalPlan::PageRank {
-            edges,
-            weighted,
-            damping,
-            epsilon,
-            max_iterations,
-            schema,
-        } => LogicalPlan::PageRank {
-            edges: Box::new(f(*edges)?),
-            weighted,
-            damping,
-            epsilon,
-            max_iterations,
-            schema,
-        },
-        LogicalPlan::NaiveBayesTrain {
-            data,
-            feature_names,
-            schema,
-        } => LogicalPlan::NaiveBayesTrain {
-            data: Box::new(f(*data)?),
-            feature_names,
-            schema,
-        },
-        LogicalPlan::NaiveBayesPredict {
-            model,
-            data,
-            feature_names,
-            schema,
-        } => LogicalPlan::NaiveBayesPredict {
-            model: Box::new(f(*model)?),
-            data: Box::new(f(*data)?),
-            feature_names,
-            schema,
-        },
-        LogicalPlan::ClassStats {
-            data,
-            feature_names,
-            schema,
-        } => LogicalPlan::ClassStats {
-            data: Box::new(f(*data)?),
-            feature_names,
-            schema,
-        },
-        leaf @ (LogicalPlan::TableScan { .. }
-        | LogicalPlan::SystemScan { .. }
-        | LogicalPlan::Values { .. }
-        | LogicalPlan::Empty { .. }
-        | LogicalPlan::WorkingTable { .. }) => leaf,
-    })
-}
-
 // ------------------------------------------------------- constant folding
-
-/// Fold constant sub-expressions in every expression the node carries.
-fn fold_node_exprs(plan: LogicalPlan) -> Result<LogicalPlan> {
-    Ok(match plan {
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input,
-            predicate: fold_expr(predicate),
-        },
-        LogicalPlan::Project {
-            input,
-            exprs,
-            schema,
-        } => LogicalPlan::Project {
-            input,
-            exprs: exprs.into_iter().map(fold_expr).collect(),
-            schema,
-        },
-        LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            condition,
-            schema,
-        } => LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            condition: condition.map(fold_expr),
-            schema,
-        },
-        LogicalPlan::TableScan {
-            table,
-            table_schema,
-            projection,
-            filter,
-            schema,
-        } => LogicalPlan::TableScan {
-            table,
-            table_schema,
-            projection,
-            filter: filter.map(fold_expr),
-            schema,
-        },
-        other => other,
-    })
-}
 
 /// Recursively replace constant sub-expressions with literals. Evaluation
 /// errors (like division by zero) leave the expression untouched so the
 /// error surfaces at run time only if the row is actually produced.
-pub fn fold_expr(e: ScalarExpr) -> ScalarExpr {
-    if matches!(e, ScalarExpr::Literal(_)) {
-        return e;
-    }
-    // Fold children first.
-    let e = match e {
-        ScalarExpr::Binary {
+pub fn fold_expr(mut e: ScalarExpr) -> ScalarExpr {
+    fold_slot(&mut e);
+    e
+}
+
+/// Fold the expression a slot holds; true when what is left reads no
+/// column.
+fn fold_slot(slot: &mut ScalarExpr) -> bool {
+    let (folded, constant) = fold(std::mem::replace(slot, ScalarExpr::Literal(Value::Null)));
+    *slot = folded;
+    constant
+}
+
+fn fold(mut e: ScalarExpr) -> (ScalarExpr, bool) {
+    // Fold children first, where they are: every one of them, so `&`.
+    let constant = match &mut e {
+        ScalarExpr::Literal(_) => return (e, true),
+        ScalarExpr::Column { .. } => return (e, false),
+        ScalarExpr::Binary { left, right, .. } => fold_slot(left) & fold_slot(right),
+        ScalarExpr::Unary { input, .. }
+        | ScalarExpr::Cast { input, .. }
+        | ScalarExpr::IsNull { input, .. }
+        | ScalarExpr::InList { input, .. }
+        | ScalarExpr::Like { input, .. } => fold_slot(input),
+        ScalarExpr::Func { args, .. } => args.iter_mut().fold(true, |c, a| fold_slot(a) & c),
+        ScalarExpr::Case {
+            branches,
+            else_expr,
+            ..
+        } => {
+            let branches = branches.iter_mut().fold(true, |c, (when, then)| {
+                fold_slot(when) & fold_slot(then) & c
+            });
+            else_expr.as_deref_mut().is_none_or(fold_slot) & branches
+        }
+    };
+    // Boolean short-circuits that are sound under 3VL:
+    // FALSE AND x = FALSE,  TRUE OR x = TRUE,
+    // TRUE AND x = x,       FALSE OR x = x.
+    if let ScalarExpr::Binary {
+        op: op @ (BinaryOp::And | BinaryOp::Or),
+        left,
+        right,
+        data_type,
+    } = e
+    {
+        // The truth value that decides the result; the other one drops out
+        // (and, a literal, leaves `constant` to the operand that stays).
+        let absorbing = op == BinaryOp::Or;
+        let is =
+            |e: &ScalarExpr, b: bool| matches!(e, ScalarExpr::Literal(Value::Bool(x)) if *x == b);
+        if is(&left, absorbing) || is(&right, absorbing) {
+            return (ScalarExpr::Literal(Value::Bool(absorbing)), true);
+        }
+        if is(&left, !absorbing) {
+            return (*right, constant);
+        }
+        if is(&right, !absorbing) {
+            return (*left, constant);
+        }
+        e = ScalarExpr::Binary {
             op,
             left,
             right,
             data_type,
-        } => {
-            let l = fold_expr(*left);
-            let r = fold_expr(*right);
-            // Boolean short-circuits that are sound under 3VL:
-            // FALSE AND x = FALSE,  TRUE OR x = TRUE,
-            // TRUE AND x = x,       FALSE OR x = x.
-            match (op, &l, &r) {
-                (BinaryOp::And, ScalarExpr::Literal(Value::Bool(false)), _)
-                | (BinaryOp::And, _, ScalarExpr::Literal(Value::Bool(false))) => {
-                    return ScalarExpr::Literal(Value::Bool(false))
-                }
-                (BinaryOp::Or, ScalarExpr::Literal(Value::Bool(true)), _)
-                | (BinaryOp::Or, _, ScalarExpr::Literal(Value::Bool(true))) => {
-                    return ScalarExpr::Literal(Value::Bool(true))
-                }
-                (BinaryOp::And, ScalarExpr::Literal(Value::Bool(true)), _) => return r,
-                (BinaryOp::And, _, ScalarExpr::Literal(Value::Bool(true))) => return l,
-                (BinaryOp::Or, ScalarExpr::Literal(Value::Bool(false)), _) => return r,
-                (BinaryOp::Or, _, ScalarExpr::Literal(Value::Bool(false))) => return l,
-                _ => {}
-            }
-            ScalarExpr::Binary {
-                op,
-                left: Box::new(l),
-                right: Box::new(r),
-                data_type,
-            }
-        }
-        ScalarExpr::Unary { op, input } => ScalarExpr::Unary {
-            op,
-            input: Box::new(fold_expr(*input)),
-        },
-        ScalarExpr::Func {
-            func,
-            args,
-            data_type,
-        } => ScalarExpr::Func {
-            func,
-            args: args.into_iter().map(fold_expr).collect(),
-            data_type,
-        },
-        ScalarExpr::Cast { input, target } => ScalarExpr::Cast {
-            input: Box::new(fold_expr(*input)),
-            target,
-        },
-        ScalarExpr::IsNull { input, negated } => ScalarExpr::IsNull {
-            input: Box::new(fold_expr(*input)),
-            negated,
-        },
-        ScalarExpr::Case {
-            branches,
-            else_expr,
-            data_type,
-        } => ScalarExpr::Case {
-            branches: branches
-                .into_iter()
-                .map(|(c, r)| (fold_expr(c), fold_expr(r)))
-                .collect(),
-            else_expr: else_expr.map(|e| Box::new(fold_expr(*e))),
-            data_type,
-        },
-        ScalarExpr::InList {
-            input,
-            list,
-            negated,
-        } => ScalarExpr::InList {
-            input: Box::new(fold_expr(*input)),
-            list,
-            negated,
-        },
-        ScalarExpr::Like {
-            input,
-            pattern,
-            negated,
-        } => ScalarExpr::Like {
-            input: Box::new(fold_expr(*input)),
-            pattern,
-            negated,
-        },
-        other => other,
-    };
-    // Whole-expression fold when constant.
-    if e.is_constant() {
-        if let Ok(v) = e.eval_row(&Row::default()) {
-            // Preserve the static type: an Int result for a Float64-typed
-            // expression must stay a Float literal, and a NULL result of
-            // a typed expression must keep its type (as CAST(NULL AS T)).
-            if v.is_null() {
-                if e.data_type() == hylite_common::DataType::Null {
-                    return ScalarExpr::Literal(v);
-                }
-                return ScalarExpr::Cast {
-                    input: Box::new(ScalarExpr::Literal(Value::Null)),
-                    target: e.data_type(),
-                };
-            }
-            if v.data_type() == e.data_type() {
-                return ScalarExpr::Literal(v);
-            }
-            if let Ok(cast) = v.cast_to(e.data_type()) {
-                return ScalarExpr::Literal(cast);
-            }
-        }
+        };
     }
-    e
+    // Whole-expression fold when constant.
+    let Some(v) = constant.then(|| e.eval_row(&Row::default()).ok()).flatten() else {
+        return (e, constant);
+    };
+    // Preserve the static type: an Int result for a Float64-typed
+    // expression must stay a Float literal, and a NULL result of a typed
+    // expression must keep its type (as CAST(NULL AS T)).
+    if v.is_null() && e.data_type() != hylite_common::DataType::Null {
+        e = ScalarExpr::Cast {
+            input: Box::new(ScalarExpr::Literal(Value::Null)),
+            target: e.data_type(),
+        };
+    } else if v.data_type() == e.data_type() {
+        e = ScalarExpr::Literal(v);
+    } else if let Ok(cast) = v.cast_to(e.data_type()) {
+        e = ScalarExpr::Literal(cast);
+    }
+    (e, constant)
 }
 
 // ------------------------------------------------------ filter pushdown
@@ -496,24 +253,13 @@ fn rewrite_filter(input: LogicalPlan, predicate: ScalarExpr) -> Result<LogicalPl
                 c.referenced_columns(&mut refs);
                 let all_left = refs.iter().all(|&i| i < left_width);
                 let all_right = refs.iter().all(|&i| i >= left_width);
-                match kind {
-                    JoinKind::Inner | JoinKind::Cross => {
-                        if all_left {
-                            push_left.push(c);
-                        } else if all_right {
-                            push_right.push(c);
-                        } else {
-                            keep.push(c);
-                        }
-                    }
-                    // For LEFT joins only left-side predicates commute.
-                    JoinKind::Left => {
-                        if all_left {
-                            push_left.push(c);
-                        } else {
-                            keep.push(c);
-                        }
-                    }
+                // For LEFT joins only left-side predicates commute.
+                if all_left {
+                    push_left.push(c);
+                } else if all_right && kind != JoinKind::Left {
+                    push_right.push(c);
+                } else {
+                    keep.push(c);
                 }
             }
             let left = apply_conjuncts(*left, push_left, 0)?;
@@ -533,7 +279,7 @@ fn rewrite_filter(input: LogicalPlan, predicate: ScalarExpr) -> Result<LogicalPl
             }
             Ok(plan)
         }
-        // Push into the scan itself — evaluated during the parallel scan.
+        // Push into the scan itself — evaluated during the scan.
         LogicalPlan::TableScan {
             table,
             table_schema,
@@ -722,7 +468,10 @@ fn positions_after(kept: &[bool]) -> Vec<usize> {
 /// of their own (projection, aggregate, distinct, union, loops, analytics
 /// operators) need all of it and stop the narrowing of their output, not
 /// of what lies below them.
-fn prune_columns(plan: LogicalPlan, required: Vec<bool>) -> (LogicalPlan, Option<Vec<usize>>) {
+fn prune_columns(
+    plan: LogicalPlan,
+    required: Vec<bool>,
+) -> Result<(LogicalPlan, Option<Vec<usize>>)> {
     let remap = |e: &mut ScalarExpr, moved: &Option<Vec<usize>>| {
         if let Some(m) = moved {
             e.remap_columns(m);
@@ -732,171 +481,109 @@ fn prune_columns(plan: LogicalPlan, required: Vec<bool>) -> (LogicalPlan, Option
         LogicalPlan::TableScan {
             table,
             table_schema,
-            projection,
+            mut projection,
             mut filter,
-            schema,
+            mut schema,
         } => {
             let mut used = required;
             mark_columns(&filter, &mut used);
-            if used.iter().all(|&u| u) {
-                let scan = LogicalPlan::TableScan {
-                    table,
-                    table_schema,
-                    projection,
-                    filter,
-                    schema,
-                };
-                return (scan, None);
+            let moved = (!used.iter().all(|&u| u)).then(|| positions_after(&used));
+            if moved.is_some() {
+                if let Some(f) = &mut filter {
+                    remap(f, &moved);
+                }
+                let kept: Vec<usize> = (0..used.len()).filter(|&i| used[i]).collect();
+                let fields = kept.iter().map(|&i| schema.field(i).clone()).collect();
+                schema = Arc::new(Schema::new(fields));
+                // Compose with an existing table-level projection.
+                projection = Some(match &projection {
+                    Some(p) => kept.iter().map(|&i| p[i]).collect(),
+                    None => kept,
+                });
             }
-            let moved = Some(positions_after(&used));
-            if let Some(f) = &mut filter {
-                remap(f, &moved);
-            }
-            let kept: Vec<usize> = (0..used.len()).filter(|&i| used[i]).collect();
-            let fields = kept.iter().map(|&i| schema.field(i).clone()).collect();
-            // Compose with an existing table-level projection.
-            let projection = match &projection {
-                Some(p) => kept.iter().map(|&i| p[i]).collect(),
-                None => kept,
-            };
             let scan = LogicalPlan::TableScan {
                 table,
                 table_schema,
-                projection: Some(projection),
+                projection,
                 filter,
-                schema: Arc::new(Schema::new(fields)),
+                schema,
             };
-            (scan, moved)
+            Ok((scan, moved))
         }
-        LogicalPlan::Filter {
-            input,
-            mut predicate,
-        } => {
-            let mut used = required;
-            mark_columns([&predicate], &mut used);
-            let (input, moved) = prune_columns(*input, used);
-            remap(&mut predicate, &moved);
-            let input = Box::new(input);
-            (LogicalPlan::Filter { input, predicate }, moved)
-        }
-        LogicalPlan::Sort { input, mut keys } => {
-            let mut used = required;
-            mark_columns(keys.iter().map(|k| &k.expr), &mut used);
-            let (input, moved) = prune_columns(*input, used);
-            keys.iter_mut().for_each(|k| remap(&mut k.expr, &moved));
-            let input = Box::new(input);
-            (LogicalPlan::Sort { input, keys }, moved)
-        }
-        LogicalPlan::Limit {
-            input,
-            limit,
-            offset,
-        } => {
-            let (input, moved) = prune_columns(*input, required);
-            let input = Box::new(input);
-            let limit = LogicalPlan::Limit {
-                input,
-                limit,
-                offset,
+        // One input, read through the node's expressions; a filter, sort or
+        // limit hands its other columns on to a parent that may read them.
+        mut node @ (LogicalPlan::Filter { .. }
+        | LogicalPlan::Sort { .. }
+        | LogicalPlan::Limit { .. }
+        | LogicalPlan::Project { .. }
+        | LogicalPlan::Aggregate { .. }) => {
+            let computes = matches!(
+                node,
+                LogicalPlan::Project { .. } | LogicalPlan::Aggregate { .. }
+            );
+            let mut used = if computes {
+                vec![false; node.children().next().map_or(0, |c| c.schema().len())]
+            } else {
+                required
             };
-            (limit, moved)
+            mark_columns(node.expressions(), &mut used);
+            let mut moved = None;
+            node = node.map_children(|input| {
+                let (input, input_moved) = prune_columns(input, std::mem::take(&mut used))?;
+                moved = input_moved;
+                Ok(input)
+            })?;
+            for e in node.expressions_mut() {
+                remap(e, &moved);
+            }
+            Ok((node, if computes { None } else { moved }))
         }
         LogicalPlan::Join {
             left,
             right,
             kind,
             mut condition,
-            schema,
+            mut schema,
         } => {
             let left_width = left.schema().len();
             let mut used = required;
             mark_columns(&condition, &mut used);
             let used_right = used.split_off(left_width);
-            let (left, moved_left) = prune_columns(*left, used);
-            let (right, moved_right) = prune_columns(*right, used_right);
-            if moved_left.is_none() && moved_right.is_none() {
-                let join = LogicalPlan::Join {
-                    left: Box::new(left),
-                    right: Box::new(right),
-                    kind,
-                    condition,
-                    schema,
+            let (left, moved_left) = prune_columns(*left, used)?;
+            let (right, moved_right) = prune_columns(*right, used_right)?;
+            let mut moved = None;
+            if moved_left.is_some() || moved_right.is_some() {
+                let (left_schema, right_schema) = (left.schema(), right.schema());
+                let side = |moved: Option<Vec<usize>>, width: usize, base: usize| {
+                    let moved = moved.unwrap_or_else(|| (0..width).collect());
+                    moved.into_iter().map(move |at| base + at)
                 };
-                return (join, None);
-            }
-            let (left_schema, right_schema) = (left.schema(), right.schema());
-            let side = |moved: Option<Vec<usize>>, width: usize, base: usize| {
-                let moved = moved.unwrap_or_else(|| (0..width).collect());
-                moved.into_iter().map(move |at| base + at)
-            };
-            let moved = Some(
-                side(moved_left, left_width, 0)
-                    .chain(side(
-                        moved_right,
-                        schema.len() - left_width,
-                        left_schema.len(),
-                    ))
-                    .collect(),
-            );
-            if let Some(c) = &mut condition {
-                remap(c, &moved);
+                let right_width = schema.len() - left_width;
+                let left_moved = side(moved_left, left_width, 0);
+                let right_moved = side(moved_right, right_width, left_schema.len());
+                moved = Some(left_moved.chain(right_moved).collect());
+                if let Some(c) = &mut condition {
+                    remap(c, &moved);
+                }
+                schema = Arc::new(left_schema.join(&right_schema));
             }
             let join = LogicalPlan::Join {
                 left: Box::new(left),
                 right: Box::new(right),
                 kind,
                 condition,
-                schema: Arc::new(left_schema.join(&right_schema)),
-            };
-            (join, moved)
-        }
-        LogicalPlan::Project {
-            input,
-            mut exprs,
-            schema,
-        } => {
-            let mut used = vec![false; input.schema().len()];
-            mark_columns(&exprs, &mut used);
-            let (input, moved) = prune_columns(*input, used);
-            exprs.iter_mut().for_each(|e| remap(e, &moved));
-            let project = LogicalPlan::Project {
-                input: Box::new(input),
-                exprs,
                 schema,
             };
-            (project, None)
-        }
-        LogicalPlan::Aggregate {
-            input,
-            mut group_exprs,
-            mut aggregates,
-            schema,
-        } => {
-            let mut used = vec![false; input.schema().len()];
-            let args = aggregates.iter().filter_map(|a| a.arg.as_ref());
-            mark_columns(group_exprs.iter().chain(args), &mut used);
-            let (input, moved) = prune_columns(*input, used);
-            let args = aggregates.iter_mut().filter_map(|a| a.arg.as_mut());
-            group_exprs
-                .iter_mut()
-                .chain(args)
-                .for_each(|e| remap(e, &moved));
-            let aggregate = LogicalPlan::Aggregate {
-                input: Box::new(input),
-                group_exprs,
-                aggregates,
-                schema,
-            };
-            (aggregate, None)
+            Ok((join, moved))
         }
         // DISTINCT and UNION compare whole rows; a loop's working table and
         // an analytics operator's inputs are read by position.
         whole_rows => {
-            let plan = map_children(whole_rows, |child| {
+            let plan = whole_rows.map_children(|child| {
                 let every_column = vec![true; child.schema().len()];
-                Ok(prune_columns(child, every_column).0)
-            });
-            (plan.expect("the closure returns Ok"), None)
+                Ok(prune_columns(child, every_column)?.0)
+            })?;
+            Ok((plan, None))
         }
     }
 }
@@ -908,34 +595,29 @@ fn rewrite_project(
     exprs: Vec<ScalarExpr>,
     schema: hylite_common::SchemaRef,
 ) -> Result<LogicalPlan> {
-    match input {
+    let (input, exprs) = match input {
         // Merge Project(Project(x)) by substitution.
         LogicalPlan::Project {
             input: inner,
             exprs: inner_exprs,
             ..
         } => {
-            let merged: Vec<ScalarExpr> = exprs
-                .iter()
-                .map(|e| substitute_columns(e, &inner_exprs))
-                .collect();
-            Ok(LogicalPlan::Project {
-                input: inner,
-                exprs: merged,
-                schema,
-            })
+            let merged = exprs.iter().map(|e| substitute_columns(e, &inner_exprs));
+            (inner, merged.collect())
         }
-        other => Ok(LogicalPlan::Project {
-            input: Box::new(other),
-            exprs,
-            schema,
-        }),
-    }
+        other => (Box::new(other), exprs),
+    };
+    Ok(LogicalPlan::Project {
+        input,
+        exprs,
+        schema,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::logical::{AggExpr, AnalyticsOp, SortKey};
     use hylite_common::{DataType, Field};
 
     fn scan(cols: usize) -> LogicalPlan {
@@ -999,6 +681,52 @@ mod tests {
         .unwrap();
         // Stays intact; the runtime raises the error if the row survives.
         assert!(matches!(fold_expr(e), ScalarExpr::Binary { .. }));
+    }
+
+    #[test]
+    fn every_expression_of_a_node_is_folded_and_columns_stay() {
+        // c0 + (1 + 2): the constant part folds, the column stays.
+        let one_plus_two = ScalarExpr::binary(
+            BinaryOp::Add,
+            ScalarExpr::literal(1i64),
+            ScalarExpr::literal(2i64),
+        )
+        .unwrap();
+        let e = ScalarExpr::binary(BinaryOp::Add, col(0), one_plus_two).unwrap();
+        let folded = ScalarExpr::binary(BinaryOp::Add, col(0), ScalarExpr::literal(3i64)).unwrap();
+        let schema = scan(2).schema();
+        let aggregate = LogicalPlan::Aggregate {
+            input: Box::new(scan(2)),
+            group_exprs: vec![e.clone()],
+            aggregates: vec![AggExpr {
+                func: hylite_expr::AggregateFunction::Sum,
+                arg: Some(e.clone()),
+                name: "s".into(),
+            }],
+            schema: Arc::clone(&schema),
+        };
+        let sort = LogicalPlan::Sort {
+            input: Box::new(scan(2)),
+            keys: vec![SortKey {
+                expr: e.clone(),
+                asc: true,
+            }],
+        };
+        // A lambda's parameters are columns of its two inputs side by side.
+        let kmeans = LogicalPlan::Operator {
+            op: AnalyticsOp::KMeansAssign {
+                lambda: Some(hylite_expr::BoundLambda::new(1, 1, e).unwrap()),
+            },
+            inputs: vec![scan(1), scan(1)],
+            schema,
+        };
+        for plan in [aggregate, sort, kmeans] {
+            let opt = Optimizer::new().optimize(plan).unwrap();
+            assert!(opt.expressions().next().is_some());
+            for e in opt.expressions() {
+                assert_eq!(*e, folded, "{}", opt.op_name());
+            }
+        }
     }
 
     #[test]
@@ -1110,12 +838,14 @@ mod tests {
             Field::new("vertex", DataType::Int64),
             Field::new("rank", DataType::Float64),
         ]));
-        let pr = LogicalPlan::PageRank {
-            edges: Box::new(scan(2)),
-            weighted: false,
-            damping: 0.85,
-            epsilon: 0.0,
-            max_iterations: 45,
+        let pr = LogicalPlan::Operator {
+            op: AnalyticsOp::PageRank {
+                weighted: false,
+                damping: 0.85,
+                epsilon: 0.0,
+                max_iterations: 45,
+            },
+            inputs: vec![scan(2)],
             schema: pr_schema,
         };
         let plan = LogicalPlan::Filter {
@@ -1127,7 +857,7 @@ mod tests {
         let LogicalPlan::Filter { input, .. } = opt else {
             panic!("filter must not cross the analytics operator");
         };
-        assert!(matches!(*input, LogicalPlan::PageRank { .. }));
+        assert_eq!(input.op_name(), "PageRank");
     }
 
     #[test]
@@ -1412,11 +1142,15 @@ mod tests {
             ]
         );
         // KMEANS((SELECT c1, c2 FROM t), (SELECT c0, c3 FROM t), 5)
-        let kmeans = LogicalPlan::KMeans {
-            data: Box::new(project(scan(4), vec![col(1), col(2)])),
-            centers: Box::new(project(scan(4), vec![col(0), col(3)])),
-            lambda: None,
-            max_iterations: 5,
+        let kmeans = LogicalPlan::Operator {
+            op: AnalyticsOp::KMeans {
+                lambda: None,
+                max_iterations: 5,
+            },
+            inputs: vec![
+                project(scan(4), vec![col(1), col(2)]),
+                project(scan(4), vec![col(0), col(3)]),
+            ],
             schema: scan(4).schema(),
         };
         assert_eq!(

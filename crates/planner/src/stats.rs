@@ -8,7 +8,7 @@
 //! edge count), and recursive CTEs grow with unknown depth (we assume a
 //! small constant factor, as real optimizers do).
 
-use crate::logical::{JoinKind, LogicalPlan};
+use crate::logical::{AnalyticsOp, JoinKind, LogicalPlan};
 
 /// Default filter selectivity when nothing better is known.
 pub const FILTER_SELECTIVITY: f64 = 0.25;
@@ -92,15 +92,20 @@ pub fn estimate_rows(plan: &LogicalPlan, table_rows: &dyn Fn(&str) -> usize) -> 
         // The paper's special cases:
         // ITERATE preserves the working-table cardinality (non-appending).
         LogicalPlan::Iterate { init, .. } => estimate_rows(init, table_rows),
-        // k-Means outputs exactly the centers.
-        LogicalPlan::KMeans { centers, .. } => estimate_rows(centers, table_rows),
-        // Assignment preserves the data cardinality.
-        LogicalPlan::KMeansAssign { data, .. } => estimate_rows(data, table_rows),
-        // PageRank outputs one row per vertex; vertices ≈ edges / avg-deg.
-        LogicalPlan::PageRank { edges, .. } => (estimate_rows(edges, table_rows) / 10.0).max(1.0),
-        // NB model: #classes × #attributes — both small; use a constant.
-        LogicalPlan::NaiveBayesTrain { .. } | LogicalPlan::ClassStats { .. } => 32.0,
-        LogicalPlan::NaiveBayesPredict { data, .. } => estimate_rows(data, table_rows),
+        LogicalPlan::Operator { op, inputs, .. } => {
+            let input = |i: usize| estimate_rows(&inputs[i], table_rows);
+            match op {
+                // k-Means outputs exactly the centers.
+                AnalyticsOp::KMeans { .. } => input(1),
+                // Assignment and prediction preserve the data cardinality.
+                AnalyticsOp::KMeansAssign { .. } => input(0),
+                AnalyticsOp::NaiveBayesPredict { .. } => input(1),
+                // PageRank outputs one row per vertex; vertices ≈ edges / avg-deg.
+                AnalyticsOp::PageRank { .. } => (input(0) / 10.0).max(1.0),
+                // NB model: #classes × #attributes — both small; use a constant.
+                AnalyticsOp::NaiveBayesTrain { .. } | AnalyticsOp::ClassStats { .. } => 32.0,
+            }
+        }
     }
 }
 
@@ -143,11 +148,12 @@ mod tests {
     #[test]
     fn kmeans_outputs_centers() {
         let schema = Arc::new(Schema::empty());
-        let plan = LogicalPlan::KMeans {
-            data: Box::new(scan("big")),
-            centers: Box::new(scan("small")),
-            lambda: None,
-            max_iterations: 3,
+        let plan = LogicalPlan::Operator {
+            op: AnalyticsOp::KMeans {
+                lambda: None,
+                max_iterations: 3,
+            },
+            inputs: vec![scan("big"), scan("small")],
             schema,
         };
         assert_eq!(estimate_rows(&plan, &rows), 10.0);

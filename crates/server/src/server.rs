@@ -8,6 +8,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime};
 
 use hylite_common::governor::CancelToken;
+use hylite_common::hash::splitmix64;
 use hylite_common::sysview::{SystemView, SystemViewProvider};
 use hylite_common::telemetry::MetricsRegistry;
 use hylite_common::{HyError, Result, Value};
@@ -249,13 +250,6 @@ impl SystemViewProvider for Shared {
             _ => None,
         }
     }
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// The HyLite network server. [`Server::start`] binds, spawns the accept

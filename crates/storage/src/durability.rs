@@ -288,11 +288,6 @@ impl Durability {
         &self.vfs
     }
 
-    /// The sealed-segment store.
-    pub fn segment_store(&self) -> &Arc<SegmentStore> {
-        &self.store
-    }
-
     /// The block cache in front of sealed segments.
     pub fn buffer_pool(&self) -> &Arc<BufferPool> {
         self.store.pool()

@@ -34,6 +34,7 @@ use std::path::Path;
 use std::time::SystemTime;
 
 use hylite_common::faultfs::Vfs;
+use hylite_common::hash::splitmix64;
 use hylite_common::wire::{self, ByteReader};
 use hylite_common::{crc32, HyError, Result};
 
@@ -97,13 +98,6 @@ pub fn next_epoch(prev: u64) -> u64 {
         e = 1; // 0 is reserved for "never bootstrapped"
     }
     e
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Load the replication state of a data directory, `None` if the

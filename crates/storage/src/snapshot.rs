@@ -32,19 +32,6 @@ impl SegmentHandle {
         self.len() == 0
     }
 
-    /// Whether the segment lives in memory.
-    pub fn is_resident(&self) -> bool {
-        matches!(self, SegmentHandle::Resident(_))
-    }
-
-    /// The disk segment, if sealed.
-    pub fn as_disk(&self) -> Option<&Arc<DiskSegment>> {
-        match self {
-            SegmentHandle::Resident(_) => None,
-            SegmentHandle::Disk(s) => Some(s),
-        }
-    }
-
     /// Materialize rows `[offset, offset+len)`, optionally projected to
     /// `cols`. Resident whole-segment reads are zero-copy (`Arc` clones);
     /// disk reads go through the buffer pool.

@@ -374,6 +374,22 @@ fn wire_error_codes_are_stable_and_typed() {
     handle.shutdown();
 }
 
+/// A session can ask for the shutdown itself: the server stops accepting,
+/// the accept loop ends, and `join` (which requests nothing) returns.
+#[test]
+fn client_shutdown_server_stops_the_server() {
+    let handle = start_default(Database::new());
+    let addr = handle.local_addr();
+    let mut client = HyliteClient::connect(addr).unwrap();
+    assert_eq!(
+        client.query("SELECT 20 + 22").unwrap().scalar().unwrap(),
+        Value::Int(42)
+    );
+    client.shutdown_server().unwrap();
+    handle.join();
+    assert!(HyliteClient::connect(addr).is_err(), "still accepting");
+}
+
 /// Graceful shutdown lets an in-flight statement finish (drain), then the
 /// server refuses new connections and stops.
 #[test]

@@ -1,20 +1,9 @@
 //! Broad SQL-surface coverage through the full pipeline.
 
-use hylite::{Database, Value};
+mod common;
 
-fn db_with_people() -> Database {
-    let db = Database::new();
-    db.execute("CREATE TABLE people (id BIGINT, name VARCHAR, age BIGINT, city VARCHAR)")
-        .unwrap();
-    db.execute(
-        "INSERT INTO people VALUES \
-         (1, 'ada', 36, 'london'), (2, 'grace', 85, 'arlington'), \
-         (3, 'alan', 41, 'london'), (4, 'edsger', 72, NULL), \
-         (5, 'barbara', 73, 'boston')",
-    )
-    .unwrap();
-    db
-}
+use common::{db_with_people, reads_db, READS};
+use hylite::{Database, Value};
 
 #[test]
 fn where_order_limit_offset() {
@@ -25,6 +14,23 @@ fn where_order_limit_offset() {
     assert_eq!(r.row_count(), 2);
     assert_eq!(r.value(0, 0).unwrap(), Value::from("barbara"));
     assert_eq!(r.value(1, 0).unwrap(), Value::from("edsger"));
+}
+
+/// A statement parsed once runs any number of times through a session.
+#[test]
+fn parsed_statement_executes_through_a_session() {
+    let db = db_with_people();
+    let mut session = db.session();
+    let count = hylite::sql::parse_statement("SELECT count(*) FROM people").unwrap();
+    let run = |session: &mut hylite::Session| {
+        let result = session.execute_statement(&count).unwrap();
+        result.scalar().unwrap()
+    };
+    assert_eq!(run(&mut session), Value::Int(5));
+    session
+        .execute("INSERT INTO people VALUES (6, 'tony', 90, 'oxford')")
+        .unwrap();
+    assert_eq!(run(&mut session), Value::Int(6));
 }
 
 #[test]
@@ -254,49 +260,6 @@ fn wide_row_and_many_chunks() {
     assert_eq!(row.values()[3], Value::from("r998"), "string max");
 }
 
-/// Every read this file sends, and a few shapes the required-columns
-/// pass walks that none of them has (a residual join condition over a
-/// column no output needs, `SELECT *` under LIMIT, a filter above a
-/// LIMIT, ITERATE, an analytics operator over a sub-select).
-const READS: &[&str] = &[
-    "SELECT name FROM people WHERE age > 40 ORDER BY age DESC LIMIT 2 OFFSET 1",
-    "SELECT count(*) FROM people WHERE city = city",
-    "SELECT name FROM people WHERE city IS NULL",
-    "SELECT count(*), count(city) FROM people",
-    "SELECT coalesce(city, 'unknown') FROM people WHERE id = 4",
-    "SELECT count(*) FROM people WHERE name LIKE 'a%'",
-    "SELECT count(*) FROM people WHERE age BETWEEN 40 AND 80",
-    "SELECT count(*) FROM people WHERE id IN (1, 3, 9)",
-    "SELECT sum(CASE WHEN age >= 65 THEN 1 ELSE 0 END) AS seniors FROM people",
-    "SELECT DISTINCT city FROM people WHERE city IS NOT NULL ORDER BY city",
-    "SELECT 1 UNION SELECT 1 UNION SELECT 2",
-    "SELECT 1 UNION ALL SELECT 1 UNION ALL SELECT 2",
-    "SELECT upper(name), length(name), sqrt(CAST(age AS DOUBLE)), age % 10 FROM people WHERE id = 1",
-    "SELECT age / 10 AS decade, count(*) AS n FROM people GROUP BY age / 10 ORDER BY count(*) DESC, decade",
-    "SELECT a.name, b.name FROM people a JOIN people b ON a.city = b.city AND a.id < b.id",
-    "SELECT p.name, c.country FROM people p JOIN cities c ON p.city = c.name ORDER BY p.name",
-    "WITH seniors AS (SELECT * FROM people WHERE age > 70), \
-          s2 AS (SELECT city FROM seniors WHERE city IS NOT NULL) SELECT count(*) FROM s2",
-    "SELECT avg(x.age) FROM (SELECT age FROM (SELECT * FROM people) inner2) x",
-    "SELECT count(*) FROM people WHERE city IS NULL",
-    "SELECT count(*) FROM people",
-    "SELECT max(age) FROM people",
-    "SELECT stddev(x), var_samp(x) FROM v",
-    "WITH RECURSIVE reach (v) AS (SELECT 1 UNION SELECT e.dst FROM reach r JOIN edge e ON e.src = r.v) \
-     SELECT count(*) FROM reach",
-    "SELECT name, age FROM people WHERE age > 70",
-    "SELECT count(*), sum(e), min(b), max(c) FROM wide WHERE d",
-    "SELECT a.name FROM people a LEFT JOIN cities c ON a.city = c.name AND a.age > 40 ORDER BY a.id",
-    "SELECT * FROM wide LIMIT 3",
-    "SELECT s.a FROM (SELECT * FROM wide LIMIT 10) s WHERE s.e > 4",
-    "SELECT DISTINCT d, a % 3 FROM wide WHERE a < 100",
-    "SELECT a FROM wide WHERE a < 3 UNION SELECT e FROM wide WHERE e < 3",
-    "SELECT * FROM ITERATE((SELECT a, b FROM wide WHERE a < 4), \
-        (SELECT a + 1, b * 2.0 FROM iterate), (SELECT a FROM iterate WHERE a >= 10))",
-    "SELECT * FROM KMEANS((SELECT b, CAST(e AS DOUBLE) FROM wide WHERE a < 500), \
-        (SELECT b, CAST(e AS DOUBLE) FROM wide WHERE a < 2), 3)",
-];
-
 /// The optimizer — pushdown, projection merging, required columns — never
 /// changes an answer: every read gives the same cells from its bound plan
 /// as written and from the optimized one.
@@ -307,23 +270,7 @@ fn optimizer_preserves_every_answer() {
     use hylite::planner::{Binder, Optimizer};
     use std::sync::Arc;
 
-    let db = db_with_people();
-    for ddl in [
-        "CREATE TABLE cities (name VARCHAR, country VARCHAR)",
-        "INSERT INTO cities VALUES ('london', 'uk'), ('boston', 'us')",
-        "CREATE TABLE v (x DOUBLE)",
-        "INSERT INTO v VALUES (2),(4),(4),(4),(5),(5),(7),(9)",
-        "CREATE TABLE edge (src BIGINT, dst BIGINT)",
-        "INSERT INTO edge VALUES (1,2),(2,3),(3,4),(4,2)",
-        "CREATE TABLE wide (a BIGINT, b DOUBLE, c VARCHAR, d BOOLEAN, e BIGINT)",
-    ] {
-        db.execute(ddl).unwrap();
-    }
-    let rows: Vec<String> = (0..5000)
-        .map(|i| format!("({i}, {}.5, 'r{i}', {}, {})", i, i % 2 == 0, i * 2))
-        .collect();
-    db.execute(&format!("INSERT INTO wide VALUES {}", rows.join(",")))
-        .unwrap();
+    let db = reads_db();
 
     let cells = |plan: &hylite::planner::LogicalPlan| -> Vec<String> {
         let mut executor = Executor::new(ExecContext::new(Arc::clone(db.catalog())));
