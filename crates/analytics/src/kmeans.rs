@@ -13,6 +13,7 @@
 //! and the resulting expression runs over whole chunks.
 
 use hylite_common::governor::Governor;
+use hylite_common::morsel::map_morsels;
 use hylite_common::{Chunk, HyError, Result, Value};
 use hylite_expr::BoundLambda;
 
@@ -263,9 +264,11 @@ pub fn kmeans(
 }
 
 /// [`kmeans`] under a resource [`Governor`]: each Lloyd iteration starts
-/// with a cooperative cancellation/deadline check, and the per-thread
-/// accumulator arrays are charged against the statement's memory budget
-/// for the duration of the run.
+/// with a cooperative cancellation/deadline check, the chunks of an
+/// iteration are assigned and accumulated on the morsel scheduler (one
+/// more check per chunk), and the per-chunk accumulator arrays are
+/// charged against the statement's memory budget for the duration of the
+/// run.
 pub fn kmeans_governed(
     chunks: &[Chunk],
     initial_centers: Vec<Vec<f64>>,
@@ -301,7 +304,7 @@ pub fn kmeans_governed(
         }
     }
 
-    // Per-thread accumulators: one Locals (k×d sums + k counts) per chunk.
+    // Per-chunk accumulators: one Locals (k×d sums + k counts) per chunk.
     let locals_bytes = chunks.len() as u64 * (k as u64 * d as u64 * 8 + k as u64 * 8);
     let _scratch = governor.reserve_scoped(locals_bytes)?;
 
@@ -318,18 +321,12 @@ pub fn kmeans_governed(
         let iter_start = std::time::Instant::now();
         // Per-chunk local assignment + accumulation; locals are merged in
         // deterministic chunk order so results are reproducible.
-        let locals: Vec<Result<Locals>> = chunks
-            .iter()
-            .map(|chunk| {
-                let mut l = Locals::new(k, d);
-                assign_chunk(chunk, &centers, lambda, &mut l, None)?;
-                Ok(l)
-            })
-            .collect();
-        let mut merged = Locals::new(k, d);
-        for l in locals {
-            merged = merged.merge(l?);
-        }
+        let locals = map_morsels(governor, chunks, |chunk| {
+            let mut l = Locals::new(k, d);
+            assign_chunk(chunk, &centers, lambda, &mut l, None)?;
+            Ok(l)
+        })?;
+        let merged = locals.into_iter().fold(Locals::new(k, d), Locals::merge);
         // Final update of the cluster centers (the only sync point).
         let mut moved = false;
         let mut shift = 0.0f64;
@@ -377,6 +374,17 @@ pub fn kmeans_assign(
     centers: &[Vec<f64>],
     lambda: Option<&BoundLambda>,
 ) -> Result<Vec<Vec<u32>>> {
+    kmeans_assign_governed(chunks, centers, lambda, &Governor::unlimited())
+}
+
+/// [`kmeans_assign`] under a resource [`Governor`]: chunks are assigned
+/// on the morsel scheduler, with a cancellation/deadline check per chunk.
+pub fn kmeans_assign_governed(
+    chunks: &[Chunk],
+    centers: &[Vec<f64>],
+    lambda: Option<&BoundLambda>,
+    governor: &Governor,
+) -> Result<Vec<Vec<u32>>> {
     if centers.is_empty() {
         return Err(HyError::Analytics(
             "assignment requires at least one center".into(),
@@ -384,15 +392,12 @@ pub fn kmeans_assign(
     }
     let d = centers[0].len();
     validate(chunks, d, "k-Means assignment data")?;
-    chunks
-        .iter()
-        .map(|chunk| {
-            let mut locals = Locals::new(centers.len(), d);
-            let mut rec = Vec::with_capacity(chunk.len());
-            assign_chunk(chunk, centers, lambda, &mut locals, Some(&mut rec))?;
-            Ok(rec)
-        })
-        .collect()
+    map_morsels(governor, chunks, |chunk| {
+        let mut locals = Locals::new(centers.len(), d);
+        let mut rec = Vec::with_capacity(chunk.len());
+        assign_chunk(chunk, centers, lambda, &mut locals, Some(&mut rec))?;
+        Ok(rec)
+    })
 }
 
 #[cfg(test)]

@@ -11,6 +11,8 @@
 use std::collections::HashMap;
 
 use hylite_common::governor::Governor;
+use hylite_common::hash::FoldMap;
+use hylite_common::morsel::map_morsels;
 use hylite_common::{Chunk, ColumnVector, DataType, HyError, Result, Value};
 
 /// A class label: the discrete types the binder admits for labels.
@@ -63,16 +65,6 @@ pub struct ClassMoments {
 }
 
 impl ClassMoments {
-    fn new(d: usize) -> ClassMoments {
-        ClassMoments {
-            n: 0,
-            sums: vec![0.0; d],
-            sum_sqs: vec![0.0; d],
-            mins: vec![f64::INFINITY; d],
-            maxs: vec![f64::NEG_INFINITY; d],
-        }
-    }
-
     fn merge(&mut self, other: &ClassMoments) {
         self.n += other.n;
         for i in 0..self.sums.len() {
@@ -118,8 +110,9 @@ pub fn collect_moments_opts(
     collect_moments_governed(chunks, track_minmax, &Governor::unlimited())
 }
 
-/// [`collect_moments_opts`] under a resource [`Governor`]: every parallel
-/// per-chunk fold starts with a cooperative cancellation/deadline check.
+/// [`collect_moments_opts`] under a resource [`Governor`]: chunks are
+/// folded on the morsel scheduler (a cancellation/deadline check per
+/// chunk) into per-chunk class tables, merged in chunk order.
 pub fn collect_moments_governed(
     chunks: &[Chunk],
     track_minmax: bool,
@@ -134,76 +127,97 @@ pub fn collect_moments_governed(
             "Naive Bayes needs at least one feature column plus the label".into(),
         ));
     }
-    // Per-thread hash tables, merged once at the end (paper §6.2).
-    let locals: Vec<Result<HashMap<LabelValue, ClassMoments>>> = chunks
-        .iter()
-        .map(|chunk| {
-            governor.check()?;
-            let mut table: HashMap<LabelValue, ClassMoments> = HashMap::new();
-            let label_col = chunk.column(d);
-            let feature_cols: Vec<&[f64]> = (0..d)
-                .map(|i| chunk.column(i).as_f64())
-                .collect::<Result<_>>()?;
-            // Fast path: non-NULL BIGINT labels fold without per-row
-            // Value materialization (the common benchmark shape).
-            if label_col.null_count() == 0 {
-                if let Ok(labels) = label_col.as_i64() {
-                    let mut int_table: HashMap<i64, ClassMoments> = HashMap::new();
-                    if track_minmax {
-                        for (i, &label) in labels.iter().enumerate() {
-                            let m = int_table
-                                .entry(label)
-                                .or_insert_with(|| ClassMoments::new(d));
-                            m.n += 1;
-                            for (a, col) in feature_cols.iter().enumerate() {
-                                let x = col[i];
-                                m.sums[a] += x;
-                                m.sum_sqs[a] += x * x;
-                                m.mins[a] = m.mins[a].min(x);
-                                m.maxs[a] = m.maxs[a].max(x);
-                            }
-                        }
-                    } else {
-                        for (i, &label) in labels.iter().enumerate() {
-                            let m = int_table
-                                .entry(label)
-                                .or_insert_with(|| ClassMoments::new(d));
-                            m.n += 1;
-                            for (a, col) in feature_cols.iter().enumerate() {
-                                let x = col[i];
-                                m.sums[a] += x;
-                                m.sum_sqs[a] += x * x;
-                            }
-                        }
-                    }
-                    for (k, v) in int_table {
-                        table.insert(LabelValue::Int(k), v);
-                    }
-                    return Ok(table);
-                }
-            }
-            for i in 0..chunk.len() {
-                let label = LabelValue::from_value(&label_col.value(i))?;
-                let m = table.entry(label).or_insert_with(|| ClassMoments::new(d));
-                m.n += 1;
-                for (a, col) in feature_cols.iter().enumerate() {
-                    let x = col[i];
-                    m.sums[a] += x;
-                    m.sum_sqs[a] += x * x;
-                    m.mins[a] = m.mins[a].min(x);
-                    m.maxs[a] = m.maxs[a].max(x);
-                }
-            }
-            Ok(table)
-        })
-        .collect();
+    // Per-thread class tables, merged once at the end (paper §6.2).
+    let locals = map_morsels(governor, chunks, |chunk| fold_chunk(chunk, d, track_minmax))?;
     let mut merged: HashMap<LabelValue, ClassMoments> = HashMap::new();
-    for local in locals {
-        for (k, v) in local? {
-            merged.entry(k).and_modify(|m| m.merge(&v)).or_insert(v);
-        }
+    for (label, moments) in locals.into_iter().flatten() {
+        merged
+            .entry(label)
+            .and_modify(|m| m.merge(&moments))
+            .or_insert(moments);
     }
     Ok(merged)
+}
+
+/// Resolve every row's label to a dense class id, numbered in first-seen
+/// order within the chunk. Returns the classes and one id per row.
+fn class_ids(label_col: &ColumnVector) -> Result<(Vec<LabelValue>, Vec<u32>)> {
+    let mut classes = Vec::new();
+    let mut ids = Vec::with_capacity(label_col.len());
+    // Fast path: non-NULL BIGINT labels resolve without per-row Value
+    // materialization (the common benchmark shape) — the previous row's
+    // label first, which is all that sorted labels ever need.
+    if let (0, Ok(labels)) = (label_col.null_count(), label_col.as_i64()) {
+        let mut table: FoldMap<i64, u32> = FoldMap::default();
+        let mut last = None;
+        for &label in labels {
+            let id = match last {
+                Some((l, id)) if l == label => id,
+                _ => *table.entry(label).or_insert_with(|| {
+                    classes.push(LabelValue::Int(label));
+                    classes.len() as u32 - 1
+                }),
+            };
+            last = Some((label, id));
+            ids.push(id);
+        }
+        return Ok((classes, ids));
+    }
+    let mut table: HashMap<LabelValue, u32> = HashMap::new();
+    for i in 0..label_col.len() {
+        let label = LabelValue::from_value(&label_col.value(i))?;
+        let id = *table.entry(label).or_insert_with_key(|label| {
+            classes.push(label.clone());
+            classes.len() as u32 - 1
+        });
+        ids.push(id);
+    }
+    Ok((classes, ids))
+}
+
+/// One chunk's per-class moments, classes in first-seen order. Per
+/// (class, attribute) the rows are added in row order, so the sums are
+/// those of any other loop nest over the same rows.
+fn fold_chunk(
+    chunk: &Chunk,
+    d: usize,
+    track_minmax: bool,
+) -> Result<Vec<(LabelValue, ClassMoments)>> {
+    let feature_cols: Vec<&[f64]> = (0..d)
+        .map(|i| chunk.column(i).as_f64())
+        .collect::<Result<_>>()?;
+    let (classes, ids) = class_ids(chunk.column(d))?;
+    // (Σa, Σa²) and (min, max) per class and attribute, class-major: a
+    // row touches `d` independent accumulators of its class.
+    let mut sums = vec![[0.0f64; 2]; classes.len() * d];
+    let mut ranges = vec![[f64::INFINITY, f64::NEG_INFINITY]; sums.len()];
+    let mut counts = vec![0u64; classes.len()];
+    for (i, &id) in ids.iter().enumerate() {
+        counts[id as usize] += 1;
+        let class = id as usize * d..(id as usize + 1) * d;
+        for (col, sum) in feature_cols.iter().zip(&mut sums[class.clone()]) {
+            let x = col[i];
+            *sum = [sum[0] + x, sum[1] + x * x];
+        }
+        if track_minmax {
+            for (col, range) in feature_cols.iter().zip(&mut ranges[class]) {
+                *range = [range[0].min(col[i]), range[1].max(col[i])];
+            }
+        }
+    }
+    let moments = counts.iter().enumerate().map(|(c, &n)| {
+        let column = |of: &[[f64; 2]], side: usize| -> Vec<f64> {
+            of[c * d..(c + 1) * d].iter().map(|m| m[side]).collect()
+        };
+        ClassMoments {
+            n,
+            sums: column(&sums, 0),
+            sum_sqs: column(&sums, 1),
+            mins: column(&ranges, 0),
+            maxs: column(&ranges, 1),
+        }
+    });
+    Ok(classes.into_iter().zip(moments).collect())
 }
 
 /// One class of a trained Gaussian model.
@@ -236,8 +250,7 @@ impl NaiveBayesModel {
     }
 
     /// [`train`](NaiveBayesModel::train) under a resource [`Governor`]:
-    /// the parallel moment collection checks for cancellation/timeout once
-    /// per input chunk.
+    /// see [`collect_moments_governed`].
     pub fn train_governed(
         chunks: &[Chunk],
         feature_names: &[String],
@@ -371,41 +384,49 @@ impl NaiveBayesModel {
     /// Predict class labels for feature-only chunks; returns one label
     /// column per input chunk.
     pub fn predict(&self, chunks: &[Chunk]) -> Result<Vec<ColumnVector>> {
+        self.predict_governed(chunks, &Governor::unlimited())
+    }
+
+    /// [`predict`](NaiveBayesModel::predict) under a resource
+    /// [`Governor`]: chunks are scored on the morsel scheduler, with a
+    /// cancellation/deadline check per chunk.
+    pub fn predict_governed(
+        &self,
+        chunks: &[Chunk],
+        governor: &Governor,
+    ) -> Result<Vec<ColumnVector>> {
         let d = self.feature_names.len();
-        chunks
-            .iter()
-            .map(|chunk| {
-                if chunk.num_columns() != d {
-                    return Err(HyError::Analytics(format!(
-                        "prediction data has {} columns, model expects {d}",
-                        chunk.num_columns()
-                    )));
-                }
-                let cols: Vec<&[f64]> = (0..d)
-                    .map(|i| chunk.column(i).as_f64())
-                    .collect::<Result<_>>()?;
-                let label_type = self.classes[0].label.to_value().data_type();
-                let mut out = ColumnVector::empty(label_type);
-                for i in 0..chunk.len() {
-                    let mut best: Option<(f64, &ClassModel)> = None;
-                    for class in &self.classes {
-                        // Log-space score: ln prior + Σ ln N(x; μ, σ).
-                        let mut score = class.prior.ln();
-                        for (a, col) in cols.iter().enumerate() {
-                            let (mean, std) = class.gaussians[a];
-                            let z = (col[i] - mean) / std;
-                            score += -0.5 * z * z - std.ln();
-                        }
-                        if best.is_none_or(|(s, _)| score > s) {
-                            best = Some((score, class));
-                        }
+        map_morsels(governor, chunks, |chunk| {
+            if chunk.num_columns() != d {
+                return Err(HyError::Analytics(format!(
+                    "prediction data has {} columns, model expects {d}",
+                    chunk.num_columns()
+                )));
+            }
+            let cols: Vec<&[f64]> = (0..d)
+                .map(|i| chunk.column(i).as_f64())
+                .collect::<Result<_>>()?;
+            let label_type = self.classes[0].label.to_value().data_type();
+            let mut out = ColumnVector::empty(label_type);
+            for i in 0..chunk.len() {
+                let mut best: Option<(f64, &ClassModel)> = None;
+                for class in &self.classes {
+                    // Log-space score: ln prior + Σ ln N(x; μ, σ).
+                    let mut score = class.prior.ln();
+                    for (a, col) in cols.iter().enumerate() {
+                        let (mean, std) = class.gaussians[a];
+                        let z = (col[i] - mean) / std;
+                        score += -0.5 * z * z - std.ln();
                     }
-                    let label = best.expect("model has ≥1 class").1.label.to_value();
-                    out.push_value(&label)?;
+                    if best.is_none_or(|(s, _)| score > s) {
+                        best = Some((score, class));
+                    }
                 }
-                Ok(out)
-            })
-            .collect()
+                let label = best.expect("model has ≥1 class").1.label.to_value();
+                out.push_value(&label)?;
+            }
+            Ok(out)
+        })
     }
 
     /// The type of the label column.

@@ -8,6 +8,7 @@
 //! new ranks differ from the previous iteration's."
 
 use hylite_common::governor::Governor;
+use hylite_common::morsel::map_morsels;
 use hylite_common::Result;
 use hylite_graph::CsrGraph;
 
@@ -55,10 +56,27 @@ pub fn pagerank(graph: &CsrGraph, config: &PageRankConfig) -> PageRankResult {
         .expect("unlimited governor cannot abort")
 }
 
+/// Vertices per morsel of the pull loop.
+const PULL_RANGE: usize = 256;
+
+/// Below this many edges one round of the pull loop (≈ 0.7 ns per edge)
+/// is not worth starting a helper thread for (≈ 60 µs, and the helper
+/// takes its first range ≈ 45 µs in): the round is then a single morsel,
+/// which the scheduler runs inline.
+const PARALLEL_MIN_EDGES: usize = 1 << 18;
+
 /// [`pagerank`] under a resource [`Governor`]: each power iteration starts
 /// with a cooperative cancellation/deadline check, and the rank/share
 /// arrays plus the transposed adjacency are charged against the
 /// statement's memory budget for the duration of the run.
+///
+/// The O(edges) pull loop runs on the morsel scheduler over
+/// 256-vertex ranges of the next rank array (`PULL_RANGE`; one more check
+/// per range); a vertex's new rank depends on the previous round only, so
+/// how the vertices are cut into ranges cannot show in the ranks. The
+/// O(vertices) dangling, share and residual sums stay on the calling
+/// thread, in vertex order, so `residual_history` too is the same bits at
+/// every thread count.
 pub fn pagerank_governed(
     graph: &CsrGraph,
     config: &PageRankConfig,
@@ -83,6 +101,12 @@ pub fn pagerank_governed(
     let out_degree = graph.out_degrees();
     let inv_n = 1.0 / n as f64;
     let d = config.damping;
+
+    let range = if graph.num_edges() < PARALLEL_MIN_EDGES {
+        n
+    } else {
+        PULL_RANGE
+    };
 
     let mut ranks = vec![inv_n; n];
     let mut next = vec![0.0f64; n];
@@ -111,20 +135,21 @@ pub fn pagerank_governed(
             .collect();
         // New ranks, each from the previous round only — nothing to
         // synchronize inside the loop.
-        let diff: f64 = next
-            .iter_mut()
-            .enumerate()
-            .map(|(v, slot)| {
-                let mut acc = 0.0;
-                for &u in incoming.neighbors(v as u32) {
-                    acc += share[u as usize];
+        map_morsels(
+            governor,
+            next.chunks_mut(range).enumerate(),
+            |(r, slots)| {
+                for (slot, v) in slots.iter_mut().zip(r * range..) {
+                    let mut acc = 0.0;
+                    for &u in incoming.neighbors(v as u32) {
+                        acc += share[u as usize];
+                    }
+                    *slot = base + d * acc;
                 }
-                let new = base + d * acc;
-                let delta = (new - ranks[v]).abs();
-                *slot = new;
-                delta
-            })
-            .sum();
+                Ok(())
+            },
+        )?;
+        let diff: f64 = next.iter().zip(&ranks).map(|(n, r)| (n - r).abs()).sum();
         std::mem::swap(&mut ranks, &mut next);
         residual_history.push(diff);
         iter_micros.push(iter_start.elapsed().as_micros() as u64);
@@ -157,7 +182,9 @@ pub fn pagerank_weighted(
 }
 
 /// [`pagerank_weighted`] under a resource [`Governor`] — see
-/// [`pagerank_governed`] for the check/charge policy.
+/// [`pagerank_governed`] for the check/charge policy. The scatter is
+/// push-based (two vertices may add to the same slot), so unlike the
+/// pull loop it is not handed to the morsel scheduler: one thread.
 pub fn pagerank_weighted_governed(
     graph: &CsrGraph,
     weights: &[f64],

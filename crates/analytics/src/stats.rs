@@ -3,9 +3,10 @@
 //! additional operators that are not limited to Naive Bayes but can be
 //! used as a building block for multiple algorithms").
 
+use hylite_common::governor::Governor;
 use hylite_common::{Chunk, Result, Value};
 
-use crate::naive_bayes::{collect_moments, LabelValue};
+use crate::naive_bayes::{collect_moments_governed, LabelValue};
 
 /// One output row of the CLASS_STATS operator.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,7 +46,17 @@ impl ClassStatsRow {
 /// feature columns with the label last (same contract as Naive Bayes
 /// training — both share the moment-collection pass).
 pub fn class_stats(chunks: &[Chunk], feature_names: &[String]) -> Result<Vec<ClassStatsRow>> {
-    let moments = collect_moments(chunks)?;
+    class_stats_governed(chunks, feature_names, &Governor::unlimited())
+}
+
+/// [`class_stats`] under a resource [`Governor`] — see
+/// [`collect_moments_governed`].
+pub fn class_stats_governed(
+    chunks: &[Chunk],
+    feature_names: &[String],
+    governor: &Governor,
+) -> Result<Vec<ClassStatsRow>> {
+    let moments = collect_moments_governed(chunks, true, governor)?;
     let mut labels: Vec<&LabelValue> = moments.keys().collect();
     labels.sort();
     let mut out = Vec::with_capacity(labels.len() * feature_names.len());

@@ -5,13 +5,22 @@
 //! integrated systems avoid); computation proceeds in *stages* whose
 //! task closures are boxed (scheduled generically, not fused) and whose
 //! outputs are fully materialized per partition; partitions are the unit
-//! of scheduling (run in order on one thread here, like the engine's own
-//! morsels). Fast — but every stage pays copy + dispatch +
-//! materialization.
+//! of scheduling, handed to the same morsel scheduler as the engine's
+//! own operators (`run_tasks`) so the comparison stays core for core.
+//! Fast — but every stage pays copy + dispatch + materialization.
 
 use std::collections::HashMap;
 
-use hylite_common::Chunk;
+use hylite_common::morsel::map_morsels;
+use hylite_common::{Chunk, Governor};
+
+/// The task seam: one task per partition on the engine's morsel
+/// scheduler (its default thread count, as the operators it is compared
+/// with), results in partition order.
+fn run_tasks<P: Sync, T: Send>(partitions: &[P], task: impl Fn(&P) -> T + Sync) -> Vec<T> {
+    map_morsels(&Governor::unlimited(), partitions, |p| Ok(task(p)))
+        .expect("tasks cannot fail and an unlimited governor never aborts")
+}
 
 /// A partitioned, row-major dataset — the engine's internal format.
 #[derive(Debug, Clone)]
@@ -26,18 +35,15 @@ impl DistDataset {
     /// Load (copy) columnar database chunks into the engine: the ETL
     /// step. One partition per input chunk.
     pub fn load(chunks: &[Chunk]) -> DistDataset {
-        let partitions = chunks
-            .iter()
-            .map(|chunk| {
-                let d = chunk.num_columns();
-                let cols: Vec<&[f64]> = (0..d)
-                    .map(|i| chunk.column(i).as_f64().expect("numeric input"))
-                    .collect();
-                (0..chunk.len())
-                    .map(|r| cols.iter().map(|c| c[r]).collect())
-                    .collect()
-            })
-            .collect();
+        let partitions = run_tasks(chunks, |chunk| {
+            let d = chunk.num_columns();
+            let cols: Vec<&[f64]> = (0..d)
+                .map(|i| chunk.column(i).as_f64().expect("numeric input"))
+                .collect();
+            (0..chunk.len())
+                .map(|r| cols.iter().map(|c| c[r]).collect())
+                .collect()
+        });
         DistDataset { partitions }
     }
 
@@ -58,7 +64,7 @@ impl DistDataset {
     /// Run one stage: apply a boxed task to every partition and
     /// materialize all results.
     pub fn run_stage<T: Send>(&self, task: Task<'_, T>) -> Vec<T> {
-        self.partitions.iter().map(|p| task(p)).collect()
+        run_tasks(&self.partitions, |p| task(p))
     }
 }
 
@@ -158,24 +164,20 @@ impl DistEdges {
 /// implementations. No CSR index is built.
 pub fn pagerank(edges: &DistEdges, damping: f64, max_iterations: usize) -> HashMap<i64, f64> {
     // Stage 0: degrees and vertex discovery.
-    let partials: Vec<(HashMap<i64, u64>, Vec<i64>)> = edges
-        .partitions
-        .iter()
-        .map(|part| {
-            let mut deg: HashMap<i64, u64> = HashMap::new();
-            let mut verts = Vec::new();
-            let mut seen = std::collections::HashSet::new();
-            for &(s, d) in part {
-                *deg.entry(s).or_insert(0) += 1;
-                for v in [s, d] {
-                    if seen.insert(v) {
-                        verts.push(v);
-                    }
+    let partials: Vec<(HashMap<i64, u64>, Vec<i64>)> = run_tasks(&edges.partitions, |part| {
+        let mut deg: HashMap<i64, u64> = HashMap::new();
+        let mut verts = Vec::new();
+        let mut seen = std::collections::HashSet::new();
+        for &(s, d) in part {
+            *deg.entry(s).or_insert(0) += 1;
+            for v in [s, d] {
+                if seen.insert(v) {
+                    verts.push(v);
                 }
             }
-            (deg, verts)
-        })
-        .collect();
+        }
+        (deg, verts)
+    });
     let mut out_degree: HashMap<i64, u64> = HashMap::new();
     let mut vertices: Vec<i64> = Vec::new();
     let mut seen = std::collections::HashSet::new();
@@ -206,18 +208,14 @@ pub fn pagerank(edges: &DistEdges, damping: f64, max_iterations: usize) -> HashM
         // (dest, share) messages.
         let ranks_ref = &ranks;
         let deg_ref = &out_degree;
-        let messages: Vec<HashMap<i64, f64>> = edges
-            .partitions
-            .iter()
-            .map(|part| {
-                let mut local: HashMap<i64, f64> = HashMap::new();
-                for &(s, d) in part {
-                    let share = damping * ranks_ref[&s] / deg_ref[&s] as f64;
-                    *local.entry(d).or_insert(0.0) += share;
-                }
-                local
-            })
-            .collect();
+        let messages: Vec<HashMap<i64, f64>> = run_tasks(&edges.partitions, |part| {
+            let mut local: HashMap<i64, f64> = HashMap::new();
+            for &(s, d) in part {
+                let share = damping * ranks_ref[&s] / deg_ref[&s] as f64;
+                *local.entry(d).or_insert(0.0) += share;
+            }
+            local
+        });
         // Driver-side shuffle/aggregate.
         let mut next: HashMap<i64, f64> = vertices.iter().map(|&v| (v, base)).collect();
         for local in messages {

@@ -34,6 +34,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::morsel::SchedStats;
 use crate::{HyError, Result};
 
 /// A cooperative cancellation flag, shared between the thread executing a
@@ -161,7 +162,7 @@ impl MemoryBudget {
 }
 
 /// The per-statement governor: one cancel token, one optional deadline,
-/// one memory budget.
+/// one memory budget, one thread cap.
 ///
 /// Cheap to construct (a handful of atomics), so the session builds a
 /// fresh one for every statement from its current settings. Execution
@@ -176,18 +177,20 @@ pub struct Governor {
     /// message); `None` = no timeout.
     deadline: Option<(Instant, Duration)>,
     budget: MemoryBudget,
+    /// Most threads one [`map_morsels`](crate::morsel::map_morsels) call
+    /// of this statement may run on; `0` = the scheduler's default (every
+    /// core but one).
+    threads: usize,
+    sched: SchedStats,
 }
 
 impl Governor {
-    /// A governor that never fires: no deadline, unlimited budget, and a
-    /// private token nobody cancels. Used wherever execution runs outside
-    /// a session (unit tests, benches, internal subqueries).
+    /// A governor that never fires: no deadline, unlimited budget, the
+    /// default thread cap, and a private token nobody cancels. Used
+    /// wherever execution runs outside a session (unit tests, benches,
+    /// internal subqueries).
     pub fn unlimited() -> Governor {
-        Governor {
-            cancel: Arc::new(CancelToken::new()),
-            deadline: None,
-            budget: MemoryBudget::unlimited(),
-        }
+        Governor::new(Arc::new(CancelToken::new()), None, None)
     }
 
     /// A governor over a shared cancel token with an optional statement
@@ -201,7 +204,26 @@ impl Governor {
             cancel,
             deadline: timeout.map(|t| (Instant::now() + t, t)),
             budget: budget_bytes.map_or_else(MemoryBudget::unlimited, MemoryBudget::with_limit),
+            threads: 0,
+            sched: SchedStats::default(),
         }
+    }
+
+    /// Cap the statement at `threads` threads (`SET threads`); `0` is the
+    /// scheduler's default, `1` is serial execution.
+    pub fn with_threads(mut self, threads: usize) -> Governor {
+        self.threads = threads;
+        self
+    }
+
+    /// The statement's thread cap (`0` = the scheduler's default).
+    pub fn threads(&self) -> usize {
+        self.threads
+    }
+
+    /// What the morsel scheduler did for this statement.
+    pub fn sched(&self) -> &SchedStats {
+        &self.sched
     }
 
     /// The shared cancel token.

@@ -8,7 +8,8 @@
 //! executor's tables are bounded by the statement governor, not by the
 //! hash, against keys crafted to collide.
 
-use std::hash::Hasher;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Odd multiplier with well-spread bits (the `FxHash` constant).
 const K: u64 = 0x517c_c1b7_2722_0a95;
@@ -43,6 +44,36 @@ impl Hasher for MulHasher {
         self.0
     }
 }
+
+/// [`MulHasher`] for tables that index with the *low* hash bits, as the
+/// standard library's `HashMap` does: `finish` folds the well-mixed high
+/// half onto the low one, so keys that differ only above some power of
+/// two (`i << 20`) still spread. The executor's own tables index with the
+/// high bits and keep using [`MulHasher`] unfolded.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FoldHasher(MulHasher);
+
+impl Hasher for FoldHasher {
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.0.write_u64(word);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.0.write(bytes);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        let h = self.0.finish();
+        h ^ (h >> 32)
+    }
+}
+
+/// A `HashMap` hashed with [`FoldHasher`] — for keys the statement
+/// governor bounds (vertex ids of a query-local graph, class labels of a
+/// chunk), where SipHash's keyed protection buys nothing.
+pub type FoldMap<K, V> = HashMap<K, V, BuildHasherDefault<FoldHasher>>;
 
 /// One SplitMix64 step: a tiny, seedable, well-mixed 64-bit permutation
 /// for retry jitter, session and epoch ids and deterministic fault
@@ -88,5 +119,29 @@ mod tests {
         }
         let worst = slots.iter().max().copied();
         assert!(worst <= Some(4), "clustered: {worst:?} keys in one slot");
+    }
+
+    #[test]
+    fn folded_hash_spreads_multiples_of_a_power_of_two_over_the_low_bits() {
+        // `(i << 20) * K` has 20 zero low bits: unfolded, every such key
+        // lands in one bucket of a table that indexes with the low bits.
+        let low_bits = |fold: bool| {
+            let mut slots = [0u16; 16384];
+            for id in 0..4096i64 {
+                let hash = if fold {
+                    let mut h = FoldHasher::default();
+                    h.write_i64(id << 20);
+                    h.finish()
+                } else {
+                    let mut h = MulHasher::default();
+                    h.write_i64(id << 20);
+                    h.finish()
+                };
+                slots[(hash & 16383) as usize] += 1;
+            }
+            slots.iter().max().copied()
+        };
+        assert_eq!(low_bits(false), Some(4096), "the pitfall this type is for");
+        assert!(low_bits(true) <= Some(4), "clustered: {:?}", low_bits(true));
     }
 }

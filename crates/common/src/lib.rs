@@ -6,8 +6,9 @@
 //! rows, [`Schema`]/[`Field`] for relation shapes, and [`HyError`] for
 //! error reporting across the whole engine. It also hosts the
 //! cross-cutting runtime services: [`telemetry`] (metrics and per-query
-//! profiles), [`governor`] (per-query cancellation, deadlines, and
-//! memory budgets), and [`wire`] (the binary frame protocol spoken
+//! profiles), [`governor`] (per-query cancellation, deadlines,
+//! memory budgets, and the thread cap), [`morsel`] (the one scheduler that
+//! puts work on more than one core), and [`wire`] (the binary frame protocol spoken
 //! between `hylite-server` and `hylite-client`).
 
 #![warn(missing_docs)]
@@ -21,6 +22,7 @@ pub mod faultfs;
 pub mod faultnet;
 pub mod governor;
 pub mod hash;
+pub mod morsel;
 pub mod row;
 pub mod schema;
 pub mod sysview;

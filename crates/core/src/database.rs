@@ -6,6 +6,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 use hylite_common::faultfs::{StdVfs, Vfs};
+use hylite_common::morsel::Budget;
 use hylite_common::sysview::{SlowQueryLog, SystemView, SystemViewHub, SystemViewProvider};
 use hylite_common::telemetry::{MetricsRegistry, MetricsSnapshot};
 use hylite_common::{Result, Value};
@@ -35,7 +36,7 @@ struct CoreViews {
 
 impl CoreViews {
     fn metrics_rows(&self) -> Vec<Vec<Value>> {
-        let snap = self.metrics.snapshot();
+        let snap = live_snapshot(&self.metrics);
         let mut rows =
             Vec::with_capacity(snap.counters.len() + snap.gauges.len() + snap.histograms.len());
         for (name, v) in &snap.counters {
@@ -203,6 +204,16 @@ impl CoreViews {
             })
             .collect()
     }
+}
+
+/// A registry snapshot with the process-wide gauges sampled in:
+/// `sched.helpers_busy` is the morsel scheduler's helper threads running
+/// right now, for every database of the process.
+fn live_snapshot(metrics: &MetricsRegistry) -> MetricsSnapshot {
+    metrics
+        .gauge("sched.helpers_busy")
+        .set(Budget::process().busy() as i64);
+    metrics.snapshot()
 }
 
 impl SystemViewProvider for CoreViews {
@@ -405,7 +416,7 @@ impl Database {
     /// Render with [`MetricsSnapshot::render_text`] or
     /// [`MetricsSnapshot::render_json`].
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.metrics.snapshot()
+        live_snapshot(&self.metrics)
     }
 
     /// Whether this database was opened in the replica role (its data

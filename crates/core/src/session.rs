@@ -28,6 +28,7 @@ use crate::result::QueryResult;
 /// | `slow_query_log_size`  | `128`   | Capacity of the shared slow-query ring    |
 /// | `plan_reuse`           | `on`    | Run repeated sub-plans and loop-invariant parts of ITERATE / recursive-CTE bodies once per statement; results are bit-identical either way |
 /// | `encoded_scan`         | `off`   | Evaluate a scan's range predicates on the encoded blocks of disk segments and materialize only the selected rows; results are bit-identical either way |
+/// | `threads`              | `0`     | Most threads a statement's analytics operators run on; `0` = every core but one (at least one), `1` = serial, the number of cores = all of them; results are bit-identical at every value |
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionSettings {
     /// Statement timeout in milliseconds; `0` disables the deadline.
@@ -42,6 +43,9 @@ pub struct SessionSettings {
     /// Whether scans hand their range predicates to storage, to be
     /// evaluated on encoded blocks (`SET encoded_scan = on|off`).
     pub encoded_scan: bool,
+    /// Thread cap per statement (`SET threads = N`); `0` means every core
+    /// but one.
+    pub threads: u64,
 }
 
 impl Default for SessionSettings {
@@ -52,6 +56,7 @@ impl Default for SessionSettings {
             slow_query_ms: 0,
             plan_reuse: true,
             encoded_scan: false,
+            threads: 0,
         }
     }
 }
@@ -483,14 +488,15 @@ impl Session {
 
     /// Build the governor for the next statement from the current
     /// settings: the shared cancel token, a deadline if
-    /// `statement_timeout_ms` is set, and a byte budget if
-    /// `memory_budget_mb` is set.
+    /// `statement_timeout_ms` is set, a byte budget if
+    /// `memory_budget_mb` is set, and the `threads` cap.
     fn new_statement_governor(&self) -> Arc<Governor> {
         let timeout = (self.settings.statement_timeout_ms > 0)
             .then(|| Duration::from_millis(self.settings.statement_timeout_ms));
         let budget = (self.settings.memory_budget_mb > 0)
             .then(|| self.settings.memory_budget_mb.saturating_mul(1024 * 1024));
-        Arc::new(Governor::new(Arc::clone(&self.cancel), timeout, budget))
+        let threads = usize::try_from(self.settings.threads).unwrap_or(usize::MAX);
+        Arc::new(Governor::new(Arc::clone(&self.cancel), timeout, budget).with_threads(threads))
     }
 
     /// Apply `SET <name> = <value>`. Unknown names are a bind error; the
@@ -500,6 +506,7 @@ impl Session {
             "statement_timeout_ms" => self.settings.statement_timeout_ms = value,
             "memory_budget_mb" => self.settings.memory_budget_mb = value,
             "slow_query_ms" => self.settings.slow_query_ms = value,
+            "threads" => self.settings.threads = value,
             "plan_reuse" | "encoded_scan" => {
                 if value > 1 {
                     return Err(HyError::Bind(format!(
@@ -526,7 +533,7 @@ impl Session {
                 return Err(HyError::Bind(format!(
                     "unknown session setting '{other}' (available: statement_timeout_ms, \
                      memory_budget_mb, slow_query_ms, slow_query_log_size, plan_reuse, \
-                     encoded_scan)"
+                     encoded_scan, threads)"
                 )))
             }
         }

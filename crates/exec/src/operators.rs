@@ -3,8 +3,8 @@
 //! operator, shape the output relation.
 
 use hylite_analytics::{
-    class_stats, kmeans_assign, kmeans_governed, pagerank_governed, KMeansConfig, NaiveBayesModel,
-    PageRankConfig,
+    class_stats_governed, kmeans_assign_governed, kmeans_governed, pagerank_governed, KMeansConfig,
+    NaiveBayesModel, PageRankConfig,
 };
 use hylite_common::{Chunk, ColumnVector, DataType, HyError, Result};
 use hylite_expr::BoundLambda;
@@ -23,7 +23,7 @@ impl Executor {
         inputs: &[LogicalPlan],
         output_types: &[DataType],
     ) -> Result<Vec<Chunk>> {
-        match op {
+        let result = match op {
             AnalyticsOp::KMeans {
                 lambda,
                 max_iterations,
@@ -46,7 +46,28 @@ impl Executor {
             AnalyticsOp::ClassStats { feature_names } => {
                 self.exec_class_stats(&inputs[0], feature_names, output_types)
             }
+        };
+        self.record_schedule();
+        result
+    }
+
+    /// Publish what the morsel scheduler did for this operator (its inputs
+    /// ran, and published, before it): the `sched.*` counters, and
+    /// `threads` / `morsels` on the operator's profile span.
+    fn record_schedule(&mut self) {
+        let did = self.ctx.governor().sched().take();
+        let m = self.ctx.metrics();
+        for (name, n) in [
+            ("sched.parallel_calls", did.parallel_calls),
+            ("sched.inline_calls.one_morsel", did.inline_one_morsel),
+            ("sched.inline_calls.single_thread", did.inline_single_thread),
+            ("sched.inline_calls.no_permit", did.inline_no_permit),
+            ("sched.morsels", did.morsels),
+        ] {
+            m.counter(name).add(n);
         }
+        self.ctx.profile_note("threads", did.max_threads);
+        self.ctx.profile_note("morsels", did.morsels);
     }
 
     /// Report an iterative analytics operator's run into the metrics
@@ -134,7 +155,8 @@ impl Executor {
     ) -> Result<Vec<Chunk>> {
         let data_chunks = self.execute(data)?;
         let center_rows = self.centers_matrix(centers)?;
-        let assignments = kmeans_assign(&data_chunks, &center_rows, lambda)?;
+        let assignments =
+            kmeans_assign_governed(&data_chunks, &center_rows, lambda, self.ctx.governor())?;
         let out = data_chunks
             .iter()
             .zip(assignments)
@@ -161,9 +183,10 @@ impl Executor {
         let edge_chunks = self.execute(edges)?;
         let governor = Arc::clone(self.ctx.governor());
         // Flatten the edge list into (src, dest[, weight]) arrays.
-        let mut src = Vec::new();
-        let mut dest = Vec::new();
-        let mut weights = Vec::new();
+        let edges: usize = edge_chunks.iter().map(Chunk::len).sum();
+        let mut src = Vec::with_capacity(edges);
+        let mut dest = Vec::with_capacity(edges);
+        let mut weights = Vec::with_capacity(if weighted { edges } else { 0 });
         for chunk in &edge_chunks {
             let s = chunk.column(0);
             let d = chunk.column(1);
@@ -259,7 +282,7 @@ impl Executor {
         let model_chunks = self.execute(model)?;
         let model = NaiveBayesModel::from_relation(&model_chunks, feature_names)?;
         let data_chunks = self.execute(data)?;
-        let labels = model.predict(&data_chunks)?;
+        let labels = model.predict_governed(&data_chunks, self.ctx.governor())?;
         let out = data_chunks
             .iter()
             .zip(labels)
@@ -280,10 +303,11 @@ impl Executor {
         output_types: &[DataType],
     ) -> Result<Vec<Chunk>> {
         let chunks = self.execute(data)?;
-        let rows: Vec<Vec<hylite_common::Value>> = class_stats(&chunks, feature_names)?
-            .iter()
-            .map(|r| r.to_values())
-            .collect();
+        let rows: Vec<Vec<hylite_common::Value>> =
+            class_stats_governed(&chunks, feature_names, self.ctx.governor())?
+                .iter()
+                .map(|r| r.to_values())
+                .collect();
         Ok(vec![Chunk::from_rows(output_types, &rows)?])
     }
 

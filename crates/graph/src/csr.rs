@@ -8,8 +8,7 @@
 //! [`VertexMapping`] + [`CsrGraph::from_edges`] implement, including the
 //! reverse mapping applied when results leave the operator.
 
-use std::collections::HashMap;
-
+use hylite_common::hash::FoldMap;
 use hylite_common::{HyError, Result};
 
 /// Maps arbitrary `i64` vertex ids to dense `0..n` ids and back.
@@ -17,8 +16,10 @@ use hylite_common::{HyError, Result};
 pub struct VertexMapping {
     /// dense id → original id (the reverse mapping operator's table).
     originals: Vec<i64>,
-    /// original id → dense id.
-    dense: HashMap<i64, u32>,
+    /// original id → dense id. Two lookups per edge make this table the
+    /// CSR build's inner loop: it hashes with one multiply, folded because
+    /// `HashMap` indexes with the low bits (see [`FoldMap`]).
+    dense: FoldMap<i64, u32>,
 }
 
 impl VertexMapping {
@@ -29,15 +30,10 @@ impl VertexMapping {
 
     /// Intern an original id, returning its dense id.
     pub fn intern(&mut self, original: i64) -> u32 {
-        match self.dense.get(&original) {
-            Some(&d) => d,
-            None => {
-                let d = self.originals.len() as u32;
-                self.originals.push(original);
-                self.dense.insert(original, d);
-                d
-            }
-        }
+        *self.dense.entry(original).or_insert_with(|| {
+            self.originals.push(original);
+            (self.originals.len() - 1) as u32
+        })
     }
 
     /// Dense id for an original id, if known.
@@ -66,15 +62,80 @@ impl VertexMapping {
     }
 }
 
-/// A directed graph in CSR form over dense vertex ids.
+/// Adjacency lists over dense vertex ids in CSR form, without the
+/// re-labeling table: what a kernel that only walks neighbors needs
+/// ([`CsrGraph::transpose`] returns one).
 #[derive(Debug, Clone)]
-pub struct CsrGraph {
+pub struct Adjacency {
     /// `offsets[v]..offsets[v+1]` indexes `targets` with v's out-edges.
     offsets: Vec<usize>,
     /// Flattened adjacency lists.
     targets: Vec<u32>,
+}
+
+impl Adjacency {
+    /// Counting sort of `edges` (`(from, to)` pairs over `0..n`, walked
+    /// twice) by `from`; each list keeps the order the edges come in.
+    fn from_pairs(n: usize, edges: impl Iterator<Item = (u32, u32)> + Clone) -> Adjacency {
+        let mut offsets = vec![0usize; n + 1];
+        for (from, _) in edges.clone() {
+            offsets[from as usize + 1] += 1;
+        }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        let mut cursor = offsets[..n].to_vec();
+        let mut targets = vec![0u32; offsets[n]];
+        for (from, to) in edges {
+            let c = &mut cursor[from as usize];
+            targets[*c] = to;
+            *c += 1;
+        }
+        Adjacency { offsets, targets }
+    }
+
+    /// Number of vertices.
+    pub fn num_vertices(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Number of (directed) edges.
+    pub fn num_edges(&self) -> usize {
+        self.targets.len()
+    }
+
+    /// Out-degree of a dense vertex.
+    pub fn out_degree(&self, v: u32) -> usize {
+        self.edge_range(v).len()
+    }
+
+    /// Out-neighbors of a dense vertex.
+    pub fn neighbors(&self, v: u32) -> &[u32] {
+        &self.targets[self.edge_range(v)]
+    }
+
+    /// Edge slice bounds for vertex `v` (`offsets[v]..offsets[v+1]`),
+    /// for indexing edge-aligned side arrays like weights.
+    pub fn edge_range(&self, v: u32) -> std::ops::Range<usize> {
+        self.offsets[v as usize]..self.offsets[v as usize + 1]
+    }
+}
+
+/// A directed graph in CSR form over dense vertex ids: an [`Adjacency`]
+/// (whose methods it derefs to) plus the re-labeling table.
+#[derive(Debug, Clone)]
+pub struct CsrGraph {
+    adjacency: Adjacency,
     /// Re-labeling table (dense ↔ original ids).
     mapping: VertexMapping,
+}
+
+impl std::ops::Deref for CsrGraph {
+    type Target = Adjacency;
+
+    fn deref(&self) -> &Adjacency {
+        &self.adjacency
+    }
 }
 
 impl CsrGraph {
@@ -90,59 +151,26 @@ impl CsrGraph {
             )));
         }
         let mut mapping = VertexMapping::new();
-        // Pass 1: intern ids and count out-degrees.
-        let mut dense_src = Vec::with_capacity(src.len());
-        let mut dense_dest = Vec::with_capacity(dest.len());
-        for (&s, &d) in src.iter().zip(dest) {
-            dense_src.push(mapping.intern(s));
-            dense_dest.push(mapping.intern(d));
-        }
-        let n = mapping.len();
-        let mut degree = vec![0usize; n];
-        for &s in &dense_src {
-            degree[s as usize] += 1;
-        }
-        // Prefix sums → offsets.
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut acc = 0usize;
-        offsets.push(0);
-        for &d in &degree {
-            acc += d;
-            offsets.push(acc);
-        }
-        // Pass 2: scatter targets.
-        let mut cursor = offsets[..n].to_vec();
-        let mut targets = vec![0u32; src.len()];
-        for (&s, &d) in dense_src.iter().zip(&dense_dest) {
-            let c = &mut cursor[s as usize];
-            targets[*c] = d;
-            *c += 1;
-        }
+        // Edge lists are usually clustered by one endpoint: the previous
+        // edge's ids are looked at before the table.
+        let (mut last_src, mut last_dest) = (None, None);
+        let mut intern = |original: i64, last: &mut Option<(i64, u32)>| match *last {
+            Some((id, dense)) if id == original => dense,
+            _ => {
+                let dense = mapping.intern(original);
+                *last = Some((original, dense));
+                dense
+            }
+        };
+        let dense: Vec<(u32, u32)> = src
+            .iter()
+            .zip(dest)
+            .map(|(&s, &d)| (intern(s, &mut last_src), intern(d, &mut last_dest)))
+            .collect();
         Ok(CsrGraph {
-            offsets,
-            targets,
+            adjacency: Adjacency::from_pairs(mapping.len(), dense.iter().copied()),
             mapping,
         })
-    }
-
-    /// Number of vertices.
-    pub fn num_vertices(&self) -> usize {
-        self.mapping.len()
-    }
-
-    /// Number of (directed) edges.
-    pub fn num_edges(&self) -> usize {
-        self.targets.len()
-    }
-
-    /// Out-degree of a dense vertex.
-    pub fn out_degree(&self, v: u32) -> usize {
-        self.offsets[v as usize + 1] - self.offsets[v as usize]
-    }
-
-    /// Out-neighbors of a dense vertex.
-    pub fn neighbors(&self, v: u32) -> &[u32] {
-        &self.targets[self.offsets[v as usize]..self.offsets[v as usize + 1]]
     }
 
     /// The vertex re-labeling table.
@@ -150,35 +178,12 @@ impl CsrGraph {
         &self.mapping
     }
 
-    /// The transposed graph (in-edges become out-edges), sharing the same
-    /// vertex mapping. PageRank's pull-based iteration reads this.
-    pub fn transpose(&self) -> CsrGraph {
+    /// The transposed adjacency (in-edges become out-edges) over the same
+    /// dense ids. PageRank's pull-based iteration reads this.
+    pub fn transpose(&self) -> Adjacency {
         let n = self.num_vertices();
-        let mut degree = vec![0usize; n];
-        for &t in &self.targets {
-            degree[t as usize] += 1;
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut acc = 0usize;
-        offsets.push(0);
-        for &d in &degree {
-            acc += d;
-            offsets.push(acc);
-        }
-        let mut cursor = offsets[..n].to_vec();
-        let mut targets = vec![0u32; self.targets.len()];
-        for v in 0..n {
-            for &t in self.neighbors(v as u32) {
-                let c = &mut cursor[t as usize];
-                targets[*c] = v as u32;
-                *c += 1;
-            }
-        }
-        CsrGraph {
-            offsets,
-            targets,
-            mapping: self.mapping.clone(),
-        }
+        let reversed = (0..n as u32).flat_map(|v| self.neighbors(v).iter().map(move |&t| (t, v)));
+        Adjacency::from_pairs(n, reversed)
     }
 
     /// Out-degrees of all vertices (used by PageRank for rank division).
@@ -189,7 +194,7 @@ impl CsrGraph {
     }
 
     /// Build a CSR graph together with per-edge weights aligned with
-    /// [`CsrGraph::neighbors`] order (for weighted PageRank: edge weights
+    /// [`Adjacency::neighbors`] order (for weighted PageRank: edge weights
     /// as a lambda-style parameterization of the operator).
     pub fn from_weighted_edges(
         src: &[i64],
@@ -208,19 +213,13 @@ impl CsrGraph {
         let n = graph.num_vertices();
         let mut cursor: Vec<usize> = graph.offsets[..n].to_vec();
         let mut out = vec![0.0f64; weight.len()];
-        for ((&s, _), &w) in src.iter().zip(dest).zip(weight) {
+        for (&s, &w) in src.iter().zip(weight) {
             let dense = graph.mapping.to_dense(s).expect("interned in pass 1");
             let c = &mut cursor[dense as usize];
             out[*c] = w;
             *c += 1;
         }
         Ok((graph, out))
-    }
-
-    /// Edge slice bounds for vertex `v` (`offsets[v]..offsets[v+1]`),
-    /// for indexing edge-aligned side arrays like weights.
-    pub fn edge_range(&self, v: u32) -> std::ops::Range<usize> {
-        self.offsets[v as usize]..self.offsets[v as usize + 1]
     }
 }
 
@@ -248,6 +247,33 @@ mod tests {
             .collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn ids_that_are_multiples_of_a_power_of_two_build_like_dense_ones() {
+        // `HashMap` indexes with the low hash bits and a multiplicative
+        // hash leaves the low bits of `i << 20` zero: unfolded, all 20,000
+        // vertices share one probe sequence and the build is quadratic
+        // (hundreds of times slower, not a few per cent).
+        let build = |shift: u32| {
+            let id = |e: i64, step: i64| ((e * step) % 20_000) << shift;
+            let src: Vec<i64> = (0..200_000).map(|e| id(e, 7919)).collect();
+            let dest: Vec<i64> = (0..200_000).map(|e| id(e, 104_729)).collect();
+            (0..3)
+                .map(|_| {
+                    let started = std::time::Instant::now();
+                    let g = CsrGraph::from_edges(&src, &dest).unwrap();
+                    assert_eq!((g.num_vertices(), g.num_edges()), (20_000, 200_000));
+                    started.elapsed()
+                })
+                .min()
+                .unwrap()
+        };
+        let (dense, shifted) = (build(0), build(20));
+        assert!(
+            shifted < dense * 20,
+            "0..n builds in {dense:?}, (0..n) << 20 in {shifted:?}"
+        );
     }
 
     #[test]

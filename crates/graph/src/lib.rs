@@ -6,5 +6,5 @@ pub mod csr;
 pub mod generators;
 pub mod ldbc;
 
-pub use csr::{CsrGraph, VertexMapping};
+pub use csr::{Adjacency, CsrGraph, VertexMapping};
 pub use ldbc::{LdbcConfig, LdbcGraph};
