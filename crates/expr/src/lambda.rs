@@ -88,7 +88,10 @@ impl BoundLambda {
             )));
         }
         let mut expr = self.body.clone();
-        substitute_from(&mut expr, self.left_width, values);
+        let from = self.left_width;
+        expr.replace_columns(&|i| {
+            (i >= from).then(|| ScalarExpr::Literal(values[i - from].clone()))
+        });
         Ok(expr)
     }
 
@@ -148,45 +151,6 @@ impl BoundLambda {
         }
         let body = body.ok_or_else(|| HyError::Analytics("lambda over zero attributes".into()))?;
         BoundLambda::new(dims, dims, body)
-    }
-}
-
-/// Replace column references at or past `from` with literals.
-fn substitute_from(expr: &mut ScalarExpr, from: usize, values: &[Value]) {
-    match expr {
-        ScalarExpr::Column { index, .. } => {
-            if *index >= from {
-                *expr = ScalarExpr::Literal(values[*index - from].clone());
-            }
-        }
-        ScalarExpr::Literal(_) => {}
-        ScalarExpr::Binary { left, right, .. } => {
-            substitute_from(left, from, values);
-            substitute_from(right, from, values);
-        }
-        ScalarExpr::Unary { input, .. }
-        | ScalarExpr::Cast { input, .. }
-        | ScalarExpr::IsNull { input, .. }
-        | ScalarExpr::InList { input, .. }
-        | ScalarExpr::Like { input, .. } => substitute_from(input, from, values),
-        ScalarExpr::Func { args, .. } => {
-            for a in args {
-                substitute_from(a, from, values);
-            }
-        }
-        ScalarExpr::Case {
-            branches,
-            else_expr,
-            ..
-        } => {
-            for (c, r) in branches {
-                substitute_from(c, from, values);
-                substitute_from(r, from, values);
-            }
-            if let Some(e) = else_expr {
-                substitute_from(e, from, values);
-            }
-        }
     }
 }
 

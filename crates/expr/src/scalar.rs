@@ -140,8 +140,8 @@ pub enum ScalarExpr {
     },
     /// Searched CASE: first branch whose condition is true wins.
     Case {
-        /// `(condition, result)` pairs.
-        branches: Vec<(ScalarExpr, ScalarExpr)>,
+        /// `[condition, result]` pairs.
+        branches: Vec<[ScalarExpr; 2]>,
         /// `ELSE` result (NULL if absent).
         else_expr: Option<Box<ScalarExpr>>,
         /// Pre-computed result type.
@@ -263,14 +263,14 @@ impl ScalarExpr {
 
     /// Type-checked searched CASE.
     pub fn case(
-        branches: Vec<(ScalarExpr, ScalarExpr)>,
+        branches: Vec<[ScalarExpr; 2]>,
         else_expr: Option<ScalarExpr>,
     ) -> Result<ScalarExpr> {
         if branches.is_empty() {
             return Err(HyError::Bind("CASE requires at least one WHEN".into()));
         }
         let mut data_type = DataType::Null;
-        for (cond, result) in &branches {
+        for [cond, result] in &branches {
             let ct = cond.data_type();
             if ct != DataType::Bool && ct != DataType::Null {
                 return Err(HyError::Type(format!(
@@ -311,67 +311,99 @@ impl ScalarExpr {
         }
     }
 
-    /// Indices of all referenced input columns (for projection pruning).
-    pub fn referenced_columns(&self, out: &mut Vec<usize>) {
-        match self {
-            ScalarExpr::Column { index, .. } => out.push(*index),
-            ScalarExpr::Literal(_) => {}
-            ScalarExpr::Binary { left, right, .. } => {
-                left.referenced_columns(out);
-                right.referenced_columns(out);
-            }
+    // Where a node keeps its operands is written down in the two accessors
+    // below and, outside the node's own meaning (constructors, `data_type`,
+    // `eval`, `Display`), nowhere else: every walk, here and in the
+    // optimizer and the lambdas, goes through them. No wildcard arm, so a
+    // new variant does not compile until it is listed; one chain over a
+    // node's parts — its first boxed operand, its operand list (a CASE's
+    // branches, flattened), its last boxed operand — so nothing is
+    // allocated per node.
+
+    /// Direct operands, in order (a CASE: each condition before its result,
+    /// then `ELSE`).
+    #[inline]
+    pub fn children(&self) -> impl Iterator<Item = &ScalarExpr> {
+        type Parts<'a> = (
+            Option<&'a ScalarExpr>,
+            &'a [ScalarExpr],
+            Option<&'a ScalarExpr>,
+        );
+        let (first, listed, last): Parts<'_> = match self {
+            ScalarExpr::Column { .. } | ScalarExpr::Literal(_) => (None, &[], None),
+            ScalarExpr::Binary { left, right, .. } => (Some(left), &[], Some(right)),
             ScalarExpr::Unary { input, .. }
             | ScalarExpr::Cast { input, .. }
             | ScalarExpr::IsNull { input, .. }
             | ScalarExpr::InList { input, .. }
-            | ScalarExpr::Like { input, .. } => input.referenced_columns(out),
-            ScalarExpr::Func { args, .. } => {
-                for a in args {
-                    a.referenced_columns(out);
-                }
-            }
+            | ScalarExpr::Like { input, .. } => (Some(input), &[], None),
+            ScalarExpr::Func { args, .. } => (None, args, None),
             ScalarExpr::Case {
                 branches,
                 else_expr,
                 ..
-            } => {
-                for (c, r) in branches {
-                    c.referenced_columns(out);
-                    r.referenced_columns(out);
-                }
-                if let Some(e) = else_expr {
-                    e.referenced_columns(out);
-                }
-            }
-        }
+            } => (None, branches.as_flattened(), else_expr.as_deref()),
+        };
+        first.into_iter().chain(listed).chain(last)
     }
 
-    /// Whether `pred` holds for any literal value in the expression.
-    pub fn any_literal(&self, pred: &dyn Fn(&Value) -> bool) -> bool {
-        match self {
-            ScalarExpr::Column { .. } => false,
-            ScalarExpr::Literal(v) => pred(v),
-            ScalarExpr::Binary { left, right, .. } => {
-                left.any_literal(pred) || right.any_literal(pred)
-            }
+    /// Direct operands, in the order of [`ScalarExpr::children`].
+    #[inline]
+    pub fn children_mut(&mut self) -> impl Iterator<Item = &mut ScalarExpr> {
+        type Parts<'a> = (
+            Option<&'a mut ScalarExpr>,
+            &'a mut [ScalarExpr],
+            Option<&'a mut ScalarExpr>,
+        );
+        let (first, listed, last): Parts<'_> = match self {
+            ScalarExpr::Column { .. } | ScalarExpr::Literal(_) => (None, &mut [], None),
+            ScalarExpr::Binary { left, right, .. } => (Some(left), &mut [], Some(right)),
             ScalarExpr::Unary { input, .. }
             | ScalarExpr::Cast { input, .. }
             | ScalarExpr::IsNull { input, .. }
-            | ScalarExpr::Like { input, .. } => input.any_literal(pred),
-            ScalarExpr::InList { input, list, .. } => {
-                input.any_literal(pred) || list.iter().any(pred)
-            }
-            ScalarExpr::Func { args, .. } => args.iter().any(|a| a.any_literal(pred)),
+            | ScalarExpr::InList { input, .. }
+            | ScalarExpr::Like { input, .. } => (Some(input), &mut [], None),
+            ScalarExpr::Func { args, .. } => (None, args, None),
             ScalarExpr::Case {
                 branches,
                 else_expr,
                 ..
-            } => {
-                branches
-                    .iter()
-                    .any(|(c, r)| c.any_literal(pred) || r.any_literal(pred))
-                    || else_expr.as_ref().is_some_and(|e| e.any_literal(pred))
+            } => (None, branches.as_flattened_mut(), else_expr.as_deref_mut()),
+        };
+        first.into_iter().chain(listed).chain(last)
+    }
+
+    /// Indices of all referenced input columns (for projection pruning).
+    pub fn referenced_columns(&self, out: &mut Vec<usize>) {
+        match self {
+            ScalarExpr::Column { index, .. } => out.push(*index),
+            _ => self.children().for_each(|c| c.referenced_columns(out)),
+        }
+    }
+
+    /// Widen `types` to every column the expression reads, and give a
+    /// column whose slot has no type (a NULL cell) its declared one.
+    fn type_columns(&self, types: &mut Vec<DataType>) {
+        match self {
+            ScalarExpr::Column { index, data_type } => {
+                if *index >= types.len() {
+                    types.resize(index + 1, DataType::Null);
+                }
+                if types[*index] == DataType::Null {
+                    types[*index] = *data_type;
+                }
             }
+            _ => self.children().for_each(|c| c.type_columns(types)),
+        }
+    }
+
+    /// Whether `pred` holds for any literal value in the expression, an
+    /// `IN` list's candidates included.
+    pub fn any_literal(&self, pred: &dyn Fn(&Value) -> bool) -> bool {
+        match self {
+            ScalarExpr::Literal(v) => pred(v),
+            ScalarExpr::InList { list, .. } if list.iter().any(pred) => true,
+            _ => self.children().any(|c| c.any_literal(pred)),
         }
     }
 
@@ -380,34 +412,21 @@ impl ScalarExpr {
     pub fn remap_columns(&mut self, mapping: &[usize]) {
         match self {
             ScalarExpr::Column { index, .. } => *index = mapping[*index],
-            ScalarExpr::Literal(_) => {}
-            ScalarExpr::Binary { left, right, .. } => {
-                left.remap_columns(mapping);
-                right.remap_columns(mapping);
-            }
-            ScalarExpr::Unary { input, .. }
-            | ScalarExpr::Cast { input, .. }
-            | ScalarExpr::IsNull { input, .. }
-            | ScalarExpr::InList { input, .. }
-            | ScalarExpr::Like { input, .. } => input.remap_columns(mapping),
-            ScalarExpr::Func { args, .. } => {
-                for a in args {
-                    a.remap_columns(mapping);
+            _ => self.children_mut().for_each(|c| c.remap_columns(mapping)),
+        }
+    }
+
+    /// Replace every column reference that `f` maps to an expression (the
+    /// optimizer substituting a projection's expressions, a lambda its
+    /// second parameter's values).
+    pub fn replace_columns(&mut self, f: &dyn Fn(usize) -> Option<ScalarExpr>) {
+        match self {
+            ScalarExpr::Column { index, .. } => {
+                if let Some(e) = f(*index) {
+                    *self = e;
                 }
             }
-            ScalarExpr::Case {
-                branches,
-                else_expr,
-                ..
-            } => {
-                for (c, r) in branches {
-                    c.remap_columns(mapping);
-                    r.remap_columns(mapping);
-                }
-                if let Some(e) = else_expr {
-                    e.remap_columns(mapping);
-                }
-            }
+            _ => self.children_mut().for_each(|c| c.replace_columns(f)),
         }
     }
 
@@ -480,11 +499,11 @@ impl ScalarExpr {
                 // analytical queries are cheap scalar columns.
                 let conds: Vec<ColumnVector> = branches
                     .iter()
-                    .map(|(c, _)| c.eval(chunk))
+                    .map(|[c, _]| c.eval(chunk))
                     .collect::<Result<_>>()?;
                 let results: Vec<ColumnVector> = branches
                     .iter()
-                    .map(|(_, r)| r.eval(chunk)?.cast_to(*data_type))
+                    .map(|[_, r]| r.eval(chunk)?.cast_to(*data_type))
                     .collect::<Result<_>>()?;
                 let else_col = match else_expr {
                     Some(e) => Some(e.eval(chunk)?.cast_to(*data_type)?),
@@ -576,60 +595,17 @@ impl ScalarExpr {
     pub fn eval_row(&self, row: &hylite_common::Row) -> Result<Value> {
         // Build a one-row chunk lazily; row-at-a-time evaluation is only
         // used off the hot path. Column types come from the expression's
-        // own column references (a NULL cell carries no type information).
-        let mut max_col = Vec::new();
-        self.referenced_columns(&mut max_col);
-        let width = max_col.iter().max().map_or(0, |m| m + 1).max(row.len());
+        // own column references, which may also reach past the row (those
+        // cells are NULL): the expression's static type wins over an
+        // untyped NULL cell; a genuine value/type mismatch will surface in
+        // push_value.
+        let mut col_types: Vec<DataType> = row.values().iter().map(Value::data_type).collect();
+        self.type_columns(&mut col_types);
         let mut padded: Vec<Value> = row.values().to_vec();
-        padded.resize(width, Value::Null);
-        let mut col_types: Vec<DataType> = padded.iter().map(Value::data_type).collect();
-        let mut typed_refs = Vec::new();
-        self.referenced_column_types(&mut typed_refs);
-        for (index, dt) in typed_refs {
-            // The expression's static type wins over an untyped NULL cell;
-            // a genuine value/type mismatch will surface in push_value.
-            if col_types[index] == DataType::Null {
-                col_types[index] = dt;
-            }
-        }
+        padded.resize(col_types.len(), Value::Null);
         let chunk = Chunk::from_rows(&col_types, &[padded])?;
         let col = self.eval(&chunk)?;
         Ok(col.value(0))
-    }
-
-    /// Collect `(column index, declared type)` for every column reference.
-    pub fn referenced_column_types(&self, out: &mut Vec<(usize, DataType)>) {
-        match self {
-            ScalarExpr::Column { index, data_type } => out.push((*index, *data_type)),
-            ScalarExpr::Literal(_) => {}
-            ScalarExpr::Binary { left, right, .. } => {
-                left.referenced_column_types(out);
-                right.referenced_column_types(out);
-            }
-            ScalarExpr::Unary { input, .. }
-            | ScalarExpr::Cast { input, .. }
-            | ScalarExpr::IsNull { input, .. }
-            | ScalarExpr::InList { input, .. }
-            | ScalarExpr::Like { input, .. } => input.referenced_column_types(out),
-            ScalarExpr::Func { args, .. } => {
-                for a in args {
-                    a.referenced_column_types(out);
-                }
-            }
-            ScalarExpr::Case {
-                branches,
-                else_expr,
-                ..
-            } => {
-                for (c, r) in branches {
-                    c.referenced_column_types(out);
-                    r.referenced_column_types(out);
-                }
-                if let Some(e) = else_expr {
-                    e.referenced_column_types(out);
-                }
-            }
-        }
     }
 
     /// The literal `2` or `2.0`.
@@ -643,9 +619,7 @@ impl ScalarExpr {
 
     /// True when the expression references no columns (a constant).
     pub fn is_constant(&self) -> bool {
-        let mut cols = Vec::new();
-        self.referenced_columns(&mut cols);
-        cols.is_empty()
+        !matches!(self, ScalarExpr::Column { .. }) && self.children().all(ScalarExpr::is_constant)
     }
 }
 
@@ -770,7 +744,7 @@ impl fmt::Display for ScalarExpr {
                 ..
             } => {
                 write!(f, "CASE")?;
-                for (c, r) in branches {
+                for [c, r] in branches {
                     write!(f, " WHEN {c} THEN {r}")?;
                 }
                 if let Some(e) = else_expr {
@@ -948,7 +922,7 @@ mod tests {
     fn case_expression() {
         let e = ScalarExpr::case(
             vec![
-                (
+                [
                     ScalarExpr::binary(
                         BinaryOp::Eq,
                         col(0, DataType::Int64),
@@ -956,8 +930,8 @@ mod tests {
                     )
                     .unwrap(),
                     ScalarExpr::literal("one"),
-                ),
-                (
+                ],
+                [
                     ScalarExpr::binary(
                         BinaryOp::Eq,
                         col(0, DataType::Int64),
@@ -965,7 +939,7 @@ mod tests {
                     )
                     .unwrap(),
                     ScalarExpr::literal("two"),
-                ),
+                ],
             ],
             Some(ScalarExpr::literal("many")),
         )
@@ -980,7 +954,7 @@ mod tests {
     #[test]
     fn case_without_else_yields_null() {
         let e = ScalarExpr::case(
-            vec![(
+            vec![[
                 ScalarExpr::binary(
                     BinaryOp::Eq,
                     col(0, DataType::Int64),
@@ -988,7 +962,7 @@ mod tests {
                 )
                 .unwrap(),
                 ScalarExpr::literal(10i64),
-            )],
+            ]],
             None,
         )
         .unwrap();

@@ -1,41 +1,46 @@
-//! Properties of vectorized evaluation: chunk evaluation must agree with
-//! row-at-a-time evaluation, and the produced column must match the
-//! expression's static type.
+//! Properties of vectorized evaluation and of the tree accessors: chunk
+//! evaluation must agree with row-at-a-time evaluation, the produced column
+//! must match the expression's static type, and every walk written over
+//! `children()` / `children_mut()` must see the same operands.
 //!
 //! Expressions and chunks are generated from a seeded RNG so every run
-//! replays the same cases (the offline stand-in for proptest).
+//! replays the same cases (the offline stand-in for proptest). Between
+//! them the generators build every `ScalarExpr` variant.
 
 use hylite_common::{Chunk, ColumnVector, DataType, Value};
 use hylite_expr::{BinaryOp, ScalarExpr, ScalarFunc, UnaryOp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Input schema: #0 BIGINT, #1 DOUBLE, #2 BOOLEAN (with NULLs sprinkled).
+/// The input schema's column types.
+const TYPES: [DataType; 4] = [
+    DataType::Int64,
+    DataType::Float64,
+    DataType::Bool,
+    DataType::Varchar,
+];
+
+/// Input schema [`TYPES`]: #0 BIGINT, #1 DOUBLE, #2 BOOLEAN, #3 VARCHAR
+/// (with NULLs sprinkled).
 fn arb_chunk(rng: &mut StdRng) -> Chunk {
     let rows = rng.gen_range(1usize..40);
-    let mut a = ColumnVector::empty(DataType::Int64);
-    let mut b = ColumnVector::empty(DataType::Float64);
-    let mut c = ColumnVector::empty(DataType::Bool);
+    let mut columns: Vec<ColumnVector> = TYPES.iter().map(|&t| ColumnVector::empty(t)).collect();
     for _ in 0..rows {
-        if rng.gen_bool(0.9) {
-            a.push_value(&Value::Int(rng.gen_range(-20i64..20)))
-                .unwrap();
-        } else {
-            a.push_null();
-        }
-        if rng.gen_bool(0.9) {
-            b.push_value(&Value::Float(rng.gen_range(-50.0f64..50.0)))
-                .unwrap();
-        } else {
-            b.push_null();
-        }
-        if rng.gen_bool(0.9) {
-            c.push_value(&Value::Bool(rng.gen_bool(0.5))).unwrap();
-        } else {
-            c.push_null();
+        let cells = [
+            Value::Int(rng.gen_range(-20i64..20)),
+            Value::Float(rng.gen_range(-50.0f64..50.0)),
+            Value::Bool(rng.gen_bool(0.5)),
+            Value::Str(["ab", "abc", "b", "cab", ""][rng.gen_range(0usize..5)].into()),
+        ];
+        for (column, cell) in columns.iter_mut().zip(cells) {
+            if rng.gen_bool(0.9) {
+                column.push_value(&cell).unwrap();
+            } else {
+                column.push_null();
+            }
         }
     }
-    Chunk::new(vec![a, b, c])
+    Chunk::new(columns)
 }
 
 /// Random well-typed numeric expressions over the schema.
@@ -48,7 +53,7 @@ fn arb_numeric_expr(rng: &mut StdRng, depth: usize) -> ScalarExpr {
             _ => ScalarExpr::literal(rng.gen_range(-10i64..10) as f64 / 2.0),
         };
     }
-    match rng.gen_range(0u32..5) {
+    match rng.gen_range(0u32..7) {
         0 => arb_numeric_expr(rng, 0),
         1 => {
             let op = [BinaryOp::Add, BinaryOp::Sub, BinaryOp::Mul][rng.gen_range(0usize..3)];
@@ -62,7 +67,7 @@ fn arb_numeric_expr(rng: &mut StdRng, depth: usize) -> ScalarExpr {
         2 => ScalarExpr::unary(UnaryOp::Neg, arb_numeric_expr(rng, depth - 1)).expect("numeric"),
         3 => ScalarExpr::func(ScalarFunc::Abs, vec![arb_numeric_expr(rng, depth - 1)])
             .expect("numeric"),
-        _ => ScalarExpr::func(
+        4 => ScalarExpr::func(
             ScalarFunc::Least,
             vec![
                 arb_numeric_expr(rng, depth - 1),
@@ -70,6 +75,21 @@ fn arb_numeric_expr(rng: &mut StdRng, depth: usize) -> ScalarExpr {
             ],
         )
         .expect("numeric"),
+        // CASE with one or two branches, with and without ELSE.
+        5 => {
+            let branches = (0..rng.gen_range(1usize..3))
+                .map(|_| {
+                    let when = arb_bool_expr(rng, depth - 1);
+                    [when, arb_numeric_expr(rng, depth - 1)]
+                })
+                .collect();
+            let else_expr = rng.gen_bool(0.5).then(|| arb_numeric_expr(rng, depth - 1));
+            ScalarExpr::case(branches, else_expr).expect("numeric")
+        }
+        _ => ScalarExpr::Cast {
+            input: Box::new(arb_numeric_expr(rng, depth - 1)),
+            target: DataType::Float64,
+        },
     }
 }
 
@@ -85,7 +105,7 @@ fn arb_bool_expr(rng: &mut StdRng, depth: usize) -> ScalarExpr {
                 .expect("comparison")
         };
     }
-    match rng.gen_range(0u32..4) {
+    match rng.gen_range(0u32..6) {
         0 => arb_bool_expr(rng, 0),
         1 => {
             let op = if rng.gen_bool(0.5) {
@@ -101,10 +121,43 @@ fn arb_bool_expr(rng: &mut StdRng, depth: usize) -> ScalarExpr {
             .expect("boolean")
         }
         2 => ScalarExpr::unary(UnaryOp::Not, arb_bool_expr(rng, depth - 1)).expect("boolean"),
-        _ => ScalarExpr::IsNull {
+        3 => ScalarExpr::IsNull {
             input: Box::new(arb_bool_expr(rng, depth - 1)),
             negated: rng.gen_bool(0.5),
         },
+        // IN / NOT IN over candidates of the input's type, NULL among them
+        // now and then.
+        4 => {
+            let input = arb_numeric_expr(rng, depth - 1);
+            let float = input.data_type() == DataType::Float64;
+            let list = (0..rng.gen_range(1usize..4))
+                .map(|_| match rng.gen_range(0u32..5) {
+                    0 => Value::Null,
+                    _ if float => Value::Float(rng.gen_range(-10i64..10) as f64 / 2.0),
+                    _ => Value::Int(rng.gen_range(-10i64..10)),
+                })
+                .collect();
+            ScalarExpr::InList {
+                input: Box::new(input),
+                list,
+                negated: rng.gen_bool(0.5),
+            }
+        }
+        _ => ScalarExpr::Like {
+            input: Box::new(ScalarExpr::column(3, DataType::Varchar)),
+            pattern: ["a%", "%b", "_a%", "%", "abc"][rng.gen_range(0usize..5)].into(),
+            negated: rng.gen_bool(0.5),
+        },
+    }
+}
+
+/// Numeric and boolean expressions, alternately.
+fn arb_expr(rng: &mut StdRng) -> ScalarExpr {
+    let depth = rng.gen_range(0usize..=3);
+    if rng.gen_bool(0.5) {
+        arb_numeric_expr(rng, depth)
+    } else {
+        arb_bool_expr(rng, depth)
     }
 }
 
@@ -175,5 +228,70 @@ fn filter_selection_subset() {
                 assert_eq!(sel.get(i), expect);
             }
         }
+    }
+}
+
+fn for_each_node(e: &ScalarExpr, visit: &mut dyn FnMut(&ScalarExpr)) {
+    visit(e);
+    for child in e.children() {
+        for_each_node(child, visit);
+    }
+}
+
+#[test]
+fn shared_and_mutable_children_agree_on_every_node() {
+    let mut rng = StdRng::seed_from_u64(0x0C_41_1D);
+    let mut kinds = std::collections::BTreeSet::new();
+    for _ in 0..200 {
+        for_each_node(&arb_expr(&mut rng), &mut |node| {
+            let debug = format!("{node:?}");
+            let kind = debug.split([' ', '(']).next().unwrap_or_default();
+            kinds.insert(kind.to_owned());
+            let children: Vec<ScalarExpr> = node.children().cloned().collect();
+            let mut copy = node.clone();
+            let children_mut: Vec<ScalarExpr> = copy.children_mut().map(|c| c.clone()).collect();
+            assert_eq!(children, children_mut, "{node}");
+            // A write through the mutable accessor reads back at its place.
+            let marker = ScalarExpr::literal("marker");
+            for i in 0..children.len() {
+                let mut marked = node.clone();
+                *marked.children_mut().nth(i).unwrap() = marker.clone();
+                assert_eq!(marked.children().nth(i), Some(&marker), "{node}");
+                assert_eq!(marked.children().count(), children.len(), "{node}");
+            }
+        });
+    }
+    let every_variant = [
+        "Binary", "Case", "Cast", "Column", "Func", "InList", "IsNull", "Like", "Literal", "Unary",
+    ];
+    assert!(
+        kinds.iter().map(String::as_str).eq(every_variant),
+        "{kinds:?}"
+    );
+}
+
+#[test]
+fn column_walks_are_identities_and_agree() {
+    let mut rng = StdRng::seed_from_u64(0x01_DE_47);
+    for _ in 0..200 {
+        let e = arb_expr(&mut rng);
+        let mut remapped = e.clone();
+        remapped.remap_columns(&[0, 1, 2, 3]);
+        assert_eq!(remapped, e);
+        let mut substituted = e.clone();
+        substituted.replace_columns(&|i| Some(ScalarExpr::column(i, TYPES[i])));
+        assert_eq!(substituted, e);
+        let mut columns = Vec::new();
+        e.referenced_columns(&mut columns);
+        assert_eq!(e.is_constant(), columns.is_empty(), "{e}");
+        // A literal that sits only in an IN list is found all the same.
+        let only_listed = |v: &Value| *v == Value::Int(4242);
+        assert!(!e.any_literal(&only_listed), "{e}");
+        let listed = ScalarExpr::InList {
+            input: Box::new(e),
+            list: vec![Value::Null, Value::Int(4242)],
+            negated: rng.gen_bool(0.5),
+        };
+        assert!(listed.any_literal(&only_listed), "{listed}");
     }
 }

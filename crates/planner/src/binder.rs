@@ -13,13 +13,13 @@ use std::sync::Arc;
 use hylite_common::{DataType, Field, HyError, Result, Row, Schema, SchemaRef, Value};
 use hylite_expr::{BoundLambda, ScalarExpr};
 use hylite_sql::ast::{
-    Cte, Expr, JoinKind as AstJoinKind, Lambda, Query, Select, SelectItem, SetExpr, Statement,
-    TableFunc, TableRef,
+    Cte, Expr, JoinKind as AstJoinKind, Lambda, OrderByExpr, Query, Select, SelectItem, SetExpr,
+    Statement, TableFunc, TableRef,
 };
 use hylite_storage::Catalog;
 
-use crate::expr_binder::{contains_aggregate, AggRewriter, ExprBinder};
-use crate::logical::{AggExpr, AnalyticsOp, JoinKind, LogicalPlan, SortKey};
+use crate::expr_binder::{contains_aggregate, ExprBinder};
+use crate::logical::{AnalyticsOp, JoinKind, LogicalPlan, SortKey};
 
 /// Default iteration cap for ITERATE / recursive CTEs — the paper's
 /// infinite-loop guard (§5.1: "those situations need to be detected and
@@ -277,7 +277,7 @@ impl<'a> Binder<'a> {
     ) -> Result<BoundStatement> {
         let t = self.catalog.get_table(table)?;
         let schema = Arc::clone(t.read().schema());
-        let binder = ExprBinder::new(&schema);
+        let mut binder = ExprBinder::new(&schema);
         let mut exprs: Vec<ScalarExpr> = schema
             .fields()
             .iter()
@@ -318,19 +318,12 @@ impl<'a> Binder<'a> {
         // A SELECT body binds its own ORDER BY so that sort keys may
         // reference non-projected input columns (via hidden columns).
         let (mut plan, schema) = match &q.body {
-            SetExpr::Select(s) if !q.order_by.is_empty() => {
-                self.bind_select_ordered(s, &q.order_by)?
-            }
+            SetExpr::Select(s) => self.bind_select(s, &q.order_by)?,
             body => {
-                let (mut plan, schema) = self.bind_set_expr(body)?;
-                if !q.order_by.is_empty() {
-                    let keys = bind_order_keys_against_output(&schema, &q.order_by)?;
-                    plan = LogicalPlan::Sort {
-                        input: Box::new(plan),
-                        keys,
-                    };
-                }
-                (plan, schema)
+                let (plan, schema) = self.bind_set_expr(body)?;
+                let mut exprs = columns_of(&schema);
+                let keys = bind_order_by(&q.order_by, &schema, &mut exprs, None)?;
+                (project_sorted(plan, exprs, &schema, keys, true), schema)
             }
         };
         if q.limit.is_some() || q.offset.is_some() {
@@ -393,7 +386,7 @@ impl<'a> Binder<'a> {
 
     fn bind_set_expr(&mut self, body: &SetExpr) -> Result<(LogicalPlan, SchemaRef)> {
         match body {
-            SetExpr::Select(s) => self.bind_select(s),
+            SetExpr::Select(s) => self.bind_select(s, &[]),
             SetExpr::Query(q) => self.bind_query(q),
             SetExpr::Values(rows) => self.bind_values(rows),
             SetExpr::Union { left, right, all } => {
@@ -432,7 +425,7 @@ impl<'a> Binder<'a> {
         let width = rows[0].len();
         let mut value_rows: Vec<Vec<Value>> = Vec::with_capacity(rows.len());
         let empty = Schema::empty();
-        let binder = ExprBinder::new(&empty);
+        let mut binder = ExprBinder::new(&empty);
         for row in rows {
             if row.len() != width {
                 return Err(HyError::Bind("VALUES rows have inconsistent arity".into()));
@@ -474,14 +467,10 @@ impl<'a> Binder<'a> {
         Ok((plan, schema))
     }
 
-    fn bind_select(&mut self, s: &Select) -> Result<(LogicalPlan, SchemaRef)> {
-        self.bind_select_ordered(s, &[])
-    }
-
-    fn bind_select_ordered(
+    fn bind_select(
         &mut self,
         s: &Select,
-        order_by: &[hylite_sql::OrderByExpr],
+        order_by: &[OrderByExpr],
     ) -> Result<(LogicalPlan, SchemaRef)> {
         // FROM
         let (mut plan, scope) = if s.from.is_empty() {
@@ -531,184 +520,54 @@ impl<'a> Binder<'a> {
             })
             || s.having.as_ref().is_some_and(contains_aggregate)
             || order_by.iter().any(|ob| contains_aggregate(&ob.expr));
-
-        let (plan, schema) = if grouped {
-            self.bind_grouped(s, plan, &scope, order_by)?
+        // Every clause after WHERE binds through this one binder: over the
+        // FROM scope, or, grouped, over the aggregate node's output.
+        let mut binder = if grouped {
+            let mut plain = ExprBinder::new(&scope);
+            let keys = s.group_by.iter().map(|e| plain.bind(e));
+            ExprBinder::grouped(&scope, keys.collect::<Result<_>>()?)
+        } else if let Some(h) = &s.having {
+            return Err(HyError::Bind(format!(
+                "HAVING without GROUP BY or aggregates: {h}"
+            )));
         } else {
-            if let Some(h) = &s.having {
-                return Err(HyError::Bind(format!(
-                    "HAVING without GROUP BY or aggregates: {h}"
-                )));
-            }
-            self.bind_plain_projection(s, plan, &scope, order_by)?
+            ExprBinder::new(&scope)
         };
 
-        let plan = if s.distinct {
-            LogicalPlan::Distinct {
-                input: Box::new(plan),
-            }
-        } else {
-            plan
-        };
-        Ok((plan, schema))
-    }
-
-    fn bind_plain_projection(
-        &mut self,
-        s: &Select,
-        input: LogicalPlan,
-        scope: &SchemaRef,
-        order_by: &[hylite_sql::OrderByExpr],
-    ) -> Result<(LogicalPlan, SchemaRef)> {
-        let binder = ExprBinder::new(scope);
         let mut exprs = Vec::new();
         let mut fields = Vec::new();
         for item in &s.projection {
-            match item {
-                SelectItem::Wildcard => {
-                    for (i, f) in scope.fields().iter().enumerate() {
-                        exprs.push(ScalarExpr::column(i, f.data_type));
-                        fields.push(Field::new(f.name.clone(), f.data_type));
-                    }
-                }
-                SelectItem::QualifiedWildcard(q) => {
-                    let ql = q.to_ascii_lowercase();
-                    let mut any = false;
-                    for (i, f) in scope.fields().iter().enumerate() {
-                        if f.qualifier.as_deref() == Some(ql.as_str()) {
-                            exprs.push(ScalarExpr::column(i, f.data_type));
-                            fields.push(Field::new(f.name.clone(), f.data_type));
-                            any = true;
-                        }
-                    }
-                    if !any {
-                        return Err(HyError::Bind(format!("unknown table alias '{q}' in {q}.*")));
-                    }
-                }
+            let qualifier = match item {
                 SelectItem::Expr { expr, alias } => {
                     let bound = binder.bind(expr)?;
                     let name = output_name(expr, alias.as_deref(), exprs.len());
                     fields.push(Field::new(name, bound.data_type()));
                     exprs.push(bound);
+                    continue;
                 }
-            }
-        }
-        let schema = Arc::new(Schema::new(fields));
-
-        // Resolve ORDER BY: output columns (by alias/name/ordinal) sort
-        // the projection directly; anything else binds against the input
-        // scope and rides along as a hidden column that is dropped after
-        // the sort.
-        let mut keys: Vec<SortKey> = Vec::new();
-        let mut hidden: Vec<ScalarExpr> = Vec::new();
-        for ob in order_by {
-            let expr = if let Some(k) = ordinal(&ob.expr, schema.len())? {
-                ScalarExpr::column(k, schema.field(k).data_type)
-            } else if let Ok(e) = ExprBinder::new(&schema).bind(&ob.expr) {
-                e
-            } else {
-                let over_input = binder.bind(&ob.expr)?;
-                let idx = exprs.len() + hidden.len();
-                let dt = over_input.data_type();
-                hidden.push(over_input);
-                ScalarExpr::column(idx, dt)
-            };
-            keys.push(SortKey { expr, asc: ob.asc });
-        }
-
-        if hidden.is_empty() {
-            // `SELECT *` with no computation: skip the no-op projection.
-            let identity = exprs.len() == scope.len()
-                && exprs
-                    .iter()
-                    .enumerate()
-                    .all(|(i, e)| matches!(e, ScalarExpr::Column { index, .. } if *index == i));
-            let mut plan = if identity {
-                input
-            } else {
-                LogicalPlan::Project {
-                    input: Box::new(input),
-                    exprs,
-                    schema: Arc::clone(&schema),
-                }
-            };
-            if !keys.is_empty() {
-                plan = LogicalPlan::Sort {
-                    input: Box::new(plan),
-                    keys,
-                };
-            }
-            return Ok((plan, schema));
-        }
-        if s.distinct {
-            return Err(HyError::Bind(
-                "ORDER BY expressions must appear in the select list when DISTINCT is used".into(),
-            ));
-        }
-        let mut ext_fields = schema.fields().to_vec();
-        for (i, h) in hidden.iter().enumerate() {
-            ext_fields.push(Field::new(format!("__sort{i}"), h.data_type()));
-        }
-        let mut ext_exprs = exprs;
-        ext_exprs.extend(hidden);
-        let plan = LogicalPlan::Project {
-            input: Box::new(input),
-            exprs: ext_exprs,
-            schema: Arc::new(Schema::new(ext_fields)),
-        };
-        let plan = LogicalPlan::Sort {
-            input: Box::new(plan),
-            keys,
-        };
-        let final_exprs: Vec<ScalarExpr> = schema
-            .fields()
-            .iter()
-            .enumerate()
-            .map(|(i, f)| ScalarExpr::column(i, f.data_type))
-            .collect();
-        let plan = LogicalPlan::Project {
-            input: Box::new(plan),
-            exprs: final_exprs,
-            schema: Arc::clone(&schema),
-        };
-        Ok((plan, schema))
-    }
-
-    fn bind_grouped(
-        &mut self,
-        s: &Select,
-        input: LogicalPlan,
-        scope: &SchemaRef,
-        order_by: &[hylite_sql::OrderByExpr],
-    ) -> Result<(LogicalPlan, SchemaRef)> {
-        let binder = ExprBinder::new(scope);
-        let group_bound: Vec<ScalarExpr> = s
-            .group_by
-            .iter()
-            .map(|e| binder.bind(e))
-            .collect::<Result<_>>()?;
-        let mut rewriter = AggRewriter::new(scope, group_bound);
-
-        let mut out_exprs = Vec::new();
-        let mut out_fields = Vec::new();
-        for item in &s.projection {
-            match item {
-                SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => {
+                _ if grouped => {
                     return Err(HyError::Bind(
                         "SELECT * cannot be combined with GROUP BY/aggregates".into(),
                     ))
                 }
-                SelectItem::Expr { expr, alias } => {
-                    let bound = rewriter.rewrite(expr)?;
-                    let name = output_name(expr, alias.as_deref(), out_exprs.len());
-                    out_fields.push(Field::new(name, bound.data_type()));
-                    out_exprs.push(bound);
+                SelectItem::Wildcard => None,
+                SelectItem::QualifiedWildcard(q) => Some(q),
+            };
+            let wanted = qualifier.map(|q| q.to_ascii_lowercase());
+            let before = exprs.len();
+            for (i, f) in scope.fields().iter().enumerate() {
+                if wanted.is_none() || f.qualifier == wanted {
+                    exprs.push(ScalarExpr::column(i, f.data_type));
+                    fields.push(Field::new(f.name.clone(), f.data_type));
                 }
             }
+            if let Some(q) = qualifier.filter(|_| exprs.len() == before) {
+                return Err(HyError::Bind(format!("unknown table alias '{q}' in {q}.*")));
+            }
         }
-        let having_bound = match &s.having {
+        let having = match &s.having {
             Some(h) => {
-                let b = rewriter.rewrite(h)?;
+                let b = binder.bind(h)?;
                 if b.data_type() != DataType::Bool && b.data_type() != DataType::Null {
                     return Err(HyError::Type(format!(
                         "HAVING must be boolean, got {}",
@@ -719,98 +578,29 @@ impl<'a> Binder<'a> {
             }
             None => None,
         };
-
-        // Resolve ORDER BY before freezing the aggregate list: keys may
-        // reference output columns, or group/aggregate expressions that
-        // ride along as hidden columns.
-        let schema = Arc::new(Schema::new(out_fields));
-        let mut keys: Vec<SortKey> = Vec::new();
-        let mut hidden: Vec<ScalarExpr> = Vec::new();
-        for ob in order_by {
-            let expr = if let Some(k) = ordinal(&ob.expr, schema.len())? {
-                ScalarExpr::column(k, schema.field(k).data_type)
-            } else if let Ok(e) = ExprBinder::new(&schema).bind(&ob.expr) {
-                e
-            } else {
-                let over_agg = rewriter.rewrite(&ob.expr)?;
-                let idx = out_exprs.len() + hidden.len();
-                let dt = over_agg.data_type();
-                hidden.push(over_agg);
-                ScalarExpr::column(idx, dt)
-            };
-            keys.push(SortKey { expr, asc: ob.asc });
-        }
-
-        // Build the aggregate node schema: keys then aggregates.
-        let group_exprs = rewriter.group_bound.clone();
-        let aggregates: Vec<AggExpr> = rewriter.aggs.clone();
-        let mut agg_fields = Vec::new();
-        for (i, g) in group_exprs.iter().enumerate() {
-            agg_fields.push(Field::new(format!("key{i}"), g.data_type()));
-        }
-        for a in &aggregates {
-            let t = a
-                .func
-                .result_type(a.arg.as_ref().map_or(DataType::Int64, |e| e.data_type()))?;
-            agg_fields.push(Field::new(a.name.clone(), t));
-        }
-        let agg_schema = Arc::new(Schema::new(agg_fields));
-        let mut plan = LogicalPlan::Aggregate {
-            input: Box::new(input),
-            group_exprs,
-            aggregates,
-            schema: agg_schema,
-        };
-        if let Some(h) = having_bound {
-            plan = LogicalPlan::Filter {
-                input: Box::new(plan),
-                predicate: h,
-            };
-        }
-        if hidden.is_empty() {
-            let mut plan = LogicalPlan::Project {
-                input: Box::new(plan),
-                exprs: out_exprs,
-                schema: Arc::clone(&schema),
-            };
-            if !keys.is_empty() {
-                plan = LogicalPlan::Sort {
-                    input: Box::new(plan),
-                    keys,
-                };
-            }
-            return Ok((plan, schema));
-        }
-        if s.distinct {
+        let schema = Arc::new(Schema::new(fields));
+        // Before the aggregate list is frozen: a key may add an aggregate.
+        let keys = bind_order_by(order_by, &schema, &mut exprs, Some(&mut binder))?;
+        if s.distinct && exprs.len() > schema.len() {
             return Err(HyError::Bind(
                 "ORDER BY expressions must appear in the select list when DISTINCT is used".into(),
             ));
         }
-        let mut ext_fields = schema.fields().to_vec();
-        for (i, h) in hidden.iter().enumerate() {
-            ext_fields.push(Field::new(format!("__sort{i}"), h.data_type()));
+        let mut plan = binder.read_relation(plan)?;
+        if let Some(predicate) = having {
+            plan = LogicalPlan::Filter {
+                input: Box::new(plan),
+                predicate,
+            };
         }
-        let mut ext_exprs = out_exprs;
-        ext_exprs.extend(hidden);
-        let plan = LogicalPlan::Project {
-            input: Box::new(plan),
-            exprs: ext_exprs,
-            schema: Arc::new(Schema::new(ext_fields)),
-        };
-        let plan = LogicalPlan::Sort {
-            input: Box::new(plan),
-            keys,
-        };
-        let final_exprs: Vec<ScalarExpr> = schema
-            .fields()
-            .iter()
-            .enumerate()
-            .map(|(i, f)| ScalarExpr::column(i, f.data_type))
-            .collect();
-        let plan = LogicalPlan::Project {
-            input: Box::new(plan),
-            exprs: final_exprs,
-            schema: Arc::clone(&schema),
+        // A grouped projection is never left out: it renames the keys.
+        let plan = project_sorted(plan, exprs, &schema, keys, !grouped);
+        let plan = if s.distinct {
+            LogicalPlan::Distinct {
+                input: Box::new(plan),
+            }
+        } else {
+            plan
         };
         Ok((plan, schema))
     }
@@ -1319,22 +1109,95 @@ fn ordinal(e: &Expr, width: usize) -> Result<Option<usize>> {
     Ok(None)
 }
 
-/// Bind ORDER BY keys against a result schema (used for UNION/VALUES
-/// bodies, where only output columns can be referenced).
-fn bind_order_keys_against_output(
-    schema: &SchemaRef,
-    order_by: &[hylite_sql::OrderByExpr],
+/// Resolve ORDER BY against a query body's output `schema`, which `exprs`
+/// compute: an ordinal or an expression over the output columns sorts them
+/// directly; anything else the body's clause binder (a SELECT's; a set
+/// operation has none) binds over the body's input, and it rides along in
+/// `exprs` as a hidden column past the output's.
+fn bind_order_by(
+    order_by: &[OrderByExpr],
+    schema: &Schema,
+    exprs: &mut Vec<ScalarExpr>,
+    mut over_input: Option<&mut ExprBinder<'_>>,
 ) -> Result<Vec<SortKey>> {
-    let binder = ExprBinder::new(schema);
-    order_by
-        .iter()
-        .map(|ob| {
-            let expr = match ordinal(&ob.expr, schema.len())? {
-                Some(k) => ScalarExpr::column(k, schema.field(k).data_type),
-                None => binder.bind(&ob.expr)?,
-            };
-            Ok(SortKey { expr, asc: ob.asc })
-        })
+    let mut output = ExprBinder::new(schema);
+    let mut keys = Vec::with_capacity(order_by.len());
+    for ob in order_by {
+        let expr = match ordinal(&ob.expr, schema.len())? {
+            Some(k) => ScalarExpr::column(k, schema.field(k).data_type),
+            None => match (output.bind(&ob.expr), over_input.as_deref_mut()) {
+                (Ok(e), _) => e,
+                (Err(_), Some(input)) => {
+                    let hidden = input.bind(&ob.expr)?;
+                    let column = ScalarExpr::column(exprs.len(), hidden.data_type());
+                    exprs.push(hidden);
+                    column
+                }
+                (Err(e), None) => return Err(e),
+            },
+        };
+        keys.push(SortKey { expr, asc: ob.asc });
+    }
+    Ok(keys)
+}
+
+/// The end of a query body: `exprs` over `input`, named by `schema`, sorted
+/// by `keys`; expressions past `schema` are hidden sort columns, dropped
+/// after the sort. With `elide_identity`, a projection that repeats its
+/// input column for column is left out.
+fn project_sorted(
+    input: LogicalPlan,
+    exprs: Vec<ScalarExpr>,
+    schema: &SchemaRef,
+    keys: Vec<SortKey>,
+    elide_identity: bool,
+) -> LogicalPlan {
+    let sorted = |plan: LogicalPlan| {
+        if keys.is_empty() {
+            return plan;
+        }
+        LogicalPlan::Sort {
+            input: Box::new(plan),
+            keys,
+        }
+    };
+    if exprs.len() > schema.len() {
+        let mut fields = schema.fields().to_vec();
+        for (i, h) in exprs[schema.len()..].iter().enumerate() {
+            fields.push(Field::new(format!("__sort{i}"), h.data_type()));
+        }
+        let extended = LogicalPlan::Project {
+            input: Box::new(input),
+            exprs,
+            schema: Arc::new(Schema::new(fields)),
+        };
+        return LogicalPlan::Project {
+            input: Box::new(sorted(extended)),
+            exprs: columns_of(schema),
+            schema: Arc::clone(schema),
+        };
+    }
+    let identity = elide_identity
+        && exprs.len() == input.schema().len()
+        && exprs
+            .iter()
+            .enumerate()
+            .all(|(i, e)| matches!(e, ScalarExpr::Column { index, .. } if *index == i));
+    if identity {
+        return sorted(input);
+    }
+    sorted(LogicalPlan::Project {
+        input: Box::new(input),
+        exprs,
+        schema: Arc::clone(schema),
+    })
+}
+
+/// Every column of `schema`, in order.
+fn columns_of(schema: &Schema) -> Vec<ScalarExpr> {
+    let fields = schema.fields().iter().enumerate();
+    fields
+        .map(|(i, f)| ScalarExpr::column(i, f.data_type))
         .collect()
 }
 

@@ -1,25 +1,78 @@
 //! Expression binding: unbound AST expressions → typed [`ScalarExpr`]s.
 
-use hylite_common::{DataType, HyError, Result, Schema, Value};
+use std::sync::Arc;
+
+use hylite_common::{DataType, Field, HyError, Result, Schema, Value};
 use hylite_expr::{AggregateFunction, BinaryOp, ScalarExpr, ScalarFunc, UnaryOp};
 use hylite_sql::ast::{BinOp, Expr};
 
-use crate::logical::AggExpr;
+use crate::logical::{AggExpr, LogicalPlan};
 
-/// Binds expressions against one input schema. Rejects aggregates — those
-/// are handled by [`AggRewriter`] in grouped contexts.
+/// Binds expressions against one input schema. A plain binder rejects
+/// aggregate calls. A grouped one — for the SELECT list, HAVING and ORDER
+/// BY of a grouped query — binds over the output of the aggregate node
+/// instead: group keys and aggregate calls become its columns, and the
+/// aggregates are collected as they are met.
 pub struct ExprBinder<'a> {
     schema: &'a Schema,
+    grouping: Option<Grouping>,
+}
+
+/// A grouped binder's state: the aggregate node's output columns are the
+/// keys, then the aggregates.
+struct Grouping {
+    keys: Vec<ScalarExpr>,
+    aggregates: Vec<AggExpr>,
 }
 
 impl<'a> ExprBinder<'a> {
-    /// Binder over `schema`.
+    /// Plain binder over `schema`.
     pub fn new(schema: &'a Schema) -> ExprBinder<'a> {
-        ExprBinder { schema }
+        ExprBinder {
+            schema,
+            grouping: None,
+        }
     }
 
-    /// Bind an expression; aggregate calls are an error here.
-    pub fn bind(&self, e: &Expr) -> Result<ScalarExpr> {
+    /// Grouped binder over `schema` with the query's bound group keys.
+    pub fn grouped(schema: &'a Schema, keys: Vec<ScalarExpr>) -> ExprBinder<'a> {
+        let grouping = Grouping {
+            keys,
+            aggregates: Vec::new(),
+        };
+        ExprBinder {
+            schema,
+            grouping: Some(grouping),
+        }
+    }
+
+    /// The relation the bound expressions read, over `input`: `input`
+    /// itself for a plain binder, the aggregate node of the keys and of
+    /// every aggregate bound so far for a grouped one.
+    pub fn read_relation(self, input: LogicalPlan) -> Result<LogicalPlan> {
+        let Some(Grouping { keys, aggregates }) = self.grouping else {
+            return Ok(input);
+        };
+        let mut fields = Vec::with_capacity(keys.len() + aggregates.len());
+        for (i, key) in keys.iter().enumerate() {
+            fields.push(Field::new(format!("key{i}"), key.data_type()));
+        }
+        for a in &aggregates {
+            fields.push(Field::new(a.name.clone(), aggregate_type(a)?));
+        }
+        Ok(LogicalPlan::Aggregate {
+            input: Box::new(input),
+            group_exprs: keys,
+            aggregates,
+            schema: Arc::new(Schema::new(fields)),
+        })
+    }
+
+    /// Bind an expression; aggregate calls are an error for a plain binder.
+    pub fn bind(&mut self, e: &Expr) -> Result<ScalarExpr> {
+        if let Some(bound) = self.bind_grouped(e)? {
+            return Ok(bound);
+        }
         match e {
             Expr::Column { qualifier, name } => {
                 let idx = self.schema.resolve(qualifier.as_deref(), name)?;
@@ -39,7 +92,7 @@ impl<'a> ExprBinder<'a> {
                 star,
                 distinct,
             } => {
-                if AggregateFunction::from_name(name).is_some() || (*star && name == "count") {
+                if is_aggregate(name, *star) {
                     return Err(HyError::Bind(format!(
                         "aggregate function {name}() is not allowed here"
                     )));
@@ -59,9 +112,9 @@ impl<'a> ExprBinder<'a> {
                 branches,
                 else_expr,
             } => {
-                let b: Vec<(ScalarExpr, ScalarExpr)> = branches
+                let b: Vec<[ScalarExpr; 2]> = branches
                     .iter()
-                    .map(|(c, r)| Ok((self.bind(c)?, self.bind(r)?)))
+                    .map(|(c, r)| Ok([self.bind(c)?, self.bind(r)?]))
                     .collect::<Result<_>>()?;
                 let e = match else_expr {
                     Some(e) => Some(self.bind(e)?),
@@ -149,10 +202,105 @@ impl<'a> ExprBinder<'a> {
             }
         }
     }
+
+    /// A grouped binder's look at `e` before the arms of [`ExprBinder::bind`]:
+    /// a sub-expression equal to a group key becomes the key's column, a
+    /// constant stays as it is, an aggregate call becomes its aggregate's
+    /// column, and a bare column is an error. `None` leaves `e` to those arms — always, for a plain binder.
+    fn bind_grouped(&mut self, e: &Expr) -> Result<Option<ScalarExpr>> {
+        let Some(grouping) = &mut self.grouping else {
+            return Ok(None);
+        };
+        let mut plain = ExprBinder::new(self.schema);
+        if let Expr::Function {
+            name,
+            args,
+            star,
+            distinct,
+        } = e
+        {
+            if is_aggregate(name, *star) {
+                if *distinct {
+                    return Err(HyError::Bind(
+                        "DISTINCT aggregates are not supported".into(),
+                    ));
+                }
+                let (func, arg) = if *star {
+                    (AggregateFunction::CountStar, None)
+                } else {
+                    let func = AggregateFunction::from_name(name).expect("checked above");
+                    if args.len() != 1 {
+                        return Err(HyError::Bind(format!(
+                            "{name}() expects exactly one argument"
+                        )));
+                    }
+                    (func, Some(plain.bind(&args[0])?))
+                };
+                return grouping.aggregate(func, arg).map(Some);
+            }
+        }
+        if !contains_aggregate(e) {
+            if let Ok(bound) = plain.bind(e) {
+                if let Some(i) = grouping.keys.iter().position(|k| *k == bound) {
+                    return Ok(Some(ScalarExpr::column(i, bound.data_type())));
+                }
+                if bound.is_constant() {
+                    return Ok(Some(bound));
+                }
+            }
+        }
+        if let Expr::Column { qualifier, name } = e {
+            let full = match qualifier {
+                Some(q) => format!("{q}.{name}"),
+                None => name.clone(),
+            };
+            return Err(HyError::Bind(format!(
+                "column '{full}' must appear in the GROUP BY clause or be used in an aggregate"
+            )));
+        }
+        Ok(None)
+    }
+}
+
+impl Grouping {
+    /// The aggregate node's column of `func(arg)`, registered on first use
+    /// so that `HAVING count(*) > 2` and `SELECT count(*)` share one
+    /// accumulator.
+    fn aggregate(
+        &mut self,
+        func: AggregateFunction,
+        arg: Option<ScalarExpr>,
+    ) -> Result<ScalarExpr> {
+        let same = |a: &AggExpr| a.func == func && a.arg == arg;
+        let at = match self.aggregates.iter().position(same) {
+            Some(at) => at,
+            None => {
+                let name = func.name().replace("(*)", "_star");
+                self.aggregates.push(AggExpr { func, arg, name });
+                self.aggregates.len() - 1
+            }
+        };
+        let data_type = aggregate_type(&self.aggregates[at])?;
+        Ok(ScalarExpr::column(self.keys.len() + at, data_type))
+    }
+}
+
+/// Whether a call of `name` is an aggregate (`count(*)` included).
+fn is_aggregate(name: &str, star: bool) -> bool {
+    AggregateFunction::from_name(name).is_some() || (star && name == "count")
+}
+
+/// The output type of an aggregate.
+fn aggregate_type(a: &AggExpr) -> Result<DataType> {
+    let input = a
+        .arg
+        .as_ref()
+        .map_or(DataType::Int64, ScalarExpr::data_type);
+    a.func.result_type(input)
 }
 
 /// Map an AST operator to the bound operator.
-pub fn map_binop(op: BinOp) -> BinaryOp {
+fn map_binop(op: BinOp) -> BinaryOp {
     match op {
         BinOp::Add => BinaryOp::Add,
         BinOp::Sub => BinaryOp::Sub,
@@ -174,9 +322,7 @@ pub fn map_binop(op: BinOp) -> BinaryOp {
 /// Whether the AST expression contains any aggregate function call.
 pub fn contains_aggregate(e: &Expr) -> bool {
     match e {
-        Expr::Function { name, star, .. } => {
-            AggregateFunction::from_name(name).is_some() || (*star && name == "count")
-        }
+        Expr::Function { name, star, .. } => is_aggregate(name, *star),
         Expr::Column { .. } | Expr::Literal(_) => false,
         Expr::Binary { left, right, .. } => contains_aggregate(left) || contains_aggregate(right),
         Expr::Neg(i) | Expr::Not(i) => contains_aggregate(i),
@@ -200,161 +346,9 @@ pub fn contains_aggregate(e: &Expr) -> bool {
     }
 }
 
-/// Rewrites expressions in a grouped query: group-key sub-expressions
-/// become references to the aggregate node's key columns, aggregate calls
-/// become references to its aggregate columns. Everything else must
-/// decompose into those — otherwise the query is invalid SQL.
-pub struct AggRewriter<'a> {
-    /// Schema below the Aggregate node.
-    input_schema: &'a Schema,
-    /// Bound group keys (output columns `0..group_bound.len()`).
-    pub group_bound: Vec<ScalarExpr>,
-    /// Collected aggregates (output columns after the keys).
-    pub aggs: Vec<AggExpr>,
-}
-
-impl<'a> AggRewriter<'a> {
-    /// Rewriter over `input_schema` with pre-bound group keys.
-    pub fn new(input_schema: &'a Schema, group_bound: Vec<ScalarExpr>) -> AggRewriter<'a> {
-        AggRewriter {
-            input_schema,
-            group_bound,
-            aggs: Vec::new(),
-        }
-    }
-
-    /// Register (or reuse) an aggregate, returning its output column index.
-    fn add_agg(&mut self, func: AggregateFunction, arg: Option<ScalarExpr>) -> Result<usize> {
-        // Reuse identical aggregates so `HAVING count(*) > 2` and
-        // `SELECT count(*)` share one accumulator.
-        for (i, existing) in self.aggs.iter().enumerate() {
-            if existing.func == func && existing.arg == arg {
-                return Ok(self.group_bound.len() + i);
-            }
-        }
-        let name = func.name().replace("(*)", "_star");
-        self.aggs.push(AggExpr { func, arg, name });
-        Ok(self.group_bound.len() + self.aggs.len() - 1)
-    }
-
-    fn output_type(&self, idx: usize) -> Result<DataType> {
-        let ng = self.group_bound.len();
-        if idx < ng {
-            Ok(self.group_bound[idx].data_type())
-        } else {
-            let agg = &self.aggs[idx - ng];
-            let input_type = agg
-                .arg
-                .as_ref()
-                .map_or(DataType::Int64, ScalarExpr::data_type);
-            agg.func.result_type(input_type)
-        }
-    }
-
-    /// Rewrite an expression to refer to the aggregate node's output.
-    pub fn rewrite(&mut self, e: &Expr) -> Result<ScalarExpr> {
-        // A sub-expression that exactly matches a group key becomes a key
-        // column reference.
-        if !contains_aggregate(e) {
-            if let Ok(bound) = ExprBinder::new(self.input_schema).bind(e) {
-                if let Some(i) = self.group_bound.iter().position(|g| *g == bound) {
-                    return Ok(ScalarExpr::column(i, self.output_type(i)?));
-                }
-                // Constants are fine even when not grouped.
-                if bound.is_constant() {
-                    return Ok(bound);
-                }
-            }
-        }
-        match e {
-            Expr::Function {
-                name,
-                args,
-                star,
-                distinct,
-            } if AggregateFunction::from_name(name).is_some() || (*star && name == "count") => {
-                if *distinct {
-                    return Err(HyError::Bind(
-                        "DISTINCT aggregates are not supported".into(),
-                    ));
-                }
-                let (func, arg) = if *star {
-                    (AggregateFunction::CountStar, None)
-                } else {
-                    let func = AggregateFunction::from_name(name).expect("checked above");
-                    if args.len() != 1 {
-                        return Err(HyError::Bind(format!(
-                            "{name}() expects exactly one argument"
-                        )));
-                    }
-                    let arg = ExprBinder::new(self.input_schema).bind(&args[0])?;
-                    if contains_aggregate(&args[0]) {
-                        return Err(HyError::Bind("nested aggregates are not allowed".into()));
-                    }
-                    (func, Some(arg))
-                };
-                let idx = self.add_agg(func, arg)?;
-                Ok(ScalarExpr::column(idx, self.output_type(idx)?))
-            }
-            Expr::Binary { op, left, right } => {
-                let l = self.rewrite(left)?;
-                let r = self.rewrite(right)?;
-                ScalarExpr::binary(map_binop(*op), l, r)
-            }
-            Expr::Neg(i) => ScalarExpr::unary(UnaryOp::Neg, self.rewrite(i)?),
-            Expr::Not(i) => ScalarExpr::unary(UnaryOp::Not, self.rewrite(i)?),
-            Expr::Case {
-                branches,
-                else_expr,
-            } => {
-                let b: Vec<(ScalarExpr, ScalarExpr)> = branches
-                    .iter()
-                    .map(|(c, r)| Ok((self.rewrite(c)?, self.rewrite(r)?)))
-                    .collect::<Result<_>>()?;
-                let els = match else_expr {
-                    Some(x) => Some(self.rewrite(x)?),
-                    None => None,
-                };
-                ScalarExpr::case(b, els)
-            }
-            Expr::Cast { expr, target } => Ok(ScalarExpr::Cast {
-                input: Box::new(self.rewrite(expr)?),
-                target: *target,
-            }),
-            Expr::IsNull { expr, negated } => Ok(ScalarExpr::IsNull {
-                input: Box::new(self.rewrite(expr)?),
-                negated: *negated,
-            }),
-            Expr::Function { name, args, .. } => {
-                let func = ScalarFunc::from_name(name)
-                    .ok_or_else(|| HyError::Bind(format!("unknown function '{name}'")))?;
-                let bound: Vec<ScalarExpr> = args
-                    .iter()
-                    .map(|a| self.rewrite(a))
-                    .collect::<Result<_>>()?;
-                ScalarExpr::func(func, bound)
-            }
-            Expr::Literal(v) => Ok(ScalarExpr::Literal(v.clone())),
-            Expr::Column { qualifier, name } => {
-                let full = match qualifier {
-                    Some(q) => format!("{q}.{name}"),
-                    None => name.clone(),
-                };
-                Err(HyError::Bind(format!(
-                    "column '{full}' must appear in the GROUP BY clause or be used in an aggregate"
-                )))
-            }
-            other => Err(HyError::Bind(format!(
-                "expression {other} is not valid in a grouped query"
-            ))),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hylite_common::Field;
     use hylite_sql::parse_expression;
 
     fn schema() -> Schema {
@@ -369,6 +363,10 @@ mod tests {
         let s = schema();
         let e = parse_expression(sql)?;
         ExprBinder::new(&s).bind(&e)
+    }
+
+    fn aggregates(binder: &ExprBinder<'_>) -> usize {
+        binder.grouping.as_ref().map_or(0, |g| g.aggregates.len())
     }
 
     #[test]
@@ -416,32 +414,37 @@ mod tests {
     }
 
     #[test]
-    fn agg_rewriter_collects() {
+    fn grouped_binder_collects() {
         let s = schema();
         let group = vec![ScalarExpr::column(0, DataType::Int64)];
-        let mut rw = AggRewriter::new(&s, group);
+        let mut binder = ExprBinder::grouped(&s, group);
+        let mut bind = |sql: &str| binder.bind(&parse_expression(sql).unwrap()).unwrap();
         // a, sum(b) + count(*), having-style: count(*) > 1
-        let proj = rw.rewrite(&parse_expression("a").unwrap()).unwrap();
-        assert_eq!(proj.to_string(), "#0");
-        let e = rw
-            .rewrite(&parse_expression("sum(b) + count(*)").unwrap())
-            .unwrap();
-        assert_eq!(rw.aggs.len(), 2);
-        assert_eq!(e.to_string(), "(#1 + #2)");
+        assert_eq!(bind("a").to_string(), "#0");
+        assert_eq!(bind("sum(b) + count(*)").to_string(), "(#1 + #2)");
         // count(*) reused, not duplicated
-        let h = rw
-            .rewrite(&parse_expression("count(*) > 1").unwrap())
-            .unwrap();
-        assert_eq!(rw.aggs.len(), 2);
-        assert_eq!(h.to_string(), "(#2 > 1)");
+        assert_eq!(bind("count(*) > 1").to_string(), "(#2 > 1)");
+        // Plain binding's arms, over the aggregate's columns.
+        assert_eq!(
+            bind("count(*) BETWEEN 1 AND 3").to_string(),
+            "((#2 >= 1) AND (#2 <= 3))"
+        );
+        assert_eq!(bind("a IN (1, 2)").to_string(), "(#0 IN (1, 2))");
+        assert_eq!(aggregates(&binder), 2);
     }
 
     #[test]
-    fn agg_rewriter_rejects_ungrouped_column() {
+    fn grouped_binder_rejects_ungrouped_column() {
         let s = schema();
-        let mut rw = AggRewriter::new(&s, vec![]);
-        let err = rw.rewrite(&parse_expression("a + sum(b)").unwrap());
-        assert!(matches!(err, Err(HyError::Bind(_))));
+        for sql in ["a + sum(b)", "a BETWEEN 1 AND 2", "b IN (1.0)"] {
+            let mut binder = ExprBinder::grouped(&s, vec![]);
+            let err = binder.bind(&parse_expression(sql).unwrap()).unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains("must appear in the GROUP BY clause"),
+                "{sql}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -450,8 +453,12 @@ mod tests {
         let key = ExprBinder::new(&s)
             .bind(&parse_expression("a % 2").unwrap())
             .unwrap();
-        let mut rw = AggRewriter::new(&s, vec![key]);
-        let e = rw.rewrite(&parse_expression("a % 2").unwrap()).unwrap();
+        let mut binder = ExprBinder::grouped(&s, vec![key]);
+        let e = binder.bind(&parse_expression("a % 2").unwrap()).unwrap();
         assert_eq!(e.to_string(), "#0");
+        let like = ExprBinder::grouped(&s, vec![ScalarExpr::column(2, DataType::Varchar)])
+            .bind(&parse_expression("s LIKE 'x%'").unwrap())
+            .unwrap();
+        assert_eq!(like.to_string(), "(#0 LIKE 'x%')");
     }
 }

@@ -8,7 +8,7 @@
 //! analytical operators (§5.2: their results depend on the whole input).
 
 pub mod binder;
-pub mod expr_binder;
+mod expr_binder;
 pub mod logical;
 pub mod optimizer;
 pub mod stats;

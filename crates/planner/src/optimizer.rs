@@ -77,16 +77,10 @@ fn rewrite(plan: LogicalPlan) -> Result<LogicalPlan> {
 
 // ------------------------------------------------------- constant folding
 
-/// Recursively replace constant sub-expressions with literals. Evaluation
-/// errors (like division by zero) leave the expression untouched so the
-/// error surfaces at run time only if the row is actually produced.
-pub fn fold_expr(mut e: ScalarExpr) -> ScalarExpr {
-    fold_slot(&mut e);
-    e
-}
-
-/// Fold the expression a slot holds; true when what is left reads no
-/// column.
+/// Recursively replace the constant sub-expressions a slot holds with
+/// literals; true when what is left reads no column. Evaluation errors
+/// (like division by zero) leave the expression untouched so the error
+/// surfaces at run time only if the row is actually produced.
 fn fold_slot(slot: &mut ScalarExpr) -> bool {
     let (folded, constant) = fold(std::mem::replace(slot, ScalarExpr::Literal(Value::Null)));
     *slot = folded;
@@ -98,23 +92,9 @@ fn fold(mut e: ScalarExpr) -> (ScalarExpr, bool) {
     let constant = match &mut e {
         ScalarExpr::Literal(_) => return (e, true),
         ScalarExpr::Column { .. } => return (e, false),
-        ScalarExpr::Binary { left, right, .. } => fold_slot(left) & fold_slot(right),
-        ScalarExpr::Unary { input, .. }
-        | ScalarExpr::Cast { input, .. }
-        | ScalarExpr::IsNull { input, .. }
-        | ScalarExpr::InList { input, .. }
-        | ScalarExpr::Like { input, .. } => fold_slot(input),
-        ScalarExpr::Func { args, .. } => args.iter_mut().fold(true, |c, a| fold_slot(a) & c),
-        ScalarExpr::Case {
-            branches,
-            else_expr,
-            ..
-        } => {
-            let branches = branches.iter_mut().fold(true, |c, (when, then)| {
-                fold_slot(when) & fold_slot(then) & c
-            });
-            else_expr.as_deref_mut().is_none_or(fold_slot) & branches
-        }
+        node => node
+            .children_mut()
+            .fold(true, |c, child| fold_slot(child) & c),
     };
     // Boolean short-circuits that are sound under 3VL:
     // FALSE AND x = FALSE,  TRUE OR x = TRUE,
@@ -200,11 +180,12 @@ fn rewrite_filter(input: LogicalPlan, predicate: ScalarExpr) -> Result<LogicalPl
             exprs,
             schema,
         } => {
-            let pushed = substitute_columns(&predicate, &exprs);
+            let mut predicate = predicate;
+            predicate.replace_columns(&|i| Some(exprs[i].clone()));
             Ok(LogicalPlan::Project {
                 input: Box::new(LogicalPlan::Filter {
                     input: inner,
-                    predicate: pushed,
+                    predicate,
                 }),
                 exprs,
                 schema,
@@ -351,86 +332,6 @@ fn apply_conjuncts(
         input: Box::new(plan),
         predicate: pred,
     })
-}
-
-/// Replace `Column(i)` with `replacements[i]` throughout.
-fn substitute_columns(e: &ScalarExpr, replacements: &[ScalarExpr]) -> ScalarExpr {
-    match e {
-        ScalarExpr::Column { index, .. } => replacements[*index].clone(),
-        ScalarExpr::Literal(v) => ScalarExpr::Literal(v.clone()),
-        ScalarExpr::Binary {
-            op,
-            left,
-            right,
-            data_type,
-        } => ScalarExpr::Binary {
-            op: *op,
-            left: Box::new(substitute_columns(left, replacements)),
-            right: Box::new(substitute_columns(right, replacements)),
-            data_type: *data_type,
-        },
-        ScalarExpr::Unary { op, input } => ScalarExpr::Unary {
-            op: *op,
-            input: Box::new(substitute_columns(input, replacements)),
-        },
-        ScalarExpr::Func {
-            func,
-            args,
-            data_type,
-        } => ScalarExpr::Func {
-            func: *func,
-            args: args
-                .iter()
-                .map(|a| substitute_columns(a, replacements))
-                .collect(),
-            data_type: *data_type,
-        },
-        ScalarExpr::Case {
-            branches,
-            else_expr,
-            data_type,
-        } => ScalarExpr::Case {
-            branches: branches
-                .iter()
-                .map(|(c, r)| {
-                    (
-                        substitute_columns(c, replacements),
-                        substitute_columns(r, replacements),
-                    )
-                })
-                .collect(),
-            else_expr: else_expr
-                .as_ref()
-                .map(|e| Box::new(substitute_columns(e, replacements))),
-            data_type: *data_type,
-        },
-        ScalarExpr::Cast { input, target } => ScalarExpr::Cast {
-            input: Box::new(substitute_columns(input, replacements)),
-            target: *target,
-        },
-        ScalarExpr::IsNull { input, negated } => ScalarExpr::IsNull {
-            input: Box::new(substitute_columns(input, replacements)),
-            negated: *negated,
-        },
-        ScalarExpr::InList {
-            input,
-            list,
-            negated,
-        } => ScalarExpr::InList {
-            input: Box::new(substitute_columns(input, replacements)),
-            list: list.clone(),
-            negated: *negated,
-        },
-        ScalarExpr::Like {
-            input,
-            pattern,
-            negated,
-        } => ScalarExpr::Like {
-            input: Box::new(substitute_columns(input, replacements)),
-            pattern: pattern.clone(),
-            negated: *negated,
-        },
-    }
 }
 
 // ------------------------------------------------- required columns
@@ -592,20 +493,22 @@ fn prune_columns(
 
 fn rewrite_project(
     input: LogicalPlan,
-    exprs: Vec<ScalarExpr>,
+    mut exprs: Vec<ScalarExpr>,
     schema: hylite_common::SchemaRef,
 ) -> Result<LogicalPlan> {
-    let (input, exprs) = match input {
+    let input = match input {
         // Merge Project(Project(x)) by substitution.
         LogicalPlan::Project {
             input: inner,
             exprs: inner_exprs,
             ..
         } => {
-            let merged = exprs.iter().map(|e| substitute_columns(e, &inner_exprs));
-            (inner, merged.collect())
+            for e in &mut exprs {
+                e.replace_columns(&|i| Some(inner_exprs[i].clone()));
+            }
+            inner
         }
-        other => (Box::new(other), exprs),
+        other => Box::new(other),
     };
     Ok(LogicalPlan::Project {
         input,
@@ -636,6 +539,11 @@ mod tests {
 
     fn col(i: usize) -> ScalarExpr {
         ScalarExpr::column(i, DataType::Int64)
+    }
+
+    fn fold_expr(mut e: ScalarExpr) -> ScalarExpr {
+        fold_slot(&mut e);
+        e
     }
 
     fn gt(l: ScalarExpr, v: i64) -> ScalarExpr {

@@ -66,6 +66,23 @@ pub const READS: &[&str] = &[
     "SELECT a, c FROM wide WHERE a < 50 ORDER BY e + (2 - 2) DESC, a",
 ];
 
+/// `IN`, `BETWEEN` and `LIKE` (and their negations) in the grouped clauses
+/// — SELECT list, HAVING, ORDER BY (a hidden sort column) — over group keys
+/// and aggregates. Kept out of [`corpus`], whose EXPLAIN golden predates
+/// them.
+pub const GROUPED_READS: &[&str] = &[
+    "SELECT city, count(*) FROM people GROUP BY city HAVING count(*) BETWEEN 2 AND 3 ORDER BY city",
+    "SELECT city, avg(age) FROM people GROUP BY city HAVING avg(age) IN (38.5, 85.0) ORDER BY city",
+    "SELECT city, city IN ('london', 'boston'), count(*) FROM people GROUP BY city ORDER BY city",
+    "SELECT city, count(*) FROM people GROUP BY city HAVING city LIKE 'b%'",
+    "SELECT id, max(age) FROM people GROUP BY id HAVING id BETWEEN 2 AND 3 ORDER BY id",
+    "SELECT city, count(*) FROM people GROUP BY city HAVING city NOT IN ('london') ORDER BY city",
+    "SELECT id, max(age) FROM people GROUP BY id HAVING max(age) NOT BETWEEN 40 AND 80 ORDER BY id",
+    "SELECT city, count(*) FROM people GROUP BY city HAVING city NOT LIKE 'b%' ORDER BY city",
+    "SELECT city FROM people WHERE city IS NOT NULL GROUP BY city \
+     ORDER BY count(*) BETWEEN 2 AND 3 DESC, city",
+];
+
 /// [`db_with_people`] plus every other table [`READS`] names.
 pub fn reads_db() -> Database {
     let db = db_with_people();

@@ -2,7 +2,7 @@
 
 mod common;
 
-use common::{db_with_people, reads_db, READS};
+use common::{db_with_people, reads_db, GROUPED_READS, READS};
 use hylite::{Database, Value};
 
 #[test]
@@ -122,6 +122,74 @@ fn group_by_expression_and_order_by_aggregate() {
         )
         .unwrap();
     assert_eq!(r.value(0, 1).unwrap(), Value::Int(2), "70s twice");
+}
+
+#[test]
+fn in_between_and_like_over_groups() {
+    let db = db_with_people();
+    let (s, i, f, b) = (Value::from, Value::Int, Value::Float, Value::Bool);
+    let expected: [Vec<Vec<Value>>; 9] = [
+        vec![vec![s("london"), i(2)]],
+        vec![vec![s("arlington"), f(85.0)], vec![s("london"), f(38.5)]],
+        vec![
+            vec![Value::Null, Value::Null, i(1)],
+            vec![s("arlington"), b(false), i(1)],
+            vec![s("boston"), b(true), i(1)],
+            vec![s("london"), b(true), i(2)],
+        ],
+        vec![vec![s("boston"), i(1)]],
+        vec![vec![i(2), i(85)], vec![i(3), i(41)]],
+        vec![vec![s("arlington"), i(1)], vec![s("boston"), i(1)]],
+        vec![vec![i(1), i(36)], vec![i(2), i(85)]],
+        vec![vec![s("arlington"), i(1)], vec![s("london"), i(2)]],
+        vec![vec![s("london")], vec![s("arlington")], vec![s("boston")]],
+    ];
+    assert_eq!(GROUPED_READS.len(), expected.len());
+    for (sql, want) in GROUPED_READS.iter().zip(expected) {
+        let r = db.execute(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        let got: Vec<Vec<Value>> = r.to_rows().iter().map(|r| r.values().to_vec()).collect();
+        assert_eq!(got, want, "{sql}");
+    }
+}
+
+/// The grouped clauses reject what WHERE rejects, with the same messages.
+#[test]
+fn grouped_clauses_keep_their_errors() {
+    let db = db_with_people();
+    for (sql, message) in [
+        (
+            "SELECT city, count(*) FROM people GROUP BY city HAVING age BETWEEN 1 AND 2",
+            "column 'age' must appear in the GROUP BY clause or be used in an aggregate",
+        ),
+        (
+            "SELECT city FROM people GROUP BY city ORDER BY age IN (1, 2)",
+            "column 'age' must appear in the GROUP BY clause or be used in an aggregate",
+        ),
+        (
+            "SELECT count(*) FROM people WHERE count(*) > 1",
+            "aggregates are not allowed in WHERE (use HAVING)",
+        ),
+        (
+            "SELECT city, sum(count(*)) FROM people GROUP BY city",
+            "aggregate function count() is not allowed here",
+        ),
+        (
+            "SELECT city, count(*) FROM people GROUP BY city HAVING city LIKE city",
+            "LIKE pattern must be a string literal, got #0",
+        ),
+        (
+            "SELECT city, count(*) FROM people GROUP BY city HAVING count(*) IN (1, sum(age))",
+            "IN list items must be constant expressions",
+        ),
+        (
+            "SELECT upper(DISTINCT city), count(*) FROM people GROUP BY city",
+            "upper() does not accept * or DISTINCT",
+        ),
+    ] {
+        let err = db.execute(sql).unwrap_err();
+        assert_eq!(err.stage(), "bind", "{sql}");
+        assert!(err.to_string().contains(message), "{sql}: {err}");
+    }
 }
 
 #[test]
@@ -289,7 +357,7 @@ fn optimizer_preserves_every_answer() {
         out
     };
     let mut narrowed = 0;
-    for sql in READS {
+    for sql in READS.iter().chain(GROUPED_READS) {
         let stmt = hylite::sql::parse_statement(sql).unwrap();
         let BoundStatement::Query(bound) = Binder::new(db.catalog()).bind_statement(&stmt).unwrap()
         else {
