@@ -471,7 +471,9 @@ fn put_opt_str(buf: &mut Vec<u8>, s: Option<&str>) {
     }
 }
 
-fn dtype_tag(dt: DataType) -> u8 {
+/// The one-byte tag of a column type — shared by the wire codec and the
+/// segment file format.
+pub fn dtype_tag(dt: DataType) -> u8 {
     match dt {
         DataType::Int64 => 0,
         DataType::Float64 => 1,
@@ -481,7 +483,8 @@ fn dtype_tag(dt: DataType) -> u8 {
     }
 }
 
-fn dtype_from_tag(tag: u8) -> Result<DataType> {
+/// The column type a [`dtype_tag`] names.
+pub fn dtype_from_tag(tag: u8) -> Result<DataType> {
     Ok(match tag {
         0 => DataType::Int64,
         1 => DataType::Float64,
@@ -492,8 +495,9 @@ fn dtype_from_tag(tag: u8) -> Result<DataType> {
     })
 }
 
-/// Pack `len` bits (`get(i)`) LSB-first into `len.div_ceil(8)` bytes.
-fn put_bits(buf: &mut Vec<u8>, len: usize, get: impl Fn(usize) -> bool) {
+/// Pack `len` bits (`get(i)`) LSB-first into `len.div_ceil(8)` bytes —
+/// validity bitmaps and booleans, on the wire and in segment blocks.
+pub fn put_bits(buf: &mut Vec<u8>, len: usize, get: impl Fn(usize) -> bool) {
     let mut byte = 0u8;
     for i in 0..len {
         if get(i) {

@@ -43,7 +43,7 @@ use hylite_common::faultfs::Vfs;
 use hylite_common::{HyError, MetricsRegistry, Result};
 
 use crate::files::publish_atomic;
-use crate::wal::{scan_wal_raw, wal_image, RawFrame};
+use crate::wal::{contiguous_run, scan_wal_raw, wal_image, RawFrame};
 
 /// File holding the archive watermark (highest archived LSN).
 pub const ARCHIVE_WATERMARK_FILE: &str = "archive.lsn";
@@ -131,13 +131,12 @@ impl WalArchive {
             return Ok(0);
         };
         let (start, end) = (first.lsn, last.lsn);
-        for (i, f) in fresh.iter().enumerate() {
-            if f.lsn != start + i as u64 {
-                return Err(HyError::Storage(format!(
-                    "archive span {start}..={end} has an LSN hole at {}",
-                    f.lsn
-                )));
-            }
+        let run = contiguous_run(start, fresh.iter().map(|f| f.lsn));
+        if let Some(hole) = fresh.get(run) {
+            return Err(HyError::Storage(format!(
+                "archive span {start}..={end} has an LSN hole at {}",
+                hole.lsn
+            )));
         }
         let buf = wal_image(fresh.iter().copied());
         let vfs = self.vfs.as_ref();
@@ -201,23 +200,14 @@ pub fn read_archived_frames(vfs: &dyn Vfs, dir: &Path) -> Result<BTreeMap<u64, R
         let path = dir.join(&name);
         let scanned = scan_wal_raw(vfs, &path)?;
         let want = (end - start + 1) as usize;
-        if scanned.len() != want
-            || scanned.first().map(|f| f.lsn) != Some(start)
-            || scanned.last().map(|f| f.lsn) != Some(end)
-        {
+        let run = contiguous_run(start, scanned.iter().map(|f| f.lsn));
+        if scanned.len() != want || run != want {
             return Err(HyError::Storage(format!(
                 "archive span {name} is torn: declares lsn {start}..={end} \
-                 ({want} frames) but {} valid frames scanned",
+                 ({want} frames) but {} valid frames scanned, {run} of them \
+                 contiguous from {start}",
                 scanned.len()
             )));
-        }
-        for (i, f) in scanned.iter().enumerate() {
-            if f.lsn != start + i as u64 {
-                return Err(HyError::Storage(format!(
-                    "archive span {name} has an LSN hole at {}",
-                    f.lsn
-                )));
-            }
         }
         for f in scanned {
             frames.insert(f.lsn, f);

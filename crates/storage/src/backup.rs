@@ -5,8 +5,12 @@
 //! holding the commit lock for only as long as it takes to read the
 //! manifest and the durable WAL prefix into memory. Segment files are
 //! copied *outside* any lock: they are immutable once sealed, and if a
-//! concurrent checkpoint GCs one mid-copy the caller simply re-pins and
-//! retries.
+//! concurrent checkpoint GCs one mid-copy the read re-pins and retries.
+//!
+//! That cut is the one way a consistent image leaves a node: [`pin`]
+//! takes it under the commit lock, [`read_pinned`] loads its segment
+//! files outside the lock, and both a backup ([`write_backup`]) and a
+//! replica bootstrap ([`bootstrap_bundle`]) are built on the pair.
 //!
 //! ## Backup directory layout
 //!
@@ -44,7 +48,7 @@
 //! restored directory mints a fresh epoch, so a restored node can never
 //! splice into its old fleet.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -53,12 +57,12 @@ use hylite_common::wire::{self, ByteReader};
 use hylite_common::{HyError, Result};
 
 use crate::archive::read_archived_frames;
-use crate::checkpoint::{decode_manifest, CHECKPOINT_FILE};
+use crate::checkpoint::{decode_manifest, encode_bootstrap_bundle, CHECKPOINT_FILE};
 use crate::files::{open_framed, publish_atomic, seal_framed, write_durable};
 use crate::segment::{
     check_segment_bytes, copy_segment_bytes, segment_file_name, SegmentStore, SEGMENT_DIR,
 };
-use crate::wal::{scan_wal_raw, wal_image, RawFrame, WAL_FILE};
+use crate::wal::{contiguous_run, scan_wal_raw, wal_image, RawFrame, WalWriter, WAL_FILE};
 
 /// Magic number opening a backup metadata file (`"HYBK"`).
 pub const BACKUP_MAGIC: u32 = 0x4859_424B;
@@ -68,9 +72,11 @@ pub const BACKUP_VERSION: u32 = 1;
 pub const BACKUP_META_FILE: &str = "backup.hylite";
 /// Crash point: before each segment file is copied into the backup.
 pub const CP_BACKUP_SEG_COPY: &str = "backup.segment_copy";
-/// Error-message marker for a segment GC'd mid-copy; the caller re-pins
-/// and retries on it.
-pub const SEGMENT_VANISHED: &str = "vanished during backup";
+/// Error-message marker for a pinned segment GC'd before it was read;
+/// [`read_pinned`] re-pins and retries on it.
+pub const SEGMENT_VANISHED: &str = "vanished since the pin";
+/// Cuts [`read_pinned`] tries before a vanished segment fails the read.
+const PIN_ATTEMPTS: usize = 3;
 /// Longest incremental chain restore will follow (cycle guard).
 const MAX_CHAIN_DEPTH: usize = 64;
 
@@ -165,17 +171,90 @@ pub fn read_backup_meta(vfs: &dyn Vfs, dir: &Path) -> Result<BackupMeta> {
     decode_backup_meta(&vfs.read(&path)?)
 }
 
-/// The consistent moment a backup captures, read under the commit lock.
+/// A consistent cut of a data directory, read under the commit lock by
+/// [`pin`]: what a backup copies and a replica bootstrap ships.
 #[derive(Debug)]
-pub struct BackupPin {
+pub struct Pin {
     /// `checkpoint.hylite` bytes at pin time (`None` pre-first-checkpoint).
     pub manifest: Option<Vec<u8>>,
+    /// The manifest's base LSN (0 without a manifest).
+    pub base_lsn: u64,
+    /// Segment ids the manifest references, ascending.
+    pub segments: BTreeSet<u64>,
     /// The durable WAL prefix at pin time (header included).
     pub wal: Vec<u8>,
     /// Highest LSN the pin covers (`next_lsn - 1`).
     pub backup_lsn: u64,
     /// Source node epoch at pin time.
     pub epoch: u64,
+}
+
+/// Pin a cut of the data directory `dir`: flush `wal`, then read the
+/// published manifest and the WAL's durable prefix. The caller holds the
+/// commit lock (it owns `wal` through it) for exactly this long.
+pub fn pin(vfs: &dyn Vfs, dir: &Path, wal: &mut WalWriter, epoch: u64) -> Result<Pin> {
+    wal.flush()?;
+    let manifest_path = dir.join(CHECKPOINT_FILE);
+    let (manifest, base_lsn, segments) = if vfs.exists(&manifest_path) {
+        let bytes = vfs.read(&manifest_path)?;
+        let image = decode_manifest(&bytes)?;
+        (Some(bytes), image.base_lsn, image.referenced_segments())
+    } else {
+        (None, 0, BTreeSet::new())
+    };
+    let mut wal_bytes = vfs.read(&dir.join(WAL_FILE))?;
+    wal_bytes.truncate(wal.durable_len() as usize);
+    Ok(Pin {
+        manifest,
+        base_lsn,
+        segments,
+        wal: wal_bytes,
+        backup_lsn: wal.next_lsn().saturating_sub(1),
+        epoch,
+    })
+}
+
+/// Run `read` over a pinned cut outside the commit lock, reading its
+/// segment files from the store. A checkpoint may GC a pinned
+/// segment before it is loaded ([`SEGMENT_VANISHED`]); then `repin` takes
+/// a fresh cut and `read` starts over — three cuts in all.
+pub fn read_pinned<T>(
+    mut pin: Pin,
+    mut repin: impl FnMut() -> Result<Pin>,
+    mut read: impl FnMut(&Pin) -> Result<T>,
+) -> Result<T> {
+    for _ in 1..PIN_ATTEMPTS {
+        match read(&pin) {
+            Err(e) if e.message().contains(SEGMENT_VANISHED) => pin = repin()?,
+            done => return done,
+        }
+    }
+    read(&pin)
+}
+
+/// Read segment file `id` of a pinned cut; a file GC'd since the pin is a
+/// [`SEGMENT_VANISHED`] error.
+fn load_segment(store: &SegmentStore, id: u64) -> Result<Vec<u8>> {
+    store.read_file(id).map_err(|e| {
+        HyError::Storage(format!(
+            "segment {id} {SEGMENT_VANISHED} (checkpoint GC raced the read): {e}"
+        ))
+    })
+}
+
+/// The replica-bootstrap payload of a cut: its manifest plus every
+/// segment file the manifest references (see [`encode_bootstrap_bundle`]).
+pub fn bootstrap_bundle(store: &SegmentStore, pin: &Pin) -> Result<Vec<u8>> {
+    let manifest = pin
+        .manifest
+        .as_deref()
+        .expect("a bootstrap pins its checkpoint");
+    let files = pin
+        .segments
+        .iter()
+        .map(|&id| Ok((id, load_segment(store, id)?)))
+        .collect::<Result<Vec<_>>>()?;
+    Ok(encode_bootstrap_bundle(&files, manifest))
 }
 
 /// What a completed backup did; surfaced through SQL, the wire frame,
@@ -220,17 +299,16 @@ pub fn resolve_chain(vfs: &dyn Vfs, dir: &Path) -> Result<Vec<(PathBuf, BackupMe
     }
 }
 
-/// Write a pinned backup to `dest`. Segment copies are CRC-validated on
-/// read; `verify` re-scans every file from `dest` before the metadata is
-/// published. A segment GC'd between pin and copy fails with a
-/// [`SEGMENT_VANISHED`] error the caller retries with a fresh pin.
+/// Write a pinned backup to `dest` (the `read` of [`read_pinned`]).
+/// Segment copies are CRC-validated on read; `verify` re-scans every file
+/// from `dest` before the metadata is published.
 pub fn write_backup(
     vfs: &Arc<dyn Vfs>,
-    store: &Arc<SegmentStore>,
+    store: &SegmentStore,
     dest: &Path,
     base: Option<&Path>,
     verify: bool,
-    pin: BackupPin,
+    pin: &Pin,
 ) -> Result<BackupSummary> {
     if vfs.exists(&dest.join(BACKUP_META_FILE)) {
         return Err(HyError::Storage(format!(
@@ -238,15 +316,6 @@ pub fn write_backup(
             dest.display()
         )));
     }
-    let (base_lsn, referenced) = match &pin.manifest {
-        Some(bytes) => {
-            let image = decode_manifest(bytes)?;
-            let mut ids: Vec<u64> = image.referenced_segments().into_iter().collect();
-            ids.sort_unstable();
-            (image.base_lsn, ids)
-        }
-        None => (0, Vec::new()),
-    };
     // Incremental: segment ids the base chain already holds need no copy.
     let held: std::collections::HashSet<u64> = match base {
         Some(b) => resolve_chain(vfs.as_ref(), b)?
@@ -260,17 +329,13 @@ pub fn write_backup(
     let mut copied_segments = Vec::new();
     let mut base_segments = Vec::new();
     let mut bytes_copied = 0u64;
-    for &id in &referenced {
+    for &id in &pin.segments {
         if held.contains(&id) {
             base_segments.push(id);
             continue;
         }
         vfs.crash_point(CP_BACKUP_SEG_COPY)?;
-        let bytes = store.read_file(id).map_err(|e| {
-            HyError::Storage(format!(
-                "segment {id} {SEGMENT_VANISHED} (checkpoint GC raced the copy): {e}"
-            ))
-        })?;
+        let bytes = load_segment(store, id)?;
         copy_segment_bytes(vfs.as_ref(), &seg_dir, id, &bytes)?;
         bytes_copied += bytes.len() as u64;
         copied_segments.push(id);
@@ -289,7 +354,7 @@ pub fn write_backup(
     }
 
     let meta = BackupMeta {
-        base_lsn,
+        base_lsn: pin.base_lsn,
         backup_lsn: pin.backup_lsn,
         epoch: pin.epoch,
         verified: verify,
@@ -302,7 +367,7 @@ pub fn write_backup(
     publish_atomic(vfs.as_ref(), dest, BACKUP_META_FILE, &encoded, [None; 3])?;
     Ok(BackupSummary {
         dest: dest.to_path_buf(),
-        base_lsn,
+        base_lsn: pin.base_lsn,
         backup_lsn: meta.backup_lsn,
         segments_copied: meta.copied_segments.len() as u64,
         bytes: meta.bytes,
@@ -380,13 +445,11 @@ pub fn restore_backup(
     let (base_lsn, referenced) = if vfs.exists(&ckpt_src) {
         let bytes = vfs.read(&ckpt_src)?;
         let image = decode_manifest(&bytes)?;
-        let mut ids: Vec<u64> = image.referenced_segments().into_iter().collect();
-        ids.sort_unstable();
         write_durable(vfs.as_ref(), &dest_dir.join(CHECKPOINT_FILE), &bytes)?;
         bytes_written += bytes.len() as u64;
-        (image.base_lsn, ids)
+        (image.base_lsn, image.referenced_segments())
     } else {
-        (0, Vec::new())
+        (0, Default::default())
     };
 
     // Copy every referenced segment from the nearest chain link holding it.
@@ -424,10 +487,7 @@ pub fn restore_backup(
     // The manifest already contains every commit below base_lsn; replay
     // starts there. Walk the contiguous run to find what is reachable.
     let start = base_lsn.max(1);
-    let mut highest = start - 1;
-    while frames.contains_key(&(highest + 1)) {
-        highest += 1;
-    }
+    let highest = start - 1 + contiguous_run(start, frames.range(start..).map(|(&l, _)| l)) as u64;
     let target = match to_lsn {
         Some(t) => {
             if t + 1 < start {

@@ -48,19 +48,37 @@
 //!
 //! The manifest carries `base_lsn` = the LSN the *next* commit would
 //! get; every commit with `lsn < base_lsn` is inside the checkpoint.
+//!
+//! This module owns the whole procedure below the WAL — the seal phase,
+//! the manifest publish, the swap of sealed handles into the tables,
+//! segment GC and compaction ([`take_checkpoint`]) — and [`seal`], the one
+//! loop that writes segment files. The caller holds the commit lock,
+//! flushes the WAL before and truncates (and archives) it after.
+//!
+//! ## Compaction
+//!
+//! After the GC, a quiescent table whose committed rows are at least
+//! [`COMPACT_DEAD_FRACTION`] dead has its live rows sealed into fresh
+//! segments, its entry in the manifest list the seal phase published
+//! replaced, and that list republished at the same `base_lsn`; only then
+//! does memory switch to the compacted rows and the old files go. A crash
+//! in between leaves the previous manifest and orphan files recovery
+//! deletes.
 
+use std::collections::{BTreeSet, HashMap};
 use std::path::Path;
+use std::sync::Arc;
 
 use hylite_common::faultfs::Vfs;
 use hylite_common::wire::{self, ByteReader};
-use hylite_common::{HyError, Result, Schema};
+use hylite_common::{Chunk, HyError, MetricsRegistry, Result, Schema};
 use parking_lot::RwLock;
 
 use crate::catalog::Catalog;
 use crate::files::{open_framed, publish_atomic, seal_framed};
-use crate::segment::SegmentStore;
-use crate::snapshot::SegmentHandle;
-use crate::table::Table;
+use crate::segment::{copy_segment_bytes, rebrand_segment_bytes, DiskSegment, SegmentStore};
+use crate::snapshot::{SegmentHandle, TableSnapshot};
+use crate::table::{Table, SEGMENT_ROWS};
 
 /// Magic number opening a checkpoint manifest (`"HYCK"`).
 pub const CHECKPOINT_MAGIC: u32 = 0x4859_434B;
@@ -82,6 +100,29 @@ pub const CP_CKPT_AFTER_RENAME: &str = "checkpoint.after_rename";
 /// Crash point: before each new segment file is written (some of the
 /// checkpoint's segments may exist on disk, the manifest does not).
 pub const CP_SEG_WRITE: &str = "checkpoint.segment_write";
+/// Compaction threshold: a quiescent table whose committed rows are dead
+/// beyond this fraction is rewritten without its dead rows.
+pub const COMPACT_DEAD_FRACTION: f64 = 0.3;
+
+/// Outcome of one checkpoint.
+#[derive(Debug, Clone, Default)]
+pub struct CheckpointStats {
+    /// Tables captured.
+    pub tables: usize,
+    /// Bytes of the published manifest file.
+    pub bytes: u64,
+    /// The checkpoint's base LSN.
+    pub base_lsn: u64,
+    /// Wall-clock duration in milliseconds.
+    pub duration_ms: u64,
+    /// Segment files newly sealed by this checkpoint. Zero when nothing
+    /// changed since the last one — the incremental-checkpoint property.
+    pub segments_sealed: usize,
+    /// Bytes of the newly sealed segment files (compressed, on disk).
+    pub segment_bytes: u64,
+    /// Uncompressed bytes of the rows sealed into new segments.
+    pub sealed_raw_bytes: u64,
+}
 
 /// Decoded checkpoint manifest, ready to install into a fresh catalog.
 #[derive(Debug)]
@@ -107,20 +148,177 @@ pub struct TableManifest {
     pub deleted: Vec<u64>,
 }
 
+impl TableManifest {
+    /// The entry of table `name`: schema, row horizon and delete marks of
+    /// its committed snapshot `snap`, whose rows `sealed` holds in row-id
+    /// order.
+    pub fn of(name: String, snap: &TableSnapshot, sealed: &[Arc<DiskSegment>]) -> TableManifest {
+        let row_limit = snap.visible_rows() as u64;
+        TableManifest {
+            name,
+            schema: snap.schema().as_ref().clone(),
+            segments: sealed.iter().map(|d| (d.id(), d.rows() as u64)).collect(),
+            row_limit,
+            deleted: snap
+                .deleted()
+                .iter_ones()
+                .map(|i| i as u64)
+                .take_while(|&i| i < row_limit)
+                .collect(),
+        }
+    }
+}
+
 impl CheckpointImage {
-    /// Every segment id any table references.
-    pub fn referenced_segments(&self) -> std::collections::HashSet<u64> {
+    /// Every segment id any table references, ascending.
+    pub fn referenced_segments(&self) -> BTreeSet<u64> {
         referenced_segments(&self.tables)
     }
 }
 
-/// Every segment id the given table manifests reference — the set a
-/// segment GC must spare once they are published.
-pub fn referenced_segments(tables: &[TableManifest]) -> std::collections::HashSet<u64> {
+/// Every segment id the given table manifests reference, ascending — the
+/// set a segment GC must spare once they are published.
+pub fn referenced_segments(tables: &[TableManifest]) -> BTreeSet<u64> {
     tables
         .iter()
         .flat_map(|t| t.segments.iter().map(|&(id, _)| id))
         .collect()
+}
+
+/// Seal `rows` into new segment files of at most [`SEGMENT_ROWS`] rows
+/// each and open them — the one loop that writes segments, with the
+/// [`CP_SEG_WRITE`] crash point before every write. Counts what it wrote
+/// into `stats`. The caller syncs the segment directory before a manifest
+/// names the files.
+pub fn seal(
+    vfs: &dyn Vfs,
+    store: &Arc<SegmentStore>,
+    rows: &Chunk,
+    stats: &mut CheckpointStats,
+) -> Result<Vec<Arc<DiskSegment>>> {
+    let mut sealed = Vec::with_capacity(rows.len().div_ceil(SEGMENT_ROWS));
+    for offset in (0..rows.len()).step_by(SEGMENT_ROWS) {
+        let chunk = rows.slice(offset, (rows.len() - offset).min(SEGMENT_ROWS));
+        vfs.crash_point(CP_SEG_WRITE)?;
+        let id = store.alloc_id();
+        stats.segment_bytes += store.write_segment(id, &chunk)?;
+        stats.sealed_raw_bytes += chunk.heap_bytes() as u64;
+        stats.segments_sealed += 1;
+        sealed.push(store.open_segment(id)?);
+    }
+    Ok(sealed)
+}
+
+/// Everything of a checkpoint at `base_lsn` below the WAL: seal each
+/// table's resident committed rows, publish the manifest, swap the sealed
+/// handles into the tables, collect unreferenced segment files, then
+/// compact. The caller holds the commit lock (no commit can land between
+/// choosing `base_lsn` and the snapshots) and has flushed the WAL.
+/// Incremental by construction: segments sealed by earlier checkpoints
+/// are re-listed by id, not rewritten.
+pub fn take_checkpoint(
+    vfs: &dyn Vfs,
+    dir: &Path,
+    store: &Arc<SegmentStore>,
+    catalog: &Catalog,
+    base_lsn: u64,
+    metrics: &MetricsRegistry,
+) -> Result<CheckpointStats> {
+    let mut stats = CheckpointStats {
+        base_lsn,
+        ..CheckpointStats::default()
+    };
+    let mut manifests = Vec::new();
+    let mut swaps = Vec::new();
+    for name in catalog.table_names() {
+        let Ok(table) = catalog.get_table(&name) else {
+            continue;
+        };
+        let snap = table.read().committed_snapshot();
+        // Already sealed and immutable: re-list, zero I/O. Everything from
+        // the first resident segment on is resealed with it (keeps the
+        // disk-prefix invariant).
+        let mut sealed: Vec<Arc<DiskSegment>> = snap
+            .segments()
+            .iter()
+            .map_while(|seg| match seg {
+                SegmentHandle::Disk(d) => Some(Arc::clone(d)),
+                SegmentHandle::Resident(_) => None,
+            })
+            .collect();
+        let resident = snap.segments()[sealed.len()..]
+            .iter()
+            .map(SegmentHandle::to_chunk)
+            .collect::<Result<Vec<_>>>()?;
+        let delta = Chunk::concat(&snap.schema().types(), &resident)?;
+        sealed.extend(seal(vfs, store, &delta, &mut stats)?);
+        manifests.push(TableManifest::of(name, &snap, &sealed));
+        swaps.push((table, sealed));
+    }
+    if stats.segments_sealed > 0 {
+        store.sync_dir()?;
+    }
+    let data = encode_manifest(base_lsn, &manifests);
+    publish_checkpoint(vfs, dir, &data)?;
+    stats.tables = manifests.len();
+    stats.bytes = data.len() as u64;
+
+    // The manifest is live: swap each table's committed prefix to the
+    // sealed handles so resident memory is released, then collect segment
+    // files no manifest references any more. Both are safe under the
+    // commit lock — the swapped data is bit-identical and open snapshots
+    // hold their own handles (GC spares live files).
+    for (table, sealed) in swaps {
+        let handles = sealed.into_iter().map(SegmentHandle::Disk).collect();
+        table.write().swap_sealed_prefix(handles)?;
+    }
+    store.gc(&referenced_segments(&manifests))?;
+    compact(vfs, dir, store, catalog, base_lsn, &mut manifests, metrics)?;
+    Ok(stats)
+}
+
+/// The compaction pass (see the module docs). Each table's write lock is
+/// held from the quiescence check through the in-memory install:
+/// everything fallible (segment writes, manifest publish) happens first,
+/// and only once the manifest is durably the truth does the infallible
+/// [`Table::install_compacted`] renumber rows in memory.
+fn compact(
+    vfs: &dyn Vfs,
+    dir: &Path,
+    store: &Arc<SegmentStore>,
+    catalog: &Catalog,
+    base_lsn: u64,
+    manifests: &mut [TableManifest],
+    metrics: &MetricsRegistry,
+) -> Result<()> {
+    for i in 0..manifests.len() {
+        let Ok(table) = catalog.get_table(&manifests[i].name) else {
+            continue;
+        };
+        let mut g = table.write();
+        // Compaction renumbers rows: never under a transaction's staged
+        // rows or deletes, which address the old row ids.
+        if !g.is_quiescent() || g.dead_fraction() < COMPACT_DEAD_FRACTION {
+            continue;
+        }
+        let snap = g.committed_snapshot();
+        let dead_rows = snap.deleted().iter_ones().count() as u64;
+        let live = Chunk::concat(&snap.schema().types(), &snap.live_chunks()?)?;
+        let sealed = seal(vfs, store, &live, &mut CheckpointStats::default())?;
+        store.sync_dir()?;
+        manifests[i] = TableManifest {
+            row_limit: live.len() as u64,
+            deleted: Vec::new(),
+            ..TableManifest::of(manifests[i].name.clone(), &snap, &sealed)
+        };
+        publish_checkpoint(vfs, dir, &encode_manifest(base_lsn, manifests))?;
+        g.install_compacted(sealed.into_iter().map(SegmentHandle::Disk).collect());
+        drop(g);
+        store.gc(&referenced_segments(manifests))?;
+        metrics.counter("compaction.count").inc();
+        metrics.counter("compaction.rows_dropped").add(dead_rows);
+    }
+    Ok(())
 }
 
 /// Serialize a manifest. `base_lsn` is the LSN the next commit will
@@ -293,6 +491,39 @@ pub fn decode_bootstrap_bundle(bytes: &[u8]) -> Result<BootstrapBundle> {
     )
 }
 
+/// Install a bootstrap bundle's files: write its segment files under ids
+/// allocated from `store` (a fresh id never collides with this
+/// directory's own files; a crash part-way leaves only orphans the next
+/// recovery deletes), then publish its manifest, remapped to those ids,
+/// as this directory's checkpoint. Returns the remapped image.
+pub fn publish_bundle(
+    vfs: &dyn Vfs,
+    dir: &Path,
+    store: &SegmentStore,
+    data: &[u8],
+) -> Result<CheckpointImage> {
+    let (files, manifest) = decode_bootstrap_bundle(data)?;
+    let mut image = decode_manifest(&manifest)?;
+    let mut remap = HashMap::with_capacity(files.len());
+    for (shipped_id, mut bytes) in files {
+        let local_id = store.alloc_id();
+        rebrand_segment_bytes(&mut bytes, local_id)?;
+        copy_segment_bytes(vfs, store.dir(), local_id, &bytes)?;
+        remap.insert(shipped_id, local_id);
+    }
+    for seg in image.tables.iter_mut().flat_map(|t| &mut t.segments) {
+        seg.0 = *remap.get(&seg.0).ok_or_else(|| {
+            HyError::Storage(format!(
+                "bootstrap manifest references segment {} the bundle does not ship",
+                seg.0
+            ))
+        })?;
+    }
+    store.sync_dir()?;
+    publish_checkpoint(vfs, dir, &encode_manifest(image.base_lsn, &image.tables))?;
+    Ok(image)
+}
+
 /// Publish manifest bytes as the directory's checkpoint (see
 /// [`publish_atomic`]). The segment files the manifest references must
 /// already be durable (the sealing pass syncs them and their directory).
@@ -311,10 +542,8 @@ pub fn publish_checkpoint(vfs: &dyn Vfs, dir: &Path, data: &[u8]) -> Result<()> 
 mod tests {
     use super::*;
     use crate::pool::BufferPool;
-    use hylite_common::telemetry::MetricsRegistry;
     use hylite_common::{crc32, DataType, FaultVfs, Field, Value};
     use std::path::PathBuf;
-    use std::sync::Arc;
 
     fn catalog_with_data() -> Catalog {
         let cat = Catalog::new();
@@ -352,33 +581,23 @@ mod tests {
     }
 
     /// Seal every table of `cat` into `store` and return the manifests —
-    /// a miniature of what `Durability::checkpoint` does.
-    fn seal_catalog(cat: &Catalog, store: &Arc<SegmentStore>) -> Vec<TableManifest> {
+    /// the seal phase of [`take_checkpoint`], without publish or swap.
+    fn seal_catalog(
+        vfs: &FaultVfs,
+        cat: &Catalog,
+        store: &Arc<SegmentStore>,
+    ) -> Vec<TableManifest> {
         let mut tables = Vec::new();
         for name in cat.table_names() {
-            let t = cat.get_table(&name).unwrap();
-            let snap = t.read().committed_snapshot();
-            let mut segments = Vec::new();
-            for seg in snap.segments() {
-                let chunk = seg.to_chunk().unwrap();
-                let id = store.alloc_id();
-                store.write_segment(id, &chunk).unwrap();
-                segments.push((id, chunk.len() as u64));
-            }
-            let row_limit = snap.visible_rows() as u64;
-            let deleted: Vec<u64> = snap
-                .deleted()
-                .iter_ones()
-                .take_while(|&i| (i as u64) < row_limit)
-                .map(|i| i as u64)
+            let snap = cat.get_table(&name).unwrap().read().committed_snapshot();
+            let rows: Vec<Chunk> = snap
+                .segments()
+                .iter()
+                .map(|s| s.to_chunk().unwrap())
                 .collect();
-            tables.push(TableManifest {
-                name,
-                schema: snap.schema().as_ref().clone(),
-                segments,
-                row_limit,
-                deleted,
-            });
+            let rows = Chunk::concat(&snap.schema().types(), &rows).unwrap();
+            let sealed = seal(vfs, store, &rows, &mut CheckpointStats::default()).unwrap();
+            tables.push(TableManifest::of(name, &snap, &sealed));
         }
         tables
     }
@@ -388,7 +607,7 @@ mod tests {
         let vfs = FaultVfs::new();
         let store = test_store(&vfs);
         let cat = catalog_with_data();
-        let tables = seal_catalog(&cat, &store);
+        let tables = seal_catalog(&vfs, &cat, &store);
         let bytes = encode_manifest(42, &tables);
         let image = decode_manifest(&bytes).unwrap();
         assert_eq!(image.base_lsn, 42);
@@ -418,7 +637,7 @@ mod tests {
             g.insert_rows(&rows).unwrap();
             g.commit();
         }
-        let tables = seal_catalog(&cat, &store);
+        let tables = seal_catalog(&vfs, &cat, &store);
         let bytes = encode_manifest(1, &tables);
         assert!(
             bytes.len() < 256,
@@ -432,7 +651,7 @@ mod tests {
         let vfs = FaultVfs::new();
         let store = test_store(&vfs);
         let cat = catalog_with_data();
-        let mut tables = seal_catalog(&cat, &store);
+        let mut tables = seal_catalog(&vfs, &cat, &store);
         for t in &mut tables {
             for seg in &mut t.segments {
                 seg.1 += 1; // lie about the row count

@@ -1,5 +1,10 @@
 //! The durability orchestrator: one object owning the WAL writer and the
-//! checkpoint procedure, shared by every session of a database.
+//! commit lock, shared by every session of a database. It keeps the
+//! commit protocol, the role/epoch plumbing and degraded mode; each
+//! lifecycle that works on files takes the lock here and runs in the
+//! module that owns those files — the checkpoint and compaction in
+//! [`crate::checkpoint`], the consistent cut behind backups and replica
+//! bootstraps in [`crate::backup`], archiving in [`crate::archive`].
 //!
 //! Locking: a single commit mutex serializes WAL appends *and* the whole
 //! checkpoint. Crucially, commit *publication* — the promotion of a
@@ -33,21 +38,21 @@ use hylite_common::{HyError, MetricsRegistry, Result};
 use parking_lot::Mutex;
 
 use crate::archive::{WalArchive, CP_ARCHIVE_ROTATE};
-use crate::backup::{write_backup, BackupPin, BackupSummary, CP_BACKUP_SEG_COPY, SEGMENT_VANISHED};
+use crate::backup::{
+    self, bootstrap_bundle, read_pinned, write_backup, BackupSummary, Pin, CP_BACKUP_SEG_COPY,
+};
 use crate::catalog::Catalog;
 use crate::checkpoint::{
-    decode_bootstrap_bundle, decode_manifest, encode_bootstrap_bundle, encode_manifest,
-    install_manifest, publish_checkpoint, referenced_segments, TableManifest, CHECKPOINT_FILE,
-    CP_CKPT_AFTER_RENAME, CP_CKPT_RENAME, CP_CKPT_WRITE, CP_SEG_WRITE,
+    install_manifest, publish_bundle, take_checkpoint, CheckpointStats, CP_CKPT_AFTER_RENAME,
+    CP_CKPT_RENAME, CP_CKPT_WRITE, CP_SEG_WRITE,
 };
 use crate::files::write_durable;
 use crate::pool::BufferPool;
 use crate::recovery::{apply_op, recover, RecoveryReport};
 use crate::repl::{load_repl_state, next_epoch, store_repl_state, ReplRole, ReplState};
-use crate::segment::{copy_segment_bytes, rebrand_segment_bytes, SegmentStore};
-use crate::snapshot::SegmentHandle;
+use crate::segment::SegmentStore;
 use crate::wal::{
-    decode_commit_payload, scan_wal_raw, RawFrame, RedoOp, SyncMode, WalWriter, CP_WAL_AFTER_WRITE,
+    decode_commit_payload, RawFrame, RedoOp, SyncMode, WalWriter, CP_WAL_AFTER_WRITE,
     CP_WAL_APPEND, CP_WAL_POST_FSYNC, CP_WAL_PRE_FSYNC, CP_WAL_TRUNCATE, WAL_FILE,
 };
 
@@ -98,10 +103,6 @@ pub struct DurabilityOptions {
 
 /// Group-commit buffer threshold in bytes ([`SyncMode::Buffered`] only).
 const GROUP_COMMIT_BYTES: usize = 256 * 1024;
-/// Checkpoint-time compaction threshold: a quiescent table whose
-/// committed rows are dead beyond this fraction gets rewritten without
-/// its dead rows (old segment files GC'd).
-const COMPACT_DEAD_FRACTION: f64 = 0.3;
 
 impl Default for DurabilityOptions {
     fn default() -> DurabilityOptions {
@@ -137,26 +138,6 @@ pub enum ReplTail {
         /// The primary's next LSN, for the error message.
         next_lsn: u64,
     },
-}
-
-/// Outcome of one checkpoint.
-#[derive(Debug, Clone)]
-pub struct CheckpointStats {
-    /// Tables captured.
-    pub tables: usize,
-    /// Bytes of the published manifest file.
-    pub bytes: u64,
-    /// The checkpoint's base LSN.
-    pub base_lsn: u64,
-    /// Wall-clock duration in milliseconds.
-    pub duration_ms: u64,
-    /// Segment files newly sealed by this checkpoint. Zero when nothing
-    /// changed since the last one — the incremental-checkpoint property.
-    pub segments_sealed: usize,
-    /// Bytes of the newly sealed segment files (compressed, on disk).
-    pub segment_bytes: u64,
-    /// Uncompressed bytes of the rows sealed into new segments.
-    pub sealed_raw_bytes: u64,
 }
 
 /// The per-database durability engine. Cheap to share (`Arc` it); all
@@ -400,11 +381,9 @@ impl Durability {
     }
 
     /// Take a checkpoint: flush the WAL, seal every table's not-yet-sealed
-    /// committed rows into new segment files, publish the manifest
-    /// atomically, then truncate the WAL. Holds the commit lock
-    /// throughout (readers unaffected). Incremental by construction:
-    /// segments sealed by earlier checkpoints are re-listed by id, not
-    /// rewritten.
+    /// committed rows into new segment files and publish the manifest
+    /// (see [`take_checkpoint`]), then archive and truncate the WAL. Holds
+    /// the commit lock throughout (readers unaffected).
     pub fn checkpoint(&self, catalog: &Catalog) -> Result<CheckpointStats> {
         let mut wal = self.wal.lock();
         // A segment seal hitting ENOSPC degrades the node just like a
@@ -417,228 +396,27 @@ impl Durability {
         // Buffered frames must hit the disk first: if the checkpoint then
         // fails part-way, the WAL still covers those commits.
         wal.flush()?;
-        let base_lsn = wal.next_lsn();
-
-        // Seal phase: for each table, reuse the already-sealed prefix and
-        // freeze the resident committed tail into new segment files.
-        let mut manifests: Vec<TableManifest> = Vec::new();
-        let mut swaps: Vec<(crate::table::TableRef, Vec<SegmentHandle>)> = Vec::new();
-        let mut segments_sealed = 0usize;
-        let mut segment_bytes = 0u64;
-        let mut sealed_raw_bytes = 0u64;
-        for name in catalog.table_names() {
-            let Ok(table) = catalog.get_table(&name) else {
-                continue;
-            };
-            let snap = table.read().committed_snapshot();
-            let mut handles: Vec<SegmentHandle> = Vec::new();
-            let mut seg_list: Vec<(u64, u64)> = Vec::new();
-            let mut resident: Vec<hylite_common::Chunk> = Vec::new();
-            for seg in snap.segments() {
-                match seg {
-                    // Already sealed and immutable: re-list, zero I/O.
-                    SegmentHandle::Disk(d) if resident.is_empty() => {
-                        seg_list.push((d.id(), d.rows() as u64));
-                        handles.push(seg.clone());
-                    }
-                    // Anything after the first resident segment gets
-                    // resealed with it (keeps the disk-prefix invariant).
-                    other => resident.push(other.to_chunk()?),
-                }
-            }
-            if !resident.is_empty() {
-                let types = snap.schema().types();
-                let delta = hylite_common::Chunk::concat(&types, &resident)?;
-                let mut offset = 0;
-                while offset < delta.len() {
-                    let take = (delta.len() - offset).min(crate::SEGMENT_ROWS);
-                    let chunk = delta.slice(offset, take);
-                    self.vfs.crash_point(CP_SEG_WRITE)?;
-                    let id = self.store.alloc_id();
-                    let written = self.store.write_segment(id, &chunk)?;
-                    segments_sealed += 1;
-                    segment_bytes += written;
-                    sealed_raw_bytes += chunk.heap_bytes() as u64;
-                    seg_list.push((id, take as u64));
-                    handles.push(SegmentHandle::Disk(self.store.open_segment(id)?));
-                    offset += take;
-                }
-            }
-            let row_limit = snap.visible_rows() as u64;
-            let deleted: Vec<u64> = snap
-                .deleted()
-                .iter_ones()
-                .take_while(|&i| (i as u64) < row_limit)
-                .map(|i| i as u64)
-                .collect();
-            manifests.push(TableManifest {
-                name,
-                schema: snap.schema().as_ref().clone(),
-                segments: seg_list,
-                row_limit,
-                deleted,
-            });
-            swaps.push((table, handles));
-        }
-        if segments_sealed > 0 {
-            self.store.sync_dir()?;
-        }
-
-        let data = encode_manifest(base_lsn, &manifests);
-        publish_checkpoint(self.vfs.as_ref(), &self.dir, &data)?;
-
-        // The manifest is live: swap each table's committed prefix to the
-        // sealed handles so resident memory is released, then collect
-        // segment files no manifest references any more. Both are safe
-        // under the commit lock — the swapped data is bit-identical and
-        // open snapshots hold their own handles (GC spares live files).
-        for (table, handles) in swaps {
-            table.write().swap_sealed_prefix(handles)?;
-        }
-        self.store.gc(&referenced_segments(&manifests))?;
-
-        // Compaction pass: quiescent tables past the dead-row threshold
-        // get rewritten without their dead rows (each publishes its own
-        // refreshed manifest at the same base_lsn).
-        self.maybe_compact_tables(catalog, base_lsn)?;
-
+        let (vfs, dir, metrics) = (self.vfs.as_ref(), &self.dir, &self.metrics);
+        let mut stats = take_checkpoint(vfs, dir, &self.store, catalog, wal.next_lsn(), metrics)?;
         self.rotate_wal(wal)?;
-        let stats = CheckpointStats {
-            tables: manifests.len(),
-            bytes: data.len() as u64,
-            base_lsn,
-            duration_ms: started.elapsed().as_millis() as u64,
-            segments_sealed,
-            segment_bytes,
-            sealed_raw_bytes,
-        };
-        self.metrics
+        stats.duration_ms = started.elapsed().as_millis() as u64;
+        metrics
             .histogram("checkpoint.duration_ms")
             .record(stats.duration_ms);
-        self.metrics.counter("checkpoint.count").inc();
-        self.metrics
+        metrics.counter("checkpoint.count").inc();
+        metrics
             .counter("checkpoint.bytes_written")
             .add(stats.bytes + stats.segment_bytes);
-        self.metrics
+        metrics
             .counter("checkpoint.segments_sealed")
-            .add(segments_sealed as u64);
-        self.metrics
+            .add(stats.segments_sealed as u64);
+        metrics
             .counter("checkpoint.segment_bytes_written")
-            .add(segment_bytes);
-        self.metrics
+            .add(stats.segment_bytes);
+        metrics
             .gauge("storage.disk_bytes")
             .set(self.store.disk_bytes()? as i64);
         Ok(stats)
-    }
-
-    /// Checkpoint-time compaction. A quiescent table (no staged rows, no
-    /// staged deletes) whose committed dead-row fraction exceeds the
-    /// threshold gets its live rows rewritten into fresh segments and a
-    /// refreshed manifest published at the *same* `base_lsn` (the commit
-    /// lock is held, so no commit can land in between). The table's write
-    /// lock is held from the quiescence re-check through the in-memory
-    /// install: everything fallible (segment writes, manifest publish)
-    /// happens first, and only after the manifest is durably the truth
-    /// does the infallible [`Table::install_compacted`] renumber rows in
-    /// memory. A failure before the publish leaves only orphan segment
-    /// files, which the next recovery or GC sweeps.
-    fn maybe_compact_tables(&self, catalog: &Catalog, base_lsn: u64) -> Result<usize> {
-        let mut compacted = 0usize;
-        for name in catalog.table_names() {
-            let Ok(table) = catalog.get_table(&name) else {
-                continue;
-            };
-            {
-                let g = table.read();
-                if !g.is_quiescent() || g.dead_fraction() < COMPACT_DEAD_FRACTION {
-                    continue;
-                }
-            }
-            let mut g = table.write();
-            // Re-check under the write lock: a transaction may have
-            // staged rows between the peek and here.
-            if !g.is_quiescent() || g.dead_fraction() < COMPACT_DEAD_FRACTION {
-                continue;
-            }
-            let snap = g.committed_snapshot();
-            let dead_rows = snap.deleted().iter_ones().count() as u64;
-            let types = snap.schema().types();
-            let live = snap.live_chunks()?;
-            let all = hylite_common::Chunk::concat(&types, &live)?;
-            let mut handles: Vec<SegmentHandle> = Vec::new();
-            let mut seg_list: Vec<(u64, u64)> = Vec::new();
-            let mut offset = 0;
-            while offset < all.len() {
-                let take = (all.len() - offset).min(crate::SEGMENT_ROWS);
-                let chunk = all.slice(offset, take);
-                let id = self.store.alloc_id();
-                self.store.write_segment(id, &chunk)?;
-                seg_list.push((id, take as u64));
-                handles.push(SegmentHandle::Disk(self.store.open_segment(id)?));
-                offset += take;
-            }
-            self.store.sync_dir()?;
-
-            // Refreshed manifest: the compacted layout for this table,
-            // the just-sealed committed state (all disk-backed after the
-            // seal phase) for every other.
-            let mut manifests: Vec<TableManifest> = Vec::new();
-            for other in catalog.table_names() {
-                if other == name {
-                    manifests.push(TableManifest {
-                        name: name.clone(),
-                        schema: snap.schema().as_ref().clone(),
-                        segments: seg_list.clone(),
-                        row_limit: all.len() as u64,
-                        deleted: Vec::new(),
-                    });
-                    continue;
-                }
-                let Ok(t) = catalog.get_table(&other) else {
-                    continue;
-                };
-                let osnap = t.read().committed_snapshot();
-                let row_limit = osnap.visible_rows() as u64;
-                let mut segs: Vec<(u64, u64)> = Vec::new();
-                for seg in osnap.segments() {
-                    match seg {
-                        SegmentHandle::Disk(d) => segs.push((d.id(), d.rows() as u64)),
-                        SegmentHandle::Resident(_) => {
-                            return Err(HyError::Internal(format!(
-                                "table '{other}' has resident committed rows after the seal phase"
-                            )));
-                        }
-                    }
-                }
-                let deleted: Vec<u64> = osnap
-                    .deleted()
-                    .iter_ones()
-                    .take_while(|&i| (i as u64) < row_limit)
-                    .map(|i| i as u64)
-                    .collect();
-                manifests.push(TableManifest {
-                    name: other,
-                    schema: osnap.schema().as_ref().clone(),
-                    segments: segs,
-                    row_limit,
-                    deleted,
-                });
-            }
-            let data = encode_manifest(base_lsn, &manifests);
-            publish_checkpoint(self.vfs.as_ref(), &self.dir, &data)?;
-
-            // The compacted manifest is the durable truth; switch memory
-            // over (infallible) and drop the old segment files.
-            g.install_compacted(handles);
-            drop(g);
-            self.store.gc(&referenced_segments(&manifests))?;
-            self.metrics.counter("compaction.count").inc();
-            self.metrics
-                .counter("compaction.rows_dropped")
-                .add(dead_rows);
-            compacted += 1;
-        }
-        Ok(compacted)
     }
 
     /// Complete the checkpoint by truncating the WAL — after first
@@ -650,25 +428,19 @@ impl Durability {
     fn rotate_wal(&self, wal: &mut WalWriter) -> Result<()> {
         let mut guard = self.archive.lock();
         if let Some(archive) = guard.as_mut() {
-            let frames = scan_wal_raw(self.vfs.as_ref(), &self.dir.join(WAL_FILE))?;
-            match archive.archive_frames(&frames) {
-                Ok(_) => {
-                    self.metrics.gauge("wal.archive_lag_frames").set(0);
-                }
-                Err(e) => {
-                    self.metrics.counter("archive.failures").inc();
-                    let lag = wal
-                        .next_lsn()
-                        .saturating_sub(1)
-                        .saturating_sub(archive.watermark());
-                    self.metrics.gauge("wal.archive_lag_frames").set(lag as i64);
-                    // Deliberately non-fatal: commits must never block on
-                    // the archive. If the vfs itself is failing, the
-                    // checkpoint's next I/O will surface it.
-                    let _ = e;
-                    return Ok(());
-                }
+            if archive.archive_frames(&wal.frames()?).is_err() {
+                self.metrics.counter("archive.failures").inc();
+                let lag = wal
+                    .next_lsn()
+                    .saturating_sub(1)
+                    .saturating_sub(archive.watermark());
+                self.metrics.gauge("wal.archive_lag_frames").set(lag as i64);
+                // Deliberately non-fatal: commits must never block on the
+                // archive. If the vfs itself is failing, the checkpoint's
+                // next I/O will surface it.
+                return Ok(());
             }
+            self.metrics.gauge("wal.archive_lag_frames").set(0);
         }
         wal.reset()
     }
@@ -682,57 +454,29 @@ impl Durability {
     // -- backup -----------------------------------------------------------
 
     /// Online backup into `dest`. The commit lock is held only long
-    /// enough to pin a consistent `(manifest bytes, WAL bytes, lsn,
-    /// epoch)` tuple; the bulk copy runs outside it, so commits proceed
-    /// while segment files stream out. A checkpoint can GC a pinned
-    /// segment mid-copy — that surfaces as a "vanished" error and the
-    /// whole backup re-pins and retries (bounded).
+    /// enough to pin a consistent cut (see [`backup::pin`]); the bulk copy
+    /// runs outside it, so commits proceed while segment files stream out
+    /// (see [`read_pinned`]).
     pub fn backup(&self, dest: &Path, base: Option<&Path>, verify: bool) -> Result<BackupSummary> {
-        const ATTEMPTS: usize = 3;
-        let mut last_err: Option<HyError> = None;
-        for _ in 0..ATTEMPTS {
-            let pin = {
-                let mut wal = self.wal.lock();
-                wal.flush()?;
-                let manifest_path = self.dir.join(CHECKPOINT_FILE);
-                let manifest = if self.vfs.exists(&manifest_path) {
-                    Some(self.vfs.read(&manifest_path)?)
-                } else {
-                    None
-                };
-                let mut wal_bytes = self.vfs.read(&self.dir.join(WAL_FILE))?;
-                wal_bytes.truncate(wal.durable_len() as usize);
-                BackupPin {
-                    manifest,
-                    wal: wal_bytes,
-                    backup_lsn: wal.next_lsn().saturating_sub(1),
-                    epoch: self.epoch(),
-                }
-            };
-            match write_backup(&self.vfs, &self.store, dest, base, verify, pin) {
-                Ok(summary) => {
-                    self.metrics.counter("backup.count").inc();
-                    self.metrics.counter("backup.bytes").add(summary.bytes);
-                    self.metrics
-                        .gauge("backup.last_lsn")
-                        .set(summary.backup_lsn as i64);
-                    let at_unix_ms = SystemTime::now()
-                        .duration_since(SystemTime::UNIX_EPOCH)
-                        .map(|d| d.as_millis() as u64)
-                        .unwrap_or(0);
-                    *self.last_backup.lock() = Some((at_unix_ms, summary.clone()));
-                    return Ok(summary);
-                }
-                Err(e) if e.message().contains(SEGMENT_VANISHED) => {
-                    last_err = Some(e);
-                    continue;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last_err.unwrap_or_else(|| {
-            HyError::Internal("backup retry loop exited without an error".into())
-        }))
+        let write = |pin: &Pin| write_backup(&self.vfs, &self.store, dest, base, verify, pin);
+        let repin = || self.pin(&mut self.wal.lock());
+        let summary = read_pinned(repin()?, repin, write)?;
+        self.metrics.counter("backup.count").inc();
+        self.metrics.counter("backup.bytes").add(summary.bytes);
+        self.metrics
+            .gauge("backup.last_lsn")
+            .set(summary.backup_lsn as i64);
+        let at_unix_ms = SystemTime::now()
+            .duration_since(SystemTime::UNIX_EPOCH)
+            .map(|d| d.as_millis() as u64)
+            .unwrap_or(0);
+        *self.last_backup.lock() = Some((at_unix_ms, summary.clone()));
+        Ok(summary)
+    }
+
+    /// Pin a consistent cut; the caller holds the commit lock (`wal`).
+    fn pin(&self, wal: &mut WalWriter) -> Result<Pin> {
+        backup::pin(self.vfs.as_ref(), &self.dir, wal, self.epoch())
     }
 
     /// The most recent completed backup, if any, as `(completion time in
@@ -828,7 +572,7 @@ impl Durability {
         // commit may still be buffering them) and serve from the file,
         // re-verifying each CRC on the way out.
         wal.flush()?;
-        let frames = scan_wal_raw(self.vfs.as_ref(), &self.dir.join(WAL_FILE))?;
+        let frames = wal.frames()?;
         match frames.iter().position(|f| f.lsn == from_lsn) {
             Some(i) => {
                 let upper = frames.len().min(i + max_frames.max(1));
@@ -845,25 +589,18 @@ impl Durability {
 
     /// Encode a bootstrap snapshot for a replica: run a local checkpoint
     /// (sealing any resident delta — segment files are the shipping
-    /// format), then bundle the manifest plus every referenced segment
-    /// file. Holds the commit lock throughout (commits queue; readers
-    /// unaffected). As a side effect the primary gets a fresh checkpoint,
-    /// which only advances its own recovery position.
+    /// format) and pin the cut it published, both under the commit lock,
+    /// then bundle the manifest plus every referenced segment file outside
+    /// it (see [`read_pinned`]). As a side effect the primary gets a fresh
+    /// checkpoint, which only advances its own recovery position.
     pub fn bootstrap_snapshot(&self, catalog: &Catalog) -> Result<(u64, Vec<u8>)> {
-        let mut wal = self.wal.lock();
-        let stats = self.checkpoint_locked(catalog, &mut wal)?;
-        let base_lsn = stats.base_lsn;
-        let manifest = self
-            .vfs
-            .read(&self.dir.join(crate::checkpoint::CHECKPOINT_FILE))?;
-        let image = decode_manifest(&manifest)?;
-        let mut ids: Vec<u64> = image.referenced_segments().into_iter().collect();
-        ids.sort_unstable();
-        let mut files = Vec::with_capacity(ids.len());
-        for id in ids {
-            files.push((id, self.store.read_file(id)?));
-        }
-        Ok((base_lsn, encode_bootstrap_bundle(&files, &manifest)))
+        let pin = {
+            let mut wal = self.wal.lock();
+            self.checkpoint_locked(catalog, &mut wal)?;
+            self.pin(&mut wal)?
+        };
+        let bundle = |pin: &Pin| Ok((pin.base_lsn, bootstrap_bundle(&self.store, pin)?));
+        read_pinned(pin, || self.pin(&mut self.wal.lock()), bundle)
     }
 
     /// Apply one replicated WAL frame: re-verify its CRC, require it to
@@ -911,32 +648,10 @@ impl Durability {
     /// contents, and durably adopt the primary's epoch. The caller must
     /// hold the writer gate so no session observes the swap half-done.
     pub fn install_bootstrap(&self, catalog: &Catalog, epoch: u64, data: &[u8]) -> Result<u64> {
-        let (files, manifest) = decode_bootstrap_bundle(data)?;
-        let mut image = decode_manifest(&manifest)?;
-        let base_lsn = image.base_lsn;
         let mut wal = self.wal.lock();
-        let mut remap = std::collections::HashMap::with_capacity(files.len());
-        for (shipped_id, mut bytes) in files {
-            let local_id = self.store.alloc_id();
-            rebrand_segment_bytes(&mut bytes, local_id)?;
-            copy_segment_bytes(self.vfs.as_ref(), self.store.dir(), local_id, &bytes)?;
-            remap.insert(shipped_id, local_id);
-        }
-        for t in &mut image.tables {
-            for seg in &mut t.segments {
-                seg.0 = *remap.get(&seg.0).ok_or_else(|| {
-                    HyError::Storage(format!(
-                        "bootstrap manifest references segment {} the bundle does not ship",
-                        seg.0
-                    ))
-                })?;
-            }
-        }
-        self.store.sync_dir()?;
-        let local_manifest = encode_manifest(base_lsn, &image.tables);
-        publish_checkpoint(self.vfs.as_ref(), &self.dir, &local_manifest)?;
+        let image = publish_bundle(self.vfs.as_ref(), &self.dir, &self.store, data)?;
         wal.reset()?;
-        wal.set_next_lsn(base_lsn);
+        wal.set_next_lsn(image.base_lsn);
         catalog.clear();
         let referenced = image.referenced_segments();
         let rows = install_manifest(image, catalog, &self.store)?;

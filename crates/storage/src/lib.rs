@@ -33,8 +33,8 @@ pub mod writer;
 pub use archive::WalArchive;
 pub use backup::{restore_backup, BackupMeta, BackupSummary, RestoreSummary};
 pub use catalog::Catalog;
-pub use checkpoint::CheckpointImage;
-pub use durability::{CheckpointStats, Durability, DurabilityOptions, ReplTail, CRASH_POINTS};
+pub use checkpoint::{CheckpointImage, CheckpointStats};
+pub use durability::{Durability, DurabilityOptions, ReplTail, CRASH_POINTS};
 pub use pool::{BufferPool, PoolStats};
 pub use recovery::RecoveryReport;
 pub use repl::{ReplRole, ReplState};

@@ -28,7 +28,7 @@ use hylite_common::{MetricsRegistry, Result};
 use crate::catalog::Catalog;
 use crate::checkpoint::{decode_manifest, install_manifest, CHECKPOINT_FILE, CHECKPOINT_TMP_FILE};
 use crate::segment::SegmentStore;
-use crate::wal::{scan_wal, RedoOp, WAL_FILE};
+use crate::wal::{contiguous_run, scan_wal, RedoOp, WAL_FILE, WAL_HEADER_LEN};
 
 /// What recovery found and did; surfaced by `Database::open` and printed
 /// by the server before it accepts connections.
@@ -147,7 +147,7 @@ pub fn recover(
     }
 
     let ckpt_path = dir.join(CHECKPOINT_FILE);
-    let mut referenced = std::collections::HashSet::new();
+    let mut referenced = std::collections::BTreeSet::new();
     if vfs.exists(&ckpt_path) {
         let bytes = vfs.read(&ckpt_path)?;
         let image = decode_manifest(&bytes)?;
@@ -176,30 +176,19 @@ pub fn recover(
     // frame (e.g. a hole left by mixing WAL files from different
     // histories); replaying past a hole would silently produce a state
     // no primary ever had, so the log is cut at the last contiguous
-    // frame instead.
-    let mut prev_replayed: Option<u64> = None;
-    let mut cut: Option<(usize, u64, u64)> = None;
-    for (i, (lsn, _)) in scan.commits.iter().enumerate() {
-        if *lsn < report.base_lsn {
-            continue; // inside the checkpoint; never replayed
-        }
-        let expected = match prev_replayed {
-            Some(p) => p + 1,
-            None => report.base_lsn.max(1),
+    // frame instead. Frames below base_lsn are inside the checkpoint and
+    // never replayed.
+    let replayed: Vec<usize> = (0..scan.commits.len())
+        .filter(|&i| scan.commits[i].0 >= report.base_lsn)
+        .collect();
+    let start = report.base_lsn.max(1);
+    let run = contiguous_run(start, replayed.iter().map(|&i| scan.commits[i].0));
+    if let Some(&i) = replayed.get(run) {
+        let keep_len = match i {
+            0 => WAL_HEADER_LEN,
+            _ => scan.frame_ends[i - 1],
         };
-        if *lsn != expected {
-            cut = Some((i, expected, *lsn));
-            break;
-        }
-        prev_replayed = Some(*lsn);
-    }
-    if let Some((i, expected, found)) = cut {
-        let keep_len = if i == 0 {
-            crate::wal::WAL_HEADER_LEN
-        } else {
-            scan.frame_ends[i - 1]
-        };
-        report.lsn_gap = Some((expected, found));
+        report.lsn_gap = Some((start + run as u64, scan.commits[i].0));
         report.gap_dropped_records = (scan.commits.len() - i) as u64;
         report.discarded_bytes += scan.valid_len - keep_len;
         vfs.truncate(&wal_path, keep_len)?;
@@ -235,7 +224,7 @@ pub fn recover(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::{encode_manifest, publish_checkpoint, TableManifest};
+    use crate::checkpoint::take_checkpoint;
     use crate::pool::BufferPool;
     use crate::wal::{SyncMode, WalWriter};
     use hylite_common::{Chunk, ColumnVector, DataType, FaultVfs, Field, Schema, Value};
@@ -254,8 +243,8 @@ mod tests {
         (vfs, fault, dir, store)
     }
 
-    /// Seal `catalog` into `store` and publish a manifest at `base_lsn` —
-    /// the unit-test stand-in for `Durability::checkpoint`.
+    /// Seal `catalog` into `store` and publish a manifest at `base_lsn`:
+    /// a checkpoint without the WAL side.
     fn publish_manifest(
         vfs: &Arc<dyn Vfs>,
         dir: &Path,
@@ -263,34 +252,8 @@ mod tests {
         catalog: &Catalog,
         base_lsn: u64,
     ) {
-        let mut tables = Vec::new();
-        for name in catalog.table_names() {
-            let t = catalog.get_table(&name).unwrap();
-            let snap = t.read().committed_snapshot();
-            let mut segments = Vec::new();
-            for seg in snap.segments() {
-                let chunk = seg.to_chunk().unwrap();
-                let id = store.alloc_id();
-                store.write_segment(id, &chunk).unwrap();
-                segments.push((id, chunk.len() as u64));
-            }
-            let row_limit = snap.visible_rows() as u64;
-            let deleted: Vec<u64> = snap
-                .deleted()
-                .iter_ones()
-                .take_while(|&i| (i as u64) < row_limit)
-                .map(|i| i as u64)
-                .collect();
-            tables.push(TableManifest {
-                name,
-                schema: snap.schema().as_ref().clone(),
-                segments,
-                row_limit,
-                deleted,
-            });
-        }
-        store.sync_dir().unwrap();
-        publish_checkpoint(vfs.as_ref(), dir, &encode_manifest(base_lsn, &tables)).unwrap();
+        let metrics = MetricsRegistry::new();
+        take_checkpoint(vfs.as_ref(), dir, store, catalog, base_lsn, &metrics).unwrap();
     }
 
     fn schema() -> Schema {

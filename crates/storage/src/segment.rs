@@ -50,7 +50,7 @@
 //! declared row count, and every block CRC is verified.
 
 use std::cell::OnceCell;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex, Weak};
@@ -224,30 +224,6 @@ impl SegmentMeta {
 // Encoding
 // ---------------------------------------------------------------------------
 
-fn dtype_tag(dt: DataType) -> u8 {
-    match dt {
-        DataType::Int64 => 0,
-        DataType::Float64 => 1,
-        DataType::Bool => 2,
-        DataType::Varchar => 3,
-        DataType::Null => 4,
-    }
-}
-
-fn dtype_from_tag(tag: u8) -> Result<DataType> {
-    Ok(match tag {
-        0 => DataType::Int64,
-        1 => DataType::Float64,
-        2 => DataType::Bool,
-        3 => DataType::Varchar,
-        other => {
-            return Err(HyError::Storage(format!(
-                "segment: unknown column type tag {other}"
-            )))
-        }
-    })
-}
-
 /// Pack `width`-bit values LSB-first into a byte stream.
 fn pack_bits(values: impl Iterator<Item = u64>, width: u32, out: &mut Vec<u8>) {
     let mut acc: u64 = 0;
@@ -325,22 +301,6 @@ impl<'a> Packed<'a> {
             }
         };
         (word >> shift) & ((1u64 << self.width) - 1)
-    }
-}
-
-fn put_bitmap_bits(buf: &mut Vec<u8>, len: usize, get: impl Fn(usize) -> bool) {
-    let mut byte = 0u8;
-    for i in 0..len {
-        if get(i) {
-            byte |= 1 << (i % 8);
-        }
-        if i % 8 == 7 {
-            buf.push(byte);
-            byte = 0;
-        }
-    }
-    if !len.is_multiple_of(8) {
-        buf.push(byte);
     }
 }
 
@@ -442,7 +402,7 @@ fn encode_block(col: &ColumnVector) -> EncodedBlock {
     match col.validity() {
         Some(bm) if !bm.all_set() => {
             payload.push(1);
-            put_bitmap_bits(&mut payload, rows, |i| bm.get(i));
+            wire::put_bits(&mut payload, rows, |i| bm.get(i));
         }
         _ => payload.push(0),
     }
@@ -455,7 +415,7 @@ fn encode_block(col: &ColumnVector) -> EncodedBlock {
             encoding::PLAIN
         }
         ColumnVector::Bool { data, .. } => {
-            put_bitmap_bits(&mut payload, rows, |i| data[i]);
+            wire::put_bits(&mut payload, rows, |i| data[i]);
             encoding::PLAIN
         }
         ColumnVector::Varchar { data, .. } => encode_str_data(data, &mut payload),
@@ -609,7 +569,7 @@ pub fn encode_segment(id: u64, chunk: &Chunk) -> Result<Vec<u8>> {
     wire::put_u64(&mut header, raw_bytes);
     wire::put_u32(&mut header, ncols as u32);
     for col in chunk.columns() {
-        header.push(dtype_tag(col.data_type()));
+        header.push(wire::dtype_tag(col.data_type()));
     }
     wire::put_u32(&mut header, nblocks as u32);
     let mut offset = (16 + header_len) as u64;
@@ -688,7 +648,16 @@ pub fn decode_segment_meta(prelude: &[u8], header: &[u8], file_len: u64) -> Resu
     }
     let mut dtypes = Vec::with_capacity(ncols);
     for _ in 0..ncols {
-        dtypes.push(dtype_from_tag(r.u8()?)?);
+        // NULL-typed columns have a wire tag but are never sealed.
+        let tag = r.u8()?;
+        let dtype = wire::dtype_from_tag(tag)
+            .ok()
+            .filter(|&dt| dt != DataType::Null);
+        dtypes.push(
+            dtype.ok_or_else(|| {
+                HyError::Storage(format!("segment: unknown column type tag {tag}"))
+            })?,
+        );
     }
     let nblocks = r.u32()? as usize;
     if nblocks != rows.div_ceil(BLOCK_ROWS) {
@@ -1627,7 +1596,7 @@ impl SegmentStore {
 
     /// Delete segment files that are neither in `referenced` nor held
     /// open by a live snapshot. Returns the removed ids.
-    pub fn gc(&self, referenced: &HashSet<u64>) -> Result<Vec<u64>> {
+    pub fn gc(&self, referenced: &BTreeSet<u64>) -> Result<Vec<u64>> {
         let mut removed = Vec::new();
         for name in self.vfs.list_dir(&self.seg_dir)? {
             let Some(id) = parse_segment_file_name(&name) else {
@@ -2059,7 +2028,7 @@ mod tests {
                 );
             }
         }
-        let mut seen = HashSet::new();
+        let mut seen = std::collections::HashSet::new();
         out.retain(|v| seen.insert(format!("{v:?}")));
         out
     }
@@ -2225,7 +2194,7 @@ mod tests {
         store.write_segment(b, &c).unwrap();
         store.write_segment(c_id, &c).unwrap();
         let held = store.open_segment(b).unwrap(); // live reference
-        let referenced: HashSet<u64> = [a].into_iter().collect();
+        let referenced: BTreeSet<u64> = [a].into_iter().collect();
         let removed = store.gc(&referenced).unwrap();
         assert_eq!(removed, vec![c_id]);
         assert!(vfs.exists(&store.path_for(a)));

@@ -170,6 +170,14 @@ impl RedoOp {
     }
 }
 
+/// Append one frame, `[u32 len][u32 crc][payload]` — the only writer of
+/// the frame layout.
+fn put_frame(buf: &mut Vec<u8>, crc: u32, payload: &[u8]) {
+    wire::put_u32(buf, payload.len() as u32);
+    wire::put_u32(buf, crc);
+    buf.extend_from_slice(payload);
+}
+
 /// Encode one commit as a complete frame (length + CRC + payload).
 pub fn encode_commit_frame(lsn: u64, ops: &[RedoOp]) -> Vec<u8> {
     let mut payload = Vec::with_capacity(64);
@@ -179,9 +187,7 @@ pub fn encode_commit_frame(lsn: u64, ops: &[RedoOp]) -> Vec<u8> {
         op.encode(&mut payload);
     }
     let mut frame = Vec::with_capacity(payload.len() + 8);
-    wire::put_u32(&mut frame, payload.len() as u32);
-    wire::put_u32(&mut frame, crc32(&payload));
-    frame.extend_from_slice(&payload);
+    put_frame(&mut frame, crc32(&payload), &payload);
     frame
 }
 
@@ -242,80 +248,32 @@ pub fn wal_image<'a>(frames: impl IntoIterator<Item = &'a RawFrame>) -> Vec<u8> 
     wire::put_u32(&mut buf, WAL_MAGIC);
     wire::put_u32(&mut buf, WAL_VERSION);
     for f in frames {
-        wire::put_u32(&mut buf, f.payload.len() as u32);
-        wire::put_u32(&mut buf, f.crc);
-        buf.extend_from_slice(&f.payload);
+        put_frame(&mut buf, f.crc, &f.payload);
     }
     buf
 }
 
-/// Scan a WAL file into raw CRC-verified frames without decoding ops,
-/// stopping at the first torn or corrupt frame (same tail rules as
-/// [`scan_wal`]). The LSN is peeked from the payload head; a CRC-valid
-/// frame too short to carry an LSN is real corruption and errors out.
-pub fn scan_wal_raw(vfs: &dyn Vfs, path: &Path) -> Result<Vec<RawFrame>> {
-    let mut frames = Vec::new();
+/// The one walk over a WAL file's bytes, under recovery's rules for every
+/// reader: a missing file, or one shorter than its header (a crash before
+/// the header fsync), holds no frames; a foreign magic or an unsupported
+/// version is a hard error; then each CRC-valid frame is handed to
+/// `frame(crc, payload, end)` — `end` being the offset just past it — up
+/// to the first torn or corrupt one, which is where a crash tail starts.
+/// Returns `(valid_len, file_len)`.
+fn walk_frames(
+    vfs: &dyn Vfs,
+    path: &Path,
+    mut frame: impl FnMut(u32, &[u8], u64) -> Result<()>,
+) -> Result<(u64, u64)> {
     if !vfs.exists(path) {
-        return Ok(frames);
+        return Ok((0, 0));
     }
     let bytes = vfs.read(path)?;
+    let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
     if (bytes.len() as u64) < WAL_HEADER_LEN {
-        return Ok(frames);
+        return Ok((0, bytes.len() as u64));
     }
-    let magic = u32::from_le_bytes(bytes[0..4].try_into().unwrap());
-    if magic != WAL_MAGIC {
-        return Err(HyError::Storage(format!(
-            "{} is not a HyLite WAL (magic {magic:#010x})",
-            path.display()
-        )));
-    }
-    let mut pos = WAL_HEADER_LEN as usize;
-    while pos + 8 <= bytes.len() {
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
-        if len == 0 || len as u64 > MAX_FRAME_BYTES as u64 || pos + 8 + len > bytes.len() {
-            break;
-        }
-        let payload = &bytes[pos + 8..pos + 8 + len];
-        if crc32(payload) != crc {
-            break;
-        }
-        if payload.len() < 8 {
-            return Err(HyError::Storage(
-                "WAL frame too short to carry an LSN".into(),
-            ));
-        }
-        let lsn = u64::from_le_bytes(payload[0..8].try_into().unwrap());
-        frames.push(RawFrame {
-            lsn,
-            crc,
-            payload: payload.to_vec(),
-        });
-        pos += 8 + len;
-    }
-    Ok(frames)
-}
-
-/// Scan a WAL file, stopping at the first torn or corrupt frame.
-///
-/// A truncated or CRC-mismatching *tail* is normal after a crash and is
-/// reported, not an error. A file that is long enough to have a header
-/// but opens with the wrong magic, or a CRC-valid frame that fails to
-/// parse, is real corruption and errors out rather than silently
-/// dropping data.
-pub fn scan_wal(vfs: &dyn Vfs, path: &Path) -> Result<WalScan> {
-    let mut scan = WalScan::default();
-    if !vfs.exists(path) {
-        return Ok(scan);
-    }
-    let bytes = vfs.read(path)?;
-    if (bytes.len() as u64) < WAL_HEADER_LEN {
-        // Crash before the header fsync: treat as empty.
-        scan.discarded_bytes = bytes.len() as u64;
-        return Ok(scan);
-    }
-    let magic = u32::from_le_bytes(bytes[0..4].try_into().unwrap());
-    let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
+    let (magic, version) = (word(0), word(4));
     if magic != WAL_MAGIC {
         return Err(HyError::Storage(format!(
             "{} is not a HyLite WAL (magic {magic:#010x})",
@@ -329,8 +287,7 @@ pub fn scan_wal(vfs: &dyn Vfs, path: &Path) -> Result<WalScan> {
     }
     let mut pos = WAL_HEADER_LEN as usize;
     while pos + 8 <= bytes.len() {
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
+        let (len, crc) = (word(pos) as usize, word(pos + 4));
         if len == 0 || len as u64 > MAX_FRAME_BYTES as u64 || pos + 8 + len > bytes.len() {
             break; // torn length/payload
         }
@@ -338,14 +295,56 @@ pub fn scan_wal(vfs: &dyn Vfs, path: &Path) -> Result<WalScan> {
         if crc32(payload) != crc {
             break; // torn or bit-flipped frame
         }
-        let (lsn, ops) = decode_commit_payload(payload)?;
-        scan.commits.push((lsn, ops));
         pos += 8 + len;
-        scan.frame_ends.push(pos as u64);
+        frame(crc, payload, pos as u64)?;
     }
-    scan.valid_len = pos as u64;
-    scan.discarded_bytes = bytes.len() as u64 - scan.valid_len;
+    Ok((pos as u64, bytes.len() as u64))
+}
+
+/// Scan a WAL file into raw CRC-verified frames without decoding ops —
+/// what replication, archiving, backup `VERIFY` and restore read. The
+/// LSN is peeked from the payload head; a CRC-valid frame too short to
+/// carry one is real corruption and errors out, as in [`scan_wal`].
+pub fn scan_wal_raw(vfs: &dyn Vfs, path: &Path) -> Result<Vec<RawFrame>> {
+    let mut frames = Vec::new();
+    walk_frames(vfs, path, |crc, payload, _| {
+        frames.push(RawFrame {
+            lsn: ByteReader::new(payload).u64()?,
+            crc,
+            payload: payload.to_vec(),
+        });
+        Ok(())
+    })?;
+    Ok(frames)
+}
+
+/// Scan a WAL file, decoding every valid commit (the recovery read).
+///
+/// A truncated or CRC-mismatching *tail* is normal after a crash and is
+/// reported, not an error. A file that is long enough to have a header
+/// but opens with the wrong magic or version, or a CRC-valid frame that
+/// fails to parse, is real corruption and errors out rather than
+/// silently dropping data.
+pub fn scan_wal(vfs: &dyn Vfs, path: &Path) -> Result<WalScan> {
+    let mut scan = WalScan::default();
+    let (valid_len, file_len) = walk_frames(vfs, path, |_, payload, end| {
+        scan.commits.push(decode_commit_payload(payload)?);
+        scan.frame_ends.push(end);
+        Ok(())
+    })?;
+    scan.valid_len = valid_len;
+    scan.discarded_bytes = file_len - valid_len;
     Ok(scan)
+}
+
+/// How many of `lsns` continue the run `from, from + 1, …` before the
+/// first hole — the one contiguity rule recovery, the archive and restore
+/// share.
+pub fn contiguous_run(from: u64, lsns: impl IntoIterator<Item = u64>) -> usize {
+    lsns.into_iter()
+        .zip(from..)
+        .take_while(|(lsn, want)| lsn == want)
+        .count()
 }
 
 /// The append side of the WAL. One instance per database, serialized by
@@ -461,6 +460,13 @@ impl WalWriter {
         self.durable_len
     }
 
+    /// Every CRC-valid frame in this log's file ([`scan_wal_raw`]) — what
+    /// the archive copies and replication streams. Frames still in the
+    /// group-commit buffer are not on file yet: flush first.
+    pub fn frames(&self) -> Result<Vec<RawFrame>> {
+        scan_wal_raw(self.vfs.as_ref(), &self.path)
+    }
+
     /// Append a WAL frame received verbatim from a replication primary.
     ///
     /// The frame keeps the primary's LSN so the replica's WAL is
@@ -485,9 +491,7 @@ impl WalWriter {
             )));
         }
         let frame_start = self.buffer.len();
-        wire::put_u32(&mut self.buffer, payload.len() as u32);
-        wire::put_u32(&mut self.buffer, crc);
-        self.buffer.extend_from_slice(payload);
+        put_frame(&mut self.buffer, crc, payload);
         self.buffered_commits += 1;
         if let Err(e) = self.flush() {
             self.buffer.truncate(frame_start);
@@ -926,6 +930,55 @@ mod tests {
         let scan = scan_wal(vfs.as_ref(), &path).unwrap();
         assert_eq!(scan.frame_ends, vec![after_first, after_second]);
         assert_eq!(scan.valid_len, after_second);
+    }
+
+    /// Both readers walk frames the one way: the same frames kept from
+    /// every image, the same images refused.
+    #[test]
+    fn raw_and_decoded_scans_apply_the_same_rules() {
+        let frame = |lsn: u64| {
+            let payload = encode_commit_frame(lsn, &[insert_op(lsn as i64)])[8..].to_vec();
+            RawFrame {
+                lsn,
+                crc: crc32(&payload),
+                payload,
+            }
+        };
+        let good = wal_image(&[frame(1), frame(2)]);
+        let second = good.len() - frame(2).payload.len();
+        let mut wrong_magic = good.clone();
+        wrong_magic[0] ^= 0x01;
+        let mut wrong_version = good.clone();
+        wrong_version[4..8].copy_from_slice(&2u32.to_le_bytes());
+        let mut crc_flip = good.clone();
+        crc_flip[second + 3] ^= 0x40;
+        let mut zero_length = wal_image(&[frame(1)]);
+        zero_length.extend_from_slice(&[0; 8]);
+        zero_length.extend_from_slice(&good[second - 8..]);
+        // (image, frames kept — `None` when the image is refused)
+        let cases = [
+            ("intact", good.clone(), Some(vec![1, 2])),
+            ("header too short", good[..5].to_vec(), Some(vec![])),
+            ("wrong magic", wrong_magic, None),
+            ("wrong version", wrong_version, None),
+            ("torn tail", good[..good.len() - 3].to_vec(), Some(vec![1])),
+            ("crc flip", crc_flip, Some(vec![1])),
+            ("zero-length frame", zero_length, Some(vec![1])),
+        ];
+        for (what, image, want) in cases {
+            let (vfs, _, path) = vfs_and_path();
+            let mut f = vfs.create(&path).unwrap();
+            f.write_all(&image).unwrap();
+            let decoded = scan_wal(vfs.as_ref(), &path)
+                .map(|s| s.commits.iter().map(|(lsn, _)| *lsn).collect::<Vec<_>>());
+            let raw = scan_wal_raw(vfs.as_ref(), &path)
+                .map(|frames| frames.iter().map(|f| f.lsn).collect::<Vec<_>>());
+            assert_eq!(decoded.as_ref().ok(), want.as_ref(), "{what}: scan_wal");
+            assert_eq!(raw.as_ref().ok(), want.as_ref(), "{what}: scan_wal_raw");
+            if let (Err(a), Err(b)) = (&decoded, &raw) {
+                assert_eq!(a.message(), b.message(), "{what}: one error for both");
+            }
+        }
     }
 
     #[test]

@@ -11,17 +11,19 @@
 //! fleet refuses to resume.**
 
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use hylite_client::{request_backup, HyliteClient};
-use hylite_common::faultfs::{CrashSpec, FaultVfs, Vfs};
+use hylite_common::faultfs::{CrashSpec, FaultVfs, Vfs, VfsFile};
 use hylite_common::wire::{self, Frame, PROTOCOL_VERSION};
 use hylite_common::Value;
-use hylite_core::{restore_backup, Database, DurabilityOptions};
+use hylite_core::{restore_backup, Database, DurabilityOptions, ReplRole};
 use hylite_server::{Server, ServerConfig};
 use hylite_storage::archive::{read_archived_frames, CP_ARCHIVE_ROTATE};
 use hylite_storage::backup::CP_BACKUP_SEG_COPY;
+use hylite_storage::wal::WAL_FILE;
+use hylite_storage::SEGMENT_DIR;
 
 fn data_dir() -> PathBuf {
     PathBuf::from("data")
@@ -388,4 +390,202 @@ fn crash_during_archive_rotation_hides_the_torn_span() {
         (1..=last).collect::<Vec<u64>>(),
         "the archive must cover the whole history contiguously"
     );
+}
+
+// ---------------------------------------------------------------------
+// Every WAL reader applies recovery's rules.
+// ---------------------------------------------------------------------
+
+/// A `wal.hylite` whose header declares a version this build does not
+/// read is refused by restore and by `BACKUP … VERIFY` with recovery's
+/// own error — never streamed on and rewritten under version 1.
+#[test]
+fn restore_and_verify_refuse_a_wal_recovery_refuses() {
+    const REFUSED: &str = "WAL version 2 not supported";
+    let fault = FaultVfs::new();
+    let db = seed(&fault);
+    db.execute("BACKUP TO 'good'").unwrap();
+    let version_one_to_two = |path: &Path| fault.corrupt(path, 4, 0x03).unwrap();
+
+    version_one_to_two(&Path::new("good").join(WAL_FILE));
+    let vfs = Arc::new(fault.clone()) as Arc<dyn Vfs>;
+    let err =
+        restore_backup(&vfs, Path::new("good"), None, Path::new("restored"), None).unwrap_err();
+    assert!(err.message().contains(REFUSED), "restore: {err}");
+
+    version_one_to_two(&data_dir().join(WAL_FILE));
+    let err = db.execute("BACKUP TO 'verified' VERIFY").unwrap_err();
+    assert!(err.to_string().contains(REFUSED), "verify: {err}");
+    assert!(!fault.exists(Path::new("verified/backup.hylite")));
+    drop(db);
+    let err = Database::open_with(vfs, &data_dir(), DurabilityOptions::default())
+        .err()
+        .expect("recovery refuses the same WAL");
+    assert!(err.to_string().contains(REFUSED), "recovery: {err}");
+}
+
+// ---------------------------------------------------------------------
+// One consistent cut: a segment collected between pin and read re-pins.
+// ---------------------------------------------------------------------
+
+type Hook = Arc<Mutex<Option<Box<dyn FnOnce() + Send>>>>;
+
+/// A [`Vfs`] over a [`FaultVfs`] that runs a one-shot hook the first time
+/// a live segment file is read whole — which backup and bootstrap do only
+/// after their cut is pinned and the commit lock released.
+#[derive(Clone)]
+struct HookVfs {
+    inner: FaultVfs,
+    hook: Hook,
+}
+
+impl std::fmt::Debug for HookVfs {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("HookVfs").finish_non_exhaustive()
+    }
+}
+
+impl Vfs for HookVfs {
+    fn create_dir_all(&self, dir: &Path) -> hylite_common::Result<()> {
+        Vfs::create_dir_all(&self.inner, dir)
+    }
+
+    fn create(&self, path: &Path) -> hylite_common::Result<Box<dyn VfsFile>> {
+        Vfs::create(&self.inner, path)
+    }
+
+    fn open_append(&self, path: &Path) -> hylite_common::Result<Box<dyn VfsFile>> {
+        Vfs::open_append(&self.inner, path)
+    }
+
+    fn read(&self, path: &Path) -> hylite_common::Result<Vec<u8>> {
+        if path.starts_with(data_dir().join(SEGMENT_DIR)) {
+            let hook = self.hook.lock().unwrap().take();
+            if let Some(hook) = hook {
+                hook();
+            }
+        }
+        Vfs::read(&self.inner, path)
+    }
+
+    fn read_range(&self, path: &Path, offset: u64, len: u64) -> hylite_common::Result<Vec<u8>> {
+        Vfs::read_range(&self.inner, path, offset, len)
+    }
+
+    fn list_dir(&self, dir: &Path) -> hylite_common::Result<Vec<String>> {
+        Vfs::list_dir(&self.inner, dir)
+    }
+
+    fn exists(&self, path: &Path) -> bool {
+        Vfs::exists(&self.inner, path)
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> hylite_common::Result<()> {
+        Vfs::rename(&self.inner, from, to)
+    }
+
+    fn remove(&self, path: &Path) -> hylite_common::Result<()> {
+        Vfs::remove(&self.inner, path)
+    }
+
+    fn truncate(&self, path: &Path, len: u64) -> hylite_common::Result<()> {
+        Vfs::truncate(&self.inner, path, len)
+    }
+
+    fn len(&self, path: &Path) -> hylite_common::Result<u64> {
+        Vfs::len(&self.inner, path)
+    }
+
+    fn sync_dir(&self, dir: &Path) -> hylite_common::Result<()> {
+        Vfs::sync_dir(&self.inner, dir)
+    }
+
+    fn crash_point(&self, name: &str) -> hylite_common::Result<()> {
+        Vfs::crash_point(&self.inner, name)
+    }
+}
+
+/// At the next live segment read, run `work` on `db` and collect the
+/// segment files a compaction leaves behind: the compacting checkpoint
+/// still holds the old files open, the one after it deletes them.
+fn arm(hook: &Hook, db: &Arc<Database>, work: &'static str) {
+    let db = Arc::clone(db);
+    *hook.lock().unwrap() = Some(Box::new(move || {
+        if !work.is_empty() {
+            db.execute(work).unwrap();
+        }
+        db.checkpoint().unwrap();
+        db.checkpoint().unwrap();
+    }));
+}
+
+fn segment_files(fault: &FaultVfs, dir: &Path) -> Vec<String> {
+    fault.list_dir(&dir.join(SEGMENT_DIR)).unwrap()
+}
+
+/// Backup and replica bootstrap read the segment files of a pinned cut
+/// outside the commit lock. A checkpoint whose compaction collects a
+/// pinned segment in between makes both re-pin and succeed: the backup
+/// restores the newer cut, and the installed replica matches the primary.
+#[test]
+fn a_segment_collected_between_pin_and_read_makes_backup_and_bootstrap_re_pin() {
+    let fault = FaultVfs::new();
+    let hook = Hook::default();
+    let vfs = Arc::new(HookVfs {
+        inner: fault.clone(),
+        hook: Arc::clone(&hook),
+    });
+    let db = Arc::new(Database::open_with(vfs, &data_dir(), DurabilityOptions::default()).unwrap());
+    db.execute("CREATE TABLE t (x BIGINT)").unwrap();
+    db.execute("INSERT INTO t VALUES (1), (2), (3), (4), (5), (6), (7), (8), (9), (10)")
+        .unwrap();
+    db.checkpoint().unwrap();
+    // 60 % dead: the next checkpoint compacts `t` and collects its segment.
+    db.execute("DELETE FROM t WHERE x <= 6").unwrap();
+
+    let pinned = segment_files(&fault, &data_dir());
+    arm(&hook, &db, "");
+    let summary = db
+        .durability()
+        .unwrap()
+        .backup(Path::new("backup"), None, true)
+        .unwrap();
+    assert!(hook.lock().unwrap().is_none(), "the hook ran");
+    let copied = segment_files(&fault, Path::new("backup"));
+    assert_eq!(summary.segments_copied, 1);
+    assert!(
+        copied.iter().all(|f| !pinned.contains(f)),
+        "the backup copied the re-pinned cut: {copied:?}, first pin {pinned:?}"
+    );
+    restore(&fault, "backup", None, "restored", None);
+    let restored = open_at(&fault, Path::new("restored"), DurabilityOptions::default());
+    assert_eq!(values(&restored), vec![7, 8, 9, 10]);
+
+    // Bootstrap pins the cut its own checkpoint published; the hook then
+    // kills half the rows and compacts again before the segment is read.
+    let pinned = segment_files(&fault, &data_dir());
+    arm(&hook, &db, "DELETE FROM t WHERE x <= 8");
+    let primary = db.durability().unwrap();
+    let (base_lsn, bundle) = primary.bootstrap_snapshot(db.catalog()).unwrap();
+    assert!(hook.lock().unwrap().is_none(), "the hook ran");
+    assert!(segment_files(&fault, &data_dir())
+        .iter()
+        .all(|f| !pinned.contains(f)));
+    assert_eq!(base_lsn, primary.next_lsn(), "the re-pinned cut");
+    let replica = open_at(
+        &fault,
+        Path::new("replica"),
+        DurabilityOptions {
+            role: ReplRole::Replica,
+            ..DurabilityOptions::default()
+        },
+    );
+    {
+        let _gate = replica.catalog().writer_gate().lock();
+        let d = replica.durability().unwrap();
+        d.install_bootstrap(replica.catalog(), primary.epoch(), &bundle)
+            .unwrap();
+    }
+    assert_eq!(values(&replica), vec![9, 10]);
+    assert_eq!(values(&replica), values(&db));
 }

@@ -790,3 +790,92 @@ fn orphan_segments_from_a_checkpoint_crash_are_garbage_collected() {
     let db = open(&fault);
     assert_eq!(sum(&db).unwrap(), 6);
 }
+
+/// Values of `table.x`, ascending.
+fn column(db: &Database, table: &str) -> Vec<i64> {
+    let r = db
+        .execute(&format!("SELECT x FROM {table} ORDER BY x"))
+        .unwrap();
+    (0..r.row_count())
+        .map(|i| match r.value(i, 0).unwrap() {
+            Value::Int(v) => v,
+            other => panic!("unexpected {other:?}"),
+        })
+        .collect()
+}
+
+/// Compaction edits the manifest list the seal phase published in place:
+/// two dead-heavy tables compacted by one checkpoint each replace only
+/// their own entry, and the untouched table keeps its own.
+#[test]
+fn one_checkpoint_compacts_two_tables_beside_an_untouched_one() {
+    let fault = FaultVfs::new();
+    let db = open(&fault);
+    for name in ["a", "b", "c"] {
+        db.execute(&format!("CREATE TABLE {name} (x BIGINT)"))
+            .unwrap();
+        let rows: Vec<String> = (0..10).map(|v| format!("({v})")).collect();
+        db.execute(&format!("INSERT INTO {name} VALUES {}", rows.join(", ")))
+            .unwrap();
+    }
+    db.checkpoint().unwrap();
+    db.execute("DELETE FROM a WHERE x < 6").unwrap();
+    db.execute("DELETE FROM c WHERE x >= 3 AND x < 7").unwrap();
+    db.checkpoint().unwrap();
+    drop(db);
+
+    let db = open(&fault);
+    let report = db.recovery_report().unwrap();
+    assert_eq!(report.replayed_records, 0, "everything is in the manifest");
+    assert_eq!(
+        report.checkpoint_rows,
+        4 + 10 + 6,
+        "compacted layouts loaded"
+    );
+    assert_eq!(column(&db, "a"), vec![6, 7, 8, 9]);
+    assert_eq!(column(&db, "b"), (0..10).collect::<Vec<_>>());
+    assert_eq!(column(&db, "c"), vec![0, 1, 2, 7, 8, 9]);
+    for name in ["a", "b", "c"] {
+        let t = db.catalog().get_table(name).unwrap();
+        assert_eq!(t.read().dead_fraction(), 0.0, "{name}");
+    }
+}
+
+/// A crash at `checkpoint.segment_write` inside compaction — after the
+/// seal phase published — leaves the compaction's first segment file
+/// behind unreferenced; recovery deletes it and loads the pre-compaction
+/// rows.
+#[test]
+fn crash_sealing_a_compaction_leaves_only_orphans() {
+    use hylite_storage::checkpoint::CP_SEG_WRITE;
+
+    const ROWS: i64 = 100_000;
+    let fault = FaultVfs::new();
+    let db = open(&fault);
+    db.execute("CREATE TABLE t (x BIGINT)").unwrap();
+    let csv: Vec<String> = std::iter::once("x".to_string())
+        .chain((0..ROWS).map(|v| v.to_string()))
+        .collect();
+    db.copy_csv("t", &csv.join("\n"), &hylite_core::CsvOptions::default())
+        .unwrap();
+    db.checkpoint().unwrap();
+    // 31 % dead: compaction seals the 69,000 live rows as two segments,
+    // and the seal phase before it has nothing to seal.
+    db.execute("DELETE FROM t WHERE x < 31000").unwrap();
+    fault.arm_crash(CrashSpec {
+        point: CP_SEG_WRITE.into(),
+        hit: 2,
+        keep: KeepUnsynced::Nothing,
+    });
+    assert!(db.checkpoint().is_err(), "the compaction's second seal");
+    assert!(fault.crashed());
+    drop(db);
+
+    fault.reboot();
+    let db = open(&fault);
+    let report = db.recovery_report().unwrap();
+    assert_eq!(report.orphan_segments_removed, 1, "{report:?}");
+    assert_eq!(column(&db, "t"), (31_000..ROWS).collect::<Vec<_>>());
+    let t = db.catalog().get_table("t").unwrap();
+    assert_eq!(t.read().total_rows(), ROWS as usize, "not compacted");
+}
