@@ -368,17 +368,9 @@ pub fn kmeans_governed(
 }
 
 /// The model-application step: assign each row of each chunk to its
-/// nearest center. Returns one assignment vector per input chunk.
-pub fn kmeans_assign(
-    chunks: &[Chunk],
-    centers: &[Vec<f64>],
-    lambda: Option<&BoundLambda>,
-) -> Result<Vec<Vec<u32>>> {
-    kmeans_assign_governed(chunks, centers, lambda, &Governor::unlimited())
-}
-
-/// [`kmeans_assign`] under a resource [`Governor`]: chunks are assigned
-/// on the morsel scheduler, with a cancellation/deadline check per chunk.
+/// nearest center, under a resource [`Governor`] — chunks are assigned on
+/// the morsel scheduler, with a cancellation/deadline check per chunk.
+/// Returns one assignment vector per input chunk.
 pub fn kmeans_assign_governed(
     chunks: &[Chunk],
     centers: &[Vec<f64>],
@@ -504,8 +496,15 @@ mod tests {
         // L1 to (5,5)=10, to (0,9)=9 → center 1;
         // L2² to (5,5)=50, to (0,9)=81 → center 0.
         let l1 = BoundLambda::manhattan_l1(2).unwrap();
-        let a_l2 = kmeans_assign(std::slice::from_ref(&data), &centers, None).unwrap();
-        let a_l1 = kmeans_assign(&[data], &centers, Some(&l1)).unwrap();
+        let a_l2 = kmeans_assign_governed(
+            std::slice::from_ref(&data),
+            &centers,
+            None,
+            &Governor::unlimited(),
+        )
+        .unwrap();
+        let a_l1 =
+            kmeans_assign_governed(&[data], &centers, Some(&l1), &Governor::unlimited()).unwrap();
         assert_eq!(a_l2[0][0], 0, "L2 assigns (0,0) to (5,5)");
         assert_eq!(a_l1[0][0], 1, "L1 assigns (0,0) to (0,9)");
     }
@@ -552,7 +551,8 @@ mod tests {
     fn assign_returns_per_chunk() {
         let data = blobs();
         let centers = vec![vec![0.0, 0.0], vec![10.0, 10.0]];
-        let assigned = kmeans_assign(&data, &centers, None).unwrap();
+        let assigned =
+            kmeans_assign_governed(&data, &centers, None, &Governor::unlimited()).unwrap();
         assert_eq!(assigned[0], vec![0, 0, 0, 1, 1, 1]);
     }
 }

@@ -9,7 +9,7 @@
 //! [`BoundLambda`](hylite_expr::BoundLambda) (§7); PageRank builds a
 //! query-local CSR index with dense re-labeling (§6.3); Naive Bayes keeps
 //! per-class (N, Σa, Σa²) moments (§6.2), exposed separately as the
-//! reusable [`class_stats`] building block.
+//! reusable [`class_stats_governed`] building block.
 
 #![warn(missing_docs)]
 
@@ -18,9 +18,7 @@ pub mod naive_bayes;
 pub mod pagerank;
 pub mod stats;
 
-pub use kmeans::{
-    kmeans, kmeans_assign, kmeans_assign_governed, kmeans_governed, KMeansConfig, KMeansResult,
-};
+pub use kmeans::{kmeans, kmeans_assign_governed, kmeans_governed, KMeansConfig, KMeansResult};
 pub use naive_bayes::{LabelValue, NaiveBayesModel};
 pub use pagerank::{pagerank, pagerank_governed, PageRankConfig, PageRankResult};
-pub use stats::{class_stats, class_stats_governed, ClassStatsRow};
+pub use stats::{class_stats_governed, ClassStatsRow};

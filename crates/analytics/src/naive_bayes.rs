@@ -94,25 +94,12 @@ impl ClassMoments {
     }
 }
 
-/// Fold chunks into per-class moments (min/max tracked — CLASS_STATS
-/// needs them). The label is the LAST column; earlier columns are DOUBLE
-/// features.
-pub fn collect_moments(chunks: &[Chunk]) -> Result<HashMap<LabelValue, ClassMoments>> {
-    collect_moments_opts(chunks, true)
-}
-
-/// Like [`collect_moments`], optionally skipping min/max maintenance
-/// (Naive Bayes training only needs N, Σa, Σa² — §6.2).
-pub fn collect_moments_opts(
-    chunks: &[Chunk],
-    track_minmax: bool,
-) -> Result<HashMap<LabelValue, ClassMoments>> {
-    collect_moments_governed(chunks, track_minmax, &Governor::unlimited())
-}
-
-/// [`collect_moments_opts`] under a resource [`Governor`]: chunks are
-/// folded on the morsel scheduler (a cancellation/deadline check per
-/// chunk) into per-chunk class tables, merged in chunk order.
+/// Fold chunks into per-class moments under a resource [`Governor`]:
+/// chunks are folded on the morsel scheduler (a cancellation/deadline
+/// check per chunk) into per-chunk class tables, merged in chunk order.
+/// The label is the LAST column; earlier columns are DOUBLE features.
+/// Min/max are tracked only with `track_minmax` — CLASS_STATS needs them,
+/// Naive Bayes training only N, Σa, Σa² (§6.2).
 pub fn collect_moments_governed(
     chunks: &[Chunk],
     track_minmax: bool,
@@ -381,15 +368,10 @@ impl NaiveBayesModel {
         })
     }
 
-    /// Predict class labels for feature-only chunks; returns one label
-    /// column per input chunk.
-    pub fn predict(&self, chunks: &[Chunk]) -> Result<Vec<ColumnVector>> {
-        self.predict_governed(chunks, &Governor::unlimited())
-    }
-
-    /// [`predict`](NaiveBayesModel::predict) under a resource
+    /// Predict class labels for feature-only chunks under a resource
     /// [`Governor`]: chunks are scored on the morsel scheduler, with a
-    /// cancellation/deadline check per chunk.
+    /// cancellation/deadline check per chunk. Returns one label column per
+    /// input chunk.
     pub fn predict_governed(
         &self,
         chunks: &[Chunk],
@@ -471,7 +453,7 @@ mod tests {
     fn predict_recovers_labels() {
         let m = NaiveBayesModel::train(&labeled(), &["x".into()]).unwrap();
         let test = Chunk::new(vec![CV::from_f64(vec![0.2, 9.8, -1.0, 11.0])]);
-        let labels = m.predict(&[test]).unwrap();
+        let labels = m.predict_governed(&[test], &Governor::unlimited()).unwrap();
         assert_eq!(labels[0].as_i64().unwrap(), &[0, 1, 0, 1]);
     }
 
@@ -502,7 +484,7 @@ mod tests {
         let m = NaiveBayesModel::train(&[data], &["len".into()]).unwrap();
         assert_eq!(m.label_type(), DataType::Varchar);
         let test = Chunk::new(vec![CV::from_f64(vec![1.1, 5.1])]);
-        let labels = m.predict(&[test]).unwrap();
+        let labels = m.predict_governed(&[test], &Governor::unlimited()).unwrap();
         assert_eq!(
             labels[0].as_varchar().unwrap(),
             &["ham".to_string(), "spam".to_string()]
@@ -536,7 +518,7 @@ mod tests {
         // Width mismatch at prediction.
         let m = NaiveBayesModel::train(&labeled(), &["x".into()]).unwrap();
         let test = Chunk::new(vec![CV::from_f64(vec![1.0]), CV::from_f64(vec![1.0])]);
-        assert!(m.predict(&[test]).is_err());
+        assert!(m.predict_governed(&[test], &Governor::unlimited()).is_err());
     }
 
     #[test]
@@ -548,7 +530,7 @@ mod tests {
         ]);
         let m = NaiveBayesModel::train(&[data], &["x".into()]).unwrap();
         let test = Chunk::new(vec![CV::from_f64(vec![1.0])]);
-        let labels = m.predict(&[test]).unwrap();
+        let labels = m.predict_governed(&[test], &Governor::unlimited()).unwrap();
         assert_eq!(labels[0].len(), 1);
     }
 }

@@ -172,19 +172,11 @@ pub fn pagerank_governed(
 /// example of lambda-style operator parameterization ("define edge
 /// weights in PageRank"). `weights` must align with the graph's CSR edge
 /// order (see `CsrGraph::from_weighted_edges`).
-pub fn pagerank_weighted(
-    graph: &CsrGraph,
-    weights: &[f64],
-    config: &PageRankConfig,
-) -> PageRankResult {
-    pagerank_weighted_governed(graph, weights, config, &Governor::unlimited())
-        .expect("unlimited governor cannot abort")
-}
-
-/// [`pagerank_weighted`] under a resource [`Governor`] — see
-/// [`pagerank_governed`] for the check/charge policy. The scatter is
-/// push-based (two vertices may add to the same slot), so unlike the
-/// pull loop it is not handed to the morsel scheduler: one thread.
+///
+/// Runs under a resource [`Governor`] — see [`pagerank_governed`] for the
+/// check/charge policy. The scatter is push-based (two vertices may add
+/// to the same slot), so unlike the pull loop it is not handed to the
+/// morsel scheduler: one thread.
 pub fn pagerank_weighted_governed(
     graph: &CsrGraph,
     weights: &[f64],
@@ -373,7 +365,8 @@ mod tests {
             ..Default::default()
         };
         let plain = pagerank(&graph, &config);
-        let weighted = pagerank_weighted(&graph, &weights, &config);
+        let weighted =
+            pagerank_weighted_governed(&graph, &weights, &config, &Governor::unlimited()).unwrap();
         for (a, b) in plain.ranks.iter().zip(&weighted.ranks) {
             assert!((a - b).abs() < 1e-9, "uniform weights must be a no-op");
         }
@@ -387,15 +380,12 @@ mod tests {
         let dest = [1i64, 2, 0, 0];
         let weights = [9.0, 1.0, 1.0, 1.0];
         let (graph, w) = CsrGraph::from_weighted_edges(&src, &dest, &weights).unwrap();
-        let r = pagerank_weighted(
-            &graph,
-            &w,
-            &PageRankConfig {
-                epsilon: 1e-12,
-                max_iterations: 500,
-                ..Default::default()
-            },
-        );
+        let config = PageRankConfig {
+            epsilon: 1e-12,
+            max_iterations: 500,
+            ..Default::default()
+        };
+        let r = pagerank_weighted_governed(&graph, &w, &config, &Governor::unlimited()).unwrap();
         let d1 = graph.mapping().to_dense(1).unwrap() as usize;
         let d2 = graph.mapping().to_dense(2).unwrap() as usize;
         assert!(
@@ -414,7 +404,13 @@ mod tests {
         let dest = [1i64, 0];
         let weights = [1.0, 0.0]; // vertex 1's only edge has zero weight
         let (graph, w) = CsrGraph::from_weighted_edges(&src, &dest, &weights).unwrap();
-        let r = pagerank_weighted(&graph, &w, &PageRankConfig::default());
+        let r = pagerank_weighted_governed(
+            &graph,
+            &w,
+            &PageRankConfig::default(),
+            &Governor::unlimited(),
+        )
+        .unwrap();
         let total: f64 = r.ranks.iter().sum();
         assert!(
             (total - 1.0).abs() < 1e-9,

@@ -42,15 +42,10 @@ impl ClassStatsRow {
     }
 }
 
-/// Compute per-class, per-attribute statistics. Input chunks hold DOUBLE
-/// feature columns with the label last (same contract as Naive Bayes
-/// training — both share the moment-collection pass).
-pub fn class_stats(chunks: &[Chunk], feature_names: &[String]) -> Result<Vec<ClassStatsRow>> {
-    class_stats_governed(chunks, feature_names, &Governor::unlimited())
-}
-
-/// [`class_stats`] under a resource [`Governor`] — see
-/// [`collect_moments_governed`].
+/// Compute per-class, per-attribute statistics under a resource
+/// [`Governor`] (see [`collect_moments_governed`]). Input chunks hold
+/// DOUBLE feature columns with the label last (same contract as Naive
+/// Bayes training — both share the moment-collection pass).
 pub fn class_stats_governed(
     chunks: &[Chunk],
     feature_names: &[String],
@@ -88,7 +83,8 @@ mod tests {
             CV::from_f64(vec![1.0, 3.0, 10.0, 20.0]),
             CV::from_i64(vec![0, 0, 1, 1]),
         ]);
-        let rows = class_stats(&[data], &["x".to_string()]).unwrap();
+        let rows =
+            class_stats_governed(&[data], &["x".to_string()], &Governor::unlimited()).unwrap();
         assert_eq!(rows.len(), 2);
         let c0 = &rows[0];
         assert_eq!(c0.class, LabelValue::Int(0));
@@ -109,7 +105,12 @@ mod tests {
             CV::from_f64(vec![10.0, 20.0]),
             CV::from_str(vec!["a", "a"]),
         ]);
-        let rows = class_stats(&[data], &["x".to_string(), "y".to_string()]).unwrap();
+        let rows = class_stats_governed(
+            &[data],
+            &["x".to_string(), "y".to_string()],
+            &Governor::unlimited(),
+        )
+        .unwrap();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].attribute, "x");
         assert_eq!(rows[1].attribute, "y");
@@ -118,14 +119,15 @@ mod tests {
 
     #[test]
     fn empty_input_gives_no_rows() {
-        let rows = class_stats(&[], &["x".to_string()]).unwrap();
+        let rows = class_stats_governed(&[], &["x".to_string()], &Governor::unlimited()).unwrap();
         assert!(rows.is_empty());
     }
 
     #[test]
     fn row_serialization() {
         let data = Chunk::new(vec![CV::from_f64(vec![1.0]), CV::from_i64(vec![7])]);
-        let rows = class_stats(&[data], &["x".to_string()]).unwrap();
+        let rows =
+            class_stats_governed(&[data], &["x".to_string()], &Governor::unlimited()).unwrap();
         let vals = rows[0].to_values();
         assert_eq!(vals[0], Value::Int(7));
         assert_eq!(vals[1], Value::from("x"));

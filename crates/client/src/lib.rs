@@ -153,31 +153,14 @@ impl HyliteClient {
         addr: impl ToSocketAddrs + Clone,
         policy: &RetryPolicy,
     ) -> Result<HyliteClient> {
-        let started = Instant::now();
-        let seed = jitter_seed();
-        let mut attempt = 0u32;
-        loop {
-            match HyliteClient::connect_via(net, addr.clone()) {
-                Ok(mut client) => {
-                    client.retries += u64::from(attempt);
-                    return Ok(client);
-                }
-                Err(e) => {
-                    attempt += 1;
-                    if !retry::is_retryable(&e) {
-                        return Err(e);
-                    }
-                    if attempt >= policy.max_attempts {
-                        return Err(retry::with_attempts(e, attempt));
-                    }
-                    let backoff = policy.jittered_backoff(attempt - 1, seed);
-                    if started.elapsed() + backoff > policy.deadline {
-                        return Err(retry::with_attempts(e, attempt));
-                    }
-                    std::thread::sleep(backoff);
-                }
-            }
-        }
+        retrying(policy, jitter_seed(), |attempt| {
+            let mut client = HyliteClient::connect_via(net, addr.clone()).map_err(|e| {
+                let again = retry::is_retryable(&e);
+                (e, again)
+            })?;
+            client.retries += u64::from(attempt);
+            Ok(client)
+        })
     }
 
     /// Like [`HyliteClient::query`], but retrying retryable failures —
@@ -189,39 +172,32 @@ impl HyliteClient {
     /// attempt of a broken-connection retry may or may not have
     /// executed).
     pub fn query_with_retry(&mut self, sql: &str, policy: &RetryPolicy) -> Result<RemoteResult> {
-        let started = Instant::now();
-        let seed = jitter_seed() ^ self.secret;
-        let mut attempt = 0u32;
-        loop {
+        self.retry_statement(policy, |client| client.query(sql))
+    }
+
+    /// `submit` under `policy`, each retry counted under
+    /// [`HyliteClient::retries`]: the two query forms of the retry loop.
+    fn retry_statement<T>(
+        &mut self,
+        policy: &RetryPolicy,
+        mut submit: impl FnMut(&mut HyliteClient) -> Result<T>,
+    ) -> Result<T> {
+        retrying(policy, jitter_seed() ^ self.secret, |attempt| {
+            self.retries += u64::from(attempt > 0);
             // A broken protocol state never heals on its own: reconnect
             // first so the attempt below is meaningful.
             if self.broken {
                 let net = self.net.clone();
-                let fresh = HyliteClient::connect_via(&net, self.peer)?;
+                let fresh = HyliteClient::connect_via(&net, self.peer).map_err(|e| (e, false))?;
                 let retries = self.retries;
                 *self = fresh;
                 self.retries = retries;
             }
-            match self.query(sql) {
-                Ok(result) => return Ok(result),
-                Err(e) => {
-                    attempt += 1;
-                    let recoverable = retry::is_retryable(&e) || self.broken;
-                    if !recoverable {
-                        return Err(e);
-                    }
-                    if attempt >= policy.max_attempts {
-                        return Err(retry::with_attempts(e, attempt));
-                    }
-                    let backoff = policy.jittered_backoff(attempt - 1, seed);
-                    if started.elapsed() + backoff > policy.deadline {
-                        return Err(retry::with_attempts(e, attempt));
-                    }
-                    self.retries += 1;
-                    std::thread::sleep(backoff);
-                }
-            }
-        }
+            submit(self).map_err(|e| {
+                let again = retry::is_retryable(&e) || self.broken;
+                (e, again)
+            })
+        })
     }
 
     /// Execute `sql` and materialize the whole result client-side.
@@ -270,37 +246,7 @@ impl HyliteClient {
         sql: &str,
         policy: &RetryPolicy,
     ) -> Result<QueryStream<'_>> {
-        let started = Instant::now();
-        let seed = jitter_seed() ^ self.secret;
-        let mut attempt = 0u32;
-        let schema = loop {
-            if self.broken {
-                let net = self.net.clone();
-                let fresh = HyliteClient::connect_via(&net, self.peer)?;
-                let retries = self.retries;
-                *self = fresh;
-                self.retries = retries;
-            }
-            match self.begin_query(sql) {
-                Ok(schema) => break schema,
-                Err(e) => {
-                    attempt += 1;
-                    let recoverable = retry::is_retryable(&e) || self.broken;
-                    if !recoverable {
-                        return Err(e);
-                    }
-                    if attempt >= policy.max_attempts {
-                        return Err(retry::with_attempts(e, attempt));
-                    }
-                    let backoff = policy.jittered_backoff(attempt - 1, seed);
-                    if started.elapsed() + backoff > policy.deadline {
-                        return Err(retry::with_attempts(e, attempt));
-                    }
-                    self.retries += 1;
-                    std::thread::sleep(backoff);
-                }
-            }
-        };
+        let schema = self.retry_statement(policy, |client| client.begin_query(sql))?;
         Ok(QueryStream {
             client: self,
             schema,
@@ -371,6 +317,35 @@ fn jitter_seed() -> u64 {
         .map(|d| d.subsec_nanos() as u64 ^ d.as_secs())
         .unwrap_or(0x5EED);
     hylite_common::hash::splitmix64(nanos)
+}
+
+/// The retry loop under every `*_with_retry`: `attempt(n)` for n = 0, 1,
+/// … until it succeeds, fails with an error it marks as not worth
+/// another try, `policy.max_attempts` are spent, or the next jittered
+/// backoff would cross `policy.deadline` — the last two annotated by
+/// [`retry::with_attempts`].
+fn retrying<T>(
+    policy: &RetryPolicy,
+    seed: u64,
+    mut attempt: impl FnMut(u32) -> std::result::Result<T, (HyError, bool)>,
+) -> Result<T> {
+    let started = Instant::now();
+    let mut attempts = 0u32;
+    loop {
+        let (e, again) = match attempt(attempts) {
+            Ok(done) => return Ok(done),
+            Err(failed) => failed,
+        };
+        attempts += 1;
+        if !again {
+            return Err(e);
+        }
+        let backoff = policy.jittered_backoff(attempts - 1, seed);
+        if attempts >= policy.max_attempts || started.elapsed() + backoff > policy.deadline {
+            return Err(retry::with_attempts(e, attempts));
+        }
+        std::thread::sleep(backoff);
+    }
 }
 
 fn connect_any(net: &NetHandle, addr: impl ToSocketAddrs) -> Result<NetStream> {

@@ -279,21 +279,6 @@ struct Classified {
     set_knobs: Vec<(String, i64)>,
 }
 
-fn statement_writes(stmt: &Statement) -> bool {
-    match stmt {
-        Statement::CreateTable { .. }
-        | Statement::DropTable { .. }
-        | Statement::Insert { .. }
-        | Statement::Update { .. }
-        | Statement::Delete { .. } => true,
-        Statement::Explain {
-            statement,
-            analyze: true,
-        } => statement_writes(statement),
-        _ => false,
-    }
-}
-
 fn classify(sql: &str) -> Classified {
     let to_primary = |advances: bool| Classified {
         kind: RouteKind::Primary,
@@ -332,11 +317,7 @@ fn classify(sql: &str) -> Classified {
                 txn_control = true;
             }
             Statement::Set { name, value } => set_knobs.push((name.clone(), *value)),
-            other => {
-                if statement_writes(other) {
-                    writes = true;
-                }
-            }
+            other => writes |= other.writes(),
         }
     }
     let all_set = !stmts.is_empty() && set_knobs.len() == stmts.len();

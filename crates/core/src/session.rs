@@ -292,29 +292,11 @@ impl Session {
         self.read_only_primary.as_deref()
     }
 
-    /// Whether `stmt` would mutate data or schema. `EXPLAIN ANALYZE`
-    /// executes its inner statement, so it counts as a write when the
-    /// inner statement does; plain `EXPLAIN` never executes anything.
-    fn statement_writes(stmt: &Statement) -> bool {
-        match stmt {
-            Statement::CreateTable { .. }
-            | Statement::DropTable { .. }
-            | Statement::Insert { .. }
-            | Statement::Update { .. }
-            | Statement::Delete { .. } => true,
-            Statement::Explain {
-                statement,
-                analyze: true,
-            } => Session::statement_writes(statement),
-            _ => false,
-        }
-    }
-
     /// Reject `stmt` if the session is read-only and the statement
     /// writes.
     fn check_read_only(&self, stmt: &Statement) -> Result<()> {
         if let Some(primary) = &self.read_only_primary {
-            if Session::statement_writes(stmt) {
+            if stmt.writes() {
                 return Err(HyError::ReadOnly(format!(
                     "this server is a read-only replica; send writes to the primary at {primary}"
                 )));

@@ -114,17 +114,16 @@ pub fn aggregate(
                 .as_ref()
                 .map(|e| eval_shared(e, chunk))
                 .transpose()?;
-            match (arg, grouped) {
-                (Some(col), true) => {
-                    AggregateState::update_grouped(&mut partial, &local_ids, &col)?
-                }
-                (Some(col), false) => partial[0].update_column(&col)?,
-                (None, true) => {
+            let local = |i: usize| local_ids[i] as usize;
+            match arg {
+                Some(col) if grouped => AggregateState::update_grouped(&mut partial, local, &col)?,
+                Some(col) => AggregateState::update_grouped(&mut partial, |_| 0, &col)?,
+                None if grouped => {
                     for &l in &local_ids {
                         partial[l as usize].update_count_star(1);
                     }
                 }
-                (None, false) => partial[0].update_count_star(chunk.len() as i64),
+                None => partial[0].update_count_star(chunk.len() as i64),
             }
             // Merging into a fresh state copies: new groups need no case.
             totals.resize(index.len(), init.clone());

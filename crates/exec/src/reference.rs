@@ -1,7 +1,8 @@
 #![cfg(test)]
 //! The keyed operators as they were before typed keys — `HashableRow`
-//! keys in `std` hash maps, aggregates folded one `Value` at a time — kept
-//! as the oracle of the differential tests below. Two things differ from
+//! keys in `std` hash maps, every aggregate folded one `Value` at a time
+//! through `AggregateState::update`, grouped or not — kept as the oracle
+//! of the differential tests below. Two things differ from
 //! the code this replaced, both bugs the replacement fixed: NaN keys
 //! equal each other when grouping, and a join never matches a NaN key.
 //! Nothing outside `#[cfg(test)]` may use this module.
@@ -91,23 +92,12 @@ fn aggregate(
             .iter()
             .map(|a| a.arg.as_ref().map(|e| e.eval(chunk)).transpose())
             .collect::<Result<_>>()?;
-        if group_exprs.is_empty() {
-            // Single group: the vectorized column fold.
-            let states = table.entry(HashableRow(vec![])).or_insert_with(init);
+        for i in 0..chunk.len() {
+            let states = table.entry(key_at(&key_cols, i)).or_insert_with(init);
             for (state, arg) in states.iter_mut().zip(&arg_cols) {
                 match arg {
-                    Some(col) => state.update_column(col)?,
-                    None => state.update_count_star(chunk.len() as i64),
-                }
-            }
-        } else {
-            for i in 0..chunk.len() {
-                let states = table.entry(key_at(&key_cols, i)).or_insert_with(init);
-                for (state, arg) in states.iter_mut().zip(&arg_cols) {
-                    match arg {
-                        Some(col) => state.update(&col.value(i))?,
-                        None => state.update_count_star(1),
-                    }
+                    Some(col) => state.update(&col.value(i))?,
+                    None => state.update_count_star(1),
                 }
             }
         }

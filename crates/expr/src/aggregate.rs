@@ -8,7 +8,7 @@
 use std::cmp::Ordering;
 
 use hylite_common::value::sort_cmp_f64;
-use hylite_common::{Bitmap, ColumnVector, DataType, HyError, Result, Value};
+use hylite_common::{ColumnVector, DataType, HyError, Result, Value};
 
 /// The built-in aggregate function set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -221,13 +221,9 @@ impl AggregateState {
                 }
             }
             AggregateState::Extreme { best, is_min } => {
-                if !v.is_null() {
-                    let replace = best.is_null()
-                        || (*is_min && v.sort_cmp(best).is_lt())
-                        || (!*is_min && v.sort_cmp(best).is_gt());
-                    if replace {
-                        *best = v.clone();
-                    }
+                let replaces = |best: &Value| v.sort_cmp(best) == extreme_side(*is_min);
+                if !v.is_null() && (best.is_null() || replaces(best)) {
+                    *best = v.clone();
                 }
             }
             AggregateState::Moments { n, sum, sum_sq, .. } => {
@@ -249,131 +245,36 @@ impl AggregateState {
         }
     }
 
-    /// Vectorized fold of a whole column (fast path used by operators).
-    pub fn update_column(&mut self, col: &ColumnVector) -> Result<()> {
-        match (&mut *self, col) {
-            (AggregateState::Count { n }, c) => {
-                *n += (c.len() - c.null_count()) as i64;
-            }
-            (AggregateState::Sum { int, float, n, .. }, ColumnVector::Int64 { data, validity }) => {
-                match validity {
-                    None => {
-                        for &x in data {
-                            *int = int.wrapping_add(x);
-                            *float += x as f64;
-                        }
-                        *n += data.len() as i64;
-                    }
-                    Some(v) => {
-                        for i in v.iter_ones() {
-                            *int = int.wrapping_add(data[i]);
-                            *float += data[i] as f64;
-                            *n += 1;
-                        }
-                    }
-                }
-            }
-            (
-                AggregateState::Sum {
-                    float,
-                    saw_float,
-                    n,
-                    ..
-                },
-                ColumnVector::Float64 { data, validity },
-            ) => {
-                *saw_float = true;
-                match validity {
-                    None => {
-                        for &x in data {
-                            *float += x;
-                        }
-                        *n += data.len() as i64;
-                    }
-                    Some(v) => {
-                        for i in v.iter_ones() {
-                            *float += data[i];
-                            *n += 1;
-                        }
-                    }
-                }
-            }
-            (AggregateState::Avg { sum, n }, ColumnVector::Float64 { data, validity }) => {
-                match validity {
-                    None => {
-                        for &x in data {
-                            *sum += x;
-                        }
-                        *n += data.len() as i64;
-                    }
-                    Some(v) => {
-                        for i in v.iter_ones() {
-                            *sum += data[i];
-                            *n += 1;
-                        }
-                    }
-                }
-            }
-            (
-                AggregateState::Moments { n, sum, sum_sq, .. },
-                ColumnVector::Float64 { data, validity },
-            ) => match validity {
-                None => {
-                    for &x in data {
-                        *sum += x;
-                        *sum_sq += x * x;
-                    }
-                    *n += data.len() as i64;
-                }
-                Some(v) => {
-                    for i in v.iter_ones() {
-                        let x = data[i];
-                        *sum += x;
-                        *sum_sq += x * x;
-                        *n += 1;
-                    }
-                }
-            },
-            // Generic fallback: per-value loop.
-            (state, c) => {
-                for i in 0..c.len() {
-                    state.update(&c.value(i))?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Grouped fold of a whole column: row `i` goes into
-    /// `states[groups[i]]`, exactly as [`AggregateState::update`] of its
-    /// value would, in row order. All `states` belong to one aggregate.
-    /// BIGINT and DOUBLE arguments are folded without leaving their type.
+    /// The column fold: row `i` of `col` goes into `states[group(i)]`,
+    /// exactly as [`AggregateState::update`] of its value would, in row
+    /// order — `|_| 0` for a global aggregate, the chunk's group ids for a
+    /// grouped one. All `states` belong to one aggregate. BIGINT and
+    /// DOUBLE arguments are folded without leaving their type.
     pub fn update_grouped(
         states: &mut [AggregateState],
-        groups: &[u32],
+        group: impl Fn(usize) -> usize,
         col: &ColumnVector,
     ) -> Result<()> {
         /// `f(row, state)` for every non-NULL row.
         fn each(
             states: &mut [AggregateState],
-            groups: &[u32],
-            validity: Option<&Bitmap>,
+            group: impl Fn(usize) -> usize,
+            col: &ColumnVector,
             mut f: impl FnMut(usize, &mut AggregateState),
         ) {
-            for (i, &g) in groups.iter().enumerate() {
-                if validity.is_none_or(|v| v.get(i)) {
-                    f(i, &mut states[g as usize]);
-                }
+            match col.validity() {
+                None => (0..col.len()).for_each(|i| f(i, &mut states[group(i)])),
+                Some(v) => v.iter_ones().for_each(|i| f(i, &mut states[group(i)])),
             }
         }
         /// The folds that see their argument as a DOUBLE.
         fn each_f64(
             states: &mut [AggregateState],
-            groups: &[u32],
-            validity: Option<&Bitmap>,
+            group: impl Fn(usize) -> usize,
+            col: &ColumnVector,
             x: impl Fn(usize) -> f64,
         ) {
-            each(states, groups, validity, |i, state| match state {
+            each(states, group, col, |i, state| match state {
                 AggregateState::Avg { sum, n } => {
                     *sum += x(i);
                     *n += 1;
@@ -387,17 +288,13 @@ impl AggregateState {
                 _ => unreachable!("one aggregate, one state shape"),
             });
         }
-        debug_assert_eq!(groups.len(), col.len());
-        let validity = col.validity();
         match (states.first(), col) {
             (None, _) => {}
             (Some(AggregateState::Count { .. }), _) => {
-                each(states, groups, validity, |_, state| {
-                    state.update_count_star(1)
-                });
+                each(states, group, col, |_, state| state.update_count_star(1));
             }
             (Some(AggregateState::Sum { .. }), ColumnVector::Int64 { data, .. }) => {
-                each(states, groups, validity, |i, state| {
+                each(states, group, col, |i, state| {
                     if let AggregateState::Sum { int, float, n, .. } = state {
                         *int = int.wrapping_add(data[i]);
                         *float += data[i] as f64;
@@ -406,7 +303,7 @@ impl AggregateState {
                 });
             }
             (Some(AggregateState::Sum { .. }), ColumnVector::Float64 { data, .. }) => {
-                each(states, groups, validity, |i, state| {
+                each(states, group, col, |i, state| {
                     if let AggregateState::Sum {
                         float,
                         saw_float,
@@ -423,13 +320,13 @@ impl AggregateState {
             (
                 Some(AggregateState::Avg { .. } | AggregateState::Moments { .. }),
                 ColumnVector::Int64 { data, .. },
-            ) => each_f64(states, groups, validity, |i| data[i] as f64),
+            ) => each_f64(states, group, col, |i| data[i] as f64),
             (
                 Some(AggregateState::Avg { .. } | AggregateState::Moments { .. }),
                 ColumnVector::Float64 { data, .. },
-            ) => each_f64(states, groups, validity, |i| data[i]),
+            ) => each_f64(states, group, col, |i| data[i]),
             (Some(AggregateState::Extreme { .. }), ColumnVector::Int64 { data, .. }) => {
-                each(states, groups, validity, |i, state| {
+                each(states, group, col, |i, state| {
                     let x = data[i];
                     match state {
                         AggregateState::Extreme {
@@ -447,7 +344,7 @@ impl AggregateState {
                 });
             }
             (Some(AggregateState::Extreme { .. }), ColumnVector::Float64 { data, .. }) => {
-                each(states, groups, validity, |i, state| {
+                each(states, group, col, |i, state| {
                     let x = data[i];
                     match state {
                         AggregateState::Extreme {
@@ -466,8 +363,8 @@ impl AggregateState {
             }
             // BOOLEAN and VARCHAR arguments (MIN/MAX), and type errors.
             _ => {
-                for (i, &g) in groups.iter().enumerate() {
-                    states[g as usize].update(&col.value(i))?;
+                for i in 0..col.len() {
+                    states[group(i)].update(&col.value(i))?;
                 }
             }
         }
@@ -501,18 +398,9 @@ impl AggregateState {
                 *sum += s2;
                 *n += n2;
             }
-            (
-                AggregateState::Extreme { best, is_min },
-                AggregateState::Extreme { best: b2, .. },
-            ) => {
-                if !b2.is_null() {
-                    let replace = best.is_null()
-                        || (*is_min && b2.sort_cmp(best).is_lt())
-                        || (!*is_min && b2.sort_cmp(best).is_gt());
-                    if replace {
-                        *best = b2.clone();
-                    }
-                }
+            // The other side's best is one more value for this side.
+            (AggregateState::Extreme { .. }, AggregateState::Extreme { best, .. }) => {
+                self.update(best)?
             }
             (
                 AggregateState::Moments { n, sum, sum_sq, .. },
@@ -583,6 +471,8 @@ impl AggregateState {
 mod tests {
     use super::*;
     use hylite_common::ColumnVector as CV;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn run(f: AggregateFunction, vals: &[Value]) -> Value {
         let mut s = f.init();
@@ -689,34 +579,45 @@ mod tests {
         }
     }
 
-    #[test]
-    fn update_column_matches_scalar_loop() {
-        let col = CV::from_f64(vec![1.0, 2.0, 3.5]);
-        for f in [
-            AggregateFunction::Sum,
-            AggregateFunction::Avg,
-            AggregateFunction::Stddev,
-        ] {
-            let mut fast = f.init();
-            fast.update_column(&col).unwrap();
-            let mut slow = f.init();
-            for i in 0..col.len() {
-                slow.update(&col.value(i)).unwrap();
-            }
-            assert_eq!(fast.finalize(), slow.finalize(), "{}", f.name());
+    /// A column of `len` values of type `t` drawn from the edge cases —
+    /// NULL, NaN, ±0.0, ±∞, the i64 extremes — and a few ordinary ones.
+    fn edge_column(rng: &mut StdRng, t: DataType, len: usize) -> CV {
+        let ints = [i64::MIN, i64::MAX, 0, -1, 1, 7, i64::MAX - 3];
+        let floats = [0.0, -0.0, f64::NAN, f64::INFINITY, -1.5, 1e300, 0.25];
+        let strs = ["", "a", "a\0", "b", "ab"];
+        let mut col = CV::empty(t);
+        for _ in 0..len {
+            let v = match rng.gen_range(0..8usize) {
+                0 => Value::Null,
+                i => match t {
+                    DataType::Int64 => Value::Int(ints[i % ints.len()]),
+                    DataType::Float64 => Value::Float(floats[i % floats.len()]),
+                    DataType::Bool => Value::Bool(i % 2 == 0),
+                    _ => Value::Str(strs[i % strs.len()].into()),
+                },
+            };
+            col.push_value(&v).unwrap();
         }
+        col
     }
 
+    /// Finalized values, floats by bits.
+    fn finalized(states: &[AggregateState]) -> Vec<String> {
+        let bits = |v: Value| match v {
+            Value::Float(x) => format!("f{:#x}", x.to_bits()),
+            v => format!("{v:?}"),
+        };
+        states.iter().map(|s| bits(s.finalize())).collect()
+    }
+
+    /// Folding a column — into one state, and into random groups — is
+    /// `update` of each row's value in row order, for every aggregate over
+    /// every argument type (or fails where `update` does).
     #[test]
-    fn update_grouped_is_update_per_row() {
-        let mut ints = CV::from_i64(vec![3, i64::MAX, -4, i64::MAX, 0, i64::MIN]);
-        ints.push_null();
-        let mut floats = CV::from_f64(vec![0.5, f64::NAN, -0.0, 1e300, 1e300, -7.25]);
-        floats.push_null();
-        let mut strs = CV::from_str(vec!["b", "a", "", "c", "a", "b"]);
-        strs.push_null();
-        let groups = [0u32, 1, 0, 2, 1, 0, 2];
-        for f in [
+    fn the_column_fold_is_update_per_row() {
+        let mut rng = StdRng::seed_from_u64(26);
+        let funcs = [
+            AggregateFunction::CountStar,
             AggregateFunction::Count,
             AggregateFunction::Sum,
             AggregateFunction::Avg,
@@ -724,37 +625,35 @@ mod tests {
             AggregateFunction::Max,
             AggregateFunction::Stddev,
             AggregateFunction::VarSamp,
-        ] {
-            for col in [&ints, &floats, &strs] {
-                let mut slow = vec![f.init(); 3];
-                let by_row: Result<()> = groups
-                    .iter()
-                    .enumerate()
-                    .try_for_each(|(i, &g)| slow[g as usize].update(&col.value(i)));
-                let mut fast = vec![f.init(); 3];
-                let grouped = AggregateState::update_grouped(&mut fast, &groups, col);
-                let case = format!("{} over {}", f.name(), col.data_type());
-                assert_eq!(grouped.is_ok(), by_row.is_ok(), "{case}");
-                if by_row.is_ok() {
-                    // Debug text tells -0.0 from 0.0 and keeps NaN comparable.
-                    assert_eq!(format!("{fast:?}"), format!("{slow:?}"), "{case}");
+        ];
+        let types = [
+            DataType::Int64,
+            DataType::Float64,
+            DataType::Bool,
+            DataType::Varchar,
+        ];
+        for case in 0..400 {
+            let (f, t) = (funcs[case % 8], types[case / 8 % 4]);
+            let len = rng.gen_range(0..40usize);
+            let col = edge_column(&mut rng, t, len);
+            let k = rng.gen_range(1..5usize);
+            let groups: Vec<u32> = (0..col.len()).map(|_| rng.gen_range(0..k as u32)).collect();
+            let one = |_: usize| 0;
+            let random = |i: usize| groups[i] as usize;
+            let maps: [(&str, &dyn Fn(usize) -> usize); 2] =
+                [("one state", &one), ("groups", &random)];
+            for (map, group) in maps {
+                let case = format!("case {case} into {map}: {} over {col:?}", f.name());
+                let mut states = vec![f.init(); k];
+                let folded = AggregateState::update_grouped(&mut states, group, &col);
+                let mut by_row = vec![f.init(); k];
+                let want = (0..col.len()).try_for_each(|i| by_row[group(i)].update(&col.value(i)));
+                assert_eq!(folded.is_ok(), want.is_ok(), "{case}");
+                if want.is_ok() {
+                    assert_eq!(finalized(&states), finalized(&by_row), "{case}");
                 }
             }
         }
-    }
-
-    #[test]
-    fn update_column_with_validity() {
-        let mut col = CV::empty(DataType::Int64);
-        col.push_value(&Value::Int(10)).unwrap();
-        col.push_null();
-        col.push_value(&Value::Int(20)).unwrap();
-        let mut s = AggregateFunction::Sum.init();
-        s.update_column(&col).unwrap();
-        assert_eq!(s.finalize(), Value::Int(30));
-        let mut c = AggregateFunction::Count.init();
-        c.update_column(&col).unwrap();
-        assert_eq!(c.finalize(), Value::Int(2));
     }
 
     #[test]

@@ -244,28 +244,12 @@ impl<'a> Binder<'a> {
                 plan_schema.len()
             )));
         }
-        let mut exprs = Vec::with_capacity(table_schema.len());
-        for field in table_schema.fields() {
-            let expr = match provided.iter().position(|c| *c == field.name) {
-                Some(src_idx) => {
-                    let src = ScalarExpr::column(src_idx, plan_schema.field(src_idx).data_type);
-                    cast_if_needed(src, field.data_type)?
-                }
-                None => ScalarExpr::Cast {
-                    input: Box::new(ScalarExpr::Literal(Value::Null)),
-                    target: field.data_type,
-                },
-            };
-            exprs.push(expr);
-        }
+        let fields = table_schema.fields().iter();
+        let sources = fields.map(|f| provided.iter().position(|c| *c == f.name));
         let schema = Arc::new(table_schema.without_qualifiers());
         Ok(BoundStatement::Insert {
             table: table.to_owned(),
-            source: LogicalPlan::Project {
-                input: Box::new(plan),
-                exprs,
-                schema,
-            },
+            source: cast_projection(plan, &plan_schema, sources, &schema),
         })
     }
 
@@ -287,7 +271,7 @@ impl<'a> Binder<'a> {
         for (col, e) in assignments {
             let idx = schema.index_of(col)?;
             let bound = binder.bind(e)?;
-            exprs[idx] = cast_if_needed(bound, schema.field(idx).data_type)?;
+            exprs[idx] = cast_if_needed(bound, schema.field(idx).data_type);
         }
         let filter = match filter {
             Some(f) => Some(bind_predicate(&schema, f)?),
@@ -327,18 +311,10 @@ impl<'a> Binder<'a> {
             }
         };
         if q.limit.is_some() || q.offset.is_some() {
-            let limit = match &q.limit {
-                Some(e) => Some(const_usize(e, "LIMIT")?),
-                None => None,
-            };
-            let offset = match &q.offset {
-                Some(e) => const_usize(e, "OFFSET")?,
-                None => 0,
-            };
             plan = LogicalPlan::Limit {
                 input: Box::new(plan),
-                limit,
-                offset,
+                limit: const_usize(&q.limit, "LIMIT")?,
+                offset: const_usize(&q.offset, "OFFSET")?.unwrap_or(0),
             };
         }
         Ok((plan, schema))
@@ -718,15 +694,12 @@ impl<'a> Binder<'a> {
                 let (stop_plan, _) = stop_result?;
                 let step_plan = coerce_plan_to(step_plan, &step_schema, &working_schema)?;
                 let init_plan = coerce_plan_to(init_plan, &init_schema, &working_schema)?;
-                let max_iterations = match max_iterations {
-                    Some(e) => const_usize(e, "ITERATE max iterations")?,
-                    None => DEFAULT_MAX_ITERATIONS,
-                };
                 let plan = LogicalPlan::Iterate {
                     init: Box::new(init_plan),
                     step: Box::new(step_plan),
                     stop: Box::new(stop_plan),
-                    max_iterations,
+                    max_iterations: const_usize(max_iterations, "ITERATE max iterations")?
+                        .unwrap_or(DEFAULT_MAX_ITERATIONS),
                     schema: Arc::clone(&working_schema),
                 };
                 Ok((plan, working_schema))
@@ -737,21 +710,10 @@ impl<'a> Binder<'a> {
                 distance,
                 max_iterations,
             } => {
-                let (data_plan, data_schema) = self.bind_numeric_input(data, "KMEANS data")?;
-                let (centers_plan, centers_schema) =
-                    self.bind_numeric_input(centers, "KMEANS centers")?;
-                if data_schema.len() != centers_schema.len() {
-                    return Err(HyError::Bind(format!(
-                        "KMEANS: data has {} dimensions but centers have {}",
-                        data_schema.len(),
-                        centers_schema.len()
-                    )));
-                }
-                let lambda = self.bind_distance_lambda(distance, &data_schema, &centers_schema)?;
-                let max_iterations = match max_iterations {
-                    Some(e) => const_usize(e, "KMEANS max iterations")?,
-                    None => DEFAULT_KMEANS_ITERATIONS,
-                };
+                let (inputs, data_schema, lambda) =
+                    self.bind_kmeans_inputs(func, data, centers, distance)?;
+                let max_iterations = const_usize(max_iterations, "KMEANS max iterations")?
+                    .unwrap_or(DEFAULT_KMEANS_ITERATIONS);
                 let mut fields = vec![Field::new("cluster_id", DataType::Int64)];
                 fields.extend(
                     data_schema
@@ -766,7 +728,7 @@ impl<'a> Binder<'a> {
                         lambda,
                         max_iterations,
                     },
-                    inputs: vec![data_plan, centers_plan],
+                    inputs,
                     schema: Arc::clone(&schema),
                 };
                 Ok((plan, schema))
@@ -776,18 +738,8 @@ impl<'a> Binder<'a> {
                 centers,
                 distance,
             } => {
-                let (data_plan, data_schema) =
-                    self.bind_numeric_input(data, "KMEANS_ASSIGN data")?;
-                let (centers_plan, centers_schema) =
-                    self.bind_numeric_input(centers, "KMEANS_ASSIGN centers")?;
-                if data_schema.len() != centers_schema.len() {
-                    return Err(HyError::Bind(format!(
-                        "KMEANS_ASSIGN: data has {} dimensions but centers have {}",
-                        data_schema.len(),
-                        centers_schema.len()
-                    )));
-                }
-                let lambda = self.bind_distance_lambda(distance, &data_schema, &centers_schema)?;
+                let (inputs, data_schema, lambda) =
+                    self.bind_kmeans_inputs(func, data, centers, distance)?;
                 let mut fields: Vec<Field> = data_schema
                     .fields()
                     .iter()
@@ -797,7 +749,7 @@ impl<'a> Binder<'a> {
                 let schema = Arc::new(Schema::new(fields));
                 let plan = LogicalPlan::Operator {
                     op: AnalyticsOp::KMeansAssign { lambda },
-                    inputs: vec![data_plan, centers_plan],
+                    inputs,
                     schema: Arc::clone(&schema),
                 };
                 Ok((plan, schema))
@@ -817,16 +769,6 @@ impl<'a> Binder<'a> {
                 // (src, dest) cast to BIGINT; an optional third column
                 // supplies per-edge weights (§4.3's weighted PageRank).
                 let weighted = edges_schema.len() >= 3;
-                let mut exprs = vec![
-                    cast_if_needed(
-                        ScalarExpr::column(0, edges_schema.field(0).data_type),
-                        DataType::Int64,
-                    )?,
-                    cast_if_needed(
-                        ScalarExpr::column(1, edges_schema.field(1).data_type),
-                        DataType::Int64,
-                    )?,
-                ];
                 let mut edge_fields = vec![
                     Field::new("src", DataType::Int64),
                     Field::new("dest", DataType::Int64),
@@ -839,18 +781,11 @@ impl<'a> Binder<'a> {
                             wf.name, wf.data_type
                         )));
                     }
-                    exprs.push(cast_if_needed(
-                        ScalarExpr::column(2, wf.data_type),
-                        DataType::Float64,
-                    )?);
                     edge_fields.push(Field::new("weight", DataType::Float64));
                 }
                 let edge_schema = Arc::new(Schema::new(edge_fields));
-                let edges_plan = LogicalPlan::Project {
-                    input: Box::new(edges_plan),
-                    exprs,
-                    schema: Arc::clone(&edge_schema),
-                };
+                let sources = (0..edge_schema.len()).map(Some);
+                let edges_plan = cast_projection(edges_plan, &edges_schema, sources, &edge_schema);
                 let damping = const_f64(damping, "PAGERANK damping")?;
                 if !(0.0..=1.0).contains(&damping) {
                     return Err(HyError::Bind(format!(
@@ -863,10 +798,8 @@ impl<'a> Binder<'a> {
                         "PAGERANK epsilon must be non-negative, got {epsilon}"
                     )));
                 }
-                let max_iterations = match max_iterations {
-                    Some(e) => const_usize(e, "PAGERANK max iterations")?,
-                    None => DEFAULT_PAGERANK_ITERATIONS,
-                };
+                let max_iterations = const_usize(max_iterations, "PAGERANK max iterations")?
+                    .unwrap_or(DEFAULT_PAGERANK_ITERATIONS);
                 let schema = Arc::new(Schema::new(vec![
                     Field::new("vertex", DataType::Int64),
                     Field::new("rank", DataType::Float64),
@@ -965,26 +898,17 @@ impl<'a> Binder<'a> {
                 "{what} must have at least one column"
             )));
         }
-        let mut exprs = Vec::with_capacity(schema.len());
-        for (i, f) in schema.fields().iter().enumerate() {
+        let mut fields = Vec::with_capacity(schema.len());
+        for f in schema.fields() {
             if !f.data_type.is_numeric() && f.data_type != DataType::Null {
                 return Err(HyError::Type(format!(
                     "{what}: column '{}' must be numeric, got {}",
                     f.name, f.data_type
                 )));
             }
-            exprs.push(cast_if_needed(
-                ScalarExpr::column(i, f.data_type),
-                DataType::Float64,
-            )?);
+            fields.push(Field::new(f.name.clone(), DataType::Float64));
         }
-        let out = Arc::new(Schema::new(
-            schema
-                .fields()
-                .iter()
-                .map(|f| Field::new(f.name.clone(), DataType::Float64))
-                .collect(),
-        ));
+        let out = Arc::new(Schema::new(fields));
         let all_double = schema
             .fields()
             .iter()
@@ -992,11 +916,7 @@ impl<'a> Binder<'a> {
         let plan = if all_double {
             plan
         } else {
-            LogicalPlan::Project {
-                input: Box::new(plan),
-                exprs,
-                schema: Arc::clone(&out),
-            }
+            cast_projection(plan, &schema, (0..schema.len()).map(Some), &out)
         };
         Ok((plan, out))
     }
@@ -1029,9 +949,8 @@ impl<'a> Binder<'a> {
                 )))
             }
         }
-        let mut exprs = Vec::new();
+        let mut sources = Vec::new();
         let mut fields = Vec::new();
-        let mut feature_names = Vec::new();
         for (i, f) in schema.fields().iter().enumerate() {
             if i == label_idx {
                 continue;
@@ -1042,22 +961,40 @@ impl<'a> Binder<'a> {
                     f.name, f.data_type
                 )));
             }
-            exprs.push(cast_if_needed(
-                ScalarExpr::column(i, f.data_type),
-                DataType::Float64,
-            )?);
+            sources.push(Some(i));
             fields.push(Field::new(f.name.clone(), DataType::Float64));
-            feature_names.push(f.name.clone());
         }
-        exprs.push(ScalarExpr::column(label_idx, label_field.data_type));
+        let feature_names = fields.iter().map(|f| f.name.clone()).collect();
+        sources.push(Some(label_idx));
         fields.push(Field::new(label_field.name.clone(), label_field.data_type));
         let out = Arc::new(Schema::new(fields));
-        let plan = LogicalPlan::Project {
-            input: Box::new(plan),
-            exprs,
-            schema: out,
-        };
+        let plan = cast_projection(plan, &schema, sources, &out);
         Ok((plan, feature_names, label_field))
+    }
+
+    /// The inputs of KMEANS and KMEANS_ASSIGN — data and centers, each a
+    /// numeric input of the same width — and the distance lambda bound
+    /// over them; errors name the function `func`.
+    fn bind_kmeans_inputs(
+        &mut self,
+        func: &TableFunc,
+        data: &Query,
+        centers: &Query,
+        distance: &Option<Lambda>,
+    ) -> Result<(Vec<LogicalPlan>, SchemaRef, Option<BoundLambda>)> {
+        let name = func.name();
+        let (data_plan, data_schema) = self.bind_numeric_input(data, &format!("{name} data"))?;
+        let (centers_plan, centers_schema) =
+            self.bind_numeric_input(centers, &format!("{name} centers"))?;
+        if data_schema.len() != centers_schema.len() {
+            return Err(HyError::Bind(format!(
+                "{name}: data has {} dimensions but centers have {}",
+                data_schema.len(),
+                centers_schema.len()
+            )));
+        }
+        let lambda = self.bind_distance_lambda(distance, &data_schema, &centers_schema)?;
+        Ok((vec![data_plan, centers_plan], data_schema, lambda))
     }
 
     /// Bind the optional distance lambda against (data, centers) schemas.
@@ -1213,14 +1150,36 @@ fn bind_predicate(schema: &Schema, e: &Expr) -> Result<ScalarExpr> {
 }
 
 /// Wrap in a cast when types differ.
-fn cast_if_needed(expr: ScalarExpr, target: DataType) -> Result<ScalarExpr> {
+fn cast_if_needed(expr: ScalarExpr, target: DataType) -> ScalarExpr {
     if expr.data_type() == target {
-        Ok(expr)
-    } else {
-        Ok(ScalarExpr::Cast {
-            input: Box::new(expr),
-            target,
-        })
+        return expr;
+    }
+    ScalarExpr::Cast {
+        input: Box::new(expr),
+        target,
+    }
+}
+
+/// The one cast projection: `input`, whose columns `from` describes,
+/// projected to `to` — output column `k` is input column `sources[k]`
+/// (a NULL where that is `None`) cast to `to`'s type `k`, under its name.
+fn cast_projection(
+    input: LogicalPlan,
+    from: &Schema,
+    sources: impl IntoIterator<Item = Option<usize>>,
+    to: &SchemaRef,
+) -> LogicalPlan {
+    let exprs = sources.into_iter().zip(to.fields()).map(|(source, f)| {
+        let value = match source {
+            Some(i) => ScalarExpr::column(i, from.field(i).data_type),
+            None => ScalarExpr::Literal(Value::Null),
+        };
+        cast_if_needed(value, f.data_type)
+    });
+    LogicalPlan::Project {
+        input: Box::new(input),
+        exprs: exprs.collect(),
+        schema: Arc::clone(to),
     }
 }
 
@@ -1234,34 +1193,18 @@ fn coerce_plan_to(plan: LogicalPlan, from: &Schema, target: &SchemaRef) -> Resul
             target.len()
         )));
     }
-    let aligned = from
-        .fields()
-        .iter()
-        .zip(target.fields())
-        .all(|(a, b)| a.data_type == b.data_type);
-    if aligned {
+    let pairs = || from.fields().iter().zip(target.fields());
+    if pairs().all(|(f, t)| f.data_type == t.data_type) {
         return Ok(plan);
     }
-    let exprs: Vec<ScalarExpr> = from
-        .fields()
-        .iter()
-        .zip(target.fields())
-        .enumerate()
-        .map(|(i, (f, t))| {
-            if !f.data_type.coercible_to(t.data_type) {
-                return Err(HyError::Type(format!(
-                    "cannot coerce column '{}' from {} to {}",
-                    f.name, f.data_type, t.data_type
-                )));
-            }
-            cast_if_needed(ScalarExpr::column(i, f.data_type), t.data_type)
-        })
-        .collect::<Result<_>>()?;
-    Ok(LogicalPlan::Project {
-        input: Box::new(plan),
-        exprs,
-        schema: Arc::clone(target),
-    })
+    if let Some((f, t)) = pairs().find(|(f, t)| !f.data_type.coercible_to(t.data_type)) {
+        return Err(HyError::Type(format!(
+            "cannot coerce column '{}' from {} to {}",
+            f.name, f.data_type, t.data_type
+        )));
+    }
+    let sources = (0..from.len()).map(Some);
+    Ok(cast_projection(plan, from, sources, target))
 }
 
 /// Apply CTE column aliases to a schema (stripping qualifiers).
@@ -1289,11 +1232,12 @@ fn apply_cte_aliases(schema: &Schema, cte: &Cte) -> Result<Schema> {
     }
 }
 
-/// Fold a constant AST expression to `usize`.
-fn const_usize(e: &Expr, what: &str) -> Result<usize> {
-    let v = const_value(e, what)?;
-    match v {
-        Value::Int(k) if k >= 0 => Ok(k as usize),
+/// Fold an optional constant AST expression to `usize`; `None` when the
+/// statement gives none, for the caller's default.
+fn const_usize(e: &Option<Expr>, what: &str) -> Result<Option<usize>> {
+    let Some(e) = e else { return Ok(None) };
+    match const_value(e, what)? {
+        Value::Int(k) if k >= 0 => Ok(Some(k as usize)),
         other => Err(HyError::Bind(format!(
             "{what} must be a non-negative integer, got {other}"
         ))),

@@ -91,6 +91,26 @@ pub enum Statement {
     },
 }
 
+impl Statement {
+    /// Whether the statement would mutate data or schema. `EXPLAIN
+    /// ANALYZE` executes its inner statement, so it writes when the inner
+    /// statement does; plain `EXPLAIN` never executes anything.
+    pub fn writes(&self) -> bool {
+        match self {
+            Statement::CreateTable { .. }
+            | Statement::DropTable { .. }
+            | Statement::Insert { .. }
+            | Statement::Update { .. }
+            | Statement::Delete { .. } => true,
+            Statement::Explain {
+                statement,
+                analyze: true,
+            } => statement.writes(),
+            _ => false,
+        }
+    }
+}
+
 /// A query: optional CTEs around a set expression, plus ordering/limits.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Query {

@@ -16,8 +16,9 @@ use std::time::{Duration, Instant};
 
 use hylite_client::{HyliteClient, RetryPolicy};
 use hylite_common::faultfs::{CrashSpec, FaultVfs, KeepUnsynced, Vfs};
+use hylite_common::faultnet::{FaultNet, NP_CLIENT_CONNECT};
 use hylite_common::wire::{self, ErrorCode, Frame, PROTOCOL_VERSION};
-use hylite_common::{crc32, HyError, Value};
+use hylite_common::{crc32, HyError, NetHandle, Value};
 use hylite_core::{Database, DurabilityOptions, ReplRole, CRASH_POINTS};
 use hylite_server::{Replica, ReplicaConfig, ReplicaHandle, Server, ServerConfig, ServerHandle};
 use hylite_storage::archive::CP_ARCHIVE_ROTATE;
@@ -841,6 +842,104 @@ fn query_streamed_with_retry_retries_until_a_slot_frees() {
 
     canceller.join().unwrap();
     occupant_thread.join().unwrap();
+    client.close().unwrap();
+    handle.shutdown();
+}
+
+#[test]
+fn connect_with_retry_counts_its_failed_attempts_once_connected() {
+    let handle = Server::start(ServerConfig::ephemeral(), Arc::new(Database::new())).unwrap();
+    let addr = handle.local_addr();
+    let fault = FaultNet::new(7);
+    let net = NetHandle::new(fault.clone());
+    let policy = RetryPolicy {
+        max_attempts: 4,
+        initial_backoff: Duration::from_millis(1),
+        max_backoff: Duration::from_millis(2),
+        deadline: Duration::from_secs(20),
+    };
+
+    fault.refuse_connects(NP_CLIENT_CONNECT, 2);
+    let mut client = HyliteClient::connect_with_retry_via(&net, addr, &policy).unwrap();
+    assert_eq!(client.retries(), 2, "two refused attempts, then connected");
+    assert_eq!(
+        client.query("SELECT 1").unwrap().scalar().unwrap(),
+        Value::Int(1)
+    );
+
+    fault.refuse_connects(NP_CLIENT_CONNECT, 9);
+    let err = HyliteClient::connect_with_retry_via(&net, addr, &policy).unwrap_err();
+    assert!(matches!(err, HyError::Unavailable(_)), "{err}");
+    assert!(err.to_string().ends_with("(after 4 attempts)"), "{err}");
+
+    client.close().unwrap();
+    handle.shutdown();
+}
+
+#[test]
+fn query_with_retry_counts_each_retry() {
+    let db = Database::new();
+    db.execute("CREATE TABLE t (x BIGINT)").unwrap();
+    db.execute("INSERT INTO t VALUES (1), (2)").unwrap();
+    let config = ServerConfig {
+        max_active_statements: 1,
+        statement_queue_depth: 0,
+        ..ServerConfig::ephemeral()
+    };
+    let handle = Server::start(config, Arc::new(db)).unwrap();
+    let addr = handle.local_addr();
+    let fault = FaultNet::new(7);
+    let mut client = HyliteClient::connect_via(&NetHandle::new(fault.clone()), addr).unwrap();
+    let policy = RetryPolicy {
+        max_attempts: 3,
+        initial_backoff: Duration::from_millis(1),
+        max_backoff: Duration::from_millis(2),
+        deadline: Duration::from_secs(20),
+    };
+    let sum = "SELECT sum(x) FROM t";
+
+    // A broken connection is re-opened, and the statement re-sent once.
+    fault.reset_after(NP_CLIENT_CONNECT, 0);
+    let r = client.query_with_retry(sum, &policy).unwrap();
+    assert_eq!(r.scalar().unwrap(), Value::Int(3));
+    assert_eq!(client.retries(), 1);
+
+    // An error that is not retryable comes back at once, as it is.
+    let err = client
+        .query_with_retry("SELECT nope FROM t", &policy)
+        .unwrap_err();
+    assert_eq!(err.to_string(), "bind error: unknown column 'nope'");
+    assert_eq!(client.retries(), 1);
+
+    // A shed statement is retried until the policy runs out.
+    let mut occupant = HyliteClient::connect(addr).unwrap();
+    let cancel = occupant.cancel_handle();
+    let occupant_thread = std::thread::spawn(move || {
+        let _ = occupant.query(
+            "SELECT * FROM ITERATE((SELECT 0 \"x\"), (SELECT x + 1 FROM iterate), \
+             (SELECT x FROM iterate WHERE x >= 50000000))",
+        );
+    });
+    wait_until("slot to be occupied", Duration::from_secs(10), || {
+        matches!(client.query("SELECT 1"), Err(HyError::Unavailable(_)))
+    });
+    let err = client.query_with_retry(sum, &policy).unwrap_err();
+    assert!(matches!(err, HyError::Unavailable(_)), "{err}");
+    assert!(err.to_string().ends_with("(after 3 attempts)"), "{err}");
+    assert_eq!(client.retries(), 3, "two more retries");
+
+    cancel.cancel().expect("cancel the occupant");
+    occupant_thread.join().unwrap();
+    wait_until("slot to be free", Duration::from_secs(10), || {
+        client.query("SELECT 1").is_ok()
+    });
+    let r = client.query_with_retry(sum, &policy).unwrap();
+    assert_eq!(r.scalar().unwrap(), Value::Int(3));
+    assert_eq!(
+        client.retries(),
+        3,
+        "a first attempt that succeeds is no retry"
+    );
     client.close().unwrap();
     handle.shutdown();
 }
