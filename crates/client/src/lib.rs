@@ -90,17 +90,13 @@ impl HyliteClient {
                 version: PROTOCOL_VERSION,
             },
         )?;
-        match wire::read_frame(&mut client.stream)? {
+        match client.read()? {
             Frame::StartupOk {
                 session_id, secret, ..
             } => {
                 client.session_id = session_id;
                 client.secret = secret;
                 Ok(client)
-            }
-            Frame::Error { code, message } => {
-                let code = ErrorCode::from_u16(code);
-                Err(code.to_error(message))
             }
             other => Err(HyError::Protocol(format!(
                 "expected StartupOk, got {other:?}"
@@ -267,20 +263,14 @@ impl HyliteClient {
             self.broken = true;
             return Err(e);
         }
-        match self.read() {
-            Ok(Frame::ResultSchema { schema }) => Ok(schema),
-            Ok(Frame::Error { code, message }) => {
-                let code = ErrorCode::from_u16(code);
-                self.last_error_code = Some(code);
-                Err(code.to_error(message))
-            }
-            Ok(other) => {
+        match self.read()? {
+            Frame::ResultSchema { schema } => Ok(schema),
+            other => {
                 self.broken = true;
                 Err(HyError::Protocol(format!(
                     "expected ResultSchema, got {other:?}"
                 )))
             }
-            Err(e) => Err(e),
         }
     }
 
@@ -297,14 +287,15 @@ impl HyliteClient {
         Ok(())
     }
 
+    /// The next reply: a transport failure breaks the connection, a
+    /// server `Error` frame is recorded as [`HyliteClient::last_error_code`]
+    /// and returned as its [`HyError`].
     fn read(&mut self) -> Result<Frame> {
-        match wire::read_frame(&mut self.stream) {
-            Ok(f) => Ok(f),
-            Err(e) => {
-                self.broken = true;
-                Err(e)
-            }
-        }
+        let frame = wire::read_frame(&mut self.stream).inspect_err(|_| self.broken = true)?;
+        wire::reply_or_error(frame).map_err(|(code, e)| {
+            self.last_error_code = Some(code);
+            e
+        })
     }
 }
 
@@ -401,13 +392,16 @@ impl QueryStream<'_> {
         if self.summary.is_some() || self.failed {
             return Ok(None);
         }
-        match self.client.read() {
-            Ok(Frame::DataChunk { chunk }) => Ok(Some(chunk)),
-            Ok(Frame::CommandComplete {
+        // A server error mid-statement leaves the framing intact: the
+        // statement has failed, the connection remains usable.
+        let frame = self.client.read().inspect_err(|_| self.failed = true)?;
+        match frame {
+            Frame::DataChunk { chunk } => Ok(Some(chunk)),
+            Frame::CommandComplete {
                 rows_affected,
                 total_rows,
                 lsn,
-            }) => {
+            } => {
                 self.summary = Some(Summary {
                     rows_affected,
                     total_rows,
@@ -415,24 +409,12 @@ impl QueryStream<'_> {
                 });
                 Ok(None)
             }
-            Ok(Frame::Error { code, message }) => {
-                // The server failed mid-statement but the framing is
-                // intact; the connection remains usable.
-                self.failed = true;
-                let code = ErrorCode::from_u16(code);
-                self.client.last_error_code = Some(code);
-                Err(code.to_error(message))
-            }
-            Ok(other) => {
+            other => {
                 self.failed = true;
                 self.client.broken = true;
                 Err(HyError::Protocol(format!(
                     "expected DataChunk or CommandComplete, got {other:?}"
                 )))
-            }
-            Err(e) => {
-                self.failed = true;
-                Err(e)
             }
         }
     }
@@ -447,33 +429,7 @@ impl Drop for QueryStream<'_> {
     fn drop(&mut self) {
         // Drain an abandoned result so the next query on this connection
         // doesn't read stale frames.
-        while self.summary.is_none() && !self.failed {
-            match self.client.read() {
-                Ok(Frame::DataChunk { .. }) => {}
-                Ok(Frame::CommandComplete {
-                    rows_affected,
-                    total_rows,
-                    lsn,
-                }) => {
-                    self.summary = Some(Summary {
-                        rows_affected,
-                        total_rows,
-                        lsn,
-                    });
-                }
-                Ok(Frame::Error { code, .. }) => {
-                    self.client.last_error_code = Some(ErrorCode::from_u16(code));
-                    self.failed = true;
-                }
-                Ok(_) => {
-                    self.client.broken = true;
-                    self.failed = true;
-                }
-                Err(_) => {
-                    self.failed = true;
-                }
-            }
-        }
+        while let Ok(Some(_)) = self.next_chunk() {}
     }
 }
 
@@ -563,40 +519,54 @@ impl CancelHandle {
     /// and fired its cancel token (the statement aborts at its next
     /// governor check point — within one morsel or algorithm iteration).
     pub fn cancel(&self) -> Result<bool> {
-        let mut stream = self
+        let stream = self
             .net
             .connect_timeout(NP_CLIENT_CONNECT, &self.addr, Duration::from_secs(10))
             .map_err(|e| HyError::Unavailable(format!("cancel connect failed: {e}")))?;
-        wire::write_frame(
-            &mut stream,
-            &Frame::Cancel {
-                session_id: self.session_id,
-                secret: self.secret,
-            },
-        )?;
-        match wire::read_frame(&mut stream)? {
-            Frame::CancelAck { delivered } => Ok(delivered),
-            Frame::Error { code, message } => Err(ErrorCode::from_u16(code).to_error(message)),
-            other => Err(HyError::Protocol(format!(
-                "expected CancelAck, got {other:?}"
-            ))),
-        }
+        let cancel = Frame::Cancel {
+            session_id: self.session_id,
+            secret: self.secret,
+        };
+        exchange(stream, &cancel, "CancelAck", None, |reply| match reply {
+            Frame::CancelAck { delivered } => Some(*delivered),
+            _ => None,
+        })
     }
+}
+
+/// The one-shot exchange under cancel, shutdown, promote, repoint and
+/// backup: send `request` on its own connection and read the one reply.
+/// A server `Error` frame comes back as its [`HyError`], a frame `accept`
+/// does not take as `expected {expected}, got …`. `lost` answers a
+/// connection that closes before the reply.
+fn exchange<T>(
+    mut stream: NetStream,
+    request: &Frame,
+    expected: &str,
+    lost: Option<T>,
+    accept: impl FnOnce(&Frame) -> Option<T>,
+) -> Result<T> {
+    wire::write_frame(&mut stream, request)?;
+    let reply = match wire::read_frame(&mut stream) {
+        Ok(frame) => wire::reply_or_error(frame).map_err(|(_, e)| e)?,
+        Err(e) => return lost.ok_or(e),
+    };
+    accept(&reply).ok_or_else(|| HyError::Protocol(format!("expected {expected}, got {reply:?}")))
 }
 
 /// Connect to `addr` and request a graceful server shutdown without
 /// establishing a query session (used by `hylite-cli --shutdown`).
 pub fn request_shutdown(addr: impl ToSocketAddrs) -> Result<()> {
-    let mut stream = connect_any(&NetHandle::default(), addr)?;
-    wire::write_frame(&mut stream, &Frame::Shutdown)?;
-    // The server acknowledges with CommandComplete before draining.
-    match wire::read_frame(&mut stream) {
-        Ok(Frame::CommandComplete { .. }) | Err(_) => Ok(()),
-        Ok(Frame::Error { code, message }) => Err(ErrorCode::from_u16(code).to_error(message)),
-        Ok(other) => Err(HyError::Protocol(format!(
-            "expected CommandComplete, got {other:?}"
-        ))),
-    }
+    let stream = connect_any(&NetHandle::default(), addr)?;
+    // The server acknowledges with CommandComplete before draining; a
+    // connection that closes first has still delivered the request.
+    exchange(
+        stream,
+        &Frame::Shutdown,
+        "CommandComplete",
+        Some(()),
+        |reply| matches!(reply, Frame::CommandComplete { .. }).then_some(()),
+    )
 }
 
 /// Connect to a replica at `addr` and promote it to primary in place.
@@ -608,15 +578,16 @@ pub fn request_promote(addr: impl ToSocketAddrs) -> Result<(u64, u64)> {
 
 /// [`request_promote`] through a caller-supplied [`NetHandle`].
 pub fn request_promote_via(net: &NetHandle, addr: impl ToSocketAddrs) -> Result<(u64, u64)> {
-    let mut stream = connect_any(net, addr)?;
-    wire::write_frame(&mut stream, &Frame::Promote)?;
-    match wire::read_frame(&mut stream)? {
-        Frame::PromoteOk { epoch, lsn } => Ok((epoch, lsn)),
-        Frame::Error { code, message } => Err(ErrorCode::from_u16(code).to_error(message)),
-        other => Err(HyError::Protocol(format!(
-            "expected PromoteOk, got {other:?}"
-        ))),
-    }
+    exchange(
+        connect_any(net, addr)?,
+        &Frame::Promote,
+        "PromoteOk",
+        None,
+        |reply| match reply {
+            Frame::PromoteOk { epoch, lsn } => Some((*epoch, *lsn)),
+            _ => None,
+        },
+    )
 }
 
 /// Connect to a replica at `addr` and re-point it at a new primary
@@ -633,20 +604,16 @@ pub fn request_repoint_via(
     addr: impl ToSocketAddrs,
     primary_addr: &str,
 ) -> Result<()> {
-    let mut stream = connect_any(net, addr)?;
-    wire::write_frame(
-        &mut stream,
-        &Frame::Repoint {
-            primary_addr: primary_addr.to_string(),
-        },
-    )?;
-    match wire::read_frame(&mut stream)? {
-        Frame::CommandComplete { .. } => Ok(()),
-        Frame::Error { code, message } => Err(ErrorCode::from_u16(code).to_error(message)),
-        other => Err(HyError::Protocol(format!(
-            "expected CommandComplete, got {other:?}"
-        ))),
-    }
+    let repoint = Frame::Repoint {
+        primary_addr: primary_addr.to_string(),
+    };
+    exchange(
+        connect_any(net, addr)?,
+        &repoint,
+        "CommandComplete",
+        None,
+        |reply| matches!(reply, Frame::CommandComplete { .. }).then_some(()),
+    )
 }
 
 /// What a server-side backup reported back over the wire.
@@ -680,30 +647,29 @@ pub fn request_backup_via(
     base: Option<&str>,
     verify: bool,
 ) -> Result<BackupReport> {
-    let mut stream = connect_any(net, addr)?;
-    wire::write_frame(
-        &mut stream,
-        &Frame::Backup {
-            dir: dir.to_string(),
-            base: base.map(str::to_string),
-            verify,
+    let backup = Frame::Backup {
+        dir: dir.to_string(),
+        base: base.map(str::to_string),
+        verify,
+    };
+    exchange(
+        connect_any(net, addr)?,
+        &backup,
+        "BackupOk",
+        None,
+        |reply| match reply {
+            Frame::BackupOk {
+                lsn,
+                segments,
+                bytes,
+            } => Some(BackupReport {
+                lsn: *lsn,
+                segments: *segments,
+                bytes: *bytes,
+            }),
+            _ => None,
         },
-    )?;
-    match wire::read_frame(&mut stream)? {
-        Frame::BackupOk {
-            lsn,
-            segments,
-            bytes,
-        } => Ok(BackupReport {
-            lsn,
-            segments,
-            bytes,
-        }),
-        Frame::Error { code, message } => Err(ErrorCode::from_u16(code).to_error(message)),
-        other => Err(HyError::Protocol(format!(
-            "expected BackupOk, got {other:?}"
-        ))),
-    }
+    )
 }
 
 #[cfg(test)]

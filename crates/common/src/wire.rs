@@ -1058,6 +1058,20 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame> {
     decode_frame(tag, &body[1..])
 }
 
+/// Split a received frame into a reply or a server error: an
+/// [`Frame::Error`] becomes its [`ErrorCode`] and the [`HyError`] it
+/// stands for, any other frame passes through. The one decoder of an
+/// `Error` frame, for the client and the replica's apply loop alike.
+pub fn reply_or_error(frame: Frame) -> std::result::Result<Frame, (ErrorCode, HyError)> {
+    match frame {
+        Frame::Error { code, message } => {
+            let code = ErrorCode::from_u16(code);
+            Err((code, code.to_error(message)))
+        }
+        other => Ok(other),
+    }
+}
+
 /// True when a [`read_frame`] error is the normal "peer went away" case
 /// rather than a malformed frame.
 pub fn is_disconnect(e: &HyError) -> bool {

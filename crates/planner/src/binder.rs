@@ -228,9 +228,20 @@ impl<'a> Binder<'a> {
         let table_schema = Arc::clone(t.read().schema());
         let (plan, plan_schema) = self.bind_query(source)?;
         // Map each table column to a source column (by position within the
-        // explicit column list) or a NULL default.
+        // explicit column list) or a NULL default. A listed column must
+        // exist and be listed once.
         let provided: Vec<String> = match columns {
-            Some(cols) => cols.iter().map(|c| c.to_ascii_lowercase()).collect(),
+            Some(cols) => {
+                let mut provided = Vec::with_capacity(cols.len());
+                for c in cols.iter().map(|c| c.to_ascii_lowercase()) {
+                    table_schema.index_of(&c)?;
+                    if provided.contains(&c) {
+                        return Err(HyError::Bind(format!("duplicate column '{c}' in INSERT")));
+                    }
+                    provided.push(c);
+                }
+                provided
+            }
             None => table_schema
                 .fields()
                 .iter()

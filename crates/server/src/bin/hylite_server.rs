@@ -50,7 +50,9 @@
 //! process runs until a client sends a Shutdown frame (`hylite-cli
 //! --shutdown`), then drains gracefully.
 
+use std::fmt::Display;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -70,6 +72,24 @@ struct Cli {
     promote: bool,
 }
 
+/// The value after the flag at `args[*i]`, moving `i` onto it.
+fn value(args: &[String], i: &mut usize) -> Result<String, String> {
+    let flag = &args[*i];
+    *i += 1;
+    args.get(*i)
+        .cloned()
+        .ok_or_else(|| format!("{flag} requires a value"))
+}
+
+/// [`value`] parsed as a number; a parse error names the flag.
+fn number<T: FromStr>(args: &[String], i: &mut usize) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    let flag = &args[*i];
+    value(args, i)?.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
 fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut config = ServerConfig {
         addr: "127.0.0.1:5433".into(),
@@ -85,87 +105,39 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut replica_of = None;
     let mut promote = false;
     let mut i = 0;
-    let value = |i: &mut usize, flag: &str| -> Result<String, String> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("{flag} requires a value"))
-    };
     while i < args.len() {
         let arg = args[i].as_str();
         match arg {
-            "--addr" => config.addr = value(&mut i, arg)?,
-            "--max-connections" => {
-                config.max_connections = value(&mut i, arg)?
-                    .parse()
-                    .map_err(|e| format!("{arg}: {e}"))?
-            }
-            "--max-active-statements" => {
-                config.max_active_statements = value(&mut i, arg)?
-                    .parse()
-                    .map_err(|e| format!("{arg}: {e}"))?
-            }
-            "--queue-depth" => {
-                config.statement_queue_depth = value(&mut i, arg)?
-                    .parse()
-                    .map_err(|e| format!("{arg}: {e}"))?
-            }
-            "--queue-wait-ms" => {
-                config.queue_wait = Duration::from_millis(
-                    value(&mut i, arg)?
-                        .parse()
-                        .map_err(|e| format!("{arg}: {e}"))?,
-                )
-            }
-            "--statement-timeout-ms" => {
-                config.statement_timeout_ms = value(&mut i, arg)?
-                    .parse()
-                    .map_err(|e| format!("{arg}: {e}"))?
-            }
-            "--memory-budget-mb" => {
-                config.memory_budget_mb = value(&mut i, arg)?
-                    .parse()
-                    .map_err(|e| format!("{arg}: {e}"))?
-            }
-            "--slow-query-ms" => {
-                config.slow_query_ms = value(&mut i, arg)?
-                    .parse()
-                    .map_err(|e| format!("{arg}: {e}"))?
-            }
-            "--metrics-addr" => config.metrics_addr = Some(value(&mut i, arg)?),
+            "--addr" => config.addr = value(args, &mut i)?,
+            "--max-connections" => config.max_connections = number(args, &mut i)?,
+            "--max-active-statements" => config.max_active_statements = number(args, &mut i)?,
+            "--queue-depth" => config.statement_queue_depth = number(args, &mut i)?,
+            "--queue-wait-ms" => config.queue_wait = Duration::from_millis(number(args, &mut i)?),
+            "--statement-timeout-ms" => config.statement_timeout_ms = number(args, &mut i)?,
+            "--memory-budget-mb" => config.memory_budget_mb = number(args, &mut i)?,
+            "--slow-query-ms" => config.slow_query_ms = number(args, &mut i)?,
+            "--metrics-addr" => config.metrics_addr = Some(value(args, &mut i)?),
             "--drain-timeout-ms" => {
-                config.drain_timeout = Duration::from_millis(
-                    value(&mut i, arg)?
-                        .parse()
-                        .map_err(|e| format!("{arg}: {e}"))?,
-                )
+                config.drain_timeout = Duration::from_millis(number(args, &mut i)?)
             }
-            "--data-dir" => data_dir = Some(value(&mut i, arg)?),
-            "--archive-dir" => archive_dir = Some(value(&mut i, arg)?),
-            "--restore-from" => restore_from = Some(value(&mut i, arg)?),
-            "--to-lsn" => {
-                to_lsn = Some(
-                    value(&mut i, arg)?
-                        .parse::<u64>()
-                        .map_err(|e| format!("{arg}: {e}"))?,
-                )
-            }
+            "--data-dir" => data_dir = Some(value(args, &mut i)?),
+            "--archive-dir" => archive_dir = Some(value(args, &mut i)?),
+            "--restore-from" => restore_from = Some(value(args, &mut i)?),
+            "--to-lsn" => to_lsn = Some(number(args, &mut i)?),
             "--sync-mode" => {
-                sync_mode = match value(&mut i, arg)?.as_str() {
+                sync_mode = match value(args, &mut i)?.as_str() {
                     "commit" => SyncMode::Commit,
                     "buffered" => SyncMode::Buffered,
                     other => return Err(format!("--sync-mode: '{other}' (commit|buffered)")),
                 }
             }
             "--buffer-pool-mb" => {
-                buffer_pool_mb = value(&mut i, arg)?
-                    .parse()
-                    .map_err(|e| format!("{arg}: {e}"))?;
+                buffer_pool_mb = number(args, &mut i)?;
                 if buffer_pool_mb == 0 {
                     return Err("--buffer-pool-mb must be at least 1".into());
                 }
             }
-            "--replica-of" => replica_of = Some(value(&mut i, arg)?),
+            "--replica-of" => replica_of = Some(value(args, &mut i)?),
             "--promote" => promote = true,
             "--demo" => demo = true,
             "--help" | "-h" => {
@@ -329,4 +301,102 @@ fn main() -> ExitCode {
     handle.join();
     println!("hylite-server stopped");
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Cli, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    /// Reads back the field a flag sets, as a `u64`.
+    type Field = fn(&Cli) -> u64;
+
+    /// Every numeric flag with the field it sets.
+    const NUMERIC: [(&str, Field); 10] = [
+        ("--max-connections", |c| c.config.max_connections as u64),
+        ("--max-active-statements", |c| {
+            c.config.max_active_statements as u64
+        }),
+        ("--queue-depth", |c| c.config.statement_queue_depth as u64),
+        ("--queue-wait-ms", |c| {
+            c.config.queue_wait.as_millis() as u64
+        }),
+        ("--statement-timeout-ms", |c| c.config.statement_timeout_ms),
+        ("--memory-budget-mb", |c| c.config.memory_budget_mb),
+        ("--slow-query-ms", |c| c.config.slow_query_ms),
+        ("--drain-timeout-ms", |c| {
+            c.config.drain_timeout.as_millis() as u64
+        }),
+        ("--to-lsn", |c| c.to_lsn.unwrap_or(0)),
+        ("--buffer-pool-mb", |c| c.buffer_pool_mb as u64),
+    ];
+
+    #[test]
+    fn numeric_flags_parse_and_name_themselves_in_errors() {
+        // `--to-lsn` needs a restore; the base is valid for every flag.
+        let base = ["--data-dir", "d", "--restore-from", "b"];
+        for (flag, field) in NUMERIC {
+            let with = |v: &str| parse(&[&base[..], &[flag, v]].concat());
+            assert_eq!(with("7").map(|c| field(&c)), Ok(7), "{flag}");
+            for (bad, why) in [
+                ("x", "invalid digit found in string"),
+                ("-1", "invalid digit found in string"),
+                ("1.5", "invalid digit found in string"),
+                ("", "cannot parse integer from empty string"),
+                (
+                    "99999999999999999999",
+                    "number too large to fit in target type",
+                ),
+            ] {
+                assert_eq!(
+                    with(bad).err(),
+                    Some(format!("{flag}: {why}")),
+                    "{flag} {bad:?}"
+                );
+            }
+            let missing = parse(&[&base[..], &[flag]].concat());
+            assert_eq!(missing.err(), Some(format!("{flag} requires a value")));
+        }
+    }
+
+    #[test]
+    fn other_flags_and_rules_keep_their_messages() {
+        for (args, want) in [
+            (
+                &["--buffer-pool-mb", "0"][..],
+                "--buffer-pool-mb must be at least 1",
+            ),
+            (
+                &["--sync-mode", "fast"],
+                "--sync-mode: 'fast' (commit|buffered)",
+            ),
+            (&["--bogus"], "unknown flag '--bogus' (try --help)"),
+            (&["--addr"], "--addr requires a value"),
+            (
+                &["--replica-of", "p:1"],
+                "--replica-of requires --data-dir (the replica persists the stream)",
+            ),
+            (
+                &["--to-lsn", "3"],
+                "--to-lsn requires --restore-from (it bounds the restore replay)",
+            ),
+        ] {
+            assert_eq!(parse(args).err().as_deref(), Some(want), "{args:?}");
+        }
+        let cli = parse(&["--addr", "0.0.0.0:1", "--sync-mode", "buffered", "--demo"]).unwrap();
+        assert_eq!(cli.config.addr, "0.0.0.0:1");
+        assert!(matches!(cli.sync_mode, SyncMode::Buffered) && cli.demo);
+        let defaults = parse(&[]).unwrap();
+        assert_eq!(
+            (
+                defaults.config.addr.as_str(),
+                defaults.buffer_pool_mb,
+                defaults.to_lsn
+            ),
+            ("127.0.0.1:5433", 64, None)
+        );
+    }
 }

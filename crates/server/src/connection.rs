@@ -1,12 +1,13 @@
-//! Per-connection protocol handling: handshake, query loop, result
-//! streaming, out-of-band cancel.
+//! Per-connection protocol handling: the connection gate, the one reply
+//! to a first frame, the query loop, result streaming, out-of-band cancel.
 
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hylite_common::wire::{self, ErrorCode, Frame, PROTOCOL_VERSION};
-use hylite_common::{NetStream, Result, CHUNK_ROWS};
+use hylite_common::{HyError, NetStream, Result, CHUNK_ROWS};
 use hylite_core::{QueryResult, Session};
 
 use crate::server::{SessionEntry, Shared};
@@ -15,47 +16,111 @@ use crate::server::{SessionEntry, Shared};
 /// sockets can't pin resources forever.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Entry point of a connection thread: dispatch on the first frame.
+/// A refused request: the exact code and message of its `Error` reply.
+/// The code travels apart from any [`HyError`], so `ShuttingDown` and
+/// `Overloaded` stay distinct on the wire although a client reads both
+/// as `HyError::Unavailable`.
+pub(crate) struct Refusal(pub ErrorCode, pub String);
+
+impl From<HyError> for Refusal {
+    fn from(e: HyError) -> Refusal {
+        Refusal(ErrorCode::from_error(&e), e.message().to_owned())
+    }
+}
+
+/// What a first frame is answered with, or why it was refused.
+pub(crate) type Reply<T = Frame> = std::result::Result<T, Refusal>;
+
+/// Refuse with `code` and `message`.
+pub(crate) fn refused<T>(code: ErrorCode, message: impl Into<String>) -> Reply<T> {
+    Err(Refusal(code, message.into()))
+}
+
+/// A connection's place under `max_connections`, counted in its kind's
+/// gauge while held and given back on drop, like
+/// [`StatementPermit`](crate::admission::StatementPermit).
+pub(crate) struct Slot<'a> {
+    shared: &'a Shared,
+    gauge: &'static str,
+}
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.shared.conn_count.fetch_sub(1, Ordering::AcqRel);
+        self.shared.metrics.gauge(self.gauge).add(-1);
+    }
+}
+
+/// The gate every connection that holds a slot passes, in this order:
+/// the protocol version, the drain, the kind's own `checks`, then a slot
+/// under the connection cap, counted in `gauge`.
+pub(crate) fn admit<'a, T>(
+    shared: &'a Shared,
+    version: u32,
+    gauge: &'static str,
+    checks: impl FnOnce() -> Reply<T>,
+) -> Reply<(T, Slot<'a>)> {
+    if version != PROTOCOL_VERSION {
+        return refused(
+            ErrorCode::Protocol,
+            format!("protocol version {version} not supported (server speaks {PROTOCOL_VERSION})"),
+        );
+    }
+    if shared.is_draining() {
+        return refused(ErrorCode::ShuttingDown, "server is shutting down");
+    }
+    let checked = checks()?;
+    let cap = shared.config.max_connections;
+    if shared.conn_count.fetch_add(1, Ordering::AcqRel) >= cap {
+        shared.conn_count.fetch_sub(1, Ordering::AcqRel);
+        shared.metrics.counter("server.connections_rejected").inc();
+        return refused(
+            ErrorCode::Overloaded,
+            format!("connection cap of {cap} reached"),
+        );
+    }
+    shared.metrics.gauge(gauge).add(1);
+    Ok((checked, Slot { shared, gauge }))
+}
+
+/// Entry point of a connection thread: dispatch on the first frame and
+/// write its one reply. A query session and a replication stream go on
+/// talking once past the gate (`Ok(None)`); a refusal of them is the
+/// reply like any other.
 pub(crate) fn serve_connection(mut stream: NetStream, shared: Arc<Shared>) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT));
-    let first = match wire::read_frame(&mut stream) {
-        Ok(f) => f,
-        Err(_) => return,
+    let Ok(first) = wire::read_frame(&mut stream) else {
+        return;
     };
-    match first {
-        Frame::Startup { version } => handle_startup(stream, shared, version),
-        Frame::Cancel { session_id, secret } => handle_cancel(stream, &shared, session_id, secret),
+    let reply = match first {
+        Frame::Startup { version } => serve_session(&mut stream, &shared, version).map(|()| None),
         Frame::Replicate {
             version,
             epoch,
             last_lsn,
-        } => crate::replication::serve_replication(stream, shared, version, epoch, last_lsn),
+        } => crate::replication::serve_replication(&mut stream, &shared, version, epoch, last_lsn)
+            .map(|()| None),
+        Frame::Cancel { session_id, secret } => Ok(Some(cancel(&shared, session_id, secret))),
         Frame::Shutdown => {
             shared.request_shutdown();
-            let _ = wire::write_frame(
-                &mut stream,
-                &Frame::CommandComplete {
-                    rows_affected: 0,
-                    total_rows: 0,
-                    lsn: durable_lsn(&shared),
-                },
-            );
+            Ok(Some(completion(&shared)))
         }
-        Frame::Promote => handle_promote(stream, &shared),
-        Frame::Repoint { primary_addr } => handle_repoint(stream, &shared, &primary_addr),
-        Frame::Backup { dir, base, verify } => handle_backup(stream, &shared, &dir, base, verify),
-        _ => {
-            let _ = wire::write_frame(
-                &mut stream,
-                &Frame::error_with_code(
-                    ErrorCode::Protocol,
-                    "expected Startup, Cancel, Replicate, Shutdown, Promote, Repoint, or \
-                     Backup as the first frame",
-                ),
-            );
-        }
-    }
+        Frame::Promote => promote(&shared).map(Some),
+        Frame::Repoint { primary_addr } => repoint(&shared, &primary_addr).map(Some),
+        Frame::Backup { dir, base, verify } => backup(&shared, &dir, base, verify).map(Some),
+        _ => refused(
+            ErrorCode::Protocol,
+            "expected Startup, Cancel, Replicate, Shutdown, Promote, Repoint, or Backup as the \
+             first frame",
+        ),
+    };
+    let reply = match reply {
+        Ok(None) => return,
+        Ok(Some(frame)) => frame,
+        Err(Refusal(code, message)) => Frame::error_with_code(code, message),
+    };
+    let _ = wire::write_frame(&mut stream, &reply);
 }
 
 /// This node's highest durable LSN (`0` on a non-durable server).
@@ -67,199 +132,92 @@ fn durable_lsn(shared: &Shared) -> u64 {
         .unwrap_or(0)
 }
 
-/// Admin frame: promote this replica to a writable primary in place.
-/// Idempotent on a node that already serves writes.
-fn handle_promote(mut stream: NetStream, shared: &Shared) {
-    if !shared.db.is_replica() {
-        let Some(durability) = shared.db.durability() else {
-            let _ = wire::write_frame(
-                &mut stream,
-                &Frame::error_with_code(
-                    ErrorCode::Protocol,
-                    "promotion requires a durable server (start it with --data-dir)",
-                ),
-            );
-            return;
-        };
-        let _ = wire::write_frame(
-            &mut stream,
-            &Frame::PromoteOk {
-                epoch: durability.epoch(),
-                lsn: durable_lsn(shared),
-            },
-        );
-        return;
-    }
-    let Some(control) = shared.failover_control() else {
-        let _ = wire::write_frame(
-            &mut stream,
-            &Frame::error_with_code(
-                ErrorCode::Internal,
-                "this replica has no failover control registered",
-            ),
-        );
-        return;
-    };
-    match control.promote() {
-        Ok(epoch) => {
-            shared.metrics.counter("server.promotions").inc();
-            let _ = wire::write_frame(
-                &mut stream,
-                &Frame::PromoteOk {
-                    epoch,
-                    lsn: durable_lsn(shared),
-                },
-            );
-        }
-        Err(e) => {
-            let _ = wire::write_frame(&mut stream, &Frame::error(&e));
-        }
+/// The bare `CommandComplete` an admin request is acknowledged with.
+fn completion(shared: &Shared) -> Frame {
+    Frame::CommandComplete {
+        rows_affected: 0,
+        total_rows: 0,
+        lsn: durable_lsn(shared),
     }
 }
 
-/// Admin frame: tell this replica to follow a different primary.
-fn handle_repoint(mut stream: NetStream, shared: &Shared, primary_addr: &str) {
-    let control = match shared.failover_control() {
-        Some(c) if shared.db.is_replica() => c,
-        _ => {
-            let _ = wire::write_frame(
-                &mut stream,
-                &Frame::error_with_code(
-                    ErrorCode::Protocol,
-                    "Repoint targets a replica; this server is not one",
-                ),
+/// Admin frame: promote this replica to a writable primary in place.
+/// Idempotent on a node that already serves writes.
+fn promote(shared: &Shared) -> Reply {
+    let epoch = if !shared.db.is_replica() {
+        let Some(durability) = shared.db.durability() else {
+            return refused(
+                ErrorCode::Protocol,
+                "promotion requires a durable server (start it with --data-dir)",
             );
-            return;
-        }
+        };
+        durability.epoch()
+    } else {
+        let Some(failover) = shared.failover.get() else {
+            return refused(
+                ErrorCode::Internal,
+                "this replica has no failover control registered",
+            );
+        };
+        let epoch = failover.promote(shared)?;
+        shared.metrics.counter("server.promotions").inc();
+        epoch
     };
-    match control.repoint(primary_addr) {
-        Ok(()) => {
-            shared.metrics.counter("server.repoints").inc();
-            let _ = wire::write_frame(
-                &mut stream,
-                &Frame::CommandComplete {
-                    rows_affected: 0,
-                    total_rows: 0,
-                    lsn: durable_lsn(shared),
-                },
-            );
-        }
-        Err(e) => {
-            let _ = wire::write_frame(&mut stream, &Frame::error(&e));
-        }
-    }
+    Ok(Frame::PromoteOk {
+        epoch,
+        lsn: durable_lsn(shared),
+    })
+}
+
+/// Admin frame: tell this replica to follow a different primary.
+fn repoint(shared: &Shared, primary_addr: &str) -> Reply {
+    let failover = shared.failover.get().filter(|_| shared.db.is_replica());
+    let Some(failover) = failover else {
+        return refused(
+            ErrorCode::Protocol,
+            "Repoint targets a replica; this server is not one",
+        );
+    };
+    failover.repoint(shared, primary_addr)?;
+    shared.metrics.counter("server.repoints").inc();
+    Ok(completion(shared))
 }
 
 /// Admin frame: take an online backup into a server-side directory.
 /// Works on primaries and replicas alike (a backup is a read); the copy
 /// runs outside the commit lock, so writes proceed while it streams.
-fn handle_backup(
-    mut stream: NetStream,
-    shared: &Shared,
-    dir: &str,
-    base: Option<String>,
-    verify: bool,
-) {
+fn backup(shared: &Shared, dir: &str, base: Option<String>, verify: bool) -> Reply {
     let Some(durability) = shared.db.durability() else {
-        let _ = wire::write_frame(
-            &mut stream,
-            &Frame::error_with_code(
-                ErrorCode::Protocol,
-                "backup requires a durable server (start it with --data-dir)",
-            ),
+        return refused(
+            ErrorCode::Protocol,
+            "backup requires a durable server (start it with --data-dir)",
         );
-        return;
     };
-    // A backup copies every sealed segment; don't let the handshake
-    // timeout kill a long copy mid-stream.
-    let _ = stream.set_read_timeout(None);
-    match durability.backup(
-        std::path::Path::new(dir),
-        base.as_deref().map(std::path::Path::new),
-        verify,
-    ) {
-        Ok(summary) => {
-            shared.metrics.counter("server.backups").inc();
-            let _ = wire::write_frame(
-                &mut stream,
-                &Frame::BackupOk {
-                    lsn: summary.backup_lsn,
-                    segments: summary.segments_copied,
-                    bytes: summary.bytes,
-                },
-            );
-        }
-        Err(e) => {
-            let _ = wire::write_frame(&mut stream, &Frame::error(&e));
-        }
-    }
+    let summary = durability.backup(Path::new(dir), base.as_deref().map(Path::new), verify)?;
+    shared.metrics.counter("server.backups").inc();
+    Ok(Frame::BackupOk {
+        lsn: summary.backup_lsn,
+        segments: summary.segments_copied,
+        bytes: summary.bytes,
+    })
 }
 
-fn handle_startup(mut stream: NetStream, shared: Arc<Shared>, version: u32) {
-    if version != PROTOCOL_VERSION {
-        let _ = wire::write_frame(
-            &mut stream,
-            &Frame::error_with_code(
-                ErrorCode::Protocol,
-                format!(
-                    "protocol version {version} not supported (server speaks {PROTOCOL_VERSION})"
-                ),
-            ),
-        );
-        return;
-    }
-    if shared.is_draining() {
-        let _ = wire::write_frame(
-            &mut stream,
-            &Frame::error_with_code(ErrorCode::ShuttingDown, "server is shutting down"),
-        );
-        return;
-    }
-
-    // Connection cap: reserve a slot or reject with a typed error.
-    let live = shared.conn_count.fetch_add(1, Ordering::AcqRel) + 1;
-    if live > shared.config.max_connections {
-        shared.conn_count.fetch_sub(1, Ordering::AcqRel);
-        shared.metrics.counter("server.connections_rejected").inc();
-        let _ = wire::write_frame(
-            &mut stream,
-            &Frame::error_with_code(
-                ErrorCode::Overloaded,
-                format!(
-                    "connection cap of {} reached",
-                    shared.config.max_connections
-                ),
-            ),
-        );
-        return;
-    }
-    shared.metrics.gauge("server.connections_active").add(1);
-
-    let release = |shared: &Shared| {
-        shared.conn_count.fetch_sub(1, Ordering::AcqRel);
-        shared.metrics.gauge("server.connections_active").add(-1);
-    };
-
+/// A query session: the gate, the engine session registered for cancel
+/// and drain, `StartupOk`, then statements until the peer leaves.
+fn serve_session(stream: &mut NetStream, shared: &Shared, version: u32) -> Reply<()> {
+    let ((), _slot) = admit(shared, version, "server.connections_active", || Ok(()))?;
     // Build the engine session with the server-level governor defaults;
     // a later client `SET` simply overwrites them.
     let mut session = shared.db.session();
-    if shared.config.statement_timeout_ms > 0 {
-        let _ = session.execute(&format!(
-            "SET statement_timeout_ms = {}",
-            shared.config.statement_timeout_ms
-        ));
-    }
-    if shared.config.memory_budget_mb > 0 {
-        let _ = session.execute(&format!(
-            "SET memory_budget_mb = {}",
-            shared.config.memory_budget_mb
-        ));
-    }
-    if shared.config.slow_query_ms > 0 {
-        let _ = session.execute(&format!(
-            "SET slow_query_ms = {}",
-            shared.config.slow_query_ms
-        ));
+    let config = &shared.config;
+    for (name, value) in [
+        ("statement_timeout_ms", config.statement_timeout_ms),
+        ("memory_budget_mb", config.memory_budget_mb),
+        ("slow_query_ms", config.slow_query_ms),
+    ] {
+        if value > 0 {
+            let _ = session.execute(&format!("SET {name} = {value}"));
+        }
     }
     // On a replica the session is already read-only; replace the generic
     // redirect message with the primary's actual address. Runtime state,
@@ -277,17 +235,9 @@ fn handle_startup(mut stream: NetStream, shared: Arc<Shared>, version: u32) {
     // The drain path only ever calls `shutdown` on this handle; a raw
     // clone bypasses fault injection so a scripted partition can never
     // block server shutdown.
-    let entry_stream = match stream.raw_try_clone() {
-        Ok(s) => s,
-        Err(e) => {
-            release(&shared);
-            let _ = wire::write_frame(
-                &mut stream,
-                &Frame::error_with_code(ErrorCode::Internal, format!("socket clone failed: {e}")),
-            );
-            return;
-        }
-    };
+    let entry_stream = stream
+        .raw_try_clone()
+        .map_err(|e| Refusal(ErrorCode::Internal, format!("socket clone failed: {e}")))?;
     let peer = stream
         .peer_addr()
         .map(|a| a.to_string())
@@ -305,7 +255,7 @@ fn handle_startup(mut stream: NetStream, shared: Arc<Shared>, version: u32) {
         },
     );
     let ok = wire::write_frame(
-        &mut stream,
+        stream,
         &Frame::StartupOk {
             version: PROTOCOL_VERSION,
             session_id,
@@ -314,11 +264,12 @@ fn handle_startup(mut stream: NetStream, shared: Arc<Shared>, version: u32) {
     );
     if ok.is_ok() {
         let _ = stream.set_read_timeout(None);
-        query_loop(&mut stream, &mut session, &shared, &busy);
+        query_loop(stream, &mut session, shared, &busy);
     }
     shared.sessions.lock().remove(&session_id);
-    release(&shared);
-    // `session` drops here, rolling back any open transaction.
+    // `session` drops here, rolling back any open transaction, then the
+    // slot.
+    Ok(())
 }
 
 /// Serve Query frames until the peer disconnects, terminates, or the
@@ -471,7 +422,7 @@ fn stream_result(stream: &mut NetStream, result: &QueryResult, shared: &Shared) 
 
 /// Out-of-band cancel: deliver if the (session, secret) pair matches a
 /// registered session, then answer and close.
-fn handle_cancel(mut stream: NetStream, shared: &Shared, session_id: u64, secret: u64) {
+fn cancel(shared: &Shared, session_id: u64, secret: u64) -> Frame {
     let delivered = {
         let sessions = shared.sessions.lock();
         match sessions.get(&session_id) {
@@ -486,5 +437,5 @@ fn handle_cancel(mut stream: NetStream, shared: &Shared, session_id: u64, secret
     if delivered {
         shared.metrics.counter("server.cancel_delivered").inc();
     }
-    let _ = wire::write_frame(&mut stream, &Frame::CancelAck { delivered });
+    Frame::CancelAck { delivered }
 }

@@ -42,7 +42,7 @@ use hylite_core::{Database, Durability};
 use parking_lot::Mutex;
 
 use crate::config::ServerConfig;
-use crate::server::{FailoverControl, Server, ServerHandle, Shared};
+use crate::server::{Server, ServerHandle, Shared};
 
 /// Tunables of the replica's apply loop.
 #[derive(Debug, Clone)]
@@ -166,22 +166,22 @@ impl ApplyControl {
     }
 }
 
-/// The [`FailoverControl`] a replica registers on its embedded server:
-/// translates the `Promote`/`Repoint` admin frames into apply-loop and
-/// durability operations.
-struct ReplicaFailover {
-    db: Arc<Database>,
+/// The failover hooks a replica registers on its embedded server, so the
+/// admin frames (`Promote`, `Repoint`) drive the apply loop and the
+/// durability layer without restarting the process.
+pub(crate) struct Failover {
     control: Arc<ApplyControl>,
     status: Arc<ReplicaStatus>,
-    shared: Arc<Shared>,
 }
 
 /// How long a promotion waits for the apply loop to wind down before
 /// giving up (it only has to finish applying at most one frame).
 const PROMOTE_STOP_DEADLINE: Duration = Duration::from_secs(10);
 
-impl FailoverControl for ReplicaFailover {
-    fn promote(&self) -> Result<u64> {
+impl Failover {
+    /// Stop following the primary and flip this node to a writable
+    /// primary in place; returns the fresh epoch.
+    pub(crate) fn promote(&self, shared: &Shared) -> Result<u64> {
         if self.status.has_failed() {
             return Err(HyError::Storage(
                 "this replica hit a local fault and cannot vouch for its state; \
@@ -202,19 +202,16 @@ impl FailoverControl for ReplicaFailover {
             }
             std::thread::sleep(Duration::from_millis(2));
         }
-        let durability = self
-            .db
-            .durability()
-            .expect("replica database is durable")
-            .clone();
+        let durability = shared.db.durability().expect("replica database is durable");
         let epoch = durability.promote_to_primary()?;
         // New sessions are writable from here on; existing read-only
         // sessions keep their redirect until the client reconnects.
-        self.shared.set_writable();
+        shared.set_writable();
         Ok(epoch)
     }
 
-    fn repoint(&self, primary_addr: &str) -> Result<()> {
+    /// Start following a different primary address.
+    pub(crate) fn repoint(&self, shared: &Shared, primary_addr: &str) -> Result<()> {
         if self.control.stop.load(Ordering::Acquire) {
             return Err(HyError::Unavailable(
                 "this node is no longer following a primary (stopped or promoted)".into(),
@@ -223,7 +220,7 @@ impl FailoverControl for ReplicaFailover {
         *self.control.primary_addr.lock() = primary_addr.to_owned();
         self.control.retry.store(0, Ordering::Release);
         self.control.generation.fetch_add(1, Ordering::AcqRel);
-        self.shared.set_read_only_primary(primary_addr);
+        shared.set_read_only_primary(primary_addr);
         // Kill the current stream (if any) so the loop reconnects to the
         // new address; epoch fencing there decides resume vs re-bootstrap.
         self.control.kick_current();
@@ -329,12 +326,11 @@ impl Replica {
         db.system_views()
             .register(Arc::downgrade(&views) as std::sync::Weak<dyn SystemViewProvider>);
         // Wire the admin frames (Promote / Repoint) into this apply loop.
-        server_shared.set_failover_control(Arc::new(ReplicaFailover {
-            db: Arc::clone(&db),
+        let failover = Failover {
             control: Arc::clone(&control),
             status: Arc::clone(&status),
-            shared: Arc::clone(&server_shared),
-        }));
+        };
+        let _ = server_shared.failover.set(failover);
         let apply_thread = {
             let db = Arc::clone(&db);
             let control = Arc::clone(&control);
@@ -536,15 +532,20 @@ fn stream_session(
         if control.stop.load(Ordering::Acquire) {
             return SessionEnd::Stopped;
         }
-        let frame = match wire::read_frame(&mut stream) {
-            Ok(f) => f,
-            Err(_) => {
-                return if control.stop.load(Ordering::Acquire) {
-                    SessionEnd::Stopped
-                } else {
-                    SessionEnd::Disconnect
-                }
-            }
+        let frame = match wire::read_frame(&mut stream).map(wire::reply_or_error) {
+            Ok(Ok(f)) => f,
+            // Version mismatch, a non-durable primary, or a primary that
+            // is itself a replica: config errors no amount of retrying
+            // fixes.
+            Ok(Err((ErrorCode::Protocol, e))) => return SessionEnd::Fatal(e),
+            // Everything else — shedding, draining, or a primary-side
+            // storage failure (e.g. its WAL poisoned by a crash) — is the
+            // *primary's* trouble, not a statement about our local state.
+            // Back off and reconnect; if the primary restarts, its fresh
+            // epoch fences us into a re-bootstrap anyway.
+            Ok(Err(_)) => return SessionEnd::Disconnect,
+            Err(_) if control.stop.load(Ordering::Acquire) => return SessionEnd::Stopped,
+            Err(_) => return SessionEnd::Disconnect,
         };
         match frame {
             Frame::ReplicateOk { .. } => {
@@ -620,21 +621,6 @@ fn stream_session(
                     // WAL still covers everything).
                     let _ = durability.checkpoint(db.catalog());
                 }
-            }
-            Frame::Error { code, message } => {
-                let code = ErrorCode::from_u16(code);
-                if code == ErrorCode::Protocol {
-                    // Version mismatch, a non-durable primary, or a
-                    // primary that is itself a replica: config errors no
-                    // amount of retrying fixes.
-                    return SessionEnd::Fatal(code.to_error(message));
-                }
-                // Everything else — shedding, draining, or a primary-side
-                // storage failure (e.g. its WAL poisoned by a crash) — is
-                // the *primary's* trouble, not a statement about our local
-                // state. Back off and reconnect; if the primary restarts,
-                // its fresh epoch fences us into a re-bootstrap anyway.
-                return SessionEnd::Disconnect;
             }
             other => {
                 return SessionEnd::Fatal(HyError::Protocol(format!(

@@ -30,10 +30,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use hylite_common::faultnet::NP_REPL_STREAM;
-use hylite_common::wire::{self, ErrorCode, Frame, PROTOCOL_VERSION};
+use hylite_common::wire::{self, ErrorCode, Frame};
 use hylite_common::{NetStream, Result};
 use hylite_core::{Durability, ReplTail};
 
+use crate::connection::{admit, refused, Reply};
 use crate::server::{ReplStreamStats, Shared};
 
 /// Frames fetched from the WAL per poll (bounds commit-lock hold time).
@@ -53,77 +54,37 @@ fn poll_sleep(shared: &Shared) {
     }
 }
 
-/// Entry point for a connection whose first frame was `Replicate`.
+/// Entry point for a connection whose first frame was `Replicate`: the
+/// gate, then the stream until the replica leaves, is shed, or the server
+/// drains. A refusal is the connection's one reply.
 pub(crate) fn serve_replication(
-    mut stream: NetStream,
-    shared: Arc<Shared>,
+    stream: &mut NetStream,
+    shared: &Shared,
     version: u32,
     replica_epoch: u64,
     last_lsn: u64,
-) {
+) -> Reply<()> {
     // The Replicate handshake identified this accepted connection as a
     // replica's: report to the streamer's own fault point from here on.
     stream.rescope(NP_REPL_STREAM);
-    if version != PROTOCOL_VERSION {
-        let _ = wire::write_frame(
-            &mut stream,
-            &Frame::error_with_code(
-                ErrorCode::Protocol,
-                format!(
-                    "protocol version {version} not supported (server speaks {PROTOCOL_VERSION})"
-                ),
-            ),
-        );
-        return;
-    }
-    if shared.is_draining() {
-        let _ = wire::write_frame(
-            &mut stream,
-            &Frame::error_with_code(ErrorCode::ShuttingDown, "server is shutting down"),
-        );
-        return;
-    }
-    let Some(durability) = shared.db.durability().cloned() else {
-        let _ = wire::write_frame(
-            &mut stream,
-            &Frame::error_with_code(
-                ErrorCode::Protocol,
-                "replication requires a durable primary (start the server with --data-dir)",
-            ),
-        );
-        return;
-    };
-    if shared.db.is_replica() {
-        let _ = wire::write_frame(
-            &mut stream,
-            &Frame::error_with_code(
-                ErrorCode::Protocol,
-                "this server is itself a replica; replicate from the primary",
-            ),
-        );
-        return;
-    }
-
     // Replication connections count against the same connection cap as
     // query sessions: admission control decides who gets a slot, never
     // the commit path.
-    let live = shared.conn_count.fetch_add(1, Ordering::AcqRel) + 1;
-    if live > shared.config.max_connections {
-        shared.conn_count.fetch_sub(1, Ordering::AcqRel);
-        shared.metrics.counter("server.connections_rejected").inc();
-        let _ = wire::write_frame(
-            &mut stream,
-            &Frame::error_with_code(
-                ErrorCode::Overloaded,
-                format!(
-                    "connection cap of {} reached",
-                    shared.config.max_connections
-                ),
-            ),
-        );
-        return;
-    }
-    shared.metrics.gauge("server.replicas_connected").add(1);
+    let (durability, _slot) = admit(shared, version, "server.replicas_connected", || {
+        let Some(durability) = shared.db.durability().cloned() else {
+            return refused(
+                ErrorCode::Protocol,
+                "replication requires a durable primary (start the server with --data-dir)",
+            );
+        };
+        if shared.db.is_replica() {
+            return refused(
+                ErrorCode::Protocol,
+                "this server is itself a replica; replicate from the primary",
+            );
+        }
+        Ok(durability)
+    })?;
     // Streaming uses its own pacing; the handshake timeout set by the
     // dispatcher must not fire between polls.
     let _ = stream.set_read_timeout(None);
@@ -136,21 +97,14 @@ pub(crate) fn serve_replication(
         .unwrap_or_else(|_| "unknown".into());
     let (stream_id, stats) = shared.register_repl_stream(peer);
 
-    if let Err(e) = stream_to_replica(
-        &mut stream,
-        &shared,
-        &durability,
-        replica_epoch,
-        last_lsn,
-        &stats,
-    ) {
-        let _ = wire::write_frame(&mut stream, &Frame::error(&e));
+    if let Err(e) = stream_to_replica(stream, shared, &durability, replica_epoch, last_lsn, &stats)
+    {
+        let _ = wire::write_frame(stream, &Frame::error(&e));
     }
 
     shared.unregister_repl_stream(stream_id);
     let _ = stream.shutdown(Shutdown::Both);
-    shared.metrics.gauge("server.replicas_connected").add(-1);
-    shared.conn_count.fetch_sub(1, Ordering::AcqRel);
+    Ok(())
 }
 
 /// Handshake + streaming loop. Returns `Ok` on orderly exit (peer gone,

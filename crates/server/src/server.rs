@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime};
 
@@ -18,6 +18,7 @@ use parking_lot::Mutex;
 use crate::admission::Admission;
 use crate::config::ServerConfig;
 use crate::connection;
+use crate::replica::Failover;
 
 /// One registered query session (a connection that completed Startup).
 pub(crate) struct SessionEntry {
@@ -51,17 +52,6 @@ pub(crate) struct ReplStreamStats {
     pub bootstraps: AtomicU64,
 }
 
-/// Failover hooks a replica registers on its embedded server, so the
-/// admin wire frames (`Promote`, `Repoint`) can drive the apply loop
-/// without restarting the process.
-pub(crate) trait FailoverControl: Send + Sync {
-    /// Stop following the primary and flip this node to a writable
-    /// primary in place; returns the fresh epoch.
-    fn promote(&self) -> Result<u64>;
-    /// Start following a different primary address.
-    fn repoint(&self, primary_addr: &str) -> Result<()>;
-}
-
 /// State shared by the accept loop and every connection thread.
 pub(crate) struct Shared {
     pub db: Arc<Database>,
@@ -75,7 +65,8 @@ pub(crate) struct Shared {
     pub shutdown_requested: AtomicBool,
     /// Registered query sessions by session id.
     pub sessions: Mutex<HashMap<u64, SessionEntry>>,
-    /// Live query connections (for the connection cap).
+    /// Connections holding a slot under the connection cap: query
+    /// sessions and replication streams (see `connection::admit`).
     pub conn_count: AtomicUsize,
     /// Connection thread handles, joined during shutdown.
     pub conn_threads: Mutex<Vec<JoinHandle<()>>>,
@@ -87,9 +78,9 @@ pub(crate) struct Shared {
     /// [`ServerConfig::read_only_primary`]; new sessions consult this,
     /// not the config, so a promotion takes effect without a restart.
     read_only_primary: Mutex<Option<String>>,
-    /// Registered by [`crate::Replica`] so admin frames can promote /
-    /// repoint the apply loop.
-    failover: Mutex<Option<Arc<dyn FailoverControl>>>,
+    /// Set by [`crate::Replica`] so admin frames can promote / repoint
+    /// its apply loop.
+    pub failover: OnceLock<Failover>,
 }
 
 impl Shared {
@@ -128,16 +119,6 @@ impl Shared {
     /// read-only; clients reconnect (the router does this on failover).
     pub fn set_writable(&self) {
         self.read_only_primary.lock().take();
-    }
-
-    /// Install the failover hooks (called by `Replica::start`).
-    pub fn set_failover_control(&self, control: Arc<dyn FailoverControl>) {
-        *self.failover.lock() = Some(control);
-    }
-
-    /// The registered failover hooks, if this server fronts a replica.
-    pub fn failover_control(&self) -> Option<Arc<dyn FailoverControl>> {
-        self.failover.lock().clone()
     }
 
     /// Register a new primary→replica stream; returns its id and stats
@@ -291,7 +272,7 @@ impl Server {
             repl_streams: Mutex::new(HashMap::new()),
             next_repl_stream_id: AtomicU64::new(1),
             read_only_primary: Mutex::new(None),
-            failover: Mutex::new(None),
+            failover: OnceLock::new(),
         });
         *shared.read_only_primary.lock() = shared.config.read_only_primary.clone();
         // Register the lag gauges at zero so `hylite_repl_lag_bytes` is

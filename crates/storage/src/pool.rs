@@ -18,10 +18,11 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use hylite_common::telemetry::{Counter, Gauge, MetricsRegistry};
 use hylite_common::Result;
+use parking_lot::Mutex;
 
 /// Cache key: (segment id, column index, block index).
 pub type BlockKey = (u64, u32, u32);
@@ -126,7 +127,7 @@ impl BufferPool {
         load: impl FnOnce() -> Result<BlockBytes>,
     ) -> Result<BlockBytes> {
         {
-            let mut inner = self.inner.lock().unwrap();
+            let mut inner = self.inner.lock();
             if let Some(slot) = inner.slots.get_mut(&key) {
                 slot.referenced = true;
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -143,7 +144,7 @@ impl BufferPool {
             // rather than flushing everything else for a one-shot read.
             return Ok(data);
         }
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner.lock();
         if let Some(slot) = inner.slots.get_mut(&key) {
             // Racing load landed first; keep its copy.
             slot.referenced = true;
@@ -188,7 +189,7 @@ impl BufferPool {
     /// Drop every cached block of one segment (after its file is garbage
     /// collected). Stale clock entries are skipped lazily by the hand.
     pub fn evict_segment(&self, segment_id: u64) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner.lock();
         let keys: Vec<BlockKey> = inner
             .slots
             .keys()
@@ -205,7 +206,7 @@ impl BufferPool {
 
     /// Current counters and occupancy.
     pub fn stats(&self) -> PoolStats {
-        let used = self.inner.lock().unwrap().used;
+        let used = self.inner.lock().used;
         PoolStats {
             cap_bytes: self.cap,
             used_bytes: used,

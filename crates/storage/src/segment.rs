@@ -53,11 +53,12 @@ use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Weak};
 
 use hylite_common::faultfs::Vfs;
 use hylite_common::wire::{self, ByteReader};
 use hylite_common::{crc32, Bitmap, Chunk, ColumnVector, DataType, HyError, Result, Value};
+use parking_lot::Mutex;
 
 use crate::files::write_durable;
 use crate::pool::{BlockBytes, BufferPool};
@@ -1556,7 +1557,7 @@ impl SegmentStore {
     /// same `Arc` through a live registry (which also protects open
     /// segments from GC).
     pub fn open_segment(self: &Arc<Self>, id: u64) -> Result<Arc<DiskSegment>> {
-        if let Some(seg) = self.live.lock().unwrap().get(&id).and_then(Weak::upgrade) {
+        if let Some(seg) = self.live.lock().get(&id).and_then(Weak::upgrade) {
             return Ok(seg);
         }
         let path = self.path_for(id);
@@ -1590,7 +1591,7 @@ impl SegmentStore {
             vfs: Arc::clone(&self.vfs),
             pool: Arc::clone(&self.pool),
         });
-        self.live.lock().unwrap().insert(id, Arc::downgrade(&seg));
+        self.live.lock().insert(id, Arc::downgrade(&seg));
         Ok(seg)
     }
 
@@ -1606,7 +1607,7 @@ impl SegmentStore {
                 continue;
             }
             {
-                let mut live = self.live.lock().unwrap();
+                let mut live = self.live.lock();
                 match live.get(&id) {
                     Some(w) if w.upgrade().is_some() => continue,
                     Some(_) => {

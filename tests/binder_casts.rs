@@ -4,7 +4,8 @@
 //! (`tests/golden/binder_casts.txt`, the `{:?}` of each bound statement,
 //! printed there by `print_binder_casts_for_the_golden` below), and every
 //! statement of [`ERRORS`] fails with the message it failed with there,
-//! verbatim.
+//! verbatim — except the first two, an INSERT column list naming a column
+//! the table lacks or naming one twice, which bound there.
 
 use hylite::planner::Binder;
 use hylite::Database;
@@ -84,6 +85,14 @@ fn every_cast_projection_binds_as_at_the_parent() {
 /// Every binder error on the paths the cast projection and the analytics
 /// prologue run through, with its message.
 const ERRORS: &[(&str, &str)] = &[
+    (
+        "INSERT INTO t (a, nope) VALUES (1, 2)",
+        "bind error: unknown column 'nope'",
+    ),
+    (
+        "INSERT INTO t (a, A) VALUES (1, 2)",
+        "bind error: duplicate column 'a' in INSERT",
+    ),
     (
         "INSERT INTO t (a) VALUES (1, 2)",
         "bind error: INSERT provides 1 columns but source has 2",
