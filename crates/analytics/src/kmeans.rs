@@ -14,7 +14,7 @@
 
 use hylite_common::governor::Governor;
 use hylite_common::morsel::map_morsels;
-use hylite_common::{Chunk, HyError, Result, Value};
+use hylite_common::{Chunk, DataType, HyError, Result, Value};
 use hylite_expr::BoundLambda;
 
 /// k-Means configuration.
@@ -96,71 +96,112 @@ fn validate(chunks: &[Chunk], d: usize, what: &str) -> Result<()> {
     Ok(())
 }
 
-/// Compute nearest-center assignments for one chunk.
-///
-/// One reusable distance buffer is streamed per center and folded into a
-/// running argmin — the distance matrix is never materialized, keeping
-/// the working set at 3 vectors regardless of k.
-fn nearest_centers(
-    chunk: &Chunk,
-    centers: &[Vec<f64>],
-    lambda: Option<&BoundLambda>,
-) -> Result<Vec<u32>> {
+/// Nearest center of every row under a user lambda: one vectorized
+/// evaluation per center, folded into a running argmin.
+fn nearest_centers(chunk: &Chunk, centers: &[Vec<f64>], lambda: &BoundLambda) -> Result<Vec<u32>> {
     let n = chunk.len();
     let mut best = vec![0u32; n];
     let mut best_d = vec![f64::INFINITY; n];
-    if let Some(l) = lambda {
-        // Generic lambda path: one vectorized evaluation per center.
-        let mut buf = vec![0.0f64; n];
-        for (c, center) in centers.iter().enumerate() {
-            let vals: Vec<Value> = center.iter().map(|&v| Value::Float(v)).collect();
-            let col = l.eval_broadcast(chunk, &vals)?;
-            let col = col.cast_to(hylite_common::DataType::Float64)?;
-            buf.copy_from_slice(col.as_f64()?);
-            let c = c as u32;
-            for ((b, bd), &dist) in best.iter_mut().zip(&mut best_d).zip(&buf) {
-                if dist < *bd {
-                    *bd = dist;
-                    *b = c;
-                }
+    for (c, center) in centers.iter().enumerate() {
+        let vals: Vec<Value> = center.iter().map(|&v| Value::Float(v)).collect();
+        let mut col = lambda.eval_broadcast(chunk, &vals)?;
+        if col.data_type() != DataType::Float64 {
+            col = col.cast_to(DataType::Float64)?;
+        }
+        for ((b, bd), &dist) in best.iter_mut().zip(&mut best_d).zip(col.as_f64()?) {
+            if dist < *bd {
+                *bd = dist;
+                *b = c as u32;
             }
         }
-        return Ok(best);
-    }
-    // Default lambda: squared Euclidean, cache-blocked so each row block
-    // is streamed from memory once and reused for all k centers.
-    const BLOCK: usize = 2048;
-    let d = centers[0].len();
-    let cols: Vec<&[f64]> = (0..d)
-        .map(|dim| chunk.column(dim).as_f64())
-        .collect::<Result<_>>()?;
-    let mut buf = vec![0.0f64; BLOCK];
-    let mut start = 0;
-    while start < n {
-        let len = BLOCK.min(n - start);
-        for (c, center) in centers.iter().enumerate() {
-            let acc = &mut buf[..len];
-            acc.iter_mut().for_each(|v| *v = 0.0);
-            for (dim, &cv) in center.iter().enumerate() {
-                let col = &cols[dim][start..start + len];
-                for (a, &x) in acc.iter_mut().zip(col) {
-                    let diff = x - cv;
-                    *a += diff * diff;
-                }
-            }
-            let c = c as u32;
-            let bests = &mut best[start..start + len];
-            let best_ds = &mut best_d[start..start + len];
-            for ((b, bd), &dist) in bests.iter_mut().zip(best_ds.iter_mut()).zip(&*acc) {
-                if dist < *bd {
-                    *bd = dist;
-                    *b = c;
-                }
-            }
-        }
-        start += len;
     }
     Ok(best)
+}
+
+/// Fold rows `r..r + R` into the running `best` (distance, center) of each
+/// row against centers `c0..c0 + K`. `centers` is dimension-major with
+/// every value four times (`[((dim * k) + c) * 4 + lane]`), so a block's
+/// rows and a center's value load as the same vector shape. The K × R
+/// squared distances live in registers; each is summed in dimension order
+/// and compared with a strict `<` in center order, so ties, NaN and ∞
+/// resolve as a row-at-a-time loop does.
+#[inline(always)]
+fn score<const K: usize, const R: usize>(
+    cols: &[&[f64]],
+    r: usize,
+    centers: &[f64],
+    c0: usize,
+    best: &mut [(f64, usize); R],
+) {
+    let k = centers.len() / (4 * cols.len());
+    let mut acc = [[0.0f64; R]; K];
+    for (dim, col) in cols.iter().enumerate() {
+        let x: &[f64; R] = col[r..r + R].try_into().expect("R rows");
+        let cvs = &centers[(dim * k + c0) * 4..][..K * 4];
+        for (a, cv) in acc.iter_mut().zip(cvs.chunks_exact(4)) {
+            for ((a, &x), &cv) in a.iter_mut().zip(x).zip(cv) {
+                let diff = x - cv;
+                *a += diff * diff;
+            }
+        }
+    }
+    // Read back through memory: otherwise LLVM vectorizes the loop above
+    // across mismatched row pairs with a shuffle per step.
+    for (c, a) in std::hint::black_box(acc).iter().enumerate() {
+        for (b, &dist) in best.iter_mut().zip(a) {
+            if dist < b.0 {
+                *b = (dist, c0 + c);
+            }
+        }
+    }
+}
+
+/// Fold row `r` into center `c`'s sums and count.
+#[inline(always)]
+fn fold_row(
+    cols: &[&[f64]],
+    r: usize,
+    c: usize,
+    locals: &mut Locals,
+    record: &mut Option<&mut Vec<u32>>,
+) {
+    let d = cols.len();
+    locals.counts[c] += 1;
+    for (s, col) in locals.sums[c * d..(c + 1) * d].iter_mut().zip(cols) {
+        *s += col[r];
+    }
+    if let Some(rec) = record.as_deref_mut() {
+        rec.push(c as u32);
+    }
+}
+
+/// Assign rows `r..r + R` to their nearest centers, in tiles of up to 8
+/// centers, and fold them into `locals` in row order.
+#[inline(always)]
+fn assign_block<const R: usize>(
+    cols: &[&[f64]],
+    r: usize,
+    centers: &[f64],
+    locals: &mut Locals,
+    record: &mut Option<&mut Vec<u32>>,
+) {
+    let k = locals.counts.len();
+    let mut best = [(f64::INFINITY, 0usize); R];
+    for c0 in (0..k).step_by(8) {
+        match k - c0 {
+            1 => score::<1, R>(cols, r, centers, c0, &mut best),
+            2 => score::<2, R>(cols, r, centers, c0, &mut best),
+            3 => score::<3, R>(cols, r, centers, c0, &mut best),
+            4 => score::<4, R>(cols, r, centers, c0, &mut best),
+            5 => score::<5, R>(cols, r, centers, c0, &mut best),
+            6 => score::<6, R>(cols, r, centers, c0, &mut best),
+            7 => score::<7, R>(cols, r, centers, c0, &mut best),
+            _ => score::<8, R>(cols, r, centers, c0, &mut best),
+        }
+    }
+    for (j, &(_, c)) in best.iter().enumerate() {
+        fold_row(cols, r + j, c, locals, record);
+    }
 }
 
 /// Assign every row of `chunk` to its nearest center; fold sums/counts
@@ -170,74 +211,33 @@ fn assign_chunk(
     centers: &[Vec<f64>],
     lambda: Option<&BoundLambda>,
     locals: &mut Locals,
-    record: Option<&mut Vec<u32>>,
+    mut record: Option<&mut Vec<u32>>,
 ) -> Result<()> {
-    let n = chunk.len();
-    let d = centers[0].len();
-    if lambda.is_some() {
-        // Generic lambda path: assignments first, then accumulate.
-        let best = nearest_centers(chunk, centers, lambda)?;
-        for dim in 0..d {
-            let col = chunk.column(dim).as_f64()?;
-            for i in 0..n {
-                locals.sums[best[i] as usize * d + dim] += col[i];
-            }
-        }
-        for &b in &best {
-            locals.counts[b as usize] += 1;
-        }
-        if let Some(rec) = record {
-            rec.extend_from_slice(&best);
-        }
-        return Ok(());
-    }
-    // Default path: fused per-row kernel over the column slices. For a
-    // given row the k×d distance evaluations and the sum accumulation
-    // touch the same cache lines, so each tuple is streamed from memory
-    // exactly once — the data-centric "consume and throw away" loop the
-    // paper describes for this operator.
+    let (n, d, k) = (chunk.len(), centers[0].len(), centers.len());
     let cols: Vec<&[f64]> = (0..d)
         .map(|dim| chunk.column(dim).as_f64())
         .collect::<Result<_>>()?;
-    // Small row-major staging buffer: columns are transposed block-wise
-    // so the k-center scoring loop runs over a contiguous row exactly
-    // like a hand-written row store kernel, while the data is still
-    // streamed from the columnar chunk once.
-    const BLOCK: usize = 512;
-    let mut staged = vec![0.0f64; BLOCK * d];
-    let mut record = record;
-    let mut start = 0;
-    while start < n {
-        let len = BLOCK.min(n - start);
-        for (dim, col) in cols.iter().enumerate() {
-            for (r, &x) in col[start..start + len].iter().enumerate() {
-                staged[r * d + dim] = x;
-            }
+    if let Some(lambda) = lambda {
+        let best = nearest_centers(chunk, centers, lambda)?;
+        for (r, &c) in best.iter().enumerate() {
+            fold_row(&cols, r, c as usize, locals, &mut record);
         }
-        for row in staged[..len * d].chunks_exact(d) {
-            let mut best = 0usize;
-            let mut best_d = f64::INFINITY;
-            for (c, center) in centers.iter().enumerate() {
-                let mut dist = 0.0;
-                for (&x, &cv) in row.iter().zip(center) {
-                    let diff = x - cv;
-                    dist += diff * diff;
-                }
-                if dist < best_d {
-                    best_d = dist;
-                    best = c;
-                }
-            }
-            locals.counts[best] += 1;
-            let sums = &mut locals.sums[best * d..(best + 1) * d];
-            for (s, &x) in sums.iter_mut().zip(row) {
-                *s += x;
-            }
-            if let Some(rec) = record.as_deref_mut() {
-                rec.push(best as u32);
-            }
-        }
-        start += len;
+        return Ok(());
+    }
+    // Default squared L2, fused: each block of four rows is read from the
+    // columns once, scored against every center and folded into the sums
+    // while it is in registers — the data-centric "consume and throw away"
+    // loop the paper describes for this operator.
+    let flat: Vec<f64> = (0..d * k * 4)
+        .map(|i| centers[i / 4 % k][i / 4 / k])
+        .collect();
+    let mut r = 0;
+    while r + 4 <= n {
+        assign_block::<4>(&cols, r, &flat, locals, &mut record);
+        r += 4;
+    }
+    for r in r..n {
+        assign_block::<1>(&cols, r, &flat, locals, &mut record);
     }
     Ok(())
 }
@@ -396,6 +396,117 @@ pub fn kmeans_assign_governed(
 mod tests {
     use super::*;
     use hylite_common::ColumnVector;
+
+    /// The default kernel before register blocking: columns staged into a
+    /// row-major block of 512 rows, then one row at a time against every
+    /// center. The oracle for [`assign_chunk`]'s default path.
+    fn staged_assign(
+        chunk: &Chunk,
+        centers: &[Vec<f64>],
+        locals: &mut Locals,
+        mut record: Option<&mut Vec<u32>>,
+    ) {
+        let (n, d) = (chunk.len(), centers[0].len());
+        let cols: Vec<&[f64]> = (0..d).map(|i| chunk.column(i).as_f64().unwrap()).collect();
+        const BLOCK: usize = 512;
+        let mut staged = vec![0.0f64; BLOCK * d];
+        let mut start = 0;
+        while start < n {
+            let len = BLOCK.min(n - start);
+            for (dim, col) in cols.iter().enumerate() {
+                for (r, &x) in col[start..start + len].iter().enumerate() {
+                    staged[r * d + dim] = x;
+                }
+            }
+            for row in staged[..len * d].chunks_exact(d) {
+                let mut best = 0usize;
+                let mut best_d = f64::INFINITY;
+                for (c, center) in centers.iter().enumerate() {
+                    let mut dist = 0.0;
+                    for (&x, &cv) in row.iter().zip(center) {
+                        let diff = x - cv;
+                        dist += diff * diff;
+                    }
+                    if dist < best_d {
+                        best_d = dist;
+                        best = c;
+                    }
+                }
+                locals.counts[best] += 1;
+                let sums = &mut locals.sums[best * d..(best + 1) * d];
+                for (s, &x) in sums.iter_mut().zip(row) {
+                    *s += x;
+                }
+                if let Some(rec) = record.as_deref_mut() {
+                    rec.push(best as u32);
+                }
+            }
+            start += len;
+        }
+    }
+
+    #[test]
+    fn default_kernel_matches_the_staged_kernel_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x4B_3A_5E);
+        // Mostly a handful of distinct values, so rows tie between
+        // duplicate centers; now and then a NaN, an infinity or a -0.0.
+        let coordinate = |rng: &mut rand::rngs::StdRng| match rng.gen_range(0u32..40) {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            3 => -0.0,
+            4..=19 => rng.gen_range(-3i32..4) as f64 * 0.5,
+            _ => rng.gen_range(-10.0..10.0),
+        };
+        // Bits, with every NaN one NaN: which of two NaN operands an
+        // addition returns is the hardware's and the compiler's choice.
+        let bits = |v: &[f64]| {
+            let canonical = |x: &f64| if x.is_nan() { f64::NAN } else { *x };
+            v.iter().map(|x| canonical(x).to_bits()).collect::<Vec<_>>()
+        };
+        for k in [1usize, 2, 3, 5, 8, 9, 17] {
+            for d in [1usize, 2, 10, 17] {
+                let mut centers: Vec<Vec<f64>> = (0..k)
+                    .map(|_| (0..d).map(|_| coordinate(&mut rng)).collect())
+                    .collect();
+                if k > 1 {
+                    centers[k - 1] = centers[0].clone();
+                }
+                for n in [1usize, 3, 4, 5, 4097, 65_536] {
+                    let columns = (0..d)
+                        .map(|_| {
+                            ColumnVector::from_f64((0..n).map(|_| coordinate(&mut rng)).collect())
+                        })
+                        .collect();
+                    let chunk = Chunk::new(columns);
+                    for with_record in [false, true] {
+                        let (mut want, mut got) = (Locals::new(k, d), Locals::new(k, d));
+                        let (mut want_rec, mut got_rec) = (Vec::new(), Vec::new());
+                        staged_assign(
+                            &chunk,
+                            &centers,
+                            &mut want,
+                            with_record.then_some(&mut want_rec),
+                        );
+                        assign_chunk(
+                            &chunk,
+                            &centers,
+                            None,
+                            &mut got,
+                            with_record.then_some(&mut got_rec),
+                        )
+                        .unwrap();
+                        let case = format!("k={k} d={d} n={n} record={with_record}");
+                        assert_eq!(bits(&got.sums), bits(&want.sums), "{case}");
+                        assert_eq!(got.counts, want.counts, "{case}");
+                        assert_eq!(got_rec, want_rec, "{case}");
+                        assert_eq!(got_rec.len(), if with_record { n } else { 0 }, "{case}");
+                    }
+                }
+            }
+        }
+    }
 
     /// Two tight blobs around (0,0) and (10,10).
     fn blobs() -> Vec<Chunk> {

@@ -10,9 +10,9 @@ pub fn sort(chunks: &[Chunk], keys: &[SortKey], types: &[DataType]) -> Result<Ve
     if n <= 1 {
         return Ok(vec![all]);
     }
-    let key_cols: Vec<hylite_common::ColumnVector> = keys
+    let key_cols: Vec<std::sync::Arc<hylite_common::ColumnVector>> = keys
         .iter()
-        .map(|k| k.expr.eval(&all))
+        .map(|k| crate::util::eval_shared(&k.expr, &all))
         .collect::<Result<_>>()?;
     let mut indices: Vec<usize> = (0..n).collect();
     indices.sort_by(|&a, &b| {

@@ -1,8 +1,11 @@
 //! Built-in scalar functions.
 
+use std::borrow::{Borrow, Cow};
+
 use hylite_common::{ColumnVector, DataType, HyError, Result, Value};
 
-use crate::kernels::merge_validity;
+use crate::kernels::cast;
+use crate::scalar::{eval_binary, BinaryOp};
 
 /// The built-in scalar function set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,23 +167,24 @@ impl ScalarFunc {
         }
     }
 
-    /// Evaluate over already-evaluated argument columns.
-    pub fn eval(&self, args: &[ColumnVector]) -> Result<ColumnVector> {
+    /// Evaluate over already-evaluated argument columns (owned or not).
+    pub fn eval<C: Borrow<ColumnVector>>(&self, args: &[C]) -> Result<ColumnVector> {
+        let args: Vec<&ColumnVector> = args.iter().map(Borrow::borrow).collect();
         match self {
-            ScalarFunc::Abs => match &args[0] {
+            ScalarFunc::Abs => match args[0] {
                 ColumnVector::Int64 { data, validity } => Ok(ColumnVector::Int64 {
                     data: data.iter().map(|v| v.wrapping_abs()).collect(),
                     validity: validity.clone(),
                 }),
                 col => unary_f64(col, f64::abs),
             },
-            ScalarFunc::Sqrt => unary_f64(&args[0], f64::sqrt),
-            ScalarFunc::Exp => unary_f64(&args[0], f64::exp),
-            ScalarFunc::Ln => unary_f64(&args[0], f64::ln),
-            ScalarFunc::Floor => unary_f64(&args[0], f64::floor),
-            ScalarFunc::Ceil => unary_f64(&args[0], f64::ceil),
-            ScalarFunc::Round => unary_f64(&args[0], f64::round),
-            ScalarFunc::Sign => unary_f64(&args[0], |v| {
+            ScalarFunc::Sqrt => unary_f64(args[0], f64::sqrt),
+            ScalarFunc::Exp => unary_f64(args[0], f64::exp),
+            ScalarFunc::Ln => unary_f64(args[0], f64::ln),
+            ScalarFunc::Floor => unary_f64(args[0], f64::floor),
+            ScalarFunc::Ceil => unary_f64(args[0], f64::ceil),
+            ScalarFunc::Round => unary_f64(args[0], f64::round),
+            ScalarFunc::Sign => unary_f64(args[0], |v| {
                 if v > 0.0 {
                     1.0
                 } else if v < 0.0 {
@@ -189,18 +193,9 @@ impl ScalarFunc {
                     0.0
                 }
             }),
-            ScalarFunc::Pow => {
-                let l = args[0].cast_to(DataType::Float64)?;
-                let r = args[1].cast_to(DataType::Float64)?;
-                let validity = merge_validity(l.validity(), r.validity());
-                let (l, r) = (l.as_f64()?, r.as_f64()?);
-                Ok(ColumnVector::Float64 {
-                    data: l.iter().zip(r).map(|(a, b)| a.powf(*b)).collect(),
-                    validity,
-                })
-            }
-            ScalarFunc::Least => selective(args, |a, b| a.sort_cmp(b).is_le()),
-            ScalarFunc::Greatest => selective(args, |a, b| a.sort_cmp(b).is_ge()),
+            ScalarFunc::Pow => eval_binary(BinaryOp::Pow, args[0], args[1]),
+            ScalarFunc::Least => selective(&args, |a, b| a.sort_cmp(b).is_le()),
+            ScalarFunc::Greatest => selective(&args, |a, b| a.sort_cmp(b).is_ge()),
             ScalarFunc::Length => {
                 let s = args[0].as_varchar()?;
                 Ok(ColumnVector::Int64 {
@@ -208,14 +203,14 @@ impl ScalarFunc {
                     validity: args[0].validity().cloned(),
                 })
             }
-            ScalarFunc::Lower => map_str(&args[0], |s| s.to_lowercase()),
-            ScalarFunc::Upper => map_str(&args[0], |s| s.to_uppercase()),
+            ScalarFunc::Lower => map_str(args[0], |s| s.to_lowercase()),
+            ScalarFunc::Upper => map_str(args[0], |s| s.to_uppercase()),
             ScalarFunc::Substr => {
                 let s = args[0].as_varchar()?;
-                let start = args[1].cast_to(DataType::Int64)?;
+                let start = cast(Cow::Borrowed(args[1]), DataType::Int64)?;
                 let start = start.as_i64()?;
                 let len_col = if args.len() == 3 {
-                    Some(args[2].cast_to(DataType::Int64)?)
+                    Some(cast(Cow::Borrowed(args[2]), DataType::Int64)?)
                 } else {
                     None
                 };
@@ -244,13 +239,13 @@ impl ScalarFunc {
                     }
                     t
                 };
-                let cast: Vec<ColumnVector> = args
+                let cols: Vec<Cow<ColumnVector>> = args
                     .iter()
-                    .map(|a| a.cast_to(target))
+                    .map(|a| cast(Cow::Borrowed(*a), target))
                     .collect::<Result<_>>()?;
                 let mut out = ColumnVector::empty(target);
                 for i in 0..n {
-                    let v = cast
+                    let v = cols
                         .iter()
                         .map(|c| c.value(i))
                         .find(|v| !v.is_null())
@@ -264,7 +259,7 @@ impl ScalarFunc {
 }
 
 fn unary_f64(col: &ColumnVector, f: impl Fn(f64) -> f64) -> Result<ColumnVector> {
-    let c = col.cast_to(DataType::Float64)?;
+    let c = cast(Cow::Borrowed(col), DataType::Float64)?;
     let data = c.as_f64()?;
     Ok(ColumnVector::Float64 {
         data: data.iter().map(|&v| f(v)).collect(),
@@ -282,7 +277,7 @@ fn map_str(col: &ColumnVector, f: impl Fn(&str) -> String) -> Result<ColumnVecto
 
 /// least/greatest: per-row pick among non-NULL arguments using `better`.
 fn selective(
-    args: &[ColumnVector],
+    args: &[&ColumnVector],
     better: impl Fn(&Value, &Value) -> bool,
 ) -> Result<ColumnVector> {
     let n = args[0].len();
@@ -293,14 +288,14 @@ fn selective(
         }
         t
     };
-    let cast: Vec<ColumnVector> = args
+    let cols: Vec<Cow<ColumnVector>> = args
         .iter()
-        .map(|a| a.cast_to(target))
+        .map(|a| cast(Cow::Borrowed(*a), target))
         .collect::<Result<_>>()?;
     let mut out = ColumnVector::empty(target);
     for i in 0..n {
         let mut best = Value::Null;
-        for c in &cast {
+        for c in &cols {
             let v = c.value(i);
             if v.is_null() {
                 continue;

@@ -1,10 +1,63 @@
 //! Monomorphic vectorized kernels for binary/unary operations.
 //!
-//! Each kernel takes raw slices plus optional validity masks and produces
-//! a full output column. NULL handling follows SQL: arithmetic and
-//! comparison propagate NULL; AND/OR use three-valued logic.
+//! A binary kernel takes each operand as a [`Side`] — a column's values or
+//! one value standing for every row — plus the already merged validity
+//! mask, and runs one generic loop per operator ([`map2`]). NULL handling
+//! follows SQL: arithmetic and comparison propagate NULL; AND/OR use
+//! three-valued logic.
+
+use std::borrow::Cow;
 
 use hylite_common::{Bitmap, ColumnVector, DataType, HyError, Result};
+
+/// One operand of a binary kernel.
+#[derive(Debug, Clone, Copy)]
+pub enum Side<'a, T> {
+    /// Row `i` is `values[i]`.
+    Col(&'a [T]),
+    /// Every row is this one value.
+    One(&'a T),
+}
+
+impl<'a, T> Side<'a, T> {
+    /// The first value of `values` for every row when `scalar`, else each.
+    pub fn new(values: &'a [T], scalar: bool) -> Side<'a, T> {
+        if scalar {
+            Side::One(&values[0])
+        } else {
+            Side::Col(values)
+        }
+    }
+}
+
+/// Rows of a binary result: a column's length, or 1 for two scalars.
+fn rows<A, B>(l: Side<'_, A>, r: Side<'_, B>) -> usize {
+    match (l, r) {
+        (Side::Col(a), _) => a.len(),
+        (_, Side::Col(b)) => b.len(),
+        _ => 1,
+    }
+}
+
+/// `f` over the rows of `l` and `r`: the one loop every binary kernel
+/// runs, monomorphised per operand shape.
+pub fn map2<A, B, O>(l: Side<'_, A>, r: Side<'_, B>, f: impl Fn(&A, &B) -> O) -> Vec<O> {
+    match (l, r) {
+        (Side::Col(a), Side::Col(b)) => a.iter().zip(b).map(|(a, b)| f(a, b)).collect(),
+        (Side::Col(a), Side::One(b)) => a.iter().map(|a| f(a, b)).collect(),
+        (Side::One(a), Side::Col(b)) => b.iter().map(|b| f(a, b)).collect(),
+        (Side::One(a), Side::One(b)) => vec![f(a, b)],
+    }
+}
+
+/// `col` in type `target`; free when it already has it.
+pub fn cast(col: Cow<'_, ColumnVector>, target: DataType) -> Result<Cow<'_, ColumnVector>> {
+    if col.data_type() == target {
+        Ok(col)
+    } else {
+        col.cast_to(target).map(Cow::Owned)
+    }
+}
 
 /// Combine two optional validity masks by AND (NULL-propagating ops).
 pub fn merge_validity(a: Option<&Bitmap>, b: Option<&Bitmap>) -> Option<Bitmap> {
@@ -20,97 +73,77 @@ pub fn merge_validity(a: Option<&Bitmap>, b: Option<&Bitmap>) -> Option<Bitmap> 
     }
 }
 
-/// Element-wise arithmetic over `i64` slices.
-pub fn arith_i64(op: &str, l: &[i64], r: &[i64], validity: Option<Bitmap>) -> Result<ColumnVector> {
-    let n = l.len();
-    let mut out = Vec::with_capacity(n);
-    let valid_at = |i: usize| validity.as_ref().is_none_or(|v| v.get(i));
-    match op {
-        "+" => {
-            for i in 0..n {
-                out.push(l[i].wrapping_add(r[i]));
-            }
-        }
-        "-" => {
-            for i in 0..n {
-                out.push(l[i].wrapping_sub(r[i]));
-            }
-        }
-        "*" => {
-            for i in 0..n {
-                out.push(l[i].wrapping_mul(r[i]));
-            }
-        }
-        "/" => {
-            for i in 0..n {
-                if r[i] == 0 && valid_at(i) {
-                    return Err(HyError::Execution("division by zero".into()));
-                }
-                out.push(if r[i] == 0 {
-                    0
-                } else {
-                    l[i].wrapping_div(r[i])
-                });
-            }
-        }
-        "%" => {
-            for i in 0..n {
-                if r[i] == 0 && valid_at(i) {
-                    return Err(HyError::Execution("modulo by zero".into()));
-                }
-                out.push(if r[i] == 0 {
-                    0
-                } else {
-                    l[i].wrapping_rem(r[i])
-                });
-            }
-        }
-        other => return Err(HyError::Internal(format!("unknown i64 arith op '{other}'"))),
+/// Fails with "`what` by zero" when a valid row's divisor is zero.
+fn check_divisor<T: Default + PartialEq>(
+    l: Side<'_, T>,
+    r: Side<'_, T>,
+    validity: Option<&Bitmap>,
+    what: &str,
+) -> Result<()> {
+    let (zero, valid) = (T::default(), |i: usize| validity.is_none_or(|v| v.get(i)));
+    let hit = match r {
+        Side::Col(b) => b.iter().enumerate().any(|(i, b)| *b == zero && valid(i)),
+        Side::One(b) => *b == zero && (0..rows(l, r)).any(valid),
+    };
+    if hit {
+        return Err(HyError::Execution(format!("{what} by zero")));
     }
-    Ok(ColumnVector::Int64 {
-        data: out,
-        validity,
-    })
+    Ok(())
 }
 
-/// Element-wise arithmetic over `f64` slices. `^` is power.
-pub fn arith_f64(op: &str, l: &[f64], r: &[f64], validity: Option<Bitmap>) -> Result<ColumnVector> {
-    let n = l.len();
-    let mut out = Vec::with_capacity(n);
-    match op {
-        "+" => out.extend((0..n).map(|i| l[i] + r[i])),
-        "-" => out.extend((0..n).map(|i| l[i] - r[i])),
-        "*" => out.extend((0..n).map(|i| l[i] * r[i])),
+/// Element-wise arithmetic over `i64`s.
+pub fn arith_i64(
+    op: &str,
+    l: Side<'_, i64>,
+    r: Side<'_, i64>,
+    validity: Option<Bitmap>,
+) -> Result<ColumnVector> {
+    let data = match op {
+        "+" => map2(l, r, |a, b| a.wrapping_add(*b)),
+        "-" => map2(l, r, |a, b| a.wrapping_sub(*b)),
+        "*" => map2(l, r, |a, b| a.wrapping_mul(*b)),
         "/" => {
-            let valid_at = |i: usize| validity.as_ref().is_none_or(|v| v.get(i));
-            for i in 0..n {
-                if r[i] == 0.0 && valid_at(i) {
-                    return Err(HyError::Execution("division by zero".into()));
-                }
-                out.push(if r[i] == 0.0 { 0.0 } else { l[i] / r[i] });
-            }
+            check_divisor(l, r, validity.as_ref(), "division")?;
+            map2(l, r, |a, b| if *b == 0 { 0 } else { a.wrapping_div(*b) })
         }
-        "%" => out.extend((0..n).map(|i| l[i] % r[i])),
-        "^" => out.extend((0..n).map(|i| l[i].powf(r[i]))),
+        "%" => {
+            check_divisor(l, r, validity.as_ref(), "modulo")?;
+            map2(l, r, |a, b| if *b == 0 { 0 } else { a.wrapping_rem(*b) })
+        }
+        other => return Err(HyError::Internal(format!("unknown i64 arith op '{other}'"))),
+    };
+    Ok(ColumnVector::Int64 { data, validity })
+}
+
+/// Element-wise arithmetic over `f64`s. `^` is power.
+pub fn arith_f64(
+    op: &str,
+    l: Side<'_, f64>,
+    r: Side<'_, f64>,
+    validity: Option<Bitmap>,
+) -> Result<ColumnVector> {
+    let data = match op {
+        "+" => map2(l, r, |a, b| a + b),
+        "-" => map2(l, r, |a, b| a - b),
+        "*" => map2(l, r, |a, b| a * b),
+        "/" => {
+            check_divisor(l, r, validity.as_ref(), "division")?;
+            map2(l, r, |a, b| if *b == 0.0 { 0.0 } else { a / b })
+        }
+        "%" => {
+            check_divisor(l, r, validity.as_ref(), "modulo")?;
+            map2(l, r, |a, b| if *b == 0.0 { 0.0 } else { a % b })
+        }
+        "^" => map2(l, r, |a, b| a.powf(*b)),
         other => return Err(HyError::Internal(format!("unknown f64 arith op '{other}'"))),
-    }
-    Ok(ColumnVector::Float64 {
-        data: out,
-        validity,
-    })
+    };
+    Ok(ColumnVector::Float64 { data, validity })
 }
 
 /// `v * v` per element as DOUBLE: what `v ^ 2` and `pow(v, 2)` mean, without
 /// a `powf` call per element. Correctly rounded, so within 1 ulp of `powf`.
 pub fn square(base: &ColumnVector) -> Result<ColumnVector> {
-    let cast;
-    let base = match base {
-        ColumnVector::Float64 { .. } => base,
-        other => {
-            cast = other.cast_to(DataType::Float64)?;
-            &cast
-        }
-    };
+    let base = cast(Cow::Borrowed(base), DataType::Float64)?;
     Ok(ColumnVector::Float64 {
         data: base.as_f64()?.iter().map(|v| v * v).collect(),
         validity: base.validity().cloned(),
@@ -121,95 +154,46 @@ pub fn square(base: &ColumnVector) -> Result<ColumnVector> {
 /// element type so one code path serves ints, floats, bools and strings.
 pub fn compare<T: PartialOrd>(
     op: &str,
-    l: &[T],
-    r: &[T],
+    l: Side<'_, T>,
+    r: Side<'_, T>,
     validity: Option<Bitmap>,
 ) -> Result<ColumnVector> {
-    let n = l.len();
-    let mut out = Vec::with_capacity(n);
-    macro_rules! cmp_loop {
-        ($f:expr) => {
-            for i in 0..n {
-                out.push($f(&l[i], &r[i]));
-            }
-        };
-    }
-    match op {
-        "=" => cmp_loop!(|a: &T, b: &T| a == b),
-        "<>" => cmp_loop!(|a: &T, b: &T| a != b),
-        "<" => cmp_loop!(|a: &T, b: &T| a < b),
-        "<=" => cmp_loop!(|a: &T, b: &T| a <= b),
-        ">" => cmp_loop!(|a: &T, b: &T| a > b),
-        ">=" => cmp_loop!(|a: &T, b: &T| a >= b),
+    let data = match op {
+        "=" => map2(l, r, |a, b| a == b),
+        "<>" => map2(l, r, |a, b| a != b),
+        "<" => map2(l, r, |a, b| a < b),
+        "<=" => map2(l, r, |a, b| a <= b),
+        ">" => map2(l, r, |a, b| a > b),
+        ">=" => map2(l, r, |a, b| a >= b),
         other => {
             return Err(HyError::Internal(format!(
                 "unknown comparison op '{other}'"
             )))
         }
-    }
-    Ok(ColumnVector::Bool {
-        data: out,
-        validity,
-    })
+    };
+    Ok(ColumnVector::Bool { data, validity })
 }
 
-/// Three-valued logical AND.
-///
-/// Truth table: F AND x = F; T AND T = T; otherwise NULL.
-pub fn and_3vl(l: &[bool], lv: Option<&Bitmap>, r: &[bool], rv: Option<&Bitmap>) -> ColumnVector {
+/// Three-valued AND (`absorbing` false) or OR (`absorbing` true): a valid
+/// `absorbing` operand decides the row, two valid others give their value,
+/// anything else is NULL. F AND x = F, T AND T = T; T OR x = T, F OR F = F.
+pub fn logic_3vl(
+    absorbing: bool,
+    l: &[bool],
+    lv: Option<&Bitmap>,
+    r: &[bool],
+    rv: Option<&Bitmap>,
+) -> ColumnVector {
     let n = l.len();
     let mut data = Vec::with_capacity(n);
     let mut validity = Bitmap::filled(n, true);
     let mut any_null = false;
     for i in 0..n {
-        let a = if lv.is_none_or(|v| v.get(i)) {
-            Some(l[i])
-        } else {
-            None
-        };
-        let b = if rv.is_none_or(|v| v.get(i)) {
-            Some(r[i])
-        } else {
-            None
-        };
+        let a = lv.is_none_or(|v| v.get(i)).then_some(l[i]);
+        let b = rv.is_none_or(|v| v.get(i)).then_some(r[i]);
         match (a, b) {
-            (Some(false), _) | (_, Some(false)) => data.push(false),
-            (Some(true), Some(true)) => data.push(true),
-            _ => {
-                data.push(false);
-                validity.set(i, false);
-                any_null = true;
-            }
-        }
-    }
-    ColumnVector::Bool {
-        data,
-        validity: any_null.then_some(validity),
-    }
-}
-
-/// Three-valued logical OR.
-///
-/// Truth table: T OR x = T; F OR F = F; otherwise NULL.
-pub fn or_3vl(l: &[bool], lv: Option<&Bitmap>, r: &[bool], rv: Option<&Bitmap>) -> ColumnVector {
-    let n = l.len();
-    let mut data = Vec::with_capacity(n);
-    let mut validity = Bitmap::filled(n, true);
-    let mut any_null = false;
-    for i in 0..n {
-        let a = if lv.is_none_or(|v| v.get(i)) {
-            Some(l[i])
-        } else {
-            None
-        };
-        let b = if rv.is_none_or(|v| v.get(i)) {
-            Some(r[i])
-        } else {
-            None
-        };
-        match (a, b) {
-            (Some(true), _) | (_, Some(true)) => data.push(true),
-            (Some(false), Some(false)) => data.push(false),
+            (Some(x), _) | (_, Some(x)) if x == absorbing => data.push(absorbing),
+            (Some(_), Some(_)) => data.push(!absorbing),
             _ => {
                 data.push(false);
                 validity.set(i, false);
@@ -258,34 +242,51 @@ mod tests {
 
     #[test]
     fn i64_arith() {
-        let c = arith_i64("+", &[1, 2], &[10, 20], None).unwrap();
+        let c = arith_i64("+", Side::Col(&[1, 2]), Side::Col(&[10, 20]), None).unwrap();
         assert_eq!(c.as_i64().unwrap(), &[11, 22]);
-        let c = arith_i64("%", &[7, 9], &[4, 5], None).unwrap();
+        let c = arith_i64("%", Side::Col(&[7, 9]), Side::Col(&[4, 5]), None).unwrap();
         assert_eq!(c.as_i64().unwrap(), &[3, 4]);
-        assert!(arith_i64("/", &[1], &[0], None).is_err());
+        assert!(arith_i64("/", Side::Col(&[1]), Side::Col(&[0]), None).is_err());
+        let c = arith_i64("-", Side::One(&10), Side::Col(&[1, 2]), None).unwrap();
+        assert_eq!(c.as_i64().unwrap(), &[9, 8]);
     }
 
     #[test]
     fn i64_div_by_zero_in_null_slot_ok() {
         // Row is NULL: its zero divisor must not raise.
         let validity: Bitmap = [false].into_iter().collect();
-        let c = arith_i64("/", &[1], &[0], Some(validity)).unwrap();
+        let c = arith_i64(
+            "/",
+            Side::Col(&[1]),
+            Side::Col(&[0]),
+            Some(validity.clone()),
+        )
+        .unwrap();
         assert!(c.value(0).is_null());
+        // A zero scalar fails only when some row on the other side is valid.
+        assert!(arith_i64("/", Side::Col(&[1]), Side::One(&0), Some(validity)).is_ok());
+        assert!(arith_i64("%", Side::Col(&[1, 2]), Side::One(&0), None).is_err());
+        assert!(arith_i64("/", Side::Col(&[]), Side::One(&0), None).is_ok());
     }
 
     #[test]
     fn f64_arith_and_power() {
-        let c = arith_f64("^", &[2.0, 3.0], &[3.0, 2.0], None).unwrap();
+        let c = arith_f64("^", Side::Col(&[2.0, 3.0]), Side::Col(&[3.0, 2.0]), None).unwrap();
         assert_eq!(c.as_f64().unwrap(), &[8.0, 9.0]);
-        assert!(arith_f64("/", &[1.0], &[0.0], None).is_err());
+        assert!(arith_f64("/", Side::Col(&[1.0]), Side::Col(&[0.0]), None).is_err());
+        assert!(arith_f64("%", Side::Col(&[5.0]), Side::One(&-0.0), None).is_err());
+        let c = arith_f64("%", Side::One(&5.0), Side::Col(&[3.0]), None).unwrap();
+        assert_eq!(c.as_f64().unwrap(), &[2.0]);
     }
 
     #[test]
     fn comparisons() {
-        let c = compare("<", &[1, 5], &[3, 3], None).unwrap();
+        let c = compare("<", Side::Col(&[1, 5]), Side::One(&3), None).unwrap();
         assert_eq!(c.as_bool().unwrap(), &[true, false]);
-        let c = compare("=", &["a", "b"], &["a", "c"], None).unwrap();
+        let c = compare("=", Side::Col(&["a", "b"]), Side::Col(&["a", "c"]), None).unwrap();
         assert_eq!(c.as_bool().unwrap(), &[true, false]);
+        let c = compare(">", Side::One(&2.0), Side::One(&1.0), None).unwrap();
+        assert_eq!(c.as_bool().unwrap(), &[true]);
     }
 
     #[test]
@@ -295,7 +296,7 @@ mod tests {
         let lv: Bitmap = [true, true, true, false].into_iter().collect();
         let r = [true, false, false, false];
         let rv: Bitmap = [true, false, false, false].into_iter().collect();
-        let c = and_3vl(&l, Some(&lv), &r, Some(&rv));
+        let c = logic_3vl(false, &l, Some(&lv), &r, Some(&rv));
         assert_eq!(c.value(0), hylite_common::Value::Bool(true));
         assert!(c.value(1).is_null(), "T AND N = N");
         assert_eq!(c.value(2), hylite_common::Value::Bool(false), "F AND N = F");
@@ -304,14 +305,15 @@ mod tests {
 
     #[test]
     fn three_valued_or() {
-        let l = [true, false, false];
-        let lv: Bitmap = [true, true, false].into_iter().collect();
-        let r = [false, false, true];
-        let rv: Bitmap = [false, true, true].into_iter().collect();
-        let c = or_3vl(&l, Some(&lv), &r, Some(&rv));
+        let l = [true, false, false, false];
+        let lv: Bitmap = [true, true, false, true].into_iter().collect();
+        let r = [false, false, true, true];
+        let rv: Bitmap = [false, true, true, true].into_iter().collect();
+        let c = logic_3vl(true, &l, Some(&lv), &r, Some(&rv));
         assert_eq!(c.value(0), hylite_common::Value::Bool(true), "T OR N = T");
         assert_eq!(c.value(1), hylite_common::Value::Bool(false));
         assert_eq!(c.value(2), hylite_common::Value::Bool(true), "N OR T = T");
+        assert_eq!(c.value(3), hylite_common::Value::Bool(true), "F OR T = T");
     }
 
     #[test]

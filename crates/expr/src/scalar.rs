@@ -1,11 +1,12 @@
 //! Bound scalar expressions and their vectorized evaluation.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use hylite_common::{Bitmap, Chunk, ColumnVector, DataType, HyError, Result, Value};
 
 use crate::functions::ScalarFunc;
-use crate::kernels::{self, merge_validity};
+use crate::kernels::{self, merge_validity, Side};
 
 /// Binary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -313,7 +314,7 @@ impl ScalarExpr {
 
     // Where a node keeps its operands is written down in the two accessors
     // below and, outside the node's own meaning (constructors, `data_type`,
-    // `eval`, `Display`), nowhere else: every walk, here and in the
+    // `operand`, `Display`), nowhere else: every walk, here and in the
     // optimizer and the lambdas, goes through them. No wildcard arm, so a
     // new variant does not compile until it is listed; one chain over a
     // node's parts — its first boxed operand, its operand list (a CASE's
@@ -433,61 +434,52 @@ impl ScalarExpr {
     /// Vectorized evaluation over a chunk, producing one column with
     /// `chunk.len()` rows.
     pub fn eval(&self, chunk: &Chunk) -> Result<ColumnVector> {
+        Ok(self.operand(chunk)?.rows(chunk.len()).into_owned())
+    }
+
+    /// Evaluation as an operand: a column reference borrows the chunk's
+    /// column, a literal is one row, and a node whose operands are all such
+    /// scalars computes one row too.
+    fn operand<'a>(&'a self, chunk: &'a Chunk) -> Result<Operand<'a>> {
         let n = chunk.len();
-        match self {
-            ScalarExpr::Column { index, .. } => Ok(chunk.column(*index).clone()),
-            ScalarExpr::Literal(v) => broadcast(v, n),
-            // The distance idiom `(a - b) ^ 2`: a multiply, not a `powf`.
+        Ok(match self {
+            ScalarExpr::Column { index, .. } => Operand::borrowed(chunk.column(*index), false),
+            // An empty chunk has no row to stand for, so no scalar.
+            ScalarExpr::Literal(v) => Operand::owned(broadcast(v, n.min(1)), n > 0),
             ScalarExpr::Binary {
-                op: BinaryOp::Pow,
-                left,
-                right,
-                ..
-            } if right.is_literal_two() => kernels::square(&left.eval(chunk)?),
+                op, left, right, ..
+            } => binary(*op, left, right, chunk)?,
             ScalarExpr::Func {
                 func: ScalarFunc::Pow,
                 args,
                 ..
-            } if args.len() == 2 && args[1].is_literal_two() => {
-                kernels::square(&args[0].eval(chunk)?)
-            }
-            ScalarExpr::Binary {
-                op, left, right, ..
-            } => {
-                let l = left.eval(chunk)?;
-                let r = right.eval(chunk)?;
-                eval_binary(*op, &l, &r)
-            }
-            ScalarExpr::Unary { op, input } => {
-                let c = input.eval(chunk)?;
-                match op {
-                    UnaryOp::Neg => match &c {
-                        ColumnVector::Int64 { data, validity } => Ok(ColumnVector::Int64 {
-                            data: data.iter().map(|v| v.wrapping_neg()).collect(),
-                            validity: validity.clone(),
-                        }),
-                        ColumnVector::Float64 { data, validity } => Ok(ColumnVector::Float64 {
-                            data: data.iter().map(|v| -v).collect(),
-                            validity: validity.clone(),
-                        }),
-                        other => Err(HyError::Type(format!(
-                            "cannot negate {}",
-                            other.data_type()
-                        ))),
-                    },
-                    UnaryOp::Not => {
-                        let b = c.as_bool()?;
-                        Ok(ColumnVector::Bool {
-                            data: b.iter().map(|v| !v).collect(),
-                            validity: c.validity().cloned(),
-                        })
-                    }
-                }
-            }
+            } => binary(BinaryOp::Pow, &args[0], &args[1], chunk)?,
+            ScalarExpr::Unary { op, input } => input.operand(chunk)?.map(|c| match op {
+                UnaryOp::Neg => match c {
+                    ColumnVector::Int64 { data, validity } => Ok(ColumnVector::Int64 {
+                        data: data.iter().map(|v| v.wrapping_neg()).collect(),
+                        validity: validity.clone(),
+                    }),
+                    ColumnVector::Float64 { data, validity } => Ok(ColumnVector::Float64 {
+                        data: data.iter().map(|v| -v).collect(),
+                        validity: validity.clone(),
+                    }),
+                    other => Err(HyError::Type(format!(
+                        "cannot negate {}",
+                        other.data_type()
+                    ))),
+                },
+                UnaryOp::Not => not(c),
+            })?,
             ScalarExpr::Func { func, args, .. } => {
-                let cols: Vec<ColumnVector> =
-                    args.iter().map(|a| a.eval(chunk)).collect::<Result<_>>()?;
-                func.eval(&cols)
+                let args: Vec<Operand> = args
+                    .iter()
+                    .map(|a| a.operand(chunk))
+                    .collect::<Result<_>>()?;
+                let scalar = args.iter().all(|a| a.scalar);
+                let rows = if scalar { 1 } else { n };
+                let cols: Vec<Cow<ColumnVector>> = args.into_iter().map(|a| a.rows(rows)).collect();
+                Operand::owned(func.eval(&cols)?, scalar)
             }
             ScalarExpr::Case {
                 branches,
@@ -527,67 +519,36 @@ impl ScalarExpr {
                     }
                     out.push_value(&v)?;
                 }
-                Ok(out)
+                Operand::owned(out, false)
             }
-            ScalarExpr::Cast { input, target } => input.eval(chunk)?.cast_to(*target),
-            ScalarExpr::IsNull { input, negated } => {
-                let c = input.eval(chunk)?;
-                let data: Vec<bool> = (0..n)
-                    .map(|i| {
-                        let isnull = !c.is_valid(i);
-                        if *negated {
-                            !isnull
-                        } else {
-                            isnull
-                        }
-                    })
-                    .collect();
-                Ok(ColumnVector::from_bool(data))
+            ScalarExpr::Cast { input, target } => {
+                let input = input.operand(chunk)?;
+                Operand::new(kernels::cast(input.col, *target)?, input.scalar)
             }
+            ScalarExpr::IsNull { input, negated } => input.operand(chunk)?.map(|c| {
+                let hits = (0..c.len()).map(|i| c.is_valid(i) == *negated);
+                Ok(ColumnVector::from_bool(hits.collect()))
+            })?,
             ScalarExpr::InList {
                 input,
                 list,
                 negated,
-            } => {
-                let c = input.eval(chunk)?;
-                let mut data = Vec::with_capacity(n);
-                let mut validity = Bitmap::filled(n, true);
-                let mut any_null = false;
-                for i in 0..n {
-                    let v = c.value(i);
-                    if v.is_null() {
-                        data.push(false);
-                        validity.set(i, false);
-                        any_null = true;
-                        continue;
-                    }
-                    let hit = list.iter().any(|cand| {
-                        !cand.is_null() && v.sort_cmp(cand) == std::cmp::Ordering::Equal
-                    });
-                    data.push(hit != *negated);
-                }
-                Ok(ColumnVector::Bool {
-                    data,
-                    validity: any_null.then_some(validity),
-                })
-            }
+            } => in_list(input, list, *negated, chunk)?,
             ScalarExpr::Like {
                 input,
                 pattern,
                 negated,
-            } => {
-                let c = input.eval(chunk)?;
+            } => input.operand(chunk)?.map(|c| {
                 let s = c.as_varchar()?;
-                let data: Vec<bool> = s
-                    .iter()
-                    .map(|v| kernels::like_match(v, pattern) != *negated)
-                    .collect();
                 Ok(ColumnVector::Bool {
-                    data,
+                    data: s
+                        .iter()
+                        .map(|v| kernels::like_match(v, pattern) != *negated)
+                        .collect(),
                     validity: c.validity().cloned(),
                 })
-            }
-        }
+            })?,
+        })
     }
 
     /// Evaluate on a single materialized row (used by the UDF baseline and
@@ -623,96 +584,181 @@ impl ScalarExpr {
     }
 }
 
-/// Evaluate a binary operator over two columns.
-pub fn eval_binary(op: BinaryOp, l: &ColumnVector, r: &ColumnVector) -> Result<ColumnVector> {
-    use BinaryOp::*;
-    match op {
-        And => {
-            let validity_l = l.validity().cloned();
-            let validity_r = r.validity().cloned();
-            Ok(kernels::and_3vl(
-                l.as_bool()?,
-                validity_l.as_ref(),
-                r.as_bool()?,
-                validity_r.as_ref(),
-            ))
+/// An evaluated operand: a column of the chunk's rows — borrowed when the
+/// expression is a column reference — or, when `scalar`, one row standing
+/// for every row.
+struct Operand<'a> {
+    col: Cow<'a, ColumnVector>,
+    scalar: bool,
+}
+
+impl<'a> Operand<'a> {
+    fn new(col: Cow<'a, ColumnVector>, scalar: bool) -> Operand<'a> {
+        Operand { col, scalar }
+    }
+
+    fn owned(col: ColumnVector, scalar: bool) -> Operand<'a> {
+        Operand::new(Cow::Owned(col), scalar)
+    }
+
+    fn borrowed(col: &'a ColumnVector, scalar: bool) -> Operand<'a> {
+        Operand::new(Cow::Borrowed(col), scalar)
+    }
+
+    /// `f` over the operand's rows; a scalar stays a scalar.
+    fn map(self, f: impl FnOnce(&ColumnVector) -> Result<ColumnVector>) -> Result<Operand<'a>> {
+        Ok(Operand::owned(f(&self.col)?, self.scalar))
+    }
+
+    /// The operand as a column of `n` rows: a scalar is repeated (the one
+    /// place a literal becomes a column), a column kept as it is.
+    fn rows(self, n: usize) -> Cow<'a, ColumnVector> {
+        if !self.scalar || self.col.len() == n {
+            return self.col;
         }
-        Or => {
-            let validity_l = l.validity().cloned();
-            let validity_r = r.validity().cloned();
-            Ok(kernels::or_3vl(
-                l.as_bool()?,
-                validity_l.as_ref(),
-                r.as_bool()?,
-                validity_r.as_ref(),
-            ))
-        }
-        _ => {
-            let common = l.data_type().common_type(r.data_type())?;
-            let common = if op == Pow { DataType::Float64 } else { common };
-            let lc = l.cast_to(common)?;
-            let rc = r.cast_to(common)?;
-            let validity = merge_validity(lc.validity(), rc.validity());
-            if op.is_comparison() {
-                let sym = op.symbol();
-                match common {
-                    DataType::Int64 => kernels::compare(sym, lc.as_i64()?, rc.as_i64()?, validity),
-                    DataType::Float64 => {
-                        kernels::compare(sym, lc.as_f64()?, rc.as_f64()?, validity)
-                    }
-                    DataType::Bool => kernels::compare(sym, lc.as_bool()?, rc.as_bool()?, validity),
-                    DataType::Varchar => {
-                        kernels::compare(sym, lc.as_varchar()?, rc.as_varchar()?, validity)
-                    }
-                    DataType::Null => Ok(all_null_bool(lc.len())),
-                }
-            } else {
-                let sym = op.symbol();
-                match common {
-                    DataType::Int64 => {
-                        kernels::arith_i64(sym, lc.as_i64()?, rc.as_i64()?, validity)
-                    }
-                    DataType::Float64 => {
-                        kernels::arith_f64(sym, lc.as_f64()?, rc.as_f64()?, validity)
-                    }
-                    DataType::Null => {
-                        let mut c = ColumnVector::empty(DataType::Int64);
-                        for _ in 0..lc.len() {
-                            c.push_null();
-                        }
-                        Ok(c)
-                    }
-                    other => Err(HyError::Type(format!(
-                        "operator {sym} not defined for {other}"
-                    ))),
-                }
-            }
-        }
+        Cow::Owned(match self.col.value(0) {
+            Value::Null => nulls(self.col.data_type(), n),
+            v => broadcast(&v, n),
+        })
+    }
+
+    /// The validity of a column's rows; none for a scalar (a NULL one is
+    /// the caller's case).
+    fn mask(&self) -> Option<&Bitmap> {
+        (!self.scalar).then(|| self.col.validity()).flatten()
     }
 }
 
-fn all_null_bool(n: usize) -> ColumnVector {
-    let mut c = ColumnVector::empty(DataType::Bool);
-    for _ in 0..n {
-        c.push_null();
+/// Evaluate a binary operator over two columns of one length.
+pub fn eval_binary(op: BinaryOp, l: &ColumnVector, r: &ColumnVector) -> Result<ColumnVector> {
+    let (l, r) = (Operand::borrowed(l, false), Operand::borrowed(r, false));
+    Ok(binary_operands(op, l, r)?.col.into_owned())
+}
+
+/// `left op right` over a chunk; `x ^ 2` is a multiply, not a `powf`.
+fn binary<'a>(
+    op: BinaryOp,
+    left: &'a ScalarExpr,
+    right: &'a ScalarExpr,
+    chunk: &'a Chunk,
+) -> Result<Operand<'a>> {
+    let l = left.operand(chunk)?;
+    if op == BinaryOp::Pow && right.is_literal_two() {
+        return l.map(kernels::square);
     }
+    binary_operands(op, l, right.operand(chunk)?)
+}
+
+fn binary_operands<'a>(op: BinaryOp, l: Operand<'_>, r: Operand<'_>) -> Result<Operand<'a>> {
+    let scalar = l.scalar && r.scalar;
+    let n = if l.scalar { r.col.len() } else { l.col.len() };
+    let col = match op {
+        BinaryOp::And | BinaryOp::Or => {
+            let (l, r) = (l.rows(n), r.rows(n));
+            let (lv, rv) = (l.validity(), r.validity());
+            kernels::logic_3vl(op == BinaryOp::Or, l.as_bool()?, lv, r.as_bool()?, rv)
+        }
+        _ => {
+            let common = l.col.data_type().common_type(r.col.data_type())?;
+            let common = if op == BinaryOp::Pow {
+                DataType::Float64
+            } else {
+                common
+            };
+            // A NULL scalar makes every row NULL.
+            let validity = if [&l, &r].iter().any(|o| o.scalar && !o.col.is_valid(0)) {
+                Some(Bitmap::filled(n, false))
+            } else {
+                merge_validity(l.mask(), r.mask())
+            };
+            let (ls, rs) = (l.scalar, r.scalar);
+            let (lc, rc) = (kernels::cast(l.col, common)?, kernels::cast(r.col, common)?);
+            let sym = op.symbol();
+            // `$kernel` over both sides as `$slice`s.
+            macro_rules! kernel {
+                ($kernel:ident, $slice:ident) => {{
+                    let (l, r) = (Side::new(lc.$slice()?, ls), Side::new(rc.$slice()?, rs));
+                    kernels::$kernel(sym, l, r, validity)
+                }};
+            }
+            match (op.is_comparison(), common) {
+                (true, DataType::Int64) => kernel!(compare, as_i64),
+                (true, DataType::Float64) => kernel!(compare, as_f64),
+                (true, DataType::Bool) => kernel!(compare, as_bool),
+                (true, DataType::Varchar) => kernel!(compare, as_varchar),
+                (true, DataType::Null) => Ok(nulls(DataType::Bool, n)),
+                (false, DataType::Int64) => kernel!(arith_i64, as_i64),
+                (false, DataType::Float64) => kernel!(arith_f64, as_f64),
+                (false, DataType::Null) => Ok(nulls(DataType::Int64, n)),
+                (false, other) => Err(HyError::Type(format!(
+                    "operator {sym} not defined for {other}"
+                ))),
+            }?
+        }
+    };
+    Ok(Operand::owned(col, scalar))
+}
+
+/// `input IN (list)`: the OR of `input = item`, each in the `=` kernel's
+/// common type, so a NULL item or NULL input makes a non-match NULL and
+/// NaN matches nothing; `NOT IN` is its negation.
+fn in_list<'a>(
+    input: &'a ScalarExpr,
+    list: &[Value],
+    negated: bool,
+    chunk: &'a Chunk,
+) -> Result<Operand<'a>> {
+    let untyped = input.data_type() == DataType::Null;
+    let input = input.operand(chunk)?;
+    let n = if input.scalar { 1 } else { input.col.len() };
+    // An untyped NULL input (BIGINT storage) is NULL against any item.
+    if untyped {
+        return Ok(Operand::owned(nulls(DataType::Bool, n), input.scalar));
+    }
+    let mut common = input.col.data_type();
+    for item in list.iter().filter(|v| !v.is_null()) {
+        common = common.common_type(item.data_type())?;
+    }
+    let (scalar, values) = (input.scalar, kernels::cast(input.col, common)?);
+    let mut any = Operand::owned(ColumnVector::from_bool(vec![false; n]), scalar);
+    for item in list {
+        let hit = if item.is_null() {
+            Operand::owned(nulls(DataType::Bool, n), scalar)
+        } else {
+            let item = Operand::owned(broadcast(item, 1), true);
+            binary_operands(BinaryOp::Eq, Operand::borrowed(&values, scalar), item)?
+        };
+        any = binary_operands(BinaryOp::Or, any, hit)?;
+    }
+    if negated {
+        any = any.map(not)?;
+    }
+    Ok(any)
+}
+
+/// Three-valued NOT: NOT NULL is NULL.
+fn not(c: &ColumnVector) -> Result<ColumnVector> {
+    Ok(ColumnVector::Bool {
+        data: c.as_bool()?.iter().map(|v| !v).collect(),
+        validity: c.validity().cloned(),
+    })
+}
+
+/// An all-NULL column of type `t` (`Null` is BIGINT storage).
+fn nulls(t: DataType, n: usize) -> ColumnVector {
+    let mut c = ColumnVector::empty(t);
+    (0..n).for_each(|_| c.push_null());
     c
 }
 
-/// Broadcast a scalar into an `n`-row column.
-pub fn broadcast(v: &Value, n: usize) -> Result<ColumnVector> {
+/// Broadcast a scalar into an `n`-row column (a NULL is BIGINT).
+pub fn broadcast(v: &Value, n: usize) -> ColumnVector {
     match v {
-        Value::Null => {
-            let mut c = ColumnVector::empty(DataType::Int64);
-            for _ in 0..n {
-                c.push_null();
-            }
-            Ok(c)
-        }
-        Value::Int(x) => Ok(ColumnVector::from_i64(vec![*x; n])),
-        Value::Float(x) => Ok(ColumnVector::from_f64(vec![*x; n])),
-        Value::Bool(x) => Ok(ColumnVector::from_bool(vec![*x; n])),
-        Value::Str(x) => Ok(ColumnVector::from_str(vec![x.clone(); n])),
+        Value::Null => nulls(DataType::Int64, n),
+        Value::Int(x) => ColumnVector::from_i64(vec![*x; n]),
+        Value::Float(x) => ColumnVector::from_f64(vec![*x; n]),
+        Value::Bool(x) => ColumnVector::from_bool(vec![*x; n]),
+        Value::Str(x) => ColumnVector::from_str(vec![x.clone(); n]),
     }
 }
 

@@ -30,7 +30,7 @@ fn arb_chunk(rng: &mut StdRng) -> Chunk {
             Value::Int(rng.gen_range(-20i64..20)),
             Value::Float(rng.gen_range(-50.0f64..50.0)),
             Value::Bool(rng.gen_bool(0.5)),
-            Value::Str(["ab", "abc", "b", "cab", ""][rng.gen_range(0usize..5)].into()),
+            Value::Str(arb_str(rng).into()),
         ];
         for (column, cell) in columns.iter_mut().zip(cells) {
             if rng.gen_bool(0.9) {
@@ -46,17 +46,25 @@ fn arb_chunk(rng: &mut StdRng) -> Chunk {
 /// Random well-typed numeric expressions over the schema.
 fn arb_numeric_expr(rng: &mut StdRng, depth: usize) -> ScalarExpr {
     if depth == 0 {
-        return match rng.gen_range(0u32..4) {
-            0 => ScalarExpr::column(0, DataType::Int64),
-            1 => ScalarExpr::column(1, DataType::Float64),
-            2 => ScalarExpr::literal(rng.gen_range(-10i64..10)),
-            _ => ScalarExpr::literal(rng.gen_range(-10i64..10) as f64 / 2.0),
+        return match rng.gen_range(0u32..9) {
+            0 | 1 => ScalarExpr::column(0, DataType::Int64),
+            2 | 3 => ScalarExpr::column(1, DataType::Float64),
+            4 | 5 => ScalarExpr::literal(rng.gen_range(-10i64..10)),
+            6 | 7 => ScalarExpr::literal(rng.gen_range(-10i64..10) as f64 / 2.0),
+            _ => ScalarExpr::literal(Value::Null),
         };
     }
     match rng.gen_range(0u32..7) {
         0 => arb_numeric_expr(rng, 0),
         1 => {
-            let op = [BinaryOp::Add, BinaryOp::Sub, BinaryOp::Mul][rng.gen_range(0usize..3)];
+            let op = [
+                BinaryOp::Add,
+                BinaryOp::Sub,
+                BinaryOp::Mul,
+                BinaryOp::Div,
+                BinaryOp::Mod,
+                BinaryOp::Pow,
+            ][rng.gen_range(0usize..6)];
             ScalarExpr::binary(
                 op,
                 arb_numeric_expr(rng, depth - 1),
@@ -96,13 +104,23 @@ fn arb_numeric_expr(rng: &mut StdRng, depth: usize) -> ScalarExpr {
 /// Random well-typed boolean expressions.
 fn arb_bool_expr(rng: &mut StdRng, depth: usize) -> ScalarExpr {
     if depth == 0 {
-        return if rng.gen_bool(0.5) {
-            ScalarExpr::column(2, DataType::Bool)
-        } else {
-            let op = [BinaryOp::Lt, BinaryOp::Eq, BinaryOp::GtEq][rng.gen_range(0usize..3)];
-            let d = rng.gen_range(0usize..3);
-            ScalarExpr::binary(op, arb_numeric_expr(rng, d), arb_numeric_expr(rng, d))
-                .expect("comparison")
+        let op = [
+            BinaryOp::Eq,
+            BinaryOp::NotEq,
+            BinaryOp::Lt,
+            BinaryOp::LtEq,
+            BinaryOp::Gt,
+            BinaryOp::GtEq,
+        ][rng.gen_range(0usize..6)];
+        return match rng.gen_range(0u32..4) {
+            0 => ScalarExpr::column(2, DataType::Bool),
+            // Numbers of either type, a literal on either side or both.
+            1 | 2 => {
+                let d = rng.gen_range(0usize..3);
+                ScalarExpr::binary(op, arb_numeric_expr(rng, d), arb_numeric_expr(rng, d))
+                    .expect("comparison")
+            }
+            _ => ScalarExpr::binary(op, arb_varchar(rng), arb_varchar(rng)).expect("comparison"),
         };
     }
     match rng.gen_range(0u32..6) {
@@ -128,12 +146,18 @@ fn arb_bool_expr(rng: &mut StdRng, depth: usize) -> ScalarExpr {
         // IN / NOT IN over candidates of the input's type, NULL among them
         // now and then.
         4 => {
-            let input = arb_numeric_expr(rng, depth - 1);
-            let float = input.data_type() == DataType::Float64;
+            let input = if rng.gen_bool(0.2) {
+                arb_varchar(rng)
+            } else {
+                arb_numeric_expr(rng, depth - 1)
+            };
+            let input_type = input.data_type();
             let list = (0..rng.gen_range(1usize..4))
-                .map(|_| match rng.gen_range(0u32..5) {
-                    0 => Value::Null,
-                    _ if float => Value::Float(rng.gen_range(-10i64..10) as f64 / 2.0),
+                .map(|_| match (rng.gen_range(0u32..6), input_type) {
+                    (0, _) => Value::Null,
+                    (1, DataType::Float64) => Value::Float(f64::NAN),
+                    (_, DataType::Float64) => Value::Float(rng.gen_range(-10i64..10) as f64 / 2.0),
+                    (_, DataType::Varchar) => Value::Str(arb_str(rng).into()),
                     _ => Value::Int(rng.gen_range(-10i64..10)),
                 })
                 .collect();
@@ -148,6 +172,21 @@ fn arb_bool_expr(rng: &mut StdRng, depth: usize) -> ScalarExpr {
             pattern: ["a%", "%b", "_a%", "%", "abc"][rng.gen_range(0usize..5)].into(),
             negated: rng.gen_bool(0.5),
         },
+    }
+}
+
+const STRINGS: [&str; 5] = ["ab", "abc", "b", "cab", ""];
+
+fn arb_str(rng: &mut StdRng) -> &'static str {
+    STRINGS[rng.gen_range(0usize..STRINGS.len())]
+}
+
+/// A VARCHAR operand: the column, a string literal or a NULL literal.
+fn arb_varchar(rng: &mut StdRng) -> ScalarExpr {
+    match rng.gen_range(0u32..5) {
+        0 | 1 => ScalarExpr::column(3, DataType::Varchar),
+        2 | 3 => ScalarExpr::literal(arb_str(rng)),
+        _ => ScalarExpr::literal(Value::Null),
     }
 }
 
@@ -250,7 +289,12 @@ fn shared_and_mutable_children_agree_on_every_node() {
             let children: Vec<ScalarExpr> = node.children().cloned().collect();
             let mut copy = node.clone();
             let children_mut: Vec<ScalarExpr> = copy.children_mut().map(|c| c.clone()).collect();
-            assert_eq!(children, children_mut, "{node}");
+            // By their Debug text: an IN list may hold a NaN.
+            assert_eq!(
+                format!("{children:?}"),
+                format!("{children_mut:?}"),
+                "{node}"
+            );
             // A write through the mutable accessor reads back at its place.
             let marker = ScalarExpr::literal("marker");
             for i in 0..children.len() {
@@ -277,10 +321,12 @@ fn column_walks_are_identities_and_agree() {
         let e = arb_expr(&mut rng);
         let mut remapped = e.clone();
         remapped.remap_columns(&[0, 1, 2, 3]);
-        assert_eq!(remapped, e);
+        // By their Debug text: an IN list may hold a NaN.
+        let text = format!("{e:?}");
+        assert_eq!(format!("{remapped:?}"), text);
         let mut substituted = e.clone();
         substituted.replace_columns(&|i| Some(ScalarExpr::column(i, TYPES[i])));
-        assert_eq!(substituted, e);
+        assert_eq!(format!("{substituted:?}"), text);
         let mut columns = Vec::new();
         e.referenced_columns(&mut columns);
         assert_eq!(e.is_constant(), columns.is_empty(), "{e}");
@@ -294,4 +340,94 @@ fn column_walks_are_identities_and_agree() {
         };
         assert!(listed.any_literal(&only_listed), "{listed}");
     }
+}
+
+/// `e` with every literal replaced by a column of the chunk holding that
+/// value in every row (appended after the chunk's own columns), and that
+/// chunk. A literal `2` as the exponent of `^` / `pow` stays: `x ^ 2` is a
+/// multiply, `x ^ y` a `powf`, and the two may differ in the last bit.
+fn literal_twin(e: &ScalarExpr, chunk: &Chunk) -> (ScalarExpr, Chunk) {
+    fn is_two(e: &ScalarExpr) -> bool {
+        matches!(e, ScalarExpr::Literal(Value::Int(2)))
+            || matches!(e, ScalarExpr::Literal(Value::Float(x)) if *x == 2.0)
+    }
+    fn walk(e: &mut ScalarExpr, first: usize, values: &mut Vec<Value>) {
+        if let ScalarExpr::Literal(v) = e {
+            let data_type = v.data_type();
+            values.push(std::mem::replace(v, Value::Null));
+            *e = ScalarExpr::column(first + values.len() - 1, data_type);
+            return;
+        }
+        let squares = match e {
+            ScalarExpr::Binary {
+                op: BinaryOp::Pow,
+                right,
+                ..
+            } => is_two(right),
+            ScalarExpr::Func {
+                func: ScalarFunc::Pow,
+                args,
+                ..
+            } => is_two(&args[1]),
+            _ => false,
+        };
+        let operands = e.children_mut().count();
+        for child in e
+            .children_mut()
+            .take(if squares { operands - 1 } else { operands })
+        {
+            walk(child, first, values);
+        }
+    }
+    let mut twin = e.clone();
+    let mut values = Vec::new();
+    walk(&mut twin, chunk.num_columns(), &mut values);
+    let mut columns: Vec<ColumnVector> = chunk.columns().iter().map(|c| (**c).clone()).collect();
+    for v in values {
+        let cells = vec![v.clone(); chunk.len()];
+        columns.push(ColumnVector::from_values(v.data_type(), &cells).unwrap());
+    }
+    (twin, Chunk::new(columns))
+}
+
+/// Same cells (floats by bits) and the same column type, or the same error.
+fn assert_same_outcome(
+    e: &ScalarExpr,
+    got: hylite_common::Result<ColumnVector>,
+    want: hylite_common::Result<ColumnVector>,
+) {
+    match (got, want) {
+        (Ok(got), Ok(want)) => {
+            assert_eq!(got.len(), want.len(), "{e}");
+            assert_eq!(got.data_type(), want.data_type(), "{e}");
+            for i in 0..got.len() {
+                let same = match (got.value(i), want.value(i)) {
+                    (Value::Float(a), Value::Float(b)) => a.to_bits() == b.to_bits(),
+                    (a, b) => a == b,
+                };
+                assert!(
+                    same,
+                    "row {i}: {} vs {} in {e}",
+                    got.value(i),
+                    want.value(i)
+                );
+            }
+        }
+        (Err(got), Err(want)) => assert_eq!(got.to_string(), want.to_string(), "{e}"),
+        (got, want) => panic!("{e}: {got:?} vs its twin's {want:?}"),
+    }
+}
+
+#[test]
+fn literals_evaluate_like_columns_holding_them() {
+    let mut rng = StdRng::seed_from_u64(0x7_1175);
+    let mut literals = 0;
+    for _ in 0..600 {
+        let e = arb_expr(&mut rng);
+        let chunk = arb_chunk(&mut rng);
+        let (twin, twin_chunk) = literal_twin(&e, &chunk);
+        literals += twin_chunk.num_columns() - chunk.num_columns();
+        assert_same_outcome(&e, e.eval(&chunk), twin.eval(&twin_chunk));
+    }
+    assert!(literals > 600, "{literals} literals");
 }

@@ -79,6 +79,59 @@ fn like_between_in_case() {
     assert_eq!(r.scalar().unwrap(), Value::Int(3));
 }
 
+/// `x IN (a, b)` is `x = a OR x = b`, and `NOT IN` its negation: a NULL
+/// item makes a non-match NULL, NaN equals nothing, `-0.0` equals `0.0`,
+/// and a BIGINT meets DOUBLE items as a DOUBLE, as `=` has them.
+#[test]
+fn in_is_the_or_of_its_equalities() {
+    let db = Database::new();
+    let scalar = |sql: &str| db.execute(sql).unwrap().scalar().unwrap();
+    assert_eq!(scalar("SELECT 1 IN (2, NULL)"), Value::Null);
+    assert_eq!(scalar("SELECT 1 NOT IN (2, NULL)"), Value::Null);
+    assert_eq!(scalar("SELECT sqrt(-1.0) = sqrt(-1.0)"), Value::Bool(false));
+    assert_eq!(
+        scalar("SELECT sqrt(-1.0) IN (sqrt(-1.0))"),
+        Value::Bool(false)
+    );
+    assert_eq!(scalar("SELECT -0.0 IN (0.0)"), Value::Bool(true));
+    assert_eq!(scalar("SELECT NULL IN ('a', 1)"), Value::Null);
+    db.execute("CREATE TABLE t (x BIGINT)").unwrap();
+    db.execute("INSERT INTO t VALUES (1), (2), (NULL)").unwrap();
+    let r = db
+        .execute("SELECT x FROM t WHERE x NOT IN (2, NULL)")
+        .unwrap();
+    assert_eq!(r.row_count(), 0, "NOT IN with a NULL item keeps no row");
+    let r = db
+        .execute("SELECT x, x IN (1.0, 2.5), x NOT IN (2.0, NULL) FROM t ORDER BY x")
+        .unwrap();
+    let rows: Vec<Vec<Value>> = (0..r.row_count())
+        .map(|i| (0..3).map(|j| r.value(i, j).unwrap()).collect())
+        .collect();
+    let (t, f, null) = (Value::Bool(true), Value::Bool(false), Value::Null);
+    assert_eq!(
+        rows,
+        [
+            vec![Value::Null, null.clone(), null.clone()],
+            vec![Value::Int(1), t, null],
+            vec![Value::Int(2), f.clone(), f],
+        ]
+    );
+}
+
+/// DOUBLE `%` by zero fails like DOUBLE `/` and BIGINT `%` do.
+#[test]
+fn double_modulo_by_zero_fails() {
+    let db = Database::new();
+    for sql in ["SELECT 5.0 % 0.0", "SELECT 5 % 0", "SELECT 5.0 / 0.0"] {
+        let err = db.execute(sql).unwrap_err();
+        assert_eq!(err.stage(), "execution", "{sql}");
+    }
+    let err = db.execute("SELECT 5.0 % 0.0").unwrap_err();
+    assert!(err.to_string().contains("modulo by zero"), "{err}");
+    let r = db.execute("SELECT 5.5 % 2.0").unwrap();
+    assert_eq!(r.scalar().unwrap(), Value::Float(1.5));
+}
+
 #[test]
 fn distinct_union_except_behavior() {
     let db = db_with_people();
