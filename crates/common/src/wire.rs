@@ -18,11 +18,18 @@
 //! plus an optional validity bitmap), so a decoded [`Chunk`] compares
 //! equal to the chunk the embedded API would have returned.
 //!
+//! Each frame is declared once, as one row of the `frames!` table below:
+//! its tag, its name, its sender and its typed fields. The table generates
+//! [`Frame`], [`encode_frame`] and [`decode_frame`]; every field type has
+//! one codec (`put`, `get`), and `get` accepts exactly the bytes `put` can
+//! write, so a decoded frame encodes back to the bytes it came from.
+//!
 //! Errors travel as a stable numeric [`ErrorCode`] plus a human-readable
 //! message; see [`ErrorCode`] for the code space and the retryability
 //! contract. The full protocol (handshake, cancellation, shutdown) is
 //! documented in `docs/PROTOCOL.md`.
 
+use std::fmt;
 use std::io::{Read, Write};
 
 use crate::{Bitmap, Chunk, ColumnVector, DataType, Field, HyError, Result, Schema};
@@ -44,171 +51,129 @@ pub const MAX_FRAME_BYTES: u32 = 256 * 1024 * 1024;
 // Error codes
 // ---------------------------------------------------------------------------
 
-/// Stable numeric error codes carried by [`Frame::Error`].
-///
-/// The code space is partitioned so clients can classify failures without
-/// string matching:
-///
-/// | Range | Meaning                                        | Retryable |
-/// |-------|------------------------------------------------|-----------|
-/// | 1xxx  | The SQL text was rejected (parse/bind/plan)    | no        |
-/// | 2xxx  | The statement failed while executing           | no        |
-/// | 3xxx  | Governed abort (cancel/timeout/budget)         | yes       |
-/// | 4xxx  | Engine bug (internal invariant violation)      | no        |
-/// | 5xxx  | Server-side admission control / transport      | see below |
-///
-/// Within 5xxx, [`Overloaded`](ErrorCode::Overloaded),
-/// [`QueueTimeout`](ErrorCode::QueueTimeout),
-/// [`ShuttingDown`](ErrorCode::ShuttingDown) and
-/// [`DiskFull`](ErrorCode::DiskFull) are retryable (the statement was
-/// never started); [`Protocol`](ErrorCode::Protocol) is not.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u16)]
-pub enum ErrorCode {
-    /// Tokenizer/parser rejected the SQL text.
-    Parse = 1000,
-    /// Name resolution or type checking failed.
-    Bind = 1001,
-    /// Logical-to-physical planning failed.
-    Plan = 1002,
-    /// A type mismatch detected at any stage.
-    Type = 1003,
-    /// Runtime failure while executing the plan.
-    Execution = 2000,
-    /// Storage-layer failure.
-    Storage = 2001,
-    /// Catalog-level failure.
-    Catalog = 2002,
-    /// An analytics operator rejected its configuration or input.
-    Analytics = 2003,
-    /// Transaction handling failure.
-    Transaction = 2004,
-    /// The statement was cancelled (e.g. an out-of-band Cancel frame).
-    Cancelled = 3000,
-    /// The statement ran past its `statement_timeout_ms`.
-    Timeout = 3001,
-    /// The statement exceeded its `memory_budget_mb`.
-    BudgetExceeded = 3002,
-    /// Internal invariant violation — a bug, not user error.
-    Internal = 4000,
-    /// The server is at its connection cap or statement queue capacity.
-    Overloaded = 5000,
-    /// The statement waited in the admission queue past the configured
-    /// backpressure deadline without getting an execution slot.
-    QueueTimeout = 5001,
-    /// The server is draining for shutdown and accepts no new work.
-    ShuttingDown = 5002,
-    /// Wire-protocol violation (bad magic, unknown tag, short frame,
-    /// version mismatch, transport failure).
-    Protocol = 5003,
-    /// The statement tried to write on a read-only replica. Retryable in
-    /// the sense that the *system* can serve it — the message names the
-    /// primary the client should write to (or retry against after a
-    /// promotion).
-    ReadOnlyReplica = 5004,
-    /// The node's disk is full: it serves reads in degraded mode and
-    /// rejects writes until space frees. Retryable — write service
-    /// resumes automatically once the background space probe succeeds.
-    DiskFull = 5005,
+/// Generates [`ErrorCode`] and its conversions from one row per code:
+/// `Name = code => HyError variant, retryable`.
+macro_rules! error_codes {
+    ($(#[$meta:meta])* pub enum ErrorCode {
+        $($(#[$doc:meta])* $name:ident = $code:literal => $err:ident, $retry:literal,)*
+    }) => {
+        $(#[$meta])*
+        pub enum ErrorCode {
+            $($(#[$doc])* $name = $code,)*
+        }
+
+        impl ErrorCode {
+            /// The numeric wire representation.
+            pub fn as_u16(self) -> u16 {
+                self as u16
+            }
+
+            /// Decode a wire code; unknown codes conservatively map to
+            /// [`ErrorCode::Internal`] so old clients survive new servers.
+            pub fn from_u16(code: u16) -> ErrorCode {
+                match code {
+                    $($code => ErrorCode::$name,)*
+                    _ => ErrorCode::Internal,
+                }
+            }
+
+            /// Classify an engine error into its stable wire code: the
+            /// first row naming its variant, so `Unavailable` is
+            /// [`ErrorCode::Overloaded`].
+            #[allow(unreachable_patterns)]
+            pub fn from_error(e: &HyError) -> ErrorCode {
+                match e {
+                    $(HyError::$err(_) => ErrorCode::$name,)*
+                }
+            }
+
+            /// Reconstruct an [`HyError`] client-side from a code + message.
+            pub fn to_error(self, message: impl Into<String>) -> HyError {
+                match self {
+                    $(ErrorCode::$name => HyError::$err(message.into()),)*
+                }
+            }
+
+            /// True when retrying the same statement later is reasonable:
+            /// the server deliberately shed or aborted the work without
+            /// judging the SQL invalid (overload, queue backpressure,
+            /// shutdown, timeout, cancellation, budget).
+            pub fn is_retryable(self) -> bool {
+                match self {
+                    $(ErrorCode::$name => $retry,)*
+                }
+            }
+        }
+    };
 }
 
-impl ErrorCode {
-    /// The numeric wire representation.
-    pub fn as_u16(self) -> u16 {
-        self as u16
-    }
-
-    /// Decode a wire code; unknown codes conservatively map to
-    /// [`ErrorCode::Internal`] so old clients survive new servers.
-    pub fn from_u16(code: u16) -> ErrorCode {
-        match code {
-            1000 => ErrorCode::Parse,
-            1001 => ErrorCode::Bind,
-            1002 => ErrorCode::Plan,
-            1003 => ErrorCode::Type,
-            2000 => ErrorCode::Execution,
-            2001 => ErrorCode::Storage,
-            2002 => ErrorCode::Catalog,
-            2003 => ErrorCode::Analytics,
-            2004 => ErrorCode::Transaction,
-            3000 => ErrorCode::Cancelled,
-            3001 => ErrorCode::Timeout,
-            3002 => ErrorCode::BudgetExceeded,
-            5000 => ErrorCode::Overloaded,
-            5001 => ErrorCode::QueueTimeout,
-            5002 => ErrorCode::ShuttingDown,
-            5003 => ErrorCode::Protocol,
-            5004 => ErrorCode::ReadOnlyReplica,
-            5005 => ErrorCode::DiskFull,
-            _ => ErrorCode::Internal,
-        }
-    }
-
-    /// Classify an engine error into its stable wire code.
-    pub fn from_error(e: &HyError) -> ErrorCode {
-        match e {
-            HyError::Parse(_) => ErrorCode::Parse,
-            HyError::Bind(_) => ErrorCode::Bind,
-            HyError::Plan(_) => ErrorCode::Plan,
-            HyError::Type(_) => ErrorCode::Type,
-            HyError::Execution(_) => ErrorCode::Execution,
-            HyError::Storage(_) => ErrorCode::Storage,
-            HyError::Catalog(_) => ErrorCode::Catalog,
-            HyError::Analytics(_) => ErrorCode::Analytics,
-            HyError::Transaction(_) => ErrorCode::Transaction,
-            HyError::Cancelled(_) => ErrorCode::Cancelled,
-            HyError::Timeout(_) => ErrorCode::Timeout,
-            HyError::BudgetExceeded(_) => ErrorCode::BudgetExceeded,
-            HyError::Unavailable(_) => ErrorCode::Overloaded,
-            HyError::ReadOnly(_) => ErrorCode::ReadOnlyReplica,
-            HyError::DiskFull(_) => ErrorCode::DiskFull,
-            HyError::Protocol(_) => ErrorCode::Protocol,
-            HyError::Internal(_) => ErrorCode::Internal,
-        }
-    }
-
-    /// Reconstruct an [`HyError`] client-side from a code + message.
-    pub fn to_error(self, message: impl Into<String>) -> HyError {
-        let m = message.into();
-        match self {
-            ErrorCode::Parse => HyError::Parse(m),
-            ErrorCode::Bind => HyError::Bind(m),
-            ErrorCode::Plan => HyError::Plan(m),
-            ErrorCode::Type => HyError::Type(m),
-            ErrorCode::Execution => HyError::Execution(m),
-            ErrorCode::Storage => HyError::Storage(m),
-            ErrorCode::Catalog => HyError::Catalog(m),
-            ErrorCode::Analytics => HyError::Analytics(m),
-            ErrorCode::Transaction => HyError::Transaction(m),
-            ErrorCode::Cancelled => HyError::Cancelled(m),
-            ErrorCode::Timeout => HyError::Timeout(m),
-            ErrorCode::BudgetExceeded => HyError::BudgetExceeded(m),
-            ErrorCode::Overloaded | ErrorCode::QueueTimeout | ErrorCode::ShuttingDown => {
-                HyError::Unavailable(m)
-            }
-            ErrorCode::Protocol => HyError::Protocol(m),
-            ErrorCode::ReadOnlyReplica => HyError::ReadOnly(m),
-            ErrorCode::DiskFull => HyError::DiskFull(m),
-            ErrorCode::Internal => HyError::Internal(m),
-        }
-    }
-
-    /// True when retrying the same statement later is reasonable: the
-    /// server deliberately shed or aborted the work without judging the
-    /// SQL invalid (overload, queue backpressure, shutdown, timeout,
-    /// cancellation, budget).
-    pub fn is_retryable(self) -> bool {
-        matches!(
-            self,
-            ErrorCode::Cancelled
-                | ErrorCode::Timeout
-                | ErrorCode::BudgetExceeded
-                | ErrorCode::Overloaded
-                | ErrorCode::QueueTimeout
-                | ErrorCode::ShuttingDown
-                | ErrorCode::ReadOnlyReplica
-                | ErrorCode::DiskFull
-        )
+error_codes! {
+    /// Stable numeric error codes carried by [`Frame::Error`].
+    ///
+    /// The code space is partitioned so clients can classify failures without
+    /// string matching:
+    ///
+    /// | Range | Meaning                                        | Retryable |
+    /// |-------|------------------------------------------------|-----------|
+    /// | 1xxx  | The SQL text was rejected (parse/bind/plan)    | no        |
+    /// | 2xxx  | The statement failed while executing           | no        |
+    /// | 3xxx  | Governed abort (cancel/timeout/budget)         | yes       |
+    /// | 4xxx  | Engine bug (internal invariant violation)      | no        |
+    /// | 5xxx  | Server-side admission control / transport      | see below |
+    ///
+    /// Within 5xxx, [`Overloaded`](ErrorCode::Overloaded),
+    /// [`QueueTimeout`](ErrorCode::QueueTimeout),
+    /// [`ShuttingDown`](ErrorCode::ShuttingDown) and
+    /// [`DiskFull`](ErrorCode::DiskFull) are retryable (the statement was
+    /// never started); [`Protocol`](ErrorCode::Protocol) is not.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    #[repr(u16)]
+    pub enum ErrorCode {
+        /// Tokenizer/parser rejected the SQL text.
+        Parse = 1000 => Parse, false,
+        /// Name resolution or type checking failed.
+        Bind = 1001 => Bind, false,
+        /// Logical-to-physical planning failed.
+        Plan = 1002 => Plan, false,
+        /// A type mismatch detected at any stage.
+        Type = 1003 => Type, false,
+        /// Runtime failure while executing the plan.
+        Execution = 2000 => Execution, false,
+        /// Storage-layer failure.
+        Storage = 2001 => Storage, false,
+        /// Catalog-level failure.
+        Catalog = 2002 => Catalog, false,
+        /// An analytics operator rejected its configuration or input.
+        Analytics = 2003 => Analytics, false,
+        /// Transaction handling failure.
+        Transaction = 2004 => Transaction, false,
+        /// The statement was cancelled (e.g. an out-of-band Cancel frame).
+        Cancelled = 3000 => Cancelled, true,
+        /// The statement ran past its `statement_timeout_ms`.
+        Timeout = 3001 => Timeout, true,
+        /// The statement exceeded its `memory_budget_mb`.
+        BudgetExceeded = 3002 => BudgetExceeded, true,
+        /// Internal invariant violation — a bug, not user error.
+        Internal = 4000 => Internal, false,
+        /// The server is at its connection cap or statement queue capacity.
+        Overloaded = 5000 => Unavailable, true,
+        /// The statement waited in the admission queue past the configured
+        /// backpressure deadline without getting an execution slot.
+        QueueTimeout = 5001 => Unavailable, true,
+        /// The server is draining for shutdown and accepts no new work.
+        ShuttingDown = 5002 => Unavailable, true,
+        /// Wire-protocol violation (bad magic, unknown tag, short frame,
+        /// version mismatch, transport failure).
+        Protocol = 5003 => Protocol, false,
+        /// The statement tried to write on a read-only replica. Retryable in
+        /// the sense that the *system* can serve it — the message names the
+        /// primary the client should write to (or retry against after a
+        /// promotion).
+        ReadOnlyReplica = 5004 => ReadOnly, true,
+        /// The node's disk is full: it serves reads in degraded mode and
+        /// rejects writes until space frees. Retryable — write service
+        /// resumes automatically once the background space probe succeeds.
+        DiskFull = 5005 => DiskFull, true,
     }
 }
 
@@ -216,176 +181,243 @@ impl ErrorCode {
 // Frames
 // ---------------------------------------------------------------------------
 
-/// One protocol frame. See the module docs for the on-wire layout and
-/// `docs/PROTOCOL.md` for the conversation state machine.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Frame {
-    /// Client → server, first frame of a query connection.
-    Startup {
-        /// Must equal [`PROTOCOL_VERSION`].
-        version: u32,
-    },
-    /// Server → client, successful handshake. `session_id`/`secret`
-    /// authorize out-of-band [`Frame::Cancel`] requests.
-    StartupOk {
-        /// Server's protocol version.
-        version: u32,
-        /// Server-assigned connection id.
-        session_id: u64,
-        /// Random secret required to cancel this session.
-        secret: u64,
-    },
-    /// Client → server: execute a SQL text (may contain several
-    /// `;`-separated statements; the last result is returned).
-    Query {
-        /// The SQL text.
-        sql: String,
-    },
-    /// Server → client: the result schema, sent before any data.
-    ResultSchema {
-        /// Result column names/types.
-        schema: Schema,
-    },
-    /// Server → client: one columnar batch of result rows.
-    DataChunk {
-        /// The batch, in HyLite's native columnar layout.
-        chunk: Chunk,
-    },
-    /// Server → client: the statement finished successfully.
-    CommandComplete {
-        /// Rows inserted/updated/deleted by DML.
-        rows_affected: u64,
-        /// Total result rows streamed in the preceding chunks.
-        total_rows: u64,
-        /// The node's highest durable LSN when the statement completed
-        /// (`0` on a non-durable server). On a primary this is the commit
-        /// watermark; on a replica it is the last durably *applied* LSN.
-        /// Routers compare the two to decide whether a replica has caught
-        /// up with a session's writes ("read your own writes").
-        lsn: u64,
-    },
-    /// Server → client: the statement (or handshake) failed.
-    Error {
-        /// Stable numeric code, see [`ErrorCode`].
-        code: u16,
-        /// Human-readable message.
-        message: String,
-    },
-    /// Client → server, first frame of a *cancel* connection: abort the
-    /// statement running on another session.
-    Cancel {
-        /// Target session id from its [`Frame::StartupOk`].
-        session_id: u64,
-        /// Matching secret from the same handshake.
-        secret: u64,
-    },
-    /// Server → client: answer to [`Frame::Cancel`].
-    CancelAck {
-        /// Whether the session existed and the cancel was delivered.
-        delivered: bool,
-    },
-    /// Client → server: request graceful server shutdown (drain in-flight
-    /// statements under the server's deadline, then stop).
-    Shutdown,
-    /// Client → server: close this connection cleanly.
-    Terminate,
-    /// Replica → primary, first frame of a *replication* connection:
-    /// request the WAL stream starting after the replica's last durably
-    /// applied commit.
-    Replicate {
-        /// Must equal [`PROTOCOL_VERSION`].
-        version: u32,
-        /// The primary-incarnation epoch the replica last bootstrapped
-        /// from, or `0` for a fresh replica with no local state. An epoch
-        /// the primary does not recognize as its own forces a
-        /// re-bootstrap instead of a silent fork.
-        epoch: u64,
-        /// LSN of the last commit the replica has durably applied
-        /// (`0` = none); streaming resumes at `last_lsn + 1`.
-        last_lsn: u64,
-    },
-    /// Primary → replica: handshake accepted; WAL frames follow.
-    ReplicateOk {
-        /// The primary's current incarnation epoch.
-        epoch: u64,
-        /// The next LSN the primary will stream (the replica is caught
-        /// up once it has applied everything below this).
-        next_lsn: u64,
-    },
-    /// Primary → replica: the requested LSN is no longer in the
-    /// primary's WAL (checkpoint truncation) or the epochs diverge; the
-    /// replica must discard local state and install this checkpoint
-    /// image before streaming resumes.
-    SnapshotOffer {
-        /// The primary's current incarnation epoch; the replica adopts it.
-        epoch: u64,
-        /// LSN the snapshot is consistent as of; streaming resumes here.
-        base_lsn: u64,
-        /// A complete checkpoint image in the on-disk checkpoint format.
-        data: Vec<u8>,
-    },
-    /// Primary → replica: one redo-WAL commit frame, shipped verbatim.
-    WalFrame {
-        /// The commit's log sequence number (must be exactly the
-        /// replica's next expected LSN — any gap is divergence).
-        lsn: u64,
-        /// CRC32 of `payload` exactly as stored in the primary's WAL;
-        /// the replica re-verifies before applying.
-        crc: u32,
-        /// The WAL frame payload (`[lsn][nops][ops...]`).
-        payload: Vec<u8>,
-    },
-    /// Replica → primary: everything up to and including `lsn` has been
-    /// durably applied on the replica. Advances the primary's
-    /// flow-control window.
-    ReplicaAck {
-        /// Highest durably applied LSN.
-        lsn: u64,
-    },
-    /// Client → server, first frame of an *admin* connection: promote
-    /// this replica to a writable primary in place (mint a fresh epoch,
-    /// stop following the old primary, start accepting writes). A no-op
-    /// on a server that is already a primary.
-    Promote,
-    /// Server → client: answer to [`Frame::Promote`].
-    PromoteOk {
-        /// The (possibly fresh) primary incarnation epoch after the
-        /// promotion took effect.
-        epoch: u64,
-        /// The node's highest durable LSN at promotion time.
-        lsn: u64,
-    },
-    /// Client → server, first frame of an *admin* connection: tell a
-    /// replica to follow a different primary (after a failover). The
-    /// replica redirects its apply loop; epoch fencing at the new
-    /// primary decides whether it can resume the stream or must
-    /// re-bootstrap — a stale fork is never served. Acknowledged with a
-    /// [`Frame::CommandComplete`], or [`Frame::Error`] if this server is
-    /// not a replica.
-    Repoint {
-        /// `host:port` of the new primary to follow.
-        primary_addr: String,
-    },
-    /// Client → server, first frame of an *admin* connection: take an
-    /// online backup into a directory on the server's filesystem.
-    /// Answered with [`Frame::BackupOk`] or [`Frame::Error`].
-    Backup {
-        /// Destination directory (server-side path).
-        dir: String,
-        /// Optional incremental base backup directory (server-side path).
-        base: Option<String>,
-        /// Re-read every copied file before completion.
-        verify: bool,
-    },
-    /// Server → client: answer to [`Frame::Backup`].
-    BackupOk {
-        /// Highest LSN the backup contains.
-        lsn: u64,
-        /// Segment files physically copied.
-        segments: u64,
-        /// Bytes copied.
-        bytes: u64,
-    },
+/// Generates [`Frame`], [`encode_frame`] and [`decode_frame`] from one row
+/// per frame: `tag Name from sender [with Magic] [{ field: Type, ... }]`.
+/// The fields are written and read in the order they are declared.
+macro_rules! frames {
+    ($(#[$meta:meta])* pub enum Frame {
+        $($(#[$doc:meta])* $tag:literal $name:ident from $sender:ident $(with $magic:ident)?
+            $({ $($(#[$fdoc:meta])* $field:ident: $ty:ty),* $(,)? })?,)*
+    }) => {
+        $(#[$meta])*
+        pub enum Frame {
+            $($(#[$doc])* $name $({ $($(#[$fdoc])* $field: $ty),* })?,)*
+        }
+
+        /// Encode a frame into its on-wire byte representation (length
+        /// prefix included).
+        pub fn encode_frame(frame: &Frame) -> Vec<u8> {
+            let mut buf = Vec::with_capacity(64);
+            put_u32(&mut buf, 0); // length placeholder
+            match frame {
+                $(Frame::$name $({ $($field),* })? => {
+                    buf.push($tag);
+                    $(Codec::put(&$magic, &mut buf);)?
+                    $($(Codec::put($field, &mut buf);)*)?
+                })*
+            }
+            let len = (buf.len() - 4) as u32;
+            buf[0..4].copy_from_slice(&len.to_le_bytes());
+            buf
+        }
+
+        /// Decode one frame from its body bytes (length prefix already
+        /// consumed).
+        pub fn decode_frame(tag: u8, body: &[u8]) -> Result<Frame> {
+            let mut r = ByteReader::new(body);
+            let frame = match tag {
+                $($tag => {
+                    $(<$magic>::get(&mut r, At(stringify!($name), stringify!($sender), "magic"))?;)?
+                    Frame::$name $({ $($field: <$ty>::get(
+                        &mut r,
+                        At(stringify!($name), stringify!($sender), stringify!($field)),
+                    )?),* })?
+                })*
+                other => return Err(HyError::Protocol(format!("unknown frame tag {other}"))),
+            };
+            if r.pos != body.len() {
+                return Err(HyError::Protocol(format!(
+                    "frame has {} trailing bytes after tag {tag}",
+                    body.len() - r.pos
+                )));
+            }
+            Ok(frame)
+        }
+
+        /// Tag, name, sender and payload (the magic, then `field: Type`)
+        /// of each row, for the check against docs/PROTOCOL.md.
+        #[cfg(test)]
+        const FRAME_TABLE: &[(u8, &str, &str, &[&str])] = &[$((
+            $tag,
+            stringify!($name),
+            stringify!($sender),
+            &[$(stringify!($magic),)? $($(concat!(stringify!($field), ": ", stringify!($ty)),)*)?],
+        ),)*];
+    };
+}
+
+frames! {
+    /// One protocol frame. See the module docs for the on-wire layout and
+    /// `docs/PROTOCOL.md` for the conversation state machine.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Frame {
+        /// Client → server, first frame of a query connection.
+        1 Startup from client with Magic {
+            /// Must equal [`PROTOCOL_VERSION`].
+            version: u32,
+        },
+        /// Server → client, successful handshake. `session_id`/`secret`
+        /// authorize out-of-band [`Frame::Cancel`] requests.
+        2 StartupOk from server {
+            /// Server's protocol version.
+            version: u32,
+            /// Server-assigned connection id.
+            session_id: u64,
+            /// Random secret required to cancel this session.
+            secret: u64,
+        },
+        /// Client → server: execute a SQL text (may contain several
+        /// `;`-separated statements; the last result is returned).
+        3 Query from client {
+            /// The SQL text.
+            sql: String,
+        },
+        /// Server → client: the result schema, sent before any data.
+        4 ResultSchema from server {
+            /// Result column names/types.
+            schema: Schema,
+        },
+        /// Server → client: one columnar batch of result rows.
+        5 DataChunk from server {
+            /// The batch, in HyLite's native columnar layout.
+            chunk: Chunk,
+        },
+        /// Server → client: the statement finished successfully.
+        6 CommandComplete from server {
+            /// Rows inserted/updated/deleted by DML.
+            rows_affected: u64,
+            /// Total result rows streamed in the preceding chunks.
+            total_rows: u64,
+            /// The node's highest durable LSN when the statement completed
+            /// (`0` on a non-durable server). On a primary this is the commit
+            /// watermark; on a replica it is the last durably *applied* LSN.
+            /// Routers compare the two to decide whether a replica has caught
+            /// up with a session's writes ("read your own writes").
+            lsn: u64,
+        },
+        /// Server → client: the statement (or handshake) failed.
+        7 Error from server {
+            /// Stable numeric code, see [`ErrorCode`].
+            code: u16,
+            /// Human-readable message.
+            message: String,
+        },
+        /// Client → server, first frame of a *cancel* connection: abort the
+        /// statement running on another session.
+        8 Cancel from client with Magic {
+            /// Target session id from its [`Frame::StartupOk`].
+            session_id: u64,
+            /// Matching secret from the same handshake.
+            secret: u64,
+        },
+        /// Server → client: answer to [`Frame::Cancel`].
+        9 CancelAck from server {
+            /// Whether the session existed and the cancel was delivered.
+            delivered: bool,
+        },
+        /// Client → server: request graceful server shutdown (drain in-flight
+        /// statements under the server's deadline, then stop).
+        10 Shutdown from client,
+        /// Client → server: close this connection cleanly.
+        11 Terminate from client,
+        /// Replica → primary, first frame of a *replication* connection:
+        /// request the WAL stream starting after the replica's last durably
+        /// applied commit.
+        12 Replicate from replica with Magic {
+            /// Must equal [`PROTOCOL_VERSION`].
+            version: u32,
+            /// The primary-incarnation epoch the replica last bootstrapped
+            /// from, or `0` for a fresh replica with no local state. An epoch
+            /// the primary does not recognize as its own forces a
+            /// re-bootstrap instead of a silent fork.
+            epoch: u64,
+            /// LSN of the last commit the replica has durably applied
+            /// (`0` = none); streaming resumes at `last_lsn + 1`.
+            last_lsn: u64,
+        },
+        /// Primary → replica: handshake accepted; WAL frames follow.
+        13 ReplicateOk from primary {
+            /// The primary's current incarnation epoch.
+            epoch: u64,
+            /// The next LSN the primary will stream (the replica is caught
+            /// up once it has applied everything below this).
+            next_lsn: u64,
+        },
+        /// Primary → replica: the requested LSN is no longer in the
+        /// primary's WAL (checkpoint truncation) or the epochs diverge; the
+        /// replica must discard local state and install this checkpoint
+        /// image before streaming resumes.
+        14 SnapshotOffer from primary {
+            /// The primary's current incarnation epoch; the replica adopts it.
+            epoch: u64,
+            /// LSN the snapshot is consistent as of; streaming resumes here.
+            base_lsn: u64,
+            /// A complete checkpoint image in the on-disk checkpoint format.
+            data: Vec<u8>,
+        },
+        /// Primary → replica: one redo-WAL commit frame, shipped verbatim.
+        15 WalFrame from primary {
+            /// The commit's log sequence number (must be exactly the
+            /// replica's next expected LSN — any gap is divergence).
+            lsn: u64,
+            /// CRC32 of `payload` exactly as stored in the primary's WAL;
+            /// the replica re-verifies before applying.
+            crc: u32,
+            /// The WAL frame payload (`[lsn][nops][ops...]`).
+            payload: Vec<u8>,
+        },
+        /// Replica → primary: everything up to and including `lsn` has been
+        /// durably applied on the replica. Advances the primary's
+        /// flow-control window.
+        16 ReplicaAck from replica {
+            /// Highest durably applied LSN.
+            lsn: u64,
+        },
+        /// Client → server, first frame of an *admin* connection: promote
+        /// this replica to a writable primary in place (mint a fresh epoch,
+        /// stop following the old primary, start accepting writes). A no-op
+        /// on a server that is already a primary.
+        17 Promote from client with Magic,
+        /// Server → client: answer to [`Frame::Promote`].
+        18 PromoteOk from server {
+            /// The (possibly fresh) primary incarnation epoch after the
+            /// promotion took effect.
+            epoch: u64,
+            /// The node's highest durable LSN at promotion time.
+            lsn: u64,
+        },
+        /// Client → server, first frame of an *admin* connection: tell a
+        /// replica to follow a different primary (after a failover). The
+        /// replica redirects its apply loop; epoch fencing at the new
+        /// primary decides whether it can resume the stream or must
+        /// re-bootstrap — a stale fork is never served. Acknowledged with a
+        /// [`Frame::CommandComplete`], or [`Frame::Error`] if this server is
+        /// not a replica.
+        19 Repoint from client with Magic {
+            /// `host:port` of the new primary to follow.
+            primary_addr: String,
+        },
+        /// Client → server, first frame of an *admin* connection: take an
+        /// online backup into a directory on the server's filesystem.
+        /// Answered with [`Frame::BackupOk`] or [`Frame::Error`].
+        20 Backup from client with Magic {
+            /// Destination directory (server-side path).
+            dir: String,
+            /// Optional incremental base backup directory (server-side path).
+            base: Option<String>,
+            /// Re-read every copied file before completion.
+            verify: bool,
+        },
+        /// Server → client: answer to [`Frame::Backup`].
+        21 BackupOk from server {
+            /// Highest LSN the backup contains.
+            lsn: u64,
+            /// Segment files physically copied.
+            segments: u64,
+            /// Bytes copied.
+            bytes: u64,
+        },
+    }
 }
 
 impl Frame {
@@ -406,30 +438,110 @@ impl Frame {
             message: message.into(),
         }
     }
+}
 
-    fn tag(&self) -> u8 {
-        match self {
-            Frame::Startup { .. } => 1,
-            Frame::StartupOk { .. } => 2,
-            Frame::Query { .. } => 3,
-            Frame::ResultSchema { .. } => 4,
-            Frame::DataChunk { .. } => 5,
-            Frame::CommandComplete { .. } => 6,
-            Frame::Error { .. } => 7,
-            Frame::Cancel { .. } => 8,
-            Frame::CancelAck { .. } => 9,
-            Frame::Shutdown => 10,
-            Frame::Terminate => 11,
-            Frame::Replicate { .. } => 12,
-            Frame::ReplicateOk { .. } => 13,
-            Frame::SnapshotOffer { .. } => 14,
-            Frame::WalFrame { .. } => 15,
-            Frame::ReplicaAck { .. } => 16,
-            Frame::Promote => 17,
-            Frame::PromoteOk { .. } => 18,
-            Frame::Repoint { .. } => 19,
-            Frame::Backup { .. } => 20,
-            Frame::BackupOk { .. } => 21,
+// ---------------------------------------------------------------------------
+// Field codecs
+// ---------------------------------------------------------------------------
+
+/// Where a field sits — frame, sender, field — for the decoder's error
+/// texts.
+struct At(&'static str, &'static str, &'static str);
+
+impl fmt::Display for At {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} {}", self.0.to_lowercase(), self.2)
+    }
+}
+
+/// One field type's wire encoding. `get` accepts exactly the bytes `put`
+/// can write and fails with [`HyError::Protocol`] on anything else.
+trait Codec: Sized {
+    fn put(&self, buf: &mut Vec<u8>);
+    fn get(r: &mut ByteReader<'_>, at: At) -> Result<Self>;
+}
+
+macro_rules! int_codecs {
+    ($($t:ident),*) => {$(
+        impl Codec for $t {
+            fn put(&self, buf: &mut Vec<u8>) {
+                buf.extend_from_slice(&self.to_le_bytes());
+            }
+            fn get(r: &mut ByteReader<'_>, _: At) -> Result<$t> {
+                r.$t()
+            }
+        }
+    )*};
+}
+
+int_codecs!(u8, u16, u32, u64);
+
+/// Field types whose codec is a public `put_*` function and the
+/// [`ByteReader`] method that reads it back.
+macro_rules! delegated_codecs {
+    ($($t:ty => $put:ident, $get:ident;)*) => {$(
+        impl Codec for $t {
+            fn put(&self, buf: &mut Vec<u8>) {
+                $put(buf, self);
+            }
+            fn get(r: &mut ByteReader<'_>, _: At) -> Result<$t> {
+                r.$get()
+            }
+        }
+    )*};
+}
+
+delegated_codecs! {
+    String => put_str, str;
+    Schema => put_schema, schema;
+    Chunk => put_chunk, chunk;
+}
+
+impl Codec for bool {
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.push(u8::from(*self));
+    }
+    fn get(r: &mut ByteReader<'_>, at: At) -> Result<bool> {
+        r.flag(at)
+    }
+}
+
+impl Codec for Option<String> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_opt_str(buf, self.as_deref());
+    }
+    fn get(r: &mut ByteReader<'_>, at: At) -> Result<Option<String>> {
+        r.opt_str(at)
+    }
+}
+
+/// A `u32` byte length, then the bytes.
+impl Codec for Vec<u8> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_u32(buf, self.len() as u32);
+        buf.extend_from_slice(self);
+    }
+    fn get(r: &mut ByteReader<'_>, _: At) -> Result<Vec<u8>> {
+        let n = r.u32()? as usize;
+        Ok(r.take(n)?.to_vec())
+    }
+}
+
+/// The [`STARTUP_MAGIC`] opening the first frame of a connection, so a
+/// stray peer is refused before anything else is parsed.
+struct Magic;
+
+impl Codec for Magic {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_u32(buf, STARTUP_MAGIC);
+    }
+    fn get(r: &mut ByteReader<'_>, At(frame, sender, _): At) -> Result<Magic> {
+        match r.u32()? {
+            STARTUP_MAGIC => Ok(Magic),
+            magic => Err(HyError::Protocol(format!(
+                "bad {} magic {magic:#010x} (not a HyLite {sender}?)",
+                frame.to_lowercase()
+            ))),
         }
     }
 }
@@ -462,41 +574,39 @@ pub fn put_str(buf: &mut Vec<u8>, s: &str) {
 }
 
 fn put_opt_str(buf: &mut Vec<u8>, s: Option<&str>) {
-    match s {
-        Some(s) => {
-            buf.push(1);
-            put_str(buf, s);
-        }
-        None => buf.push(0),
+    buf.push(u8::from(s.is_some()));
+    if let Some(s) = s {
+        put_str(buf, s);
     }
 }
 
-/// The one-byte tag of a column type — shared by the wire codec and the
+/// Column types by their one-byte tag — shared by the wire codec and the
 /// segment file format.
+const DTYPE_TAGS: [DataType; 5] = [
+    DataType::Int64,
+    DataType::Float64,
+    DataType::Bool,
+    DataType::Varchar,
+    DataType::Null,
+];
+
+/// The one-byte tag of a column type.
 pub fn dtype_tag(dt: DataType) -> u8 {
-    match dt {
-        DataType::Int64 => 0,
-        DataType::Float64 => 1,
-        DataType::Bool => 2,
-        DataType::Varchar => 3,
-        DataType::Null => 4,
-    }
+    DTYPE_TAGS
+        .iter()
+        .position(|&d| d == dt)
+        .expect("every type has a tag") as u8
 }
 
 /// The column type a [`dtype_tag`] names.
 pub fn dtype_from_tag(tag: u8) -> Result<DataType> {
-    Ok(match tag {
-        0 => DataType::Int64,
-        1 => DataType::Float64,
-        2 => DataType::Bool,
-        3 => DataType::Varchar,
-        4 => DataType::Null,
-        other => return Err(HyError::Protocol(format!("unknown data type tag {other}"))),
-    })
+    let dt = DTYPE_TAGS.get(usize::from(tag)).copied();
+    dt.ok_or_else(|| HyError::Protocol(format!("unknown data type tag {tag}")))
 }
 
 /// Pack `len` bits (`get(i)`) LSB-first into `len.div_ceil(8)` bytes —
-/// validity bitmaps and booleans, on the wire and in segment blocks.
+/// validity bitmaps and booleans, on the wire and in segment blocks. The
+/// padding bits of the last byte are zero.
 pub fn put_bits(buf: &mut Vec<u8>, len: usize, get: impl Fn(usize) -> bool) {
     let mut byte = 0u8;
     for i in 0..len {
@@ -514,35 +624,26 @@ pub fn put_bits(buf: &mut Vec<u8>, len: usize, get: impl Fn(usize) -> bool) {
 }
 
 fn put_column(buf: &mut Vec<u8>, col: &ColumnVector) {
-    buf.push(dtype_tag(col.data_type()));
     let rows = col.len();
+    buf.push(dtype_tag(col.data_type()));
     put_u32(buf, rows as u32);
-    let put_validity = |buf: &mut Vec<u8>, validity: &Option<Bitmap>| match validity {
-        Some(bm) => {
-            buf.push(1);
-            put_bits(buf, rows, |i| bm.get(i));
-        }
-        None => buf.push(0),
-    };
+    buf.push(u8::from(col.validity().is_some()));
+    if let Some(bm) = col.validity() {
+        put_bits(buf, rows, |i| bm.get(i));
+    }
     match col {
-        ColumnVector::Int64 { data, validity } => {
-            put_validity(buf, validity);
+        ColumnVector::Int64 { data, .. } => {
             for v in data {
                 buf.extend_from_slice(&v.to_le_bytes());
             }
         }
-        ColumnVector::Float64 { data, validity } => {
-            put_validity(buf, validity);
+        ColumnVector::Float64 { data, .. } => {
             for v in data {
-                buf.extend_from_slice(&v.to_bits().to_le_bytes());
+                buf.extend_from_slice(&v.to_le_bytes());
             }
         }
-        ColumnVector::Bool { data, validity } => {
-            put_validity(buf, validity);
-            put_bits(buf, rows, |i| data[i]);
-        }
-        ColumnVector::Varchar { data, validity } => {
-            put_validity(buf, validity);
+        ColumnVector::Bool { data, .. } => put_bits(buf, rows, |i| data[i]),
+        ColumnVector::Varchar { data, .. } => {
             for s in data {
                 put_str(buf, s);
             }
@@ -570,118 +671,6 @@ pub fn put_schema(buf: &mut Vec<u8>, schema: &Schema) {
         buf.push(dtype_tag(f.data_type));
         buf.push(u8::from(f.nullable));
     }
-}
-
-/// Encode a frame into its on-wire byte representation (length prefix
-/// included).
-pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64);
-    put_u32(&mut buf, 0); // length placeholder
-    buf.push(frame.tag());
-    match frame {
-        Frame::Startup { version } => {
-            put_u32(&mut buf, STARTUP_MAGIC);
-            put_u32(&mut buf, *version);
-        }
-        Frame::StartupOk {
-            version,
-            session_id,
-            secret,
-        } => {
-            put_u32(&mut buf, *version);
-            put_u64(&mut buf, *session_id);
-            put_u64(&mut buf, *secret);
-        }
-        Frame::Query { sql } => put_str(&mut buf, sql),
-        Frame::ResultSchema { schema } => put_schema(&mut buf, schema),
-        Frame::DataChunk { chunk } => put_chunk(&mut buf, chunk),
-        Frame::CommandComplete {
-            rows_affected,
-            total_rows,
-            lsn,
-        } => {
-            put_u64(&mut buf, *rows_affected);
-            put_u64(&mut buf, *total_rows);
-            put_u64(&mut buf, *lsn);
-        }
-        Frame::Error { code, message } => {
-            put_u16(&mut buf, *code);
-            put_str(&mut buf, message);
-        }
-        Frame::Cancel { session_id, secret } => {
-            put_u32(&mut buf, STARTUP_MAGIC);
-            put_u64(&mut buf, *session_id);
-            put_u64(&mut buf, *secret);
-        }
-        Frame::CancelAck { delivered } => buf.push(u8::from(*delivered)),
-        Frame::Shutdown | Frame::Terminate => {}
-        Frame::Replicate {
-            version,
-            epoch,
-            last_lsn,
-        } => {
-            put_u32(&mut buf, STARTUP_MAGIC);
-            put_u32(&mut buf, *version);
-            put_u64(&mut buf, *epoch);
-            put_u64(&mut buf, *last_lsn);
-        }
-        Frame::ReplicateOk { epoch, next_lsn } => {
-            put_u64(&mut buf, *epoch);
-            put_u64(&mut buf, *next_lsn);
-        }
-        Frame::SnapshotOffer {
-            epoch,
-            base_lsn,
-            data,
-        } => {
-            put_u64(&mut buf, *epoch);
-            put_u64(&mut buf, *base_lsn);
-            put_u32(&mut buf, data.len() as u32);
-            buf.extend_from_slice(data);
-        }
-        Frame::WalFrame { lsn, crc, payload } => {
-            put_u64(&mut buf, *lsn);
-            put_u32(&mut buf, *crc);
-            put_u32(&mut buf, payload.len() as u32);
-            buf.extend_from_slice(payload);
-        }
-        Frame::ReplicaAck { lsn } => put_u64(&mut buf, *lsn),
-        Frame::Promote => {
-            put_u32(&mut buf, STARTUP_MAGIC);
-        }
-        Frame::PromoteOk { epoch, lsn } => {
-            put_u64(&mut buf, *epoch);
-            put_u64(&mut buf, *lsn);
-        }
-        Frame::Repoint { primary_addr } => {
-            put_u32(&mut buf, STARTUP_MAGIC);
-            put_str(&mut buf, primary_addr);
-        }
-        Frame::Backup { dir, base, verify } => {
-            put_u32(&mut buf, STARTUP_MAGIC);
-            put_str(&mut buf, dir);
-            match base {
-                Some(b) => {
-                    buf.push(1);
-                    put_str(&mut buf, b);
-                }
-                None => buf.push(0),
-            }
-            buf.push(u8::from(*verify));
-        }
-        Frame::BackupOk {
-            lsn,
-            segments,
-            bytes,
-        } => {
-            put_u64(&mut buf, *lsn);
-            put_u64(&mut buf, *segments);
-            put_u64(&mut buf, *bytes);
-        }
-    }
-    let len = (buf.len() - 4) as u32;
-    buf[0..4].copy_from_slice(&len.to_le_bytes());
-    buf
 }
 
 /// Encode and write one frame; returns the number of bytes written.
@@ -766,53 +755,64 @@ impl<'a> ByteReader<'a> {
             .map_err(|_| HyError::Protocol("invalid UTF-8 in string".into()))
     }
 
-    fn opt_str(&mut self) -> Result<Option<String>> {
-        Ok(match self.u8()? {
-            0 => None,
-            _ => Some(self.str()?),
+    /// A flag byte: 0 or 1, nothing else; `what` names it in the error.
+    fn flag(&mut self, what: impl fmt::Display) -> Result<bool> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(HyError::Protocol(format!("bad {what} flag {other}"))),
+        }
+    }
+
+    fn opt_str(&mut self, what: impl fmt::Display) -> Result<Option<String>> {
+        Ok(if self.flag(what)? {
+            Some(self.str()?)
+        } else {
+            None
         })
     }
 
-    /// Read `len` LSB-first packed bits.
+    /// Read `len` LSB-first packed bits whose padding bits are zero.
     fn bits(&mut self, len: usize) -> Result<Vec<bool>> {
         let bytes = self.take(len.div_ceil(8))?;
+        if !len.is_multiple_of(8) && bytes[len / 8] >> (len % 8) != 0 {
+            return Err(HyError::Protocol(format!(
+                "bitset of {len} bits has nonzero padding"
+            )));
+        }
         Ok((0..len)
             .map(|i| (bytes[i / 8] >> (i % 8)) & 1 == 1)
             .collect())
     }
 
+    /// Read `rows` eight-byte little-endian values.
+    fn words<T>(&mut self, rows: usize, from: impl Fn([u8; 8]) -> T) -> Result<Vec<T>> {
+        // `rows * 8` can't overflow here: rows came from a u32, but use
+        // checked math anyway so 32-bit targets stay safe.
+        let n = rows
+            .checked_mul(8)
+            .ok_or_else(|| HyError::Protocol(format!("column of {rows} rows overflows")))?;
+        let raw = self.take(n)?.chunks_exact(8);
+        Ok(raw.map(|b| from(b.try_into().unwrap())).collect())
+    }
+
     fn column(&mut self) -> Result<ColumnVector> {
         let dt = dtype_from_tag(self.u8()?)?;
         let rows = self.u32()? as usize;
-        let validity = match self.u8()? {
-            0 => None,
-            _ => Some(self.bits(rows)?.into_iter().collect::<Bitmap>()),
-        };
-        let fixed_width = |r: &mut Self| {
-            // `rows * 8` can't overflow here: rows came from a u32, but
-            // use checked math anyway so 32-bit targets stay safe.
-            let n = rows
-                .checked_mul(8)
-                .ok_or_else(|| HyError::Protocol(format!("column of {rows} rows overflows")))?;
-            r.take(n)
+        let validity = if self.flag("validity")? {
+            Some(self.bits(rows)?.into_iter().collect::<Bitmap>())
+        } else {
+            None
         };
         Ok(match dt {
-            DataType::Int64 | DataType::Null => {
-                let raw = fixed_width(self)?;
-                let data = raw
-                    .chunks_exact(8)
-                    .map(|b| i64::from_le_bytes(b.try_into().unwrap()))
-                    .collect();
-                ColumnVector::Int64 { data, validity }
-            }
-            DataType::Float64 => {
-                let raw = fixed_width(self)?;
-                let data = raw
-                    .chunks_exact(8)
-                    .map(|b| f64::from_bits(u64::from_le_bytes(b.try_into().unwrap())))
-                    .collect();
-                ColumnVector::Float64 { data, validity }
-            }
+            DataType::Int64 => ColumnVector::Int64 {
+                data: self.words(rows, i64::from_le_bytes)?,
+                validity,
+            },
+            DataType::Float64 => ColumnVector::Float64 {
+                data: self.words(rows, f64::from_le_bytes)?,
+                validity,
+            },
             DataType::Bool => ColumnVector::Bool {
                 data: self.bits(rows)?,
                 validity,
@@ -827,6 +827,10 @@ impl<'a> ByteReader<'a> {
                     data.push(self.str()?);
                 }
                 ColumnVector::Varchar { data, validity }
+            }
+            // No column vector has the type of an untyped NULL literal.
+            DataType::Null => {
+                return Err(HyError::Protocol("no column has type tag 4 (Null)".into()));
             }
         })
     }
@@ -857,10 +861,10 @@ impl<'a> ByteReader<'a> {
         let n = self.u16()? as usize;
         let mut fields = Vec::with_capacity(n);
         for _ in 0..n {
-            let qualifier = self.opt_str()?;
+            let qualifier = self.opt_str("qualifier")?;
             let name = self.str()?;
             let data_type = dtype_from_tag(self.u8()?)?;
-            let nullable = self.u8()? != 0;
+            let nullable = self.flag("nullable")?;
             let mut f = Field::new(name, data_type);
             f.qualifier = qualifier;
             f.nullable = nullable;
@@ -868,157 +872,6 @@ impl<'a> ByteReader<'a> {
         }
         Ok(Schema::new(fields))
     }
-}
-
-/// Decode one frame from its body bytes (length prefix already consumed).
-pub fn decode_frame(tag: u8, body: &[u8]) -> Result<Frame> {
-    let mut r = ByteReader::new(body);
-    let frame = match tag {
-        1 => {
-            let magic = r.u32()?;
-            if magic != STARTUP_MAGIC {
-                return Err(HyError::Protocol(format!(
-                    "bad startup magic {magic:#010x} (not a HyLite client?)"
-                )));
-            }
-            Frame::Startup { version: r.u32()? }
-        }
-        2 => Frame::StartupOk {
-            version: r.u32()?,
-            session_id: r.u64()?,
-            secret: r.u64()?,
-        },
-        3 => Frame::Query { sql: r.str()? },
-        4 => Frame::ResultSchema {
-            schema: r.schema()?,
-        },
-        5 => Frame::DataChunk { chunk: r.chunk()? },
-        6 => Frame::CommandComplete {
-            rows_affected: r.u64()?,
-            total_rows: r.u64()?,
-            lsn: r.u64()?,
-        },
-        7 => Frame::Error {
-            code: r.u16()?,
-            message: r.str()?,
-        },
-        8 => {
-            let magic = r.u32()?;
-            if magic != STARTUP_MAGIC {
-                return Err(HyError::Protocol(format!(
-                    "bad cancel magic {magic:#010x} (not a HyLite client?)"
-                )));
-            }
-            Frame::Cancel {
-                session_id: r.u64()?,
-                secret: r.u64()?,
-            }
-        }
-        9 => Frame::CancelAck {
-            delivered: r.u8()? != 0,
-        },
-        10 => Frame::Shutdown,
-        11 => Frame::Terminate,
-        12 => {
-            let magic = r.u32()?;
-            if magic != STARTUP_MAGIC {
-                return Err(HyError::Protocol(format!(
-                    "bad replicate magic {magic:#010x} (not a HyLite replica?)"
-                )));
-            }
-            Frame::Replicate {
-                version: r.u32()?,
-                epoch: r.u64()?,
-                last_lsn: r.u64()?,
-            }
-        }
-        13 => Frame::ReplicateOk {
-            epoch: r.u64()?,
-            next_lsn: r.u64()?,
-        },
-        14 => {
-            let epoch = r.u64()?;
-            let base_lsn = r.u64()?;
-            let n = r.u32()? as usize;
-            Frame::SnapshotOffer {
-                epoch,
-                base_lsn,
-                data: r.take(n)?.to_vec(),
-            }
-        }
-        15 => {
-            let lsn = r.u64()?;
-            let crc = r.u32()?;
-            let n = r.u32()? as usize;
-            Frame::WalFrame {
-                lsn,
-                crc,
-                payload: r.take(n)?.to_vec(),
-            }
-        }
-        16 => Frame::ReplicaAck { lsn: r.u64()? },
-        17 => {
-            let magic = r.u32()?;
-            if magic != STARTUP_MAGIC {
-                return Err(HyError::Protocol(format!(
-                    "bad promote magic {magic:#010x} (not a HyLite client?)"
-                )));
-            }
-            Frame::Promote
-        }
-        18 => Frame::PromoteOk {
-            epoch: r.u64()?,
-            lsn: r.u64()?,
-        },
-        19 => {
-            let magic = r.u32()?;
-            if magic != STARTUP_MAGIC {
-                return Err(HyError::Protocol(format!(
-                    "bad repoint magic {magic:#010x} (not a HyLite client?)"
-                )));
-            }
-            Frame::Repoint {
-                primary_addr: r.str()?,
-            }
-        }
-        20 => {
-            let magic = r.u32()?;
-            if magic != STARTUP_MAGIC {
-                return Err(HyError::Protocol(format!(
-                    "bad backup magic {magic:#010x} (not a HyLite client?)"
-                )));
-            }
-            let dir = r.str()?;
-            let base = match r.u8()? {
-                0 => None,
-                1 => Some(r.str()?),
-                other => {
-                    return Err(HyError::Protocol(format!("bad backup base flag {other}")));
-                }
-            };
-            let verify = match r.u8()? {
-                0 => false,
-                1 => true,
-                other => {
-                    return Err(HyError::Protocol(format!("bad backup verify flag {other}")));
-                }
-            };
-            Frame::Backup { dir, base, verify }
-        }
-        21 => Frame::BackupOk {
-            lsn: r.u64()?,
-            segments: r.u64()?,
-            bytes: r.u64()?,
-        },
-        other => return Err(HyError::Protocol(format!("unknown frame tag {other}"))),
-    };
-    if r.pos != body.len() {
-        return Err(HyError::Protocol(format!(
-            "frame has {} trailing bytes after tag {tag}",
-            body.len() - r.pos
-        )));
-    }
-    Ok(frame)
 }
 
 /// Read one frame from a stream. A clean EOF before any byte of the
@@ -1178,66 +1031,6 @@ mod tests {
     }
 
     #[test]
-    fn admin_frames_require_magic() {
-        assert!(matches!(
-            decode_frame(17, &0xBADC0DEu32.to_le_bytes()),
-            Err(HyError::Protocol(_))
-        ));
-        let mut bytes = Vec::new();
-        put_u32(&mut bytes, 0xBADC0DE);
-        put_str(&mut bytes, "x:1");
-        assert!(matches!(
-            decode_frame(19, &bytes),
-            Err(HyError::Protocol(_))
-        ));
-        let mut bytes = Vec::new();
-        put_u32(&mut bytes, 0xBADC0DE);
-        put_str(&mut bytes, "/b");
-        bytes.push(0);
-        bytes.push(0);
-        assert!(matches!(
-            decode_frame(20, &bytes),
-            Err(HyError::Protocol(_))
-        ));
-    }
-
-    #[test]
-    fn backup_frame_rejects_bad_flags() {
-        // base flag must be 0/1; verify flag must be 0/1.
-        let mut bytes = Vec::new();
-        put_u32(&mut bytes, STARTUP_MAGIC);
-        put_str(&mut bytes, "/b");
-        bytes.push(7);
-        bytes.push(0);
-        assert!(matches!(
-            decode_frame(20, &bytes),
-            Err(HyError::Protocol(_))
-        ));
-        let mut bytes = Vec::new();
-        put_u32(&mut bytes, STARTUP_MAGIC);
-        put_str(&mut bytes, "/b");
-        bytes.push(0);
-        bytes.push(9);
-        assert!(matches!(
-            decode_frame(20, &bytes),
-            Err(HyError::Protocol(_))
-        ));
-    }
-
-    #[test]
-    fn replicate_frame_requires_magic() {
-        let mut bytes = Vec::new();
-        put_u32(&mut bytes, 0xBAD_F00D);
-        put_u32(&mut bytes, PROTOCOL_VERSION);
-        put_u64(&mut bytes, 1);
-        put_u64(&mut bytes, 0);
-        assert!(matches!(
-            decode_frame(12, &bytes),
-            Err(HyError::Protocol(_))
-        ));
-    }
-
-    #[test]
     fn schema_roundtrip() {
         let schema = Schema::new(vec![
             Field::new("x", DataType::Int64).with_qualifier("t"),
@@ -1367,27 +1160,6 @@ mod tests {
     }
 
     #[test]
-    fn malformed_frames_are_protocol_errors() {
-        // Unknown tag.
-        assert!(matches!(decode_frame(99, &[]), Err(HyError::Protocol(_))));
-        // Truncated body.
-        assert!(matches!(
-            decode_frame(3, &[10, 0, 0, 0, b'S']),
-            Err(HyError::Protocol(_))
-        ));
-        // Trailing garbage.
-        let mut bytes = Vec::new();
-        put_str(&mut bytes, "SELECT 1");
-        bytes.push(0xFF);
-        assert!(matches!(decode_frame(3, &bytes), Err(HyError::Protocol(_))));
-        // Bad magic.
-        let mut bytes = Vec::new();
-        put_u32(&mut bytes, 0xDEAD_BEEF);
-        put_u32(&mut bytes, 1);
-        assert!(matches!(decode_frame(1, &bytes), Err(HyError::Protocol(_))));
-    }
-
-    #[test]
     fn eof_maps_to_disconnect() {
         let empty: &[u8] = &[];
         let err = read_frame(&mut { empty }).unwrap_err();
@@ -1405,5 +1177,67 @@ mod tests {
         bytes.push(3);
         let err = read_frame(&mut &bytes[..]).unwrap_err();
         assert!(matches!(err, HyError::Protocol(m) if m.contains("cap")));
+    }
+
+    /// The rows of the markdown table under `heading` in docs/PROTOCOL.md.
+    fn doc_table(heading: &str) -> Vec<Vec<String>> {
+        let doc = include_str!("../../../docs/PROTOCOL.md");
+        let section = doc.split(heading).nth(1).expect(heading);
+        let lines = section.lines().skip_while(|l| !l.starts_with('|'));
+        lines
+            .skip(2)
+            .take_while(|l| l.starts_with('|'))
+            .map(|l| {
+                l.trim_matches('|')
+                    .split('|')
+                    .map(|c| c.trim().to_owned())
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn protocol_md_lists_every_frame_and_error_code_as_declared() {
+        let frames: Vec<Vec<String>> = FRAME_TABLE
+            .iter()
+            .map(|(tag, name, sender, payload)| {
+                let receiver = match *sender {
+                    "client" => "server",
+                    "server" => "client",
+                    "replica" => "primary",
+                    "primary" => "replica",
+                    other => panic!("unknown sender {other}"),
+                };
+                let payload: Vec<String> = payload.iter().map(|p| format!("`{p}`")).collect();
+                let payload = if payload.is_empty() {
+                    "empty".to_owned()
+                } else {
+                    payload.join(", ")
+                };
+                vec![
+                    tag.to_string(),
+                    name.to_string(),
+                    format!("{sender} → {receiver}"),
+                    payload,
+                ]
+            })
+            .collect();
+        assert_eq!(doc_table("## Frame catalogue"), frames);
+        // Every code the table declares, read back through the API it
+        // generates.
+        let codes: Vec<Vec<String>> = (0..=u16::MAX)
+            .filter(|&c| ErrorCode::from_u16(c).as_u16() == c)
+            .map(|c| {
+                let code = ErrorCode::from_u16(c);
+                let err = format!("{:?}", code.to_error(""));
+                vec![
+                    c.to_string(),
+                    format!("{code:?}"),
+                    format!("`{}`", err.trim_end_matches("(\"\")")),
+                    if code.is_retryable() { "yes" } else { "no" }.to_owned(),
+                ]
+            })
+            .collect();
+        assert_eq!(doc_table("## Error codes"), codes);
     }
 }

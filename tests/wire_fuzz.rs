@@ -6,8 +6,14 @@
 //! This is a deterministic fuzz harness, not a statistical one: the
 //! mutation schedule derives from a fixed seed, so a failure reproduces
 //! exactly.
+//!
+//! Two records pin the codec itself, not just its robustness: the bytes
+//! of every corpus frame and the exact error of every malformed input in
+//! `tests/golden/wire_frames.txt` (captured at 0c67700 with the
+//! `#[ignore]`d printer below), and canonical decoding — a bit flip the
+//! decoder accepts encodes back to the flipped bytes.
 
-use hylite_common::wire::{self, Frame, MAX_FRAME_BYTES, PROTOCOL_VERSION};
+use hylite_common::wire::{self, Frame, MAX_FRAME_BYTES, PROTOCOL_VERSION, STARTUP_MAGIC};
 use hylite_common::{Chunk, ColumnVector, DataType, Field, Schema, Value};
 
 /// SplitMix64 — the same tiny deterministic generator the engine uses.
@@ -378,5 +384,157 @@ fn admin_frames_reject_magic_corruption_before_any_state_change() {
         let err = wire::read_frame(&mut cursor).unwrap_err();
         assert_eq!(err.stage(), "protocol", "{err}");
         assert!(err.to_string().contains("trailing"), "{err}");
+    }
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// Re-frame a body under a tag, fixing the length prefix.
+fn framed(tag: u8, body: &[u8]) -> Vec<u8> {
+    let mut bytes = ((body.len() + 1) as u32).to_le_bytes().to_vec();
+    bytes.push(tag);
+    bytes.extend_from_slice(body);
+    bytes
+}
+
+/// Malformed inputs, each a whole frame as it arrives on a socket.
+fn malformed() -> Vec<(String, Vec<u8>)> {
+    let mut cases = Vec::new();
+    // Layout: [len u32][tag u8][magic u32]...; flip the magic's first byte
+    // in one frame of each kind that opens with it.
+    let mut magic_frames: Vec<Frame> = corpus()
+        .into_iter()
+        .filter(|f| wire::encode_frame(f).get(5..9) == Some(&STARTUP_MAGIC.to_le_bytes()[..]))
+        .collect();
+    magic_frames.dedup_by_key(|f| variant(f));
+    for frame in magic_frames {
+        let mut bad = wire::encode_frame(&frame);
+        bad[5] ^= 0xFF;
+        cases.push((format!("bad {} magic", variant(&frame)), bad));
+    }
+    let backup = wire::encode_frame(&Frame::Backup {
+        dir: "b".into(),
+        base: None,
+        verify: false,
+    });
+    let n = backup.len();
+    let mut bad = backup.clone();
+    bad[n - 2] = 7;
+    cases.push(("bad Backup base flag".into(), bad));
+    let mut bad = backup.clone();
+    bad[n - 1] = 9;
+    cases.push(("bad Backup verify flag".into(), bad));
+    cases.push(("unknown tag".into(), framed(99, &[])));
+    let query = wire::encode_frame(&Frame::Query {
+        sql: "SELECT 1".into(),
+    });
+    let mut body = query[5..].to_vec();
+    body.push(0xFF);
+    cases.push(("trailing bytes".into(), framed(3, &body)));
+    cases.push(("truncated string".into(), framed(3, &[10, 0, 0, 0, b'S'])));
+    cases.push(("invalid UTF-8".into(), framed(3, &[2, 0, 0, 0, 0xC3, 0x28])));
+    let mut bytes = (MAX_FRAME_BYTES + 1).to_le_bytes().to_vec();
+    bytes.extend_from_slice(&[3; 16]);
+    cases.push(("oversized length prefix".into(), bytes));
+    let mut bytes = u32::MAX.to_le_bytes().to_vec();
+    bytes.extend_from_slice(&[3; 16]);
+    cases.push(("u32::MAX length prefix".into(), bytes));
+    cases.push(("zero-length frame".into(), vec![0, 0, 0, 0]));
+    cases.push(("no bytes".into(), vec![]));
+    cases.push(("short length prefix".into(), vec![5, 0]));
+    cases.push((
+        "body shorter than its prefix".into(),
+        vec![9, 0, 0, 0, 3, 1],
+    ));
+    // ResultSchema: [u16 fields][u8 qualifier flag][name][u8 type tag][u8 nullable].
+    cases.push((
+        "unknown schema type tag".into(),
+        framed(4, &[1, 0, 0, 1, 0, 0, 0, b'a', 9, 1]),
+    ));
+    // DataChunk: [u32 rows][u16 cols] then [u8 tag][u32 rows][u8 validity] per column.
+    cases.push((
+        "unknown column type tag".into(),
+        framed(5, &[0, 0, 0, 0, 1, 0, 9, 0, 0, 0, 0, 0]),
+    ));
+    cases.push((
+        "column shorter than its chunk".into(),
+        framed(
+            5,
+            &[2, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0],
+        ),
+    ));
+    cases
+}
+
+fn variant(frame: &Frame) -> String {
+    let debug = format!("{frame:?}");
+    debug.split([' ', '{']).next().unwrap().to_owned()
+}
+
+fn golden_lines() -> Vec<String> {
+    let mut lines = Vec::new();
+    for frame in corpus() {
+        let bytes = wire::encode_frame(&frame);
+        lines.push(format!("encode {}: {}", variant(&frame), hex(&bytes)));
+    }
+    for (label, bytes) in malformed() {
+        let got = wire::read_frame(&mut &bytes[..]);
+        lines.push(format!(
+            "reject {label} ({}): {:?}",
+            hex(&bytes),
+            got.map(|f| variant(&f))
+        ));
+    }
+    lines
+}
+
+/// `cargo test --test wire_fuzz -- --ignored --nocapture print_wire_frames`
+/// prints `tests/golden/wire_frames.txt`.
+#[test]
+#[ignore = "prints the golden; run it by name"]
+fn print_wire_frames_for_the_golden() {
+    for line in golden_lines() {
+        println!("{line}");
+    }
+}
+
+#[test]
+fn every_frame_encodes_and_every_malformed_frame_fails_as_pinned() {
+    let want: Vec<&str> = include_str!("golden/wire_frames.txt").lines().collect();
+    let got = golden_lines();
+    for (i, (got, want)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(got, want, "golden line {}", i + 1);
+    }
+    assert_eq!(got.len(), want.len(), "a golden line per case");
+}
+
+#[test]
+fn every_bit_flip_that_decodes_encodes_back_to_the_same_bytes() {
+    // Each field type has one encoding: a flip the decoder accepts names
+    // another value, which must encode to exactly the flipped bytes. The
+    // one exception is a field name, which `Field::new` lowercases.
+    for frame in corpus() {
+        let bytes = wire::encode_frame(&frame);
+        for byte_idx in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut mutated = bytes.clone();
+                mutated[byte_idx] ^= 1 << bit;
+                let Ok(decoded) = wire::read_frame(&mut &mutated[..]) else {
+                    continue;
+                };
+                let mut canonical = mutated.clone();
+                if matches!(decoded, Frame::ResultSchema { .. }) {
+                    canonical[byte_idx] = canonical[byte_idx].to_ascii_lowercase();
+                }
+                assert_eq!(
+                    wire::encode_frame(&decoded),
+                    canonical,
+                    "{} with bit {bit} of byte {byte_idx} flipped decodes to {decoded:?}",
+                    variant(&frame)
+                );
+            }
+        }
     }
 }
