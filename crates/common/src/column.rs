@@ -356,6 +356,13 @@ impl ColumnVector {
         Ok(())
     }
 
+    /// The column with `validity` as its mask (`None` = all valid); NULL
+    /// rows' data slots are kept as they are.
+    pub fn with_validity(mut self, validity: Option<Bitmap>) -> ColumnVector {
+        self.set_validity(validity);
+        self
+    }
+
     fn set_validity(&mut self, v: Option<Bitmap>) {
         match self {
             ColumnVector::Int64 { validity, .. }

@@ -2,25 +2,33 @@
 //!
 //! Aggregation is "group ids for the chunk, then one typed loop per
 //! aggregate": the [`GroupIndex`] maps each row's key to a dense group
-//! id, and every aggregate folds its argument column into the states of
-//! the groups the chunk touches. Each chunk is folded on its own, in row
-//! order, into fresh states; a group's partial states are merged in chunk
-//! order. Results therefore do not depend on who folds which chunk — the
-//! "local work, ordered merge" shape the paper's analytics operators use,
-//! and the one a morsel scheduler needs to stay deterministic.
+//! id, and every aggregate's [`Accumulator`] folds its argument column
+//! into its state columns, indexed by those ids. Each chunk is folded in
+//! row order; float sums go through per-chunk partials that are added in
+//! chunk order. Results therefore do not depend on who folds which chunk
+//! — the "local work, ordered merge" shape the paper's analytics
+//! operators use, and the one a morsel scheduler needs to stay
+//! deterministic.
+//!
+//! The statement's memory budget is charged for what the operator holds,
+//! as it grows: each group once, for its index entry and every
+//! aggregate's state (a float sum's partial included), however many
+//! chunks touch it. The charge is released when the result is built, or
+//! the statement fails.
+
+use std::sync::Arc;
 
 use hylite_common::governor::Governor;
 #[cfg(test)]
 use hylite_common::Value;
 use hylite_common::{Chunk, ColumnVector, DataType, Result};
-use hylite_expr::AggregateState;
-use hylite_expr::ScalarExpr;
+use hylite_expr::{Accumulator, ScalarExpr};
 use hylite_planner::logical::AggExpr;
 
 use crate::keys::{GroupIndex, KeyLayout};
-use crate::util::{conform, eval_keys, eval_shared};
+use crate::util::{conform, conform_col, eval_keys, eval_shared};
 
-/// Releases transient hash-table reservations when the aggregation
+/// The operator's memory-budget charge, released when the operator
 /// finishes (or aborts), so a failed statement leaves the budget clean.
 struct BudgetGuard<'a> {
     governor: &'a Governor,
@@ -28,9 +36,12 @@ struct BudgetGuard<'a> {
 }
 
 impl BudgetGuard<'_> {
-    fn reserve(&mut self, bytes: u64) -> Result<()> {
-        self.governor.reserve(bytes)?;
-        self.bytes += bytes;
+    /// Hold `bytes` in all: reserve what exceeds the charge so far.
+    fn charge(&mut self, bytes: u64) -> Result<()> {
+        if bytes > self.bytes {
+            self.governor.reserve(bytes - self.bytes)?;
+            self.bytes = bytes;
+        }
         Ok(())
     }
 }
@@ -41,10 +52,9 @@ impl Drop for BudgetGuard<'_> {
     }
 }
 
-/// Rough per-group hash-table footprint: entry overhead plus the key
-/// values and one accumulator per aggregate.
-fn group_entry_bytes(num_keys: usize, num_aggs: usize) -> u64 {
-    48 + 32 * num_keys as u64 + 48 * num_aggs as u64
+/// Rough footprint of a group's index entry: overhead plus the key values.
+fn group_entry_bytes(num_keys: usize) -> u64 {
+    48 + 32 * num_keys as u64
 }
 
 /// Execute a grouped aggregation, keying the groups under the layout
@@ -54,9 +64,8 @@ fn group_entry_bytes(num_keys: usize, num_aggs: usize) -> u64 {
 /// (aggregates over the whole input, even when empty). The index comes
 /// back with the result: how many groups there were, under which layout.
 ///
-/// Every chunk's fold starts with a governor check, and the partial
-/// states of the groups it touches are charged against the statement's
-/// memory budget (released once the output chunk is built).
+/// Every chunk's fold starts with a governor check and a charge of the
+/// states' growth against the statement's memory budget.
 pub fn aggregate(
     layout: fn(&[DataType]) -> KeyLayout,
     chunks: &[Chunk],
@@ -68,22 +77,18 @@ pub fn aggregate(
     let mut guard = BudgetGuard { governor, bytes: 0 };
     let (key_types, agg_types) = output_types.split_at(group_exprs.len());
     let mut index = GroupIndex::for_grouping(layout(key_types));
-    let entry_bytes = group_entry_bytes(group_exprs.len(), aggregates.len());
-    let inits: Vec<AggregateState> = aggregates.iter().map(|a| a.func.init()).collect();
+    let arg_type = |a: &AggExpr| a.arg.as_ref().map_or(DataType::Null, ScalarExpr::data_type);
+    let mut accumulators: Vec<Accumulator> = aggregates
+        .iter()
+        .map(|a| Accumulator::new(a.func, arg_type(a)))
+        .collect();
+    let states = accumulators.iter().map(Accumulator::group_bytes);
+    let group_bytes = group_entry_bytes(group_exprs.len()) + states.sum::<u64>();
     let grouped = !group_exprs.is_empty();
-    // `totals[a][g]`: aggregate `a` of group `g` over the chunks so far.
-    let mut totals: Vec<Vec<AggregateState>> = vec![Vec::new(); aggregates.len()];
     let mut key_out: Vec<ColumnVector> =
         key_types.iter().map(|&t| ColumnVector::empty(t)).collect();
     let mut ids = Vec::new();
-    // The chunk being folded: the groups it touches in first-touch order,
-    // each group's position in that list (valid where `stamp` is the
-    // chunk's number), and `ids` renumbered to those positions.
-    let mut touched: Vec<u32> = Vec::new();
-    let mut stamp: Vec<usize> = Vec::new();
-    let mut local: Vec<u32> = Vec::new();
-    let mut local_ids: Vec<u32> = Vec::new();
-    for (chunk_no, chunk) in chunks.iter().enumerate() {
+    for chunk in chunks {
         governor.check()?;
         let key_cols = eval_keys(group_exprs, key_types, chunk)?;
         // Without keys the whole chunk is one key-less row's group, and
@@ -94,50 +99,16 @@ pub fn aggregate(
         for (out, col) in key_out.iter_mut().zip(&key_cols) {
             out.append(&col.take(&fresh))?;
         }
-        stamp.resize(index.len(), usize::MAX);
-        local.resize(index.len(), 0);
-        touched.clear();
-        local_ids.clear();
-        for &g in &ids {
-            if stamp[g as usize] != chunk_no {
-                stamp[g as usize] = chunk_no;
-                local[g as usize] = touched.len() as u32;
-                touched.push(g);
-            }
-            local_ids.push(local[g as usize]);
-        }
-        guard.reserve(touched.len() as u64 * entry_bytes)?;
-        for ((agg, init), totals) in aggregates.iter().zip(&inits).zip(&mut totals) {
-            let mut partial = vec![init.clone(); touched.len()];
-            let arg = agg
-                .arg
-                .as_ref()
-                .map(|e| eval_shared(e, chunk))
-                .transpose()?;
-            let local = |i: usize| local_ids[i] as usize;
-            match arg {
-                Some(col) if grouped => AggregateState::update_grouped(&mut partial, local, &col)?,
-                Some(col) => AggregateState::update_grouped(&mut partial, |_| 0, &col)?,
-                None if grouped => {
-                    for &l in &local_ids {
-                        partial[l as usize].update_count_star(1);
-                    }
-                }
-                None => partial[0].update_count_star(chunk.len() as i64),
-            }
-            // Merging into a fresh state copies: new groups need no case.
-            totals.resize(index.len(), init.clone());
-            for (&g, state) in touched.iter().zip(&partial) {
-                totals[g as usize].merge(state)?;
-            }
+        guard.charge(index.len() as u64 * group_bytes)?;
+        for (acc, agg) in accumulators.iter_mut().zip(aggregates) {
+            let arg = agg.arg.as_ref().map(|e| eval_shared(e, chunk));
+            let ids = grouped.then_some(&ids[..]);
+            acc.fold(arg.transpose()?.as_deref(), chunk.len(), ids, index.len())?;
         }
     }
     // Global aggregate over empty input still yields one row.
     if !grouped && index.is_empty() {
         index.insert_chunk(&[], 1, &mut ids)?;
-        for (totals, init) in totals.iter_mut().zip(inits) {
-            totals.push(init);
-        }
     }
     // Deterministic output order: sort groups by key.
     let mut order: Vec<usize> = (0..index.len()).collect();
@@ -148,16 +119,12 @@ pub fn aggregate(
             .find(|o| !o.is_eq())
             .unwrap_or(std::cmp::Ordering::Equal)
     });
-    let mut cols: Vec<ColumnVector> = key_out.iter().map(|col| col.take(&order)).collect();
-    for (states, &target) in totals.iter().zip(agg_types) {
-        let mut col = ColumnVector::empty(target);
-        for &g in &order {
-            let v = states[g].finalize();
-            col.push_value(&if v.is_null() { v } else { v.cast_to(target)? })?;
-        }
-        cols.push(col);
+    let mut cols: Vec<Arc<ColumnVector>> =
+        key_out.iter().map(|c| Arc::new(c.take(&order))).collect();
+    for (acc, &target) in accumulators.into_iter().zip(agg_types) {
+        cols.push(conform_col(&Arc::new(acc.finish(&order)), target)?);
     }
-    Ok((vec![Chunk::new(cols)], index))
+    Ok((vec![Chunk::from_arc_columns(cols)], index))
 }
 
 /// The rows of `chunk` whose key (all columns, in `types`) `seen` did not
@@ -194,7 +161,7 @@ pub fn distinct(
     for chunk in chunks {
         governor.check()?;
         let fresh = unseen_rows(&mut seen, chunk, types, &mut ids)?;
-        guard.reserve(fresh.len() as u64 * group_entry_bytes(types.len(), 0))?;
+        guard.charge(seen.len() as u64 * group_entry_bytes(types.len()))?;
         if !fresh.is_empty() {
             kept.push(fresh);
         }

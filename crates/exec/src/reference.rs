@@ -287,24 +287,32 @@ fn value(rng: &mut Rng, t: DataType, domain: usize) -> Value {
     }
 }
 
+/// DOUBLEs whose sums round, so a float fold's order shows in its bits.
+const ROUNDING: [f64; 5] = [0.1, 1.0 / 3.0, 1e16, -1e16, 2.5];
+
 /// `rows` rows of the given column types cut into chunks of random
-/// sizes, some of them empty. Column `distinct_col`, if any, counts up
-/// from `i64::MIN / 2` instead (all-distinct keys).
+/// sizes out of `lens`, some of them empty. Column `distinct_col`, if
+/// any, counts up from `i64::MIN / 2` instead (all-distinct keys); column
+/// `rounding_col`, if any, draws from [`ROUNDING`] and NULL.
 fn relation(
     rng: &mut Rng,
     types: &[DataType],
-    rows: usize,
-    domain: usize,
+    (rows, domain, lens): (usize, usize, [usize; 5]),
     distinct_col: Option<usize>,
+    rounding_col: Option<usize>,
 ) -> Vec<Chunk> {
     let mut chunks = Vec::new();
     let mut made = 0;
     while made < rows || chunks.is_empty() {
-        let len = [0, 1, 3, 17, 64].map(|n: usize| n.min(rows - made))[rng.below(5)];
+        let len = lens.map(|n: usize| n.min(rows - made))[rng.below(5)];
         let rows_of_chunk: Vec<Vec<Value>> = (made..made + len)
             .map(|r| {
-                let cell = |(c, &t): (usize, &DataType)| match distinct_col {
-                    Some(d) if d == c => Value::Int(i64::MIN / 2 + r as i64),
+                let cell = |(c, &t): (usize, &DataType)| match (distinct_col, rounding_col) {
+                    (Some(d), _) if d == c => Value::Int(i64::MIN / 2 + r as i64),
+                    (_, Some(f)) if f == c => match rng.below(ROUNDING.len() + 1) {
+                        i if i == ROUNDING.len() => Value::Null,
+                        i => Value::Float(ROUNDING[i]),
+                    },
                     _ => value(rng, t, domain),
                 };
                 types.iter().enumerate().map(cell).collect()
@@ -358,6 +366,13 @@ const SHAPES: [(usize, usize, bool); 6] = [
     (200, 6, true),
 ];
 
+/// The chunk lengths a shape's rows are cut into.
+const LENS: [usize; 5] = [0, 1, 3, 17, 64];
+
+/// The aggregate's extra shape: chunks longer than a key block (1,024
+/// rows), several of them hitting the same few groups.
+const LONG: (usize, usize, [usize; 5]) = (2600, 6, [1030, 1500, 17, 0, 64]);
+
 fn key_types(rng: &mut Rng) -> Vec<DataType> {
     (0..1 + rng.below(4)).map(|_| rng.pick(&TYPES)).collect()
 }
@@ -372,9 +387,11 @@ fn aggregate_agrees_with_the_reference() {
         let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
         let keys = key_types(&mut rng);
         let k = keys.len();
-        // After the keys: a BIGINT, a DOUBLE, a VARCHAR and a BOOLEAN argument.
+        // After the keys: a BIGINT, a DOUBLE, a VARCHAR and a BOOLEAN
+        // argument, and a DOUBLE whose sums round.
         let mut types = keys.clone();
         types.extend(TYPES);
+        types.push(DataType::Float64);
         let col = |c: usize| ScalarExpr::column(c, types[c]);
         let mut aggregates = vec![AggExpr {
             func: CountStar,
@@ -387,7 +404,7 @@ fn aggregate_agrees_with_the_reference() {
             } else {
                 2
             };
-            for arg in k..k + args {
+            for arg in (k..k + args).chain([k + 4]) {
                 aggregates.push(AggExpr {
                     func,
                     arg: Some(col(arg)),
@@ -401,9 +418,12 @@ fn aggregate_agrees_with_the_reference() {
             let arg = a.arg.as_ref().map_or(DataType::Null, ScalarExpr::data_type);
             output_types.push(a.func.result_type(arg).unwrap());
         }
-        for (rows, domain, all_distinct) in SHAPES {
+        let shapes = SHAPES.map(|(rows, domain, all_distinct)| (rows, domain, LENS, all_distinct));
+        let long = (seed % 4 == 0).then_some((LONG.0, LONG.1, LONG.2, false));
+        for (rows, domain, lens, all_distinct) in shapes.into_iter().chain(long) {
             let distinct_col = (all_distinct && keys[0] == DataType::Int64).then_some(0);
-            let chunks = relation(&mut rng, &types, rows, domain, distinct_col);
+            let shape = (rows, domain, lens);
+            let chunks = relation(&mut rng, &types, shape, distinct_col, Some(k + 4));
             // Grouped, and the same input as one global aggregate.
             for (group_exprs, output_types) in [
                 (&group_exprs[..], &output_types[..]),
@@ -439,7 +459,7 @@ fn distinct_agrees_with_the_reference() {
         let types = key_types(&mut rng);
         for (rows, domain, all_distinct) in SHAPES {
             let distinct_col = (all_distinct && types[0] == DataType::Int64).then_some(0);
-            let chunks = relation(&mut rng, &types, rows, domain, distinct_col);
+            let chunks = relation(&mut rng, &types, (rows, domain, LENS), distinct_col, None);
             let want = distinct(&chunks, &types).unwrap();
             for (name, layout) in LAYOUTS {
                 let (got, _) =
@@ -483,8 +503,14 @@ fn join_agrees_with_the_reference() {
             ScalarExpr::binary(BinaryOp::And, equi.clone(), payload_differs).unwrap();
         for (rows, domain, all_distinct) in SHAPES {
             let distinct_col = (all_distinct && keys[0] == DataType::Int64).then_some(0);
-            let left = relation(&mut rng, &types, rows, domain, distinct_col);
-            let right = relation(&mut rng, &types, rows.min(60), domain, distinct_col);
+            let left = relation(&mut rng, &types, (rows, domain, LENS), distinct_col, None);
+            let right = relation(
+                &mut rng,
+                &types,
+                (rows.min(60), domain, LENS),
+                distinct_col,
+                None,
+            );
             for condition in [&equi, &with_residual] {
                 for kind in [JoinKind::Inner, JoinKind::Left] {
                     let want = join(&left, &right, kind, condition, width, &types).unwrap();

@@ -21,7 +21,7 @@ pub mod kernels;
 pub mod lambda;
 pub mod scalar;
 
-pub use aggregate::{AggregateFunction, AggregateState};
+pub use aggregate::{Accumulator, AggregateFunction, AggregateState};
 pub use functions::ScalarFunc;
 pub use lambda::BoundLambda;
 pub use scalar::{BinaryOp, ScalarExpr, UnaryOp};

@@ -144,6 +144,28 @@ fn budget_exceeded_inside_parallel_aggregation() {
 }
 
 #[test]
+fn a_group_is_charged_once_however_many_chunks_touch_it() {
+    let db = Database::new();
+    db.execute("CREATE TABLE t (g BIGINT, x BIGINT)").unwrap();
+    // 64 inserts of 4,096 rows: 64 input chunks, each touching all 4,096
+    // groups. The aggregate's state is about half a megabyte.
+    let rows: Vec<String> = (0..4096).map(|g| format!("({g},{})", g % 7)).collect();
+    let insert = format!("INSERT INTO t VALUES {}", rows.join(","));
+    for _ in 0..64 {
+        db.execute(&insert).unwrap();
+    }
+    db.execute("SET memory_budget_mb = 8").unwrap();
+    for sql in [
+        "SELECT count(*) FROM (SELECT DISTINCT g FROM t) d",
+        "SELECT count(*) FROM (SELECT g, sum(x) FROM t GROUP BY g) a",
+        "SELECT count(*) FROM (SELECT g, avg(x), min(x), count(*) FROM t GROUP BY g) a",
+    ] {
+        let n = db.execute(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        assert_eq!(n.scalar().unwrap(), Value::Int(4096), "{sql}");
+    }
+}
+
+#[test]
 fn budget_exceeded_aborts_pagerank() {
     let db = Database::new();
     setup_edges(&db, 50000);
