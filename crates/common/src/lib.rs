@@ -8,13 +8,15 @@
 //! cross-cutting runtime services: [`telemetry`] (metrics and per-query
 //! profiles), [`governor`] (per-query cancellation, deadlines,
 //! memory budgets, and the thread cap), [`morsel`] (the one scheduler that
-//! puts work on more than one core), and [`wire`] (the binary frame protocol spoken
-//! between `hylite-server` and `hylite-client`).
+//! puts work on more than one core), [`codec`] (the one binary codec of
+//! every record HyLite writes) and [`wire`] (the binary frame protocol
+//! spoken between `hylite-server` and `hylite-client`).
 
 #![warn(missing_docs)]
 
 pub mod bitmap;
 pub mod chunk;
+pub mod codec;
 pub mod column;
 pub mod crc32;
 pub mod error;

@@ -18,21 +18,22 @@
 //! plus an optional validity bitmap), so a decoded [`Chunk`] compares
 //! equal to the chunk the embedded API would have returned.
 //!
-//! Each frame is declared once, as one row of the `frames!` table below:
-//! its tag, its name, its sender and its typed fields. The table generates
-//! [`Frame`], [`encode_frame`] and [`decode_frame`]; every field type has
-//! one codec (`put`, `get`), and `get` accepts exactly the bytes `put` can
-//! write, so a decoded frame encodes back to the bytes it came from.
+//! Each frame is declared once, as one row of the [`records!`] table
+//! below: its tag, its name, its sender and its typed fields. The table
+//! generates [`Frame`] and its codec, under [`encode_frame`] and
+//! [`decode_frame`]; every field type has one codec (see [`crate::codec`]),
+//! so a decoded frame encodes back to the bytes it came from.
 //!
 //! Errors travel as a stable numeric [`ErrorCode`] plus a human-readable
 //! message; see [`ErrorCode`] for the code space and the retryability
 //! contract. The full protocol (handshake, cancellation, shutdown) is
 //! documented in `docs/PROTOCOL.md`.
 
-use std::fmt;
 use std::io::{Read, Write};
 
-use crate::{Bitmap, Chunk, ColumnVector, DataType, Field, HyError, Result, Schema};
+use crate::codec::{put_u32, At, ByteReader, Codec};
+use crate::records;
+use crate::{Chunk, HyError, Result, Schema};
 
 /// Protocol version spoken by this build. Bumped on any incompatible
 /// frame-layout change; the server rejects mismatched clients at startup.
@@ -181,72 +182,7 @@ error_codes! {
 // Frames
 // ---------------------------------------------------------------------------
 
-/// Generates [`Frame`], [`encode_frame`] and [`decode_frame`] from one row
-/// per frame: `tag Name from sender [with Magic] [{ field: Type, ... }]`.
-/// The fields are written and read in the order they are declared.
-macro_rules! frames {
-    ($(#[$meta:meta])* pub enum Frame {
-        $($(#[$doc:meta])* $tag:literal $name:ident from $sender:ident $(with $magic:ident)?
-            $({ $($(#[$fdoc:meta])* $field:ident: $ty:ty),* $(,)? })?,)*
-    }) => {
-        $(#[$meta])*
-        pub enum Frame {
-            $($(#[$doc])* $name $({ $($(#[$fdoc])* $field: $ty),* })?,)*
-        }
-
-        /// Encode a frame into its on-wire byte representation (length
-        /// prefix included).
-        pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-            let mut buf = Vec::with_capacity(64);
-            put_u32(&mut buf, 0); // length placeholder
-            match frame {
-                $(Frame::$name $({ $($field),* })? => {
-                    buf.push($tag);
-                    $(Codec::put(&$magic, &mut buf);)?
-                    $($(Codec::put($field, &mut buf);)*)?
-                })*
-            }
-            let len = (buf.len() - 4) as u32;
-            buf[0..4].copy_from_slice(&len.to_le_bytes());
-            buf
-        }
-
-        /// Decode one frame from its body bytes (length prefix already
-        /// consumed).
-        pub fn decode_frame(tag: u8, body: &[u8]) -> Result<Frame> {
-            let mut r = ByteReader::new(body);
-            let frame = match tag {
-                $($tag => {
-                    $(<$magic>::get(&mut r, At(stringify!($name), stringify!($sender), "magic"))?;)?
-                    Frame::$name $({ $($field: <$ty>::get(
-                        &mut r,
-                        At(stringify!($name), stringify!($sender), stringify!($field)),
-                    )?),* })?
-                })*
-                other => return Err(HyError::Protocol(format!("unknown frame tag {other}"))),
-            };
-            if r.pos != body.len() {
-                return Err(HyError::Protocol(format!(
-                    "frame has {} trailing bytes after tag {tag}",
-                    body.len() - r.pos
-                )));
-            }
-            Ok(frame)
-        }
-
-        /// Tag, name, sender and payload (the magic, then `field: Type`)
-        /// of each row, for the check against docs/PROTOCOL.md.
-        #[cfg(test)]
-        const FRAME_TABLE: &[(u8, &str, &str, &[&str])] = &[$((
-            $tag,
-            stringify!($name),
-            stringify!($sender),
-            &[$(stringify!($magic),)? $($(concat!(stringify!($field), ": ", stringify!($ty)),)*)?],
-        ),)*];
-    };
-}
-
-frames! {
+records! {
     /// One protocol frame. See the module docs for the on-wire layout and
     /// `docs/PROTOCOL.md` for the conversation state machine.
     #[derive(Debug, Clone, PartialEq)]
@@ -417,7 +353,7 @@ frames! {
             /// Bytes copied.
             bytes: u64,
         },
-    }
+    } else other => HyError::Protocol(format!("unknown frame tag {other}"));
 }
 
 impl Frame {
@@ -440,99 +376,12 @@ impl Frame {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Field codecs
-// ---------------------------------------------------------------------------
-
-/// Where a field sits — frame, sender, field — for the decoder's error
-/// texts.
-struct At(&'static str, &'static str, &'static str);
-
-impl fmt::Display for At {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} {}", self.0.to_lowercase(), self.2)
-    }
-}
-
-/// One field type's wire encoding. `get` accepts exactly the bytes `put`
-/// can write and fails with [`HyError::Protocol`] on anything else.
-trait Codec: Sized {
-    fn put(&self, buf: &mut Vec<u8>);
-    fn get(r: &mut ByteReader<'_>, at: At) -> Result<Self>;
-}
-
-macro_rules! int_codecs {
-    ($($t:ident),*) => {$(
-        impl Codec for $t {
-            fn put(&self, buf: &mut Vec<u8>) {
-                buf.extend_from_slice(&self.to_le_bytes());
-            }
-            fn get(r: &mut ByteReader<'_>, _: At) -> Result<$t> {
-                r.$t()
-            }
-        }
-    )*};
-}
-
-int_codecs!(u8, u16, u32, u64);
-
-/// Field types whose codec is a public `put_*` function and the
-/// [`ByteReader`] method that reads it back.
-macro_rules! delegated_codecs {
-    ($($t:ty => $put:ident, $get:ident;)*) => {$(
-        impl Codec for $t {
-            fn put(&self, buf: &mut Vec<u8>) {
-                $put(buf, self);
-            }
-            fn get(r: &mut ByteReader<'_>, _: At) -> Result<$t> {
-                r.$get()
-            }
-        }
-    )*};
-}
-
-delegated_codecs! {
-    String => put_str, str;
-    Schema => put_schema, schema;
-    Chunk => put_chunk, chunk;
-}
-
-impl Codec for bool {
-    fn put(&self, buf: &mut Vec<u8>) {
-        buf.push(u8::from(*self));
-    }
-    fn get(r: &mut ByteReader<'_>, at: At) -> Result<bool> {
-        r.flag(at)
-    }
-}
-
-impl Codec for Option<String> {
-    fn put(&self, buf: &mut Vec<u8>) {
-        put_opt_str(buf, self.as_deref());
-    }
-    fn get(r: &mut ByteReader<'_>, at: At) -> Result<Option<String>> {
-        r.opt_str(at)
-    }
-}
-
-/// A `u32` byte length, then the bytes.
-impl Codec for Vec<u8> {
-    fn put(&self, buf: &mut Vec<u8>) {
-        put_u32(buf, self.len() as u32);
-        buf.extend_from_slice(self);
-    }
-    fn get(r: &mut ByteReader<'_>, _: At) -> Result<Vec<u8>> {
-        let n = r.u32()? as usize;
-        Ok(r.take(n)?.to_vec())
-    }
-}
-
 /// The [`STARTUP_MAGIC`] opening the first frame of a connection, so a
 /// stray peer is refused before anything else is parsed.
 struct Magic;
 
 impl Codec for Magic {
-    fn put(&self, buf: &mut Vec<u8>) {
+    fn put(_: &Magic, buf: &mut Vec<u8>) {
         put_u32(buf, STARTUP_MAGIC);
     }
     fn get(r: &mut ByteReader<'_>, At(frame, sender, _): At) -> Result<Magic> {
@@ -546,131 +395,28 @@ impl Codec for Magic {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Encoding
-// ---------------------------------------------------------------------------
-
-/// Append a little-endian `u16`. The `put_*` encoders are public because
-/// the WAL and checkpoint writers in `hylite-storage` reuse the wire
-/// codec as their on-disk serialization.
-pub fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// Encode a frame into its on-wire byte representation (length prefix
+/// included).
+pub fn encode_frame(frame: &Frame) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(64);
+    put_u32(&mut buf, 0); // length placeholder
+    Frame::put(frame, &mut buf);
+    let len = (buf.len() - 4) as u32;
+    buf[0..4].copy_from_slice(&len.to_le_bytes());
+    buf
 }
 
-/// Append a little-endian `u32`.
-pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Append a little-endian `u64`.
-pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Append a `u32`-length-prefixed UTF-8 string.
-pub fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn put_opt_str(buf: &mut Vec<u8>, s: Option<&str>) {
-    buf.push(u8::from(s.is_some()));
-    if let Some(s) = s {
-        put_str(buf, s);
+/// Decode one frame from its body bytes (length prefix already consumed).
+pub fn decode_frame(tag: u8, body: &[u8]) -> Result<Frame> {
+    let mut r = ByteReader::new(body);
+    let frame = Frame::get_tagged(tag, &mut r)?;
+    if !r.is_empty() {
+        return Err(HyError::Protocol(format!(
+            "frame has {} trailing bytes after tag {tag}",
+            r.remaining()
+        )));
     }
-}
-
-/// Column types by their one-byte tag — shared by the wire codec and the
-/// segment file format.
-const DTYPE_TAGS: [DataType; 5] = [
-    DataType::Int64,
-    DataType::Float64,
-    DataType::Bool,
-    DataType::Varchar,
-    DataType::Null,
-];
-
-/// The one-byte tag of a column type.
-pub fn dtype_tag(dt: DataType) -> u8 {
-    DTYPE_TAGS
-        .iter()
-        .position(|&d| d == dt)
-        .expect("every type has a tag") as u8
-}
-
-/// The column type a [`dtype_tag`] names.
-pub fn dtype_from_tag(tag: u8) -> Result<DataType> {
-    let dt = DTYPE_TAGS.get(usize::from(tag)).copied();
-    dt.ok_or_else(|| HyError::Protocol(format!("unknown data type tag {tag}")))
-}
-
-/// Pack `len` bits (`get(i)`) LSB-first into `len.div_ceil(8)` bytes —
-/// validity bitmaps and booleans, on the wire and in segment blocks. The
-/// padding bits of the last byte are zero.
-pub fn put_bits(buf: &mut Vec<u8>, len: usize, get: impl Fn(usize) -> bool) {
-    let mut byte = 0u8;
-    for i in 0..len {
-        if get(i) {
-            byte |= 1 << (i % 8);
-        }
-        if i % 8 == 7 {
-            buf.push(byte);
-            byte = 0;
-        }
-    }
-    if !len.is_multiple_of(8) {
-        buf.push(byte);
-    }
-}
-
-fn put_column(buf: &mut Vec<u8>, col: &ColumnVector) {
-    let rows = col.len();
-    buf.push(dtype_tag(col.data_type()));
-    put_u32(buf, rows as u32);
-    buf.push(u8::from(col.validity().is_some()));
-    if let Some(bm) = col.validity() {
-        put_bits(buf, rows, |i| bm.get(i));
-    }
-    match col {
-        ColumnVector::Int64 { data, .. } => {
-            for v in data {
-                buf.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        ColumnVector::Float64 { data, .. } => {
-            for v in data {
-                buf.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        ColumnVector::Bool { data, .. } => put_bits(buf, rows, |i| data[i]),
-        ColumnVector::Varchar { data, .. } => {
-            for s in data {
-                put_str(buf, s);
-            }
-        }
-    }
-}
-
-/// Append a [`Chunk`] in HyLite's columnar layout (row count, column
-/// count, then each column with its validity bitmap).
-pub fn put_chunk(buf: &mut Vec<u8>, chunk: &Chunk) {
-    put_u32(buf, chunk.len() as u32);
-    put_u16(buf, chunk.num_columns() as u16);
-    for col in chunk.columns() {
-        put_column(buf, col);
-    }
-}
-
-/// Append a [`Schema`] (field count, then qualifier/name/type/nullability
-/// per field).
-pub fn put_schema(buf: &mut Vec<u8>, schema: &Schema) {
-    put_u16(buf, schema.len() as u16);
-    for f in schema.fields() {
-        put_opt_str(buf, f.qualifier.as_deref());
-        put_str(buf, &f.name);
-        buf.push(dtype_tag(f.data_type));
-        buf.push(u8::from(f.nullable));
-    }
+    Ok(frame)
 }
 
 /// Encode and write one frame; returns the number of bytes written.
@@ -679,199 +425,6 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<usize> {
     w.write_all(&bytes)
         .map_err(|e| HyError::Protocol(format!("write failed: {e}")))?;
     Ok(bytes.len())
-}
-
-// ---------------------------------------------------------------------------
-// Decoding
-// ---------------------------------------------------------------------------
-
-/// Sequential reader over length-delimited binary data. Every accessor
-/// bounds-checks against the slice (with overflow-safe arithmetic) and
-/// returns [`HyError::Protocol`] on truncation, so arbitrary bytes can be
-/// fed to it without panicking. Used for wire frame bodies and — because
-/// the WAL and checkpoint files reuse the wire codec — by crash recovery
-/// in `hylite-storage`.
-pub struct ByteReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    /// Start reading at the beginning of `buf`.
-    pub fn new(buf: &'a [u8]) -> ByteReader<'a> {
-        ByteReader { buf, pos: 0 }
-    }
-
-    /// Consume exactly `n` bytes.
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
-        let Some(end) = end else {
-            return Err(HyError::Protocol(format!(
-                "frame truncated: wanted {n} bytes at offset {}, frame is {} bytes",
-                self.pos,
-                self.buf.len()
-            )));
-        };
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    /// Bytes left to read.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Whether the input is fully consumed.
-    pub fn is_empty(&self) -> bool {
-        self.remaining() == 0
-    }
-
-    /// Consume one byte.
-    pub fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Consume a little-endian `u16`.
-    pub fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    /// Consume a little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    /// Consume a little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Consume a `u32`-length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<String> {
-        let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| HyError::Protocol("invalid UTF-8 in string".into()))
-    }
-
-    /// A flag byte: 0 or 1, nothing else; `what` names it in the error.
-    fn flag(&mut self, what: impl fmt::Display) -> Result<bool> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(HyError::Protocol(format!("bad {what} flag {other}"))),
-        }
-    }
-
-    fn opt_str(&mut self, what: impl fmt::Display) -> Result<Option<String>> {
-        Ok(if self.flag(what)? {
-            Some(self.str()?)
-        } else {
-            None
-        })
-    }
-
-    /// Read `len` LSB-first packed bits whose padding bits are zero.
-    fn bits(&mut self, len: usize) -> Result<Vec<bool>> {
-        let bytes = self.take(len.div_ceil(8))?;
-        if !len.is_multiple_of(8) && bytes[len / 8] >> (len % 8) != 0 {
-            return Err(HyError::Protocol(format!(
-                "bitset of {len} bits has nonzero padding"
-            )));
-        }
-        Ok((0..len)
-            .map(|i| (bytes[i / 8] >> (i % 8)) & 1 == 1)
-            .collect())
-    }
-
-    /// Read `rows` eight-byte little-endian values.
-    fn words<T>(&mut self, rows: usize, from: impl Fn([u8; 8]) -> T) -> Result<Vec<T>> {
-        // `rows * 8` can't overflow here: rows came from a u32, but use
-        // checked math anyway so 32-bit targets stay safe.
-        let n = rows
-            .checked_mul(8)
-            .ok_or_else(|| HyError::Protocol(format!("column of {rows} rows overflows")))?;
-        let raw = self.take(n)?.chunks_exact(8);
-        Ok(raw.map(|b| from(b.try_into().unwrap())).collect())
-    }
-
-    fn column(&mut self) -> Result<ColumnVector> {
-        let dt = dtype_from_tag(self.u8()?)?;
-        let rows = self.u32()? as usize;
-        let validity = if self.flag("validity")? {
-            Some(self.bits(rows)?.into_iter().collect::<Bitmap>())
-        } else {
-            None
-        };
-        Ok(match dt {
-            DataType::Int64 => ColumnVector::Int64 {
-                data: self.words(rows, i64::from_le_bytes)?,
-                validity,
-            },
-            DataType::Float64 => ColumnVector::Float64 {
-                data: self.words(rows, f64::from_le_bytes)?,
-                validity,
-            },
-            DataType::Bool => ColumnVector::Bool {
-                data: self.bits(rows)?,
-                validity,
-            },
-            DataType::Varchar => {
-                // Each string costs at least its 4-byte length prefix, so
-                // cap the preallocation by what the frame could possibly
-                // hold — a forged row count must not drive a huge
-                // allocation before the truncation is noticed.
-                let mut data = Vec::with_capacity(rows.min(self.remaining() / 4));
-                for _ in 0..rows {
-                    data.push(self.str()?);
-                }
-                ColumnVector::Varchar { data, validity }
-            }
-            // No column vector has the type of an untyped NULL literal.
-            DataType::Null => {
-                return Err(HyError::Protocol("no column has type tag 4 (Null)".into()));
-            }
-        })
-    }
-
-    /// Consume a [`Chunk`] as written by [`put_chunk`].
-    pub fn chunk(&mut self) -> Result<Chunk> {
-        let rows = self.u32()? as usize;
-        let cols = self.u16()? as usize;
-        if cols == 0 {
-            return Ok(Chunk::zero_column(rows));
-        }
-        let mut columns = Vec::with_capacity(cols);
-        for _ in 0..cols {
-            let col = self.column()?;
-            if col.len() != rows {
-                return Err(HyError::Protocol(format!(
-                    "chunk column length {} does not match row count {rows}",
-                    col.len()
-                )));
-            }
-            columns.push(std::sync::Arc::new(col));
-        }
-        Ok(Chunk::from_arc_columns(columns))
-    }
-
-    /// Consume a [`Schema`] as written by [`put_schema`].
-    pub fn schema(&mut self) -> Result<Schema> {
-        let n = self.u16()? as usize;
-        let mut fields = Vec::with_capacity(n);
-        for _ in 0..n {
-            let qualifier = self.opt_str("qualifier")?;
-            let name = self.str()?;
-            let data_type = dtype_from_tag(self.u8()?)?;
-            let nullable = self.flag("nullable")?;
-            let mut f = Field::new(name, data_type);
-            f.qualifier = qualifier;
-            f.nullable = nullable;
-            fields.push(f);
-        }
-        Ok(Schema::new(fields))
-    }
 }
 
 /// Read one frame from a stream. A clean EOF before any byte of the
@@ -934,6 +487,7 @@ pub fn is_disconnect(e: &HyError) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ColumnVector, DataType, Field};
 
     fn roundtrip(frame: Frame) {
         let bytes = encode_frame(&frame);
@@ -1198,7 +752,7 @@ mod tests {
 
     #[test]
     fn protocol_md_lists_every_frame_and_error_code_as_declared() {
-        let frames: Vec<Vec<String>> = FRAME_TABLE
+        let frames: Vec<Vec<String>> = Frame::TABLE
             .iter()
             .map(|(tag, name, sender, payload)| {
                 let receiver = match *sender {

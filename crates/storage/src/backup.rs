@@ -52,22 +52,18 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use hylite_common::codec::List;
 use hylite_common::faultfs::Vfs;
-use hylite_common::wire::{self, ByteReader};
-use hylite_common::{HyError, Result};
+use hylite_common::{records, HyError, Result};
 
 use crate::archive::read_archived_frames;
-use crate::checkpoint::{decode_manifest, encode_bootstrap_bundle, CHECKPOINT_FILE};
-use crate::files::{open_framed, publish_atomic, seal_framed, write_durable};
+use crate::checkpoint::{BootstrapBundle, CheckpointImage, ShippedSegment, CHECKPOINT_FILE};
+use crate::files::{open_framed, publish_atomic, seal_framed, write_durable, Sealed, Signature};
 use crate::segment::{
     check_segment_bytes, copy_segment_bytes, segment_file_name, SegmentStore, SEGMENT_DIR,
 };
 use crate::wal::{contiguous_run, scan_wal_raw, wal_image, RawFrame, WalWriter, WAL_FILE};
 
-/// Magic number opening a backup metadata file (`"HYBK"`).
-pub const BACKUP_MAGIC: u32 = 0x4859_424B;
-/// Backup metadata format version.
-pub const BACKUP_VERSION: u32 = 1;
 /// Metadata file name — its presence marks a *completed* backup.
 pub const BACKUP_META_FILE: &str = "backup.hylite";
 /// Crash point: before each segment file is copied into the backup.
@@ -80,81 +76,32 @@ const PIN_ATTEMPTS: usize = 3;
 /// Longest incremental chain restore will follow (cycle guard).
 const MAX_CHAIN_DEPTH: usize = 64;
 
-/// Metadata sealing a completed backup.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BackupMeta {
-    /// The pinned manifest's base LSN (0 when no checkpoint existed).
-    pub base_lsn: u64,
-    /// Highest LSN whose effects the backup contains (manifest + WAL copy).
-    pub backup_lsn: u64,
-    /// The source node's epoch at pin time (informational: restore mints
-    /// a fresh one).
-    pub epoch: u64,
-    /// Whether the `--verify` full rescan ran before this was written.
-    pub verified: bool,
-    /// Path of the incremental base backup, if any.
-    pub base: Option<String>,
-    /// Segment ids physically copied into this backup.
-    pub copied_segments: Vec<u64>,
-    /// Referenced segment ids held by the base chain instead.
-    pub base_segments: Vec<u64>,
-    /// Bytes copied into this backup (segments + WAL + manifest).
-    pub bytes: u64,
-}
-
-/// Serialize backup metadata (CRC-framed like every HyLite file).
-pub fn encode_backup_meta(meta: &BackupMeta) -> Vec<u8> {
-    seal_framed(BACKUP_MAGIC, BACKUP_VERSION, |buf| {
-        wire::put_u64(buf, meta.base_lsn);
-        wire::put_u64(buf, meta.backup_lsn);
-        wire::put_u64(buf, meta.epoch);
-        buf.push(u8::from(meta.verified));
-        match &meta.base {
-            Some(base) => {
-                buf.push(1);
-                wire::put_str(buf, base);
-            }
-            None => buf.push(0),
-        }
-        for ids in [&meta.copied_segments, &meta.base_segments] {
-            wire::put_u32(buf, ids.len() as u32);
-            for &id in ids {
-                wire::put_u64(buf, id);
-            }
-        }
-        wire::put_u64(buf, meta.bytes);
-    })
-}
-
-/// Parse and verify backup metadata. Any damage is a hard error: a
-/// backup that cannot prove what it contains must not be restored.
-pub fn decode_backup_meta(bytes: &[u8]) -> Result<BackupMeta> {
-    fn ids(r: &mut ByteReader<'_>) -> Result<Vec<u64>> {
-        let n = r.u32()? as usize;
-        let mut ids = Vec::with_capacity(n.min(r.remaining() / 8));
-        for _ in 0..n {
-            ids.push(r.u64()?);
-        }
-        Ok(ids)
+records! {
+    /// Metadata sealing a completed backup.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct BackupMeta {
+        /// The pinned manifest's base LSN (0 when no checkpoint existed).
+        pub base_lsn: u64,
+        /// Highest LSN whose effects the backup contains (manifest + WAL copy).
+        pub backup_lsn: u64,
+        /// The source node's epoch at pin time (informational: restore mints
+        /// a fresh one).
+        pub epoch: u64,
+        /// Whether the `--verify` full rescan ran before this was written.
+        pub verified: bool,
+        /// Path of the incremental base backup, if any.
+        pub base: Option<String>,
+        /// Segment ids physically copied into this backup.
+        pub copied_segments: Vec<u64> as List<u32>,
+        /// Referenced segment ids held by the base chain instead.
+        pub base_segments: Vec<u64> as List<u32>,
+        /// Bytes copied into this backup (segments + WAL + manifest).
+        pub bytes: u64,
     }
-    open_framed(
-        "backup metadata",
-        BACKUP_MAGIC,
-        BACKUP_VERSION,
-        bytes,
-        |r| {
-            Ok(BackupMeta {
-                base_lsn: r.u64()?,
-                backup_lsn: r.u64()?,
-                epoch: r.u64()?,
-                verified: r.u8()? != 0,
-                base: if r.u8()? != 0 { Some(r.str()?) } else { None },
-                copied_segments: ids(r)?,
-                base_segments: ids(r)?,
-                bytes: r.u64()?,
-            })
-        },
-    )
+}
+
+impl Sealed for BackupMeta {
+    const SIGNATURE: Signature = Signature::new(b"HYBK", 1, "backup metadata");
 }
 
 /// Read and decode a backup directory's metadata. A directory without
@@ -168,7 +115,7 @@ pub fn read_backup_meta(vfs: &dyn Vfs, dir: &Path) -> Result<BackupMeta> {
             dir.display()
         )));
     }
-    decode_backup_meta(&vfs.read(&path)?)
+    open_framed(&vfs.read(&path)?)
 }
 
 /// A consistent cut of a data directory, read under the commit lock by
@@ -197,7 +144,7 @@ pub fn pin(vfs: &dyn Vfs, dir: &Path, wal: &mut WalWriter, epoch: u64) -> Result
     let manifest_path = dir.join(CHECKPOINT_FILE);
     let (manifest, base_lsn, segments) = if vfs.exists(&manifest_path) {
         let bytes = vfs.read(&manifest_path)?;
-        let image = decode_manifest(&bytes)?;
+        let image: CheckpointImage = open_framed(&bytes)?;
         (Some(bytes), image.base_lsn, image.referenced_segments())
     } else {
         (None, 0, BTreeSet::new())
@@ -243,18 +190,23 @@ fn load_segment(store: &SegmentStore, id: u64) -> Result<Vec<u8>> {
 }
 
 /// The replica-bootstrap payload of a cut: its manifest plus every
-/// segment file the manifest references (see [`encode_bootstrap_bundle`]).
+/// segment file the manifest references, sealed (see [`BootstrapBundle`]).
 pub fn bootstrap_bundle(store: &SegmentStore, pin: &Pin) -> Result<Vec<u8>> {
     let manifest = pin
         .manifest
-        .as_deref()
+        .clone()
         .expect("a bootstrap pins its checkpoint");
-    let files = pin
+    let segments = pin
         .segments
         .iter()
-        .map(|&id| Ok((id, load_segment(store, id)?)))
+        .map(|&id| {
+            Ok(ShippedSegment {
+                id,
+                bytes: load_segment(store, id)?,
+            })
+        })
         .collect::<Result<Vec<_>>>()?;
-    Ok(encode_bootstrap_bundle(&files, manifest))
+    Ok(seal_framed(&BootstrapBundle { segments, manifest }))
 }
 
 /// What a completed backup did; surfaced through SQL, the wire frame,
@@ -363,7 +315,7 @@ pub fn write_backup(
         base_segments,
         bytes: bytes_copied,
     };
-    let encoded = encode_backup_meta(&meta);
+    let encoded = seal_framed(&meta);
     publish_atomic(vfs.as_ref(), dest, BACKUP_META_FILE, &encoded, [None; 3])?;
     Ok(BackupSummary {
         dest: dest.to_path_buf(),
@@ -385,7 +337,7 @@ fn verify_backup_files(vfs: &dyn Vfs, dest: &Path, copied: &[u64]) -> Result<()>
     }
     let ckpt = dest.join(CHECKPOINT_FILE);
     if vfs.exists(&ckpt) {
-        decode_manifest(&vfs.read(&ckpt)?)?;
+        open_framed::<CheckpointImage>(&vfs.read(&ckpt)?)?;
     }
     scan_wal_raw(vfs, &dest.join(WAL_FILE))?;
     Ok(())
@@ -444,7 +396,7 @@ pub fn restore_backup(
     let ckpt_src = backup_dir.join(CHECKPOINT_FILE);
     let (base_lsn, referenced) = if vfs.exists(&ckpt_src) {
         let bytes = vfs.read(&ckpt_src)?;
-        let image = decode_manifest(&bytes)?;
+        let image: CheckpointImage = open_framed(&bytes)?;
         write_durable(vfs.as_ref(), &dest_dir.join(CHECKPOINT_FILE), &bytes)?;
         bytes_written += bytes.len() as u64;
         (image.base_lsn, image.referenced_segments())
@@ -543,26 +495,27 @@ mod tests {
     #[test]
     fn meta_roundtrips() {
         let m = meta();
-        assert_eq!(decode_backup_meta(&encode_backup_meta(&m)).unwrap(), m);
+        assert_eq!(open_framed::<BackupMeta>(&seal_framed(&m)).unwrap(), m);
         let mut no_base = m;
         no_base.base = None;
         assert_eq!(
-            decode_backup_meta(&encode_backup_meta(&no_base)).unwrap(),
+            open_framed::<BackupMeta>(&seal_framed(&no_base)).unwrap(),
             no_base
         );
     }
 
     #[test]
     fn meta_corruption_is_a_hard_error() {
-        let bytes = encode_backup_meta(&meta());
+        let decode = open_framed::<BackupMeta>;
+        let bytes = seal_framed(&meta());
         let mut bad = bytes.clone();
         bad[10] ^= 0x04;
-        assert!(decode_backup_meta(&bad).is_err());
-        assert!(decode_backup_meta(&bytes[..bytes.len() - 2]).is_err());
-        assert!(decode_backup_meta(&[]).is_err());
+        assert!(decode(&bad).is_err());
+        assert!(decode(&bytes[..bytes.len() - 2]).is_err());
+        assert!(decode(&[]).is_err());
         let mut trailing = bytes;
         trailing.insert(trailing.len() - 4, 0);
-        assert!(decode_backup_meta(&trailing).is_err());
+        assert!(decode(&trailing).is_err());
     }
 
     #[test]

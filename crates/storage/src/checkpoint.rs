@@ -15,6 +15,10 @@
 //! [u32 crc32(everything above)]
 //! ```
 //!
+//! — [`CheckpointImage`] and its [`TableManifest`]s, declared once with
+//! `records!` and sealed in the shared envelope
+//! ([`crate::files::seal_framed`]).
+//!
 //! Row data lives in the segment files the manifest points at (see
 //! [`crate::segment`]); the manifest itself is a few hundred bytes. That
 //! makes checkpoints *incremental*: a checkpoint seals only rows that are
@@ -69,21 +73,17 @@ use std::collections::{BTreeSet, HashMap};
 use std::path::Path;
 use std::sync::Arc;
 
+use hylite_common::codec::{Bytes, List};
 use hylite_common::faultfs::Vfs;
-use hylite_common::wire::{self, ByteReader};
-use hylite_common::{Chunk, HyError, MetricsRegistry, Result, Schema};
+use hylite_common::{records, Chunk, HyError, MetricsRegistry, Result, Schema};
 use parking_lot::RwLock;
 
 use crate::catalog::Catalog;
-use crate::files::{open_framed, publish_atomic, seal_framed};
+use crate::files::{open_framed, publish_atomic, seal_framed, Sealed, Signature};
 use crate::segment::{copy_segment_bytes, rebrand_segment_bytes, DiskSegment, SegmentStore};
 use crate::snapshot::{SegmentHandle, TableSnapshot};
 use crate::table::{Table, SEGMENT_ROWS};
 
-/// Magic number opening a checkpoint manifest (`"HYCK"`).
-pub const CHECKPOINT_MAGIC: u32 = 0x4859_434B;
-/// Checkpoint format version (v2 = segment manifest).
-pub const CHECKPOINT_VERSION: u32 = 2;
 /// File name of the current checkpoint inside the data directory.
 pub const CHECKPOINT_FILE: &str = "checkpoint.hylite";
 /// Scratch name [`publish_atomic`] writes the checkpoint to before the
@@ -124,28 +124,37 @@ pub struct CheckpointStats {
     pub sealed_raw_bytes: u64,
 }
 
-/// Decoded checkpoint manifest, ready to install into a fresh catalog.
-#[derive(Debug)]
-pub struct CheckpointImage {
-    /// WAL frames with `lsn < base_lsn` are contained in this image.
-    pub base_lsn: u64,
-    /// Per-table manifests.
-    pub tables: Vec<TableManifest>,
+records! {
+    /// Decoded checkpoint manifest, ready to install into a fresh catalog.
+    #[derive(Debug)]
+    pub struct CheckpointImage {
+        /// WAL frames with `lsn < base_lsn` are contained in this image.
+        pub base_lsn: u64,
+        /// Per-table manifests.
+        pub tables: Vec<TableManifest> as List<u32>,
+    }
 }
 
-/// One table inside a [`CheckpointImage`].
-#[derive(Debug)]
-pub struct TableManifest {
-    /// Table name.
-    pub name: String,
-    /// Column definitions.
-    pub schema: Schema,
-    /// `(segment id, rows)` in row-id order (deleted rows included).
-    pub segments: Vec<(u64, u64)>,
-    /// Committed row horizon; must equal the summed segment rows.
-    pub row_limit: u64,
-    /// Global row ids carrying a committed delete mark.
-    pub deleted: Vec<u64>,
+/// v2 = segment manifest.
+impl Sealed for CheckpointImage {
+    const SIGNATURE: Signature = Signature::new(b"HYCK", 2, "checkpoint manifest");
+}
+
+records! {
+    /// One table inside a [`CheckpointImage`].
+    #[derive(Debug)]
+    pub struct TableManifest {
+        /// Table name.
+        pub name: String,
+        /// Column definitions.
+        pub schema: Schema,
+        /// `(segment id, rows)` in row-id order (deleted rows included).
+        pub segments: Vec<(u64, u64)> as List<u32>,
+        /// Committed row horizon; must equal the summed segment rows.
+        pub row_limit: u64,
+        /// Global row ids carrying a committed delete mark.
+        pub deleted: Vec<u64> as List<u64>,
+    }
 }
 
 impl TableManifest {
@@ -172,17 +181,11 @@ impl TableManifest {
 impl CheckpointImage {
     /// Every segment id any table references, ascending.
     pub fn referenced_segments(&self) -> BTreeSet<u64> {
-        referenced_segments(&self.tables)
+        self.tables
+            .iter()
+            .flat_map(|t| t.segments.iter().map(|&(id, _)| id))
+            .collect()
     }
-}
-
-/// Every segment id the given table manifests reference, ascending — the
-/// set a segment GC must spare once they are published.
-pub fn referenced_segments(tables: &[TableManifest]) -> BTreeSet<u64> {
-    tables
-        .iter()
-        .flat_map(|t| t.segments.iter().map(|&(id, _)| id))
-        .collect()
 }
 
 /// Seal `rows` into new segment files of at most [`SEGMENT_ROWS`] rows
@@ -228,7 +231,10 @@ pub fn take_checkpoint(
         base_lsn,
         ..CheckpointStats::default()
     };
-    let mut manifests = Vec::new();
+    let mut image = CheckpointImage {
+        base_lsn,
+        tables: Vec::new(),
+    };
     let mut swaps = Vec::new();
     for name in catalog.table_names() {
         let Ok(table) = catalog.get_table(&name) else {
@@ -252,15 +258,15 @@ pub fn take_checkpoint(
             .collect::<Result<Vec<_>>>()?;
         let delta = Chunk::concat(&snap.schema().types(), &resident)?;
         sealed.extend(seal(vfs, store, &delta, &mut stats)?);
-        manifests.push(TableManifest::of(name, &snap, &sealed));
+        image.tables.push(TableManifest::of(name, &snap, &sealed));
         swaps.push((table, sealed));
     }
     if stats.segments_sealed > 0 {
         store.sync_dir()?;
     }
-    let data = encode_manifest(base_lsn, &manifests);
+    let data = seal_framed(&image);
     publish_checkpoint(vfs, dir, &data)?;
-    stats.tables = manifests.len();
+    stats.tables = image.tables.len();
     stats.bytes = data.len() as u64;
 
     // The manifest is live: swap each table's committed prefix to the
@@ -272,8 +278,8 @@ pub fn take_checkpoint(
         let handles = sealed.into_iter().map(SegmentHandle::Disk).collect();
         table.write().swap_sealed_prefix(handles)?;
     }
-    store.gc(&referenced_segments(&manifests))?;
-    compact(vfs, dir, store, catalog, base_lsn, &mut manifests, metrics)?;
+    store.gc(&image.referenced_segments())?;
+    compact(vfs, dir, store, catalog, &mut image, metrics)?;
     Ok(stats)
 }
 
@@ -287,12 +293,11 @@ fn compact(
     dir: &Path,
     store: &Arc<SegmentStore>,
     catalog: &Catalog,
-    base_lsn: u64,
-    manifests: &mut [TableManifest],
+    image: &mut CheckpointImage,
     metrics: &MetricsRegistry,
 ) -> Result<()> {
-    for i in 0..manifests.len() {
-        let Ok(table) = catalog.get_table(&manifests[i].name) else {
+    for i in 0..image.tables.len() {
+        let Ok(table) = catalog.get_table(&image.tables[i].name) else {
             continue;
         };
         let mut g = table.write();
@@ -306,84 +311,19 @@ fn compact(
         let live = Chunk::concat(&snap.schema().types(), &snap.live_chunks()?)?;
         let sealed = seal(vfs, store, &live, &mut CheckpointStats::default())?;
         store.sync_dir()?;
-        manifests[i] = TableManifest {
+        image.tables[i] = TableManifest {
             row_limit: live.len() as u64,
             deleted: Vec::new(),
-            ..TableManifest::of(manifests[i].name.clone(), &snap, &sealed)
+            ..TableManifest::of(image.tables[i].name.clone(), &snap, &sealed)
         };
-        publish_checkpoint(vfs, dir, &encode_manifest(base_lsn, manifests))?;
+        publish_checkpoint(vfs, dir, &seal_framed(&*image))?;
         g.install_compacted(sealed.into_iter().map(SegmentHandle::Disk).collect());
         drop(g);
-        store.gc(&referenced_segments(manifests))?;
+        store.gc(&image.referenced_segments())?;
         metrics.counter("compaction.count").inc();
         metrics.counter("compaction.rows_dropped").add(dead_rows);
     }
     Ok(())
-}
-
-/// Serialize a manifest. `base_lsn` is the LSN the next commit will
-/// receive; the caller must hold the commit lock so no commit lands
-/// between choosing `base_lsn` and sealing the snapshots.
-pub fn encode_manifest(base_lsn: u64, tables: &[TableManifest]) -> Vec<u8> {
-    seal_framed(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, |buf| {
-        wire::put_u64(buf, base_lsn);
-        wire::put_u32(buf, tables.len() as u32);
-        for t in tables {
-            wire::put_str(buf, &t.name);
-            wire::put_schema(buf, &t.schema);
-            wire::put_u32(buf, t.segments.len() as u32);
-            for &(id, rows) in &t.segments {
-                wire::put_u64(buf, id);
-                wire::put_u64(buf, rows);
-            }
-            wire::put_u64(buf, t.row_limit);
-            wire::put_u64(buf, t.deleted.len() as u64);
-            for &id in &t.deleted {
-                wire::put_u64(buf, id);
-            }
-        }
-    })
-}
-
-/// Parse and verify a manifest's bytes. Any inconsistency — bad magic,
-/// bad CRC, truncation — is a hard error (see [`open_framed`]).
-pub fn decode_manifest(bytes: &[u8]) -> Result<CheckpointImage> {
-    open_framed(
-        "checkpoint manifest",
-        CHECKPOINT_MAGIC,
-        CHECKPOINT_VERSION,
-        bytes,
-        |r| {
-            let base_lsn = r.u64()?;
-            let ntables = r.u32()? as usize;
-            let mut tables = Vec::with_capacity(ntables.min(1024));
-            for _ in 0..ntables {
-                let name = r.str()?;
-                let schema = r.schema()?;
-                let nsegs = r.u32()? as usize;
-                let mut segments = Vec::with_capacity(nsegs.min(r.remaining() / 16));
-                for _ in 0..nsegs {
-                    let id = r.u64()?;
-                    let rows = r.u64()?;
-                    segments.push((id, rows));
-                }
-                let row_limit = r.u64()?;
-                let ndel = r.u64()? as usize;
-                let mut deleted = Vec::with_capacity(ndel.min(r.remaining() / 8));
-                for _ in 0..ndel {
-                    deleted.push(r.u64()?);
-                }
-                tables.push(TableManifest {
-                    name,
-                    schema,
-                    segments,
-                    row_limit,
-                    deleted,
-                });
-            }
-            Ok(CheckpointImage { base_lsn, tables })
-        },
-    )
 }
 
 /// Rebuild tables from a manifest into `catalog` (expected empty),
@@ -423,72 +363,32 @@ pub fn install_manifest(
     Ok(rows)
 }
 
-/// Magic number opening a bootstrap bundle (`"HYBS"`).
-pub const BOOTSTRAP_MAGIC: u32 = 0x4859_4253;
-/// Bootstrap bundle format version.
-pub const BOOTSTRAP_VERSION: u32 = 1;
-
-/// Pack a manifest plus the segment files it references into one blob —
-/// the replica-bootstrap payload (ships over the existing single-blob
-/// `SnapshotOffer` wire frame).
-///
-/// ```text
-/// [u32 magic "HYBS"] [u32 version]
-/// [u32 nsegs] per segment: [u64 id] [u64 len] [file bytes]
-/// [u64 manifest_len] [manifest bytes]
-/// [u32 crc32(everything above)]
-/// ```
-pub fn encode_bootstrap_bundle(segments: &[(u64, Vec<u8>)], manifest: &[u8]) -> Vec<u8> {
-    seal_framed(BOOTSTRAP_MAGIC, BOOTSTRAP_VERSION, |buf| {
-        let total: usize = segments.iter().map(|(_, b)| b.len() + 16).sum();
-        buf.reserve(total + manifest.len() + 16);
-        wire::put_u32(buf, segments.len() as u32);
-        for (id, bytes) in segments {
-            wire::put_u64(buf, *id);
-            wire::put_u64(buf, bytes.len() as u64);
-            buf.extend_from_slice(bytes);
-        }
-        wire::put_u64(buf, manifest.len() as u64);
-        buf.extend_from_slice(manifest);
-    })
+records! {
+    /// A manifest plus the segment files it references, in one blob — the
+    /// replica-bootstrap payload (ships over the existing single-blob
+    /// `SnapshotOffer` wire frame).
+    #[derive(Debug)]
+    pub struct BootstrapBundle {
+        /// The segment files.
+        pub segments: Vec<ShippedSegment> as List<u32>,
+        /// The sealed manifest.
+        pub manifest: Vec<u8> as Bytes<u64>,
+    }
 }
 
-/// A decoded bootstrap bundle: the `(segment id, bytes)` files plus the
-/// manifest bytes.
-pub type BootstrapBundle = (Vec<(u64, Vec<u8>)>, Vec<u8>);
+impl Sealed for BootstrapBundle {
+    const SIGNATURE: Signature = Signature::new(b"HYBS", 1, "bootstrap bundle");
+}
 
-/// Unpack a bootstrap bundle into `(segment files, manifest bytes)`.
-/// Lengths are bounds-checked against the actual blob before any
-/// allocation; the CRC covers the whole bundle.
-pub fn decode_bootstrap_bundle(bytes: &[u8]) -> Result<BootstrapBundle> {
-    // A declared length is honoured only if that many bytes are left.
-    fn take_declared(r: &mut ByteReader<'_>, what: &str) -> Result<Vec<u8>> {
-        let len = r.u64()?;
-        let len = usize::try_from(len)
-            .ok()
-            .filter(|&n| n <= r.remaining())
-            .ok_or_else(|| {
-                HyError::Storage(format!(
-                    "bootstrap bundle declares a {len}-byte {what} with {} bytes left",
-                    r.remaining()
-                ))
-            })?;
-        Ok(r.take(len)?.to_vec())
+records! {
+    /// One segment file inside a [`BootstrapBundle`].
+    #[derive(Debug)]
+    pub struct ShippedSegment {
+        /// The segment's id on the primary.
+        pub id: u64,
+        /// The file's bytes.
+        pub bytes: Vec<u8> as Bytes<u64>,
     }
-    open_framed(
-        "bootstrap bundle",
-        BOOTSTRAP_MAGIC,
-        BOOTSTRAP_VERSION,
-        bytes,
-        |r| {
-            let nsegs = r.u32()? as usize;
-            let mut segments = Vec::with_capacity(nsegs.min(4096));
-            for _ in 0..nsegs {
-                segments.push((r.u64()?, take_declared(r, "segment")?));
-            }
-            Ok((segments, take_declared(r, "manifest")?))
-        },
-    )
 }
 
 /// Install a bootstrap bundle's files: write its segment files under ids
@@ -502,14 +402,14 @@ pub fn publish_bundle(
     store: &SegmentStore,
     data: &[u8],
 ) -> Result<CheckpointImage> {
-    let (files, manifest) = decode_bootstrap_bundle(data)?;
-    let mut image = decode_manifest(&manifest)?;
-    let mut remap = HashMap::with_capacity(files.len());
-    for (shipped_id, mut bytes) in files {
+    let bundle: BootstrapBundle = open_framed(data)?;
+    let mut image: CheckpointImage = open_framed(&bundle.manifest)?;
+    let mut remap = HashMap::with_capacity(bundle.segments.len());
+    for ShippedSegment { id, mut bytes } in bundle.segments {
         let local_id = store.alloc_id();
         rebrand_segment_bytes(&mut bytes, local_id)?;
         copy_segment_bytes(vfs, store.dir(), local_id, &bytes)?;
-        remap.insert(shipped_id, local_id);
+        remap.insert(id, local_id);
     }
     for seg in image.tables.iter_mut().flat_map(|t| &mut t.segments) {
         seg.0 = *remap.get(&seg.0).ok_or_else(|| {
@@ -520,7 +420,7 @@ pub fn publish_bundle(
         })?;
     }
     store.sync_dir()?;
-    publish_checkpoint(vfs, dir, &encode_manifest(image.base_lsn, &image.tables))?;
+    publish_checkpoint(vfs, dir, &seal_framed(&image))?;
     Ok(image)
 }
 
@@ -542,8 +442,17 @@ pub fn publish_checkpoint(vfs: &dyn Vfs, dir: &Path, data: &[u8]) -> Result<()> 
 mod tests {
     use super::*;
     use crate::pool::BufferPool;
+    use hylite_common::codec::{put_u32, put_u64};
     use hylite_common::{crc32, DataType, FaultVfs, Field, Value};
     use std::path::PathBuf;
+
+    fn encode_manifest(base_lsn: u64, tables: Vec<TableManifest>) -> Vec<u8> {
+        seal_framed(&CheckpointImage { base_lsn, tables })
+    }
+
+    fn decode_manifest(bytes: &[u8]) -> Result<CheckpointImage> {
+        open_framed(bytes)
+    }
 
     fn catalog_with_data() -> Catalog {
         let cat = Catalog::new();
@@ -608,7 +517,7 @@ mod tests {
         let store = test_store(&vfs);
         let cat = catalog_with_data();
         let tables = seal_catalog(&vfs, &cat, &store);
-        let bytes = encode_manifest(42, &tables);
+        let bytes = encode_manifest(42, tables);
         let image = decode_manifest(&bytes).unwrap();
         assert_eq!(image.base_lsn, 42);
         let restored = Catalog::new();
@@ -638,7 +547,7 @@ mod tests {
             g.commit();
         }
         let tables = seal_catalog(&vfs, &cat, &store);
-        let bytes = encode_manifest(1, &tables);
+        let bytes = encode_manifest(1, tables);
         assert!(
             bytes.len() < 256,
             "manifest is {} bytes — it must not scale with row count",
@@ -657,13 +566,13 @@ mod tests {
                 seg.1 += 1; // lie about the row count
             }
         }
-        let image = decode_manifest(&encode_manifest(1, &tables)).unwrap();
+        let image = decode_manifest(&encode_manifest(1, tables)).unwrap();
         assert!(install_manifest(image, &Catalog::new(), &store).is_err());
     }
 
     #[test]
     fn corruption_is_a_hard_error() {
-        let bytes = encode_manifest(1, &[]);
+        let bytes = encode_manifest(1, Vec::new());
         let mut bad = bytes.clone();
         let mid = bad.len() / 2;
         bad[mid] ^= 0x01;
@@ -672,12 +581,12 @@ mod tests {
         assert!(decode_manifest(&[]).is_err());
         // v1 monolithic checkpoints are not readable by this build.
         let mut v1 = Vec::new();
-        wire::put_u32(&mut v1, CHECKPOINT_MAGIC);
-        wire::put_u32(&mut v1, 1);
-        wire::put_u64(&mut v1, 7);
-        wire::put_u32(&mut v1, 0);
+        put_u32(&mut v1, u32::from_be_bytes(*b"HYCK"));
+        put_u32(&mut v1, 1);
+        put_u64(&mut v1, 7);
+        put_u32(&mut v1, 0);
         let crc = crc32(&v1);
-        wire::put_u32(&mut v1, crc);
+        put_u32(&mut v1, crc);
         let err = decode_manifest(&v1).unwrap_err();
         assert!(err.message().contains("version"), "{err}");
     }

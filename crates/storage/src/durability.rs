@@ -31,7 +31,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Instant, SystemTime};
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use hylite_common::faultfs::Vfs;
 use hylite_common::{HyError, MetricsRegistry, Result};
@@ -148,11 +148,11 @@ pub struct Durability {
     dir: PathBuf,
     metrics: Arc<MetricsRegistry>,
     wal: Mutex<WalWriter>,
-    /// The directory's current role, as [`ReplRole::as_u8`]. Flips from
-    /// replica to primary exactly once per incarnation, via
+    /// Whether the directory's current role is [`ReplRole::Primary`].
+    /// Flips from replica to primary exactly once per incarnation, via
     /// [`Durability::promote_to_primary`] (in-place failover) — never the
     /// other way.
-    role: AtomicU8,
+    primary: AtomicBool,
     /// Current replication epoch. Mutated only by
     /// [`Durability::install_bootstrap`] (a replica adopting its
     /// primary's epoch).
@@ -252,7 +252,7 @@ impl Durability {
                 dir: dir.to_owned(),
                 metrics,
                 wal: Mutex::new(wal),
-                role: AtomicU8::new(options.role.as_u8()),
+                primary: AtomicBool::new(options.role == ReplRole::Primary),
                 epoch: AtomicU64::new(epoch),
                 store,
                 degraded: AtomicBool::new(false),
@@ -498,9 +498,10 @@ impl Durability {
     /// under; an in-place [`Durability::promote_to_primary`] flips a
     /// replica to primary without a restart.
     pub fn role(&self) -> ReplRole {
-        match self.role.load(Ordering::SeqCst) {
-            1 => ReplRole::Primary,
-            _ => ReplRole::Replica,
+        if self.primary.load(Ordering::SeqCst) {
+            ReplRole::Primary
+        } else {
+            ReplRole::Replica
         }
     }
 
@@ -530,7 +531,7 @@ impl Durability {
             },
         )?;
         self.epoch.store(epoch, Ordering::SeqCst);
-        self.role.store(ReplRole::Primary.as_u8(), Ordering::SeqCst);
+        self.primary.store(true, Ordering::SeqCst);
         self.metrics.counter("repl.promotions").inc();
         Ok(epoch)
     }

@@ -4,13 +4,15 @@
 //! * [`publish_atomic`] — replace a file so that a crash at any instant
 //!   leaves either the old content or the new, never a mixture.
 //! * [`seal_framed`] / [`open_framed`] — the
-//!   `[magic][version][body][crc32]` envelope shared by the checkpoint
-//!   manifest, the bootstrap bundle and the backup metadata.
+//!   `[magic][version][record][crc32]` envelope shared by the checkpoint
+//!   manifest, the bootstrap bundle, the backup metadata and the
+//!   replication state; [`Signature`], its magic and version, also opens
+//!   the WAL and every segment file.
 
 use std::path::Path;
 
+use hylite_common::codec::{At, ByteReader, Codec};
 use hylite_common::faultfs::Vfs;
-use hylite_common::wire::{self, ByteReader};
 use hylite_common::{crc32, HyError, Result};
 
 /// Create `path` (truncating any existing file), write `bytes`, fsync.
@@ -54,30 +56,76 @@ pub fn publish_atomic(
     crash_point(published)
 }
 
-/// Seal a file body into its envelope:
-/// `[u32 magic][u32 version][body][u32 crc32(everything before)]`.
-pub fn seal_framed(magic: u32, version: u32, body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+/// The `[u32 magic][u32 version]` every HyLite file opens with, and the
+/// name its errors give the file — the one writer and checker of both.
+pub struct Signature {
+    magic: u32,
+    version: u32,
+    what: &'static str,
+}
+
+impl Signature {
+    /// A file whose magic reads `magic` (`b"HYWL"` is `0x4859_574C`).
+    pub const fn new(magic: &[u8; 4], version: u32, what: &'static str) -> Signature {
+        let magic = u32::from_be_bytes(*magic);
+        Signature {
+            magic,
+            version,
+            what,
+        }
+    }
+
+    /// Append the magic and the version.
+    pub fn put(&self, buf: &mut Vec<u8>) {
+        u32::put(&self.magic, buf);
+        u32::put(&self.version, buf);
+    }
+
+    /// Read the magic and the version and refuse a foreign file or another
+    /// version of this one.
+    pub fn check(&self, r: &mut ByteReader<'_>) -> Result<()> {
+        let magic = r.u32()?;
+        if magic != self.magic {
+            return Err(HyError::Storage(format!(
+                "not a HyLite {} (magic {magic:#010x})",
+                self.what
+            )));
+        }
+        let version = r.u32()?;
+        if version != self.version {
+            return Err(HyError::Storage(format!(
+                "{} version {version} not supported (this build reads {})",
+                self.what, self.version
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// A record sealed in the `[magic][version][record][crc32]` envelope.
+pub trait Sealed: Sized + Codec {
+    /// The file's signature.
+    const SIGNATURE: Signature;
+}
+
+/// Seal a record into its envelope:
+/// `[u32 magic][u32 version][record][u32 crc32(everything before)]`.
+pub fn seal_framed<T: Sealed>(record: &T) -> Vec<u8> {
     let mut buf = Vec::with_capacity(512);
-    wire::put_u32(&mut buf, magic);
-    wire::put_u32(&mut buf, version);
-    body(&mut buf);
+    T::SIGNATURE.put(&mut buf);
+    T::put(record, &mut buf);
     let crc = crc32(&buf);
-    wire::put_u32(&mut buf, crc);
+    u32::put(&crc, &mut buf);
     buf
 }
 
-/// Open a [`seal_framed`] envelope: verify the length, the CRC, the magic
-/// and the version, hand the body to `decode`, and reject any byte
-/// `decode` leaves unread. Every failure is a hard error naming `what` —
-/// unlike a torn WAL tail, a damaged sealed file means real data loss and
-/// must not be papered over.
-pub fn open_framed<T>(
-    what: &str,
-    magic: u32,
-    version: u32,
-    bytes: &[u8],
-    decode: impl FnOnce(&mut ByteReader<'_>) -> Result<T>,
-) -> Result<T> {
+/// Open a [`seal_framed`] envelope: verify the length, the signature and
+/// the CRC, decode the record, and reject any byte it leaves unread.
+/// Every failure is a hard error naming the file — unlike a torn WAL
+/// tail, a damaged sealed file means real data loss and must not be
+/// papered over.
+pub fn open_framed<T: Sealed>(bytes: &[u8]) -> Result<T> {
+    let what = T::SIGNATURE.what;
     if bytes.len() < 12 {
         return Err(HyError::Storage(format!(
             "{what} is {} bytes — too short to be valid",
@@ -85,30 +133,18 @@ pub fn open_framed<T>(
         )));
     }
     let (framed, crc_bytes) = bytes.split_at(bytes.len() - 4);
-    let stored = u32::from_le_bytes(crc_bytes.try_into().expect("split off 4 bytes"));
-    if crc32(framed) != stored {
+    let mut r = ByteReader::new(framed);
+    T::SIGNATURE.check(&mut r)?;
+    if crc32(framed).to_le_bytes() != crc_bytes {
         return Err(HyError::Storage(format!(
             "{what} failed its CRC check (corrupted)"
         )));
     }
-    let mut r = ByteReader::new(framed);
-    let found = r.u32()?;
-    if found != magic {
-        return Err(HyError::Storage(format!(
-            "not a HyLite {what} (magic {found:#010x})"
-        )));
-    }
-    let found = r.u32()?;
-    if found != version {
-        return Err(HyError::Storage(format!(
-            "{what} version {found} not supported (this build reads {version})"
-        )));
-    }
-    let out = decode(&mut r)?;
+    let record = T::get(&mut r, At(what, "", ""))?;
     if !r.is_empty() {
         return Err(HyError::Storage(format!("{what} has trailing bytes")));
     }
-    Ok(out)
+    Ok(record)
 }
 
 #[cfg(test)]

@@ -26,7 +26,8 @@ use hylite_common::faultfs::Vfs;
 use hylite_common::{MetricsRegistry, Result};
 
 use crate::catalog::Catalog;
-use crate::checkpoint::{decode_manifest, install_manifest, CHECKPOINT_FILE, CHECKPOINT_TMP_FILE};
+use crate::checkpoint::{install_manifest, CheckpointImage, CHECKPOINT_FILE, CHECKPOINT_TMP_FILE};
+use crate::files::open_framed;
 use crate::segment::SegmentStore;
 use crate::wal::{contiguous_run, scan_wal, RedoOp, WAL_FILE, WAL_HEADER_LEN};
 
@@ -150,7 +151,7 @@ pub fn recover(
     let mut referenced = std::collections::BTreeSet::new();
     if vfs.exists(&ckpt_path) {
         let bytes = vfs.read(&ckpt_path)?;
-        let image = decode_manifest(&bytes)?;
+        let image: CheckpointImage = open_framed(&bytes)?;
         report.base_lsn = image.base_lsn;
         referenced = image.referenced_segments();
         report.checkpoint_rows = install_manifest(image, &catalog, store)?;

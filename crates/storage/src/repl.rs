@@ -19,71 +19,57 @@
 //! split-brain: a directory last opened as a replica refuses to open as a
 //! primary unless promotion is requested explicitly.
 //!
-//! On-disk layout of `replstate.hylite`:
+//! On-disk layout of `replstate.hylite` (version 2):
 //!
 //! ```text
 //! [u32 magic "HYRP"] [u32 version] [u8 role] [u64 epoch] [u32 crc32]
 //! ```
 //!
-//! published with [`crate::files::publish_atomic`] like the checkpoint,
-//! so a crash mid-write leaves the previous state intact. (The CRC covers
-//! only role + epoch, so the file predates — and does not use — the
-//! shared `[magic][version][body][crc32]` envelope.)
+//! — [`ReplState`] sealed in the shared `[magic][version][record][crc32]`
+//! envelope ([`crate::files::seal_framed`]), the CRC covering everything
+//! before it, and published with [`crate::files::publish_atomic`] like
+//! the checkpoint, so a crash mid-write leaves the previous state intact.
+//! (Version 1 had its own envelope, whose CRC covered only role + epoch;
+//! it never shipped, and this build refuses it.)
 
 use std::path::Path;
 use std::time::SystemTime;
 
 use hylite_common::faultfs::Vfs;
 use hylite_common::hash::splitmix64;
-use hylite_common::wire::{self, ByteReader};
-use hylite_common::{crc32, HyError, Result};
+use hylite_common::{records, HyError, Result};
 
-use crate::files::publish_atomic;
+use crate::files::{open_framed, publish_atomic, seal_framed, Sealed, Signature};
 
-/// Magic number opening the replication state file (`"HYRP"`).
-pub const REPL_STATE_MAGIC: u32 = 0x4859_5250;
-/// Replication state format version.
-pub const REPL_STATE_VERSION: u32 = 1;
 /// File name of the replication state inside the data directory.
 pub const REPL_STATE_FILE: &str = "replstate.hylite";
 
-/// Whether a data directory serves writes or follows a primary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplRole {
-    /// Accepts writes and streams its WAL to replicas.
-    Primary,
-    /// Read-only; applies a primary's WAL stream.
-    Replica,
+records! {
+    /// Whether a data directory serves writes or follows a primary.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum ReplRole {
+        /// Accepts writes and streams its WAL to replicas.
+        1 Primary,
+        /// Read-only; applies a primary's WAL stream.
+        2 Replica,
+    } else other => HyError::Storage(format!("replication state has unknown role tag {other}"));
 }
 
-impl ReplRole {
-    pub(crate) fn as_u8(self) -> u8 {
-        match self {
-            ReplRole::Primary => 1,
-            ReplRole::Replica => 2,
-        }
-    }
-
-    fn from_u8(v: u8) -> Result<ReplRole> {
-        match v {
-            1 => Ok(ReplRole::Primary),
-            2 => Ok(ReplRole::Replica),
-            other => Err(HyError::Storage(format!(
-                "replication state has unknown role tag {other}"
-            ))),
-        }
+records! {
+    /// The persisted replication identity of a data directory.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct ReplState {
+        /// Last role the directory was opened under.
+        pub role: ReplRole,
+        /// The primary-incarnation epoch this directory's history belongs
+        /// to. `0` on a replica means "never bootstrapped" and always forces
+        /// a snapshot.
+        pub epoch: u64,
     }
 }
 
-/// The persisted replication identity of a data directory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplState {
-    /// Last role the directory was opened under.
-    pub role: ReplRole,
-    /// The primary-incarnation epoch this directory's history belongs
-    /// to. `0` on a replica means "never bootstrapped" and always forces
-    /// a snapshot.
-    pub epoch: u64,
+impl Sealed for ReplState {
+    const SIGNATURE: Signature = Signature::new(b"HYRP", 2, "replication state");
 }
 
 /// Mint a fresh nonzero epoch, mixing wall-clock entropy with the
@@ -109,49 +95,12 @@ pub fn load_repl_state(vfs: &dyn Vfs, dir: &Path) -> Result<Option<ReplState>> {
     if !vfs.exists(&path) {
         return Ok(None);
     }
-    let bytes = vfs.read(&path)?;
-    let mut r = ByteReader::new(&bytes);
-    let (magic, version) = (r.u32()?, r.u32()?);
-    if magic != REPL_STATE_MAGIC {
-        return Err(HyError::Storage(format!(
-            "{} is not a HyLite replication state file (magic {magic:#010x})",
-            path.display()
-        )));
-    }
-    if version != REPL_STATE_VERSION {
-        return Err(HyError::Storage(format!(
-            "replication state version {version} not supported (this build reads {REPL_STATE_VERSION})"
-        )));
-    }
-    let role = r.u8()?;
-    let epoch = r.u64()?;
-    let crc = r.u32()?;
-    if !r.is_empty() {
-        return Err(HyError::Storage(
-            "replication state file has trailing bytes".into(),
-        ));
-    }
-    if crc32(&bytes[8..17]) != crc {
-        return Err(HyError::Storage(
-            "replication state file failed its CRC check".into(),
-        ));
-    }
-    Ok(Some(ReplState {
-        role: ReplRole::from_u8(role)?,
-        epoch,
-    }))
+    open_framed(&vfs.read(&path)?).map(Some)
 }
 
 /// Durably persist the replication state (see [`publish_atomic`]).
 pub fn store_repl_state(vfs: &dyn Vfs, dir: &Path, state: ReplState) -> Result<()> {
-    let mut buf = Vec::with_capacity(21);
-    wire::put_u32(&mut buf, REPL_STATE_MAGIC);
-    wire::put_u32(&mut buf, REPL_STATE_VERSION);
-    buf.push(state.role.as_u8());
-    wire::put_u64(&mut buf, state.epoch);
-    let crc = crc32(&buf[8..17]);
-    wire::put_u32(&mut buf, crc);
-    publish_atomic(vfs, dir, REPL_STATE_FILE, &buf, [None; 3])
+    publish_atomic(vfs, dir, REPL_STATE_FILE, &seal_framed(&state), [None; 3])
 }
 
 #[cfg(test)]

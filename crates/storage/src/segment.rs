@@ -14,20 +14,21 @@
 //! prelude (16 bytes):
 //!     [u32 magic "HYSG"] [u32 version] [u32 header_len] [u32 header_crc]
 //! header (header_len bytes, covered by header_crc):
-//!     [u64 segment_id] [u64 rows] [u64 raw_bytes] [u32 ncols]
-//!     [u8 dtype ...ncols]
-//!     [u32 nblocks]
-//!     directory, ncols * nblocks entries in column-major order:
+//!     Header: [u64 segment_id] [u64 rows] [u64 raw_bytes]
+//!             [u32 ncols] [u8 dtype ...ncols] [u32 nblocks]
+//!     directory, ncols * nblocks BlockMeta entries in column-major order:
 //!         [u64 offset] [u32 len] [u32 rows] [u8 encoding]
 //!         [u32 null_count] [zone min] [zone max]
 //! blocks, at their directory offsets:
 //!     [payload] [u32 crc32(payload)]
 //! ```
 //!
-//! A zone value is a 1-byte tag (`0` absent, `1` i64, `2` f64, `3` bool,
-//! `4` string) followed by the value. Zone maps are absent when a block
-//! is all-NULL, contains NaN floats, or holds strings longer than
-//! [`MAX_ZONE_STR`] bytes (a truncated string max would prune wrongly).
+//! `Header` and [`BlockMeta`] are `records!` declarations, written and
+//! read by the shared field codecs; `Zone` is the zone value's codec: a
+//! 1-byte tag (`0` absent, `1` i64, `2` f64, `3` bool, `4` string)
+//! followed by the value. Zone maps are absent when a block is all-NULL,
+//! contains NaN floats, or holds strings longer than [`MAX_ZONE_STR`]
+//! bytes (a truncated string max would prune wrongly).
 //!
 //! ## Block encodings
 //!
@@ -55,18 +56,20 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Weak};
 
+use hylite_common::codec::{
+    dtype_tag, put_bits, put_str, put_u32, put_u64, At, ByteReader, Codec, List,
+};
 use hylite_common::faultfs::Vfs;
-use hylite_common::wire::{self, ByteReader};
-use hylite_common::{crc32, Bitmap, Chunk, ColumnVector, DataType, HyError, Result, Value};
+use hylite_common::{
+    crc32, records, Bitmap, Chunk, ColumnVector, DataType, HyError, Result, Value,
+};
 use parking_lot::Mutex;
 
-use crate::files::write_durable;
+use crate::files::{write_durable, Signature};
 use crate::pool::{BlockBytes, BufferPool};
 
-/// Magic number opening a segment file (`"HYSG"`).
-pub const SEGMENT_MAGIC: u32 = 0x4859_5347;
-/// Segment format version.
-pub const SEGMENT_VERSION: u32 = 1;
+/// A segment file's signature, opening its prelude.
+const SEGMENT: Signature = Signature::new(b"HYSG", 1, "segment");
 /// Rows per encoded block — the zone-map and buffer-pool granularity.
 pub const BLOCK_ROWS: usize = 4096;
 /// Subdirectory of the data directory holding segment files.
@@ -145,23 +148,68 @@ fn zone_cmp(a: &Value, b: &Value) -> Option<std::cmp::Ordering> {
     }
 }
 
-/// Zone map + location of one encoded block.
-#[derive(Debug, Clone)]
-pub struct BlockMeta {
-    /// Byte offset of the block body from the start of the file.
-    pub offset: u64,
-    /// Body length in bytes (trailing CRC included).
-    pub len: u32,
-    /// Rows in this block (`BLOCK_ROWS` except possibly the last).
-    pub rows: u32,
-    /// One of the [`encoding`] constants.
-    pub encoding: u8,
-    /// NULL rows in this block.
-    pub null_count: u32,
-    /// Minimum non-NULL value, if a zone map was recorded.
-    pub min: Option<Value>,
-    /// Maximum non-NULL value, if a zone map was recorded.
-    pub max: Option<Value>,
+records! {
+    /// Zone map + location of one encoded block: its entry in the header's
+    /// block directory.
+    #[derive(Debug, Clone)]
+    pub struct BlockMeta {
+        /// Byte offset of the block body from the start of the file.
+        pub offset: u64,
+        /// Body length in bytes (trailing CRC included).
+        pub len: u32,
+        /// Rows in this block (`BLOCK_ROWS` except possibly the last).
+        pub rows: u32,
+        /// One of the [`encoding`] constants.
+        pub encoding: u8,
+        /// NULL rows in this block.
+        pub null_count: u32,
+        /// Minimum non-NULL value, if a zone map was recorded.
+        pub min: Option<Value> as Zone,
+        /// Maximum non-NULL value, if a zone map was recorded.
+        pub max: Option<Value> as Zone,
+    }
+}
+
+/// A zone value: a tag (`0` absent, `1` BIGINT, `2` DOUBLE, `3` BOOLEAN,
+/// `4` VARCHAR), then the value.
+pub(crate) struct Zone;
+
+impl Codec<Option<Value>> for Zone {
+    fn put(v: &Option<Value>, buf: &mut Vec<u8>) {
+        match v {
+            None | Some(Value::Null) => buf.push(0),
+            Some(Value::Int(x)) => {
+                buf.push(1);
+                u64::put(&(*x as u64), buf);
+            }
+            Some(Value::Float(x)) => {
+                buf.push(2);
+                u64::put(&x.to_bits(), buf);
+            }
+            Some(Value::Bool(x)) => {
+                buf.push(3);
+                bool::put(x, buf);
+            }
+            Some(Value::Str(s)) => {
+                buf.push(4);
+                String::put(s, buf);
+            }
+        }
+    }
+    fn get(r: &mut ByteReader<'_>, at: At) -> Result<Option<Value>> {
+        Ok(Some(match r.u8()? {
+            0 => return Ok(None),
+            1 => Value::Int(r.u64()? as i64),
+            2 => Value::Float(f64::from_bits(r.u64()?)),
+            3 => Value::Bool(bool::get(r, at)?),
+            4 => Value::Str(r.str()?),
+            other => {
+                return Err(HyError::Storage(format!(
+                    "segment: unknown zone value tag {other}"
+                )))
+            }
+        }))
+    }
 }
 
 impl BlockMeta {
@@ -305,62 +353,6 @@ impl<'a> Packed<'a> {
     }
 }
 
-fn put_zone_value(buf: &mut Vec<u8>, v: &Option<Value>) {
-    match v {
-        None => buf.push(0),
-        Some(Value::Int(x)) => {
-            buf.push(1);
-            wire::put_u64(buf, *x as u64);
-        }
-        Some(Value::Float(x)) => {
-            buf.push(2);
-            wire::put_u64(buf, x.to_bits());
-        }
-        Some(Value::Bool(x)) => {
-            buf.push(3);
-            buf.push(u8::from(*x));
-        }
-        Some(Value::Str(s)) => {
-            buf.push(4);
-            wire::put_str(buf, s);
-        }
-        Some(Value::Null) => buf.push(0),
-    }
-}
-
-fn read_zone_value(r: &mut ByteReader<'_>) -> Result<Option<Value>> {
-    Ok(match r.u8()? {
-        0 => None,
-        1 => Some(Value::Int(r.u64()? as i64)),
-        2 => Some(Value::Float(f64::from_bits(r.u64()?))),
-        3 => Some(Value::Bool(r.u8()? != 0)),
-        4 => Some(Value::Str(r.str()?)),
-        other => {
-            return Err(HyError::Storage(format!(
-                "segment: unknown zone value tag {other}"
-            )))
-        }
-    })
-}
-
-fn zone_value_len(v: &Option<Value>) -> usize {
-    match v {
-        None | Some(Value::Null) => 1,
-        Some(Value::Int(_)) | Some(Value::Float(_)) => 9,
-        Some(Value::Bool(_)) => 2,
-        Some(Value::Str(s)) => 1 + 4 + s.len(),
-    }
-}
-
-struct EncodedBlock {
-    body: Vec<u8>,
-    rows: u32,
-    encoding: u8,
-    null_count: u32,
-    min: Option<Value>,
-    max: Option<Value>,
-}
-
 /// Compute a zone map over the valid values of a block slice.
 fn compute_zone(col: &ColumnVector) -> (Option<Value>, Option<Value>) {
     let mut min: Option<Value> = None;
@@ -395,7 +387,8 @@ fn compute_zone(col: &ColumnVector) -> (Option<Value>, Option<Value>) {
     (min, max)
 }
 
-fn encode_block(col: &ColumnVector) -> EncodedBlock {
+/// Encode one block: its body and its directory entry (`offset` still 0).
+fn encode_block(col: &ColumnVector) -> (Vec<u8>, BlockMeta) {
     let rows = col.len();
     let null_count = col.null_count() as u32;
     let (min, max) = compute_zone(col);
@@ -403,7 +396,7 @@ fn encode_block(col: &ColumnVector) -> EncodedBlock {
     match col.validity() {
         Some(bm) if !bm.all_set() => {
             payload.push(1);
-            wire::put_bits(&mut payload, rows, |i| bm.get(i));
+            put_bits(&mut payload, rows, |i| bm.get(i));
         }
         _ => payload.push(0),
     }
@@ -416,21 +409,23 @@ fn encode_block(col: &ColumnVector) -> EncodedBlock {
             encoding::PLAIN
         }
         ColumnVector::Bool { data, .. } => {
-            wire::put_bits(&mut payload, rows, |i| data[i]);
+            put_bits(&mut payload, rows, |i| data[i]);
             encoding::PLAIN
         }
         ColumnVector::Varchar { data, .. } => encode_str_data(data, &mut payload),
     };
     let crc = crc32(&payload);
-    wire::put_u32(&mut payload, crc);
-    EncodedBlock {
-        body: payload,
+    put_u32(&mut payload, crc);
+    let meta = BlockMeta {
+        offset: 0,
+        len: payload.len() as u32,
         rows: rows as u32,
         encoding: enc,
         null_count,
         min,
         max,
-    }
+    };
+    (payload, meta)
 }
 
 /// Pick the smallest of plain / RLE / frame-of-reference for an i64 block
@@ -465,7 +460,7 @@ fn encode_int_data(data: &[i64], payload: &mut Vec<u8>) -> u8 {
         }
     };
     if rle_size < plain_size && rle_size <= for_size {
-        wire::put_u32(payload, runs as u32);
+        put_u32(payload, runs as u32);
         let mut iter = data.iter();
         if let Some(&first) = iter.next() {
             let mut value = first;
@@ -474,18 +469,18 @@ fn encode_int_data(data: &[i64], payload: &mut Vec<u8>) -> u8 {
                 if v == value {
                     count += 1;
                 } else {
-                    wire::put_u64(payload, value as u64);
-                    wire::put_u32(payload, count);
+                    put_u64(payload, value as u64);
+                    put_u32(payload, count);
                     value = v;
                     count = 1;
                 }
             }
-            wire::put_u64(payload, value as u64);
-            wire::put_u32(payload, count);
+            put_u64(payload, value as u64);
+            put_u32(payload, count);
         }
         encoding::RLE_INT
     } else if for_size < plain_size {
-        wire::put_u64(payload, phys_min as u64);
+        put_u64(payload, phys_min as u64);
         payload.push(for_width as u8);
         pack_bits(
             data.iter().map(|&v| (v as i128 - phys_min as i128) as u64),
@@ -523,18 +518,30 @@ fn encode_str_data(data: &[String], payload: &mut Vec<u8>) -> u8 {
     };
     let dict_size = 4 + dict_entries_size + 1 + (rows as u64 * width as u64).div_ceil(8) as usize;
     if dict_size < plain_size {
-        wire::put_u32(payload, dict.len() as u32);
+        put_u32(payload, dict.len() as u32);
         for s in dict.keys() {
-            wire::put_str(payload, s);
+            put_str(payload, s);
         }
         payload.push(width as u8);
         pack_bits(data.iter().map(|s| dict[s.as_str()] as u64), width, payload);
         encoding::DICT_STR
     } else {
         for s in data {
-            wire::put_str(payload, s);
+            put_str(payload, s);
         }
         encoding::PLAIN
+    }
+}
+
+records! {
+    /// The fixed part of a segment header; the block directory, `ncols *
+    /// nblocks` [`BlockMeta`] entries in column-major order, follows it.
+    pub(crate) struct Header {
+        id: u64,
+        rows: u64,
+        raw_bytes: u64,
+        dtypes: Vec<DataType> as List<u32>,
+        nblocks: u32,
     }
 }
 
@@ -547,186 +554,168 @@ pub fn encode_segment(id: u64, chunk: &Chunk) -> Result<Vec<u8>> {
             "segment must have 1..={MAX_COLS} columns, got {ncols}"
         )));
     }
-    let nblocks = rows.div_ceil(BLOCK_ROWS);
-    let raw_bytes = chunk.heap_bytes() as u64;
-    let mut blocks: Vec<EncodedBlock> = Vec::with_capacity(ncols * nblocks);
+    let mut bodies = Vec::with_capacity(ncols * rows.div_ceil(BLOCK_ROWS));
+    let mut meta = SegmentMeta {
+        id,
+        rows,
+        raw_bytes: chunk.heap_bytes() as u64,
+        dtypes: chunk.columns().iter().map(|c| c.data_type()).collect(),
+        blocks: Vec::with_capacity(ncols),
+        file_len: 0,
+    };
     for col in chunk.columns() {
-        for blk in 0..nblocks {
-            let start = blk * BLOCK_ROWS;
-            let n = (rows - start).min(BLOCK_ROWS);
-            blocks.push(encode_block(&col.slice(start, n)));
-        }
+        let col_blocks = (0..rows).step_by(BLOCK_ROWS).map(|start| {
+            let (body, block) = encode_block(&col.slice(start, (rows - start).min(BLOCK_ROWS)));
+            bodies.push(body);
+            block
+        });
+        meta.blocks.push(col_blocks.collect());
     }
-    // Directory entry sizes are offset-independent, so the header length
-    // is known before offsets are assigned.
-    let dir_len: usize = blocks
-        .iter()
-        .map(|b| 8 + 4 + 4 + 1 + 4 + zone_value_len(&b.min) + zone_value_len(&b.max))
-        .sum();
-    let header_len = 8 + 8 + 8 + 4 + ncols + 4 + dir_len;
-    let mut header = Vec::with_capacity(header_len);
-    wire::put_u64(&mut header, id);
-    wire::put_u64(&mut header, rows as u64);
-    wire::put_u64(&mut header, raw_bytes);
-    wire::put_u32(&mut header, ncols as u32);
-    for col in chunk.columns() {
-        header.push(wire::dtype_tag(col.data_type()));
+    // Offsets do not change an entry's size: the header's length is known
+    // before the offsets are.
+    let mut offset = encode_segment_header(&meta).len() as u64;
+    for block in meta.blocks.iter_mut().flatten() {
+        block.offset = offset;
+        offset += u64::from(block.len);
     }
-    wire::put_u32(&mut header, nblocks as u32);
-    let mut offset = (16 + header_len) as u64;
-    for b in &blocks {
-        wire::put_u64(&mut header, offset);
-        wire::put_u32(&mut header, b.body.len() as u32);
-        wire::put_u32(&mut header, b.rows);
-        header.push(b.encoding);
-        wire::put_u32(&mut header, b.null_count);
-        put_zone_value(&mut header, &b.min);
-        put_zone_value(&mut header, &b.max);
-        offset += b.body.len() as u64;
-    }
-    debug_assert_eq!(header.len(), header_len);
-    let mut out =
-        Vec::with_capacity(16 + header_len + blocks.iter().map(|b| b.body.len()).sum::<usize>());
-    wire::put_u32(&mut out, SEGMENT_MAGIC);
-    wire::put_u32(&mut out, SEGMENT_VERSION);
-    wire::put_u32(&mut out, header_len as u32);
-    wire::put_u32(&mut out, crc32(&header));
-    out.extend_from_slice(&header);
-    for b in &blocks {
-        out.extend_from_slice(&b.body);
+    let mut out = encode_segment_header(&meta);
+    out.reserve(bodies.iter().map(Vec::len).sum());
+    for body in &bodies {
+        out.extend_from_slice(body);
     }
     Ok(out)
+}
+
+/// The prelude and the header of the segment `meta` describes:
+/// everything before its first block.
+pub fn encode_segment_header(meta: &SegmentMeta) -> Vec<u8> {
+    let mut header = Vec::with_capacity(64 + meta.blocks.len() * meta.nblocks() * 40);
+    let fixed = Header {
+        id: meta.id,
+        rows: meta.rows as u64,
+        raw_bytes: meta.raw_bytes,
+        dtypes: meta.dtypes.clone(),
+        nblocks: meta.nblocks() as u32,
+    };
+    Header::put(&fixed, &mut header);
+    for block in meta.blocks.iter().flatten() {
+        BlockMeta::put(block, &mut header);
+    }
+    let mut out = Vec::with_capacity(16 + header.len());
+    SEGMENT.put(&mut out);
+    put_u32(&mut out, header.len() as u32);
+    put_u32(&mut out, crc32(&header));
+    out.extend_from_slice(&header);
+    out
 }
 
 // ---------------------------------------------------------------------------
 // Decoding
 // ---------------------------------------------------------------------------
 
-/// Parse and validate a segment header given the file's prelude + header
-/// bytes and the total file length.
-pub fn decode_segment_meta(prelude: &[u8], header: &[u8], file_len: u64) -> Result<SegmentMeta> {
-    if prelude.len() != 16 {
-        return Err(HyError::Storage(format!(
-            "segment prelude is {} bytes, want 16",
-            prelude.len()
-        )));
-    }
+/// Check a segment's 16-byte prelude against the file's length and return
+/// the header's length and CRC.
+fn decode_prelude(prelude: &[u8], file_len: u64) -> Result<(usize, u32)> {
     let mut p = ByteReader::new(prelude);
-    let magic = p.u32()?;
-    if magic != SEGMENT_MAGIC {
+    SEGMENT.check(&mut p)?;
+    let (header_len, crc) = (p.u32()?, p.u32()?);
+    if header_len > MAX_HEADER_BYTES || 16 + u64::from(header_len) > file_len {
         return Err(HyError::Storage(format!(
-            "not a HyLite segment (magic {magic:#010x})"
+            "segment declares a {header_len}-byte header in a {file_len}-byte file"
         )));
     }
-    let version = p.u32()?;
-    if version != SEGMENT_VERSION {
-        return Err(HyError::Storage(format!(
-            "segment version {version} not supported (this build reads {SEGMENT_VERSION})"
-        )));
-    }
-    let header_len = p.u32()?;
-    let stored_crc = p.u32()?;
-    if header.len() != header_len as usize {
-        return Err(HyError::Storage(format!(
-            "segment header is {} bytes, prelude declares {header_len}",
-            header.len()
-        )));
-    }
-    if crc32(header) != stored_crc {
+    Ok((header_len as usize, crc))
+}
+
+/// Parse and validate a segment header (the `header_len` bytes after the
+/// prelude, which declared `crc`) of a file of `file_len` bytes.
+fn decode_header(header: &[u8], crc: u32, file_len: u64) -> Result<SegmentMeta> {
+    if crc32(header) != crc {
         return Err(HyError::Storage(
             "segment header failed its CRC check (corrupted)".into(),
         ));
     }
     let mut r = ByteReader::new(header);
-    let id = r.u64()?;
-    let rows = r.u64()? as usize;
-    let raw_bytes = r.u64()?;
-    let ncols = r.u32()? as usize;
+    let Header {
+        id,
+        rows,
+        raw_bytes,
+        dtypes,
+        nblocks,
+    } = Header::get(&mut r, At("segment", "", "header"))?;
+    let (rows, ncols, nblocks) = (rows as usize, dtypes.len(), nblocks as usize);
     if ncols == 0 || ncols > MAX_COLS {
         return Err(HyError::Storage(format!(
             "segment declares {ncols} columns (limit {MAX_COLS})"
         )));
     }
-    let mut dtypes = Vec::with_capacity(ncols);
-    for _ in 0..ncols {
-        // NULL-typed columns have a wire tag but are never sealed.
-        let tag = r.u8()?;
-        let dtype = wire::dtype_from_tag(tag)
-            .ok()
-            .filter(|&dt| dt != DataType::Null);
-        dtypes.push(
-            dtype.ok_or_else(|| {
-                HyError::Storage(format!("segment: unknown column type tag {tag}"))
-            })?,
-        );
+    // NULL-typed columns have a wire tag but are never sealed.
+    if dtypes.contains(&DataType::Null) {
+        return Err(HyError::Storage(format!(
+            "segment: unknown column type tag {}",
+            dtype_tag(DataType::Null)
+        )));
     }
-    let nblocks = r.u32()? as usize;
     if nblocks != rows.div_ceil(BLOCK_ROWS) {
         return Err(HyError::Storage(format!(
             "segment declares {nblocks} blocks for {rows} rows (want {})",
             rows.div_ceil(BLOCK_ROWS)
         )));
     }
-    let mut blocks = Vec::with_capacity(ncols);
-    for (c, dtype) in dtypes.iter().enumerate() {
-        let mut col_blocks = Vec::with_capacity(nblocks);
-        for b in 0..nblocks {
-            let offset = r.u64()?;
-            let len = r.u32()?;
-            let brows = r.u32()?;
-            let enc = r.u8()?;
-            let null_count = r.u32()?;
-            let min = read_zone_value(&mut r)?;
-            let max = read_zone_value(&mut r)?;
-            let expect_rows = (rows - b * BLOCK_ROWS).min(BLOCK_ROWS);
-            if brows as usize != expect_rows {
-                return Err(HyError::Storage(format!(
-                    "segment block ({c},{b}) declares {brows} rows, want {expect_rows}"
-                )));
-            }
-            // Reject forged offsets/lengths against the real file size
-            // before any block read allocates.
-            if len < 5
-                || offset
-                    .checked_add(len as u64)
-                    .map(|end| end > file_len)
-                    .unwrap_or(true)
-            {
-                return Err(HyError::Storage(format!(
-                    "segment block ({c},{b}) at [{offset}, +{len}) exceeds file of {file_len} bytes"
-                )));
-            }
-            let enc_ok = match dtype {
-                DataType::Int64 => {
-                    matches!(enc, encoding::PLAIN | encoding::RLE_INT | encoding::FOR_INT)
-                }
-                DataType::Varchar => matches!(enc, encoding::PLAIN | encoding::DICT_STR),
-                _ => enc == encoding::PLAIN,
-            };
-            if !enc_ok {
-                return Err(HyError::Storage(format!(
-                    "segment block ({c},{b}) has encoding {enc} invalid for {dtype}"
-                )));
-            }
-            if null_count > brows {
-                return Err(HyError::Storage(format!(
-                    "segment block ({c},{b}) declares {null_count} NULLs in {brows} rows"
-                )));
-            }
-            col_blocks.push(BlockMeta {
-                offset,
-                len,
-                rows: brows,
-                encoding: enc,
-                null_count,
-                min,
-                max,
-            });
-        }
-        blocks.push(col_blocks);
-    }
+    let entries = ncols.saturating_mul(nblocks);
+    let directory: Vec<BlockMeta> = r.items(entries, At("segment", "", "directory"))?;
     if !r.is_empty() {
         return Err(HyError::Storage("segment header has trailing bytes".into()));
+    }
+    // The decoded directory holds ncols * nblocks entries: this allocates no
+    // more than the input held.
+    let mut blocks: Vec<Vec<BlockMeta>> = (0..ncols).map(|_| Vec::with_capacity(nblocks)).collect();
+    for (i, block) in directory.into_iter().enumerate() {
+        let (c, b) = (i / nblocks, i % nblocks);
+        let &BlockMeta {
+            offset,
+            len,
+            rows: brows,
+            encoding: enc,
+            null_count,
+            ..
+        } = &block;
+        let expect_rows = (rows - b * BLOCK_ROWS).min(BLOCK_ROWS);
+        if brows as usize != expect_rows {
+            return Err(HyError::Storage(format!(
+                "segment block ({c},{b}) declares {brows} rows, want {expect_rows}"
+            )));
+        }
+        // Reject forged offsets/lengths against the real file size before
+        // any block read allocates.
+        if len < 5
+            || offset
+                .checked_add(u64::from(len))
+                .is_none_or(|end| end > file_len)
+        {
+            return Err(HyError::Storage(format!(
+                "segment block ({c},{b}) at [{offset}, +{len}) exceeds file of {file_len} bytes"
+            )));
+        }
+        let enc_ok = match dtypes[c] {
+            DataType::Int64 => {
+                matches!(enc, encoding::PLAIN | encoding::RLE_INT | encoding::FOR_INT)
+            }
+            DataType::Varchar => matches!(enc, encoding::PLAIN | encoding::DICT_STR),
+            _ => enc == encoding::PLAIN,
+        };
+        if !enc_ok {
+            return Err(HyError::Storage(format!(
+                "segment block ({c},{b}) has encoding {enc} invalid for {}",
+                dtypes[c]
+            )));
+        }
+        if null_count > brows {
+            return Err(HyError::Storage(format!(
+                "segment block ({c},{b}) declares {null_count} NULLs in {brows} rows"
+            )));
+        }
+        blocks[c].push(block);
     }
     Ok(SegmentMeta {
         id,
@@ -747,18 +736,8 @@ pub fn validate_segment_bytes(bytes: &[u8]) -> Result<SegmentMeta> {
             bytes.len()
         )));
     }
-    let header_len = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if header_len > MAX_HEADER_BYTES || 16 + header_len as usize > bytes.len() {
-        return Err(HyError::Storage(format!(
-            "segment declares a {header_len}-byte header in a {}-byte file",
-            bytes.len()
-        )));
-    }
-    decode_segment_meta(
-        &bytes[..16],
-        &bytes[16..16 + header_len as usize],
-        bytes.len() as u64,
-    )
+    let (header_len, crc) = decode_prelude(&bytes[..16], bytes.len() as u64)?;
+    decode_header(&bytes[16..16 + header_len], crc, bytes.len() as u64)
 }
 
 /// Copy an encoded segment file into `seg_dir` as segment `id`: validate
@@ -786,12 +765,10 @@ pub fn check_segment_bytes(id: u64, bytes: &[u8]) -> Result<()> {
 /// collide with the replica's own files). Validates the bytes first,
 /// then patches the header's id field and recomputes the header CRC.
 pub fn rebrand_segment_bytes(bytes: &mut [u8], new_id: u64) -> Result<u64> {
-    let meta = validate_segment_bytes(bytes)?;
-    let old_id = meta.id;
-    let header_len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
-    bytes[16..24].copy_from_slice(&new_id.to_le_bytes());
-    let crc = crc32(&bytes[16..16 + header_len]);
-    bytes[12..16].copy_from_slice(&crc.to_le_bytes());
+    let mut meta = validate_segment_bytes(bytes)?;
+    let old_id = std::mem::replace(&mut meta.id, new_id);
+    let head = encode_segment_header(&meta);
+    bytes[..head.len()].copy_from_slice(&head);
     Ok(old_id)
 }
 
@@ -1569,15 +1546,9 @@ impl SegmentStore {
             )));
         }
         let prelude = self.vfs.read_range(&path, 0, 16)?;
-        let header_len = u32::from_le_bytes(prelude[8..12].try_into().unwrap());
-        if header_len > MAX_HEADER_BYTES || 16 + header_len as u64 > file_len {
-            return Err(HyError::Storage(format!(
-                "segment file {} declares a {header_len}-byte header in {file_len} bytes",
-                path.display()
-            )));
-        }
+        let (header_len, crc) = decode_prelude(&prelude, file_len)?;
         let header = self.vfs.read_range(&path, 16, header_len as u64)?;
-        let meta = decode_segment_meta(&prelude, &header, file_len)?;
+        let meta = decode_header(&header, crc, file_len)?;
         if meta.id != id {
             return Err(HyError::Storage(format!(
                 "segment file {} carries id {} (file name says {id})",

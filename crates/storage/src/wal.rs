@@ -13,8 +13,10 @@
 //!     payload = [u64 lsn] [u32 nops] [op ...]
 //! ```
 //!
-//! Integers are little-endian; ops reuse the wire codec
-//! ([`hylite_common::wire`]) for strings, schemas, and columnar chunks.
+//! Integers are little-endian; each op is one row of the [`RedoOp`]
+//! declaration, written by the shared field codecs
+//! ([`hylite_common::codec`]) — strings, schemas and columnar chunks as on
+//! the wire.
 //! A frame is valid only if its full length is present *and* its CRC
 //! matches, which is what makes torn tail writes detectable: recovery
 //! replays valid frames in order and discards everything from the first
@@ -42,16 +44,16 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use hylite_common::codec::{put_u32, At, ByteReader, Codec, List};
 use hylite_common::faultfs::{Vfs, VfsFile};
-use hylite_common::wire::{self, ByteReader, MAX_FRAME_BYTES};
-use hylite_common::{crc32, Chunk, HyError, MetricsRegistry, Result, Schema};
+use hylite_common::wire::MAX_FRAME_BYTES;
+use hylite_common::{crc32, records, Chunk, HyError, MetricsRegistry, Result, Schema};
 
-use crate::files::write_durable;
+use crate::files::{write_durable, Signature};
 
-/// Magic number opening the WAL file (`"HYWL"`).
-pub const WAL_MAGIC: u32 = 0x4859_574C;
-/// WAL format version; bumped on incompatible layout changes.
-pub const WAL_VERSION: u32 = 1;
+/// The WAL file's signature; the version is bumped on incompatible layout
+/// changes.
+const WAL: Signature = Signature::new(b"HYWL", 1, "WAL");
 /// Size of the WAL file header in bytes.
 pub const WAL_HEADER_LEN: u64 = 8;
 /// File name of the WAL inside the data directory.
@@ -77,115 +79,55 @@ pub enum SyncMode {
     Buffered,
 }
 
-/// One redo operation inside a commit frame. `Insert` carries the rows in
-/// columnar form exactly as they were appended, so replay reproduces the
-/// same physical layout (and therefore the same global row ids that later
-/// `Delete` frames refer to).
-#[derive(Debug, Clone, PartialEq)]
-pub enum RedoOp {
-    /// `CREATE TABLE` — name plus full schema.
-    CreateTable {
-        /// Table name (already lower-cased by the catalog).
-        name: String,
-        /// Column definitions.
-        schema: Schema,
-    },
-    /// `DROP TABLE`.
-    DropTable {
-        /// Table name.
-        name: String,
-    },
-    /// Rows appended to a table in one statement.
-    Insert {
-        /// Target table.
-        table: String,
-        /// The appended rows, columnar.
-        rows: Chunk,
-    },
-    /// Rows delete-marked by their global row ids.
-    Delete {
-        /// Target table.
-        table: String,
-        /// Global row ids that were marked deleted.
-        row_ids: Vec<u64>,
-    },
-}
-
-impl RedoOp {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            RedoOp::CreateTable { name, schema } => {
-                buf.push(1);
-                wire::put_str(buf, name);
-                wire::put_schema(buf, schema);
-            }
-            RedoOp::DropTable { name } => {
-                buf.push(2);
-                wire::put_str(buf, name);
-            }
-            RedoOp::Insert { table, rows } => {
-                buf.push(3);
-                wire::put_str(buf, table);
-                wire::put_chunk(buf, rows);
-            }
-            RedoOp::Delete { table, row_ids } => {
-                buf.push(4);
-                wire::put_str(buf, table);
-                wire::put_u64(buf, row_ids.len() as u64);
-                for &id in row_ids {
-                    wire::put_u64(buf, id);
-                }
-            }
-        }
-    }
-
-    fn decode(r: &mut ByteReader<'_>) -> Result<RedoOp> {
-        Ok(match r.u8()? {
-            1 => RedoOp::CreateTable {
-                name: r.str()?,
-                schema: r.schema()?,
-            },
-            2 => RedoOp::DropTable { name: r.str()? },
-            3 => RedoOp::Insert {
-                table: r.str()?,
-                rows: r.chunk()?,
-            },
-            4 => {
-                let table = r.str()?;
-                let n = r.u64()? as usize;
-                // Each id costs 8 bytes; cap the preallocation by what the
-                // frame can actually hold.
-                let mut row_ids = Vec::with_capacity(n.min(r.remaining() / 8));
-                for _ in 0..n {
-                    row_ids.push(r.u64()?);
-                }
-                RedoOp::Delete { table, row_ids }
-            }
-            other => {
-                return Err(HyError::Storage(format!(
-                    "WAL frame has unknown redo op tag {other}"
-                )))
-            }
-        })
-    }
+records! {
+    /// One redo operation inside a commit frame. `Insert` carries the rows
+    /// in columnar form exactly as they were appended, so replay reproduces
+    /// the same physical layout (and therefore the same global row ids that
+    /// later `Delete` frames refer to).
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum RedoOp {
+        /// `CREATE TABLE` — name plus full schema.
+        1 CreateTable {
+            /// Table name (already lower-cased by the catalog).
+            name: String,
+            /// Column definitions.
+            schema: Schema,
+        },
+        /// `DROP TABLE`.
+        2 DropTable {
+            /// Table name.
+            name: String,
+        },
+        /// Rows appended to a table in one statement.
+        3 Insert {
+            /// Target table.
+            table: String,
+            /// The appended rows, columnar.
+            rows: Chunk,
+        },
+        /// Rows delete-marked by their global row ids.
+        4 Delete {
+            /// Target table.
+            table: String,
+            /// Global row ids that were marked deleted.
+            row_ids: Vec<u64> as List<u64>,
+        },
+    } else other => HyError::Storage(format!("WAL frame has unknown redo op tag {other}"));
 }
 
 /// Append one frame, `[u32 len][u32 crc][payload]` — the only writer of
 /// the frame layout.
 fn put_frame(buf: &mut Vec<u8>, crc: u32, payload: &[u8]) {
-    wire::put_u32(buf, payload.len() as u32);
-    wire::put_u32(buf, crc);
+    put_u32(buf, payload.len() as u32);
+    put_u32(buf, crc);
     buf.extend_from_slice(payload);
 }
 
 /// Encode one commit as a complete frame (length + CRC + payload).
 pub fn encode_commit_frame(lsn: u64, ops: &[RedoOp]) -> Vec<u8> {
     let mut payload = Vec::with_capacity(64);
-    wire::put_u64(&mut payload, lsn);
-    wire::put_u32(&mut payload, ops.len() as u32);
-    for op in ops {
-        op.encode(&mut payload);
-    }
+    u64::put(&lsn, &mut payload);
+    List::<u32>::put_items(ops, &mut payload);
     let mut frame = Vec::with_capacity(payload.len() + 8);
     put_frame(&mut frame, crc32(&payload), &payload);
     frame
@@ -197,11 +139,7 @@ pub fn encode_commit_frame(lsn: u64, ops: &[RedoOp]) -> Vec<u8> {
 pub fn decode_commit_payload(payload: &[u8]) -> Result<(u64, Vec<RedoOp>)> {
     let mut r = ByteReader::new(payload);
     let lsn = r.u64()?;
-    let nops = r.u32()? as usize;
-    let mut ops = Vec::with_capacity(nops.min(payload.len()));
-    for _ in 0..nops {
-        ops.push(RedoOp::decode(&mut r)?);
-    }
+    let ops = List::<u32>::get(&mut r, At("WAL frame", "", "ops"))?;
     if !r.is_empty() {
         return Err(HyError::Storage(
             "WAL frame has trailing bytes after its ops".into(),
@@ -245,8 +183,7 @@ pub struct RawFrame {
 /// frames gives the header-only image of a fresh (or just-reset) log.
 pub fn wal_image<'a>(frames: impl IntoIterator<Item = &'a RawFrame>) -> Vec<u8> {
     let mut buf = Vec::new();
-    wire::put_u32(&mut buf, WAL_MAGIC);
-    wire::put_u32(&mut buf, WAL_VERSION);
+    WAL.put(&mut buf);
     for f in frames {
         put_frame(&mut buf, f.crc, &f.payload);
     }
@@ -273,18 +210,7 @@ fn walk_frames(
     if (bytes.len() as u64) < WAL_HEADER_LEN {
         return Ok((0, bytes.len() as u64));
     }
-    let (magic, version) = (word(0), word(4));
-    if magic != WAL_MAGIC {
-        return Err(HyError::Storage(format!(
-            "{} is not a HyLite WAL (magic {magic:#010x})",
-            path.display()
-        )));
-    }
-    if version != WAL_VERSION {
-        return Err(HyError::Storage(format!(
-            "WAL version {version} not supported (this build reads {WAL_VERSION})"
-        )));
-    }
+    WAL.check(&mut ByteReader::new(&bytes))?;
     let mut pos = WAL_HEADER_LEN as usize;
     while pos + 8 <= bytes.len() {
         let (len, crc) = (word(pos) as usize, word(pos + 4));
