@@ -67,7 +67,7 @@ use std::fmt;
 use std::time::{Duration, Instant};
 
 use hylite_common::{HyError, NetHandle, Result};
-use hylite_sql::{parse_sql, Statement};
+use hylite_sql::{parse_sql, SetValue, Statement};
 
 use crate::{jitter_seed, HyliteClient, RemoteResult, RetryPolicy};
 
@@ -276,7 +276,7 @@ struct Classified {
     /// Final in-transaction state after the script, `None` = unchanged.
     txn_after: Option<bool>,
     /// `SET` knobs assigned by the script, in order (`(name, value)`).
-    set_knobs: Vec<(String, i64)>,
+    set_knobs: Vec<(String, SetValue)>,
 }
 
 fn classify(sql: &str) -> Classified {
@@ -354,7 +354,7 @@ pub struct HyliteRouter {
     in_transaction: bool,
     /// Latest `SET` per knob, replayed on every (re)connect so the
     /// logical session keeps its knobs across nodes.
-    set_knobs: Vec<(String, i64)>,
+    set_knobs: Vec<(String, SetValue)>,
     stats: RouterStats,
     last_route: Option<Route>,
     seed: u64,
@@ -793,7 +793,8 @@ mod tests {
     fn pure_set_scripts_broadcast() {
         let cls = classify("SET statement_timeout_ms = 100");
         assert!(matches!(cls.kind, RouteKind::SetOnly));
-        assert_eq!(cls.set_knobs, vec![("statement_timeout_ms".into(), 100)]);
+        let knob = ("statement_timeout_ms".into(), SetValue::Number(100));
+        assert_eq!(cls.set_knobs, vec![knob]);
         // Mixed scripts run on the primary only.
         assert!(matches!(
             kind_of("SET statement_timeout_ms = 100; SELECT 1"),

@@ -437,6 +437,7 @@ fn aggregate_agrees_with_the_reference() {
                         &chunks,
                         group_exprs,
                         &aggregates,
+                        None,
                         output_types,
                         &Governor::unlimited(),
                     )

@@ -37,9 +37,9 @@ use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::Arc;
 
-use hylite_common::{Chunk, Value};
+use hylite_common::Chunk;
 use hylite_expr::ScalarExpr;
-use hylite_planner::{AnalyticsOp, LogicalPlan};
+use hylite_planner::LogicalPlan;
 
 use crate::context::ExecContext;
 use crate::join::JoinBuild;
@@ -399,26 +399,6 @@ impl<'a> Walk<'a> {
     }
 }
 
-/// `PartialEq` on plans compares `f64` literals numerically, so `0.0`
-/// equals `-0.0`, yet the two can compute different bits. Equal plans that
-/// hold no negative zero are equal to the bit; one that does is shared
-/// with nobody.
-fn holds_negative_zero(plan: &LogicalPlan) -> bool {
-    let is_negative_zero = |x: f64| x == 0.0 && x.is_sign_negative();
-    let negative_zero = |v: &Value| matches!(v, Value::Float(x) if is_negative_zero(*x));
-    let own = match plan {
-        LogicalPlan::Values { rows, .. } => rows.iter().flatten().any(negative_zero),
-        LogicalPlan::Operator {
-            op: AnalyticsOp::PageRank {
-                damping, epsilon, ..
-            },
-            ..
-        } => is_negative_zero(*damping) || is_negative_zero(*epsilon),
-        _ => false,
-    };
-    own || plan.expressions().any(|e| e.any_literal(&negative_zero))
-}
-
 /// Leaves that only hand out shared columns cost nothing to run again.
 fn worth_keeping(plan: &LogicalPlan) -> bool {
     !matches!(
@@ -462,7 +442,7 @@ impl<'a> Analysis<'a> {
         let mut shareable: Vec<bool> = walk
             .nodes
             .iter()
-            .map(|node| node.deterministic && !holds_negative_zero(node.plan))
+            .map(|node| node.deterministic && !node.plan.holds_negative_zero())
             .collect();
         // Parents precede children in pre-order.
         for i in (1..n).rev() {

@@ -64,6 +64,7 @@ impl<'a> ExprBinder<'a> {
             input: Box::new(input),
             group_exprs: keys,
             aggregates,
+            at_best: None,
             schema: Arc::new(Schema::new(fields)),
         })
     }

@@ -64,9 +64,8 @@ pub enum Statement {
     Set {
         /// Setting name (lower-cased identifier).
         name: String,
-        /// Integer value; `0` disables a knob, negative values are
-        /// rejected by the binder.
-        value: i64,
+        /// The value; which kind a setting takes is the session's business.
+        value: SetValue,
     },
     /// `EXPLAIN [ANALYZE] <statement>` — show the optimized plan; with
     /// `ANALYZE`, execute the statement and annotate each operator with
@@ -635,5 +634,25 @@ mod tests {
             max_iterations: None,
         };
         assert_eq!(f.name(), "PAGERANK");
+    }
+}
+
+/// The value of a `SET` statement.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SetValue {
+    /// An integer; `0` disables a knob, negative values are rejected by
+    /// the binder.
+    Number(i64),
+    /// `on` or `off`.
+    Switch(bool),
+}
+
+impl fmt::Display for SetValue {
+    /// The value as `SET` spells it.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SetValue::Number(n) => write!(f, "{n}"),
+            SetValue::Switch(on) => f.write_str(if *on { "on" } else { "off" }),
+        }
     }
 }

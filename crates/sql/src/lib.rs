@@ -19,8 +19,8 @@ pub mod parser;
 pub mod token;
 
 pub use ast::{
-    Cte, Expr, JoinKind, Lambda, OrderByExpr, Query, Select, SelectItem, SetExpr, Statement,
-    TableFunc, TableRef,
+    Cte, Expr, JoinKind, Lambda, OrderByExpr, Query, Select, SelectItem, SetExpr, SetValue,
+    Statement, TableFunc, TableRef,
 };
 pub use parser::{parse_expression, parse_sql, parse_statement, Parser};
 pub use token::{Keyword, Token, Tokenizer};

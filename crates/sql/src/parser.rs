@@ -5,9 +5,6 @@ use hylite_common::{DataType, HyError, Result, Value};
 use crate::ast::*;
 use crate::token::{Keyword, Token, Tokenizer};
 
-/// Session settings that are switches: `SET` takes `on` / `off` for them.
-const SWITCH_SETTINGS: &[&str] = &["plan_reuse", "encoded_scan"];
-
 /// Parse a script of `;`-separated statements.
 pub fn parse_sql(input: &str) -> Result<Vec<Statement>> {
     let mut p = Parser::new(input)?;
@@ -204,8 +201,8 @@ impl Parser {
         }
     }
 
-    /// `SET <setting> = <int>` / `SET <setting> TO <int>`; a switch
-    /// ([`SWITCH_SETTINGS`]) also takes `on` / `off` for 1 / 0.
+    /// `SET <setting> = <value>` / `SET <setting> TO <value>`: an integer,
+    /// `on` or `off`.
     fn set_statement(&mut self) -> Result<Statement> {
         self.expect_keyword(Keyword::Set)?;
         let name = self.expect_ident()?;
@@ -220,25 +217,14 @@ impl Parser {
             }
         }
         let negative = self.eat_symbol("-");
-        let switch = !negative && SWITCH_SETTINGS.contains(&name.as_str());
         let value = match self.bump() {
-            Token::Int(v) => {
-                if negative {
-                    -v
-                } else {
-                    v
-                }
-            }
-            Token::Keyword(Keyword::On) if switch => 1,
-            Token::Ident(word) if switch && word == "off" => 0,
+            Token::Int(v) if negative => SetValue::Number(-v),
+            Token::Int(v) => SetValue::Number(v),
+            Token::Keyword(Keyword::On) if !negative => SetValue::Switch(true),
+            Token::Ident(word) if !negative && word == "off" => SetValue::Switch(false),
             other => {
-                let expected = if switch {
-                    "on, off, 1 or 0"
-                } else {
-                    "an integer value"
-                };
                 return Err(HyError::Parse(format!(
-                    "expected {expected} for SET {name}, found {other}"
+                    "expected an integer, on or off for SET {name}, found {other}"
                 )));
             }
         };

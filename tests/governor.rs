@@ -205,6 +205,29 @@ fn set_statement_validation() {
     // `SET x TO v` is accepted alongside `=`.
     db.execute("SET statement_timeout_ms TO 1000").unwrap();
     db.execute("SET statement_timeout_ms = 0").unwrap();
+    // Every setting takes the kind of value its row in the session's table
+    // says: a switch on/off or 1/0, a number an integer.
+    let err = db.execute("SET statement_timeout_ms = on").unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "bind error: SET statement_timeout_ms: expected an integer, got on"
+    );
+    let err = db.execute("SET groupjoin = 2").unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "bind error: SET groupjoin: expected on, off, 1 or 0, got 2"
+    );
+    for set in [
+        "SET groupjoin = off",
+        "SET groupjoin TO 1",
+        "SET plan_reuse = on",
+    ] {
+        db.execute(set).unwrap();
+    }
+    let err = db.execute("SET not_a_setting = off").unwrap_err();
+    assert!(err
+        .to_string()
+        .ends_with("plan_reuse, encoded_scan, threads, groupjoin)"));
     assert_session_usable(&db);
 }
 

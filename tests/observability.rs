@@ -455,3 +455,31 @@ fn explain_analyze_and_the_registry_show_what_a_scan_selected() {
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A loop body's hash table sizes are the largest over its rounds: the
+/// last round of this recursive CTE runs the body on an empty working
+/// table, and its aggregate and join must not report that round's zero.
+#[test]
+fn explain_analyze_sizes_are_the_largest_over_a_loops_rounds() {
+    let db = Database::new();
+    db.execute("CREATE TABLE t (id BIGINT)").unwrap();
+    db.execute("INSERT INTO t VALUES (1), (2), (2), (3)")
+        .unwrap();
+    let text = plan_text(
+        &db,
+        "EXPLAIN ANALYZE WITH RECURSIVE r (n) AS (SELECT 1 UNION ALL \
+         SELECT w.n + 1 FROM t JOIN (SELECT * FROM r WHERE n < 3) w ON t.id = w.n \
+         GROUP BY w.n) SELECT * FROM r",
+    );
+    let line = |op: &str| {
+        let mut lines = text.lines();
+        let found = lines.find(|l| l.trim_start_matches(['|', ' ']).starts_with(op));
+        found
+            .unwrap_or_else(|| panic!("no {op}:\n{text}"))
+            .to_string()
+    };
+    let (aggregate, join) = (line("Aggregate"), line("Join"));
+    assert_eq!(extract_u64(&aggregate, "calls"), vec![3], "{text}");
+    assert_eq!(extract_u64(&aggregate, "[groups"), vec![1], "{text}");
+    assert_eq!(extract_u64(&join, "[build_rows"), vec![1], "{text}");
+}
