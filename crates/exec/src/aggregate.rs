@@ -60,10 +60,13 @@ fn group_entry_bytes(num_keys: usize) -> u64 {
 
 /// Execute a grouped aggregation, keying the groups under the layout
 /// `layout` ([`KeyLayout::new`]) makes of the key columns' types. Output
-/// columns: group keys in order, then one column per aggregate; rows
-/// sorted by key. With no group keys the result is a single row
-/// (aggregates over the whole input, even when empty). The index comes
-/// back with the result: how many groups there were, under which layout.
+/// columns: group keys in order, then one column per aggregate; one row
+/// per group in first-seen order, each key as its first row had it (a
+/// groupjoin's groups in the order the join it replaces meets them, at
+/// their first row at the best). Only ORDER BY sorts. With no group keys
+/// the result is a single row (aggregates over the whole input, even when
+/// empty). The index comes back with the result: how many groups there
+/// were, under which layout.
 ///
 /// Every chunk's fold starts with a governor check and a charge of the
 /// states' growth against the statement's memory budget.
@@ -133,10 +136,17 @@ pub fn aggregate(
             _ => fold(chunk, None, &ids, index.len())?,
         }
     }
-    // Then only the rows at their group's best fold, in row order.
-    let mut rows = Vec::new();
-    for (chunk, ids, v) in held {
-        if let Some(best) = &mut best {
+    // Global aggregate over empty input still yields one row.
+    if !grouped && index.is_empty() {
+        index.insert_chunk(&[], 1, &mut ids)?;
+    }
+    // Groups come out in first-seen order: their ids' order.
+    let mut order: Vec<usize> = (0..index.len()).collect();
+    if let Some(mut best) = best {
+        // Then only the rows at their group's best fold, in row order; the
+        // join this replaces meets each group at the first of them.
+        let (mut rows, mut reached, mut met) = (Vec::new(), vec![false; order.len()], Vec::new());
+        for (chunk, ids, v) in held {
             best.fold(
                 Some(&v),
                 chunk.len(),
@@ -144,30 +154,22 @@ pub fn aggregate(
                 index.len(),
                 Some(&mut rows),
             )?;
+            let row_ids: Vec<u32> = rows.iter().map(|&i| ids[i]).collect();
+            for &g in &row_ids {
+                if !std::mem::replace(&mut reached[g as usize], true) {
+                    met.push(g as usize);
+                }
+            }
+            fold(chunk, Some(&rows), &row_ids, index.len())?;
         }
-        let row_ids: Vec<u32> = rows.iter().map(|&i| ids[i]).collect();
-        fold(chunk, Some(&rows), &row_ids, index.len())?;
-    }
-    // Global aggregate over empty input still yields one row.
-    if !grouped && index.is_empty() {
-        index.insert_chunk(&[], 1, &mut ids)?;
-    }
-    // Deterministic output order: sort groups by key. A groupjoin's join
-    // matched no group with a NULL key or without a best `=` to itself.
-    let mut order: Vec<usize> = (0..index.len()).collect();
-    if let Some(best) = best {
+        // That join matched no group with a NULL key or without a best `=`
+        // to itself.
         let best = best.finish(&order);
         let nan =
             |g: usize| matches!(&best, ColumnVector::Float64 { data, .. } if data[g].is_nan());
-        order.retain(|&g| best.is_valid(g) && !nan(g) && key_out.iter().all(|k| k.is_valid(g)));
+        met.retain(|&g| best.is_valid(g) && !nan(g) && key_out.iter().all(|k| k.is_valid(g)));
+        order = met;
     }
-    order.sort_unstable_by(|&a, &b| {
-        key_out
-            .iter()
-            .map(|col| col.cmp_rows(a, b))
-            .find(|o| !o.is_eq())
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
     let mut cols: Vec<Arc<ColumnVector>> =
         key_out.iter().map(|c| Arc::new(c.take(&order))).collect();
     for (acc, &target) in accumulators.into_iter().zip(agg_types) {
@@ -222,6 +224,7 @@ pub fn distinct(
 mod tests {
     use super::*;
     use hylite_expr::AggregateFunction;
+    use hylite_planner::logical::SortKey;
 
     fn data() -> Vec<Chunk> {
         vec![Chunk::new(vec![
@@ -259,7 +262,7 @@ mod tests {
         .0;
         let c = &out[0];
         assert_eq!(c.len(), 2);
-        // Sorted by key: group 1 then group 2.
+        // First-seen order: group 1 then group 2.
         assert_eq!(c.column(0).as_i64().unwrap(), &[1, 2]);
         assert_eq!(c.column(1).as_f64().unwrap(), &[90.0, 60.0]);
         assert_eq!(c.column(2).as_i64().unwrap(), &[3, 2]);
@@ -359,9 +362,18 @@ mod tests {
         .unwrap()
         .0;
         assert_eq!(out[0].len(), 2, "NULL group + value group");
-        // NULL sorts first.
-        assert!(out[0].column(0).value(0).is_null());
-        assert_eq!(out[0].column(1).value(0), Value::Int(2));
+        // First-seen order: the value group, then the NULL group.
+        assert_eq!(out[0].column(0).value(0), Value::Int(1));
+        assert!(out[0].column(0).value(1).is_null());
+        assert_eq!(out[0].column(1).value(1), Value::Int(2));
+        // ORDER BY the key puts NULL first.
+        let by_key = [SortKey {
+            expr: ScalarExpr::column(0, DataType::Int64),
+            asc: true,
+        }];
+        let sorted = crate::sort::sort(&out, &by_key, &[DataType::Int64, DataType::Int64]).unwrap();
+        assert!(sorted[0].column(0).value(0).is_null());
+        assert_eq!(sorted[0].column(1).value(0), Value::Int(2));
     }
 
     #[test]

@@ -76,7 +76,7 @@ fn key_at(cols: &[ColumnVector], i: usize) -> HashableRow {
 type GroupTable = HashMap<HashableRow, Vec<AggregateState>>;
 
 /// Grouped aggregation: a table per chunk, merged in chunk order, groups
-/// sorted by key.
+/// in first-seen order, each key as its first row had it.
 fn aggregate(
     chunks: &[Chunk],
     group_exprs: &[ScalarExpr],
@@ -85,6 +85,7 @@ fn aggregate(
 ) -> Result<Vec<Chunk>> {
     let init = || aggregates.iter().map(|a| a.func.init()).collect::<Vec<_>>();
     let mut merged = GroupTable::new();
+    let mut first = Vec::new();
     for chunk in chunks {
         let mut table = GroupTable::new();
         let key_cols = key_columns(group_exprs, chunk)?;
@@ -93,7 +94,11 @@ fn aggregate(
             .map(|a| a.arg.as_ref().map(|e| e.eval(chunk)).transpose())
             .collect::<Result<_>>()?;
         for i in 0..chunk.len() {
-            let states = table.entry(key_at(&key_cols, i)).or_insert_with(init);
+            let key = key_at(&key_cols, i);
+            if !merged.contains_key(&key) && !table.contains_key(&key) {
+                first.push(key.clone());
+            }
+            let states = table.entry(key).or_insert_with(init);
             for (state, arg) in states.iter_mut().zip(&arg_cols) {
                 match arg {
                     Some(col) => state.update(&col.value(i))?,
@@ -116,20 +121,14 @@ fn aggregate(
     }
     if merged.is_empty() && group_exprs.is_empty() {
         merged.insert(HashableRow(vec![]), init());
+        first.push(HashableRow(vec![]));
     }
-    let mut groups: Vec<(HashableRow, Vec<AggregateState>)> = merged.into_iter().collect();
-    groups.sort_by(|(a, _), (b, _)| {
-        a.0.iter()
-            .zip(&b.0)
-            .map(|(x, y)| x.sort_cmp(y))
-            .find(|o| !o.is_eq())
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
     let mut cols: Vec<ColumnVector> = output_types
         .iter()
         .map(|&t| ColumnVector::empty(t))
         .collect();
-    for (key, states) in groups {
+    for key in first {
+        let states = &merged[&key];
         for (c, v) in key.0.iter().enumerate() {
             cols[c].push_value(v)?;
         }

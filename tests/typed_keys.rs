@@ -1,6 +1,7 @@
 //! Answers that depend on how hash keys are encoded (`exec::keys`): a
-//! join's two sides are keyed in the type `=` compares them in, and NaN
-//! groups with NaN (as ORDER BY already says) but never joins.
+//! join's two sides are keyed in the type `=` compares them in, NaN
+//! groups with NaN (as ORDER BY already says) but never joins, and GROUP
+//! BY, like DISTINCT, emits its keys in first-seen order.
 
 use hylite::common::Value;
 use hylite::{Database, QueryResult};
@@ -57,6 +58,16 @@ fn nan_keys_form_one_group() {
         .unwrap();
     assert_eq!(
         rows(&grouped),
+        [["NaN", "3"], ["2.0", "1"]],
+        "first-seen order"
+    );
+    let ordered = db
+        .execute(&format!(
+            "SELECT {K} AS k, count(*) FROM n GROUP BY {K} ORDER BY k"
+        ))
+        .unwrap();
+    assert_eq!(
+        rows(&ordered),
         [["2.0", "1"], ["NaN", "3"]],
         "NaN sorts last"
     );
@@ -114,4 +125,54 @@ fn keys_are_compared_in_the_declared_type_not_the_evaluated_one() {
     assert_eq!(count(&db, distinct), 2);
     let join = "SELECT count(*) FROM (SELECT NULL AS a) x JOIN (SELECT 'q' AS b) y ON x.a = y.b";
     assert_eq!(count(&db, join), 0);
+}
+
+#[test]
+fn group_by_emits_its_keys_in_the_order_distinct_does() {
+    let db = Database::new();
+    db.execute("CREATE TABLE m (i BIGINT, d DOUBLE, s VARCHAR)")
+        .unwrap();
+    // One chunk per INSERT; no key column arrives sorted, and the first
+    // zero is `-0.0`: a key is output as its first row had it.
+    for values in [
+        "(7, 2.5, 'pear'), (3, NULL, 'fig'), (7, -0.0, NULL)",
+        "(NULL, 0.0, 'apple'), (-2, 2.5, 'fig'), (11, -1.0, 'pear')",
+        "(3, 0.0, 'kiwi'), (NULL, NULL, NULL), (5, -1.0, 'apple')",
+        "(-2, -0.0, 'fig'), (11, 9.0, 'kiwi'), (0, 2.5, NULL)",
+    ] {
+        db.execute(&format!("INSERT INTO m VALUES {values}"))
+            .unwrap();
+    }
+    db.execute("INSERT INTO m SELECT 5, sqrt(-2.0), 'pear'")
+        .unwrap();
+    db.execute("INSERT INTO m SELECT 3, sqrt(-3.0), 'fig'")
+        .unwrap();
+    let mut checked = 0;
+    for keys in ["i", "d", "s", "s, i"] {
+        let width = keys.split(',').count();
+        let distinct = format!("SELECT DISTINCT {keys} FROM m");
+        let grouped = format!("SELECT {keys}, count(*), min(d), max(i) FROM m GROUP BY {keys}");
+        for threads in [1, 2, 8] {
+            for reuse in ["on", "off"] {
+                let mut session = db.session();
+                session
+                    .execute(&format!("SET threads = {threads}"))
+                    .unwrap();
+                session
+                    .execute(&format!("SET plan_reuse = {reuse}"))
+                    .unwrap();
+                let want = rows(&session.execute(&distinct).unwrap());
+                let got: Vec<Vec<String>> = rows(&session.execute(&grouped).unwrap())
+                    .into_iter()
+                    .map(|row| row[..width].to_vec())
+                    .collect();
+                assert_eq!(
+                    got, want,
+                    "threads = {threads}, plan_reuse = {reuse}: {grouped}"
+                );
+                checked += want.len();
+            }
+        }
+    }
+    assert!(checked > 100, "too few keys compared: {checked}");
 }
