@@ -126,6 +126,16 @@ fn operator_inputs_are_in_sql_argument_order() {
     }
 }
 
+/// `cargo test --test plan_algebra -- --ignored --nocapture print_explain`
+/// prints `golden/plan_algebra_explain.txt`.
+#[test]
+#[ignore]
+fn print_explain_for_the_golden() {
+    let db = common::corpus_db();
+    db.execute("SET groupjoin = off").unwrap();
+    print!("{}", common::explain_corpus(&db));
+}
+
 /// Bound plans and EXPLAIN output, byte for byte what the parent commit
 /// printed for the same corpus over the same tables — with the groupjoin
 /// off; `groupjoin.rs` pins what it makes of the two k-Means statements.
