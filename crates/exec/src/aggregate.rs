@@ -17,6 +17,7 @@
 //! its second pass. The charge is released when the result is built, or
 //! the statement fails.
 
+use std::iter::repeat_n;
 use std::sync::Arc;
 
 use hylite_common::governor::Governor;
@@ -69,10 +70,14 @@ fn group_entry_bytes(num_keys: usize) -> u64 {
 /// were, under which layout.
 ///
 /// Every chunk's fold starts with a governor check and a charge of the
-/// states' growth against the statement's memory budget.
+/// states' growth against the statement's memory budget. When the rows
+/// come in runs of `runs` that share their keys (a broadcast cross
+/// product's), each run's key is looked up once and its group repeated.
+#[allow(clippy::too_many_arguments)]
 pub fn aggregate(
     layout: fn(&[DataType]) -> KeyLayout,
     chunks: &[Chunk],
+    runs: usize,
     group_exprs: &[ScalarExpr],
     aggregates: &[AggExpr],
     at_best: Option<&(AggregateFunction, ScalarExpr)>,
@@ -115,11 +120,18 @@ pub fn aggregate(
     let (mut ids, mut held, mut held_bytes) = (Vec::new(), Vec::new(), 0);
     for chunk in chunks {
         governor.check()?;
-        let key_cols = eval_keys(group_exprs, key_types, chunk)?;
+        let keyed = match runs {
+            1 => chunk.clone(),
+            _ => chunk.take(&(0..chunk.len()).step_by(runs).collect::<Vec<_>>()),
+        };
+        let key_cols = eval_keys(group_exprs, key_types, &keyed)?;
         // Without keys the whole chunk is one key-less row's group, and
         // the aggregates fold whole columns.
-        let key_rows = if grouped { chunk.len() } else { 1 };
+        let key_rows = if grouped { keyed.len() } else { 1 };
         let fresh = index.insert_chunk(&key_cols, key_rows, &mut ids)?;
+        if runs > 1 {
+            ids = ids.iter().flat_map(|&g| repeat_n(g, runs)).collect();
+        }
         // A group's key is output as its first row had it.
         for (out, col) in key_out.iter_mut().zip(&key_cols) {
             out.append(&col.take(&fresh))?;
@@ -246,6 +258,7 @@ mod tests {
         let out = aggregate(
             KeyLayout::new,
             &data(),
+            1,
             &[ScalarExpr::column(0, DataType::Int64)],
             &[
                 agg(
@@ -273,6 +286,7 @@ mod tests {
         let out = aggregate(
             KeyLayout::new,
             &[],
+            1,
             &[],
             &[
                 agg(AggregateFunction::CountStar, None),
@@ -298,6 +312,7 @@ mod tests {
         let out = aggregate(
             KeyLayout::new,
             &[],
+            1,
             &[ScalarExpr::column(0, DataType::Int64)],
             &[agg(AggregateFunction::CountStar, None)],
             None,
@@ -316,6 +331,7 @@ mod tests {
         let whole = aggregate(
             KeyLayout::new,
             &data(),
+            1,
             &[ScalarExpr::column(0, DataType::Int64)],
             &[agg(
                 AggregateFunction::Avg,
@@ -330,6 +346,7 @@ mod tests {
         let split = aggregate(
             KeyLayout::new,
             &chunks,
+            1,
             &[ScalarExpr::column(0, DataType::Int64)],
             &[agg(
                 AggregateFunction::Avg,
@@ -353,6 +370,7 @@ mod tests {
         let out = aggregate(
             KeyLayout::new,
             &[chunk],
+            1,
             &[ScalarExpr::column(0, DataType::Int64)],
             &[agg(AggregateFunction::CountStar, None)],
             None,

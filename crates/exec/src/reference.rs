@@ -434,6 +434,7 @@ fn aggregate_agrees_with_the_reference() {
                     let (got, index) = aggregate::aggregate(
                         layout,
                         &chunks,
+                        1,
                         group_exprs,
                         &aggregates,
                         None,

@@ -48,6 +48,21 @@ pub fn conform(chunk: &Chunk, types: &[DataType]) -> Result<Chunk> {
     Ok(Chunk::from_arc_columns(cols.collect::<Result<_>>()?))
 }
 
+/// One chunk of `exprs` per input chunk; a projection without columns
+/// keeps the row count.
+pub fn project(chunks: &[Chunk], exprs: &[ScalarExpr]) -> Result<Vec<Chunk>> {
+    let project = |c: &Chunk| {
+        let cols = exprs.iter().map(|e| eval_shared(e, c));
+        let cols = cols.collect::<Result<Vec<_>>>()?;
+        Ok(if cols.is_empty() {
+            Chunk::zero_column(c.len())
+        } else {
+            Chunk::from_arc_columns(cols)
+        })
+    };
+    chunks.iter().map(project).collect()
+}
+
 /// Apply a boolean predicate to a chunk, returning the surviving rows.
 pub fn apply_predicate(chunk: &Chunk, predicate: &ScalarExpr) -> Result<Chunk> {
     let col = predicate.eval(chunk)?;

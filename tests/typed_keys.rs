@@ -1,7 +1,8 @@
 //! Answers that depend on how hash keys are encoded (`exec::keys`): a
 //! join's two sides are keyed in the type `=` compares them in, NaN
 //! groups with NaN (as ORDER BY already says) but never joins, and GROUP
-//! BY, like DISTINCT, emits its keys in first-seen order.
+//! BY, UNION and a recursive CTE's dedup emit their rows in the
+//! first-seen order DISTINCT does.
 
 use hylite::common::Value;
 use hylite::{Database, QueryResult};
@@ -127,13 +128,13 @@ fn keys_are_compared_in_the_declared_type_not_the_evaluated_one() {
     assert_eq!(count(&db, join), 0);
 }
 
-#[test]
-fn group_by_emits_its_keys_in_the_order_distinct_does() {
+/// `m (i BIGINT, d DOUBLE, s VARCHAR)` over six chunks (one per INSERT):
+/// no key column arrives sorted, and the first zero is `-0.0`.
+fn unsorted_keys() -> Database {
     let db = Database::new();
     db.execute("CREATE TABLE m (i BIGINT, d DOUBLE, s VARCHAR)")
         .unwrap();
-    // One chunk per INSERT; no key column arrives sorted, and the first
-    // zero is `-0.0`: a key is output as its first row had it.
+    // A key is output as its first row had it.
     for values in [
         "(7, 2.5, 'pear'), (3, NULL, 'fig'), (7, -0.0, NULL)",
         "(NULL, 0.0, 'apple'), (-2, 2.5, 'fig'), (11, -1.0, 'pear')",
@@ -147,6 +148,12 @@ fn group_by_emits_its_keys_in_the_order_distinct_does() {
         .unwrap();
     db.execute("INSERT INTO m SELECT 3, sqrt(-3.0), 'fig'")
         .unwrap();
+    db
+}
+
+#[test]
+fn group_by_emits_its_keys_in_the_order_distinct_does() {
+    let db = unsorted_keys();
     let mut checked = 0;
     for keys in ["i", "d", "s", "s, i"] {
         let width = keys.split(',').count();
@@ -175,4 +182,55 @@ fn group_by_emits_its_keys_in_the_order_distinct_does() {
         }
     }
     assert!(checked > 100, "too few keys compared: {checked}");
+}
+
+/// Rows as text equal exactly when the bits are: doubles as bit patterns.
+fn bits(r: &QueryResult) -> Vec<Vec<String>> {
+    let cell = |v: &Value| match v {
+        Value::Float(f) => format!("{:016x}", f.to_bits()),
+        other => other.to_string(),
+    };
+    let rows = r.to_rows();
+    rows.iter()
+        .map(|row| row.values().iter().map(cell).collect())
+        .collect()
+}
+
+#[test]
+fn union_and_recursive_dedup_emit_rows_in_the_order_distinct_does() {
+    let db = unsorted_keys();
+    let mut checked = 0;
+    for keys in ["i", "d", "s", "s, i"] {
+        let distinct = format!("SELECT DISTINCT {keys} FROM m");
+        let union = format!("SELECT {keys} FROM m UNION SELECT {keys} FROM m");
+        // The first row seeds the recursion, its first step brings every
+        // row of `m` and the second nothing new.
+        let of_m: Vec<String> = keys.split(", ").map(|k| format!("m.{k}")).collect();
+        let of_m = of_m.join(", ");
+        let recursive = format!(
+            "WITH RECURSIVE r ({keys}) AS (SELECT * FROM (SELECT {keys} FROM m LIMIT 1) f UNION \
+             SELECT {of_m} FROM m, (SELECT count(*) AS n FROM r) t) SELECT * FROM r"
+        );
+        for threads in [1, 2, 8] {
+            for reuse in ["on", "off"] {
+                let mut session = db.session();
+                for set in [
+                    format!("threads = {threads}"),
+                    format!("plan_reuse = {reuse}"),
+                ] {
+                    session.execute(&format!("SET {set}")).unwrap();
+                }
+                let want = bits(&session.execute(&distinct).unwrap());
+                for sql in [&union, &recursive] {
+                    let got = bits(&session.execute(sql).unwrap());
+                    assert_eq!(
+                        got, want,
+                        "threads = {threads}, plan_reuse = {reuse}: {sql}"
+                    );
+                }
+                checked += want.len();
+            }
+        }
+    }
+    assert!(checked > 100, "too few rows compared: {checked}");
 }
