@@ -11,6 +11,7 @@ pub mod session;
 
 pub use csv::CsvOptions;
 pub use database::Database;
+pub use hylite_planner::Rules;
 pub use result::QueryResult;
 pub use session::{Session, SessionSettings};
 

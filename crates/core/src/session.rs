@@ -12,14 +12,14 @@ use hylite_common::{Chunk, HyError, Result, Schema, Value};
 use hylite_exec::{ExecContext, Executor};
 use hylite_expr::ScalarExpr;
 use hylite_planner::binder::{Binder, BoundStatement};
-use hylite_planner::{stats, LogicalPlan, Optimizer};
+use hylite_planner::{stats, LogicalPlan, Optimizer, Rules};
 use hylite_sql::{parse_sql, SetValue, Statement};
 use hylite_storage::{Catalog, Durability, RedoOp, TableRef, Transaction};
 
 use crate::result::QueryResult;
 
 /// Session-level resource knobs, adjusted with `SET <name> = <value>`;
-/// [`SETTINGS`] lists them.
+/// the module's `SETTINGS` table lists them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionSettings {
     /// Statement timeout in milliseconds; `0` disables the deadline.
@@ -37,15 +37,6 @@ pub struct SessionSettings {
     /// Thread cap per statement (`SET threads = N`); `0` means every core
     /// but one.
     pub threads: u64,
-    /// Whether the optimizer runs the groupjoin rule
-    /// (`SET groupjoin = on|off`).
-    pub groupjoin: bool,
-    /// Whether an aggregate over a projection of a small cross product
-    /// folds it without building it (`SET broadcast_cross = on|off`).
-    pub broadcast_cross: bool,
-    /// Whether the optimizer joins an n:1 side first
-    /// (`SET join_reorder = on|off`).
-    pub join_reorder: bool,
 }
 
 /// How `SET` stores a setting's value.
@@ -86,17 +77,6 @@ const SETTINGS: &[(&str, Kind)] = &[
     // 0: most threads a statement's analytics operators run on; 0 = every
     // core but one (at least one), 1 = serial; bit-identical at every value.
     ("threads", Kind::Number(|s| &mut s.threads)),
-    // on: run a join against a group-by of the same relation on
-    // `(key, v = min(v))` as one arg-min aggregate; bit-identical either way.
-    ("groupjoin", Kind::Switch(|s| &mut s.groupjoin)),
-    // on: an aggregate over a projection of `P × C`, keyed on P's columns,
-    // with C of 1 to 1,024 rows, evaluates the projection once per C row over
-    // whole P chunks instead of building the product; bit-identical either
-    // way.
-    ("broadcast_cross", Kind::Switch(|s| &mut s.broadcast_cross)),
-    // on: `(A ⋈ B) ⋈ U`, U unique on its join key, runs as `(A ⋈ U) ⋈ B`;
-    // bit-identical either way.
-    ("join_reorder", Kind::Switch(|s| &mut s.join_reorder)),
 ];
 
 impl Default for SessionSettings {
@@ -108,9 +88,6 @@ impl Default for SessionSettings {
             plan_reuse: true,
             encoded_scan: false,
             threads: 0,
-            groupjoin: true,
-            broadcast_cross: true,
-            join_reorder: true,
         }
     }
 }
@@ -222,6 +199,9 @@ pub struct Session {
     metrics: Arc<MetricsRegistry>,
     /// Resource knobs (`SET statement_timeout_ms`, `SET memory_budget_mb`).
     settings: SessionSettings,
+    /// The optimizer's and executor's rewrites that run: every one, unless
+    /// a test switches some off with [`set_rules`](Session::set_rules).
+    rules: Rules,
     /// Cancel token shared with [`cancel_handle`](Session::cancel_handle)
     /// callers; observed by the currently running statement.
     cancel: Arc<CancelToken>,
@@ -286,6 +266,7 @@ impl Session {
             own_tables: HashSet::new(),
             metrics,
             settings: SessionSettings::default(),
+            rules: Rules::ALL,
             cancel: Arc::new(CancelToken::new()),
             governor: Arc::new(Governor::unlimited()),
             durability,
@@ -382,6 +363,14 @@ impl Session {
     /// The session's current resource settings.
     pub fn settings(&self) -> SessionSettings {
         self.settings
+    }
+
+    /// Run only `rules` of the optimizer's and executor's rewrites from the
+    /// next statement on (every one by default). A test hook: each rewrite
+    /// returns the bits of the plan it replaces, and `Rules::NONE` is the
+    /// reference a test compares every other set with.
+    pub fn set_rules(&mut self, rules: Rules) {
+        self.rules = rules;
     }
 
     /// A shareable handle that cancels the session's running (or next)
@@ -804,11 +793,9 @@ impl Session {
         Ok(qr)
     }
 
-    /// The optimizer under the session's settings.
+    /// The optimizer under the session's rules.
     fn optimizer(&self) -> Optimizer {
-        Optimizer::new()
-            .with_groupjoin(self.settings.groupjoin)
-            .with_join_reorder(self.settings.join_reorder)
+        Optimizer::new().with_rules(self.rules)
     }
 
     fn run_query(&mut self, plan: LogicalPlan) -> Result<QueryResult> {
@@ -831,7 +818,7 @@ impl Session {
             .with_governor(Arc::clone(&self.governor))
             .with_plan_reuse(self.settings.plan_reuse)
             .with_encoded_scan(self.settings.encoded_scan)
-            .with_broadcast_cross(self.settings.broadcast_cross);
+            .with_rules(self.rules);
         if let Some(hub) = &self.sysviews {
             ctx = ctx.with_system_views(Arc::clone(hub));
         }

@@ -7,6 +7,7 @@ use hylite_common::governor::Governor;
 use hylite_common::sysview::{SystemView, SystemViewHub};
 use hylite_common::telemetry::{MetricsRegistry, ProfileBuilder, QueryProfile};
 use hylite_common::{Chunk, HyError, Result, Value};
+use hylite_planner::Rules;
 use hylite_storage::{Catalog, TableSnapshot};
 
 /// Runtime statistics of one query execution, used by EXPLAIN-style
@@ -52,9 +53,8 @@ pub struct ExecContext {
     /// `SET encoded_scan`: whether scans hand their range predicates to
     /// storage, to be evaluated on encoded blocks.
     encoded_scan: bool,
-    /// `SET broadcast_cross`: whether an aggregate over a projection of a
-    /// small cross product folds it without building the product.
-    pub(crate) broadcast_cross: bool,
+    /// The rewrites the executor may run: [`Rules::BROADCAST_CROSS`].
+    pub(crate) rules: Rules,
     /// Tables mutated by the session's open transaction: the session
     /// reads its *own* uncommitted changes from these, and the committed
     /// state of everything else — snapshot isolation.
@@ -93,7 +93,7 @@ impl ExecContext {
             snapshots: Vec::new(),
             plan_reuse: true,
             encoded_scan: false,
-            broadcast_cross: true,
+            rules: Rules::ALL,
             own_tables: std::collections::HashSet::new(),
             stats: ExecStats::default(),
             metrics: Arc::new(MetricsRegistry::new()),
@@ -144,11 +144,10 @@ impl ExecContext {
         self.encoded_scan
     }
 
-    /// Switch the broadcast cross product on or off (on by default): an
-    /// aggregate over a projection of a small cross product folds it
-    /// without building the product; results are bit-identical either way.
-    pub fn with_broadcast_cross(mut self, on: bool) -> ExecContext {
-        self.broadcast_cross = on;
+    /// Run only `rules` (every one by default); results are bit-identical
+    /// under every set.
+    pub fn with_rules(mut self, rules: Rules) -> ExecContext {
+        self.rules = rules;
         self
     }
 

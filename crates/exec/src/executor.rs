@@ -5,13 +5,13 @@ use std::sync::Arc;
 
 use hylite_common::{Chunk, DataType, HyError, Result};
 use hylite_expr::ScalarExpr;
-use hylite_planner::{JoinKind, LogicalPlan};
+use hylite_planner::{JoinKind, LogicalPlan, Rules};
 
 use crate::aggregate;
 use crate::context::ExecContext;
 use crate::join::{self, JoinBuild};
 use crate::keys::{GroupIndex, KeyLayout};
-use crate::reuse::{NodeRole, ReuseTable};
+use crate::reuse::ReuseTable;
 use crate::scan;
 use crate::sort;
 use crate::util;
@@ -81,9 +81,9 @@ impl Executor {
         let role = if self.reuse.is_empty() {
             None
         } else {
-            self.reuse.role(plan).cloned()
+            self.reuse.role(plan).copied()
         };
-        let kept = role.as_ref().and_then(|role| self.kept_result(role));
+        let kept = role.and_then(|r| self.reuse.result(r.result?, &self.ctx));
         // A node served from the result it computed itself is not a call.
         let own = matches!(&kept, Some((_, owner)) if *owner == plan.node_id());
         let profiling = self.ctx.profiling() && !own;
@@ -95,7 +95,7 @@ impl Executor {
                 Ok(chunks)
             }
             None => {
-                let mut result = s.execute_node(plan, role.as_ref().and_then(|r| r.build));
+                let mut result = s.execute_node(plan, role.and_then(|r| r.build));
                 // Out of budget while the reuse table holds memory: it
                 // gives all of it back and the node runs again as written.
                 if over_budget(&result) && s.reuse.surrender(&s.ctx) {
@@ -160,7 +160,7 @@ impl Executor {
     /// [`join::broadcast`] without the product being built, in runs of |C|
     /// (a C of any other size gets the product). Anything else — another
     /// shape, a projection or product the reuse table has a role for,
-    /// `SET broadcast_cross = off` — runs as written, in runs of one.
+    /// [`Rules::BROADCAST_CROSS`] off — runs as written, in runs of one.
     fn aggregate_input(
         &mut self,
         project: &LogicalPlan,
@@ -186,7 +186,8 @@ impl Executor {
             .all(|n| self.reuse.role(n).is_none());
         let keyed_on_left = read.iter().all(|&c| c < width) && !exprs.is_empty();
         let unconditioned = input.expressions().next().is_none();
-        if !(cross && unconditioned && keyed_on_left && free && self.ctx.broadcast_cross) {
+        let on = self.ctx.rules.has(Rules::BROADCAST_CROSS);
+        if !(cross && unconditioned && keyed_on_left && free && on) {
             return Ok((self.execute(project)?, 1));
         }
         let (profiling, mut runs) = (self.ctx.profiling(), None);
@@ -209,18 +210,6 @@ impl Executor {
             }
         })?;
         Ok((chunks, runs.unwrap_or(1)))
-    }
-
-    /// The node's result from the reuse table, with the node that computed
-    /// it: its own (or an equal node's) kept result, or the columns it
-    /// needs out of a wider projection's.
-    fn kept_result(&mut self, role: &NodeRole) -> Option<(Vec<Chunk>, usize)> {
-        if let Some(hit) = role.result.and_then(|s| self.reuse.result(s, &self.ctx)) {
-            return Some(hit);
-        }
-        let (slot, columns) = role.pick.as_ref()?;
-        let (wide, owner) = self.reuse.result(*slot, &self.ctx)?;
-        Some((wide.iter().map(|c| c.project(columns)).collect(), owner))
     }
 
     /// End a working-table binding: what the reuse table computed under it

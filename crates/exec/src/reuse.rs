@@ -9,9 +9,7 @@
 //! node runs and serves later executions from it:
 //!
 //! * **common sub-plans** — structurally equal, deterministic sub-plans
-//!   share one result slot, and a `Project` whose expressions all occur in
-//!   a wider `Project` over an equal input picks its columns out of the
-//!   wider one's slot;
+//!   share one result slot;
 //! * **loop invariants** — inside an ITERATE or recursive-CTE body, a
 //!   maximal sub-plan that does not read the loop's working table keeps
 //!   its result; when it is the build (right) input of a join, the join
@@ -45,13 +43,10 @@ use crate::context::ExecContext;
 use crate::join::JoinBuild;
 
 /// What the analysis decided for one plan node.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) struct NodeRole {
     /// Slot this node's result is kept in and served from.
     pub result: Option<usize>,
-    /// `Project` only: slot of a wider projection over an equal input and
-    /// the columns of it that make up this node's output.
-    pub pick: Option<(usize, Vec<usize>)>,
     /// `Join` only: slot for the built right side.
     pub build: Option<usize>,
 }
@@ -411,13 +406,6 @@ fn worth_keeping(plan: &LogicalPlan) -> bool {
     )
 }
 
-fn project_exprs(plan: &LogicalPlan) -> Option<&[ScalarExpr]> {
-    match plan {
-        LogicalPlan::Project { exprs, .. } => Some(exprs),
-        _ => None,
-    }
-}
-
 struct Analysis<'a> {
     nodes: Vec<Node<'a>>,
     names: Vec<&'a str>,
@@ -428,9 +416,6 @@ struct Analysis<'a> {
     class: Vec<usize>,
     /// Members per class, by class index.
     count: Vec<usize>,
-    /// `Project` nodes that share one evaluation with projections over an
-    /// equal input, and how many projections take part.
-    sharing_projects: HashMap<usize, usize>,
     /// Result slot per class.
     class_slot: HashMap<usize, usize>,
     table: ReuseTable,
@@ -456,7 +441,6 @@ impl<'a> Analysis<'a> {
             shareable,
             class: (0..n).collect(),
             count: vec![1; n],
-            sharing_projects: HashMap::new(),
             class_slot: HashMap::new(),
             table: ReuseTable::default(),
         }
@@ -464,7 +448,6 @@ impl<'a> Analysis<'a> {
 
     fn run(mut self) -> ReuseTable {
         self.classify();
-        self.share_projections();
         self.share_repeated();
         self.hoist_invariants();
         self.bound_lifetimes();
@@ -540,66 +523,6 @@ impl<'a> Analysis<'a> {
         slot
     }
 
-    /// Projections over equal inputs: one whose expressions all occur in a
-    /// wider one picks its columns from the wider one's result. (If the
-    /// narrower one happens to run first, the pick misses and both run in
-    /// full, as they would without the table.)
-    fn share_projections(&mut self) {
-        // Distinct projections by the class of their input (the next node
-        // in pre-order), for inputs that occur more than once. Equal
-        // projections are one class and left to `share_repeated`.
-        let mut by_input: HashMap<usize, Vec<usize>> = HashMap::new();
-        for i in 0..self.nodes.len() {
-            let node = &self.nodes[i];
-            if self.shareable[i] && project_exprs(node.plan).is_some() && self.class[i] == i {
-                let input = self.class[i + 1];
-                if self.count[input] > 1 {
-                    by_input.entry(input).or_default().push(i);
-                }
-            }
-        }
-        for mut projects in by_input.into_values() {
-            let width = |p: &usize| project_exprs(self.nodes[*p].plan).map_or(0, <[_]>::len);
-            projects.sort_by_key(|p| std::cmp::Reverse(width(p)));
-            // Classes that share: those evaluated in full, and those
-            // picking from one of them.
-            let mut wide: Vec<usize> = Vec::new();
-            let mut sharing: Vec<usize> = Vec::new();
-            for narrow in projects {
-                let source = wide
-                    .iter()
-                    .find_map(|&w| Some((w, self.columns_of(w, narrow)?)));
-                let Some((w, columns)) = source else {
-                    wide.push(narrow);
-                    continue;
-                };
-                let slot = self.result_slot(w);
-                for i in narrow..self.nodes.len() {
-                    if self.class[i] == narrow {
-                        self.role(i).pick = Some((slot, columns.clone()));
-                    }
-                }
-                sharing.extend([w, narrow]);
-            }
-            let members: Vec<usize> = (0..self.nodes.len())
-                .filter(|i| sharing.contains(&self.class[*i]))
-                .collect();
-            for &i in &members {
-                self.sharing_projects.insert(i, members.len());
-            }
-        }
-    }
-
-    /// Where each output column of projection `narrow` sits in projection
-    /// `wide` (over an equal input), if `wide` has them all.
-    fn columns_of(&self, wide: usize, narrow: usize) -> Option<Vec<usize>> {
-        let wide = project_exprs(self.nodes[wide].plan)?;
-        project_exprs(self.nodes[narrow].plan)?
-            .iter()
-            .map(|e| wide.iter().position(|w| w == e))
-            .collect()
-    }
-
     /// How many executions of `node`'s parent are served by one
     /// evaluation: a child that occurs no more often than that is never
     /// reached a second time and needs no slot of its own.
@@ -608,10 +531,7 @@ impl<'a> Analysis<'a> {
         if parent == NONE {
             return 0;
         }
-        match self.sharing_projects.get(&parent) {
-            Some(&projects) => projects,
-            None => self.count[self.class[parent]],
-        }
+        self.count[self.class[parent]]
     }
 
     /// Repeated sub-plans share one result slot per class.
@@ -668,7 +588,7 @@ impl<'a> Analysis<'a> {
             let Some(role) = self.table.roles.get(&self.nodes[i].plan.node_id()) else {
                 continue;
             };
-            let slots = [role.result, role.pick.as_ref().map(|p| p.0), role.build];
+            let slots = [role.result, role.build];
             let until = self.outermost_loop(i);
             for slot in slots.into_iter().flatten() {
                 self.table.slots[slot].until = until;

@@ -15,4 +15,4 @@ pub mod stats;
 
 pub use binder::Binder;
 pub use logical::{AggExpr, AnalyticsOp, JoinKind, LogicalPlan, SortKey};
-pub use optimizer::Optimizer;
+pub use optimizer::{Optimizer, Rules};

@@ -594,9 +594,7 @@ impl LogicalPlan {
         out: &mut String,
         annotate: &dyn Fn(&LogicalPlan) -> String,
     ) {
-        for _ in 0..depth {
-            out.push_str("  ");
-        }
+        out.push_str(&"  ".repeat(depth));
         out.push_str(self.op_name());
         match self {
             LogicalPlan::TableScan {
@@ -635,15 +633,9 @@ impl LogicalPlan {
                 ..
             } => {
                 let keys: Vec<String> = group_exprs.iter().map(|e| e.to_string()).collect();
-                out.push_str(&format!(
-                    " group_by=[{}] aggs=[{}]",
-                    keys.join(", "),
-                    aggregates
-                        .iter()
-                        .map(|a| a.func.name().to_string())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ));
+                let aggs: Vec<&str> = aggregates.iter().map(|a| a.func.name()).collect();
+                let (keys, aggs) = (keys.join(", "), aggs.join(", "));
+                out.push_str(&format!(" group_by=[{keys}] aggs=[{aggs}]"));
                 if let Some((func, v)) = at_best {
                     out.push_str(&format!(" at_{}={v}", func.name()));
                 }
@@ -659,11 +651,7 @@ impl LogicalPlan {
                     lambda,
                     max_iterations,
                 } => {
-                    let distance = if lambda.is_some() {
-                        "custom"
-                    } else {
-                        "default-L2"
-                    };
+                    let distance = lambda.as_ref().map_or("default-L2", |_| "custom");
                     out.push_str(&format!(" lambda={distance} max_iter={max_iterations}"));
                 }
                 AnalyticsOp::PageRank {
@@ -678,12 +666,8 @@ impl LogicalPlan {
                 }
                 _ => {}
             },
-            LogicalPlan::WorkingTable { name, .. } => {
-                out.push_str(&format!(" name={name}"));
-            }
-            LogicalPlan::SystemScan { view, .. } => {
-                out.push_str(&format!(" view={}", view.name()));
-            }
+            LogicalPlan::WorkingTable { name, .. } => out.push_str(&format!(" name={name}")),
+            LogicalPlan::SystemScan { view, .. } => out.push_str(&format!(" view={}", view.name())),
             _ => {}
         }
         out.push_str(&annotate(self));

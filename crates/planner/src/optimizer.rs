@@ -14,9 +14,8 @@
 //!    unsound;
 //! 5. projection merging.
 //!
-//! Then, once each: the n:1 join first (unless switched off with
-//! `SET join_reorder = off`), the groupjoin (unless switched off with
-//! `SET groupjoin = off`), and a top-down required-columns pass: every
+//! Then, once each: the n:1 join first and the groupjoin (each unless its
+//! [`Rules`] bit is off), and a top-down required-columns pass: every
 //! table scan keeps exactly the columns its ancestors use (its own
 //! filter's included), so that storage loads no other column's blocks.
 
@@ -28,13 +27,52 @@ use hylite_expr::{AggregateFunction, BinaryOp, ScalarExpr};
 use crate::binder::columns_of;
 use crate::logical::{column_of, column_pairs, AggExpr, JoinKind, LogicalPlan};
 
-/// The optimizer. Stateless; `optimize` consumes and returns plans.
+/// The rewrites that can be switched off, as a bit set: every one is on by
+/// default and gives the same bits as the plan it replaces, so a test
+/// compares each with [`Rules::NONE`]. The executor reads
+/// [`Rules::BROADCAST_CROSS`]; the optimizer the rest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Rules(u8);
+
+impl Rules {
+    /// The n:1 join first: `(A ⋈ B) ⋈ U`, U unique on its join key, runs
+    /// as `(A ⋈ U) ⋈ B`.
+    pub const JOIN_REORDER: Rules = Rules(1);
+    /// A join against a group-by of the same relation on `(key, v =
+    /// min(v))` runs as one arg-min aggregate.
+    pub const GROUPJOIN: Rules = Rules(2);
+    /// An aggregate over a projection of `P × C`, keyed on P's columns,
+    /// evaluates the projection once per C row instead of building `P × C`.
+    pub const BROADCAST_CROSS: Rules = Rules(4);
+    /// Each rule on its own.
+    pub const EACH: [Rules; 3] = [Rules(1), Rules(2), Rules(4)];
+    /// Every rule: the default.
+    pub const ALL: Rules = Rules(7);
+    /// No rule: the reference each rule is compared with.
+    pub const NONE: Rules = Rules(0);
+
+    /// These rules with `rule` switched off.
+    pub const fn without(self, rule: Rules) -> Rules {
+        Rules(self.0 & !rule.0)
+    }
+
+    /// Whether `rule` is on.
+    pub const fn has(self, rule: Rules) -> bool {
+        self.0 & rule.0 == rule.0
+    }
+}
+
+impl Default for Rules {
+    fn default() -> Rules {
+        Rules::ALL
+    }
+}
+
+/// The optimizer and the [`Rules`] it runs; `optimize` consumes and
+/// returns plans.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Optimizer {
-    /// `SET groupjoin = off`.
-    no_groupjoin: bool,
-    /// `SET join_reorder = off`.
-    no_join_reorder: bool,
+    rules: Rules,
 }
 
 /// Maximum rewrite passes before we stop (each pass is a full-tree walk).
@@ -46,16 +84,9 @@ impl Optimizer {
         Optimizer::default()
     }
 
-    /// This optimizer with the groupjoin rule on or off.
-    pub fn with_groupjoin(mut self, on: bool) -> Optimizer {
-        self.no_groupjoin = !on;
-        self
-    }
-
-    /// This optimizer with the n:1-join-first rule on or off.
-    pub fn with_join_reorder(mut self, on: bool) -> Optimizer {
-        self.no_join_reorder = !on;
-        self
+    /// This optimizer with only `rules` on.
+    pub fn with_rules(self, rules: Rules) -> Optimizer {
+        Optimizer { rules }
     }
 
     /// Optimize a plan.
@@ -67,10 +98,10 @@ impl Optimizer {
                 break;
             }
         }
-        if !self.no_join_reorder {
+        if self.rules.has(Rules::JOIN_REORDER) {
             reorder(&mut plan);
         }
-        if !self.no_groupjoin {
+        if self.rules.has(Rules::GROUPJOIN) {
             plan = groupjoin(plan)?;
         }
         let every_column = vec![true; plan.schema().len()];

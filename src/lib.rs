@@ -29,7 +29,7 @@
 //! assert_eq!(centers.row_count(), 2);
 //! ```
 
-pub use hylite_core::{Database, QueryResult, Session, SessionSettings};
+pub use hylite_core::{Database, QueryResult, Rules, Session, SessionSettings};
 
 /// Physical analytics operators: k-Means, Naive Bayes, PageRank.
 pub use hylite_analytics as analytics;

@@ -1,17 +1,18 @@
 //! The broadcast cross product and the n:1-join-first rule against the
-//! plans they replace: `SET broadcast_cross` and `SET join_reorder` on and
-//! off must return the same bits in the same row order, over generated
+//! plans they replace: every rule set of `common::rule_sets` must return
+//! the bits of `Rules::NONE` in the same row order, over generated
 //! relations with NULL, NaN and ±0.0 cells (the small side's too),
 //! duplicate and NULL keys, an empty large side and small sides of 0, 1,
 //! 5, 64, 65 and 1,025 rows, in the ITERATE and recursive-CTE forms of k-Means
-//! and PageRank (with dangling vertices), at every thread count, with plan
-//! reuse and the groupjoin on and off. EXPLAIN shows where each fires and
-//! where it declines.
+//! and PageRank (with dangling vertices), at every thread count and with
+//! plan reuse on and off. EXPLAIN shows where each fires and where it
+//! declines.
 
-use std::fmt::Write;
+mod common;
 
-use hylite::common::{Chunk, DataType, Value};
-use hylite::Database;
+use common::{bits, explain, load, rule_sets};
+use hylite::common::{DataType, Value};
+use hylite::{Database, Rules};
 use hylite_bench::queries;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -123,21 +124,6 @@ fn database(seed: u64) -> Database {
     db
 }
 
-/// `rows` into `table`, cut into chunks of random lengths.
-fn load(db: &Database, table: &str, types: &[DataType], rows: &[Vec<Value>], rng: &mut StdRng) {
-    let table = db.catalog().get_table(table).unwrap();
-    let mut guard = table.write();
-    let mut rest = rows;
-    while !rest.is_empty() {
-        let (chunk, tail) = rest.split_at(rng.gen_range(1..rest.len() + 1));
-        guard
-            .insert_chunk(Chunk::from_rows(types, chunk).unwrap())
-            .unwrap();
-        rest = tail;
-    }
-    guard.commit();
-}
-
 /// `π(p × c)` as the subquery `q(id, s, x, g, cid, v, z, k)`.
 const PRODUCT: &str = "(SELECT p.id, p.s, p.x, p.i % 3 AS g, c.cid, p.x * c.y AS v, \
                        p.x ^ c.w + c.y AS z, p.i * c.w AS k FROM p, c) q";
@@ -212,66 +198,16 @@ fn loops() -> Vec<String> {
     ]
 }
 
-/// A result as text that is equal exactly when the bits are: doubles as
-/// hexadecimal bit patterns, rows in the order returned, an error as its
-/// message.
-fn bits(db: &Database, settings: &str, sql: &str) -> String {
-    let mut session = db.session();
-    for set in settings.split(';') {
-        session.execute(set).unwrap();
-    }
-    let mut out = String::new();
-    match session.execute(sql) {
-        Err(e) => writeln!(out, "error: {e}").unwrap(),
-        Ok(r) => {
-            for row in r.to_rows() {
-                for v in row.values() {
-                    match v {
-                        Value::Float(f) => write!(out, "{:016x} ", f.to_bits()).unwrap(),
-                        other => write!(out, "{other} ").unwrap(),
-                    }
-                }
-                out.push('\n');
-            }
-        }
-    }
-    out
-}
-
-/// `EXPLAIN [ANALYZE] sql` under `settings`.
-fn explain(db: &Database, settings: &str, analyze: &str, sql: &str) -> String {
-    let mut session = db.session();
-    for set in settings.split(';') {
-        session.execute(set).unwrap();
-    }
-    let plan = session
-        .execute(&format!("EXPLAIN {analyze} {sql}"))
-        .unwrap();
-    let lines: Vec<String> = plan
-        .to_rows()
-        .iter()
-        .map(|r| r.values()[0].to_string())
-        .collect();
-    lines.join("\n")
-}
-
-const OFF: &str = "SET broadcast_cross = off; SET join_reorder = off; SET groupjoin = off";
-
-/// Every setting against both switches off, to the bit.
+/// Every rule set against no rule, to the bit, at every thread count and
+/// with plan reuse on and off.
 fn assert_same_bits(db: &Database, seed: u64, sql: &str) -> String {
-    let want = bits(db, OFF, sql);
+    let want = bits(db, Rules::NONE, "", sql);
     for threads in [1, 2, 8] {
         for reuse in ["on", "off"] {
-            for groupjoin in ["on", "off"] {
-                for (broadcast, reorder) in [("on", "on"), ("on", "off"), ("off", "on")] {
-                    let settings = format!(
-                        "SET threads = {threads}; SET plan_reuse = {reuse}; \
-                         SET groupjoin = {groupjoin}; SET broadcast_cross = {broadcast}; \
-                         SET join_reorder = {reorder}"
-                    );
-                    let got = bits(db, &settings, sql);
-                    assert_eq!(got, want, "seed {seed}, {settings}:\n{sql}");
-                }
+            for rules in rule_sets() {
+                let settings = format!("SET threads = {threads}; SET plan_reuse = {reuse}");
+                let got = bits(db, rules, &settings, sql);
+                assert_eq!(got, want, "seed {seed}, {rules:?}, {settings}:\n{sql}");
             }
         }
     }
@@ -279,12 +215,12 @@ fn assert_same_bits(db: &Database, seed: u64, sql: &str) -> String {
 }
 
 fn broadcasts(db: &Database, sql: &str) -> bool {
-    explain(db, "SET broadcast_cross = on", "ANALYZE", sql).contains("[cross=broadcast]")
+    explain(db, Rules::ALL, "ANALYZE", sql).contains("[cross=broadcast]")
 }
 
 fn reorders(db: &Database, sql: &str) -> bool {
-    let on = explain(db, "SET join_reorder = on", "", sql);
-    on != explain(db, "SET join_reorder = off", "", sql)
+    let off = Rules::ALL.without(Rules::JOIN_REORDER);
+    explain(db, Rules::ALL, "", sql) != explain(db, off, "", sql)
 }
 
 #[test]
@@ -324,7 +260,7 @@ fn the_loops_return_the_same_bits_and_keep_their_reuse() {
         let db = database(seed);
         for sql in loops() {
             let kmeans = sql.contains("centers");
-            let plan = explain(&db, "SET broadcast_cross = on", "ANALYZE", &sql);
+            let plan = explain(&db, Rules::ALL, "ANALYZE", &sql);
             let cross = plan.lines().filter(|l| l.contains("Join kind=Cross"));
             let cross: String = cross.collect();
             // A recursive CTE's last round crosses an empty working table,
@@ -341,11 +277,11 @@ fn the_loops_return_the_same_bits_and_keep_their_reuse() {
     // ITERATE still builds `data` (k-Means, for its means) and `edges`
     // and the degrees (PageRank) once: 3 and 20 rounds reuse them.
     let db = database(2);
-    let plan = explain(&db, "SET plan_reuse = on", "ANALYZE", &loops()[0]);
+    let plan = explain(&db, Rules::ALL, "ANALYZE", &loops()[0]);
     let reused = plan.lines().filter(|l| l.contains("[build_reused=2]"));
     assert_eq!(reused.count(), 1, "{plan}");
     let pagerank = queries::pagerank_iterate(VERTICES as usize, 0.85, 20);
-    let plan = explain(&db, "SET plan_reuse = on", "ANALYZE", &pagerank);
+    let plan = explain(&db, Rules::ALL, "ANALYZE", &pagerank);
     let reused = plan.matches("[build_reused=19]").count();
     assert_eq!(reused, 2, "{plan}");
 }

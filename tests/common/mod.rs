@@ -1,10 +1,17 @@
 //! What more than one root test needs: the `people` fixture, the read
-//! corpus of `sql_end_to_end.rs` with its tables, and the statement corpus
-//! `plan_algebra.rs` walks and keeps an EXPLAIN golden of.
+//! corpus of `sql_end_to_end.rs` with its tables, the statement corpus
+//! `plan_algebra.rs` walks and keeps an EXPLAIN golden of, and what the
+//! rewrite rules' differential tests share: the rule sets, generated
+//! tables, and results compared by bits.
 #![allow(dead_code)]
 
-use hylite::Database;
+use std::fmt::Write;
+
+use hylite::common::{Chunk, DataType, Value};
+use hylite::{Database, Rules, Session};
 use hylite_bench::queries;
+use rand::rngs::StdRng;
+use rand::Rng;
 
 pub fn db_with_people() -> Database {
     let db = Database::new();
@@ -184,8 +191,8 @@ pub fn corpus() -> Vec<String> {
 /// For every statement of [`corpus`]: the statement, its bound plan as
 /// written, and what `EXPLAIN` prints (optimized, with estimated rows).
 /// `tests/golden/plan_algebra_explain.txt` is this text at commit 3b24221,
-/// before the analytics operators became one plan node.
-pub fn explain_corpus(db: &Database) -> String {
+/// before the analytics operators became one plan node, under `rules`.
+pub fn explain_corpus(db: &Database, rules: Rules) -> String {
     use hylite::planner::binder::BoundStatement;
     use hylite::planner::Binder;
 
@@ -197,11 +204,75 @@ pub fn explain_corpus(db: &Database) -> String {
             panic!("not a query: {sql}");
         };
         out.push_str(&format!("-- {sql}\nbound:\n{}explain:\n", bound.explain()));
-        let explained = db.execute(&format!("EXPLAIN {sql}")).unwrap();
-        for row in explained.to_rows() {
-            out.push_str(&format!("{}\n", row.values()[0]));
-        }
-        out.push('\n');
+        writeln!(out, "{}\n", explain(db, rules, "", &sql)).unwrap();
     }
     out
+}
+
+/// The rule sets a differential sweep runs against [`Rules::NONE`]: every
+/// rule, and every rule but one.
+pub fn rule_sets() -> Vec<Rules> {
+    let one_off = Rules::EACH.map(|rule| Rules::ALL.without(rule));
+    [Rules::ALL].into_iter().chain(one_off).collect()
+}
+
+/// A session over `db` that runs only `rules`, after the `;`-separated
+/// `SET` statements of `settings`.
+pub fn session(db: &Database, rules: Rules, settings: &str) -> Session {
+    let mut session = db.session();
+    session.set_rules(rules);
+    for set in settings.split(';').filter(|s| !s.trim().is_empty()) {
+        session.execute(set).unwrap();
+    }
+    session
+}
+
+/// A result as text that is equal exactly when the bits are: doubles as
+/// hexadecimal bit patterns, rows in the order returned, an error as its
+/// message.
+pub fn bits(db: &Database, rules: Rules, settings: &str, sql: &str) -> String {
+    let mut out = String::new();
+    match session(db, rules, settings).execute(sql) {
+        Err(e) => writeln!(out, "error: {e}").unwrap(),
+        Ok(r) => {
+            for row in r.to_rows() {
+                for v in row.values() {
+                    match v {
+                        Value::Float(f) => write!(out, "{:016x} ", f.to_bits()).unwrap(),
+                        other => write!(out, "{other} ").unwrap(),
+                    }
+                }
+                out.push('\n');
+            }
+        }
+    }
+    out
+}
+
+/// `EXPLAIN [ANALYZE] sql` under `rules`.
+pub fn explain(db: &Database, rules: Rules, analyze: &str, sql: &str) -> String {
+    let plan = session(db, rules, "")
+        .execute(&format!("EXPLAIN {analyze} {sql}"))
+        .unwrap();
+    let lines: Vec<String> = plan
+        .to_rows()
+        .iter()
+        .map(|r| r.values()[0].to_string())
+        .collect();
+    lines.join("\n")
+}
+
+/// `rows` into `table`, cut into chunks of random lengths.
+pub fn load(db: &Database, table: &str, types: &[DataType], rows: &[Vec<Value>], rng: &mut StdRng) {
+    let table = db.catalog().get_table(table).unwrap();
+    let mut guard = table.write();
+    let mut rest = rows;
+    while !rest.is_empty() {
+        let (chunk, tail) = rest.split_at(rng.gen_range(1..rest.len() + 1));
+        guard
+            .insert_chunk(Chunk::from_rows(types, chunk).unwrap())
+            .unwrap();
+        rest = tail;
+    }
+    guard.commit();
 }

@@ -1,17 +1,19 @@
-//! The groupjoin against the join it replaces: `SET groupjoin = on` and
-//! `off` must return the same bits for every statement the rule rewrites,
-//! over generated relations with NULL and duplicate keys, NULL, NaN and
-//! ±0.0 values, ties at the best value and empty inputs, at every thread
-//! count and with plan reuse on and off. EXPLAIN shows where the rule fires
-//! and where it declines; `golden/groupjoin_explain.txt` pins what it makes
-//! of the two SQL k-Means statements.
+//! The groupjoin against the join it replaces: every rule set of
+//! `common::rule_sets` must return the bits of `Rules::NONE` for every
+//! statement the rule rewrites, over generated relations with NULL and
+//! duplicate keys, NULL, NaN and ±0.0 values, ties at the best value and
+//! empty inputs, at every thread count and with plan reuse on and off.
+//! EXPLAIN shows where the rule fires and where it declines;
+//! `golden/groupjoin_explain.txt` pins what it makes of the two SQL k-Means
+//! statements.
 
 mod common;
 
 use std::fmt::Write;
 
-use hylite::common::{Chunk, DataType, Value};
-use hylite::Database;
+use common::{bits, explain, load, rule_sets};
+use hylite::common::{DataType, Value};
+use hylite::{Database, Rules};
 use hylite_bench::{queries, workloads};
 use hylite_datagen::table1::KMeansExperiment;
 use rand::rngs::StdRng;
@@ -84,21 +86,6 @@ fn database(seed: u64) -> Database {
     db
 }
 
-/// `rows` into `table`, cut into chunks of random lengths.
-fn load(db: &Database, table: &str, types: &[DataType], rows: &[Vec<Value>], rng: &mut StdRng) {
-    let table = db.catalog().get_table(table).unwrap();
-    let mut guard = table.write();
-    let mut rest = rows;
-    while !rest.is_empty() {
-        let (chunk, tail) = rest.split_at(rng.gen_range(1..rest.len() + 1));
-        guard
-            .insert_chunk(Chunk::from_rows(types, chunk).unwrap())
-            .unwrap();
-        rest = tail;
-    }
-    guard.commit();
-}
-
 /// `γ_{keys; aggs}(X ⋈_{keys, dist = best} γ_{keys; best(dist)}(X))` over
 /// `r`, X and Y each a projection of the same scan.
 fn over_r(keys: &[&str], aggs: &str, best: &str) -> String {
@@ -155,45 +142,8 @@ fn rewritten() -> Vec<String> {
     ]
 }
 
-/// A result as text that is equal exactly when the bits are: doubles as
-/// hexadecimal bit patterns, rows in the order returned, an error as its
-/// message.
-fn bits(db: &Database, settings: &str, sql: &str) -> String {
-    let mut session = db.session();
-    for set in settings.split(';') {
-        session.execute(set).unwrap();
-    }
-    let mut out = String::new();
-    match session.execute(sql) {
-        Err(e) => writeln!(out, "error: {e}").unwrap(),
-        Ok(r) => {
-            for row in r.to_rows() {
-                for v in row.values() {
-                    match v {
-                        Value::Float(f) => write!(out, "{:016x} ", f.to_bits()).unwrap(),
-                        other => write!(out, "{other} ").unwrap(),
-                    }
-                }
-                out.push('\n');
-            }
-        }
-    }
-    out
-}
-
-fn explain(db: &Database, groupjoin: &str, sql: &str) -> String {
-    let mut session = db.session();
-    session
-        .execute(&format!("SET groupjoin = {groupjoin}"))
-        .unwrap();
-    let plan = session.execute(&format!("EXPLAIN {sql}")).unwrap();
-    let lines: Vec<String> = plan
-        .to_rows()
-        .iter()
-        .map(|r| r.values()[0].to_string())
-        .collect();
-    lines.join("\n")
-}
+/// Every rule but the groupjoin.
+const NO_GROUPJOIN: Rules = Rules::ALL.without(Rules::GROUPJOIN);
 
 #[test]
 fn groupjoin_on_and_off_return_the_same_bits() {
@@ -201,22 +151,19 @@ fn groupjoin_on_and_off_return_the_same_bits() {
     for seed in 0..SEEDS {
         let db = database(seed);
         for sql in rewritten() {
-            let on = explain(&db, "on", &sql);
+            let on = explain(&db, Rules::ALL, "", &sql);
             assert!(
                 on.contains(" at_m") && !on.contains("Join kind=Inner"),
                 "seed {seed}: the rule did not fire:\n{on}\n{sql}"
             );
-            let want = bits(&db, "SET groupjoin = off", &sql);
+            let want = bits(&db, Rules::NONE, "", &sql);
             fired += usize::from(!want.is_empty());
             for threads in [1, 2, 8] {
                 for reuse in ["on", "off"] {
-                    for groupjoin in ["on", "off"] {
-                        let settings = format!(
-                            "SET threads = {threads}; SET plan_reuse = {reuse}; \
-                             SET groupjoin = {groupjoin}"
-                        );
-                        let got = bits(&db, &settings, &sql);
-                        assert_eq!(got, want, "seed {seed}, {settings}:\n{sql}");
+                    for rules in rule_sets() {
+                        let settings = format!("SET threads = {threads}; SET plan_reuse = {reuse}");
+                        let got = bits(&db, rules, &settings, &sql);
+                        assert_eq!(got, want, "seed {seed}, {rules:?}, {settings}:\n{sql}");
                     }
                 }
             }
@@ -254,11 +201,15 @@ fn the_rule_declines_what_it_cannot_rewrite_bit_for_bit() {
     // Seed 0's `r` is empty.
     for db in [database(3), database(0)] {
         for (why, sql) in &declined {
-            let on = explain(&db, "on", sql);
+            let on = explain(&db, Rules::ALL, "", sql);
             assert!(!on.contains(" at_m"), "{why}: the rule fired:\n{on}");
-            assert_eq!(on, explain(&db, "off", sql), "{why}: the plan changed");
-            let want = bits(&db, "SET groupjoin = off", sql);
-            assert_eq!(bits(&db, "SET groupjoin = on", sql), want, "{why}");
+            assert_eq!(
+                on,
+                explain(&db, NO_GROUPJOIN, "", sql),
+                "{why}: the plan changed"
+            );
+            let want = bits(&db, Rules::NONE, "", sql);
+            assert_eq!(bits(&db, Rules::ALL, "", sql), want, "{why}");
         }
     }
 }
@@ -273,7 +224,7 @@ fn kmeans_explain() -> String {
         queries::kmeans_iterate(3, 2),
         queries::kmeans_recursive_cte(3, 2),
     ] {
-        writeln!(out, "-- {sql}\n{}\n", explain(&db, "on", &sql)).unwrap();
+        writeln!(out, "-- {sql}\n{}\n", explain(&db, Rules::ALL, "", &sql)).unwrap();
     }
     out
 }
@@ -305,11 +256,11 @@ fn bench_kmeans_statements_agree_with_the_rule_off() {
         queries::kmeans_iterate(3, 2),
         queries::kmeans_recursive_cte(3, 2),
     ] {
-        let want = bits(&db, "SET groupjoin = off", &sql);
+        let want = bits(&db, NO_GROUPJOIN, "", &sql);
         assert!(!want.is_empty());
         for threads in [1, 2] {
-            let settings = format!("SET threads = {threads}; SET groupjoin = on");
-            assert_eq!(bits(&db, &settings, &sql), want, "{sql}");
+            let settings = format!("SET threads = {threads}");
+            assert_eq!(bits(&db, Rules::ALL, &settings, &sql), want, "{sql}");
         }
     }
 }
@@ -329,16 +280,16 @@ fn kmeans_fits_with_the_rule_on_where_it_fits_off() {
         queries::kmeans_iterate(3, 3),
         queries::kmeans_recursive_cte(3, 3),
     ] {
-        let at = |groupjoin: &str, mb: u64| {
-            let settings = format!("SET groupjoin = {groupjoin}; SET memory_budget_mb = {mb}");
-            bits(&kmeans.db, &settings, &sql)
+        let at = |rules: Rules, mb: u64| {
+            let settings = format!("SET memory_budget_mb = {mb}");
+            bits(&kmeans.db, rules, &settings, &sql)
         };
         let fits = |answer: &String| !answer.starts_with("error:");
-        let smallest = (1..=16).find(|&mb| fits(&at("off", mb)));
+        let smallest = (1..=16).find(|&mb| fits(&at(NO_GROUPJOIN, mb)));
         let mb = smallest.expect("the k-Means fits 16 MiB with the rule off");
         assert!(mb > 1, "the sweep straddles the fit: {sql}");
-        let want = bits(&kmeans.db, "SET groupjoin = off", &sql);
-        assert_eq!(at("off", mb), want);
-        assert_eq!(at("on", mb), want, "{mb} MiB: {sql}");
+        let want = bits(&kmeans.db, NO_GROUPJOIN, "", &sql);
+        assert_eq!(at(NO_GROUPJOIN, mb), want);
+        assert_eq!(at(Rules::ALL, mb), want, "{mb} MiB: {sql}");
     }
 }

@@ -915,10 +915,11 @@ fn query_with_retry_counts_each_retry() {
     let mut occupant = HyliteClient::connect(addr).unwrap();
     let cancel = occupant.cancel_handle();
     let occupant_thread = std::thread::spawn(move || {
-        let _ = occupant.query(
-            "SELECT * FROM ITERATE((SELECT 0 \"x\"), (SELECT x + 1 FROM iterate), \
-             (SELECT x FROM iterate WHERE x >= 50000000))",
-        );
+        let endless = "SELECT * FROM ITERATE((SELECT 0 \"x\"), (SELECT x + 1 FROM iterate), \
+                       (SELECT x FROM iterate WHERE x >= 50000000))";
+        // Shed while the poller's `SELECT 1` holds the only slot: sent
+        // again until it runs, and so ends on the cancel.
+        while let Err(HyError::Unavailable(_)) = occupant.query(endless) {}
     });
     wait_until("slot to be occupied", Duration::from_secs(10), || {
         matches!(client.query("SELECT 1"), Err(HyError::Unavailable(_)))
